@@ -15,7 +15,10 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .errors import ConfigurationError
+from numpy.linalg import LinAlgError
+
+from .errors import (ConfigurationError, MeshError, ProjectionError,
+                     SingularMatrixError, SolverError)
 from .mesh import MeshConfig, build_shishkin_1d, build_shishkin_2d
 from .norms import (
     error_norms_1d,
@@ -34,6 +37,11 @@ from .projections import (
 )
 from .ldg1d import solve_ldg_1d
 from .ldg2d import solve_ldg_2d
+
+# Failures a row records before the sweep moves on; any other exception is
+# a defect and propagates.
+_ROW_ERRORS = (ConfigurationError, MeshError, ProjectionError, SingularMatrixError,
+               SolverError, LinAlgError)
 
 CSV_HEADER = "k,N,eps,sigma,err_energy,rate_energy,err_balanced,rate_balanced,clamped,residual"
 
@@ -157,7 +165,7 @@ def _solve_row(cfg, k, N, eps):
             row.err_energy = energy.total
         if cfg.norm in ("balanced", "both"):
             row.err_balanced = balanced.total
-    except Exception as exc:  # recorded per row; the sweep continues
+    except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
     return row
@@ -213,7 +221,7 @@ def _projection_row(cfg, k, N, eps):
                                        lambda i, j: True)
             row.err_energy = eps ** -0.25 * err_u
             row.err_balanced = eps ** -0.75 * err_p
-    except Exception as exc:
+    except _ROW_ERRORS as exc:
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
     return row

@@ -1,21 +1,24 @@
 """Mixed LDG discretization of -eps u'' + b u = f on a 1D Shishkin mesh.
 
-The first-order system (q = eps u') is discretized cell by cell; the
-numerical fluxes upwind U from the left and Q from the right, penalize the
-boundary traces of U with weight sqrt(eps) and the jump of Q at the right
-transition node 3N/4 with weight 1/sqrt(eps).  That interface term couples
-the Q unknowns of the two cells that share the transition node, so the
-whole system is solved monolithically (block-banded, cell-major ordering
-with Q modes before U modes inside each cell).
-
-For conditioning at extreme eps the system is assembled in the scaled
-unknown Qtilde = Q / sqrt(eps); rows and columns are then equilibrated by
-powers of two before factorization, and the solution is unscaled on return.
+The numerical fluxes of the first-order system (q = eps u') upwind U from
+the left and Q from the right, penalize the boundary traces of U with
+weight sqrt(eps) and the jump of Q at the right transition node 3N/4 with
+weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
+and field order [Qtilde; U] the matrix is [[M/s + v v^T, D],
+[-s D^T, W_b + s E]]: sparse operator pieces over (cell, mode) (see
+``OperatorPieces1D``) plus the b-weighted mass W_b, with no loop over
+cells; Kronecker products of the same pieces build the 2D matrix.  The
+interface term v v^T couples the Q unknowns of the two cells that share
+the transition node, so the whole system is solved monolithically
+(block-banded, cell-major ordering with Q modes before U modes inside each
+cell).  Rows and columns are equilibrated by powers of two before
+factorization, and the solution is unscaled on return.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import ReferenceBasis, assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction1D
@@ -81,11 +84,61 @@ class AssembledSystem:
     flux: FluxParams
 
 
+@dataclass(frozen=True)
+class OperatorPieces1D:
+    """Sparse 1D operator pieces over (cell, mode), cell-major, s = sqrt(eps).
+
+    ``mass`` is the modal mass M = diag(h/2 * 2/(2n+1)).  ``derivative`` is
+    the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
+    of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
+    1 and alt the right and left endpoint values of the modes).
+    ``flux_mass`` is the Qtilde block M/s + v v^T, whose rank-one interface
+    penalty has v = 1 on cell J and -alt on cell J+1 (J = 3N/4, 1-based).
+    ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
+    e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
+    (test v, Qtilde) block of the scheme is exactly -s D^T.
+    """
+
+    mass: sp.csr_matrix
+    derivative: sp.csr_matrix
+    flux_mass: sp.csr_matrix
+    penalty: sp.csr_matrix
+    s: float
+
+
+def operator_pieces_1d(mesh, k, eps):
+    """The 1D pieces from which both the 1D and the 2D systems are built."""
+    N = mesh.N
+    basis = ReferenceBasis(k)
+    ones, alt = basis.right_values, basis.left_values
+    s = float(np.sqrt(eps))
+    J = mesh.interface_index
+
+    def unit(i):  # i-th unit column of length N
+        return sp.csr_matrix(([1.0], ([i], [0])), shape=(N, 1))
+
+    def corner(i):  # e_i e_i^T
+        return unit(i) @ unit(i).T
+
+    mass = sp.diags((0.5 * mesh.widths[:, None] * basis.mass_diag).ravel(), format="csr")
+    derivative = (
+        sp.kron(sp.identity(N), basis.stiffness())
+        - sp.kron(sp.identity(N) - corner(N - 1), np.outer(ones, ones))
+        + sp.kron(sp.eye(N, k=-1), np.outer(alt, ones))
+    ).tocsr()
+    v = sp.kron(unit(J - 1), ones[:, None]) - sp.kron(unit(J), alt[:, None])
+    flux_mass = (mass / s + v @ v.T).tocsr()
+    penalty = s * (sp.kron(corner(N - 1), np.outer(ones, ones))
+                   + sp.kron(corner(0), np.outer(alt, alt))).tocsr()
+    return OperatorPieces1D(mass=mass, derivative=derivative, flux_mass=flux_mass,
+                            penalty=penalty, s=s)
+
+
 def assemble_1d(problem, mesh, k, quad=None):
     """Assemble the block-banded LDG system for ``problem`` on ``mesh``.
 
-    Volume terms use (k+3)-point Gauss rules per cell (b and f are smooth);
-    mass and derivative couplings are exact in the modal basis.
+    Volume terms of b and f use (k+3)-point Gauss rules per cell (b and f
+    are smooth); mass and derivative couplings are exact in the modal basis.
     """
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
@@ -93,94 +146,30 @@ def assemble_1d(problem, mesh, k, quad=None):
     eps = problem.eps
     flux = FluxParams.for_problem(eps, N)
     layout = _Layout1D(N, k)
-    basis = ReferenceBasis(k)
+    pieces = operator_pieces_1d(mesh, k, eps)
+    s = pieces.s
     quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    G = basis.stiffness()
-    ones = basis.right_values
-    alt = basis.left_values
-    mass = basis.mass_diag
-    s = float(np.sqrt(eps))
 
-    halfh = 0.5 * np.diff(mesh.nodes)
-    # b and f at all quadrature points of all cells at once
-    X = mesh.nodes[:-1, None] + halfh[:, None] * (rule.points[None, :] + 1.0)
+    halfh = 0.5 * mesh.widths
+    X = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)
+    W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
+    reaction = sp.bsr_matrix((W, np.arange(N), np.arange(N + 1)))
 
-    rows, cols, vals = [], [], []
+    A = sp.bmat([[pieces.flux_mass, pieces.derivative],
+                 [-s * pieces.derivative.T, reaction + pieces.penalty]], format="coo")
+    # field order (Qtilde cells, then U cells) -> cell-interleaved layout
+    cells, modes = np.arange(N)[:, None], np.arange(k + 1)
+    q_dofs = layout.q_index(cells, modes)
+    u_dofs = layout.u_index(cells, modes)
+    order = np.concatenate([q_dofs.ravel(), u_dofs.ravel()])
+    matrix = BandedMatrix.from_coo(layout.n, order[A.row], order[A.col], A.data)
 
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    modes = np.arange(k + 1)
     rhs = np.zeros(layout.n)
-
-    for c in range(N):
-        i = c + 1  # 1-based cell index; right node index == i
-        rq = layout.q_index(c, 0) + modes   # eq1 rows (test r)
-        ru = layout.u_index(c, 0) + modes   # eq2 rows (test v)
-        qc = layout.q_index(c, 0) + modes   # Qtilde modes of this cell
-        uc = layout.u_index(c, 0) + modes
-
-        # eq1: (1/eps)<Q, r> with Q = s * Qtilde  ->  (h/2) mass / sqrt(eps)
-        add(rq, qc, halfh[c] * mass / s)
-        # eq1: <U, r'>
-        add(np.repeat(rq, k + 1), np.tile(uc, k + 1), G)
-
-        # eq1 flux at the right node i: -Uhat_i * r_i^-  (r_i^- modes all 1)
-        if i < N:
-            # Uhat_i = U_i^- from this cell ...
-            add(np.repeat(rq, k + 1), np.tile(uc, k + 1), -np.outer(ones, ones))
-            if i == flux.interface_index:
-                # ... minus lambda_q [[Q]]; lambda_q * s = 1 in scaled unknowns
-                qn = layout.q_index(c + 1, 0) + modes
-                add(np.repeat(rq, k + 1), np.tile(qc, k + 1), np.outer(ones, ones))
-                add(np.repeat(rq, k + 1), np.tile(qn, k + 1), -np.outer(ones, alt))
-
-        # eq1 flux at the left node i-1: +Uhat_{i-1} * r_{i-1}^+
-        if c > 0:
-            up = layout.u_index(c - 1, 0) + modes
-            add(np.repeat(rq, k + 1), np.tile(up, k + 1), np.outer(alt, ones))
-            if c == flux.interface_index:
-                qp = layout.q_index(c - 1, 0) + modes
-                add(np.repeat(rq, k + 1), np.tile(qp, k + 1), -np.outer(alt, ones))
-                add(np.repeat(rq, k + 1), np.tile(qc, k + 1), np.outer(alt, alt))
-
-        # eq2: <Q, v'> with Q = s * Qtilde
-        add(np.repeat(ru, k + 1), np.tile(qc, k + 1), s * G)
-        # eq2: <b U, v>
-        W = (V * (rule.weights * bvals[c])[:, None]).T @ V * halfh[c]
-        add(np.repeat(ru, k + 1), np.tile(uc, k + 1), W)
-
-        # eq2 flux at the right node i: -Qhat_i * v_i^-
-        if i == N:
-            # Qhat_N = Q_N^- - lambda_N U_N^- from this cell
-            add(np.repeat(ru, k + 1), np.tile(qc, k + 1), -s * np.outer(ones, ones))
-            add(np.repeat(ru, k + 1), np.tile(uc, k + 1),
-                flux.lambda_N * np.outer(ones, ones))
-        else:
-            qn = layout.q_index(c + 1, 0) + modes
-            add(np.repeat(ru, k + 1), np.tile(qn, k + 1), -s * np.outer(ones, alt))
-
-        # eq2 flux at the left node i-1: +Qhat_{i-1} * v_{i-1}^+; the upwinded
-        # trace Q^+_{i-1} comes from this cell's own left end
-        if c == 0:
-            # Qhat_0 = Q_0^+ + lambda_0 U_0^+ from this cell
-            add(np.repeat(ru, k + 1), np.tile(qc, k + 1), s * np.outer(alt, alt))
-            add(np.repeat(ru, k + 1), np.tile(uc, k + 1),
-                flux.lambda_0 * np.outer(alt, alt))
-        else:
-            add(np.repeat(ru, k + 1), np.tile(qc, k + 1), s * np.outer(alt, alt))
-
-        rhs[ru] = halfh[c] * (rule.weights * fvals[c]) @ V
-
-    matrix = BandedMatrix.from_coo(
-        layout.n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    rhs[u_dofs] = halfh[:, None] * ((rule.weights * fvals) @ V)
     return AssembledSystem(matrix=matrix, rhs=rhs, layout=layout, q_scale=s, flux=flux)
 
 
@@ -222,7 +211,7 @@ def bilinear_form_1d(W, X, problem, mesh, quad=None):
     rule = gauss_rule(quad)
     V, D = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
-    Xpts = mesh.nodes[:-1, None] + halfh[:, None] * (rule.points[None, :] + 1.0)
+    Xpts = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(Xpts), dtype=float)
 
     Qv = W.Q.values_at(V)      # (N, nq)
@@ -271,7 +260,7 @@ def load_functional_1d(f, X, mesh, quad=None):
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
-    Xpts = mesh.nodes[:-1, None] + halfh[:, None] * (rule.points[None, :] + 1.0)
+    Xpts = mesh.quadrature_points(rule.points)
     fvals = np.asarray(f(Xpts), dtype=float)
     vv = X.U.values_at(V)
     return float(np.sum(halfh[:, None] * rule.weights * fvals * vv))

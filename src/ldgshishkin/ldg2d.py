@@ -5,6 +5,9 @@ mirror the 1D construction direction by direction: U is upwinded from the
 left/bottom, P and Q from the right/top, boundary traces of U are
 penalized with sqrt(eps) and the jumps of P (resp. Q) across the vertical
 line x = x_{3N/4} (resp. horizontal line y = y_{3N/4}) with 1/sqrt(eps).
+The matrix is therefore a block-diagonal b-weighted mass plus Kronecker
+products of the 1D operator pieces of ``ldg1d.operator_pieces_1d`` (see
+``assemble_2d``), built without a loop over cells.
 
 The default solver eliminates P and Q element-locally on every cell not
 adjacent to its penalized interface line (there the first two equations
@@ -18,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import ReferenceBasis, assembly_quad_order, gauss_rule, legendre_table
+from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
+from .ldg1d import operator_pieces_1d
 from .linalg import SparseMatrix, equilibrate, sparse_solve
 
 
@@ -74,11 +78,8 @@ class _Layout2D:
         self.field = N * N * self.kk
         self.n = 3 * self.field
 
-    def cell_base(self, ci, cj):
-        return (ci * self.N + cj) * self.kk
-
     def u_slice(self, ci, cj):
-        base = self.cell_base(ci, cj)
+        base = (ci * self.N + cj) * self.kk
         return np.arange(base, base + self.kk)
 
     def p_slice(self, ci, cj):
@@ -97,42 +98,37 @@ class AssembledSystem2D:
     flux: FluxParams2D
 
 
-def _kron_x(xmat, ydiag):
-    """Block with entries M[(m,n),(a,b)] = xmat[m,a] * ydiag[n] * delta_nb."""
-    kk = xmat.shape[0] * ydiag.size
-    return np.einsum("ma,nb->mnab", xmat, np.diag(ydiag)).reshape(kk, kk)
-
-
-def _kron_y(xdiag, ymat):
-    """Block with entries M[(m,n),(a,b)] = xdiag[m] * delta_ma * ymat[n,b]."""
-    kk = xdiag.size * ymat.shape[0]
-    return np.einsum("ma,nb->mnab", np.diag(xdiag), ymat).reshape(kk, kk)
-
-
 def assemble_2d(problem, mesh2d, k, quad=None):
-    """Assemble the coupled sparse system for the 2D scheme."""
+    """Assemble the coupled sparse system for the 2D scheme.
+
+    With the 1D pieces of each axis (``OperatorPieces1D``: mass M,
+    derivative block D, flux mass F = M/s + v v^T, boundary penalty s E)
+    the block rows in kron order (i, m, j, n) are
+
+        U: [blockdiag(W_b) + s Ex(x)My + s Mx(x)Ey, -s Dx^T(x)My, -s Mx(x)Dy^T]
+        P: [Dx(x)My, Fx(x)My, 0]
+        Q: [Mx(x)Dy, 0, Mx(x)Fy]
+
+    and a fixed permutation maps them to the field-major layout (i, j, m, n).
+    """
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     N = mesh2d.N
     eps = problem.eps
     flux = FluxParams2D.for_problem(eps, N)
     layout = _Layout2D(N, k)
-    basis = ReferenceBasis(k)
+    px = operator_pieces_1d(mesh2d.mx, k, eps)
+    py = operator_pieces_1d(mesh2d.my, k, eps)
+    s = px.s
     quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    G = basis.stiffness()
-    wbar = basis.mass_diag
-    ones = basis.right_values
-    alt = basis.left_values
-    s = float(np.sqrt(eps))
-    J = flux.interface_index
     kk = layout.kk
 
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.nodes[:-1, None] + hx[:, None] * (rule.points[None, :] + 1.0)
-    Yg = mesh2d.my.nodes[:-1, None] + hy[:, None] * (rule.points[None, :] + 1.0)
+    Xg = mesh2d.mx.quadrature_points(rule.points)
+    Yg = mesh2d.my.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float)
     fvals = np.asarray(problem.f(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float)
     w2 = rule.weights[:, None] * rule.weights[None, :]
@@ -145,103 +141,27 @@ def assemble_2d(problem, mesh2d, k, quad=None):
                      optimize=True).reshape(N, N, kk)
     Fblk *= (hx[:, None] * hy[None, :])[:, :, None]
 
-    rows, cols, vals = [], [], []
-
-    def add_block(r_idx, c_idx, block):
-        rows.append(np.repeat(r_idx, c_idx.size))
-        cols.append(np.tile(c_idx, r_idx.size))
-        vals.append(np.asarray(block, dtype=float).ravel())
-
-    rhs = np.zeros(layout.n)
-    local_mass = np.einsum("m,n->mn", wbar, wbar).reshape(kk)
-
-    for ci in range(N):
-        for cj in range(N):
-            u_c = layout.u_slice(ci, cj)
-            p_c = layout.p_slice(ci, cj)
-            q_c = layout.q_slice(ci, cj)
-            my_diag = hy[cj] * wbar   # (hy/2) * reference y-mass
-            mx_diag = hx[ci] * wbar
-
-            # ---- eq1 (test s): (1/eps)(P, s) + (U, s_x) + x-edge fluxes ----
-            add_block(p_c, p_c, np.diag(hx[ci] * hy[cj] * local_mass / s))
-            add_block(p_c, u_c, _kron_x(G, my_diag))
-            e_right, e_left = ci + 1, ci
-            if e_right < N:
-                add_block(p_c, u_c, _kron_x(-np.outer(ones, ones), my_diag))
-                if e_right == J:
-                    p_n = layout.p_slice(ci + 1, cj)
-                    add_block(p_c, p_c, _kron_x(np.outer(ones, ones), my_diag))
-                    add_block(p_c, p_n, _kron_x(-np.outer(ones, alt), my_diag))
-            if e_left > 0:
-                u_w = layout.u_slice(ci - 1, cj)
-                add_block(p_c, u_w, _kron_x(np.outer(alt, ones), my_diag))
-                if e_left == J:
-                    p_w = layout.p_slice(ci - 1, cj)
-                    add_block(p_c, p_w, _kron_x(-np.outer(alt, ones), my_diag))
-                    add_block(p_c, p_c, _kron_x(np.outer(alt, alt), my_diag))
-
-            # ---- eq2 (test r): (1/eps)(Q, r) + (U, r_y) + y-edge fluxes ----
-            add_block(q_c, q_c, np.diag(hx[ci] * hy[cj] * local_mass / s))
-            add_block(q_c, u_c, _kron_y(mx_diag, G))
-            e_top, e_bot = cj + 1, cj
-            if e_top < N:
-                add_block(q_c, u_c, _kron_y(mx_diag, -np.outer(ones, ones)))
-                if e_top == J:
-                    q_n = layout.q_slice(ci, cj + 1)
-                    add_block(q_c, q_c, _kron_y(mx_diag, np.outer(ones, ones)))
-                    add_block(q_c, q_n, _kron_y(mx_diag, -np.outer(ones, alt)))
-            if e_bot > 0:
-                u_sth = layout.u_slice(ci, cj - 1)
-                add_block(q_c, u_sth, _kron_y(mx_diag, np.outer(alt, ones)))
-                if e_bot == J:
-                    q_w = layout.q_slice(ci, cj - 1)
-                    add_block(q_c, q_w, _kron_y(mx_diag, -np.outer(alt, ones)))
-                    add_block(q_c, q_c, _kron_y(mx_diag, np.outer(alt, alt)))
-
-            # ---- eq3 (test v): (P, v_x) + (Q, v_y) + (bU, v) + fluxes ----
-            add_block(u_c, p_c, s * _kron_x(G, my_diag))
-            add_block(u_c, q_c, s * _kron_y(mx_diag, G))
-            add_block(u_c, u_c, Wblk[ci, cj])
-
-            # Phat on the right x-edge
-            if e_right == N:
-                add_block(u_c, p_c, -s * _kron_x(np.outer(ones, ones), my_diag))
-                add_block(u_c, u_c,
-                          flux.lambda_Ny * _kron_x(np.outer(ones, ones), my_diag))
-            else:
-                p_n = layout.p_slice(ci + 1, cj)
-                add_block(u_c, p_n, -s * _kron_x(np.outer(ones, alt), my_diag))
-            # Phat on the left x-edge (upwinded from this cell)
-            if e_left == 0:
-                add_block(u_c, p_c, s * _kron_x(np.outer(alt, alt), my_diag))
-                add_block(u_c, u_c,
-                          flux.lambda_0y * _kron_x(np.outer(alt, alt), my_diag))
-            else:
-                add_block(u_c, p_c, s * _kron_x(np.outer(alt, alt), my_diag))
-
-            # Qhat on the top y-edge
-            if e_top == N:
-                add_block(u_c, q_c, -s * _kron_y(mx_diag, np.outer(ones, ones)))
-                add_block(u_c, u_c,
-                          flux.lambda_xN * _kron_y(mx_diag, np.outer(ones, ones)))
-            else:
-                q_n = layout.q_slice(ci, cj + 1)
-                add_block(u_c, q_n, -s * _kron_y(mx_diag, np.outer(ones, alt)))
-            # Qhat on the bottom y-edge
-            if e_bot == 0:
-                add_block(u_c, q_c, s * _kron_y(mx_diag, np.outer(alt, alt)))
-                add_block(u_c, u_c,
-                          flux.lambda_x0 * _kron_y(mx_diag, np.outer(alt, alt)))
-            else:
-                add_block(u_c, q_c, s * _kron_y(mx_diag, np.outer(alt, alt)))
-
-            rhs[u_c] = Fblk[ci, cj]
-
+    kron = sp.kron
+    Mx, My = px.mass, py.mass
+    A = sp.bmat([
+        [kron(px.penalty, My) + kron(Mx, py.penalty),
+         -s * kron(px.derivative.T, My), -s * kron(Mx, py.derivative.T)],
+        [kron(px.derivative, My), kron(px.flux_mass, My), None],
+        [kron(Mx, py.derivative), None, kron(Mx, py.flux_mass)],
+    ], format="coo")
+    # kron order (i, m, j, n) -> field-major layout (i, j, m, n), per field
+    dof = np.arange(layout.field).reshape(N, N, k + 1, k + 1).transpose(0, 2, 1, 3).ravel()
+    order = np.concatenate([dof, layout.field + dof, 2 * layout.field + dof])
+    reaction = sp.bsr_matrix((Wblk.reshape(N * N, kk, kk), np.arange(N * N),
+                              np.arange(N * N + 1))).tocoo()
     matrix = SparseMatrix.from_coo(
         layout.n,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        np.concatenate([order[A.row], reaction.row]),
+        np.concatenate([order[A.col], reaction.col]),
+        np.concatenate([A.data, reaction.data]),
     )
+    rhs = np.zeros(layout.n)
+    rhs[:layout.field] = Fblk.ravel()
     return AssembledSystem2D(matrix=matrix, rhs=rhs, layout=layout, pq_scale=s,
                              flux=flux)
 
@@ -365,8 +285,8 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     w2 = w[:, None] * w[None, :]
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.nodes[:-1, None] + hx[:, None] * (rule.points[None, :] + 1.0)
-    Yg = mesh2d.my.nodes[:-1, None] + hy[:, None] * (rule.points[None, :] + 1.0)
+    Xg = mesh2d.mx.quadrature_points(rule.points)
+    Yg = mesh2d.my.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float)
 
     def vol(F, Bx, By):
@@ -447,8 +367,8 @@ def load_functional_2d(f, Z, mesh2d, quad=None):
     w2 = rule.weights[:, None] * rule.weights[None, :]
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.nodes[:-1, None] + hx[:, None] * (rule.points[None, :] + 1.0)
-    Yg = mesh2d.my.nodes[:-1, None] + hy[:, None] * (rule.points[None, :] + 1.0)
+    Xg = mesh2d.mx.quadrature_points(rule.points)
+    Yg = mesh2d.my.quadrature_points(rule.points)
     fvals = np.asarray(f(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float)
     vv = np.einsum("ijmn,gm,hn->ijgh", Z.U.coeffs, V, V, optimize=True)
     scale = hx[:, None] * hy[None, :]

@@ -105,18 +105,6 @@ class SparseMatrix:
     def n(self):
         return self.csr.shape[0]
 
-    @property
-    def row_offsets(self):
-        return self.csr.indptr
-
-    @property
-    def col_indices(self):
-        return self.csr.indices
-
-    @property
-    def values(self):
-        return self.csr.data
-
     def to_dense(self):
         return self.csr.toarray()
 

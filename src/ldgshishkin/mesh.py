@@ -85,6 +85,12 @@ class Mesh1D:
         """Node index of the right transition point x = 1 - tau."""
         return 3 * self.N // 4
 
+    def quadrature_points(self, points):
+        """Physical images, shape (N, len(points)), of the reference points
+        ``points`` in [-1, 1] under every cell's affine map."""
+        halfh = 0.5 * np.diff(self.nodes)
+        return self.nodes[:-1, None] + halfh[:, None] * (points[None, :] + 1.0)
+
     def cell(self, i):
         """Endpoints (x_{i-1}, x_i) of cell i, 1-based."""
         if not 1 <= i <= self.N:

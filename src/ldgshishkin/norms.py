@@ -48,7 +48,7 @@ def _b_weighted_sq_1d(U, b, mesh, quad):
     rule = gauss_rule(quad)
     V, _ = legendre_table(U.degree, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
-    X = mesh.nodes[:-1, None] + halfh[:, None] * (rule.points[None, :] + 1.0)
+    X = mesh.quadrature_points(rule.points)
     bvals = np.asarray(b(X), dtype=float)
     Uv = U.values_at(V)
     return float(np.sum(halfh[:, None] * rule.weights * bvals * Uv**2))
@@ -102,7 +102,7 @@ def error_norms_1d(W, problem, mesh, quad=None):
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
-    X = mesh.nodes[:-1, None] + halfh[:, None] * (rule.points[None, :] + 1.0)
+    X = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     du = np.asarray(problem.u_exact(X), dtype=float) - W.U.values_at(V)
     dq = np.asarray(problem.q_exact(X), dtype=float) - W.Q.values_at(V)
@@ -168,8 +168,8 @@ def _b_weighted_sq_2d(U, b, mesh2d, quad):
     V, _ = legendre_table(U.degree, rule.points)
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.nodes[:-1, None] + hx[:, None] * (rule.points[None, :] + 1.0)
-    Yg = mesh2d.my.nodes[:-1, None] + hy[:, None] * (rule.points[None, :] + 1.0)
+    Xg = mesh2d.mx.quadrature_points(rule.points)
+    Yg = mesh2d.my.quadrature_points(rule.points)
     bvals = np.asarray(
         b(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float
     )  # (N, N, nq, nq)
@@ -215,8 +215,8 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
     V, _ = legendre_table(k, rule.points)
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.nodes[:-1, None] + hx[:, None] * (rule.points[None, :] + 1.0)
-    Yg = mesh2d.my.nodes[:-1, None] + hy[:, None] * (rule.points[None, :] + 1.0)
+    Xg = mesh2d.mx.quadrature_points(rule.points)
+    Yg = mesh2d.my.quadrature_points(rule.points)
     X4 = Xg[:, None, :, None]
     Y4 = Yg[None, :, None, :]
 

@@ -2,11 +2,13 @@ import pytest
 
 from ldgshishkin import (
     ConfigurationError,
+    SolverError,
     SweepConfig,
     emit_table,
     run_projection_study,
     run_sweep,
 )
+from ldgshishkin import harness
 from ldgshishkin.harness import CSV_HEADER, ConvergenceTable, RateRow
 
 
@@ -70,6 +72,23 @@ class TestRunSweep:
         assert table.any_failed
         assert table.rows[0].message
         assert table.rows[0].err_energy is None
+
+    def test_defects_propagate_while_solver_failures_become_rows(self, monkeypatch):
+        cfg = SweepConfig(k_list=(1,), n_list=(8,), eps_list=(1e-4,))
+
+        def failing_solve(exc):
+            def solve(*args, **kwargs):
+                raise exc
+            return solve
+
+        monkeypatch.setattr(harness, "solve_ldg_1d", failing_solve(TypeError("defect")))
+        with pytest.raises(TypeError, match="defect"):
+            run_sweep(cfg)
+        monkeypatch.setattr(harness, "solve_ldg_1d",
+                            failing_solve(SolverError("residual too large", residual=1.0)))
+        table = run_sweep(cfg)
+        assert table.any_failed
+        assert table.rows[0].message.startswith("SolverError")
 
     def test_workers_agree_with_serial(self):
         cfg = SweepConfig(k_list=(1,), n_list=(16, 32), eps_list=(1e-4, 1e-8))

@@ -80,6 +80,42 @@ class TestAssembly:
         q_cols_3 = lay.q_index(2, 0) + modes
         assert np.all(block(q_rows_2, q_cols_3) == 0.0)
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matrix_matches_quadrature_oracle(self, k, eps):
+        # x^T A w = B(W; X) block by block (Q/U parts of W against r/v
+        # parts of X), with the Q columns unscaled from Qtilde = Q / sqrt(eps)
+        rng = np.random.default_rng(41)
+        N = 16
+        mesh = make_mesh(N, eps, sigma=k + 1)
+        p = Problem1D(eps=eps, b=lambda x: 1.5 + 0.5 * np.sin(3.0 * np.asarray(x)),
+                      f=zero_f, beta=1.0)
+        system = assemble_1d(p, mesh, k)
+        A = system.matrix.to_csr()
+        lay = system.layout
+        cells, modes = np.arange(N)[:, None], np.arange(k + 1)
+
+        def vector(pair, q_factor):
+            x = np.zeros(lay.n)
+            x[lay.q_index(cells, modes)] = q_factor * pair.Q.coeffs
+            x[lay.u_index(cells, modes)] = pair.U.coeffs
+            return x
+
+        def part(pair, field):
+            zero = DGFunction1D(mesh, k, np.zeros((N, k + 1)))
+            if field == "Q":
+                return MixedSolution1D(U=zero, Q=pair.Q)
+            return MixedSolution1D(U=pair.U, Q=zero)
+
+        for _ in range(3):
+            W, X = random_pair(mesh, k, rng), random_pair(mesh, k, rng)
+            for wf in ("Q", "U"):
+                for xf in ("Q", "U"):
+                    Wp, Xp = part(W, wf), part(X, xf)
+                    lhs = vector(Xp, 1.0) @ (A @ vector(Wp, 1.0 / system.q_scale))
+                    oracle = bilinear_form_1d(Wp, Xp, p, mesh)
+                    assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
+
     def test_zero_data_gives_zero_solution(self):
         mesh = make_mesh(4, 1.0)
         p = Problem1D(eps=1.0, b=unit_b, f=zero_f, beta=1.0)

@@ -58,6 +58,39 @@ class TestAssembly2D:
             system = assemble_2d(p, mesh, k)
             assert system.matrix.n == 3 * 16 * (k + 1) ** 2
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matrix_matches_quadrature_oracle(self, k, eps):
+        # x^T A w = B(T; Z) block by block over the (U, P, Q) parts of T and
+        # Z, with the P and Q columns unscaled by pq_scale = sqrt(eps)
+        rng = np.random.default_rng(43)
+        N = 8
+        mesh = make_mesh(N, eps, sigma=k + 1)
+        b = lambda x, y: 2.5 + 0.5 * np.sin(3.0 * np.asarray(x) + 2.0 * np.asarray(y))
+        p = Problem2D(eps=eps, b=b, f=lambda x, y: 0.0 * b(x, y), beta=1.0)
+        system = assemble_2d(p, mesh, k)
+        A = system.matrix.csr
+        zero = DGFunction2D(mesh, k, np.zeros((N, N, k + 1, k + 1)))
+        fields = ("U", "P", "Q")
+
+        def vector(triple, pq_factor):
+            return np.concatenate([triple.U.coeffs.ravel(),
+                                   pq_factor * triple.P.coeffs.ravel(),
+                                   pq_factor * triple.Q.coeffs.ravel()])
+
+        def part(triple, field):
+            return MixedSolution2D(**{f: getattr(triple, f) if f == field else zero
+                                      for f in fields})
+
+        for _ in range(2):
+            T, Z = random_triple(mesh, k, rng), random_triple(mesh, k, rng)
+            for tf in fields:
+                for zf in fields:
+                    Tp, Zp = part(T, tf), part(Z, zf)
+                    lhs = vector(Zp, 1.0) @ (A @ vector(Tp, 1.0 / system.pq_scale))
+                    oracle = bilinear_form_2d(Tp, Zp, p, mesh)
+                    assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (tf, zf)
+
     def test_zero_data_zero_solution(self):
         mesh = make_mesh(4, 1e-2)
         p = Problem2D(eps=1e-2, b=const_b(2.0),

@@ -186,6 +186,6 @@ class TestSparseSolve:
     def test_csr_contract_fields(self):
         m = SparseMatrix.from_coo(3, [0, 1, 2, 0], [0, 1, 2, 2], [1.0, 2.0, 3.0, 4.0])
         assert m.n == 3
-        assert m.row_offsets.tolist() == [0, 2, 3, 4]
-        assert m.col_indices.tolist() == [0, 2, 1, 2]
-        assert np.allclose(m.values, [1.0, 4.0, 2.0, 3.0], atol=0)
+        assert m.csr.indptr.tolist() == [0, 2, 3, 4]
+        assert m.csr.indices.tolist() == [0, 2, 1, 2]
+        assert np.allclose(m.csr.data, [1.0, 4.0, 2.0, 3.0], atol=0)
