@@ -188,6 +188,17 @@ def cell_jacobian(cell):
     return (b - a) / 2.0
 
 
+BLOCK_POINTS = 1 << 13
+
+
+def cell_blocks(n_cells, points_per_cell):
+    """Slices splitting n_cells cells into blocks of at most BLOCK_POINTS
+    quadrature points (at least one cell each); batched kernels run block
+    by block so that their temporaries stay small whatever the mesh size."""
+    step = max(1, BLOCK_POINTS // points_per_cell)
+    return [slice(i, i + step) for i in range(0, n_cells, step)]
+
+
 def assembly_quad_order(k):
     """Default quadrature size for assembly integrals (smooth b and f)."""
     return k + 3

@@ -129,37 +129,30 @@ class DGFunction2D:
         return np.einsum("n,ijmn->ijm", e, self.coeffs)
 
 
+def _lobatto_interpolation(k):
+    """Chebyshev-Lobatto points on [-1, 1] and the inverse of their Legendre table."""
+    pts = -np.cos(np.pi * np.arange(k + 1) / k)
+    pts[0], pts[-1] = -1.0, 1.0
+    V, _ = legendre_table(k, pts)
+    return pts, np.linalg.inv(V)
+
+
 def interpolate_1d(w, mesh, k):
     """Continuous nodal interpolant of w (Chebyshev-Lobatto points per cell).
 
     The point set contains both cell endpoints, so the interpolant of a
     continuous function has zero jumps at all interior nodes up to roundoff.
+    One inverse Vandermonde product maps the samples of all cells to modes.
     """
-    pts = -np.cos(np.pi * np.arange(k + 1) / k)
-    pts[0], pts[-1] = -1.0, 1.0
-    V, _ = legendre_table(k, pts)
-    coeffs = np.empty((mesh.N, k + 1))
-    for row in range(mesh.N):
-        a, b = mesh.nodes[row], mesh.nodes[row + 1]
-        xs = a + (b - a) * (pts + 1.0) / 2.0
-        coeffs[row] = np.linalg.solve(V, np.asarray(w(xs), dtype=float))
-    return DGFunction1D(mesh, k, coeffs)
+    pts, Vinv = _lobatto_interpolation(k)
+    W = np.asarray(w(mesh.quadrature_points(pts)), dtype=float)
+    return DGFunction1D(mesh, k, W @ Vinv.T)
 
 
 def interpolate_2d(w, mesh, k):
     """Continuous tensor Chebyshev-Lobatto interpolant on a 2D mesh."""
-    pts = -np.cos(np.pi * np.arange(k + 1) / k)
-    pts[0], pts[-1] = -1.0, 1.0
-    V, _ = legendre_table(k, pts)
-    Vinv = np.linalg.inv(V)
-    N = mesh.N
-    coeffs = np.empty((N, N, k + 1, k + 1))
-    for i in range(N):
-        ax, bx = mesh.mx.nodes[i], mesh.mx.nodes[i + 1]
-        xs = ax + (bx - ax) * (pts + 1.0) / 2.0
-        for j in range(N):
-            ay, by = mesh.my.nodes[j], mesh.my.nodes[j + 1]
-            ys = ay + (by - ay) * (pts + 1.0) / 2.0
-            W = np.asarray(w(xs[:, None], ys[None, :]), dtype=float)
-            coeffs[i, j] = Vinv @ W @ Vinv.T
-    return DGFunction2D(mesh, k, coeffs)
+    pts, Vinv = _lobatto_interpolation(k)
+    X = mesh.mx.quadrature_points(pts)[:, None, :, None]
+    Y = mesh.my.quadrature_points(pts)[None, :, None, :]
+    W = np.asarray(w(X, Y), dtype=float)
+    return DGFunction2D(mesh, k, Vinv @ W @ Vinv.T)

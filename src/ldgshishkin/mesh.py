@@ -88,8 +88,7 @@ class Mesh1D:
     def quadrature_points(self, points):
         """Physical images, shape (N, len(points)), of the reference points
         ``points`` in [-1, 1] under every cell's affine map."""
-        halfh = 0.5 * np.diff(self.nodes)
-        return self.nodes[:-1, None] + halfh[:, None] * (points[None, :] + 1.0)
+        return quadrature_points(self.nodes, points)
 
     def cell(self, i):
         """Endpoints (x_{i-1}, x_i) of cell i, 1-based."""
@@ -131,6 +130,13 @@ class Mesh2D:
     def cell(self, i, j):
         """Rectangle I_i x J_j for 1-based indices (i, j)."""
         return self.mx.cell(i), self.my.cell(j)
+
+
+def quadrature_points(nodes, points):
+    """Images, shape (len(nodes) - 1, len(points)), of the reference points
+    ``points`` in [-1, 1] on the cells [nodes[i], nodes[i+1]]."""
+    halfh = 0.5 * np.diff(nodes)
+    return nodes[:-1, None] + halfh[:, None] * (points[None, :] + 1.0)
 
 
 def build_shishkin_1d(cfg):

@@ -8,6 +8,15 @@ Three local operators are provided on each cell:
   endpoint interpolation condition; the "minus" variant matches the right
   endpoint value, the "plus" variant the left one.
 
+The L2 and Radau projections share one form: a (k+1) x (k+2) operator R
+maps the data [moments m_0..m_k; matched endpoint value] of a cell to its
+modes.  Every projection is batched over cells: the target is sampled on
+the quadrature grid of all cells and at the matched endpoints, and one
+contraction gives the moments.  In 2D a cell's data is a (k+2) x (k+2)
+block D (moments, matched-edge moments, corner value) and its modes are
+Rx D Ry^T (sum factorization).  Weighted cells share one batched Gram
+solve.  The per-cell functions are one-cell calls of the same kernels.
+
 The composite operators dispatch per mesh region: the one tailored to the
 primal variable uses the Radau-minus projection on the two fine (layer)
 regions and the weighted projection on the coarse interior; the one for
@@ -15,16 +24,14 @@ the flux variable uses plain L2 on the first cell and Radau-plus elsewhere.
 2D versions act tensorially, one direction at a time.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-from .basis import (
-    assembly_quad_order,
-    cell_map,
-    gauss_rule,
-    legendre_table,
-)
+from .basis import assembly_quad_order, cell_blocks, gauss_rule, legendre_table
 from .dgfunction import DGFunction1D, DGFunction2D
-from .errors import ConfigurationError, ProjectionError
+from .errors import ConfigurationError, MeshError, ProjectionError
+from .mesh import quadrature_points
 
 L2 = "l2"
 WEIGHTED = "weighted"
@@ -32,12 +39,131 @@ GR_MINUS = "gr_minus"
 GR_PLUS = "gr_plus"
 
 
-def _moments(w, cell, k, quad):
-    """Modal moments integral(w * P_n) dt on the reference cell, n = 0..k."""
+@lru_cache(maxsize=None)
+def _operator(kind, k):
+    """(k+1) x (k+2) map from [moments m_0..m_k; endpoint value] to modes.
+
+    L2 (and WEIGHTED, whose unit-weight case it is) is c_n = (2n+1)/2 m_n.
+    The Radau kinds keep that for n < k and replace the last moment by the
+    endpoint row sum_n P_n(+-1) c_n = value.
+    """
+    n = np.arange(k + 1)
+    R = np.zeros((k + 1, k + 2))
+    R[n, n] = (2.0 * n + 1.0) / 2.0
+    if kind in (GR_MINUS, GR_PLUS):
+        trace = np.ones(k + 1) if kind == GR_MINUS else (-1.0) ** n
+        R[k, :k] = -trace[:k] * R[n[:k], n[:k]] / trace[k]
+        R[k, k] = 0.0
+        R[k, k + 1] = 1.0 / trace[k]
+    elif kind not in (L2, WEIGHTED):
+        raise ConfigurationError(f"unknown projection kind {kind!r}")
+    R.setflags(write=False)
+    return R
+
+
+def _operators(kinds, k):
+    """Per-cell operator stack of shape kinds.shape + (k+1, k+2)."""
+    R = np.empty(kinds.shape + (k + 1, k + 2))
+    for kind in np.unique(kinds):
+        R[kinds == kind] = _operator(str(kind), k)
+    return R
+
+
+def _sample(f, *coords):
+    """f at the broadcast points, as a float array of their full shape."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    return np.broadcast_to(np.asarray(f(*coords), dtype=float), shape)
+
+
+def _solve_gram(gram, rhs):
+    """Batched weighted Gram solve; singular or non-finite systems raise."""
+    try:
+        sol = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ProjectionError(
+            f"weighted Gram system singular on at least one of {len(gram)} cells"
+        ) from exc
+    if not np.all(np.isfinite(sol)):
+        raise ProjectionError("weighted projection produced non-finite values")
+    return sol
+
+
+def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
+    """Project w on every cell [nodes[i], nodes[i+1]] by its kind kinds[i].
+
+    Radau cells match w at their right ('gr_minus') or left ('gr_plus')
+    node, or the values ``ends`` when given.  'weighted' cells solve their
+    b-weighted Gram systems (plain L2 when b is None).  Returns the
+    (cells, k+1) modal coefficients.
+    """
+    quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    vals = np.asarray(w(cell_map(cell, rule.points)), dtype=float)
-    return (rule.weights * vals) @ V
+    X = quadrature_points(nodes, rule.points)
+    W = _sample(w, X)
+    if ends is None:
+        ends = _sample(w, np.where(kinds == GR_PLUS, nodes[:-1], nodes[1:]))
+    data = np.concatenate([W @ (V * rule.weights[:, None]), ends[:, None]], axis=1)
+    coeffs = np.einsum("iam,im->ia", _operators(kinds, k), data)
+    weighted = kinds == WEIGHTED
+    if b is not None and weighted.any():
+        B = _sample(b, X[weighted]) * rule.weights
+        gram = np.einsum("sq,qm,qa->sma", B, V, V)
+        coeffs[weighted] = _solve_gram(gram, (B * W[weighted]) @ V)
+    return coeffs
+
+
+def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
+    """Tensor projection of z on every cell of the grid xnodes x ynodes.
+
+    kx, ky (shape (Nx, Ny)) give each cell's kind per axis; 'weighted' must
+    fill both slots and solves the 2D Gram system with weight b (plain L2
+    when b is None).  Returns c[i, j, x-mode, y-mode].  Runs in blocks of
+    x rows (``cell_blocks``) so that the temporaries stay small.
+    """
+    if np.any((kx == WEIGHTED) != (ky == WEIGHTED)):
+        raise ConfigurationError("the weighted 2D projection applies in both directions at once")
+    quad = quad or assembly_quad_order(k)
+    return np.concatenate([
+        _project_rows_2d(z, xnodes[s.start:s.stop + 1], ynodes, kx[s], ky[s], k, quad, b)
+        for s in cell_blocks(len(kx), kx.shape[1] * quad**2)
+    ])
+
+
+def _project_rows_2d(z, xnodes, ynodes, kx, ky, k, quad, b):
+    """``_project_2d`` on one block of x rows."""
+    rule = gauss_rule(quad)
+    V, _ = legendre_table(k, rule.points)
+    Vw = V * rule.weights[:, None]
+    X = quadrature_points(xnodes, rule.points)[:, None, :, None]
+    Y = quadrature_points(ynodes, rule.points)[None, :, None, :]
+    xe = np.where(kx == GR_PLUS, xnodes[:-1, None], xnodes[1:, None])
+    ye = np.where(ky == GR_PLUS, ynodes[None, :-1], ynodes[None, 1:])
+    Z = _sample(z, X, Y)
+    D = np.empty(kx.shape + (k + 2, k + 2))
+    D[..., :-1, :-1] = Vw.T @ Z @ Vw
+    D[..., :-1, -1] = _sample(z, X[..., 0], ye[..., None]) @ Vw
+    D[..., -1, :-1] = _sample(z, xe[..., None], Y[..., 0, :]) @ Vw
+    D[..., -1, -1] = _sample(z, xe, ye)
+    coeffs = _operators(kx, k) @ D @ np.swapaxes(_operators(ky, k), -1, -2)
+    weighted = kx == WEIGHTED
+    if b is not None and weighted.any():
+        ii, jj = np.nonzero(weighted)
+        WB = _sample(b, X[ii, 0], Y[0, jj]) * (rule.weights[:, None] * rule.weights)
+        # Gram[(m, n), (a, c)] = sum_gh WB[g, h] P_m P_a(t_g) P_n P_c(s_h)
+        VV = (V[:, :, None] * V[:, None, :]).reshape(quad, -1)
+        gram = (VV.T @ WB @ VV).reshape((-1,) + (k + 1,) * 4).transpose(0, 1, 3, 2, 4)
+        kk = (k + 1) ** 2
+        sol = _solve_gram(gram.reshape(-1, kk, kk), (V.T @ (WB * Z[ii, jj]) @ V).reshape(-1, kk))
+        coeffs[ii, jj] = sol.reshape(-1, k + 1, k + 1)
+    return coeffs
+
+
+def _cell_nodes(cell):
+    a, b = cell
+    if not a < b:
+        raise MeshError(f"degenerate cell [{a}, {b}]")
+    return np.array([a, b], dtype=float)
 
 
 def project_l2(w, cell, k, quad=None):
@@ -45,50 +171,16 @@ def project_l2(w, cell, k, quad=None):
 
     Diagonal in the modal basis: c_n = (2n+1)/2 * integral(w P_n) dt.
     """
-    quad = quad or assembly_quad_order(k)
-    mom = _moments(w, cell, k, quad)
-    n = np.arange(k + 1)
-    return (2.0 * n + 1.0) / 2.0 * mom
+    return _project_1d(w, _cell_nodes(cell), np.array([L2]), k, quad)[0]
 
 
 def project_weighted(w, b, cell, k, quad=None):
     """Weighted L2 projection: <b(pw - w), v> = 0 for all v of degree <= k.
 
-    Solves the (k+1)x(k+1) weighted Gram system per cell.  Raises
-    ProjectionError when the weight makes the system singular.
+    Solves the (k+1)x(k+1) weighted Gram system.  Raises ProjectionError
+    when the weight makes the system singular.
     """
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    xs = cell_map(cell, rule.points)
-    bvals = np.asarray(b(xs), dtype=float)
-    wvals = np.asarray(w(xs), dtype=float)
-    gram = V.T @ (V * (rule.weights * bvals)[:, None])
-    rhs = V.T @ (rule.weights * bvals * wvals)
-    try:
-        coeffs = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ProjectionError(f"weighted Gram system singular on cell {cell}") from exc
-    if not np.all(np.isfinite(coeffs)):
-        raise ProjectionError(f"weighted projection produced non-finite values on cell {cell}")
-    return coeffs
-
-
-def _gauss_radau(w, cell, k, endpoint_value, side, quad):
-    """Shared Radau solve: k moments against degree k-1 plus one endpoint row.
-
-    Assembled as a small linear system in the modal basis (the moment rows
-    are diagonal, the endpoint row is dense).
-    """
-    mom = _moments(w, cell, k, quad)
-    n = np.arange(k + 1)
-    A = np.zeros((k + 1, k + 1))
-    rhs = np.zeros(k + 1)
-    A[:k, :k] = np.diag(2.0 / (2.0 * n[:k] + 1.0))
-    rhs[:k] = mom[:k]
-    A[k, :] = (-1.0) ** n if side == "left" else 1.0
-    rhs[k] = endpoint_value
-    return np.linalg.solve(A, rhs)
+    return _project_1d(w, _cell_nodes(cell), np.array([WEIGHTED]), k, quad, b=b)[0]
 
 
 def project_gr_minus(w, cell, k, quad=None, value_right=None):
@@ -97,18 +189,14 @@ def project_gr_minus(w, cell, k, quad=None, value_right=None):
     ``value_right`` overrides the endpoint sample for functions given only
     through one-sided limits.
     """
-    quad = quad or assembly_quad_order(k)
-    if value_right is None:
-        value_right = float(np.asarray(w(cell[1]), dtype=float))
-    return _gauss_radau(w, cell, k, value_right, "right", quad)
+    ends = None if value_right is None else np.array([float(value_right)])
+    return _project_1d(w, _cell_nodes(cell), np.array([GR_MINUS]), k, quad, ends=ends)[0]
 
 
 def project_gr_plus(w, cell, k, quad=None, value_left=None):
     """Radau projection matching w at the left endpoint of ``cell``."""
-    quad = quad or assembly_quad_order(k)
-    if value_left is None:
-        value_left = float(np.asarray(w(cell[0]), dtype=float))
-    return _gauss_radau(w, cell, k, value_left, "left", quad)
+    ends = None if value_left is None else np.array([float(value_left)])
+    return _project_1d(w, _cell_nodes(cell), np.array([GR_PLUS]), k, quad, ends=ends)[0]
 
 
 def composite_project_minus_1d(u, mesh, k, quad=None, b=None):
@@ -118,52 +206,16 @@ def composite_project_minus_1d(u, mesh, k, quad=None, b=None):
     on the coarse cells N/4+1..3N/4.  ``b`` defaults to weight 1 (plain L2).
     """
     N = mesh.N
-    coeffs = np.empty((N, k + 1))
-    for i in range(1, N + 1):
-        cell = mesh.cell(i)
-        if i <= N // 4 or i > 3 * N // 4:
-            coeffs[i - 1] = project_gr_minus(u, cell, k, quad=quad)
-        elif b is None:
-            coeffs[i - 1] = project_l2(u, cell, k, quad=quad)
-        else:
-            coeffs[i - 1] = project_weighted(u, b, cell, k, quad=quad)
-    return DGFunction1D(mesh, k, coeffs)
+    i = np.arange(1, N + 1)
+    kinds = np.where((i <= N // 4) | (i > 3 * N // 4), GR_MINUS, WEIGHTED)
+    return DGFunction1D(mesh, k, _project_1d(u, mesh.nodes, kinds, k, quad, b=b))
 
 
 def composite_project_plus_1d(q, mesh, k, quad=None):
     """Region-wise projection for the flux: plain L2 on cell 1, Radau-plus
     on cells 2..N."""
-    N = mesh.N
-    coeffs = np.empty((N, k + 1))
-    coeffs[0] = project_l2(q, mesh.cell(1), k, quad=quad)
-    for i in range(2, N + 1):
-        coeffs[i - 1] = project_gr_plus(q, mesh.cell(i), k, quad=quad)
-    return DGFunction1D(mesh, k, coeffs)
-
-
-def _projection_matrix_1d(kind, k, quad):
-    """Linear map from (moments, endpoint value) data to modal coefficients.
-
-    Returns a function data -> coefficients where data stacks the k+1
-    modal moments and, for Radau kinds, the matched endpoint value.
-    """
-    n = np.arange(k + 1)
-    if kind == L2:
-        def apply(mom, endpoint=None):
-            return (2.0 * n + 1.0) / 2.0 * mom
-        return apply
-    if kind in (GR_MINUS, GR_PLUS):
-        side = "right" if kind == GR_MINUS else "left"
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = np.diag(2.0 / (2.0 * n[:k] + 1.0))
-        A[k, :] = 1.0 if side == "right" else (-1.0) ** n
-        Ainv = np.linalg.inv(A)
-
-        def apply(mom, endpoint):
-            rhs = np.concatenate([mom[:k], [endpoint]])
-            return Ainv @ rhs
-        return apply
-    raise ConfigurationError(f"unknown 1D projection kind {kind!r}")
+    kinds = np.where(np.arange(1, mesh.N + 1) == 1, L2, GR_PLUS)
+    return DGFunction1D(mesh, k, _project_1d(q, mesh.nodes, kinds, k, quad))
 
 
 def tensor_project_2d(kind_x, kind_y, z, cell2d, k, quad=None, b=None):
@@ -174,65 +226,11 @@ def tensor_project_2d(kind_x, kind_y, z, cell2d, k, quad=None, b=None):
     conditions on the matched edge.  The weighted projection ('weighted' in
     both slots) solves the full 2D Gram system with weight b(x, y).
     """
-    (ax, bx), (ay, by) = cell2d
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    xs = cell_map((ax, bx), rule.points)
-    ys = cell_map((ay, by), rule.points)
-    Z = np.asarray(z(xs[:, None], ys[None, :]), dtype=float)
-
-    weighted = WEIGHTED in (kind_x, kind_y)
-    if weighted:
-        if kind_x != WEIGHTED or kind_y != WEIGHTED:
-            raise ConfigurationError(
-                "the weighted 2D projection applies in both directions at once"
-            )
-        if b is None:
-            raise ConfigurationError("weighted 2D projection needs the weight handle b")
-        B = np.asarray(b(xs[:, None], ys[None, :]), dtype=float)
-        WB = (rule.weights[:, None] * rule.weights[None, :]) * B
-        # Gram[(m,n),(a,c)] = sum_gh WB[g,h] V[g,m]V[g,a] V[h,n]V[h,c]
-        gram = np.einsum("gh,gm,ga,hn,hc->mnac", WB, V, V, V, V, optimize=True)
-        rhs = np.einsum("gh,gh,gm,hn->mn", WB, Z, V, V, optimize=True)
-        kk = (k + 1) * (k + 1)
-        try:
-            sol = np.linalg.solve(gram.reshape(kk, kk), rhs.reshape(kk))
-        except np.linalg.LinAlgError as exc:
-            raise ProjectionError("2D weighted Gram system singular") from exc
-        return sol.reshape(k + 1, k + 1)
-
-    # Separable path: project in y for each x quadrature line, then in x.
-    apply_x = _projection_matrix_1d(kind_x, k, quad)
-    apply_y = _projection_matrix_1d(kind_y, k, quad)
-
-    # y-moments of z along each x line: M[g, n] = sum_h w_h z(x_g, y_h) P_n
-    My = (Z * rule.weights[None, :]) @ V
-    if kind_y in (GR_MINUS, GR_PLUS):
-        y_edge = by if kind_y == GR_MINUS else ay
-        edge_vals = np.asarray(z(xs, np.full_like(xs, y_edge)), dtype=float)
-        ycoef = np.stack([apply_y(My[g], edge_vals[g]) for g in range(xs.size)])
-    else:
-        ycoef = np.stack([apply_y(My[g]) for g in range(xs.size)])
-
-    # Each y-mode column is now a function of x sampled at the quad points.
-    Mx = (ycoef * rule.weights[:, None]).T @ V  # (k+1 y-modes, k+1 x-moments)
-    out = np.empty((k + 1, k + 1))
-    if kind_x in (GR_MINUS, GR_PLUS):
-        x_edge = bx if kind_x == GR_MINUS else ax
-        edge_line = lambda yy: np.asarray(z(np.full_like(yy, x_edge), yy), dtype=float)
-        edge_mom = (rule.weights * edge_line(ys)) @ V
-        if kind_y in (GR_MINUS, GR_PLUS):
-            corner = float(np.asarray(z(x_edge, y_edge), dtype=float))
-            edge_coef = apply_y(edge_mom, corner)
-        else:
-            edge_coef = apply_y(edge_mom)
-        for n in range(k + 1):
-            out[:, n] = apply_x(Mx[n], edge_coef[n])
-    else:
-        for n in range(k + 1):
-            out[:, n] = apply_x(Mx[n])
-    return out
+    kx, ky = np.array([[kind_x]]), np.array([[kind_y]])
+    if WEIGHTED in (kind_x, kind_y) and b is None:
+        raise ConfigurationError("weighted 2D projection needs the weight handle b")
+    xnodes, ynodes = (_cell_nodes(c) for c in cell2d)
+    return _project_2d(z, xnodes, ynodes, kx, ky, k, quad, b=b)[0, 0]
 
 
 def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):
@@ -243,48 +241,30 @@ def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):
     (corners, the centre block and the i = N / j = N strips).
     """
     N = mesh2d.N
-    q1, q3 = N // 4, 3 * N // 4
-    out = DGFunction2D.zeros(mesh2d, k)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            cell = mesh2d.cell(i, j)
-            x_strip = (i <= q1) or (q3 + 1 <= i <= N - 1)
-            y_strip = (j <= q1) or (q3 + 1 <= j <= N - 1)
-            if x_strip and (q1 + 1 <= j <= q3):
-                c = tensor_project_2d(GR_MINUS, L2, u, cell, k, quad=quad)
-            elif y_strip and (q1 + 1 <= i <= q3):
-                c = tensor_project_2d(L2, GR_MINUS, u, cell, k, quad=quad)
-            elif b is None:
-                c = tensor_project_2d(L2, L2, u, cell, k, quad=quad)
-            else:
-                c = tensor_project_2d(WEIGHTED, WEIGHTED, u, cell, k, quad=quad, b=b)
-            out.coeffs[i - 1, j - 1] = c
-    return out
+    i = np.arange(1, N + 1)
+    strip = (i <= N // 4) | ((i > 3 * N // 4) & (i < N))
+    band = (i > N // 4) & (i <= 3 * N // 4)
+    x_radau = strip[:, None] & band[None, :]
+    y_radau = band[:, None] & strip[None, :]
+    kx = np.where(x_radau, GR_MINUS, np.where(y_radau, L2, WEIGHTED))
+    ky = np.where(y_radau, GR_MINUS, np.where(x_radau, L2, WEIGHTED))
+    coeffs = _project_2d(u, mesh2d.mx.nodes, mesh2d.my.nodes, kx, ky, k, quad, b=b)
+    return DGFunction2D(mesh2d, k, coeffs)
 
 
 def composite_project_plus_x_2d(p, mesh2d, k, quad=None):
     """2D flux projection in x: plain L2 on column i = 1, Radau-plus in x
     elsewhere."""
     N = mesh2d.N
-    out = DGFunction2D.zeros(mesh2d, k)
-    for i in range(1, N + 1):
-        kind = L2 if i == 1 else GR_PLUS
-        for j in range(1, N + 1):
-            out.coeffs[i - 1, j - 1] = tensor_project_2d(
-                kind, L2, p, mesh2d.cell(i, j), k, quad=quad
-            )
-    return out
+    kx = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[:, None], N, axis=1)
+    coeffs = _project_2d(p, mesh2d.mx.nodes, mesh2d.my.nodes, kx, np.full((N, N), L2), k, quad)
+    return DGFunction2D(mesh2d, k, coeffs)
 
 
 def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
     """2D flux projection in y: plain L2 on row j = 1, Radau-plus in y
     elsewhere."""
     N = mesh2d.N
-    out = DGFunction2D.zeros(mesh2d, k)
-    for j in range(1, N + 1):
-        kind = L2 if j == 1 else GR_PLUS
-        for i in range(1, N + 1):
-            out.coeffs[i - 1, j - 1] = tensor_project_2d(
-                L2, kind, q, mesh2d.cell(i, j), k, quad=quad
-            )
-    return out
+    ky = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[None, :], N, axis=0)
+    coeffs = _project_2d(q, mesh2d.mx.nodes, mesh2d.my.nodes, np.full((N, N), L2), ky, k, quad)
+    return DGFunction2D(mesh2d, k, coeffs)

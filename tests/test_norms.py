@@ -15,6 +15,9 @@ from ldgshishkin import (
     energy_norm_2d,
     error_norms_1d,
     interpolate_1d,
+    l2_error_region_1d,
+    l2_error_region_2d,
+    linf_error_1d,
     paper_1d_problem,
     polynomial_problem_1d,
     rate_shishkin,
@@ -167,3 +170,113 @@ class TestNorms2DZero:
         )
         assert energy_norm_2d(T, p, mesh).total == 0.0
         assert balanced_norm_2d(T, p, mesh).total == 0.0
+
+
+def smooth_1d(x):
+    x = np.asarray(x, dtype=float)
+    return np.sin(4.0 * x) + np.exp(-x)
+
+
+def smooth_2d(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.cos(3.0 * x - y) * np.exp(y)
+
+
+def brute_l2_1d(dgf, exact, mesh, cells, quad):
+    """Per-cell sum with numpy's Gauss rule and Legendre series."""
+    t, w = np.polynomial.legendre.leggauss(quad)
+    total = 0.0
+    for i in cells:
+        a, c = mesh.nodes[i - 1], mesh.nodes[i]
+        x = a + (c - a) * (t + 1.0) / 2.0
+        diff = exact(x) - np.polynomial.legendre.legval(t, dgf.coeffs[i - 1])
+        total += 0.5 * (c - a) * np.sum(w * diff**2)
+    return np.sqrt(total)
+
+
+def brute_linf_1d(dgf, exact, mesh, cells, samples=40):
+    t = np.linspace(-1.0, 1.0, samples)
+    worst = 0.0
+    for i in cells:
+        a, c = mesh.nodes[i - 1], mesh.nodes[i]
+        x = a + (c - a) * (t + 1.0) / 2.0
+        diff = exact(x) - np.polynomial.legendre.legval(t, dgf.coeffs[i - 1])
+        worst = max(worst, np.max(np.abs(diff)))
+    return worst
+
+
+def brute_l2_2d(dgf, exact, mesh2d, cell_filter, quad):
+    t, w = np.polynomial.legendre.leggauss(quad)
+    nodes = mesh2d.mx.nodes
+    total = 0.0
+    for i in range(1, mesh2d.N + 1):
+        for j in range(1, mesh2d.N + 1):
+            if not cell_filter(i, j):
+                continue
+            ax, cx, ay, cy = nodes[i - 1], nodes[i], nodes[j - 1], nodes[j]
+            x = ax + (cx - ax) * (t + 1.0) / 2.0
+            y = ay + (cy - ay) * (t + 1.0) / 2.0
+            vals = np.polynomial.legendre.leggrid2d(t, t, dgf.coeffs[i - 1, j - 1])
+            diff = exact(x[:, None], y[None, :]) - vals
+            total += 0.25 * (cx - ax) * (cy - ay) * np.sum(np.outer(w, w) * diff**2)
+    return np.sqrt(total)
+
+
+class TestRegionErrors:
+    K, QUAD = 2, 7
+
+    @pytest.fixture(params=[8, 64])
+    def mesh(self, request):
+        return build_shishkin_1d(MeshConfig(N=request.param, eps=1e-6, sigma=3.0))
+
+    def dg_1d(self, mesh):
+        rng = np.random.default_rng(mesh.N)
+        return DGFunction1D(mesh, self.K, rng.standard_normal((mesh.N, self.K + 1)))
+
+    def dg_2d(self, mesh):
+        rng = np.random.default_rng(mesh.N + 1)
+        mesh2d = build_shishkin_2d(mesh.config)
+        coeffs = rng.standard_normal((mesh.N, mesh.N, self.K + 1, self.K + 1))
+        return mesh2d, DGFunction2D(mesh2d, self.K, coeffs)
+
+    def test_1d_noncontiguous_sets_match_brute_force(self, mesh):
+        N = mesh.N
+        f = self.dg_1d(mesh)
+        for cells in ([1, 3, 4, N - 2, N], range(2, N + 1, 3), list(range(1, N + 1))):
+            got = l2_error_region_1d(f, smooth_1d, mesh, cells, quad=self.QUAD)
+            want = brute_l2_1d(f, smooth_1d, mesh, cells, self.QUAD)
+            assert got == pytest.approx(want, rel=1e-12)
+            got = linf_error_1d(f, smooth_1d, mesh, cells)
+            assert got == pytest.approx(brute_linf_1d(f, smooth_1d, mesh, cells), rel=1e-12)
+        everything = brute_linf_1d(f, smooth_1d, mesh, range(1, N + 1))
+        assert linf_error_1d(f, smooth_1d, mesh) == pytest.approx(everything, rel=1e-12)
+
+    def test_1d_empty_set_is_exactly_zero(self, mesh):
+        f = self.dg_1d(mesh)
+        assert l2_error_region_1d(f, smooth_1d, mesh, []) == 0.0
+        assert linf_error_1d(f, smooth_1d, mesh, []) == 0.0
+
+    def test_1d_cell_index_out_of_range(self, mesh):
+        f = self.dg_1d(mesh)
+        for bad in ([0], [mesh.N + 1]):
+            with pytest.raises(ConfigurationError):
+                l2_error_region_1d(f, smooth_1d, mesh, bad)
+            with pytest.raises(ConfigurationError):
+                linf_error_1d(f, smooth_1d, mesh, bad)
+
+    def test_2d_filters_match_brute_force(self, mesh):
+        mesh2d, f = self.dg_2d(mesh)
+        N = mesh.N
+        q1, q3 = N // 4, 3 * N // 4
+        for cell_filter in (
+            lambda i, j: (i + 2 * j) % 3 == 0,
+            lambda i, j: not (q1 + 1 <= i <= q3 and q1 + 1 <= j <= q3),
+            lambda i, j: True,
+        ):
+            got = l2_error_region_2d(f, smooth_2d, mesh2d, cell_filter, quad=self.QUAD)
+            want = brute_l2_2d(f, smooth_2d, mesh2d, cell_filter, self.QUAD)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_2d_filter_rejecting_every_cell_is_exactly_zero(self, mesh):
+        mesh2d, f = self.dg_2d(mesh)
+        assert l2_error_region_2d(f, smooth_2d, mesh2d, lambda i, j: False) == 0.0

@@ -359,3 +359,234 @@ class TestComposite2D:
             outside = lambda i, j: not (q1 + 1 <= i <= q3 and q1 + 1 <= j <= q3)
             errs[N] = eps**-0.25 * l2_error_region_2d(proj, p.u_exact, mesh, outside)
         assert rate_shishkin(errs[64], errs[128], 64) >= k + 0.9
+
+
+# Independent oracle for the defining properties: numpy's own Gauss rule
+# (24 points) and Legendre tables, applied to the residual r = z - Pi z on
+# every cell.  The projections run with a 16-point rule so that their own
+# quadrature error on these smooth targets sits far below the tolerance.
+ORACLE_T, ORACLE_W = np.polynomial.legendre.leggauss(24)
+PROJ_QUAD = 16
+TOL = 1e-12
+
+
+def z1(x):
+    x = np.asarray(x, dtype=float)
+    return np.exp(x) * np.cos(3.0 * x) + x**2
+
+
+def b1(x):
+    return 1.0 + np.asarray(x, dtype=float) ** 2
+
+
+def z2(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.exp(x - y) * np.cos(2.0 * x + y) + x * y**2
+
+
+def b2(x, y):
+    return 2.5 + 0.5 * np.sin(3.0 * np.asarray(x) + 2.0 * np.asarray(y))
+
+
+def oracle_points(nodes):
+    a, c = nodes[:-1, None], nodes[1:, None]
+    return a + (c - a) * (ORACLE_T + 1.0) / 2.0
+
+
+def residual_data_1d(z, nodes, coeffs, b=None):
+    """Reference moments of r (b-weighted when b is given) against
+    P_0..P_k per cell, and r at the left and right node of every cell."""
+    k = coeffs.shape[1] - 1
+    P = np.polynomial.legendre.legvander(ORACLE_T, k)
+    x = oracle_points(nodes)
+    r = z(x) - coeffs @ P.T
+    weight = ORACLE_W if b is None else ORACLE_W * b(x)
+    mom = 0.5 * (weight * r) @ P
+    r_left = z(nodes[:-1]) - coeffs @ (-1.0) ** np.arange(k + 1)
+    r_right = z(nodes[1:]) - coeffs.sum(axis=1)
+    return mom, r_left, r_right
+
+
+def check_properties_1d(z, nodes, coeffs, kinds, b=None):
+    k = coeffs.shape[1] - 1
+    mom, r_left, r_right = residual_data_1d(z, nodes, coeffs)
+    radau = np.isin(kinds, [GR_MINUS, GR_PLUS])
+    plain = (kinds == L2) | ((kinds == WEIGHTED) & (b is None))
+    assert np.max(np.abs(mom[radau, :k]), initial=0.0) < TOL
+    assert np.max(np.abs(mom[plain]), initial=0.0) < TOL
+    assert np.max(np.abs(r_right[kinds == GR_MINUS]), initial=0.0) < TOL
+    assert np.max(np.abs(r_left[kinds == GR_PLUS]), initial=0.0) < TOL
+    if b is not None:
+        bmom, _, _ = residual_data_1d(z, nodes, coeffs, b)
+        assert np.max(np.abs(bmom[kinds == WEIGHTED]), initial=0.0) < TOL
+
+
+def residual_data_2d(z, xnodes, ynodes, coeffs, b=None):
+    """Reference moments of r per cell (b-weighted when b is given), the
+    y-moments of r on the left/right edges, the x-moments on the
+    bottom/top edges, and r at the four corners."""
+    k = coeffs.shape[-1] - 1
+    P = np.polynomial.legendre.legvander(ORACLE_T, k)
+    left = (-1.0) ** np.arange(k + 1)
+    x, y = oracle_points(xnodes), oracle_points(ynodes)
+    X, Y = x[:, None, :, None], y[None, :, None, :]
+    r = z(X, Y) - np.einsum("gm,ijmn,hn->ijgh", P, coeffs, P)
+    weight = np.outer(ORACLE_W, ORACLE_W) * (1.0 if b is None else b(X, Y))
+    mom = 0.25 * np.einsum("ijgh,gm,hn->ijmn", weight * r, P, P)
+    edge_x, edge_y, corner = {}, {}, {}
+    for side, e, xs in (("minus", np.ones(k + 1), xnodes[1:]), ("plus", left, xnodes[:-1])):
+        trace = np.einsum("m,ijmn,hn->ijh", e, coeffs, P)
+        rx = z(xs[:, None, None], y[None, :, :]) - trace
+        edge_x[side] = 0.5 * np.einsum("ijh,h,hn->ijn", rx, ORACLE_W, P)
+    for side, e, ys in (("minus", np.ones(k + 1), ynodes[1:]), ("plus", left, ynodes[:-1])):
+        trace = np.einsum("n,ijmn,gm->ijg", e, coeffs, P)
+        ry = z(x[:, None, :], ys[None, :, None]) - trace
+        edge_y[side] = 0.5 * np.einsum("ijg,g,gm->ijm", ry, ORACLE_W, P)
+    for sx, ex, xs in (("minus", np.ones(k + 1), xnodes[1:]), ("plus", left, xnodes[:-1])):
+        for sy, ey, ys in (("minus", np.ones(k + 1), ynodes[1:]), ("plus", left, ynodes[:-1])):
+            value = np.einsum("m,ijmn,n->ij", ex, coeffs, ey)
+            corner[sx, sy] = z(xs[:, None], ys[None, :]) - value
+    return mom, edge_x, edge_y, corner
+
+
+def check_properties_2d(z, xnodes, ynodes, coeffs, kx, ky, b=None):
+    """Every condition that defines the cell's projection holds to TOL."""
+    k = coeffs.shape[-1] - 1
+    mom, edge_x, edge_y, corner = residual_data_2d(z, xnodes, ynodes, coeffs)
+    side = {GR_MINUS: "minus", GR_PLUS: "plus"}
+    # test space per axis: degree k, or degree k-1 on a Radau axis
+    rows = np.where(np.isin(kx, list(side))[..., None], np.arange(k + 1) < k, True)
+    cols = np.where(np.isin(ky, list(side))[..., None], np.arange(k + 1) < k, True)
+    moment_cells = ~((kx == WEIGHTED) & (b is not None))
+    test = rows[..., :, None] & cols[..., None, :] & moment_cells[..., None, None]
+    assert np.max(np.abs(mom[test]), initial=0.0) < TOL
+    for kind, s in side.items():
+        assert np.max(np.abs(edge_x[s][(kx == kind)[..., None] & cols]), initial=0.0) < TOL
+        assert np.max(np.abs(edge_y[s][(ky == kind)[..., None] & rows]), initial=0.0) < TOL
+        for kind_y, s_y in side.items():
+            both = (kx == kind) & (ky == kind_y)
+            assert np.max(np.abs(corner[s, s_y][both]), initial=0.0) < TOL
+    if b is not None:
+        bmom, _, _, _ = residual_data_2d(z, xnodes, ynodes, coeffs, b)
+        assert np.max(np.abs(bmom[kx == WEIGHTED]), initial=0.0) < TOL
+
+
+def minus_kinds_2d(N):
+    """The documented dispatch of the 2D minus-composite, cell by cell."""
+    q1, q3 = N // 4, 3 * N // 4
+    kx = np.full((N, N), WEIGHTED, dtype=object)
+    ky = np.full((N, N), WEIGHTED, dtype=object)
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            x_strip = i <= q1 or q3 + 1 <= i <= N - 1
+            y_strip = j <= q1 or q3 + 1 <= j <= N - 1
+            if x_strip and q1 + 1 <= j <= q3:
+                kx[i - 1, j - 1], ky[i - 1, j - 1] = GR_MINUS, L2
+            elif y_strip and q1 + 1 <= i <= q3:
+                kx[i - 1, j - 1], ky[i - 1, j - 1] = L2, GR_MINUS
+    return kx, ky
+
+
+GRID = [
+    pytest.param(N, eps, k, id=f"N{N}-eps{eps:g}-k{k}")
+    for N in (8, 16) for eps in (1e-2, 1e-8) for k in (1, 2, 3)
+]
+
+
+class TestDefiningPropertiesOnEveryCell:
+    def test_oracle_grid_includes_clamped_meshes(self):
+        assert build_shishkin_1d(MeshConfig(N=16, eps=1e-2, sigma=2.0)).clamped
+        assert not build_shishkin_1d(MeshConfig(N=8, eps=1e-8, sigma=2.0)).clamped
+
+    @pytest.mark.parametrize("N, eps, k", GRID)
+    def test_composites_1d(self, N, eps, k):
+        mesh = build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
+        i = np.arange(1, N + 1)
+        minus = np.where((i <= N // 4) | (i > 3 * N // 4), GR_MINUS, WEIGHTED)
+        for b in (b1, None):
+            pu = composite_project_minus_1d(z1, mesh, k, quad=PROJ_QUAD, b=b)
+            check_properties_1d(z1, mesh.nodes, pu.coeffs, minus, b)
+        pq = composite_project_plus_1d(z1, mesh, k, quad=PROJ_QUAD)
+        check_properties_1d(z1, mesh.nodes, pq.coeffs, np.where(i == 1, L2, GR_PLUS))
+
+    @pytest.mark.parametrize("N, eps, k", GRID)
+    def test_composites_2d(self, N, eps, k):
+        mesh = build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
+        nodes = mesh.mx.nodes
+        kx, ky = minus_kinds_2d(N)
+        for b in (b2, None):
+            pu = composite_project_minus_2d(z2, mesh, k, quad=PROJ_QUAD, b=b)
+            check_properties_2d(z2, nodes, nodes, pu.coeffs, kx, ky, b)
+        first = np.arange(1, N + 1) == 1
+        plus = np.where(first, L2, GR_PLUS).astype(object)
+        plain = np.full((N, N), L2, dtype=object)
+        pp = composite_project_plus_x_2d(z2, mesh, k, quad=PROJ_QUAD)
+        check_properties_2d(z2, nodes, nodes, pp.coeffs, np.repeat(plus[:, None], N, 1), plain)
+        pq = composite_project_plus_y_2d(z2, mesh, k, quad=PROJ_QUAD)
+        check_properties_2d(z2, nodes, nodes, pq.coeffs, plain, np.repeat(plus[None, :], N, 0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_cell_projections(self, k):
+        xnodes, ynodes = np.array([0.1, 0.35]), np.array([0.6, 0.72])
+        for kind_x in (L2, GR_MINUS, GR_PLUS):
+            for kind_y in (L2, GR_MINUS, GR_PLUS):
+                c = tensor_project_2d(kind_x, kind_y, z2, (xnodes, ynodes), k, quad=PROJ_QUAD)
+                kinds = (np.array([[kind_x]], dtype=object), np.array([[kind_y]], dtype=object))
+                check_properties_2d(z2, xnodes, ynodes, c[None, None], *kinds)
+        c = tensor_project_2d(WEIGHTED, WEIGHTED, z2, (xnodes, ynodes), k, quad=PROJ_QUAD, b=b2)
+        weighted = np.array([[WEIGHTED]], dtype=object)
+        check_properties_2d(z2, xnodes, ynodes, c[None, None], weighted, weighted, b2)
+        for kind, proj in ((L2, project_l2), (GR_MINUS, project_gr_minus),
+                           (GR_PLUS, project_gr_plus)):
+            c = proj(z1, tuple(xnodes), k, quad=PROJ_QUAD)
+            check_properties_1d(z1, xnodes, c[None], np.array([kind]))
+        c = project_weighted(z1, b1, tuple(xnodes), k, quad=PROJ_QUAD)
+        check_properties_1d(z1, xnodes, c[None], np.array([WEIGHTED]), b1)
+
+
+def vanishing_on(cell, inside, outside):
+    """A weight equal to ``inside`` on the closed cell and ``outside`` elsewhere."""
+    a, c = cell
+
+    def b(x, *rest):
+        x = np.asarray(x, dtype=float)
+        hit = (a <= x) & (x <= c)
+        for y in rest:
+            hit = hit & (a <= np.asarray(y)) & (np.asarray(y) <= c)
+        return np.where(hit, inside, outside)
+
+    return b
+
+
+class TestFailuresSurviveBatching:
+    @pytest.mark.parametrize("inside", [0.0, np.nan])
+    def test_minus_1d_raises_projection_error(self, inside):
+        mesh = build_shishkin_1d(MeshConfig(N=16, eps=1e-6, sigma=2.0))
+        b = vanishing_on(mesh.cell(8), inside, 1.0)
+        with pytest.raises(ProjectionError):
+            composite_project_minus_1d(z1, mesh, 2, b=b)
+
+    @pytest.mark.parametrize("inside", [0.0, np.nan])
+    def test_minus_2d_raises_projection_error(self, inside):
+        mesh = build_shishkin_2d(MeshConfig(N=16, eps=1e-6, sigma=2.0))
+        b = vanishing_on(mesh.mx.cell(8), inside, 2.0)
+        with pytest.raises(ProjectionError):
+            composite_project_minus_2d(z2, mesh, 1, b=b)
+
+    def test_projection_study_records_the_failed_row(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from ldgshishkin import SweepConfig, harness, run_projection_study
+
+        N, eps, k = 16, 1e-6, 1
+        cfg = SweepConfig(problem="paper1d", k_list=(k,), n_list=(N,), eps_list=(eps,))
+        mesh = build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=cfg.sigma_for(k)))
+        p = paper_1d_problem(eps)
+        broken = SimpleNamespace(has_exact=True, beta=p.beta, u_exact=p.u_exact,
+                                 q_exact=p.q_exact, b=vanishing_on(mesh.cell(N // 2), 0.0, 1.0))
+        monkeypatch.setattr(harness, "problem_by_key", lambda *args: broken)
+        table = run_projection_study(cfg)
+        (row,) = table.rows
+        assert row.failed
+        assert row.message.startswith("ProjectionError")
+        assert row.err_energy is None
