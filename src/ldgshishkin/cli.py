@@ -12,7 +12,7 @@ from .harness import SweepConfig, emit_table, run_sweep
 
 _CONFIG_KEYS = {
     "dim", "problem", "k", "n", "eps", "sigma", "quad-order", "norm",
-    "solver", "out", "format", "study", "workers",
+    "out", "format", "study", "workers",
 }
 
 
@@ -64,7 +64,6 @@ def build_parser():
     parser.add_argument("--quad-order", dest="quad_order", type=int,
                         help="quadrature points per cell for error integrals")
     parser.add_argument("--norm", choices=("energy", "balanced", "both"))
-    parser.add_argument("--solver", choices=("banded", "condensed", "full"))
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "markdown"))
     parser.add_argument("--study", choices=("solve", "projection"))
@@ -84,7 +83,6 @@ def _merge(args, config_values):
         return default
 
     dim = pick("dim", "dim", 1, int)
-    solver_default = "banded" if dim == 1 else "condensed"
     problem_default = "paper1d" if dim == 1 else "manufactured2d"
     return SweepConfig(
         dim=dim,
@@ -95,7 +93,6 @@ def _merge(args, config_values):
         sigma=pick("sigma", "sigma", None, float),
         quad_order=pick("quad_order", "quad-order", None, int),
         norm=pick("norm", "norm", "both", str),
-        solver=pick("solver", "solver", solver_default, str),
         out=pick("out", "out", None, str),
         fmt=pick("fmt", "format", "csv", str),
         study=pick("study", "study", "solve", str),

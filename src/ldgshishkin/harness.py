@@ -58,7 +58,6 @@ class SweepConfig:
     sigma: Optional[float] = None    # None -> k + 1 per k
     quad_order: Optional[int] = None
     norm: str = "both"
-    solver: Optional[str] = None     # None -> banded (1D) / condensed (2D)
     study: str = "solve"
     out: Optional[str] = None
     fmt: str = "csv"
@@ -73,13 +72,6 @@ class SweepConfig:
             raise ConfigurationError(f"unknown study {self.study!r}")
         if self.fmt not in ("csv", "markdown"):
             raise ConfigurationError(f"unknown format {self.fmt!r}")
-        valid = ("banded",) if self.dim == 1 else ("condensed", "full")
-        if self.solver is None:
-            self.solver = valid[0]
-        if self.study == "solve" and self.solver not in valid:
-            raise ConfigurationError(
-                f"solver {self.solver!r} not available for dim={self.dim}; use one of {valid}"
-            )
         ns = list(self.n_list)
         if not ns:
             raise ConfigurationError("N list must not be empty")
@@ -156,8 +148,7 @@ def _solve_row(cfg, k, N, eps):
             row.clamped = mesh.clamped
         else:
             mesh = build_shishkin_2d(mcfg)
-            sol = solve_ldg_2d(problem, mesh, k, method=cfg.solver,
-                               residual_tol=1e-9)
+            sol = solve_ldg_2d(problem, mesh, k, residual_tol=1e-9)
             energy, balanced = error_norms_2d(sol, problem, mesh, quad=cfg.quad_order)
             row.clamped = mesh.clamped
         row.residual = sol.residual

@@ -97,11 +97,15 @@ class OperatorPieces1D:
     ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
     e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
     (test v, Qtilde) block of the scheme is exactly -s D^T.
+    ``flux_mass_inv`` is the Sherman-Morrison inverse of ``flux_mass``,
+    s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal plus one
+    2-cell block at the interface.
     """
 
     mass: sp.csr_matrix
     derivative: sp.csr_matrix
     flux_mass: sp.csr_matrix
+    flux_mass_inv: sp.csr_matrix
     penalty: sp.csr_matrix
     s: float
 
@@ -128,10 +132,14 @@ def operator_pieces_1d(mesh, k, eps):
     ).tocsr()
     v = sp.kron(unit(J - 1), ones[:, None]) - sp.kron(unit(J), alt[:, None])
     flux_mass = (mass / s + v @ v.T).tocsr()
+    inv_scaled_mass = sp.diags(s / mass.diagonal())
+    w = inv_scaled_mass @ v
+    denom = 1.0 + (v.T @ w).toarray().item()
+    flux_mass_inv = (inv_scaled_mass - (w @ w.T) / denom).tocsr()
     penalty = s * (sp.kron(corner(N - 1), np.outer(ones, ones))
                    + sp.kron(corner(0), np.outer(alt, alt))).tocsr()
     return OperatorPieces1D(mass=mass, derivative=derivative, flux_mass=flux_mass,
-                            penalty=penalty, s=s)
+                            flux_mass_inv=flux_mass_inv, penalty=penalty, s=s)
 
 
 def assemble_1d(problem, mesh, k, quad=None):

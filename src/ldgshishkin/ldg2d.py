@@ -8,12 +8,12 @@ line x = x_{3N/4} (resp. horizontal line y = y_{3N/4}) with 1/sqrt(eps).
 The matrix is therefore a block-diagonal b-weighted mass plus Kronecker
 products of the 1D operator pieces of ``ldg1d.operator_pieces_1d`` (see
 ``assemble_2d``), built without a loop over cells.
-
-The default solver eliminates P and Q element-locally on every cell not
-adjacent to its penalized interface line (there the first two equations
-are block-diagonal with diagonal modal mass blocks) and factorizes the
-reduced sparse system; a full sparse factorization is kept as a fallback.
 P and Q are assembled in the scaled unknowns P/sqrt(eps), Q/sqrt(eps).
+The solver eliminates them in closed form on every cell, the interface
+cells included, because the 1D flux mass M/s + v v^T has the
+Sherman-Morrison inverse ``flux_mass_inv``; it factorizes the remaining
+symmetric positive definite U-only system (``eliminate_fluxes_2d``) by
+sparse LU and recovers P and Q by one sparse product per axis.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
-from .ldg1d import operator_pieces_1d
+from .ldg1d import OperatorPieces1D, operator_pieces_1d
 from .linalg import SparseMatrix, equilibrate, sparse_solve
 
 
@@ -53,7 +53,8 @@ class FluxParams2D:
 
 @dataclass
 class MixedSolution2D:
-    """Discrete triple (U, P, Q) with the achieved linear residual."""
+    """Discrete triple (U, P, Q); ``residual`` is the relative residual of
+    the equilibrated U-only system that produced it (see ``solve_ldg_2d``)."""
 
     U: DGFunction2D
     P: DGFunction2D
@@ -77,6 +78,9 @@ class _Layout2D:
         self.kk = (k + 1) ** 2
         self.field = N * N * self.kk
         self.n = 3 * self.field
+        # kron order (i, m, j, n) of one field -> this layout (i, j, m, n)
+        self.from_kron = (np.arange(self.field).reshape(N, N, k + 1, k + 1)
+                          .transpose(0, 2, 1, 3).ravel())
 
     def u_slice(self, ci, cj):
         base = (ci * self.N + cj) * self.kk
@@ -96,6 +100,8 @@ class AssembledSystem2D:
     layout: _Layout2D
     pq_scale: float
     flux: FluxParams2D
+    reaction: sp.coo_matrix  # blockdiag(W_b) in the U layout
+    pieces: tuple[OperatorPieces1D, OperatorPieces1D]  # x and y axes
 
 
 def assemble_2d(problem, mesh2d, k, quad=None):
@@ -149,8 +155,7 @@ def assemble_2d(problem, mesh2d, k, quad=None):
         [kron(px.derivative, My), kron(px.flux_mass, My), None],
         [kron(Mx, py.derivative), None, kron(Mx, py.flux_mass)],
     ], format="coo")
-    # kron order (i, m, j, n) -> field-major layout (i, j, m, n), per field
-    dof = np.arange(layout.field).reshape(N, N, k + 1, k + 1).transpose(0, 2, 1, 3).ravel()
+    dof = layout.from_kron
     order = np.concatenate([dof, layout.field + dof, 2 * layout.field + dof])
     reaction = sp.bsr_matrix((Wblk.reshape(N * N, kk, kk), np.arange(N * N),
                               np.arange(N * N + 1))).tocoo()
@@ -163,109 +168,70 @@ def assemble_2d(problem, mesh2d, k, quad=None):
     rhs = np.zeros(layout.n)
     rhs[:layout.field] = Fblk.ravel()
     return AssembledSystem2D(matrix=matrix, rhs=rhs, layout=layout, pq_scale=s,
-                             flux=flux)
+                             flux=flux, reaction=reaction, pieces=(px, py))
 
 
-def _solve_full(system):
-    scaled, r, c = equilibrate(system.matrix)
-    result = sparse_solve(scaled, r * system.rhs)
-    return c * result.x
+def eliminate_fluxes_2d(system):
+    """Eliminate Ptilde and Qtilde in closed form; returns (S, Gx, Gy).
 
-
-def _solve_condensed(system):
-    """Eliminate P on cells away from the vertical interface line and Q on
-    cells away from the horizontal one, then solve the reduced system."""
-    layout = system.layout
-    N, kk, M = layout.N, layout.kk, layout.field
-    J = system.flux.interface_index
-    A = system.matrix.csr
-
-    kept_cols = np.array([J - 1, J])  # 0-based cell columns adjacent to x int.
-    cell_ids = np.arange(N * N).reshape(N, N)
-    p_kept_cells = cell_ids[kept_cols, :].ravel()
-    q_kept_cells = cell_ids[:, kept_cols].ravel()
-
-    def dofs(cells):
-        return (cells[:, None] * kk + np.arange(kk)[None, :]).ravel()
-
-    pk = M + dofs(p_kept_cells)
-    qk = 2 * M + dofs(q_kept_cells)
-    p_all = np.arange(M, 2 * M)
-    q_all = np.arange(2 * M, 3 * M)
-    pe = np.setdiff1d(p_all, pk)
-    qe = np.setdiff1d(q_all, qk)
-    u_all = np.arange(M)
-
-    A_csc = A.tocsc()
-    diag = A.diagonal()
-    inv_dpe = 1.0 / diag[pe]
-    inv_dqe = 1.0 / diag[qe]
-
-    B_pe_u = A[pe, :][:, u_all]
-    B_qe_u = A[qe, :][:, u_all]
-    C_u_pe = A_csc[:, pe][u_all, :]
-    C_u_qe = A_csc[:, qe][u_all, :]
-
-    S = (A[u_all, :][:, u_all]
-         - C_u_pe @ sp.diags(inv_dpe) @ B_pe_u
-         - C_u_qe @ sp.diags(inv_dqe) @ B_qe_u)
-    reduced = sp.bmat(
-        [
-            [S, A_csc[:, pk][u_all, :], A_csc[:, qk][u_all, :]],
-            [A[pk, :][:, u_all], A[pk, :][:, pk], None],
-            [A[qk, :][:, u_all], None, A[qk, :][:, qk]],
-        ],
-        format="csr",
+    Per axis G = F^-1 D and K = s E + s D^T G, with F^-1 the 1D
+    ``flux_mass_inv``.  The P and Q rows give Ptilde = -(Gx(x)I) U and
+    Qtilde = -(I(x)Gy) U in kron order, and the U-only operator
+    S = blockdiag(W_b) + Kx(x)My + Mx(x)Ky, in the field-major U layout, is
+    the Schur complement A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the
+    assembled system.  S is symmetric positive definite.
+    """
+    px, py = system.pieces
+    Gx = (px.flux_mass_inv @ px.derivative).tocsr()
+    Gy = (py.flux_mass_inv @ py.derivative).tocsr()
+    Kx = px.penalty + px.s * (px.derivative.T @ Gx)
+    Ky = py.penalty + py.s * (py.derivative.T @ Gy)
+    T = (sp.kron(Kx, py.mass) + sp.kron(px.mass, Ky)).tocoo()
+    dof = system.layout.from_kron
+    R = system.reaction
+    S = SparseMatrix.from_coo(
+        system.layout.field,
+        np.concatenate([dof[T.row], R.row]),
+        np.concatenate([dof[T.col], R.col]),
+        np.concatenate([T.data, R.data]),
     )
-    rhs = np.concatenate([system.rhs[u_all], system.rhs[pk], system.rhs[qk]])
-
-    scaled, r, c = equilibrate(SparseMatrix(reduced))
-    result = sparse_solve(scaled, r * rhs)
-    xr = c * result.x
-
-    nu = u_all.size
-    x = np.zeros(layout.n)
-    x[u_all] = xr[:nu]
-    x[pk] = xr[nu:nu + pk.size]
-    x[qk] = xr[nu + pk.size:]
-    x[pe] = -inv_dpe * (B_pe_u @ x[u_all])
-    x[qe] = -inv_dqe * (B_qe_u @ x[u_all])
-    return x
+    return S, Gx, Gy
 
 
-def solve_ldg_2d(problem, mesh2d, k, quad=None, method="condensed",
-                 residual_tol=1e-9):
-    """Solve the 2D scheme; ``method`` is 'condensed' (default) or 'full'.
+def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
+    """Solve the 2D scheme through its U-only SPD system.
 
-    The reported residual is measured on the assembled (scaled) global
-    system, which also validates the condensation back-substitution.
+    The operator of ``eliminate_fluxes_2d`` is equilibrated and factorized
+    by sparse LU, and P and Q are recovered from U.  The reported residual
+    is that of the equilibrated U-system, as in 1D; SolverError (carrying
+    it) is raised when it exceeds ``residual_tol``.
     """
     system = assemble_2d(problem, mesh2d, k, quad=quad)
-    if method == "condensed":
-        x = _solve_condensed(system)
-    elif method == "full":
-        x = _solve_full(system)
-    else:
-        raise ConfigurationError(f"unknown 2D solver method {method!r}")
-
-    csr = system.matrix.csr
-    fro = np.sqrt((csr.data**2).sum())
-    num = np.linalg.norm(csr @ x - system.rhs)
-    denom = fro * np.linalg.norm(x) + np.linalg.norm(system.rhs)
-    residual = float(num / denom) if denom > 0.0 else 0.0
-    if residual > residual_tol:
-        raise SolverError(
-            f"2D solve reached residual {residual:.3e} > {residual_tol:.3e}",
-            residual=residual,
-        )
-
     layout = system.layout
     N, k1, M = layout.N, k + 1, layout.field
-    shape = (N, N, k1, k1)
-    U = DGFunction2D(mesh2d, k, x[:M].reshape(shape).copy())
-    P = DGFunction2D(mesh2d, k, system.pq_scale * x[M:2 * M].reshape(shape))
-    Q = DGFunction2D(mesh2d, k, system.pq_scale * x[2 * M:].reshape(shape))
-    return MixedSolution2D(U=U, P=P, Q=Q, residual=residual)
+    S, Gx, Gy = eliminate_fluxes_2d(system)
+    scaled, r, c = equilibrate(S)
+    result = sparse_solve(scaled, r * system.rhs[:M])
+    if result.residual > residual_tol:
+        raise SolverError(
+            f"2D solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
+            residual=result.residual,
+        )
+    u = c * result.x
+
+    # in kron order a field is an (i, m) x (j, n) matrix: Gx acts on the
+    # left, Gy on the right
+    u_kron = u[layout.from_kron].reshape(N * k1, N * k1)
+
+    def field(kron_values):
+        values = np.empty(M)
+        values[layout.from_kron] = kron_values.ravel()
+        return values.reshape(N, N, k1, k1)
+
+    U = DGFunction2D(mesh2d, k, u.reshape(N, N, k1, k1))
+    P = DGFunction2D(mesh2d, k, -system.pq_scale * field(Gx @ u_kron))
+    Q = DGFunction2D(mesh2d, k, -system.pq_scale * field(u_kron @ Gy.T))
+    return MixedSolution2D(U=U, P=P, Q=Q, residual=result.residual)
 
 
 def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):

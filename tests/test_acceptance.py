@@ -107,10 +107,10 @@ def eps_scan_k23():
 
 @pytest.fixture(scope="module")
 def twod_runs():
-    """Criterion-8 grid: 2D manufactured problem, condensed solver."""
+    """Criterion-8 grid: 2D manufactured problem."""
     t0 = time.time()
     table = run_sweep(SweepConfig(
-        dim=2, problem="manufactured2d", solver="condensed",
+        dim=2, problem="manufactured2d",
         k_list=(1,), n_list=(8, 16, 32, 64), eps_list=(1e-4, 1e-8),
     ))
     print(f"[2D runs in {time.time() - t0:.1f}s]")
@@ -346,7 +346,7 @@ def test_criterion_8_2d_property_acceptance(twod_runs):
     t0 = time.time()
     problem = manufactured_2d_problem(1e-8)
     mesh = build_shishkin_2d(MeshConfig(N=128, eps=1e-8, sigma=2.0))
-    sol = solve_ldg_2d(problem, mesh, 1, method="condensed")
+    sol = solve_ldg_2d(problem, mesh, 1)
     _, balanced128 = error_norms_2d(sol, problem, mesh)
     rate_ext = rate_shishkin(twod_runs.row(1, 64, 1e-8).err_balanced,
                              balanced128.total, 64)

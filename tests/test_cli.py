@@ -65,8 +65,10 @@ def test_failed_rows_exit_code_2(capsys):
 
 def test_bad_config_key_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense = 1\n", encoding="utf-8")
-    assert main(["--config", str(cfg)]) == 1
+    for key, value in (("nonsense", "1"), ("solver", "condensed")):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_bad_list_exit_1():
@@ -90,8 +92,7 @@ def test_norm_selection_blanks_other_column(capsys):
 
 
 def test_2d_sweep_small(capsys):
-    code = main(["--dim", "2", "--k", "1", "--n", "4,8", "--eps", "1e-4",
-                 "--solver", "condensed"])
+    code = main(["--dim", "2", "--k", "1", "--n", "4,8", "--eps", "1e-4"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith(CSV_HEADER)

@@ -21,12 +21,6 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(n_list=(30, 60))
 
-    def test_solver_dim_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            SweepConfig(dim=1, solver="condensed")
-        with pytest.raises(ConfigurationError):
-            SweepConfig(dim=2, solver="banded")
-
     def test_sigma_default_tracks_k(self):
         cfg = SweepConfig()
         assert cfg.sigma_for(1) == 2.0
@@ -131,8 +125,7 @@ class TestProjectionStudy:
 
     def test_2d_study_rows(self):
         cfg = SweepConfig(dim=2, problem="manufactured2d", k_list=(1,),
-                          n_list=(16, 32), eps_list=(1e-6,), study="projection",
-                          solver="condensed")
+                          n_list=(16, 32), eps_list=(1e-6,), study="projection")
         table = run_projection_study(cfg)
         (_, group), = table.groups()
         assert all(r.err_energy is not None and r.err_balanced is not None

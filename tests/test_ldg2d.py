@@ -3,11 +3,13 @@ import pytest
 
 from ldgshishkin import (
     DGFunction2D,
+    Mesh2D,
     MeshConfig,
     MixedSolution2D,
     assemble_2d,
     balanced_norm_2d,
     bilinear_form_2d,
+    build_shishkin_1d,
     build_shishkin_2d,
     energy_norm_2d,
     error_norms_2d,
@@ -15,6 +17,7 @@ from ldgshishkin import (
     manufactured_2d_problem,
     solve_ldg_2d,
 )
+from ldgshishkin.ldg2d import eliminate_fluxes_2d
 from ldgshishkin.problems import Problem2D
 
 
@@ -28,6 +31,12 @@ def const_b(value):
 
 def make_mesh(N, eps, sigma=2.0):
     return build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=sigma))
+
+
+def anisotropic_mesh(N, eps):
+    # different x and y meshes, so that a swap of the two axes shows
+    return Mesh2D(mx=build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=1.0)),
+                  my=build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=2.0)))
 
 
 def poly_problem_2d(eps):
@@ -95,11 +104,10 @@ class TestAssembly2D:
         mesh = make_mesh(4, 1e-2)
         p = Problem2D(eps=1e-2, b=const_b(2.0),
                       f=lambda x, y: 0.0 * (np.asarray(x) + np.asarray(y)), beta=1.0)
-        for method in ("condensed", "full"):
-            sol = solve_ldg_2d(p, mesh, 1, method=method)
-            assert np.max(np.abs(sol.U.coeffs)) == 0.0
-            assert np.max(np.abs(sol.P.coeffs)) == 0.0
-            assert np.max(np.abs(sol.Q.coeffs)) == 0.0
+        sol = solve_ldg_2d(p, mesh, 1)
+        assert np.max(np.abs(sol.U.coeffs)) == 0.0
+        assert np.max(np.abs(sol.P.coeffs)) == 0.0
+        assert np.max(np.abs(sol.Q.coeffs)) == 0.0
 
     def test_interface_coupling_structure(self):
         # P rows of cells in mesh column 3N/4 couple to column 3N/4+1 and
@@ -129,11 +137,10 @@ class TestAssembly2D:
 
 class TestExactness2D:
     @pytest.mark.parametrize("eps", [1.0, 1e-4, 1e-8])
-    @pytest.mark.parametrize("method", ["condensed", "full"])
-    def test_tensor_quadratic_reproduced(self, eps, method):
+    def test_tensor_quadratic_reproduced(self, eps):
         p = poly_problem_2d(eps)
         mesh = make_mesh(8, eps, sigma=3.0)
-        sol = solve_ldg_2d(p, mesh, 2, method=method)
+        sol = solve_ldg_2d(p, mesh, 2)
         energy, balanced = error_norms_2d(sol, p, mesh)
         assert energy.total <= 1e-8
         assert balanced.total <= 1e-8
@@ -175,7 +182,7 @@ class TestGalerkinResidual2D:
         eps = 1e-4
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(8, eps)
-        T = solve_ldg_2d(p, mesh, 1, method="full")
+        T = solve_ldg_2d(p, mesh, 1)
         scale_T = 1.0 + energy_norm_2d(T, p, mesh).total
         for _ in range(10):
             Z = random_triple(mesh, 1, rng)
@@ -205,7 +212,7 @@ class TestSymmetry:
         eps = 1e-4
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(8, eps)
-        sol = solve_ldg_2d(p, mesh, 1, method="full")
+        sol = solve_ldg_2d(p, mesh, 1)
         U = sol.U.coeffs
         swapped = np.transpose(U, (1, 0, 3, 2))
         scale = np.max(np.abs(U))
@@ -217,27 +224,66 @@ class TestSymmetry:
 
 
 class TestCondensation:
-    @pytest.mark.parametrize("eps", [1e-2, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     def test_condensed_matches_full(self, eps):
+        # the U-only solve against a dense solve of the full (U, P, Q) system
         p = manufactured_2d_problem(eps)
-        mesh = make_mesh(8, eps)
-        a = solve_ldg_2d(p, mesh, 1, method="condensed")
-        b = solve_ldg_2d(p, mesh, 1, method="full")
-        for fa, fb in ((a.U, b.U), (a.P, b.P), (a.Q, b.Q)):
-            scale = np.max(np.abs(fb.coeffs)) + 1e-300
-            assert np.max(np.abs(fa.coeffs - fb.coeffs)) <= 1e-9 * scale
+        mesh = anisotropic_mesh(8, eps)
+        for k in (1, 2):
+            sol = solve_ldg_2d(p, mesh, k)
+            system = assemble_2d(p, mesh, k)
+            x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+            M = system.layout.field
+            fields = (
+                (sol.U, x[:M]),
+                (sol.P, system.pq_scale * x[M:2 * M]),
+                (sol.Q, system.pq_scale * x[2 * M:]),
+            )
+            for f, dense in fields:
+                dense = dense.reshape(f.coeffs.shape)
+                scale = np.max(np.abs(dense))
+                assert np.max(np.abs(f.coeffs - dense)) <= 1e-12 * scale, (k, eps)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_u_operator_is_schur_complement(self, k, eps):
+        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
+        A = system.matrix.to_dense()
+        M = system.layout.field
+        u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
+        schur = (A[u, u]
+                 - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
+                 - A[u, q] @ np.linalg.solve(A[q, q], A[q, u]))
+        S = eliminate_fluxes_2d(system)[0].to_dense()
+        assert np.max(np.abs(S - schur)) <= 1e-13 * np.max(np.abs(schur))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_u_operator_symmetric_positive_definite(self, k, eps):
+        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
+        S = eliminate_fluxes_2d(system)[0].to_dense()
+        assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
+        np.linalg.cholesky(S)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_flux_mass_inverse(self, k, eps):
+        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
+        for pieces in system.pieces:
+            product = (pieces.flux_mass @ pieces.flux_mass_inv).toarray()
+            assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
 
     def test_residual_reported(self):
         p = manufactured_2d_problem(1e-8)
         mesh = make_mesh(8, 1e-8)
-        sol = solve_ldg_2d(p, mesh, 1, method="condensed")
+        sol = solve_ldg_2d(p, mesh, 1)
         assert sol.residual <= 1e-9
 
     def test_extreme_eps_stays_solvable(self):
         # scaled unknowns plus equilibration keep eps = 1e-12 benign
         p = manufactured_2d_problem(1e-12)
         mesh = make_mesh(8, 1e-12)
-        sol = solve_ldg_2d(p, mesh, 1, method="condensed")
+        sol = solve_ldg_2d(p, mesh, 1)
         assert sol.residual <= 1e-9
         _, balanced = error_norms_2d(sol, p, mesh)
         assert 0.1 < balanced.total < 1.0
