@@ -18,6 +18,7 @@ from ldgshishkin import (
     solve_ldg_2d,
 )
 from ldgshishkin.ldg2d import eliminate_fluxes_2d
+from ldgshishkin.linalg import equilibrate, sparse_solve
 from ldgshishkin.problems import Problem2D
 
 
@@ -135,12 +136,33 @@ class TestAssembly2D:
         assert np.all(A[pa, :][:, pb].toarray() == 0.0)
 
 
+def solve_full_system(p, mesh, k):
+    """Solve the assembled (U, P, Q) system directly, without eliminating
+    the fluxes: an independent path to the same discrete solution."""
+    system = assemble_2d(p, mesh, k)
+    scaled, r, c = equilibrate(system.matrix)
+    x = c * sparse_solve(scaled, r * system.rhs).x
+    M = system.layout.field
+    shape = (mesh.mx.N, mesh.my.N, k + 1, k + 1)
+
+    def field(values, scale=1.0):
+        return DGFunction2D(mesh, k, scale * values.reshape(shape))
+
+    return MixedSolution2D(U=field(x[:M]),
+                           P=field(x[M:2 * M], system.pq_scale),
+                           Q=field(x[2 * M:], system.pq_scale))
+
+
 class TestExactness2D:
+    # "condensed": the flux-eliminated U-system of solve_ldg_2d;
+    # "full": a direct solve of the assembled 3-field system
     @pytest.mark.parametrize("eps", [1.0, 1e-4, 1e-8])
-    def test_tensor_quadratic_reproduced(self, eps):
+    @pytest.mark.parametrize("path", ["condensed", "full"])
+    def test_tensor_quadratic_reproduced(self, eps, path):
         p = poly_problem_2d(eps)
         mesh = make_mesh(8, eps, sigma=3.0)
-        sol = solve_ldg_2d(p, mesh, 2)
+        solve = solve_ldg_2d if path == "condensed" else solve_full_system
+        sol = solve(p, mesh, 2)
         energy, balanced = error_norms_2d(sol, p, mesh)
         assert energy.total <= 1e-8
         assert balanced.total <= 1e-8
