@@ -36,7 +36,6 @@ from .ldg1d import (
 )
 from .ldg2d import (
     AssembledSystem2D,
-    FluxParams2D,
     MixedSolution2D,
     assemble_2d,
     bilinear_form_2d,

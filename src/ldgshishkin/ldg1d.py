@@ -29,7 +29,8 @@ from .linalg import BandedMatrix, equilibrate, lu_banded_solve
 @dataclass(frozen=True)
 class FluxParams:
     """Flux penalty weights: lambda_0 = lambda_N = sqrt(eps) at the domain
-    boundary, lambda_q = 1/sqrt(eps) at the penalized interface node 3N/4."""
+    boundary, lambda_q = 1/sqrt(eps) at the penalized interface node 3N/4.
+    The 2D scheme uses the same weights on each axis."""
 
     lambda_0: float
     lambda_N: float

@@ -5,17 +5,21 @@ mirror the 1D construction direction by direction: U is upwinded from the
 left/bottom, P and Q from the right/top, boundary traces of U are
 penalized with sqrt(eps) and the jumps of P (resp. Q) across the vertical
 line x = x_{3N/4} (resp. horizontal line y = y_{3N/4}) with 1/sqrt(eps).
-The matrix is therefore a block-diagonal b-weighted mass plus Kronecker
-products of the 1D operator pieces of ``ldg1d.operator_pieces_1d`` (see
-``assemble_2d``), built without a loop over cells.
-P and Q are assembled in the scaled unknowns P/sqrt(eps), Q/sqrt(eps).
-The solver eliminates them in closed form on every cell, the interface
+The coupled (U, P, Q) matrix is therefore a block-diagonal b-weighted mass
+plus Kronecker products of the 1D operator pieces of
+``ldg1d.operator_pieces_1d``, in the scaled unknowns P/sqrt(eps),
+Q/sqrt(eps).  The solver never forms it: ``assemble_2d`` returns only the
+per-axis pieces, the b-weighted mass blocks W_b and the load, and the
+coupled matrix is built on request (``AssembledSystem2D.matrix``) as the
+reference the tests check the solver against.
+The solver eliminates P and Q in closed form on every cell, the interface
 cells included, because the 1D flux mass M/s + v v^T has the
 Sherman-Morrison inverse ``flux_mass_inv``; it factorizes the remaining
 symmetric positive definite U-only system (``eliminate_fluxes_2d``) by
 sparse LU and recovers P and Q by one sparse product per axis.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,31 +28,8 @@ import scipy.sparse as sp
 from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
-from .ldg1d import OperatorPieces1D, operator_pieces_1d
+from .ldg1d import FluxParams, OperatorPieces1D, operator_pieces_1d
 from .linalg import SparseMatrix, equilibrate, sparse_solve
-
-
-@dataclass(frozen=True)
-class FluxParams2D:
-    """Penalty weights of the 2D fluxes (boundary sqrt(eps), interface
-    1/sqrt(eps) on both penalized lines through node index 3N/4)."""
-
-    lambda_0y: float
-    lambda_Ny: float
-    lambda_x0: float
-    lambda_xN: float
-    lambda_P: float
-    lambda_Q: float
-    interface_index: int
-
-    @classmethod
-    def for_problem(cls, eps, N):
-        root = float(np.sqrt(eps))
-        return cls(
-            lambda_0y=root, lambda_Ny=root, lambda_x0=root, lambda_xN=root,
-            lambda_P=1.0 / root, lambda_Q=1.0 / root,
-            interface_index=3 * N // 4,
-        )
 
 
 @dataclass
@@ -68,68 +49,95 @@ class MixedSolution2D:
             raise ConfigurationError("U, P and Q must share mesh and degree")
 
 
-class _Layout2D:
-    """Field-major layout: all U dofs, then P, then Q; within a field the
-    cells are row-major over (i, j) with x-mode-major local numbering."""
-
-    def __init__(self, N, k):
-        self.N = N
-        self.k = k
-        self.kk = (k + 1) ** 2
-        self.field = N * N * self.kk
-        self.n = 3 * self.field
-        # kron order (i, m, j, n) of one field -> this layout (i, j, m, n)
-        self.from_kron = (np.arange(self.field).reshape(N, N, k + 1, k + 1)
-                          .transpose(0, 2, 1, 3).ravel())
-
-    def u_slice(self, ci, cj):
-        base = (ci * self.N + cj) * self.kk
-        return np.arange(base, base + self.kk)
-
-    def p_slice(self, ci, cj):
-        return self.field + self.u_slice(ci, cj)
-
-    def q_slice(self, ci, cj):
-        return 2 * self.field + self.u_slice(ci, cj)
-
-
 @dataclass
 class AssembledSystem2D:
-    matrix: SparseMatrix
-    rhs: np.ndarray
-    layout: _Layout2D
-    pq_scale: float
-    flux: FluxParams2D
-    reaction: sp.coo_matrix  # blockdiag(W_b) in the U layout
-    pieces: tuple[OperatorPieces1D, OperatorPieces1D]  # x and y axes
+    """What the 2D solve reads: the x and y ``OperatorPieces1D``, the
+    b-weighted mass blocks W_b of every cell (N, N, kk, kk) and the load
+    (N, N, kk), kk = (k+1)^2 with x-mode-major local numbering.
+
+    ``matrix`` and ``rhs`` are the coupled (U, Ptilde, Qtilde) system in the
+    field-major layout (all U dofs, then P, then Q; within a field the cells
+    row-major over (i, j), then the local modes).  ``matrix`` is built on
+    first access; the solve never reads it.
+    """
+
+    pieces: tuple[OperatorPieces1D, OperatorPieces1D]
+    reaction: np.ndarray
+    load: np.ndarray
+
+    @property
+    def pq_scale(self):
+        """s = sqrt(eps): P = s Ptilde and Q = s Qtilde."""
+        return self.pieces[0].s
+
+    @property
+    def from_kron(self):
+        """Field-major position (i, j, m, n) of each kron-order (i, m, j, n)
+        dof of one field."""
+        N, k1 = self.load.shape[0], self.pieces[0].mass.shape[0] // self.load.shape[0]
+        return np.arange(self.load.size).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
+
+    def _plus_reaction(self, n, order, A):
+        """The n x n ``SparseMatrix`` of the COO matrix A with its rows and
+        columns renumbered by ``order``, plus blockdiag(W_b) on the leading
+        U dofs."""
+        n_cells, kk = self.load.shape[0] ** 2, self.load.shape[2]
+        R = sp.bsr_matrix((self.reaction.reshape(n_cells, kk, kk), np.arange(n_cells),
+                           np.arange(n_cells + 1))).tocoo()
+        return SparseMatrix.from_coo(
+            n,
+            np.concatenate([order[A.row], R.row]),
+            np.concatenate([order[A.col], R.col]),
+            np.concatenate([A.data, R.data]),
+        )
+
+    @functools.cached_property
+    def matrix(self):
+        """The coupled matrix; in kron order (i, m, j, n) its block rows are
+
+            U: [blockdiag(W_b) + s Ex(x)My + s Mx(x)Ey, -s Dx^T(x)My, -s Mx(x)Dy^T]
+            P: [Dx(x)My, Fx(x)My, 0]
+            Q: [Mx(x)Dy, 0, Mx(x)Fy]
+
+        with the 1D pieces of each axis (mass M, derivative block D, flux
+        mass F = M/s + v v^T, boundary penalty s E), and ``from_kron`` maps
+        each field to the field-major layout.
+        """
+        px, py = self.pieces
+        s, kron = px.s, sp.kron
+        Mx, My = px.mass, py.mass
+        A = sp.bmat([
+            [kron(px.penalty, My) + kron(Mx, py.penalty),
+             -s * kron(px.derivative.T, My), -s * kron(Mx, py.derivative.T)],
+            [kron(px.derivative, My), kron(px.flux_mass, My), None],
+            [kron(Mx, py.derivative), None, kron(Mx, py.flux_mass)],
+        ], format="coo")
+        dof, field = self.from_kron, self.load.size
+        order = np.concatenate([dof, field + dof, 2 * field + dof])
+        return self._plus_reaction(3 * field, order, A)
+
+    @property
+    def rhs(self):
+        """Right-hand side of ``matrix``: the load on the U dofs."""
+        rhs = np.zeros(3 * self.load.size)
+        rhs[:self.load.size] = self.load.ravel()
+        return rhs
 
 
 def assemble_2d(problem, mesh2d, k, quad=None):
-    """Assemble the coupled sparse system for the 2D scheme.
-
-    With the 1D pieces of each axis (``OperatorPieces1D``: mass M,
-    derivative block D, flux mass F = M/s + v v^T, boundary penalty s E)
-    the block rows in kron order (i, m, j, n) are
-
-        U: [blockdiag(W_b) + s Ex(x)My + s Mx(x)Ey, -s Dx^T(x)My, -s Mx(x)Dy^T]
-        P: [Dx(x)My, Fx(x)My, 0]
-        Q: [Mx(x)Dy, 0, Mx(x)Fy]
-
-    and a fixed permutation maps them to the field-major layout (i, j, m, n).
-    """
+    """The pieces of the 2D scheme: the 1D operator pieces of each axis,
+    the b-weighted mass blocks W_b and the load, integrated for every cell
+    at once on a tensor Gauss grid."""
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     N = mesh2d.N
     eps = problem.eps
-    flux = FluxParams2D.for_problem(eps, N)
-    layout = _Layout2D(N, k)
     px = operator_pieces_1d(mesh2d.mx, k, eps)
     py = operator_pieces_1d(mesh2d.my, k, eps)
-    s = px.s
     quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    kk = layout.kk
+    kk = (k + 1) ** 2
 
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
@@ -139,36 +147,13 @@ def assemble_2d(problem, mesh2d, k, quad=None):
     fvals = np.asarray(problem.f(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float)
     w2 = rule.weights[:, None] * rule.weights[None, :]
 
-    # b-weighted mass blocks and load vectors for every cell at once
     Wblk = np.einsum("ijgh,gh,gm,hn,ga,hb->ijmnab", bvals, w2, V, V, V, V,
                      optimize=True).reshape(N, N, kk, kk)
     Wblk *= (hx[:, None] * hy[None, :])[:, :, None, None]
     Fblk = np.einsum("ijgh,gh,gm,hn->ijmn", fvals, w2, V, V,
                      optimize=True).reshape(N, N, kk)
     Fblk *= (hx[:, None] * hy[None, :])[:, :, None]
-
-    kron = sp.kron
-    Mx, My = px.mass, py.mass
-    A = sp.bmat([
-        [kron(px.penalty, My) + kron(Mx, py.penalty),
-         -s * kron(px.derivative.T, My), -s * kron(Mx, py.derivative.T)],
-        [kron(px.derivative, My), kron(px.flux_mass, My), None],
-        [kron(Mx, py.derivative), None, kron(Mx, py.flux_mass)],
-    ], format="coo")
-    dof = layout.from_kron
-    order = np.concatenate([dof, layout.field + dof, 2 * layout.field + dof])
-    reaction = sp.bsr_matrix((Wblk.reshape(N * N, kk, kk), np.arange(N * N),
-                              np.arange(N * N + 1))).tocoo()
-    matrix = SparseMatrix.from_coo(
-        layout.n,
-        np.concatenate([order[A.row], reaction.row]),
-        np.concatenate([order[A.col], reaction.col]),
-        np.concatenate([A.data, reaction.data]),
-    )
-    rhs = np.zeros(layout.n)
-    rhs[:layout.field] = Fblk.ravel()
-    return AssembledSystem2D(matrix=matrix, rhs=rhs, layout=layout, pq_scale=s,
-                             flux=flux, reaction=reaction, pieces=(px, py))
+    return AssembledSystem2D(pieces=(px, py), reaction=Wblk, load=Fblk)
 
 
 def eliminate_fluxes_2d(system):
@@ -179,7 +164,7 @@ def eliminate_fluxes_2d(system):
     Qtilde = -(I(x)Gy) U in kron order, and the U-only operator
     S = blockdiag(W_b) + Kx(x)My + Mx(x)Ky, in the field-major U layout, is
     the Schur complement A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the
-    assembled system.  S is symmetric positive definite.
+    coupled system.  S is symmetric positive definite.
     """
     px, py = system.pieces
     Gx = (px.flux_mass_inv @ px.derivative).tocsr()
@@ -187,14 +172,7 @@ def eliminate_fluxes_2d(system):
     Kx = px.penalty + px.s * (px.derivative.T @ Gx)
     Ky = py.penalty + py.s * (py.derivative.T @ Gy)
     T = (sp.kron(Kx, py.mass) + sp.kron(px.mass, Ky)).tocoo()
-    dof = system.layout.from_kron
-    R = system.reaction
-    S = SparseMatrix.from_coo(
-        system.layout.field,
-        np.concatenate([dof[T.row], R.row]),
-        np.concatenate([dof[T.col], R.col]),
-        np.concatenate([T.data, R.data]),
-    )
+    S = system._plus_reaction(system.load.size, system.from_kron, T)
     return S, Gx, Gy
 
 
@@ -207,31 +185,29 @@ def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
     it) is raised when it exceeds ``residual_tol``.
     """
     system = assemble_2d(problem, mesh2d, k, quad=quad)
-    layout = system.layout
-    N, k1, M = layout.N, k + 1, layout.field
+    N, k1 = mesh2d.N, k + 1
     S, Gx, Gy = eliminate_fluxes_2d(system)
     scaled, r, c = equilibrate(S)
-    result = sparse_solve(scaled, r * system.rhs[:M])
+    result = sparse_solve(scaled, r * system.load.ravel())
     if result.residual > residual_tol:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
             residual=result.residual,
         )
-    u = c * result.x
+    u = (c * result.x).reshape(N, N, k1, k1)
 
     # in kron order a field is an (i, m) x (j, n) matrix: Gx acts on the
     # left, Gy on the right
-    u_kron = u[layout.from_kron].reshape(N * k1, N * k1)
+    u_kron = u.transpose(0, 2, 1, 3).reshape(N * k1, N * k1)
 
     def field(kron_values):
-        values = np.empty(M)
-        values[layout.from_kron] = kron_values.ravel()
-        return values.reshape(N, N, k1, k1)
+        values = kron_values.reshape(N, k1, N, k1).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(-system.pq_scale * values)
 
-    U = DGFunction2D(mesh2d, k, u.reshape(N, N, k1, k1))
-    P = DGFunction2D(mesh2d, k, -system.pq_scale * field(Gx @ u_kron))
-    Q = DGFunction2D(mesh2d, k, -system.pq_scale * field(u_kron @ Gy.T))
-    return MixedSolution2D(U=U, P=P, Q=Q, residual=result.residual)
+    return MixedSolution2D(U=DGFunction2D(mesh2d, k, u),
+                           P=DGFunction2D(mesh2d, k, field(Gx @ u_kron)),
+                           Q=DGFunction2D(mesh2d, k, field(u_kron @ Gy.T)),
+                           residual=result.residual)
 
 
 def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
@@ -243,7 +219,7 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     k = T.U.degree
     eps = problem.eps
     N = mesh2d.N
-    flux = FluxParams2D.for_problem(eps, N)
+    flux = FluxParams.for_problem(eps, N)
     quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, D = legendre_table(k, rule.points)
@@ -277,10 +253,7 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     total += np.einsum("i,gh,ijgh->", hx, w2, vol(T.Q, V, V) * vol(Z.U, V, D),
                        optimize=True)
 
-    def yvals(coef):  # modal y-line coefficients -> values at y quad points
-        return coef @ V.T
-
-    def xvals(coef):
+    def vals(coef):  # modal edge coefficients -> values at the edge quad points
         return coef @ V.T
 
     # x-directed edge sums (integrals over J_j with weights hy[j] * w)
@@ -290,19 +263,19 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     vleft, vright = Z.U.x_edge_trace("left"), Z.U.x_edge_trace("right")
     Uleft = T.U.x_edge_trace("left")
     for e in range(1, N):  # interior vertical edges
-        jump_s = yvals(sright[e - 1] - sleft[e])
-        total -= np.sum(hy[:, None] * w * yvals(Uright[e - 1]) * jump_s)
-        jump_v = yvals(vright[e - 1] - vleft[e])
-        total -= np.sum(hy[:, None] * w * yvals(Pleft_T[e]) * jump_v)
+        jump_s = vals(sright[e - 1] - sleft[e])
+        total -= np.sum(hy[:, None] * w * vals(Uright[e - 1]) * jump_s)
+        jump_v = vals(vright[e - 1] - vleft[e])
+        total -= np.sum(hy[:, None] * w * vals(Pleft_T[e]) * jump_v)
     # boundary vertical edges: [[v]]_{0,y} = -v^+, [[v]]_{N,y} = v^-
-    total -= np.sum(hy[:, None] * w * yvals(Pleft_T[0]) * (-yvals(vleft[0])))
-    total -= np.sum(hy[:, None] * w * yvals(Pright_T[-1]) * yvals(vright[-1]))
-    total += flux.lambda_0y * np.sum(hy[:, None] * w * yvals(Uleft[0]) * yvals(vleft[0]))
-    total += flux.lambda_Ny * np.sum(hy[:, None] * w * yvals(Uright[-1]) * yvals(vright[-1]))
+    total -= np.sum(hy[:, None] * w * vals(Pleft_T[0]) * (-vals(vleft[0])))
+    total -= np.sum(hy[:, None] * w * vals(Pright_T[-1]) * vals(vright[-1]))
+    total += flux.lambda_0 * np.sum(hy[:, None] * w * vals(Uleft[0]) * vals(vleft[0]))
+    total += flux.lambda_N * np.sum(hy[:, None] * w * vals(Uright[-1]) * vals(vright[-1]))
     J = flux.interface_index
-    jump_P = yvals(Pright_T[J - 1] - Pleft_T[J])
-    jump_sJ = yvals(sright[J - 1] - sleft[J])
-    total += flux.lambda_P * np.sum(hy[:, None] * w * jump_P * jump_sJ)
+    jump_P = vals(Pright_T[J - 1] - Pleft_T[J])
+    jump_sJ = vals(sright[J - 1] - sleft[J])
+    total += flux.lambda_q * np.sum(hy[:, None] * w * jump_P * jump_sJ)
 
     # y-directed edge sums
     Utop, Ubot = T.U.y_edge_trace("top"), T.U.y_edge_trace("bottom")
@@ -310,17 +283,17 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     rbot, rtop = Z.Q.y_edge_trace("bottom"), Z.Q.y_edge_trace("top")
     vbot, vtop = Z.U.y_edge_trace("bottom"), Z.U.y_edge_trace("top")
     for e in range(1, N):
-        jump_r = xvals(rtop[:, e - 1] - rbot[:, e])
-        total -= np.sum(hx[:, None] * w * xvals(Utop[:, e - 1]) * jump_r)
-        jump_v = xvals(vtop[:, e - 1] - vbot[:, e])
-        total -= np.sum(hx[:, None] * w * xvals(Qbot_T[:, e]) * jump_v)
-    total -= np.sum(hx[:, None] * w * xvals(Qbot_T[:, 0]) * (-xvals(vbot[:, 0])))
-    total -= np.sum(hx[:, None] * w * xvals(Qtop_T[:, -1]) * xvals(vtop[:, -1]))
-    total += flux.lambda_x0 * np.sum(hx[:, None] * w * xvals(Ubot[:, 0]) * xvals(vbot[:, 0]))
-    total += flux.lambda_xN * np.sum(hx[:, None] * w * xvals(Utop[:, -1]) * xvals(vtop[:, -1]))
-    jump_Q = xvals(Qtop_T[:, J - 1] - Qbot_T[:, J])
-    jump_rJ = xvals(rtop[:, J - 1] - rbot[:, J])
-    total += flux.lambda_Q * np.sum(hx[:, None] * w * jump_Q * jump_rJ)
+        jump_r = vals(rtop[:, e - 1] - rbot[:, e])
+        total -= np.sum(hx[:, None] * w * vals(Utop[:, e - 1]) * jump_r)
+        jump_v = vals(vtop[:, e - 1] - vbot[:, e])
+        total -= np.sum(hx[:, None] * w * vals(Qbot_T[:, e]) * jump_v)
+    total -= np.sum(hx[:, None] * w * vals(Qbot_T[:, 0]) * (-vals(vbot[:, 0])))
+    total -= np.sum(hx[:, None] * w * vals(Qtop_T[:, -1]) * vals(vtop[:, -1]))
+    total += flux.lambda_0 * np.sum(hx[:, None] * w * vals(Ubot[:, 0]) * vals(vbot[:, 0]))
+    total += flux.lambda_N * np.sum(hx[:, None] * w * vals(Utop[:, -1]) * vals(vtop[:, -1]))
+    jump_Q = vals(Qtop_T[:, J - 1] - Qbot_T[:, J])
+    jump_rJ = vals(rtop[:, J - 1] - rbot[:, J])
+    total += flux.lambda_q * np.sum(hx[:, None] * w * jump_Q * jump_rJ)
     return float(total)
 
 

@@ -31,7 +31,8 @@ class SolveResult:
 
 @dataclass
 class BandedMatrix:
-    """General band matrix: entry A[i, j] lives at band[u + i - j, j]."""
+    """General band matrix: entry A[i, j] lives at band[u + i - j, j]; the
+    slots outside the matrix hold zeros."""
 
     n: int
     lower: int
@@ -77,13 +78,25 @@ class BandedMatrix:
     def matvec(self, x):
         return self.to_csr() @ x
 
+    def abs_row_col_max(self):
+        """Row and column maxima of |A|, read off the band."""
+        nb, n = self.band.shape
+        # re-read with rows one slot shorter, band row r moves r columns to
+        # the right, so column upper + i holds row i of A (the zero padding
+        # takes the wrap-around and the slots outside the matrix)
+        skew = np.zeros((nb, n + nb))
+        skew[:, :n] = np.abs(self.band)
+        by_row = skew.ravel()[:nb * (n + nb - 1)].reshape(nb, n + nb - 1)
+        return by_row.max(axis=0)[self.upper:self.upper + n], skew[:, :n].max(axis=0)
+
     def scaled(self, row_scales, col_scales):
         """Return a copy with rows and columns scaled (band layout is kept)."""
-        band = self.band * col_scales[None, :]
-        for d in range(-self.lower, self.upper + 1):
-            js = np.arange(max(0, d), min(self.n, self.n + d))
-            band[self.upper - d, js] *= row_scales[js - d]
-        return BandedMatrix(self.n, self.lower, self.upper, band)
+        # slot (r, j) holds row j + r - upper: index the row scales padded
+        # by upper zeros in front and lower behind
+        slots = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None]
+        rows = np.pad(row_scales, (self.upper, self.lower))[slots]
+        return BandedMatrix(self.n, self.lower, self.upper,
+                            self.band * rows * col_scales[None, :])
 
 
 @dataclass
@@ -128,8 +141,8 @@ def _pow2_scale(maxima, what):
 
 def _abs_row_col_max(matrix):
     if isinstance(matrix, BandedMatrix):
-        A = matrix.to_csr()
-    elif isinstance(matrix, SparseMatrix):
+        return matrix.abs_row_col_max()
+    if isinstance(matrix, SparseMatrix):
         A = matrix.csr
     else:
         A = sp.csr_matrix(np.asarray(matrix, dtype=float))

@@ -10,8 +10,9 @@ Error norms against exact solutions use the continuity of the exact pair
 analytically: interior jumps of the error reduce to discrete jumps and the
 boundary jumps to boundary traces of U, which avoids cancellation at
 extreme eps.  Region errors turn their cell set into a mask once and sum
-the weighted squared error over the quadrature grid of the chosen cells
-(2D in blocks of ``cell_blocks`` cells).
+the weighted squared error over the quadrature grid of the chosen cells;
+in 2D both they and the error norms work in blocks of ``cell_blocks``
+cells.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .basis import (
     legendre_table,
 )
 from .errors import ConfigurationError
-from .ldg1d import FluxParams
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,16 @@ class NormBreakdown:
         return float(np.sqrt(
             self.q_term + self.u_term + self.boundary_jump_term + self.interface_jump_term
         ))
+
+
+def _norm_parts(eps, flux_sq, u_sq, boundary_sq, interface_sq):
+    """Energy and balanced breakdowns from the unweighted squared parts: the
+    energy norm weights flux, boundary and interface parts by 1/eps,
+    sqrt(eps) and 1/sqrt(eps), the balanced norm by eps^{-3/2}, 1 and 1/eps."""
+    root = float(np.sqrt(eps))
+    energy = NormBreakdown(flux_sq / eps, u_sq, root * boundary_sq, interface_sq / root)
+    balanced = NormBreakdown(flux_sq / eps**1.5, u_sq, boundary_sq, interface_sq / eps)
+    return energy, balanced
 
 
 def _l2_sq_modal_1d(dgf, mesh):
@@ -63,38 +73,28 @@ def _b_weighted_sq_1d(U, b, mesh, quad):
 
 
 def _jumps_1d(V, mesh):
-    """Boundary jumps of U and the interface jump of Q for a mixed pair."""
-    J = 3 * mesh.N // 4
+    """Squared boundary jumps of U and squared interface jump of Q."""
+    J = mesh.interface_index
     ju0 = -V.U.left_traces()[0]
     juN = V.U.right_traces()[-1]
     jq = V.Q.right_traces()[J - 1] - V.Q.left_traces()[J]
-    return float(ju0), float(juN), float(jq)
+    return float(ju0**2 + juN**2), float(jq**2)
+
+
+def _discrete_norms_1d(V, problem, mesh, quad):
+    quad = quad or assembly_quad_order(V.U.degree)
+    return _norm_parts(problem.eps, _l2_sq_modal_1d(V.Q, mesh),
+                       _b_weighted_sq_1d(V.U, problem.b, mesh, quad), *_jumps_1d(V, mesh))
 
 
 def energy_norm_1d(V, problem, mesh, quad=None):
     """Energy norm of a discrete pair; total^2 equals B(V; V)."""
-    quad = quad or assembly_quad_order(V.U.degree)
-    flux = FluxParams.for_problem(problem.eps, mesh.N)
-    ju0, juN, jq = _jumps_1d(V, mesh)
-    return NormBreakdown(
-        q_term=_l2_sq_modal_1d(V.Q, mesh) / problem.eps,
-        u_term=_b_weighted_sq_1d(V.U, problem.b, mesh, quad),
-        boundary_jump_term=flux.lambda_0 * ju0**2 + flux.lambda_N * juN**2,
-        interface_jump_term=flux.lambda_q * jq**2,
-    )
+    return _discrete_norms_1d(V, problem, mesh, quad)[0]
 
 
 def balanced_norm_1d(V, problem, mesh, quad=None):
     """Balanced norm of a discrete pair (flux weighted by eps^{-3/2})."""
-    quad = quad or assembly_quad_order(V.U.degree)
-    eps = problem.eps
-    ju0, juN, jq = _jumps_1d(V, mesh)
-    return NormBreakdown(
-        q_term=_l2_sq_modal_1d(V.Q, mesh) / eps**1.5,
-        u_term=_b_weighted_sq_1d(V.U, problem.b, mesh, quad),
-        boundary_jump_term=ju0**2 + juN**2,
-        interface_jump_term=jq**2 / eps,
-    )
+    return _discrete_norms_1d(V, problem, mesh, quad)[1]
 
 
 def error_norms_1d(W, problem, mesh, quad=None):
@@ -116,23 +116,7 @@ def error_norms_1d(W, problem, mesh, quad=None):
     dq = np.asarray(problem.q_exact(X), dtype=float) - W.Q.values_at(V)
     u_int = float(np.sum(halfh[:, None] * rule.weights * bvals * du**2))
     q_int = float(np.sum(halfh[:, None] * rule.weights * dq**2))
-    ju0, juN, jq = _jumps_1d(W, mesh)
-
-    eps = problem.eps
-    flux = FluxParams.for_problem(eps, mesh.N)
-    energy = NormBreakdown(
-        q_term=q_int / eps,
-        u_term=u_int,
-        boundary_jump_term=flux.lambda_0 * ju0**2 + flux.lambda_N * juN**2,
-        interface_jump_term=flux.lambda_q * jq**2,
-    )
-    balanced = NormBreakdown(
-        q_term=q_int / eps**1.5,
-        u_term=u_int,
-        boundary_jump_term=ju0**2 + juN**2,
-        interface_jump_term=jq**2 / eps,
-    )
-    return energy, balanced
+    return _norm_parts(problem.eps, q_int, u_int, *_jumps_1d(W, mesh))
 
 
 def _l2_sq_modal_2d(dgf, mesh2d):
@@ -149,12 +133,13 @@ def _edge_sq(coef_lines, half_widths, wbar):
 
 
 def _jump_terms_2d(T, mesh2d):
-    """Boundary U-jump integrals per axis and interface P/Q jump integrals."""
+    """Squared boundary U-jump integrals and squared interface P/Q jump
+    integrals, each summed over both axes."""
     k = T.U.degree
     wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    J = 3 * mesh2d.N // 4
+    J = mesh2d.mx.interface_index
 
     Ul = T.U.x_edge_trace("left")
     Ur = T.U.x_edge_trace("right")
@@ -168,7 +153,7 @@ def _jump_terms_2d(T, mesh2d):
     Qjump = T.Q.y_edge_trace("top")[:, J - 1] - T.Q.y_edge_trace("bottom")[:, J]
     int_p = _edge_sq(Pjump, hy, wbar)
     int_q = _edge_sq(Qjump, hx, wbar)
-    return bnd_x, bnd_y, int_p, int_q
+    return bnd_x + bnd_y, int_p + int_q
 
 
 def _b_weighted_sq_2d(U, b, mesh2d, quad):
@@ -187,79 +172,56 @@ def _b_weighted_sq_2d(U, b, mesh2d, quad):
     return float(np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv**2, optimize=True))
 
 
+def _discrete_norms_2d(T, problem, mesh2d, quad):
+    quad = quad or assembly_quad_order(T.U.degree)
+    flux_sq = _l2_sq_modal_2d(T.P, mesh2d) + _l2_sq_modal_2d(T.Q, mesh2d)
+    return _norm_parts(problem.eps, flux_sq, _b_weighted_sq_2d(T.U, problem.b, mesh2d, quad),
+                       *_jump_terms_2d(T, mesh2d))
+
+
 def energy_norm_2d(T, problem, mesh2d, quad=None):
     """2D energy norm; total^2 equals B(T; T)."""
-    quad = quad or assembly_quad_order(T.U.degree)
-    eps = problem.eps
-    root = float(np.sqrt(eps))
-    bnd_x, bnd_y, int_p, int_q = _jump_terms_2d(T, mesh2d)
-    return NormBreakdown(
-        q_term=(_l2_sq_modal_2d(T.P, mesh2d) + _l2_sq_modal_2d(T.Q, mesh2d)) / eps,
-        u_term=_b_weighted_sq_2d(T.U, problem.b, mesh2d, quad),
-        boundary_jump_term=root * (bnd_x + bnd_y),
-        interface_jump_term=(int_p + int_q) / root,
-    )
+    return _discrete_norms_2d(T, problem, mesh2d, quad)[0]
 
 
 def balanced_norm_2d(T, problem, mesh2d, quad=None):
-    quad = quad or assembly_quad_order(T.U.degree)
-    eps = problem.eps
-    bnd_x, bnd_y, int_p, int_q = _jump_terms_2d(T, mesh2d)
-    return NormBreakdown(
-        q_term=(_l2_sq_modal_2d(T.P, mesh2d) + _l2_sq_modal_2d(T.Q, mesh2d)) / eps**1.5,
-        u_term=_b_weighted_sq_2d(T.U, problem.b, mesh2d, quad),
-        boundary_jump_term=bnd_x + bnd_y,
-        interface_jump_term=(int_p + int_q) / eps,
-    )
+    return _discrete_norms_2d(T, problem, mesh2d, quad)[1]
 
 
 def error_norms_2d(T, problem, mesh2d, quad=None):
-    """Energy- and balanced-norm errors of the discrete triple (U, P, Q)."""
+    """Energy- and balanced-norm errors of the discrete triple (U, P, Q);
+    the volume integrals run over blocks of whole rows of cells (see
+    ``cell_blocks``), so the exact solution is still sampled on a tensor
+    grid."""
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
     k = T.U.degree
     quad = quad or error_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
+    N = mesh2d.N
     hx = 0.5 * np.diff(mesh2d.mx.nodes)
     hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.quadrature_points(rule.points)
-    Yg = mesh2d.my.quadrature_points(rule.points)
-    X4 = Xg[:, None, :, None]
-    Y4 = Yg[None, :, None, :]
-
-    def field_vals(F):
-        return np.einsum("ijmn,gm,hn->ijgh", F.coeffs, V, V, optimize=True)
-
-    du = np.asarray(problem.u_exact(X4, Y4), dtype=float) - field_vals(T.U)
-    dp = np.asarray(problem.p_exact(X4, Y4), dtype=float) - field_vals(T.P)
-    dq = np.asarray(problem.q_exact(X4, Y4), dtype=float) - field_vals(T.Q)
-    bvals = np.asarray(problem.b(X4, Y4), dtype=float)
+    X = mesh2d.mx.quadrature_points(rule.points)[:, None, :, None]
+    Y = mesh2d.my.quadrature_points(rule.points)[None, :, None, :]
     w2 = rule.weights[:, None] * rule.weights[None, :]
-    scale = hx[:, None] * hy[None, :]
 
-    def integral(Z):
-        return float(np.einsum("ij,gh,ijgh->", scale, w2, Z, optimize=True))
+    def sq_error(exact, F, rows):
+        coeffs = F.coeffs[rows]  # y modes first: one matmul over all cells and x modes
+        diff = V @ (coeffs.reshape(-1, k + 1) @ V.T).reshape(coeffs.shape[:3] + (quad,))
+        np.subtract(np.asarray(exact(X[rows], Y), dtype=float), diff, out=diff)
+        return diff**2
 
-    u_int = integral(bvals * du**2)
-    pq_int = integral(dp**2) + integral(dq**2)
-    bnd_x, bnd_y, int_p, int_q = _jump_terms_2d(T, mesh2d)
+    def integral(rows, Z):
+        return np.einsum("ij,gh,ijgh->", hx[rows, None] * hy[None, :], w2, Z)
 
-    eps = problem.eps
-    root = float(np.sqrt(eps))
-    energy = NormBreakdown(
-        q_term=pq_int / eps,
-        u_term=u_int,
-        boundary_jump_term=root * (bnd_x + bnd_y),
-        interface_jump_term=(int_p + int_q) / root,
-    )
-    balanced = NormBreakdown(
-        q_term=pq_int / eps**1.5,
-        u_term=u_int,
-        boundary_jump_term=bnd_x + bnd_y,
-        interface_jump_term=(int_p + int_q) / eps,
-    )
-    return energy, balanced
+    u_sq = flux_sq = 0.0
+    for rows in cell_blocks(N, N * quad**2):
+        bvals = np.asarray(problem.b(X[rows], Y), dtype=float)
+        u_sq += integral(rows, bvals * sq_error(problem.u_exact, T.U, rows))
+        flux_sq += integral(rows, sq_error(problem.p_exact, T.P, rows)
+                            + sq_error(problem.q_exact, T.Q, rows))
+    return _norm_parts(problem.eps, float(flux_sq), float(u_sq), *_jump_terms_2d(T, mesh2d))
 
 
 def rate_shishkin(e_N, e_2N, N):

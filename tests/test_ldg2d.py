@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ldgshishkin import (
+    AssembledSystem2D,
     DGFunction2D,
     Mesh2D,
     MeshConfig,
@@ -118,21 +119,24 @@ class TestAssembly2D:
         p = manufactured_2d_problem(1e-3)
         system = assemble_2d(p, mesh, k)
         A = system.matrix.csr
-        lay = system.layout
-        J = system.flux.interface_index
+        kk, field = (k + 1) ** 2, system.load.size
+        # dofs of cell (ci, cj) in the P and Q blocks of the field-major layout
+        p_slice = lambda ci, cj: field + (ci * N + cj) * kk + np.arange(kk)
+        q_slice = lambda ci, cj: field + p_slice(ci, cj)
+        J = mesh.mx.interface_index
         cj = 2  # arbitrary row of cells
-        pL = lay.p_slice(J - 1, cj)
-        pR = lay.p_slice(J, cj)
+        pL = p_slice(J - 1, cj)
+        pR = p_slice(J, cj)
         sub = A[pL, :][:, pR].toarray()
         assert np.any(sub != 0.0)
         sub = A[pR, :][:, pL].toarray()
         assert np.any(sub != 0.0)
-        qB = lay.q_slice(cj, J - 1)
-        qT = lay.q_slice(cj, J)
+        qB = q_slice(cj, J - 1)
+        qT = q_slice(cj, J)
         assert np.any(A[qB, :][:, qT].toarray() != 0.0)
         # no P-P cross coupling away from the interface
-        pa = lay.p_slice(0, cj)
-        pb = lay.p_slice(1, cj)
+        pa = p_slice(0, cj)
+        pb = p_slice(1, cj)
         assert np.all(A[pa, :][:, pb].toarray() == 0.0)
 
 
@@ -142,7 +146,7 @@ def solve_full_system(p, mesh, k):
     system = assemble_2d(p, mesh, k)
     scaled, r, c = equilibrate(system.matrix)
     x = c * sparse_solve(scaled, r * system.rhs).x
-    M = system.layout.field
+    M = system.load.size
     shape = (mesh.mx.N, mesh.my.N, k + 1, k + 1)
 
     def field(values, scale=1.0):
@@ -255,7 +259,7 @@ class TestCondensation:
             sol = solve_ldg_2d(p, mesh, k)
             system = assemble_2d(p, mesh, k)
             x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
-            M = system.layout.field
+            M = system.load.size
             fields = (
                 (sol.U, x[:M]),
                 (sol.P, system.pq_scale * x[M:2 * M]),
@@ -271,7 +275,7 @@ class TestCondensation:
     def test_u_operator_is_schur_complement(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
         A = system.matrix.to_dense()
-        M = system.layout.field
+        M = system.load.size
         u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
         schur = (A[u, u]
                  - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
@@ -294,6 +298,18 @@ class TestCondensation:
         for pieces in system.pieces:
             product = (pieces.flux_mass @ pieces.flux_mass_inv).toarray()
             assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_solve_never_builds_coupled_matrix(self, k, monkeypatch):
+        p = manufactured_2d_problem(1e-8)
+        mesh = make_mesh(8, 1e-8)
+        expected = solve_ldg_2d(p, mesh, k).U.coeffs
+
+        def refuse(system):
+            raise AssertionError("the solve built the coupled (U, P, Q) matrix")
+
+        monkeypatch.setattr(AssembledSystem2D, "matrix", property(refuse))
+        assert np.array_equal(solve_ldg_2d(p, mesh, k).U.coeffs, expected)
 
     def test_residual_reported(self):
         p = manufactured_2d_problem(1e-8)
