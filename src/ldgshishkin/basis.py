@@ -79,9 +79,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def __len__(self):
-        return self.points.size
-
 
 @lru_cache(maxsize=None)
 def gauss_rule(n):
@@ -132,10 +129,6 @@ class ReferenceBasis:
     def __post_init__(self):
         if self.degree < 1:
             raise ConfigurationError(f"basis degree must be >= 1, got {self.degree}")
-
-    @property
-    def n_modes(self):
-        return self.degree + 1
 
     @property
     def mass_diag(self):

@@ -14,9 +14,10 @@ coupled matrix is built on request (``AssembledSystem2D.matrix``) as the
 reference the tests check the solver against.
 The solver eliminates P and Q in closed form on every cell, the interface
 cells included, because the 1D flux mass M/s + v v^T has the
-Sherman-Morrison inverse ``flux_mass_inv``; it factorizes the remaining
-symmetric positive definite U-only system (``eliminate_fluxes_2d``) by
-sparse LU and recovers P and Q by one sparse product per axis.
+Sherman-Morrison inverse ``flux_mass_inv``; it solves the remaining SPD
+U-only system (``eliminate_fluxes_2d``) by conjugate gradients
+preconditioned by fast diagonalization (exact for constant b) and recovers
+P and Q by one sparse product per axis.
 """
 
 import functools
@@ -29,13 +30,14 @@ from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
 from .ldg1d import FluxParams, OperatorPieces1D, operator_pieces_1d
-from .linalg import SparseMatrix, equilibrate, sparse_solve
+# equilibrate and sparse_solve stay bound: bench/spans.py times them here
+from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve, symmetric_scale
 
 
 @dataclass
 class MixedSolution2D:
     """Discrete triple (U, P, Q); ``residual`` is the relative residual of
-    the equilibrated U-only system that produced it (see ``solve_ldg_2d``)."""
+    the scaled U-only system that produced it (see ``solve_ldg_2d``)."""
 
     U: DGFunction2D
     P: DGFunction2D
@@ -156,6 +158,13 @@ def assemble_2d(problem, mesh2d, k, quad=None):
     return AssembledSystem2D(pieces=(px, py), reaction=Wblk, load=Fblk)
 
 
+def _axis_operators(pieces):
+    """(G, K) of one axis: G = F^-1 D and K = s E + s D^T G, exactly symmetric."""
+    G = (pieces.flux_mass_inv @ pieces.derivative).tocsr()
+    K = pieces.penalty + pieces.s * (pieces.derivative.T @ G)
+    return G, 0.5 * (K + K.T)
+
+
 def eliminate_fluxes_2d(system):
     """Eliminate Ptilde and Qtilde in closed form; returns (S, Gx, Gy).
 
@@ -164,37 +173,67 @@ def eliminate_fluxes_2d(system):
     Qtilde = -(I(x)Gy) U in kron order, and the U-only operator
     S = blockdiag(W_b) + Kx(x)My + Mx(x)Ky, in the field-major U layout, is
     the Schur complement A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the
-    coupled system.  S is symmetric positive definite.
+    coupled system.  S is symmetric positive definite, exactly symmetric.
     """
     px, py = system.pieces
-    Gx = (px.flux_mass_inv @ px.derivative).tocsr()
-    Gy = (py.flux_mass_inv @ py.derivative).tocsr()
-    Kx = px.penalty + px.s * (px.derivative.T @ Gx)
-    Ky = py.penalty + py.s * (py.derivative.T @ Gy)
+    (Gx, Kx), (Gy, Ky) = _axis_operators(px), _axis_operators(py)
     T = (sp.kron(Kx, py.mass) + sp.kron(px.mass, Ky)).tocoo()
     S = system._plus_reaction(system.load.size, system.from_kron, T)
     return S, Gx, Gy
 
 
+def _fast_diagonalization(system):
+    """P^-1 on field-major U vectors, P = Kx(x)My + Mx(x)Ky + bbar Mx(x)My
+    with bbar the mass-weighted mean of b (P = S for constant b).
+
+    Per axis Z = M^-1/2 V, with M^-1/2 K M^-1/2 = V diag(lam) V^T, gives
+    Z^T K Z = diag(lam) and Z^T M Z = I, so (Lynch, Rice & Thomas 1964)
+    P^-1 = (Zx(x)Zy) diag(lamx_i + lamy_j + bbar)^-1 (Zx(x)Zy)^T: four
+    dense products on the kron-order matrix view.
+    """
+    px, py = system.pieces
+    bbar = np.einsum("ijaa->", system.reaction) / (px.mass.sum() * py.mass.sum())
+
+    def axis(pieces):
+        r = pieces.mass.diagonal() ** -0.5
+        lam, V = np.linalg.eigh(r[:, None] * _axis_operators(pieces)[1].toarray() * r)
+        return lam, r[:, None] * V
+
+    (lx, Zx), (ly, Zy) = axis(px), axis(py)
+    inv = 1.0 / (lx[:, None] + ly[None, :] + bbar)
+    perm = system.from_kron
+
+    def apply(values):
+        kron = values[perm].reshape(inv.shape)
+        out = np.empty_like(values)
+        out[perm] = (Zx @ ((Zx.T @ kron @ Zy) * inv) @ Zy.T).ravel()
+        return out
+
+    return apply
+
+
 def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
     """Solve the 2D scheme through its U-only SPD system.
 
-    The operator of ``eliminate_fluxes_2d`` is equilibrated and factorized
-    by sparse LU, and P and Q are recovered from U.  The reported residual
-    is that of the equilibrated U-system, as in 1D; SolverError (carrying
-    it) is raised when it exceeds ``residual_tol``.
+    The operator S of ``eliminate_fluxes_2d`` is scaled to D S D
+    (``symmetric_scale``) and solved by ``pcg`` preconditioned by
+    ``_fast_diagonalization``: 2-3 steps for constant b, about 20 for
+    variable b.  The reported residual is that of the scaled U-system, as in
+    1D; SolverError (carrying it) is raised when it exceeds
+    ``residual_tol``, SingularMatrixError when an iterate is not finite.
     """
     system = assemble_2d(problem, mesh2d, k, quad=quad)
     N, k1 = mesh2d.N, k + 1
     S, Gx, Gy = eliminate_fluxes_2d(system)
-    scaled, r, c = equilibrate(S)
-    result = sparse_solve(scaled, r * system.load.ravel())
+    scaled, d = symmetric_scale(S)
+    fd = _fast_diagonalization(system)
+    result = pcg(scaled, d * system.load.ravel(), lambda r: fd(r / d) / d)
     if result.residual > residual_tol:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
             residual=result.residual,
         )
-    u = (c * result.x).reshape(N, N, k1, k1)
+    u = (d * result.x).reshape(N, N, k1, k1)
 
     # in kron order a field is an (i, m) x (j, n) matrix: Gx acts on the
     # left, Gy on the right

@@ -1,11 +1,11 @@
-"""Direct linear-solver backend: banded LU and sparse LU with equilibration.
+"""Linear-solver backend: banded LU, sparse LU, preconditioned CG, scaling.
 
 The banded path packs the matrix in LAPACK general-band storage and
 factorizes with dgbsv (partial pivoting with band-growth rows); the sparse
-path wraps SuperLU with its fill-reducing column ordering.  Equilibration
-uses exact power-of-two scales so it introduces no rounding: one row pass
-followed by one column pass provably lands every row and column maximum in
-[0.5, 1].
+path wraps SuperLU with its fill-reducing column ordering.  The scalings
+use exact powers of two so they introduce no rounding: ``equilibrate`` (a
+row pass, then a column pass) lands every row and column maximum in
+[0.5, 1], and ``symmetric_scale`` keeps a symmetric matrix exactly symmetric.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 from .errors import SingularMatrixError, SolverError
 
 _PIVOT_RTOL = 1e-14
+_CG_STEP_RTOL, _CG_MAX_STEPS = 1e-14, 200
 
 
 @dataclass
@@ -57,44 +58,41 @@ class BandedMatrix:
         return cls(n=n, lower=lower, upper=upper, band=band)
 
     def to_dense(self):
-        A = np.zeros((self.n, self.n))
-        for d in range(-self.lower, self.upper + 1):
-            js = np.arange(max(0, d), min(self.n, self.n + d))
-            A[js - d, js] = self.band[self.upper - d, js]
-        return A
+        return self.to_csr().toarray()
+
+    def _slot_rows(self):
+        """Row of A held by each band slot (outside A when < 0 or >= n)."""
+        return np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
 
     def to_csr(self):
-        rows, cols, vals = [], [], []
-        for d in range(-self.lower, self.upper + 1):
-            js = np.arange(max(0, d), min(self.n, self.n + d))
-            rows.append(js - d)
-            cols.append(js)
-            vals.append(self.band[self.upper - d, js])
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n, self.n),
-        )
+        rows = self._slot_rows()
+        inside = (rows >= 0) & (rows < self.n)
+        cols = np.broadcast_to(np.arange(self.n), rows.shape)
+        return sp.csr_matrix((self.band[inside], (rows[inside], cols[inside])),
+                             shape=(self.n, self.n))
+
+    def _by_row(self, values):
+        """Band-shaped ``values`` re-read with rows one slot shorter: band row
+        r moves r columns right, so column i holds the slots of row i of A
+        (the zero padding takes the wrap-around and the slots outside A)."""
+        nb, n = self.band.shape
+        skew = np.zeros((nb, n + nb))
+        skew[:, :n] = values
+        by_row = skew.ravel()[:nb * (n + nb - 1)].reshape(nb, n + nb - 1)
+        return by_row[:, self.upper:self.upper + n]
 
     def matvec(self, x):
-        return self.to_csr() @ x
+        return self._by_row(self.band * x[None, :]).sum(axis=0)
 
     def abs_row_col_max(self):
         """Row and column maxima of |A|, read off the band."""
-        nb, n = self.band.shape
-        # re-read with rows one slot shorter, band row r moves r columns to
-        # the right, so column upper + i holds row i of A (the zero padding
-        # takes the wrap-around and the slots outside the matrix)
-        skew = np.zeros((nb, n + nb))
-        skew[:, :n] = np.abs(self.band)
-        by_row = skew.ravel()[:nb * (n + nb - 1)].reshape(nb, n + nb - 1)
-        return by_row.max(axis=0)[self.upper:self.upper + n], skew[:, :n].max(axis=0)
+        absband = np.abs(self.band)
+        return self._by_row(absband).max(axis=0), absband.max(axis=0)
 
     def scaled(self, row_scales, col_scales):
         """Return a copy with rows and columns scaled (band layout is kept)."""
-        # slot (r, j) holds row j + r - upper: index the row scales padded
-        # by upper zeros in front and lower behind
-        slots = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None]
-        rows = np.pad(row_scales, (self.upper, self.lower))[slots]
+        # index the row scales padded by upper zeros in front, lower behind
+        rows = np.pad(row_scales, (self.upper, self.lower))[self._slot_rows() + self.upper]
         return BandedMatrix(self.n, self.lower, self.upper,
                             self.band * rows * col_scales[None, :])
 
@@ -142,11 +140,7 @@ def _pow2_scale(maxima, what):
 def _abs_row_col_max(matrix):
     if isinstance(matrix, BandedMatrix):
         return matrix.abs_row_col_max()
-    if isinstance(matrix, SparseMatrix):
-        A = matrix.csr
-    else:
-        A = sp.csr_matrix(np.asarray(matrix, dtype=float))
-    absA = abs(A)
+    absA = abs(matrix.csr)
     row_max = np.asarray(absA.max(axis=1).todense()).ravel()
     col_max = np.asarray(absA.max(axis=0).todense()).ravel()
     return row_max, col_max
@@ -160,25 +154,34 @@ def equilibrate(matrix):
     maxima end in [0.5, 1].  Returns (scaled matrix, row_scales, col_scales)
     so that scaled = diag(r) A diag(c); the original matrix is untouched.
     """
+    if isinstance(matrix, np.ndarray):
+        scaled, r, c = equilibrate(SparseMatrix(sp.csr_matrix(matrix, dtype=float)))
+        return scaled.to_dense(), r, c
     row_max, _ = _abs_row_col_max(matrix)
     r = _pow2_scale(row_max, "row")
-    if isinstance(matrix, np.ndarray):
-        half = np.asarray(matrix, dtype=float) * r[:, None]
-        col_max = np.abs(half).max(axis=0)
-        c = _pow2_scale(col_max, "column")
-        return half * c[None, :], r, c
     half = matrix.scaled(r, np.ones(matrix.n))
     _, col_max = _abs_row_col_max(half)
     c = _pow2_scale(col_max, "column")
     return half.scaled(np.ones(matrix.n), c), r, c
 
 
-def _relative_residual(csr, x, b):
-    """||A x - b|| / (||A||_F ||x|| + ||b||), the residual both solvers report."""
-    denom = np.sqrt((csr.data**2).sum()) * np.linalg.norm(x) + np.linalg.norm(b)
+def symmetric_scale(matrix):
+    """D A D for a ``SparseMatrix`` A with positive diagonal, D = diag(d) the
+    powers of two that put d^2 diag(A) into [0.25, 1).  Rows and columns are
+    scaled alike, so a symmetric A stays exactly symmetric.  Returns
+    (scaled matrix, d); the original matrix is untouched."""
+    d = _pow2_scale(np.sqrt(matrix.csr.diagonal()), "diagonal entry")
+    return matrix.scaled(d, d), d
+
+
+def _relative_residual(matrix, x, b):
+    """||A x - b|| / (||A||_F ||x|| + ||b||), the residual every solver
+    reports, for a ``BandedMatrix`` or ``SparseMatrix`` A."""
+    entries = matrix.band if isinstance(matrix, BandedMatrix) else matrix.csr.data
+    denom = np.sqrt((entries**2).sum()) * np.linalg.norm(x) + np.linalg.norm(b)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(csr @ x - b) / denom)
+    return float(np.linalg.norm(matrix.matvec(x) - b) / denom)
 
 
 def lu_banded_solve(matrix, rhs):
@@ -199,9 +202,8 @@ def lu_banded_solve(matrix, rhs):
         )
     if info < 0:
         raise SolverError(f"dgbsv rejected argument {-info}")
-    csr = matrix.to_csr()
     pivots = np.abs(lub[kl + ku, :])
-    tol = _PIVOT_RTOL * abs(csr).max()
+    tol = _PIVOT_RTOL * np.abs(matrix.band).max()
     small = pivots < tol
     if np.any(small):
         idx = int(np.argmax(small))
@@ -209,7 +211,7 @@ def lu_banded_solve(matrix, rhs):
             f"pivot {pivots[idx]:.3e} below tolerance {tol:.3e} at index {idx}",
             pivot_index=idx,
         )
-    return SolveResult(x=x, residual=_relative_residual(csr, x, rhs))
+    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
 
 
 def sparse_solve(matrix, rhs):
@@ -219,12 +221,42 @@ def sparse_solve(matrix, rhs):
     the solution.
     """
     rhs = np.asarray(rhs, dtype=float)
-    csr = matrix.csr if isinstance(matrix, SparseMatrix) else sp.csr_matrix(matrix)
+    if not isinstance(matrix, SparseMatrix):
+        matrix = SparseMatrix(sp.csr_matrix(matrix))
     try:
-        lu = spla.splu(csr.tocsc())
+        lu = spla.splu(matrix.csr.tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("sparse solve produced non-finite values")
-    return SolveResult(x=x, residual=_relative_residual(csr, x, rhs))
+    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
+
+
+def pcg(matrix, rhs, precondition):
+    """Conjugate gradients on an SPD ``SparseMatrix``, preconditioned by the
+    SPD map ``precondition``.  Stops once a step moves no entry of x by more
+    than 1e-14 max|x| (never the first step, which is all of x, so even an
+    exact preconditioner's rounding is refined once); raises
+    SingularMatrixError on a non-finite iterate, SolverError after 200 steps."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    z = precondition(r)
+    p, rz = z, r @ z
+    for step in range(_CG_MAX_STEPS):
+        if rz == 0.0:  # r = 0: x is exact
+            break
+        Ap = matrix.matvec(p)
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError(f"non-finite iterate at CG step {step + 1}")
+        if np.abs(alpha * p).max() <= _CG_STEP_RTOL * np.abs(x).max():
+            break
+        r -= alpha * Ap
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    else:
+        residual = _relative_residual(matrix, x, rhs)
+        raise SolverError(f"CG did not settle: residual {residual:.3e}", residual=residual)
+    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))

@@ -77,10 +77,6 @@ class Mesh1D:
         return 4.0 * self.tau / self.N
 
     @property
-    def coarse_width(self):
-        return 2.0 * (1.0 - 2.0 * self.tau) / self.N
-
-    @property
     def interface_index(self):
         """Node index of the right transition point x = 1 - tau."""
         return 3 * self.N // 4

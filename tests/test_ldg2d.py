@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ldgshishkin import (
     Mesh2D,
     MeshConfig,
     MixedSolution2D,
+    SingularMatrixError,
+    SweepConfig,
     assemble_2d,
     balanced_norm_2d,
     bilinear_form_2d,
@@ -16,10 +20,12 @@ from ldgshishkin import (
     error_norms_2d,
     load_functional_2d,
     manufactured_2d_problem,
+    run_sweep,
     solve_ldg_2d,
 )
-from ldgshishkin.ldg2d import eliminate_fluxes_2d
-from ldgshishkin.linalg import equilibrate, sparse_solve
+from ldgshishkin import problems
+from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
+from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve, symmetric_scale
 from ldgshishkin.problems import Problem2D
 
 
@@ -49,6 +55,29 @@ def poly_problem_2d(eps):
     f = lambda x, y: -eps * lap(x, y) + 2.0 * u(x, y)
     return Problem2D(eps=eps, b=const_b(2.0), f=f, beta=1.0, u_exact=u,
                      du_dx_exact=ux, du_dy_exact=uy, lap_u_exact=lap)
+
+
+def variable_b_problem(eps):
+    # the manufactured load with b = 2 + 1.5 sin(pi x y) >= 2 beta^2
+    b = lambda x, y: 2.0 + 1.5 * np.sin(np.pi * np.asarray(x) * np.asarray(y))
+    return Problem2D(eps=eps, b=b, f=manufactured_2d_problem(eps).f, beta=1.0)
+
+
+def problem_with_b(b, eps):
+    return manufactured_2d_problem(eps) if b == "constant" else variable_b_problem(eps)
+
+
+def nan_on_one_cell(problem, mesh, name):
+    """``problem`` with b or f NaN inside one corner-layer cell; the open
+    cell holds none of the points Problem2D checks b on."""
+    (x0, x1), (y0, y1) = mesh.mx.nodes[-3:-1], mesh.my.nodes[-3:-1]
+    g = getattr(problem, name)
+
+    def poisoned(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        return np.where((x0 < x) & (x < x1) & (y0 < y) & (y < y1), np.nan, g(x, y))
+
+    return replace(problem, **{name: poisoned})
 
 
 def random_triple(mesh, k, rng):
@@ -337,3 +366,81 @@ class TestEpsVariation2D:
             _, balanced = error_norms_2d(sol, p, mesh)
             errs.append(balanced.total)
         assert max(errs) / min(errs) <= 1.2
+
+
+class TestFastDiagonalizationSolve:
+    @pytest.mark.parametrize("b", ["constant", "variable"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_superlu(self, k, N, eps, b):
+        # reference: SuperLU on the row/column-equilibrated U-system
+        p = problem_with_b(b, eps)
+        mesh = make_mesh(N, eps, sigma=k + 1)
+        system = assemble_2d(p, mesh, k)
+        scaled, r, c = equilibrate(eliminate_fluxes_2d(system)[0])
+        expected = c * sparse_solve(scaled, r * system.load.ravel()).x
+        U = solve_ldg_2d(p, mesh, k).U.coeffs.ravel()
+        assert np.max(np.abs(U - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("b, most", [("constant", 3), ("variable", 30)])
+    def test_preconditioner_applications(self, b, most):
+        # with constant b the preconditioner inverts S up to rounding
+        eps, k = 1e-8, 2
+        system = assemble_2d(problem_with_b(b, eps), anisotropic_mesh(16, eps), k)
+        scaled, d = symmetric_scale(eliminate_fluxes_2d(system)[0])
+        fd = _fast_diagonalization(system)
+        calls = []
+
+        def precondition(r):
+            calls.append(1)
+            return fd(r / d) / d
+
+        pcg(scaled, d * system.load.ravel(), precondition)
+        assert 2 <= len(calls) <= most
+
+    @pytest.mark.parametrize("b", ["constant", "variable"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scaled_operator_exactly_symmetric(self, k, b):
+        eps = 1e-8
+        system = assemble_2d(problem_with_b(b, eps), anisotropic_mesh(8, eps), k)
+        scaled, _ = symmetric_scale(eliminate_fluxes_2d(system)[0])
+        assert (scaled.csr != scaled.csr.T).nnz == 0
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12])
+    @pytest.mark.parametrize("N", [8, 32])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_residual_gate_trips_on_perturbed_solution(self, k, N, eps):
+        p = manufactured_2d_problem(eps)
+        mesh = make_mesh(N, eps, sigma=k + 1)
+        system = assemble_2d(p, mesh, k)
+        scaled, d = symmetric_scale(eliminate_fluxes_2d(system)[0])
+
+        def residual(u):  # the reported residual: that of the scaled U-system
+            return _relative_residual(scaled, u.ravel() / d, d * system.load.ravel())
+
+        sol = solve_ldg_2d(p, mesh, k)
+        U = sol.U.coeffs
+        assert residual(U) == sol.residual <= 1e-9
+        noise = np.random.default_rng(41).standard_normal(U.shape)
+        assert residual(U * (1.0 + 1e-6 * noise)) > 1e-9
+
+    @pytest.mark.parametrize("name", ["b", "f"])
+    def test_nan_data_raises_typed_error(self, name):
+        eps = 1e-8
+        mesh = make_mesh(8, eps)
+        p = nan_on_one_cell(manufactured_2d_problem(eps), mesh, name)
+        with pytest.raises(SingularMatrixError):
+            solve_ldg_2d(p, mesh, 1)
+
+    @pytest.mark.parametrize("name", ["b", "f"])
+    def test_nan_data_row_recorded_failed(self, name, monkeypatch):
+        def factory(eps, k):
+            mesh = build_shishkin_2d(MeshConfig(N=8, eps=eps, sigma=k + 1))
+            return nan_on_one_cell(manufactured_2d_problem(eps), mesh, name)
+
+        monkeypatch.setitem(problems.PROBLEMS_2D, "nancell2d", factory)
+        table = run_sweep(SweepConfig(dim=2, problem="nancell2d", k_list=(1,),
+                                      n_list=(8,), eps_list=(1e-8,)))
+        (row,) = table.rows
+        assert row.failed and row.message.startswith("SingularMatrixError")

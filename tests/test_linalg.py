@@ -10,6 +10,8 @@ from ldgshishkin import (
     lu_banded_solve,
     sparse_solve,
 )
+from ldgshishkin.errors import SolverError
+from ldgshishkin.linalg import pcg, symmetric_scale
 
 
 def random_banded(rng, n, kl, ku):
@@ -41,6 +43,14 @@ class TestBandedMatrix:
     def test_duplicate_entries_accumulate(self):
         m = BandedMatrix.from_coo(2, [0, 0], [0, 0], [1.0, 2.0])
         assert m.to_dense()[0, 0] == 3.0
+
+    def test_matvec_random_vs_dense(self):
+        rng = np.random.default_rng(3)
+        for n, kl, ku in ((5, 1, 3), (17, 4, 2), (40, 3, 3)):
+            m = random_banded(rng, n, kl, ku)
+            x = rng.standard_normal(n)
+            dense = m.to_dense() @ x
+            assert np.max(np.abs(m.matvec(x) - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 class TestEquilibrate:
@@ -144,6 +154,19 @@ class TestBandedSolve:
             assert res.residual <= 1e-10
             checked += 1
 
+    def test_stays_on_the_band(self, monkeypatch):
+        # pivot tolerance and residual are read off the band storage
+        m = random_banded(np.random.default_rng(8), 30, 2, 3)
+        rhs = np.ones(30)
+        expected = lu_banded_solve(m, rhs)
+
+        def refuse(self):
+            raise AssertionError("lu_banded_solve converted the band to CSR")
+
+        monkeypatch.setattr(BandedMatrix, "to_csr", refuse)
+        res = lu_banded_solve(m, rhs)
+        assert np.array_equal(res.x, expected.x) and res.residual == expected.residual
+
 
 class TestSparseSolve:
     def test_identity(self):
@@ -189,3 +212,78 @@ class TestSparseSolve:
         assert m.csr.indptr.tolist() == [0, 2, 3, 4]
         assert m.csr.indices.tolist() == [0, 2, 1, 2]
         assert np.allclose(m.csr.data, [1.0, 4.0, 2.0, 3.0], atol=0)
+
+
+def random_spd(rng, n, spread):
+    """Exactly symmetric sparse SPD matrix with diagonal entries spread over
+    10^+-spread."""
+    B = sp.random(n, n, density=0.2, random_state=rng)
+    scale = sp.diags(10.0 ** rng.uniform(-spread, spread, n))
+    A = scale @ (B @ B.T + sp.identity(n)) @ scale
+    return SparseMatrix((A + A.T).tocsr())
+
+
+class TestSymmetricScale:
+    def test_diagonal_range_and_exact_symmetry(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            A = random_spd(rng, 40, 8)
+            assert (A.csr != A.csr.T).nnz == 0
+            scaled, d = symmetric_scale(A)
+            diag = scaled.csr.diagonal()
+            assert np.all(diag >= 0.25) and np.all(diag < 1.0)
+            assert (scaled.csr != scaled.csr.T).nnz == 0
+            assert np.all(np.ldexp(1.0, np.frexp(d)[1] - 1) == d)  # powers of two
+            assert np.array_equal(scaled.to_dense(), d[:, None] * A.to_dense() * d)
+
+    def test_zero_diagonal_rejected(self):
+        A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]])))
+        with pytest.raises(SingularMatrixError) as info:
+            symmetric_scale(A)
+        assert info.value.pivot_index == 1
+
+
+class TestPCG:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(12)
+        A = random_spd(rng, 60, 1)
+        rhs = rng.standard_normal(60)
+        jacobi = 1.0 / A.csr.diagonal()
+        res = pcg(A, rhs, lambda r: jacobi * r)
+        expected = np.linalg.solve(A.to_dense(), rhs)
+        assert np.max(np.abs(res.x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert res.residual <= 1e-15
+
+    def test_exact_preconditioner_still_refines_once(self):
+        # the inverse as preconditioner solves in one step; a second step
+        # must still follow, so the preconditioner is applied twice
+        rng = np.random.default_rng(13)
+        A = random_spd(rng, 30, 1)
+        inverse = np.linalg.inv(A.to_dense())
+        calls = []
+
+        def precondition(r):
+            calls.append(1)
+            return inverse @ r
+
+        pcg(A, rng.standard_normal(30), precondition)
+        assert len(calls) == 2
+
+    def test_zero_rhs_gives_zero(self):
+        A = random_spd(np.random.default_rng(14), 10, 1)
+        res = pcg(A, np.zeros(10), lambda r: r)
+        assert np.array_equal(res.x, np.zeros(10)) and res.residual == 0.0
+
+    def test_step_cap_raises_with_residual(self):
+        # condition 1e8 and no preconditioning: far more steps than the cap
+        A = SparseMatrix(sp.diags(np.geomspace(1.0, 1e8, 1000), format="csr"))
+        with pytest.raises(SolverError) as info:
+            pcg(A, np.ones(1000), lambda r: r)
+        assert info.value.residual > 1e-12
+
+    def test_non_finite_iterate_raises(self):
+        A = random_spd(np.random.default_rng(15), 10, 1)
+        rhs = np.ones(10)
+        rhs[3] = np.nan
+        with pytest.raises(SingularMatrixError):
+            pcg(A, rhs, lambda r: r)
