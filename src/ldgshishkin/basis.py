@@ -155,13 +155,8 @@ class ReferenceBasis:
 
         Exact (2 when a < m with a+m odd, else 0); evaluated in closed form.
         """
-        k = self.degree
-        G = np.zeros((k + 1, k + 1))
-        for m in range(k + 1):
-            for a in range(m):
-                if (m + a) % 2 == 1:
-                    G[m, a] = 2.0
-        return G
+        m, a = np.indices((self.degree + 1, self.degree + 1))
+        return np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
 
 
 def cell_map(cell, t):

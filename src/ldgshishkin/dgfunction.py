@@ -38,9 +38,6 @@ class DGFunction1D:
     def zeros(cls, mesh, degree):
         return cls(mesh, degree, np.zeros((mesh.N, degree + 1)))
 
-    def copy(self):
-        return DGFunction1D(self.mesh, self.degree, self.coeffs.copy())
-
     def evaluate(self, x):
         """Evaluate at points x; points on a node use the right-hand cell."""
         x = np.atleast_1d(np.asarray(x, dtype=float))

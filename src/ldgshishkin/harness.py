@@ -247,18 +247,12 @@ def _attach_rates(rows):
 
 def run_sweep(cfg):
     """Run the configured sweep and return the rate table."""
-    jobs = [
-        (cfg, k, eps, N)
-        for k in cfg.k_list
-        for eps in cfg.eps_list
-        for N in cfg.n_list
-    ]
-    ordered = [(cfg, k, N, eps) for (cfg, k, eps, N) in jobs]
+    jobs = [(cfg, k, N, eps) for k in cfg.k_list for eps in cfg.eps_list for N in cfg.n_list]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_execute_job, ordered))
+            rows = list(pool.map(_execute_job, jobs))
     else:
-        rows = [_execute_job(j) for j in ordered]
+        rows = [_execute_job(j) for j in jobs]
     _attach_rates(rows)
     rows.sort(key=lambda r: (r.k, -r.eps, r.N))
     return ConvergenceTable(rows=rows)

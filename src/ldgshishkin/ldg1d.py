@@ -5,14 +5,14 @@ the left and Q from the right, penalize the boundary traces of U with
 weight sqrt(eps) and the jump of Q at the right transition node 3N/4 with
 weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
 and field order [Qtilde; U] the matrix is [[M/s + v v^T, D],
-[-s D^T, W_b + s E]]: sparse operator pieces over (cell, mode) (see
-``OperatorPieces1D``) plus the b-weighted mass W_b, with no loop over
-cells; Kronecker products of the same pieces build the 2D matrix.  The
-interface term v v^T couples the Q unknowns of the two cells that share
-the transition node, so the whole system is solved monolithically
-(block-banded, cell-major ordering with Q modes before U modes inside each
-cell).  Rows and columns are equilibrated by powers of two before
-factorization, and the solution is unscaled on return.
+[-s D^T, W_b + s E]], block-tridiagonal over cells: numpy builds the
+per-cell blocks of the operator pieces (``piece_blocks_1d``) and writes
+them, with the b-weighted mass W_b, straight into band storage (cell-major,
+Q modes before U modes inside each cell); the 2D scheme takes Kronecker
+products of the same pieces as csr matrices (``operator_pieces_1d``).  The
+interface term v v^T couples the Q unknowns of the two cells that share the
+transition node, so the system is solved monolithically: equilibrated by
+powers of two, factorized by banded LU and unscaled on return.
 """
 
 from dataclasses import dataclass
@@ -58,31 +58,62 @@ class MixedSolution1D:
             raise ConfigurationError("U and Q must share mesh and degree")
 
 
-class _Layout1D:
-    """Cell-major dof layout: [Qtilde modes | U modes] per cell."""
-
-    def __init__(self, N, k):
-        self.N = N
-        self.k = k
-        self.per_cell = 2 * (k + 1)
-        self.n = N * self.per_cell
-
-    def q_index(self, cell_row, mode):
-        return cell_row * self.per_cell + mode
-
-    def u_index(self, cell_row, mode):
-        return cell_row * self.per_cell + (self.k + 1) + mode
-
-
 @dataclass
 class AssembledSystem:
     """Assembled linear system plus the metadata needed to undo scaling."""
 
     matrix: BandedMatrix
     rhs: np.ndarray
-    layout: _Layout1D
     q_scale: float
-    flux: FluxParams
+
+
+@dataclass(frozen=True)
+class CellBlocks:
+    """Block-tridiagonal matrix over N cells, blocks of shape (N, kk, kk):
+    ``diag[c]`` is block (c, c), ``sub[c]`` block (c, c-1) and ``sup[c]``
+    block (c-1, c); ``sub[0]`` and ``sup[0]`` are zero."""
+
+    diag: np.ndarray
+    sub: np.ndarray
+    sup: np.ndarray
+
+    def stencil(self, out):
+        """Block row c against cells c-1, c, c+1, written into zeros ``out``."""
+        out[:, :, 0], out[:, :, 1], out[:-1, :, 2] = self.sub, self.diag, self.sup[1:]
+        return out
+
+    def to_csr(self):
+        """The csr matrix of the nonzero entries, through one bsr matrix."""
+        N, kk, _ = self.diag.shape
+        blocks = self.stencil(np.zeros((N, kk, 3, kk))).transpose(0, 2, 1, 3)
+        cols = np.arange(N)[:, None] + np.arange(-1, 2)
+        A = sp.bsr_matrix((blocks.reshape(3 * N, kk, kk)[1:-1], cols.ravel()[1:-1],
+                           np.clip(3 * np.arange(N + 1) - 1, 0, 3 * N - 2))).tocsr()
+        A.eliminate_zeros()
+        return A
+
+
+def piece_blocks_1d(mesh, k, eps):
+    """The pieces M, D, F = M/s + v v^T and s E of ``OperatorPieces1D`` as
+    ``CellBlocks`` (the reference blocks broadcast over the cells, then the
+    first, last and interface cells written) and v on cells J-1, J."""
+    N, J, kk = mesh.N, mesh.interface_index, k + 1
+    basis = ReferenceBasis(k)
+    ones, alt = basis.right_values, basis.left_values
+    s = float(np.sqrt(eps))
+    zero = np.zeros((N, kk, kk))
+    M = (0.5 * mesh.widths[:, None] * basis.mass_diag)[:, :, None] * np.eye(kk)
+    D, D_sub = zero + (basis.stiffness() - np.outer(ones, ones)), zero + np.outer(alt, ones)
+    D[-1], D_sub[0] = basis.stiffness(), 0.0
+    v = np.concatenate([ones, -alt])
+    vv = np.outer(v, v)
+    F, F_sub, F_sup, E = M * (1.0 / s), zero.copy(), zero.copy(), zero.copy()
+    F[J - 1] += vv[:kk, :kk]
+    F[J] += vv[kk:, kk:]
+    F_sub[J], F_sup[J] = vv[kk:, :kk], vv[:kk, kk:]
+    E[-1], E[0] = np.outer(ones, ones), np.outer(alt, alt)
+    return (CellBlocks(M, zero, zero), CellBlocks(D, D_sub, zero),
+            CellBlocks(F, F_sub, F_sup), CellBlocks(s * E, zero, zero), v)
 
 
 @dataclass(frozen=True)
@@ -100,7 +131,8 @@ class OperatorPieces1D:
     (test v, Qtilde) block of the scheme is exactly -s D^T.
     ``flux_mass_inv`` is the Sherman-Morrison inverse of ``flux_mass``,
     s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal plus one
-    2-cell block at the interface.
+    2-cell block at the interface.  Each is converted from ``CellBlocks``
+    (``piece_blocks_1d``) by one bsr matrix.
     """
 
     mass: sp.csr_matrix
@@ -112,35 +144,19 @@ class OperatorPieces1D:
 
 
 def operator_pieces_1d(mesh, k, eps):
-    """The 1D pieces from which both the 1D and the 2D systems are built."""
-    N = mesh.N
-    basis = ReferenceBasis(k)
-    ones, alt = basis.right_values, basis.left_values
-    s = float(np.sqrt(eps))
-    J = mesh.interface_index
-
-    def unit(i):  # i-th unit column of length N
-        return sp.csr_matrix(([1.0], ([i], [0])), shape=(N, 1))
-
-    def corner(i):  # e_i e_i^T
-        return unit(i) @ unit(i).T
-
-    mass = sp.diags((0.5 * mesh.widths[:, None] * basis.mass_diag).ravel(), format="csr")
-    derivative = (
-        sp.kron(sp.identity(N), basis.stiffness())
-        - sp.kron(sp.identity(N) - corner(N - 1), np.outer(ones, ones))
-        + sp.kron(sp.eye(N, k=-1), np.outer(alt, ones))
-    ).tocsr()
-    v = sp.kron(unit(J - 1), ones[:, None]) - sp.kron(unit(J), alt[:, None])
-    flux_mass = (mass / s + v @ v.T).tocsr()
-    inv_scaled_mass = sp.diags(s / mass.diagonal())
-    w = inv_scaled_mass @ v
-    denom = 1.0 + (v.T @ w).toarray().item()
-    flux_mass_inv = (inv_scaled_mass - (w @ w.T) / denom).tocsr()
-    penalty = s * (sp.kron(corner(N - 1), np.outer(ones, ones))
-                   + sp.kron(corner(0), np.outer(alt, alt))).tocsr()
-    return OperatorPieces1D(mass=mass, derivative=derivative, flux_mass=flux_mass,
-                            flux_mass_inv=flux_mass_inv, penalty=penalty, s=s)
+    """The csr pieces for the 2D scheme, with the Sherman-Morrison
+    ``flux_mass_inv`` (which the 1D solve never needs) built as blocks too."""
+    M, D, F, sE, v = piece_blocks_1d(mesh, k, eps)
+    s, J, kk = float(np.sqrt(eps)), mesh.interface_index, k + 1
+    inv = s / np.diagonal(M.diag, axis1=1, axis2=2)
+    w = inv[J - 1:J + 1].ravel() * v
+    denom = 1.0 + np.cumsum(v * w)[-1]  # summed left to right, in dof order
+    pair = np.diag(inv[J - 1:J + 1].ravel()) - np.outer(w, w) * (1.0 / denom)
+    F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), np.zeros_like(M.diag), np.zeros_like(M.diag))
+    F_inv.diag[J - 1], F_inv.diag[J] = pair[:kk, :kk], pair[kk:, kk:]
+    F_inv.sub[J], F_inv.sup[J] = pair[kk:, :kk], pair[:kk, kk:]
+    return OperatorPieces1D(mass=M.to_csr(), derivative=D.to_csr(), flux_mass=F.to_csr(),
+                            flux_mass_inv=F_inv.to_csr(), penalty=sE.to_csr(), s=s)
 
 
 def assemble_1d(problem, mesh, k, quad=None):
@@ -151,12 +167,9 @@ def assemble_1d(problem, mesh, k, quad=None):
     """
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    N = mesh.N
-    eps = problem.eps
-    flux = FluxParams.for_problem(eps, N)
-    layout = _Layout1D(N, k)
-    pieces = operator_pieces_1d(mesh, k, eps)
-    s = pieces.s
+    N, kk, per = mesh.N, k + 1, 2 * (k + 1)
+    _, D, F, sE, _ = piece_blocks_1d(mesh, k, problem.eps)
+    s = float(np.sqrt(problem.eps))
     quad = quad or assembly_quad_order(k)
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
@@ -166,20 +179,25 @@ def assemble_1d(problem, mesh, k, quad=None):
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)
     W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
-    reaction = sp.bsr_matrix((W, np.arange(N), np.arange(N + 1)))
 
-    A = sp.bmat([[pieces.flux_mass, pieces.derivative],
-                 [-s * pieces.derivative.T, reaction + pieces.penalty]], format="coo")
-    # field order (Qtilde cells, then U cells) -> cell-interleaved layout
-    cells, modes = np.arange(N)[:, None], np.arange(k + 1)
-    q_dofs = layout.q_index(cells, modes)
-    u_dofs = layout.u_index(cells, modes)
-    order = np.concatenate([q_dofs.ravel(), u_dofs.ravel()])
-    matrix = BandedMatrix.from_coo(layout.n, order[A.row], order[A.col], A.data)
+    # block row c of [[F, D], [-s D^T, W_b + s E]] against the [Qtilde | U]
+    # modes of cells c-1, c, c+1 (s E has only diagonal blocks)
+    rows = np.zeros((N, 2, kk, 3, 2, kk))
+    F.stencil(rows[:, 0, :, :, 0])
+    D.stencil(rows[:, 0, :, :, 1])
+    minus_sDt = CellBlocks(*(-s * x.swapaxes(1, 2) for x in (D.diag, D.sup, D.sub)))
+    minus_sDt.stencil(rows[:, 1, :, :, 0])
+    rows[:, 1, :, 1, 1] = W + sE.diag
+    # entry (c, r, q) is row c per + r, column (c - 1) per + q
+    rows = rows.reshape(N, per, 3 * per)
+    i = np.broadcast_to(np.arange(N * per).reshape(N, per, 1), rows.shape)
+    j = np.broadcast_to(per * np.arange(-1, N - 1)[:, None, None] + np.arange(3 * per), rows.shape)
+    nonzero = rows != 0.0
+    matrix = BandedMatrix.from_coo(N * per, i[nonzero], j[nonzero], rows[nonzero])
 
-    rhs = np.zeros(layout.n)
-    rhs[u_dofs] = halfh[:, None] * ((rule.weights * fvals) @ V)
-    return AssembledSystem(matrix=matrix, rhs=rhs, layout=layout, q_scale=s, flux=flux)
+    rhs = np.zeros((N, per))
+    rhs[:, kk:] = halfh[:, None] * ((rule.weights * fvals) @ V)
+    return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), q_scale=s)
 
 
 def solve_ldg_1d(problem, mesh, k, quad=None, residual_tol=1e-10):
@@ -197,9 +215,8 @@ def solve_ldg_1d(problem, mesh, k, quad=None, residual_tol=1e-10):
             f"banded solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
             residual=result.residual,
         )
-    layout = system.layout
-    per, kk = layout.per_cell, k + 1
-    blocks = x.reshape(mesh.N, per)
+    kk = k + 1
+    blocks = x.reshape(mesh.N, 2 * kk)
     Q = DGFunction1D(mesh, k, system.q_scale * blocks[:, :kk].copy())
     U = DGFunction1D(mesh, k, blocks[:, kk:].copy())
     return MixedSolution1D(U=U, Q=Q, residual=result.residual)

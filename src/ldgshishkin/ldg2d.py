@@ -166,7 +166,7 @@ def _axis_operators(pieces):
 
 
 def eliminate_fluxes_2d(system):
-    """Eliminate Ptilde and Qtilde in closed form; returns (S, Gx, Gy).
+    """Eliminate Ptilde and Qtilde in closed form; returns (S, (Gx, Kx), (Gy, Ky)).
 
     Per axis G = F^-1 D and K = s E + s D^T G, with F^-1 the 1D
     ``flux_mass_inv``.  The P and Q rows give Ptilde = -(Gx(x)I) U and
@@ -179,12 +179,13 @@ def eliminate_fluxes_2d(system):
     (Gx, Kx), (Gy, Ky) = _axis_operators(px), _axis_operators(py)
     T = (sp.kron(Kx, py.mass) + sp.kron(px.mass, Ky)).tocoo()
     S = system._plus_reaction(system.load.size, system.from_kron, T)
-    return S, Gx, Gy
+    return S, (Gx, Kx), (Gy, Ky)
 
 
-def _fast_diagonalization(system):
+def _fast_diagonalization(system, Kx, Ky):
     """P^-1 on field-major U vectors, P = Kx(x)My + Mx(x)Ky + bbar Mx(x)My
-    with bbar the mass-weighted mean of b (P = S for constant b).
+    with Kx, Ky those of ``eliminate_fluxes_2d`` and bbar the mass-weighted
+    mean of b (P = S for constant b).
 
     Per axis Z = M^-1/2 V, with M^-1/2 K M^-1/2 = V diag(lam) V^T, gives
     Z^T K Z = diag(lam) and Z^T M Z = I, so (Lynch, Rice & Thomas 1964)
@@ -194,12 +195,12 @@ def _fast_diagonalization(system):
     px, py = system.pieces
     bbar = np.einsum("ijaa->", system.reaction) / (px.mass.sum() * py.mass.sum())
 
-    def axis(pieces):
+    def axis(pieces, K):
         r = pieces.mass.diagonal() ** -0.5
-        lam, V = np.linalg.eigh(r[:, None] * _axis_operators(pieces)[1].toarray() * r)
+        lam, V = np.linalg.eigh(r[:, None] * K.toarray() * r)
         return lam, r[:, None] * V
 
-    (lx, Zx), (ly, Zy) = axis(px), axis(py)
+    (lx, Zx), (ly, Zy) = axis(px, Kx), axis(py, Ky)
     inv = 1.0 / (lx[:, None] + ly[None, :] + bbar)
     perm = system.from_kron
 
@@ -224,9 +225,9 @@ def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
     """
     system = assemble_2d(problem, mesh2d, k, quad=quad)
     N, k1 = mesh2d.N, k + 1
-    S, Gx, Gy = eliminate_fluxes_2d(system)
+    S, (Gx, Kx), (Gy, Ky) = eliminate_fluxes_2d(system)
     scaled, d = symmetric_scale(S)
-    fd = _fast_diagonalization(system)
+    fd = _fast_diagonalization(system, Kx, Ky)
     result = pcg(scaled, d * system.load.ravel(), lambda r: fd(r / d) / d)
     if result.residual > residual_tol:
         raise SolverError(

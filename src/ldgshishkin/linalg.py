@@ -54,7 +54,7 @@ class BandedMatrix:
         lower = int(max(0, (rows - cols).max()))
         upper = int(max(0, (cols - rows).max()))
         band = np.zeros((lower + upper + 1, n))
-        np.add.at(band, (upper + rows - cols, cols), vals)
+        np.add.at(band.reshape(-1), (upper + rows - cols) * n + cols, vals)
         return cls(n=n, lower=lower, upper=upper, band=band)
 
     def to_dense(self):
@@ -122,6 +122,10 @@ class SparseMatrix:
     def matvec(self, x):
         return self.csr @ x
 
+    def abs_row_col_max(self):
+        absA = abs(self.csr)
+        return absA.max(axis=1).toarray().ravel(), absA.max(axis=0).toarray().ravel()
+
     def scaled(self, row_scales, col_scales):
         R = sp.diags(row_scales)
         C = sp.diags(col_scales)
@@ -137,15 +141,6 @@ def _pow2_scale(maxima, what):
     return np.ldexp(1.0, -exponents.astype(np.int64))
 
 
-def _abs_row_col_max(matrix):
-    if isinstance(matrix, BandedMatrix):
-        return matrix.abs_row_col_max()
-    absA = abs(matrix.csr)
-    row_max = np.asarray(absA.max(axis=1).todense()).ravel()
-    col_max = np.asarray(absA.max(axis=0).todense()).ravel()
-    return row_max, col_max
-
-
 def equilibrate(matrix):
     """Scale rows then columns by powers of two.
 
@@ -157,10 +152,10 @@ def equilibrate(matrix):
     if isinstance(matrix, np.ndarray):
         scaled, r, c = equilibrate(SparseMatrix(sp.csr_matrix(matrix, dtype=float)))
         return scaled.to_dense(), r, c
-    row_max, _ = _abs_row_col_max(matrix)
+    row_max, _ = matrix.abs_row_col_max()
     r = _pow2_scale(row_max, "row")
     half = matrix.scaled(r, np.ones(matrix.n))
-    _, col_max = _abs_row_col_max(half)
+    _, col_max = half.abs_row_col_max()
     c = _pow2_scale(col_max, "column")
     return half.scaled(np.ones(matrix.n), c), r, c
 

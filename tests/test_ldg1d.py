@@ -5,6 +5,7 @@ from ldgshishkin import (
     DGFunction1D,
     MeshConfig,
     MixedSolution1D,
+    ReferenceBasis,
     SolverError,
     assemble_1d,
     bilinear_form_1d,
@@ -18,6 +19,8 @@ from ldgshishkin import (
     rate_shishkin,
     solve_ldg_1d,
 )
+from ldgshishkin import ldg1d
+from ldgshishkin.ldg1d import operator_pieces_1d
 from ldgshishkin.problems import Problem1D
 
 
@@ -31,6 +34,16 @@ def zero_f(x):
 
 def make_mesh(N, eps, sigma=2.0):
     return build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=sigma))
+
+
+def q_dofs(cells, k):
+    """Qtilde dofs of ``cells`` in the cell-major [Qtilde modes | U modes]
+    layout of the assembled system."""
+    return 2 * (k + 1) * np.asarray(cells)[..., None] + np.arange(k + 1)
+
+
+def u_dofs(cells, k):
+    return q_dofs(cells, k) + k + 1
 
 
 def random_pair(mesh, k, rng):
@@ -52,6 +65,28 @@ class TestAssembly:
             assert system.matrix.lower <= 4 * (k + 1) - 1
             assert system.matrix.upper <= 4 * (k + 1) - 1
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-12])
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bandwidths_pinned(self, k, N, eps):
+        # the Q-Q interface blocks of cells J-1 and J reach 3k+2 off the
+        # diagonal; a band padded with zero diagonals would only slow dgbsv
+        system = assemble_1d(paper_1d_problem(eps), make_mesh(N, eps), k)
+        assert system.matrix.lower == system.matrix.upper == 3 * k + 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_1d_path_uses_no_scipy_sparse(self, k, monkeypatch):
+        p = paper_1d_problem(1e-8)
+        mesh = make_mesh(32, 1e-8, sigma=k + 1)
+        expected = solve_ldg_1d(p, mesh, k).U.coeffs
+
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"the 1D path reached scipy.sparse.{name}")
+
+        monkeypatch.setattr(ldg1d, "sp", Refuse())
+        assert np.array_equal(solve_ldg_1d(p, mesh, k).U.coeffs, expected)
+
     def test_interface_coupling_structure(self):
         # the penalized flux couples the Q blocks of the two cells sharing
         # node 3N/4; that coupling precludes local elimination of Q there
@@ -60,24 +95,22 @@ class TestAssembly:
         p = paper_1d_problem(1e-3)
         system = assemble_1d(p, mesh, k)
         A = system.matrix.to_dense()
-        lay = system.layout
-        J = system.flux.interface_index  # node index; cells J and J+1 touch it
-        modes = np.arange(k + 1)
+        J = mesh.interface_index  # node index; cells J and J+1 touch it
 
         def block(rows, cols):
             return A[np.ix_(rows, cols)]
 
-        q_rows_left = lay.q_index(J - 1, 0) + modes
-        q_cols_right = lay.q_index(J, 0) + modes
-        u_cols_left = lay.u_index(J - 1, 0) + modes
+        q_rows_left = q_dofs(J - 1, k)
+        q_cols_right = q_dofs(J, k)
+        u_cols_left = u_dofs(J - 1, k)
         assert np.any(block(q_rows_left, q_cols_right) != 0.0)
-        q_rows_right = lay.q_index(J, 0) + modes
-        q_cols_left = lay.q_index(J - 1, 0) + modes
+        q_rows_right = q_dofs(J, k)
+        q_cols_left = q_dofs(J - 1, k)
         assert np.any(block(q_rows_right, q_cols_left) != 0.0)
         assert np.any(block(q_rows_right, u_cols_left) != 0.0)
         # away from the interface the Q-Q blocks of neighbours are empty
-        q_rows_2 = lay.q_index(1, 0) + modes
-        q_cols_3 = lay.q_index(2, 0) + modes
+        q_rows_2 = q_dofs(1, k)
+        q_cols_3 = q_dofs(2, k)
         assert np.all(block(q_rows_2, q_cols_3) == 0.0)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
@@ -92,13 +125,12 @@ class TestAssembly:
                       f=zero_f, beta=1.0)
         system = assemble_1d(p, mesh, k)
         A = system.matrix.to_csr()
-        lay = system.layout
-        cells, modes = np.arange(N)[:, None], np.arange(k + 1)
+        cells = np.arange(N)
 
         def vector(pair, q_factor):
-            x = np.zeros(lay.n)
-            x[lay.q_index(cells, modes)] = q_factor * pair.Q.coeffs
-            x[lay.u_index(cells, modes)] = pair.U.coeffs
+            x = np.zeros(system.matrix.n)
+            x[q_dofs(cells, k)] = q_factor * pair.Q.coeffs
+            x[u_dofs(cells, k)] = pair.U.coeffs
             return x
 
         def part(pair, field):
@@ -122,6 +154,39 @@ class TestAssembly:
         sol = solve_ldg_1d(p, mesh, 1)
         assert np.max(np.abs(sol.U.coeffs)) == 0.0
         assert np.max(np.abs(sol.Q.coeffs)) == 0.0
+
+
+class TestOperatorPieces:
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pieces_match_kronecker_formulas(self, k, N):
+        # the formulas of the OperatorPieces1D docstring, evaluated densely
+        eps = 1e-6
+        mesh = make_mesh(N, eps)
+        pieces = operator_pieces_1d(mesh, k, eps)
+        basis = ReferenceBasis(k)
+        ones, alt = basis.right_values[:, None], basis.left_values[:, None]
+        s, J, I = np.sqrt(eps), mesh.interface_index, np.eye(N)
+        first, last = np.outer(I[0], I[0]), np.outer(I[-1], I[-1])
+        M = np.diag((0.5 * mesh.widths[:, None] * basis.mass_diag).ravel())
+        D = (np.kron(I, basis.stiffness()) - np.kron(I - last, ones @ ones.T)
+             + np.kron(np.eye(N, k=-1), alt @ ones.T))
+        v = np.kron(I[:, [J - 1]], ones) - np.kron(I[:, [J]], alt)
+        # M/s taken as M times 1/s, as piece_blocks_1d forms it (true
+        # division can differ in the last bit)
+        F = M * (1.0 / s) + v @ v.T
+        sE = s * (np.kron(last, ones @ ones.T) + np.kron(first, alt @ alt.T))
+        inv = np.diag(s / np.diag(M))
+        w = inv @ v
+        F_inv = inv - (w @ w.T) / (1.0 + (v.T @ w).item())
+        for name, dense in (("mass", M), ("derivative", D), ("flux_mass", F),
+                            ("penalty", sE)):
+            piece = getattr(pieces, name)
+            assert np.array_equal(piece.toarray(), dense), name
+            assert piece.nnz == np.count_nonzero(dense), name
+        got = pieces.flux_mass_inv
+        assert np.max(np.abs(got.toarray() - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
+        assert got.nnz == np.count_nonzero(F_inv)
 
 
 class TestEnergyIdentity:

@@ -388,8 +388,9 @@ class TestFastDiagonalizationSolve:
         # with constant b the preconditioner inverts S up to rounding
         eps, k = 1e-8, 2
         system = assemble_2d(problem_with_b(b, eps), anisotropic_mesh(16, eps), k)
-        scaled, d = symmetric_scale(eliminate_fluxes_2d(system)[0])
-        fd = _fast_diagonalization(system)
+        S, (_, Kx), (_, Ky) = eliminate_fluxes_2d(system)
+        scaled, d = symmetric_scale(S)
+        fd = _fast_diagonalization(system, Kx, Ky)
         calls = []
 
         def precondition(r):
