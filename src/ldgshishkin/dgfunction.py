@@ -100,12 +100,12 @@ class DGFunction2D:
         x, y = np.broadcast_arrays(x, y)
         shape = x.shape
         xf, yf = x.ravel(), y.ravel()
-        nx, ny = self.mesh.mx.nodes, self.mesh.my.nodes
+        nodes = self.mesh.axis.nodes
         N = self.mesh.N
-        ci = np.clip(np.searchsorted(nx, xf, side="right") - 1, 0, N - 1)
-        cj = np.clip(np.searchsorted(ny, yf, side="right") - 1, 0, N - 1)
-        t = 2.0 * (xf - nx[ci]) / (nx[ci + 1] - nx[ci]) - 1.0
-        s = 2.0 * (yf - ny[cj]) / (ny[cj + 1] - ny[cj]) - 1.0
+        ci = np.clip(np.searchsorted(nodes, xf, side="right") - 1, 0, N - 1)
+        cj = np.clip(np.searchsorted(nodes, yf, side="right") - 1, 0, N - 1)
+        t = 2.0 * (xf - nodes[ci]) / (nodes[ci + 1] - nodes[ci]) - 1.0
+        s = 2.0 * (yf - nodes[cj]) / (nodes[cj + 1] - nodes[cj]) - 1.0
         Vx, _ = legendre_table(self.degree, t)
         Vy, _ = legendre_table(self.degree, s)
         vals = np.einsum("pm,pmn,pn->p", Vx, self.coeffs[ci, cj], Vy)
@@ -149,7 +149,6 @@ def interpolate_1d(w, mesh, k):
 def interpolate_2d(w, mesh, k):
     """Continuous tensor Chebyshev-Lobatto interpolant on a 2D mesh."""
     pts, Vinv = _lobatto_interpolation(k)
-    X = mesh.mx.quadrature_points(pts)[:, None, :, None]
-    Y = mesh.my.quadrature_points(pts)[None, :, None, :]
-    W = np.asarray(w(X, Y), dtype=float)
+    X = mesh.axis.quadrature_points(pts)
+    W = np.asarray(w(X[:, None, :, None], X[None, :, None, :]), dtype=float)
     return DGFunction2D(mesh, k, Vinv @ W @ Vinv.T)

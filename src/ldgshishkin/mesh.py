@@ -100,32 +100,25 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class Mesh2D:
-    """Tensor-product mesh; both axes share the same 1D Shishkin mesh."""
+    """Tensor-product mesh: the same 1D Shishkin mesh ``axis`` on x and y."""
 
-    mx: Mesh1D
-    my: Mesh1D = None
-
-    def __post_init__(self):
-        if self.my is None:
-            object.__setattr__(self, "my", self.mx)
-        if self.my.N != self.mx.N:
-            raise ConfigurationError("2D mesh requires the same N on both axes")
+    axis: Mesh1D
 
     @property
     def N(self):
-        return self.mx.N
+        return self.axis.N
 
     @property
     def eps(self):
-        return self.mx.eps
+        return self.axis.eps
 
     @property
     def clamped(self):
-        return self.mx.clamped or self.my.clamped
+        return self.axis.clamped
 
     def cell(self, i, j):
         """Rectangle I_i x J_j for 1-based indices (i, j)."""
-        return self.mx.cell(i), self.my.cell(j)
+        return self.axis.cell(i), self.axis.cell(j)
 
 
 def quadrature_points(nodes, points):
@@ -163,8 +156,7 @@ def build_shishkin_1d(cfg):
 
 def build_shishkin_2d(cfg):
     """Tensor-product Shishkin mesh: the same 1D mesh on both axes."""
-    m = build_shishkin_1d(cfg)
-    return Mesh2D(mx=m, my=m)
+    return Mesh2D(build_shishkin_1d(cfg))
 
 
 def region_of(mesh, i):

@@ -120,11 +120,10 @@ def error_norms_1d(W, problem, mesh, quad=None):
 
 
 def _l2_sq_modal_2d(dgf, mesh2d):
-    hx = 0.5 * np.diff(mesh2d.mx.nodes)
-    hy = 0.5 * np.diff(mesh2d.my.nodes)
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
     wbar = 2.0 / (2.0 * np.arange(dgf.degree + 1) + 1.0)
     sq = np.einsum("ijmn,m,n->ij", dgf.coeffs**2, wbar, wbar)
-    return float(np.sum(hx[:, None] * hy[None, :] * sq))
+    return float(np.sum(h[:, None] * h[None, :] * sq))
 
 
 def _edge_sq(coef_lines, half_widths, wbar):
@@ -137,38 +136,33 @@ def _jump_terms_2d(T, mesh2d):
     integrals, each summed over both axes."""
     k = T.U.degree
     wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
-    hx = 0.5 * np.diff(mesh2d.mx.nodes)
-    hy = 0.5 * np.diff(mesh2d.my.nodes)
-    J = mesh2d.mx.interface_index
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    J = mesh2d.axis.interface_index
 
     Ul = T.U.x_edge_trace("left")
     Ur = T.U.x_edge_trace("right")
     Ub = T.U.y_edge_trace("bottom")
     Ut = T.U.y_edge_trace("top")
     # [[U]]_{0,y} = -U^+ on x=0; [[U]]_{N,y} = U^- on x=1 (squares drop sign)
-    bnd_x = _edge_sq(Ul[0], hy, wbar) + _edge_sq(Ur[-1], hy, wbar)
-    bnd_y = _edge_sq(Ub[:, 0], hx, wbar) + _edge_sq(Ut[:, -1], hx, wbar)
+    bnd_x = _edge_sq(Ul[0], h, wbar) + _edge_sq(Ur[-1], h, wbar)
+    bnd_y = _edge_sq(Ub[:, 0], h, wbar) + _edge_sq(Ut[:, -1], h, wbar)
 
     Pjump = T.P.x_edge_trace("right")[J - 1] - T.P.x_edge_trace("left")[J]
     Qjump = T.Q.y_edge_trace("top")[:, J - 1] - T.Q.y_edge_trace("bottom")[:, J]
-    int_p = _edge_sq(Pjump, hy, wbar)
-    int_q = _edge_sq(Qjump, hx, wbar)
+    int_p = _edge_sq(Pjump, h, wbar)
+    int_q = _edge_sq(Qjump, h, wbar)
     return bnd_x + bnd_y, int_p + int_q
 
 
 def _b_weighted_sq_2d(U, b, mesh2d, quad):
     rule = gauss_rule(quad)
     V, _ = legendre_table(U.degree, rule.points)
-    hx = 0.5 * np.diff(mesh2d.mx.nodes)
-    hy = 0.5 * np.diff(mesh2d.my.nodes)
-    Xg = mesh2d.mx.quadrature_points(rule.points)
-    Yg = mesh2d.my.quadrature_points(rule.points)
-    bvals = np.asarray(
-        b(Xg[:, None, :, None], Yg[None, :, None, :]), dtype=float
-    )  # (N, N, nq, nq)
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    X = mesh2d.axis.quadrature_points(rule.points)
+    bvals = np.asarray(b(X[:, None, :, None], X[None, :, None, :]), dtype=float)  # (N, N, nq, nq)
     Uv = np.einsum("ijmn,gm,hn->ijgh", U.coeffs, V, V, optimize=True)
     w2 = rule.weights[:, None] * rule.weights[None, :]
-    scale = hx[:, None] * hy[None, :]
+    scale = h[:, None] * h[None, :]
     return float(np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv**2, optimize=True))
 
 
@@ -200,10 +194,9 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     N = mesh2d.N
-    hx = 0.5 * np.diff(mesh2d.mx.nodes)
-    hy = 0.5 * np.diff(mesh2d.my.nodes)
-    X = mesh2d.mx.quadrature_points(rule.points)[:, None, :, None]
-    Y = mesh2d.my.quadrature_points(rule.points)[None, :, None, :]
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    X = mesh2d.axis.quadrature_points(rule.points)
+    X, Y = X[:, None, :, None], X[None, :, None, :]
     w2 = rule.weights[:, None] * rule.weights[None, :]
 
     def sq_error(exact, F, rows):
@@ -213,7 +206,7 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
         return diff**2
 
     def integral(rows, Z):
-        return np.einsum("ij,gh,ijgh->", hx[rows, None] * hy[None, :], w2, Z)
+        return np.einsum("ij,gh,ijgh->", h[rows, None] * h[None, :], w2, Z)
 
     u_sq = flux_sq = 0.0
     for rows in cell_blocks(N, N * quad**2):
@@ -281,9 +274,10 @@ def l2_error_region_2d(dgf, exact, mesh2d, cell_filter, quad=None):
     V, _ = legendre_table(k, rule.points)
     N = mesh2d.N
     ii, jj = np.nonzero(np.vectorize(cell_filter, otypes=[bool])(*np.indices((N, N)) + 1))
-    X = mesh2d.mx.quadrature_points(rule.points)[ii][:, :, None]
-    Y = mesh2d.my.quadrature_points(rule.points)[jj][:, None, :]
-    area = 0.25 * np.diff(mesh2d.mx.nodes)[ii] * np.diff(mesh2d.my.nodes)[jj]
+    points = mesh2d.axis.quadrature_points(rule.points)
+    X, Y = points[ii][:, :, None], points[jj][:, None, :]
+    widths = np.diff(mesh2d.axis.nodes)
+    area = 0.25 * widths[ii] * widths[jj]
     w2 = rule.weights[:, None] * rule.weights[None, :]
     total = 0.0
     for s in cell_blocks(ii.size, quad**2):

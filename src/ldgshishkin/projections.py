@@ -248,7 +248,8 @@ def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):
     y_radau = band[:, None] & strip[None, :]
     kx = np.where(x_radau, GR_MINUS, np.where(y_radau, L2, WEIGHTED))
     ky = np.where(y_radau, GR_MINUS, np.where(x_radau, L2, WEIGHTED))
-    coeffs = _project_2d(u, mesh2d.mx.nodes, mesh2d.my.nodes, kx, ky, k, quad, b=b)
+    nodes = mesh2d.axis.nodes
+    coeffs = _project_2d(u, nodes, nodes, kx, ky, k, quad, b=b)
     return DGFunction2D(mesh2d, k, coeffs)
 
 
@@ -257,7 +258,8 @@ def composite_project_plus_x_2d(p, mesh2d, k, quad=None):
     elsewhere."""
     N = mesh2d.N
     kx = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[:, None], N, axis=1)
-    coeffs = _project_2d(p, mesh2d.mx.nodes, mesh2d.my.nodes, kx, np.full((N, N), L2), k, quad)
+    nodes = mesh2d.axis.nodes
+    coeffs = _project_2d(p, nodes, nodes, kx, np.full((N, N), L2), k, quad)
     return DGFunction2D(mesh2d, k, coeffs)
 
 
@@ -266,5 +268,6 @@ def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
     elsewhere."""
     N = mesh2d.N
     ky = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[None, :], N, axis=0)
-    coeffs = _project_2d(q, mesh2d.mx.nodes, mesh2d.my.nodes, np.full((N, N), L2), ky, k, quad)
+    nodes = mesh2d.axis.nodes
+    coeffs = _project_2d(q, nodes, nodes, np.full((N, N), L2), ky, k, quad)
     return DGFunction2D(mesh2d, k, coeffs)

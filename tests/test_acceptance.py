@@ -47,6 +47,7 @@ from ldgshishkin import (
     solve_ldg_2d,
     sparse_solve,
 )
+from ldgshishkin.basis import error_quad_order
 from ldgshishkin.harness import _layer_cells
 from ldgshishkin.linalg import BandedMatrix, SparseMatrix
 
@@ -220,6 +221,29 @@ def test_criterion_4_balanced_energy_ratio(grid_k1, eps_scan_k23):
         "|||e|||_B stays O((N^-1 ln N)^2), so the ratio cannot track "
         "eps^-1/4; unattainable for this benchmark"
     )
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
+def test_k1_energy_floor_behind_criteria_3_and_4(eps):
+    # The cause that criteria 3 (k=1) and 4 name, checked directly: with
+    # b = 1 the U part of the energy error is an L2 error, so it cannot
+    # fall below the L2 best-approximation error of u, and that of the
+    # cosine component alone is about 1.01e-3 at N = 32 for every eps.
+    # Projection moments and both errors use one quadrature rule, which
+    # makes the first check an exact inequality.
+    quad = error_quad_order(1)
+    problem = paper_1d_problem(eps)
+    mesh = build_shishkin_1d(MeshConfig(N=32, eps=eps, sigma=2.0))
+    cells = range(1, mesh.N + 1)
+
+    def best_approximation_error(w):
+        coeffs = np.array([project_l2(w, mesh.cell(i), 1, quad=quad) for i in cells])
+        return l2_error_region_1d(DGFunction1D(mesh, 1, coeffs), w, mesh, cells, quad=quad)
+
+    energy, _ = error_norms_1d(solve_ldg_1d(problem, mesh, 1), problem, mesh, quad=quad)
+    assert np.sqrt(energy.u_term) >= best_approximation_error(problem.u_exact)
+    cosine = best_approximation_error(lambda x: np.cos(np.pi * np.asarray(x)))
+    assert cosine == pytest.approx(1.01e-3, rel=0.01)
 
 
 def test_criterion_5_scheme_exactness():

@@ -6,7 +6,6 @@ import pytest
 from ldgshishkin import (
     AssembledSystem2D,
     DGFunction2D,
-    Mesh2D,
     MeshConfig,
     MixedSolution2D,
     SingularMatrixError,
@@ -14,7 +13,6 @@ from ldgshishkin import (
     assemble_2d,
     balanced_norm_2d,
     bilinear_form_2d,
-    build_shishkin_1d,
     build_shishkin_2d,
     energy_norm_2d,
     error_norms_2d,
@@ -23,7 +21,7 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_2d,
 )
-from ldgshishkin import problems
+from ldgshishkin import ldg2d, problems
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve, symmetric_scale
 from ldgshishkin.problems import Problem2D
@@ -39,12 +37,6 @@ def const_b(value):
 
 def make_mesh(N, eps, sigma=2.0):
     return build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=sigma))
-
-
-def anisotropic_mesh(N, eps):
-    # different x and y meshes, so that a swap of the two axes shows
-    return Mesh2D(mx=build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=1.0)),
-                  my=build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=2.0)))
 
 
 def poly_problem_2d(eps):
@@ -70,7 +62,7 @@ def problem_with_b(b, eps):
 def nan_on_one_cell(problem, mesh, name):
     """``problem`` with b or f NaN inside one corner-layer cell; the open
     cell holds none of the points Problem2D checks b on."""
-    (x0, x1), (y0, y1) = mesh.mx.nodes[-3:-1], mesh.my.nodes[-3:-1]
+    (x0, x1), (y0, y1) = mesh.cell(mesh.N - 1, mesh.N - 1)
     g = getattr(problem, name)
 
     def poisoned(x, y):
@@ -152,7 +144,7 @@ class TestAssembly2D:
         # dofs of cell (ci, cj) in the P and Q blocks of the field-major layout
         p_slice = lambda ci, cj: field + (ci * N + cj) * kk + np.arange(kk)
         q_slice = lambda ci, cj: field + p_slice(ci, cj)
-        J = mesh.mx.interface_index
+        J = mesh.axis.interface_index
         cj = 2  # arbitrary row of cells
         pL = p_slice(J - 1, cj)
         pR = p_slice(J, cj)
@@ -176,7 +168,7 @@ def solve_full_system(p, mesh, k):
     scaled, r, c = equilibrate(system.matrix)
     x = c * sparse_solve(scaled, r * system.rhs).x
     M = system.load.size
-    shape = (mesh.mx.N, mesh.my.N, k + 1, k + 1)
+    shape = (mesh.N, mesh.N, k + 1, k + 1)
 
     def field(values, scale=1.0):
         return DGFunction2D(mesh, k, scale * values.reshape(shape))
@@ -283,7 +275,7 @@ class TestCondensation:
     def test_condensed_matches_full(self, eps):
         # the U-only solve against a dense solve of the full (U, P, Q) system
         p = manufactured_2d_problem(eps)
-        mesh = anisotropic_mesh(8, eps)
+        mesh = make_mesh(8, eps, sigma=1.0)
         for k in (1, 2):
             sol = solve_ldg_2d(p, mesh, k)
             system = assemble_2d(p, mesh, k)
@@ -302,7 +294,7 @@ class TestCondensation:
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_is_schur_complement(self, k, eps):
-        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
+        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
         A = system.matrix.to_dense()
         M = system.load.size
         u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
@@ -315,7 +307,7 @@ class TestCondensation:
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_symmetric_positive_definite(self, k, eps):
-        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
+        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
         S = eliminate_fluxes_2d(system)[0].to_dense()
         assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
         np.linalg.cholesky(S)
@@ -323,10 +315,9 @@ class TestCondensation:
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_flux_mass_inverse(self, k, eps):
-        system = assemble_2d(manufactured_2d_problem(eps), anisotropic_mesh(8, eps), k)
-        for pieces in system.pieces:
-            product = (pieces.flux_mass @ pieces.flux_mass_inv).toarray()
-            assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
+        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
+        product = (system.pieces.flux_mass @ system.pieces.flux_mass_inv).toarray()
+        assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_solve_never_builds_coupled_matrix(self, k, monkeypatch):
@@ -339,6 +330,22 @@ class TestCondensation:
 
         monkeypatch.setattr(AssembledSystem2D, "matrix", property(refuse))
         assert np.array_equal(solve_ldg_2d(p, mesh, k).U.coeffs, expected)
+
+    def test_one_axis_built_once(self, monkeypatch):
+        # x and y share one 1D mesh: one set of 1D pieces, one eigenproblem
+        calls = {"operator_pieces_1d": 0, "eigh": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ldg2d, "operator_pieces_1d",
+                            counted("operator_pieces_1d", ldg2d.operator_pieces_1d))
+        monkeypatch.setattr(ldg2d.np.linalg, "eigh", counted("eigh", ldg2d.np.linalg.eigh))
+        solve_ldg_2d(manufactured_2d_problem(1e-8), make_mesh(8, 1e-8), 1)
+        assert calls == {"operator_pieces_1d": 1, "eigh": 1}
 
     def test_residual_reported(self):
         p = manufactured_2d_problem(1e-8)
@@ -387,10 +394,10 @@ class TestFastDiagonalizationSolve:
     def test_preconditioner_applications(self, b, most):
         # with constant b the preconditioner inverts S up to rounding
         eps, k = 1e-8, 2
-        system = assemble_2d(problem_with_b(b, eps), anisotropic_mesh(16, eps), k)
-        S, (_, Kx), (_, Ky) = eliminate_fluxes_2d(system)
+        system = assemble_2d(problem_with_b(b, eps), make_mesh(16, eps, sigma=1.0), k)
+        S, _, K = eliminate_fluxes_2d(system)
         scaled, d = symmetric_scale(S)
-        fd = _fast_diagonalization(system, Kx, Ky)
+        fd = _fast_diagonalization(system, K)
         calls = []
 
         def precondition(r):
@@ -404,7 +411,7 @@ class TestFastDiagonalizationSolve:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_scaled_operator_exactly_symmetric(self, k, b):
         eps = 1e-8
-        system = assemble_2d(problem_with_b(b, eps), anisotropic_mesh(8, eps), k)
+        system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=1.0), k)
         scaled, _ = symmetric_scale(eliminate_fluxes_2d(system)[0])
         assert (scaled.csr != scaled.csr.T).nnz == 0
 

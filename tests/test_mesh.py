@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -124,7 +125,9 @@ class TestMesh2D:
     def test_tensor_of_same_axis(self):
         m2 = build_shishkin_2d(cfg(N=8))
         assert m2.N == 8
-        assert m2.mx is m2.my
+        # one 1D Shishkin mesh serves both axes
+        assert [f.name for f in dataclasses.fields(m2)] == ["axis"]
+        assert np.array_equal(m2.axis.nodes, build_shishkin_1d(cfg(N=8)).nodes)
         # 64 cells, all addressable
         cells = [m2.cell(i, j) for i in range(1, 9) for j in range(1, 9)]
         assert len(cells) == 64
@@ -132,11 +135,11 @@ class TestMesh2D:
     def test_corner_and_centre_cell_sizes(self):
         m2 = build_shishkin_2d(cfg(N=8, eps=1e-6))
         (ax, bx), (ay, by) = m2.cell(1, 1)
-        fine = 4 * m2.mx.tau / 8
+        fine = 4 * m2.axis.tau / 8
         assert bx - ax == pytest.approx(fine, rel=1e-14)
         assert by - ay == pytest.approx(fine, rel=1e-14)
         (ax, bx), (ay, by) = m2.cell(4, 4)
-        coarse = 2 * (1 - 2 * m2.mx.tau) / 8
+        coarse = 2 * (1 - 2 * m2.axis.tau) / 8
         assert bx - ax == pytest.approx(coarse, rel=1e-14)
         assert by - ay == pytest.approx(coarse, rel=1e-14)
 

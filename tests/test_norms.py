@@ -207,7 +207,7 @@ def brute_linf_1d(dgf, exact, mesh, cells, samples=40):
 
 def brute_l2_2d(dgf, exact, mesh2d, cell_filter, quad):
     t, w = np.polynomial.legendre.leggauss(quad)
-    nodes = mesh2d.mx.nodes
+    nodes = mesh2d.axis.nodes
     total = 0.0
     for i in range(1, mesh2d.N + 1):
         for j in range(1, mesh2d.N + 1):

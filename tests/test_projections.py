@@ -512,7 +512,7 @@ class TestDefiningPropertiesOnEveryCell:
     @pytest.mark.parametrize("N, eps, k", GRID)
     def test_composites_2d(self, N, eps, k):
         mesh = build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
-        nodes = mesh.mx.nodes
+        nodes = mesh.axis.nodes
         kx, ky = minus_kinds_2d(N)
         for b in (b2, None):
             pu = composite_project_minus_2d(z2, mesh, k, quad=PROJ_QUAD, b=b)
@@ -569,7 +569,7 @@ class TestFailuresSurviveBatching:
     @pytest.mark.parametrize("inside", [0.0, np.nan])
     def test_minus_2d_raises_projection_error(self, inside):
         mesh = build_shishkin_2d(MeshConfig(N=16, eps=1e-6, sigma=2.0))
-        b = vanishing_on(mesh.mx.cell(8), inside, 2.0)
+        b = vanishing_on(mesh.axis.cell(8), inside, 2.0)
         with pytest.raises(ProjectionError):
             composite_project_minus_2d(z2, mesh, 1, b=b)
 
