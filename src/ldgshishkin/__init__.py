@@ -27,7 +27,6 @@ from .harness import (
 )
 from .ldg1d import (
     AssembledSystem,
-    FluxParams,
     MixedSolution1D,
     assemble_1d,
     bilinear_form_1d,

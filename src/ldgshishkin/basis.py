@@ -146,10 +146,6 @@ class ReferenceBasis:
         """P_n(+1) = 1."""
         return np.ones(self.degree + 1)
 
-    def eval_all(self, x):
-        """Values and derivatives of all modes at reference points ``x``."""
-        return legendre_table(self.degree, x)
-
     def stiffness(self):
         """Matrix G with G[m, a] = integral over [-1,1] of P_a * P_m'.
 

@@ -16,8 +16,17 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_config_file(path):
-    values = {}
+class _Parser(argparse.ArgumentParser):
+    """Reports bad flags and values as ConfigurationError (exit 1): argparse's
+    own exit status 2 would read as "a row failed"."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _config_flags(path):
+    """The flags a key=value config file stands for, one ``--key=value`` each."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -30,37 +39,45 @@ def _parse_config_file(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value
-    return values
+            flags.append(f"--{key}={value}")
+    return flags
 
 
-def _int_list(text):
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated integer list, got {text!r}") from exc
+def _list_of(convert, kind):
+    """An argparse type: a comma-separated list of ``convert`` values as a tuple."""
+
+    def parse(text):
+        try:
+            return tuple(convert(part) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {kind} list, got {text!r}") from None
+
+    return parse
 
 
-def _float_list(text):
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"expected a comma-separated float list, got {text!r}") from exc
+_int_list, _float_list = _list_of(int, "integer"), _list_of(float, "float")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """Every option but --config has a ``SweepConfig`` field as its dest and
+    no default, so the values that were set are that config's arguments."""
+    parser = _Parser(
         prog="ldgshishkin",
         description="LDG convergence studies for singularly perturbed "
                     "reaction-diffusion problems on Shishkin meshes.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="key=value file; explicit flags override it")
     parser.add_argument("--dim", type=int, choices=(1, 2))
     parser.add_argument("--problem", help="problem key (paper1d, poly1d, manufactured2d)")
-    parser.add_argument("--k", help="comma list of polynomial degrees, e.g. 1,2,3")
-    parser.add_argument("--n", help="comma list of doubling mesh sizes, e.g. 32,64,128")
-    parser.add_argument("--eps", help="comma list of perturbation parameters")
-    parser.add_argument("--sigma", type=float, help="mesh constant; default k+1 per k")
+    parser.add_argument("--k", dest="k_list", metavar="K", type=_int_list,
+                        help="comma list of polynomial degrees, e.g. 1,2,3")
+    parser.add_argument("--n", dest="n_list", metavar="N", type=_int_list,
+                        help="comma list of doubling mesh sizes, e.g. 32,64,128")
+    parser.add_argument("--eps", dest="eps_list", metavar="EPS", type=_float_list,
+                        help="comma list of perturbation parameters")
+    parser.add_argument("--sigma", type=float, help="mesh constant; unset means k+1 per k")
     parser.add_argument("--quad-order", dest="quad_order", type=int,
                         help="quadrature points per cell for error integrals")
     parser.add_argument("--norm", choices=("energy", "balanced", "both"))
@@ -71,48 +88,16 @@ def build_parser():
     return parser
 
 
-def _merge(args, config_values):
-    """Resolve each option: explicit flag, then config file, then default."""
-
-    def pick(flag, key, default, convert=lambda v: v):
-        val = getattr(args, flag)
-        if val is not None:
-            return val
-        if key in config_values:
-            return convert(config_values[key])
-        return default
-
-    dim = pick("dim", "dim", 1, int)
-    problem_default = "paper1d" if dim == 1 else "manufactured2d"
-    return SweepConfig(
-        dim=dim,
-        problem=pick("problem", "problem", problem_default, str),
-        k_list=pick("k", "k", (1,), _int_list),
-        n_list=pick("n", "n", (32, 64, 128), _int_list),
-        eps_list=pick("eps", "eps", (1e-4, 1e-6, 1e-8, 1e-10, 1e-12), _float_list),
-        sigma=pick("sigma", "sigma", None, float),
-        quad_order=pick("quad_order", "quad-order", None, int),
-        norm=pick("norm", "norm", "both", str),
-        out=pick("out", "out", None, str),
-        fmt=pick("fmt", "format", "csv", str),
-        study=pick("study", "study", "solve", str),
-        workers=pick("workers", "workers", 1, int),
-    )
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config_values = _parse_config_file(args.config) if args.config else {}
-        # string-valued flags arrive as text and need list conversion
-        if args.k is not None:
-            args.k = _int_list(args.k)
-        if args.n is not None:
-            args.n = _int_list(args.n)
-        if args.eps is not None:
-            args.eps = _float_list(args.eps)
-        cfg = _merge(args, config_values)
+        values = vars(parser.parse_args(argv))
+        if "config" in values:
+            # the file's flags come first, so explicit flags override them
+            values = vars(parser.parse_args(_config_flags(values["config"]) + argv))
+        values.pop("config", None)
+        cfg = SweepConfig(**values)
         table = run_sweep(cfg)
         text = emit_table(table, fmt=cfg.fmt, out=cfg.out)
         if cfg.out in (None, "-"):

@@ -51,7 +51,7 @@ class SweepConfig:
     """Grid and options of one sweep (or projection study)."""
 
     dim: int = 1
-    problem: str = "paper1d"
+    problem: Optional[str] = None    # None -> paper1d in 1D, manufactured2d in 2D
     k_list: tuple = (1,)
     n_list: tuple = (32, 64, 128)
     eps_list: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -66,6 +66,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
+        if self.problem is None:
+            self.problem = "paper1d" if self.dim == 1 else "manufactured2d"
         if self.norm not in ("energy", "balanced", "both"):
             raise ConfigurationError(f"unknown norm selection {self.norm!r}")
         if self.study not in ("solve", "projection"):
@@ -143,12 +145,12 @@ def _solve_row(cfg, k, N, eps):
         mcfg = MeshConfig(N=N, eps=eps, sigma=sigma, beta=problem.beta)
         if cfg.dim == 1:
             mesh = build_shishkin_1d(mcfg)
-            sol = solve_ldg_1d(problem, mesh, k, residual_tol=1e-10)
+            sol = solve_ldg_1d(problem, mesh, k)
             energy, balanced = error_norms_1d(sol, problem, mesh, quad=cfg.quad_order)
             row.clamped = mesh.clamped
         else:
             mesh = build_shishkin_2d(mcfg)
-            sol = solve_ldg_2d(problem, mesh, k, residual_tol=1e-9)
+            sol = solve_ldg_2d(problem, mesh, k)
             energy, balanced = error_norms_2d(sol, problem, mesh, quad=cfg.quad_order)
             row.clamped = mesh.clamped
         row.residual = sol.residual

@@ -25,23 +25,8 @@ from .dgfunction import DGFunction1D
 from .errors import ConfigurationError, SolverError
 from .linalg import BandedMatrix, equilibrate, lu_banded_solve
 
-
-@dataclass(frozen=True)
-class FluxParams:
-    """Flux penalty weights: lambda_0 = lambda_N = sqrt(eps) at the domain
-    boundary, lambda_q = 1/sqrt(eps) at the penalized interface node 3N/4.
-    The 2D scheme uses the same weights on each axis."""
-
-    lambda_0: float
-    lambda_N: float
-    lambda_q: float
-    interface_index: int
-
-    @classmethod
-    def for_problem(cls, eps, N):
-        root = float(np.sqrt(eps))
-        return cls(lambda_0=root, lambda_N=root, lambda_q=1.0 / root,
-                   interface_index=3 * N // 4)
+# largest relative residual of the equilibrated system that solve_ldg_1d accepts
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -159,7 +144,7 @@ def operator_pieces_1d(mesh, k, eps):
                             flux_mass_inv=F_inv.to_csr(), penalty=sE.to_csr(), s=s)
 
 
-def assemble_1d(problem, mesh, k, quad=None):
+def assemble_1d(problem, mesh, k):
     """Assemble the block-banded LDG system for ``problem`` on ``mesh``.
 
     Volume terms of b and f use (k+3)-point Gauss rules per cell (b and f
@@ -170,8 +155,7 @@ def assemble_1d(problem, mesh, k, quad=None):
     N, kk, per = mesh.N, k + 1, 2 * (k + 1)
     _, D, F, sE, _ = piece_blocks_1d(mesh, k, problem.eps)
     s = float(np.sqrt(problem.eps))
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
 
     halfh = 0.5 * mesh.widths
@@ -200,19 +184,19 @@ def assemble_1d(problem, mesh, k, quad=None):
     return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), q_scale=s)
 
 
-def solve_ldg_1d(problem, mesh, k, quad=None, residual_tol=1e-10):
+def solve_ldg_1d(problem, mesh, k):
     """Assemble, equilibrate and solve; returns the mixed solution (U, Q).
 
     Raises SolverError (carrying the achieved residual) when the relative
-    residual of the equilibrated system exceeds ``residual_tol``.
+    residual of the equilibrated system exceeds ``_RESIDUAL_TOL``.
     """
-    system = assemble_1d(problem, mesh, k, quad=quad)
+    system = assemble_1d(problem, mesh, k)
     scaled, r, c = equilibrate(system.matrix)
     result = lu_banded_solve(scaled, r * system.rhs)
     x = c * result.x
-    if result.residual > residual_tol:
+    if result.residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"banded solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
+            f"banded solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
             residual=result.residual,
         )
     kk = k + 1
@@ -222,7 +206,7 @@ def solve_ldg_1d(problem, mesh, k, quad=None, residual_tol=1e-10):
     return MixedSolution1D(U=U, Q=Q, residual=result.residual)
 
 
-def bilinear_form_1d(W, X, problem, mesh, quad=None):
+def bilinear_form_1d(W, X, problem, mesh):
     """Evaluate the compact-form bilinear map B(W; X) by direct quadrature.
 
     This path is independent of the assembled matrix (volume terms are
@@ -231,10 +215,8 @@ def bilinear_form_1d(W, X, problem, mesh, quad=None):
     """
     k = W.U.degree
     eps = problem.eps
-    N = mesh.N
-    flux = FluxParams.for_problem(eps, N)
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    root = float(np.sqrt(eps))
+    rule = gauss_rule(assembly_quad_order(k))
     V, D = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
     Xpts = mesh.quadrature_points(rule.points)
@@ -270,20 +252,19 @@ def bilinear_form_1d(W, X, problem, mesh, quad=None):
     total -= np.sum(Q_left[1:] * jump_v)
     # - (Q v)_N^-
     total -= Q_right[-1] * v_right[-1]
-    # boundary penalties on the U jumps
-    total += flux.lambda_0 * (-U_left[0]) * (-v_left[0])
-    total += flux.lambda_N * U_right[-1] * v_right[-1]
-    # interface penalty on the Q jump at node 3N/4
-    J = flux.interface_index
-    total += flux.lambda_q * (Q_right[J - 1] - Q_left[J]) * (r_right[J - 1] - r_left[J])
+    # boundary penalties sqrt(eps) on the U jumps
+    total += root * (-U_left[0]) * (-v_left[0])
+    total += root * U_right[-1] * v_right[-1]
+    # interface penalty 1/sqrt(eps) on the Q jump at node 3N/4
+    J = mesh.interface_index
+    total += (1.0 / root) * (Q_right[J - 1] - Q_left[J]) * (r_right[J - 1] - r_left[J])
     return float(total)
 
 
-def load_functional_1d(f, X, mesh, quad=None):
+def load_functional_1d(f, X, mesh):
     """<f, v_X> for the test pair X = (r, v); companion of bilinear_form_1d."""
     k = X.U.degree
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
     Xpts = mesh.quadrature_points(rule.points)

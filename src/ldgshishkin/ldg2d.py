@@ -31,9 +31,12 @@ import scipy.sparse as sp
 from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
-from .ldg1d import FluxParams, OperatorPieces1D, operator_pieces_1d
+from .ldg1d import OperatorPieces1D, operator_pieces_1d
 # equilibrate and sparse_solve stay bound: bench/spans.py times them here
 from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve, symmetric_scale
+
+# largest relative residual of the scaled U-system that solve_ldg_2d accepts
+_RESIDUAL_TOL = 1e-9
 
 
 @dataclass
@@ -128,7 +131,7 @@ class AssembledSystem2D:
         return rhs
 
 
-def assemble_2d(problem, mesh2d, k, quad=None):
+def assemble_2d(problem, mesh2d, k):
     """The pieces of the 2D scheme: the 1D operator pieces of the mesh
     axis, the b-weighted mass blocks W_b and the load, integrated for every
     cell at once on a tensor Gauss grid."""
@@ -137,8 +140,7 @@ def assemble_2d(problem, mesh2d, k, quad=None):
     N = mesh2d.N
     eps = problem.eps
     pieces = operator_pieces_1d(mesh2d.axis, k, eps)
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     kk = (k + 1) ** 2
 
@@ -204,7 +206,7 @@ def _fast_diagonalization(system, K):
     return apply
 
 
-def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
+def solve_ldg_2d(problem, mesh2d, k):
     """Solve the 2D scheme through its U-only SPD system.
 
     The operator S of ``eliminate_fluxes_2d`` is scaled to D S D
@@ -212,17 +214,17 @@ def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
     ``_fast_diagonalization``: 2-3 steps for constant b, about 20 for
     variable b.  The reported residual is that of the scaled U-system, as in
     1D; SolverError (carrying it) is raised when it exceeds
-    ``residual_tol``, SingularMatrixError when an iterate is not finite.
+    ``_RESIDUAL_TOL``, SingularMatrixError when an iterate is not finite.
     """
-    system = assemble_2d(problem, mesh2d, k, quad=quad)
+    system = assemble_2d(problem, mesh2d, k)
     N, k1 = mesh2d.N, k + 1
     S, G, K = eliminate_fluxes_2d(system)
     scaled, d = symmetric_scale(S)
     fd = _fast_diagonalization(system, K)
     result = pcg(scaled, d * system.load.ravel(), lambda r: fd(r / d) / d)
-    if result.residual > residual_tol:
+    if result.residual > _RESIDUAL_TOL:
         raise SolverError(
-            f"2D solve reached residual {result.residual:.3e} > {residual_tol:.3e}",
+            f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
             residual=result.residual,
         )
     u = (d * result.x).reshape(N, N, k1, k1)
@@ -241,7 +243,7 @@ def solve_ldg_2d(problem, mesh2d, k, quad=None, residual_tol=1e-9):
                            residual=result.residual)
 
 
-def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
+def bilinear_form_2d(T, Z, problem, mesh2d):
     """Direct quadrature evaluation of the compact 2D form B(T; Z).
 
     Independent of the assembled matrix: volume terms are re-integrated on
@@ -250,9 +252,8 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     k = T.U.degree
     eps = problem.eps
     N = mesh2d.N
-    flux = FluxParams.for_problem(eps, N)
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    root = float(np.sqrt(eps))
+    rule = gauss_rule(assembly_quad_order(k))
     V, D = legendre_table(k, rule.points)
     w = rule.weights
     w2 = w[:, None] * w[None, :]
@@ -299,12 +300,13 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
     # boundary vertical edges: [[v]]_{0,y} = -v^+, [[v]]_{N,y} = v^-
     total -= np.sum(h[:, None] * w * vals(Pleft_T[0]) * (-vals(vleft[0])))
     total -= np.sum(h[:, None] * w * vals(Pright_T[-1]) * vals(vright[-1]))
-    total += flux.lambda_0 * np.sum(h[:, None] * w * vals(Uleft[0]) * vals(vleft[0]))
-    total += flux.lambda_N * np.sum(h[:, None] * w * vals(Uright[-1]) * vals(vright[-1]))
-    J = flux.interface_index
+    # penalties: sqrt(eps) on the boundary U jumps, 1/sqrt(eps) on the P jump
+    total += root * np.sum(h[:, None] * w * vals(Uleft[0]) * vals(vleft[0]))
+    total += root * np.sum(h[:, None] * w * vals(Uright[-1]) * vals(vright[-1]))
+    J = mesh2d.axis.interface_index
     jump_P = vals(Pright_T[J - 1] - Pleft_T[J])
     jump_sJ = vals(sright[J - 1] - sleft[J])
-    total += flux.lambda_q * np.sum(h[:, None] * w * jump_P * jump_sJ)
+    total += (1.0 / root) * np.sum(h[:, None] * w * jump_P * jump_sJ)
 
     # y-directed edge sums
     Utop, Ubot = T.U.y_edge_trace("top"), T.U.y_edge_trace("bottom")
@@ -318,19 +320,18 @@ def bilinear_form_2d(T, Z, problem, mesh2d, quad=None):
         total -= np.sum(h[:, None] * w * vals(Qbot_T[:, e]) * jump_v)
     total -= np.sum(h[:, None] * w * vals(Qbot_T[:, 0]) * (-vals(vbot[:, 0])))
     total -= np.sum(h[:, None] * w * vals(Qtop_T[:, -1]) * vals(vtop[:, -1]))
-    total += flux.lambda_0 * np.sum(h[:, None] * w * vals(Ubot[:, 0]) * vals(vbot[:, 0]))
-    total += flux.lambda_N * np.sum(h[:, None] * w * vals(Utop[:, -1]) * vals(vtop[:, -1]))
+    total += root * np.sum(h[:, None] * w * vals(Ubot[:, 0]) * vals(vbot[:, 0]))
+    total += root * np.sum(h[:, None] * w * vals(Utop[:, -1]) * vals(vtop[:, -1]))
     jump_Q = vals(Qtop_T[:, J - 1] - Qbot_T[:, J])
     jump_rJ = vals(rtop[:, J - 1] - rbot[:, J])
-    total += flux.lambda_q * np.sum(h[:, None] * w * jump_Q * jump_rJ)
+    total += (1.0 / root) * np.sum(h[:, None] * w * jump_Q * jump_rJ)
     return float(total)
 
 
-def load_functional_2d(f, Z, mesh2d, quad=None):
+def load_functional_2d(f, Z, mesh2d):
     """(f, v_Z) on the 2D mesh; companion of bilinear_form_2d."""
     k = Z.U.degree
-    quad = quad or assembly_quad_order(k)
-    rule = gauss_rule(quad)
+    rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     w2 = rule.weights[:, None] * rule.weights[None, :]
     h = 0.5 * np.diff(mesh2d.axis.nodes)

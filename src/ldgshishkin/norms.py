@@ -62,8 +62,8 @@ def _l2_sq_modal_1d(dgf, mesh):
     return float(np.sum(halfh[:, None] * dgf.coeffs**2 * wbar[None, :]))
 
 
-def _b_weighted_sq_1d(U, b, mesh, quad):
-    rule = gauss_rule(quad)
+def _b_weighted_sq_1d(U, b, mesh):
+    rule = gauss_rule(assembly_quad_order(U.degree))
     V, _ = legendre_table(U.degree, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
     X = mesh.quadrature_points(rule.points)
@@ -81,20 +81,19 @@ def _jumps_1d(V, mesh):
     return float(ju0**2 + juN**2), float(jq**2)
 
 
-def _discrete_norms_1d(V, problem, mesh, quad):
-    quad = quad or assembly_quad_order(V.U.degree)
+def _discrete_norms_1d(V, problem, mesh):
     return _norm_parts(problem.eps, _l2_sq_modal_1d(V.Q, mesh),
-                       _b_weighted_sq_1d(V.U, problem.b, mesh, quad), *_jumps_1d(V, mesh))
+                       _b_weighted_sq_1d(V.U, problem.b, mesh), *_jumps_1d(V, mesh))
 
 
-def energy_norm_1d(V, problem, mesh, quad=None):
+def energy_norm_1d(V, problem, mesh):
     """Energy norm of a discrete pair; total^2 equals B(V; V)."""
-    return _discrete_norms_1d(V, problem, mesh, quad)[0]
+    return _discrete_norms_1d(V, problem, mesh)[0]
 
 
-def balanced_norm_1d(V, problem, mesh, quad=None):
+def balanced_norm_1d(V, problem, mesh):
     """Balanced norm of a discrete pair (flux weighted by eps^{-3/2})."""
-    return _discrete_norms_1d(V, problem, mesh, quad)[1]
+    return _discrete_norms_1d(V, problem, mesh)[1]
 
 
 def error_norms_1d(W, problem, mesh, quad=None):
@@ -154,8 +153,8 @@ def _jump_terms_2d(T, mesh2d):
     return bnd_x + bnd_y, int_p + int_q
 
 
-def _b_weighted_sq_2d(U, b, mesh2d, quad):
-    rule = gauss_rule(quad)
+def _b_weighted_sq_2d(U, b, mesh2d):
+    rule = gauss_rule(assembly_quad_order(U.degree))
     V, _ = legendre_table(U.degree, rule.points)
     h = 0.5 * np.diff(mesh2d.axis.nodes)
     X = mesh2d.axis.quadrature_points(rule.points)
@@ -166,20 +165,19 @@ def _b_weighted_sq_2d(U, b, mesh2d, quad):
     return float(np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv**2, optimize=True))
 
 
-def _discrete_norms_2d(T, problem, mesh2d, quad):
-    quad = quad or assembly_quad_order(T.U.degree)
+def _discrete_norms_2d(T, problem, mesh2d):
     flux_sq = _l2_sq_modal_2d(T.P, mesh2d) + _l2_sq_modal_2d(T.Q, mesh2d)
-    return _norm_parts(problem.eps, flux_sq, _b_weighted_sq_2d(T.U, problem.b, mesh2d, quad),
+    return _norm_parts(problem.eps, flux_sq, _b_weighted_sq_2d(T.U, problem.b, mesh2d),
                        *_jump_terms_2d(T, mesh2d))
 
 
-def energy_norm_2d(T, problem, mesh2d, quad=None):
+def energy_norm_2d(T, problem, mesh2d):
     """2D energy norm; total^2 equals B(T; T)."""
-    return _discrete_norms_2d(T, problem, mesh2d, quad)[0]
+    return _discrete_norms_2d(T, problem, mesh2d)[0]
 
 
-def balanced_norm_2d(T, problem, mesh2d, quad=None):
-    return _discrete_norms_2d(T, problem, mesh2d, quad)[1]
+def balanced_norm_2d(T, problem, mesh2d):
+    return _discrete_norms_2d(T, problem, mesh2d)[1]
 
 
 def error_norms_2d(T, problem, mesh2d, quad=None):
@@ -238,14 +236,17 @@ def _cell_mask(cells, N):
     return np.bincount(idx, minlength=N) > 0
 
 
-def linf_error_1d(dgf, exact, mesh, cells=None, samples=40):
+_LINF_SAMPLES = 40  # points per cell sampled by linf_error_1d
+
+
+def linf_error_1d(dgf, exact, mesh, cells=None):
     """Sampled sup-norm of (exact - dgf) over the given 1-based cells.
 
-    Debug aid for projection studies; sampling uses a uniform per-cell grid
-    including both endpoints.
+    Debug aid for projection studies; sampling uses a uniform grid of
+    ``_LINF_SAMPLES`` points per cell, both endpoints included.
     """
     mask = _cell_mask(range(1, mesh.N + 1) if cells is None else cells, mesh.N)
-    ts = np.linspace(-1.0, 1.0, samples)
+    ts = np.linspace(-1.0, 1.0, _LINF_SAMPLES)
     Vt, _ = legendre_table(dgf.degree, ts)
     a, b = mesh.nodes[:-1][mask, None], mesh.nodes[1:][mask, None]
     xs = a + (b - a) * (ts + 1.0) / 2.0

@@ -1,5 +1,7 @@
-from ldgshishkin.cli import main
-from ldgshishkin.harness import CSV_HEADER
+import dataclasses
+
+from ldgshishkin.cli import _CONFIG_KEYS, build_parser, main
+from ldgshishkin.harness import CSV_HEADER, SweepConfig
 
 
 def test_basic_sweep_to_file(tmp_path):
@@ -97,3 +99,24 @@ def test_2d_sweep_small(capsys):
     out = capsys.readouterr().out
     assert out.startswith(CSV_HEADER)
     assert len(out.strip().split("\n")) == 3
+
+
+def test_bad_flag_values_exit_1(capsys):
+    for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_config_values_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for key, value in (("dim", "abc"), ("sigma", "x"), ("n", "16,banana")):
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_options_are_sweep_config_fields():
+    # every option but --config names a SweepConfig field; config keys are the flags
+    actions = [a for a in build_parser()._actions if a.dest not in ("help", "config")]
+    assert {a.dest for a in actions} <= {f.name for f in dataclasses.fields(SweepConfig)}
+    assert _CONFIG_KEYS == {s[2:] for a in actions for s in a.option_strings}

@@ -27,6 +27,16 @@ class TestSweepConfig:
         assert cfg.sigma_for(3) == 4.0
         assert SweepConfig(sigma=2.5).sigma_for(3) == 2.5
 
+    def test_problem_default_follows_dim(self):
+        assert SweepConfig().problem == "paper1d"
+        assert SweepConfig(dim=2).problem == "manufactured2d"
+        assert SweepConfig(dim=2, problem="poly1d").problem == "poly1d"
+
+    def test_dim2_defaults_solve(self):
+        table = run_sweep(SweepConfig(dim=2, n_list=(4, 8), eps_list=(1e-4,)))
+        assert not table.any_failed
+        assert all(r.err_energy is not None for r in table.rows)
+
 
 class TestRunSweep:
     def test_row_count_paper_defaults(self):

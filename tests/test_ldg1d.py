@@ -309,9 +309,10 @@ class TestSolverContract:
         sol = solve_ldg_1d(p, mesh, 3)
         assert sol.residual <= 1e-10
 
-    def test_unreachable_tolerance_raises_with_residual(self):
+    def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(ldg1d, "_RESIDUAL_TOL", 0.0)
         p = paper_1d_problem(1e-4)
         mesh = make_mesh(8, 1e-4)
         with pytest.raises(SolverError) as info:
-            solve_ldg_1d(p, mesh, 1, residual_tol=0.0)
+            solve_ldg_1d(p, mesh, 1)
         assert info.value.residual is not None and info.value.residual > 0.0
