@@ -12,6 +12,7 @@ output and programmatic use).
 """
 
 import concurrent.futures
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,7 +29,7 @@ from .norms import (
     linf_error_1d,
     rate_shishkin,
 )
-from .problems import problem_by_key
+from .problems import problem_by_key, problem_factory
 from .projections import (
     composite_project_minus_1d,
     composite_project_minus_2d,
@@ -68,6 +69,7 @@ class SweepConfig:
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
         if self.problem is None:
             self.problem = "paper1d" if self.dim == 1 else "manufactured2d"
+        problem_factory(self.problem, self.dim)
         if self.norm not in ("energy", "balanced", "both"):
             raise ConfigurationError(f"unknown norm selection {self.norm!r}")
         if self.study not in ("solve", "projection"):
@@ -75,11 +77,8 @@ class SweepConfig:
         if self.fmt not in ("csv", "markdown"):
             raise ConfigurationError(f"unknown format {self.fmt!r}")
         ns = list(self.n_list)
-        if not ns:
-            raise ConfigurationError("N list must not be empty")
-        for n in ns:
-            if n < 4 or n % 4 != 0:
-                raise ConfigurationError(f"every N must be a multiple of 4, got {n}")
+        if not (self.k_list and ns and self.eps_list):
+            raise ConfigurationError("the k, N and eps lists must not be empty")
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:
                 raise ConfigurationError(
@@ -87,6 +86,10 @@ class SweepConfig:
                 )
         if any(k < 1 for k in self.k_list):
             raise ConfigurationError("polynomial degrees must be >= 1")
+        for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
+            MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
+        if self.quad_order is not None and self.quad_order < 1:
+            raise ConfigurationError(f"quadrature order must be >= 1, got {self.quad_order}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 

@@ -8,8 +8,8 @@ and field order [Qtilde; U] the matrix is [[M/s + v v^T, D],
 [-s D^T, W_b + s E]], block-tridiagonal over cells: numpy builds the
 per-cell blocks of the operator pieces (``piece_blocks_1d``) and writes
 them, with the b-weighted mass W_b, straight into band storage (cell-major,
-Q modes before U modes inside each cell); the 2D scheme takes Kronecker
-products of the same pieces as csr matrices (``operator_pieces_1d``).  The
+Q modes before U modes inside each cell); the 2D scheme builds its
+flux-eliminated operator from the same pieces.  The
 interface term v v^T couples the Q unknowns of the two cells that share the
 transition node, so the system is solved monolithically: equilibrated by
 powers of two, factorized by banded LU and unscaled on return.
@@ -67,21 +67,52 @@ class CellBlocks:
         out[:, :, 0], out[:, :, 1], out[:-1, :, 2] = self.sub, self.diag, self.sup[1:]
         return out
 
-    def to_csr(self):
-        """The csr matrix of the nonzero entries, through one bsr matrix."""
+    def dot(self, X):
+        """The product with X, an array of N kk rows (cell-major)."""
         N, kk, _ = self.diag.shape
-        blocks = self.stencil(np.zeros((N, kk, 3, kk))).transpose(0, 2, 1, 3)
-        cols = np.arange(N)[:, None] + np.arange(-1, 2)
-        A = sp.bsr_matrix((blocks.reshape(3 * N, kk, kk)[1:-1], cols.ravel()[1:-1],
-                           np.clip(3 * np.arange(N + 1) - 1, 0, 3 * N - 2))).tocsr()
-        A.eliminate_zeros()
-        return A
+        X3 = X.reshape(N, kk, -1)
+        out = self.diag @ X3
+        out[1:] += self.sub[1:] @ X3[:-1]
+        out[:-1] += self.sup[1:] @ X3[1:]
+        return out.reshape(X.shape)
+
+    def to_dense(self):
+        return self.dot(np.eye(self.diag.shape[0] * self.diag.shape[1]))
+
+    def to_csr(self):
+        """The csr matrix of the nonzero entries."""
+        return sp.csr_matrix(self.to_dense())
+
+
+@dataclass(frozen=True)
+class OperatorPieces1D:
+    """1D operator pieces over (cell, mode) as ``CellBlocks``, s = sqrt(eps).
+
+    ``mass`` is the modal mass M = diag(h/2 * 2/(2n+1)).  ``derivative`` is
+    the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
+    of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
+    1 and alt the right and left endpoint values of the modes).
+    ``flux_mass`` is the Qtilde block M/s + v v^T, whose rank-one interface
+    penalty has v = 1 on cell J and -alt on cell J+1 (J = 3N/4, 1-based).
+    ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
+    e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
+    (test v, Qtilde) block of the scheme is exactly -s D^T.
+    ``flux_mass_inv`` is the Sherman-Morrison inverse of ``flux_mass``,
+    s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal plus one
+    2-cell block at the interface.
+    """
+
+    mass: CellBlocks
+    derivative: CellBlocks
+    flux_mass: CellBlocks
+    flux_mass_inv: CellBlocks
+    penalty: CellBlocks
+    s: float
 
 
 def piece_blocks_1d(mesh, k, eps):
-    """The pieces M, D, F = M/s + v v^T and s E of ``OperatorPieces1D`` as
-    ``CellBlocks`` (the reference blocks broadcast over the cells, then the
-    first, last and interface cells written) and v on cells J-1, J."""
+    """The ``OperatorPieces1D`` of ``mesh``: the reference blocks broadcast
+    over the cells, then the first, last and interface cells written."""
     N, J, kk = mesh.N, mesh.interface_index, k + 1
     basis = ReferenceBasis(k)
     ones, alt = basis.right_values, basis.left_values
@@ -97,51 +128,16 @@ def piece_blocks_1d(mesh, k, eps):
     F[J] += vv[kk:, kk:]
     F_sub[J], F_sup[J] = vv[kk:, :kk], vv[:kk, kk:]
     E[-1], E[0] = np.outer(ones, ones), np.outer(alt, alt)
-    return (CellBlocks(M, zero, zero), CellBlocks(D, D_sub, zero),
-            CellBlocks(F, F_sub, F_sup), CellBlocks(s * E, zero, zero), v)
-
-
-@dataclass(frozen=True)
-class OperatorPieces1D:
-    """Sparse 1D operator pieces over (cell, mode), cell-major, s = sqrt(eps).
-
-    ``mass`` is the modal mass M = diag(h/2 * 2/(2n+1)).  ``derivative`` is
-    the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
-    of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
-    1 and alt the right and left endpoint values of the modes).
-    ``flux_mass`` is the Qtilde block M/s + v v^T, whose rank-one interface
-    penalty has v = 1 on cell J and -alt on cell J+1 (J = 3N/4, 1-based).
-    ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
-    e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
-    (test v, Qtilde) block of the scheme is exactly -s D^T.
-    ``flux_mass_inv`` is the Sherman-Morrison inverse of ``flux_mass``,
-    s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal plus one
-    2-cell block at the interface.  Each is converted from ``CellBlocks``
-    (``piece_blocks_1d``) by one bsr matrix.
-    """
-
-    mass: sp.csr_matrix
-    derivative: sp.csr_matrix
-    flux_mass: sp.csr_matrix
-    flux_mass_inv: sp.csr_matrix
-    penalty: sp.csr_matrix
-    s: float
-
-
-def operator_pieces_1d(mesh, k, eps):
-    """The csr pieces for the 2D scheme, with the Sherman-Morrison
-    ``flux_mass_inv`` (which the 1D solve never needs) built as blocks too."""
-    M, D, F, sE, v = piece_blocks_1d(mesh, k, eps)
-    s, J, kk = float(np.sqrt(eps)), mesh.interface_index, k + 1
-    inv = s / np.diagonal(M.diag, axis1=1, axis2=2)
+    inv = s / np.diagonal(M, axis1=1, axis2=2)
     w = inv[J - 1:J + 1].ravel() * v
     denom = 1.0 + np.cumsum(v * w)[-1]  # summed left to right, in dof order
     pair = np.diag(inv[J - 1:J + 1].ravel()) - np.outer(w, w) * (1.0 / denom)
-    F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), np.zeros_like(M.diag), np.zeros_like(M.diag))
+    F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), zero.copy(), zero.copy())
     F_inv.diag[J - 1], F_inv.diag[J] = pair[:kk, :kk], pair[kk:, kk:]
     F_inv.sub[J], F_inv.sup[J] = pair[kk:, :kk], pair[:kk, kk:]
-    return OperatorPieces1D(mass=M.to_csr(), derivative=D.to_csr(), flux_mass=F.to_csr(),
-                            flux_mass_inv=F_inv.to_csr(), penalty=sE.to_csr(), s=s)
+    return OperatorPieces1D(mass=CellBlocks(M, zero, zero), derivative=CellBlocks(D, D_sub, zero),
+                            flux_mass=CellBlocks(F, F_sub, F_sup), flux_mass_inv=F_inv,
+                            penalty=CellBlocks(s * E, zero, zero), s=s)
 
 
 def assemble_1d(problem, mesh, k):
@@ -153,8 +149,8 @@ def assemble_1d(problem, mesh, k):
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     N, kk, per = mesh.N, k + 1, 2 * (k + 1)
-    _, D, F, sE, _ = piece_blocks_1d(mesh, k, problem.eps)
-    s = float(np.sqrt(problem.eps))
+    pieces = piece_blocks_1d(mesh, k, problem.eps)
+    D, F, sE, s = pieces.derivative, pieces.flux_mass, pieces.penalty, pieces.s
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
 

@@ -7,23 +7,23 @@ penalized with sqrt(eps) and the jumps of P (resp. Q) across the vertical
 line x = x_{3N/4} (resp. horizontal line y = y_{3N/4}) with 1/sqrt(eps).
 Both axes carry the same 1D Shishkin mesh (``Mesh2D.axis``), so the
 coupled (U, P, Q) matrix is a block-diagonal b-weighted mass plus Kronecker
-products of one set of 1D operator pieces (``ldg1d.operator_pieces_1d``),
-in the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms
-it: ``assemble_2d`` returns only the 1D pieces, the b-weighted mass blocks
-W_b and the load, and the coupled matrix is built on request
+products of one set of 1D operator pieces (``ldg1d.piece_blocks_1d``), in
+the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it:
+``assemble_2d`` returns only the 1D pieces, the b-weighted mass blocks W_b
+and the load, and the coupled matrix is built on request
 (``AssembledSystem2D.matrix``) as the reference the tests check the solver
 against.
 The solver eliminates P and Q in closed form on every cell, the interface
 cells included, because the 1D flux mass M/s + v v^T has the
-Sherman-Morrison inverse ``flux_mass_inv``; it solves the remaining SPD
-U-only system S = blockdiag(W_b) + K(x)M + M(x)K (``eliminate_fluxes_2d``)
-by conjugate gradients preconditioned by fast diagonalization (one 1D
-eigenproblem; exact for constant b) and recovers P and Q by one sparse
-product each.
+Sherman-Morrison inverse ``flux_mass_inv``.  Conjugate gradients,
+preconditioned by fast diagonalization (one 1D eigenproblem; exact for
+constant b), solve the SPD U-only system S = blockdiag(W_b) + K(x)M + M(x)K
+without forming S (``UOperator2D``), on the kron-order view of U, with no
+scipy.sparse call; P and Q follow by one dense product each.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
-from .ldg1d import OperatorPieces1D, operator_pieces_1d
+from .ldg1d import OperatorPieces1D, piece_blocks_1d
 # equilibrate and sparse_solve stay bound: bench/spans.py times them here
 from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve, symmetric_scale
 
@@ -56,6 +56,18 @@ class MixedSolution2D:
             raise ConfigurationError("U, P and Q must share mesh and degree")
 
 
+def _to_kron(cell_values, k1):
+    """One field's (i, j, m, n) values as the kron-order (i, m) x (j, n) matrix."""
+    N = cell_values.shape[0]
+    return cell_values.reshape(N, N, k1, k1).transpose(0, 2, 1, 3).reshape(N * k1, N * k1)
+
+
+def _to_cells(kron_values, N):
+    """The inverse of ``_to_kron``: an (N, N, k1, k1) view."""
+    k1 = kron_values.shape[0] // N
+    return kron_values.reshape(N, k1, N, k1).transpose(0, 2, 1, 3)
+
+
 @dataclass
 class AssembledSystem2D:
     """What the 2D solve reads: the ``OperatorPieces1D`` of the mesh axis
@@ -78,27 +90,6 @@ class AssembledSystem2D:
         """s = sqrt(eps): P = s Ptilde and Q = s Qtilde."""
         return self.pieces.s
 
-    @property
-    def from_kron(self):
-        """Field-major position (i, j, m, n) of each kron-order (i, m, j, n)
-        dof of one field."""
-        N, k1 = self.load.shape[0], self.pieces.mass.shape[0] // self.load.shape[0]
-        return np.arange(self.load.size).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
-
-    def _plus_reaction(self, n, order, A):
-        """The n x n ``SparseMatrix`` of the COO matrix A with its rows and
-        columns renumbered by ``order``, plus blockdiag(W_b) on the leading
-        U dofs."""
-        n_cells, kk = self.load.shape[0] ** 2, self.load.shape[2]
-        R = sp.bsr_matrix((self.reaction.reshape(n_cells, kk, kk), np.arange(n_cells),
-                           np.arange(n_cells + 1))).tocoo()
-        return SparseMatrix.from_coo(
-            n,
-            np.concatenate([order[A.row], R.row]),
-            np.concatenate([order[A.col], R.col]),
-            np.concatenate([A.data, R.data]),
-        )
-
     @functools.cached_property
     def matrix(self):
         """The coupled matrix; in kron order (i, m, j, n) its block rows are
@@ -107,21 +98,26 @@ class AssembledSystem2D:
             P: [D(x)M, F(x)M, 0]
             Q: [M(x)D, 0, M(x)F]
 
-        with the 1D pieces of the axis (mass M, derivative block D, flux
-        mass F = M/s + v v^T, boundary penalty s E), and ``from_kron`` maps
-        each field to the field-major layout.
+        with csr copies of the 1D pieces of the axis (mass M, derivative
+        block D, flux mass F = M/s + v v^T, boundary penalty s E), then
+        renumbered to the field-major layout.
         """
         p = self.pieces
-        s, kron, M = p.s, sp.kron, p.mass
+        s, kron = p.s, sp.kron
+        M, D, F, sE = (x.to_csr() for x in (p.mass, p.derivative, p.flux_mass, p.penalty))
         A = sp.bmat([
-            [kron(p.penalty, M) + kron(M, p.penalty),
-             -s * kron(p.derivative.T, M), -s * kron(M, p.derivative.T)],
-            [kron(p.derivative, M), kron(p.flux_mass, M), None],
-            [kron(M, p.derivative), None, kron(M, p.flux_mass)],
+            [kron(sE, M) + kron(M, sE), -s * kron(D.T, M), -s * kron(M, D.T)],
+            [kron(D, M), kron(F, M), None],
+            [kron(M, D), None, kron(M, F)],
         ], format="coo")
-        dof, field = self.from_kron, self.load.size
+        N, kk, field = self.load.shape[0], self.load.shape[2], self.load.size
+        dof = _to_kron(np.arange(field).reshape(self.load.shape), M.shape[0] // N).ravel()
         order = np.concatenate([dof, field + dof, 2 * field + dof])
-        return self._plus_reaction(3 * field, order, A)
+        R = sp.bsr_matrix((self.reaction.reshape(N * N, kk, kk), np.arange(N * N),
+                           np.arange(N * N + 1))).tocoo()
+        return SparseMatrix.from_coo(3 * field, np.concatenate([order[A.row], R.row]),
+                                     np.concatenate([order[A.col], R.col]),
+                                     np.concatenate([A.data, R.data]))
 
     @property
     def rhs(self):
@@ -139,7 +135,7 @@ def assemble_2d(problem, mesh2d, k):
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     N = mesh2d.N
     eps = problem.eps
-    pieces = operator_pieces_1d(mesh2d.axis, k, eps)
+    pieces = piece_blocks_1d(mesh2d.axis, k, eps)
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     kk = (k + 1) ** 2
@@ -159,27 +155,80 @@ def assemble_2d(problem, mesh2d, k):
     return AssembledSystem2D(pieces=pieces, reaction=Wblk, load=Fblk)
 
 
+@dataclass(frozen=True)
+class UOperator2D:
+    """diag(row) S diag(col) on kron-order U vectors (i, m, j, n) for
+    S = blockdiag(W_b) + K(x)M + M(x)K, never formed.  ``cells`` holds the
+    (N, N, kk, kk) diagonal blocks of S: W_b plus those of both Kronecker
+    terms.  With ``off`` = K less its diagonal blocks and ``m`` = diag(M),
+    the rest of S acts on the square view X of a vector as off X M + M X off.
+    No entry of S is in two parts, so the diagonal and norm add up by part.
+    """
+
+    cells: np.ndarray
+    off: np.ndarray
+    m: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    def scaled(self, row_scales, col_scales):
+        return replace(self, row=self.row * row_scales, col=self.col * col_scales)
+
+    def diagonal(self):
+        k1 = self.m.size // self.cells.shape[0]
+        return self.row * self.col * _to_kron(np.einsum("ijaa->ija", self.cells), k1).ravel()
+
+    def matvec(self, x):
+        N, kk = self.cells.shape[0], self.cells.shape[2]
+        X = (self.col * x).reshape(self.m.size, -1)
+        by_cell = _to_cells(X, N).reshape(N, N, kk, 1)
+        Y = _to_kron(self.cells @ by_cell, self.m.size // N)
+        Y += (self.off @ X) * self.m + self.m[:, None] * (X @ self.off)
+        return self.row * Y.ravel()
+
+    def frobenius_norm(self):
+        N, kk = self.cells.shape[0], self.cells.shape[2]
+        row, col = self.row.reshape(self.m.size, -1), self.col.reshape(self.m.size, -1)
+        cells = (_to_cells(row, N).reshape(N, N, kk, 1) * self.cells
+                 * _to_cells(col, N).reshape(N, N, 1, kk))
+        K2, m2, R2, C2 = self.off**2, self.m**2, row**2, col**2
+        # off X M and M X off: sum of (row K col)^2 m^2 over the entries
+        kron_terms = R2 * ((K2 @ C2) * m2 + m2[:, None] * (C2 @ K2))
+        return np.sqrt((cells**2).sum() + kron_terms.sum())
+
+
 def eliminate_fluxes_2d(system):
     """Eliminate Ptilde and Qtilde in closed form; returns (S, G, K).
 
     G = F^-1 D and K = s E + s D^T G (exactly symmetric), with F^-1 the 1D
-    ``flux_mass_inv``.  The P and Q rows give Ptilde = -(G(x)I) U and
-    Qtilde = -(I(x)G) U in kron order, and the U-only operator
-    S = blockdiag(W_b) + K(x)M + M(x)K, in the field-major U layout, is
-    the Schur complement A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the
-    coupled system.  S is symmetric positive definite, exactly symmetric.
+    ``flux_mass_inv``, are dense N(k+1)-square matrices.  The P and Q rows
+    give Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and the
+    U-only operator S (``UOperator2D``) is the Schur complement
+    A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the coupled system:
+    symmetric positive definite, exactly symmetric.
     """
     p = system.pieces
-    G = (p.flux_mass_inv @ p.derivative).tocsr()
-    K = p.penalty + p.s * (p.derivative.T @ G)
+    N, k1 = system.load.shape[0], p.mass.diag.shape[1]
+    D = p.derivative.to_dense()
+    G = p.flux_mass_inv.dot(D)
+    K = p.penalty.to_dense() + p.s * (D.T @ G)
     K = 0.5 * (K + K.T)
-    T = (sp.kron(K, p.mass) + sp.kron(p.mass, K)).tocoo()
-    S = system._plus_reaction(system.load.size, system.from_kron, T)
-    return S, G, K
+    m = np.diagonal(p.mass.diag, axis1=1, axis2=2)
+    cell = np.arange(N)
+    K_diag = K.reshape(N, k1, N, k1)[cell, :, cell, :]
+    cells = system.reaction.copy()
+    blocks = cells.reshape(N, N, k1, k1, k1, k1)  # (i, j, m, n, m', n')
+    for a in range(k1):
+        blocks[:, :, :, a, :, a] += K_diag[:, None] * m[None, :, a, None, None]
+        blocks[:, :, a, :, a, :] += m[:, None, a, None, None] * K_diag[None]
+    off = K.copy()
+    off.reshape(N, k1, N, k1)[cell, :, cell, :] = 0.0
+    ones = np.ones(system.load.size)
+    return UOperator2D(cells, off, m.ravel(), ones, ones), G, K
 
 
 def _fast_diagonalization(system, K):
-    """P^-1 on field-major U vectors, P = K(x)M + M(x)K + bbar M(x)M with K
+    """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K
     that of ``eliminate_fluxes_2d`` and bbar the mass-weighted mean of b
     (P = S for constant b).
 
@@ -188,20 +237,15 @@ def _fast_diagonalization(system, K):
     P^-1 = (Z(x)Z) diag(lam_i + lam_j + bbar)^-1 (Z(x)Z)^T: four dense
     products on the kron-order matrix view.
     """
-    M = system.pieces.mass
-    mass_sum = M.sum()
-    bbar = np.einsum("ijaa->", system.reaction) / (mass_sum * mass_sum)
-    r = M.diagonal() ** -0.5
-    lam, V = np.linalg.eigh(r[:, None] * K.toarray() * r)
+    m = np.diagonal(system.pieces.mass.diag, axis1=1, axis2=2).ravel()
+    bbar = np.einsum("ijaa->", system.reaction) / (m.sum() * m.sum())
+    r = m ** -0.5
+    lam, V = np.linalg.eigh(r[:, None] * K * r)
     Z = r[:, None] * V
     inv = 1.0 / (lam[:, None] + lam[None, :] + bbar)
-    perm = system.from_kron
 
     def apply(values):
-        kron = values[perm].reshape(inv.shape)
-        out = np.empty_like(values)
-        out[perm] = (Z @ ((Z.T @ kron @ Z) * inv) @ Z.T).ravel()
-        return out
+        return (Z @ ((Z.T @ values.reshape(inv.shape) @ Z) * inv) @ Z.T).ravel()
 
     return apply
 
@@ -212,34 +256,33 @@ def solve_ldg_2d(problem, mesh2d, k):
     The operator S of ``eliminate_fluxes_2d`` is scaled to D S D
     (``symmetric_scale``) and solved by ``pcg`` preconditioned by
     ``_fast_diagonalization``: 2-3 steps for constant b, about 20 for
-    variable b.  The reported residual is that of the scaled U-system, as in
-    1D; SolverError (carrying it) is raised when it exceeds
-    ``_RESIDUAL_TOL``, SingularMatrixError when an iterate is not finite.
+    variable b.  All of it works on kron-order vectors: the load is
+    permuted into that order once and U out of it once.  The reported
+    residual is that of the scaled U-system, as in 1D; SolverError
+    (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
+    SingularMatrixError when an iterate is not finite.
     """
     system = assemble_2d(problem, mesh2d, k)
     N, k1 = mesh2d.N, k + 1
     S, G, K = eliminate_fluxes_2d(system)
     scaled, d = symmetric_scale(S)
     fd = _fast_diagonalization(system, K)
-    result = pcg(scaled, d * system.load.ravel(), lambda r: fd(r / d) / d)
+    result = pcg(scaled, d * _to_kron(system.load, k1).ravel(), lambda r: fd(r / d) / d)
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
             residual=result.residual,
         )
-    u = (d * result.x).reshape(N, N, k1, k1)
-
     # in kron order a field is an (i, m) x (j, n) matrix: G acts on the
     # left for P, on the right for Q
-    u_kron = u.transpose(0, 2, 1, 3).reshape(N * k1, N * k1)
+    u_kron = (d * result.x).reshape(N * k1, N * k1)
 
-    def field(kron_values):
-        values = kron_values.reshape(N, k1, N, k1).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(-system.pq_scale * values)
+    def field(kron_values, scale):
+        return DGFunction2D(mesh2d, k, np.ascontiguousarray(scale * _to_cells(kron_values, N)))
 
-    return MixedSolution2D(U=DGFunction2D(mesh2d, k, u),
-                           P=DGFunction2D(mesh2d, k, field(G @ u_kron)),
-                           Q=DGFunction2D(mesh2d, k, field(u_kron @ G.T)),
+    return MixedSolution2D(U=field(u_kron, 1.0),
+                           P=field(G @ u_kron, -system.pq_scale),
+                           Q=field(u_kron @ G.T, -system.pq_scale),
                            residual=result.residual)
 
 

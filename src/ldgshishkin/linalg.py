@@ -84,6 +84,9 @@ class BandedMatrix:
     def matvec(self, x):
         return self._by_row(self.band * x[None, :]).sum(axis=0)
 
+    def frobenius_norm(self):
+        return np.sqrt((self.band**2).sum())
+
     def abs_row_col_max(self):
         """Row and column maxima of |A|, read off the band."""
         absband = np.abs(self.band)
@@ -121,6 +124,12 @@ class SparseMatrix:
 
     def matvec(self, x):
         return self.csr @ x
+
+    def frobenius_norm(self):
+        return np.sqrt((self.csr.data**2).sum())
+
+    def diagonal(self):
+        return self.csr.diagonal()
 
     def abs_row_col_max(self):
         absA = abs(self.csr)
@@ -161,19 +170,18 @@ def equilibrate(matrix):
 
 
 def symmetric_scale(matrix):
-    """D A D for a ``SparseMatrix`` A with positive diagonal, D = diag(d) the
-    powers of two that put d^2 diag(A) into [0.25, 1).  Rows and columns are
-    scaled alike, so a symmetric A stays exactly symmetric.  Returns
-    (scaled matrix, d); the original matrix is untouched."""
-    d = _pow2_scale(np.sqrt(matrix.csr.diagonal()), "diagonal entry")
+    """D A D for an A with positive ``diagonal()`` and ``scaled(rows, cols)``,
+    D = diag(d) the powers of two that put d^2 diag(A) into [0.25, 1).  Rows
+    and columns are scaled alike, so a symmetric A stays exactly symmetric.
+    Returns (scaled A, d); the original is untouched."""
+    d = _pow2_scale(np.sqrt(matrix.diagonal()), "diagonal entry")
     return matrix.scaled(d, d), d
 
 
 def _relative_residual(matrix, x, b):
     """||A x - b|| / (||A||_F ||x|| + ||b||), the residual every solver
-    reports, for a ``BandedMatrix`` or ``SparseMatrix`` A."""
-    entries = matrix.band if isinstance(matrix, BandedMatrix) else matrix.csr.data
-    denom = np.sqrt((entries**2).sum()) * np.linalg.norm(x) + np.linalg.norm(b)
+    reports, for an A with ``matvec`` and ``frobenius_norm``."""
+    denom = matrix.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(matrix.matvec(x) - b) / denom)
@@ -229,11 +237,11 @@ def sparse_solve(matrix, rhs):
 
 
 def pcg(matrix, rhs, precondition):
-    """Conjugate gradients on an SPD ``SparseMatrix``, preconditioned by the
-    SPD map ``precondition``.  Stops once a step moves no entry of x by more
-    than 1e-14 max|x| (never the first step, which is all of x, so even an
-    exact preconditioner's rounding is refined once); raises
-    SingularMatrixError on a non-finite iterate, SolverError after 200 steps."""
+    """Conjugate gradients on an SPD A (see ``_relative_residual``),
+    preconditioned by the SPD map ``precondition``.  Stops once a step moves
+    no entry of x by more than 1e-14 max|x| (never the first step, which is
+    all of x, so even an exact preconditioner's rounding is refined once);
+    raises SingularMatrixError on a non-finite iterate, SolverError after 200 steps."""
     x, r = np.zeros_like(rhs), rhs.copy()
     z = precondition(r)
     p, rz = z, r @ z

@@ -105,7 +105,7 @@ def error_norms_1d(W, problem, mesh, quad=None):
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
     k = W.U.degree
-    quad = quad or error_quad_order(k)
+    quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
@@ -188,7 +188,7 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
     k = T.U.degree
-    quad = quad or error_quad_order(k)
+    quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     N = mesh2d.N
@@ -257,7 +257,7 @@ def linf_error_1d(dgf, exact, mesh, cells=None):
 def l2_error_region_1d(dgf, exact, mesh, cells, quad=None):
     """L2 error of a DG function against ``exact`` over a set of 1-based cells."""
     k = dgf.degree
-    quad = quad or error_quad_order(k)
+    quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     mask = _cell_mask(cells, mesh.N)
@@ -270,7 +270,7 @@ def l2_error_region_1d(dgf, exact, mesh, cells, quad=None):
 def l2_error_region_2d(dgf, exact, mesh2d, cell_filter, quad=None):
     """L2 error over the 1-based cells (i, j) accepted by ``cell_filter``."""
     k = dgf.degree
-    quad = quad or error_quad_order(k)
+    quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     N = mesh2d.N

@@ -264,11 +264,16 @@ PROBLEMS_2D = {
 }
 
 
-def problem_by_key(key, dim, eps, k):
-    """Look up a problem factory by its CLI key."""
+def problem_factory(key, dim):
+    """The factory (eps, k) -> problem of a CLI problem key."""
     table = PROBLEMS_1D if dim == 1 else PROBLEMS_2D
     if key not in table:
         raise ConfigurationError(
             f"unknown {dim}D problem {key!r}; choose from {sorted(table)}"
         )
-    return table[key](eps, k)
+    return table[key]
+
+
+def problem_by_key(key, dim, eps, k):
+    """Build the problem of a CLI problem key."""
+    return problem_factory(key, dim)(eps, k)

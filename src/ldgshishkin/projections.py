@@ -96,7 +96,7 @@ def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
     b-weighted Gram systems (plain L2 when b is None).  Returns the
     (cells, k+1) modal coefficients.
     """
-    quad = quad or assembly_quad_order(k)
+    quad = assembly_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     X = quadrature_points(nodes, rule.points)
@@ -123,7 +123,7 @@ def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
     """
     if np.any((kx == WEIGHTED) != (ky == WEIGHTED)):
         raise ConfigurationError("the weighted 2D projection applies in both directions at once")
-    quad = quad or assembly_quad_order(k)
+    quad = assembly_quad_order(k) if quad is None else quad
     return np.concatenate([
         _project_rows_2d(z, xnodes[s.start:s.stop + 1], ynodes, kx[s], ky[s], k, quad, b)
         for s in cell_blocks(len(kx), kx.shape[1] * quad**2)

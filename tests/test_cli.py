@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from ldgshishkin.cli import _CONFIG_KEYS, build_parser, main
 from ldgshishkin.harness import CSV_HEADER, SweepConfig
 
@@ -105,6 +107,16 @@ def test_bad_flag_values_exit_1(capsys):
     for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "nonsense"], ["--sigma", "-1"], ["--eps", "2"],
+    ["--quad-order", "0", "--k", "1", "--n", "8", "--eps", "1e-4"],
+], ids=["problem", "sigma", "eps", "quad-order"])
+def test_invalid_sweep_values_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "failed" not in err
 
 
 def test_bad_config_values_exit_1(tmp_path, capsys):

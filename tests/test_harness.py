@@ -30,7 +30,17 @@ class TestSweepConfig:
     def test_problem_default_follows_dim(self):
         assert SweepConfig().problem == "paper1d"
         assert SweepConfig(dim=2).problem == "manufactured2d"
-        assert SweepConfig(dim=2, problem="poly1d").problem == "poly1d"
+        assert SweepConfig(problem="poly1d").problem == "poly1d"
+
+    @pytest.mark.parametrize("values", [
+        {"problem": "nonsense"}, {"dim": 2, "problem": "poly1d"}, {"sigma": -1.0},
+        {"sigma": 0.0}, {"eps_list": (1e-4, 2.0)}, {"eps_list": (0.0,)},
+        {"quad_order": 0}, {"eps_list": ()},
+    ], ids=["problem", "problem-for-dim", "sigma", "sigma-zero", "eps", "eps-zero",
+            "quad-order", "empty-eps"])
+    def test_invalid_values_rejected(self, values):
+        with pytest.raises(ConfigurationError):
+            SweepConfig(**values)
 
     def test_dim2_defaults_solve(self):
         table = run_sweep(SweepConfig(dim=2, n_list=(4, 8), eps_list=(1e-4,)))

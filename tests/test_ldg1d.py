@@ -20,7 +20,7 @@ from ldgshishkin import (
     solve_ldg_1d,
 )
 from ldgshishkin import ldg1d
-from ldgshishkin.ldg1d import operator_pieces_1d
+from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
 
 
@@ -163,7 +163,7 @@ class TestOperatorPieces:
         # the formulas of the OperatorPieces1D docstring, evaluated densely
         eps = 1e-6
         mesh = make_mesh(N, eps)
-        pieces = operator_pieces_1d(mesh, k, eps)
+        pieces = piece_blocks_1d(mesh, k, eps)
         basis = ReferenceBasis(k)
         ones, alt = basis.right_values[:, None], basis.left_values[:, None]
         s, J, I = np.sqrt(eps), mesh.interface_index, np.eye(N)
@@ -181,10 +181,10 @@ class TestOperatorPieces:
         F_inv = inv - (w @ w.T) / (1.0 + (v.T @ w).item())
         for name, dense in (("mass", M), ("derivative", D), ("flux_mass", F),
                             ("penalty", sE)):
-            piece = getattr(pieces, name)
+            piece = getattr(pieces, name).to_csr()
             assert np.array_equal(piece.toarray(), dense), name
             assert piece.nnz == np.count_nonzero(dense), name
-        got = pieces.flux_mass_inv
+        got = pieces.flux_mass_inv.to_csr()
         assert np.max(np.abs(got.toarray() - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
         assert got.nnz == np.count_nonzero(F_inv)
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from ldgshishkin import (
     AssembledSystem2D,
@@ -21,7 +22,7 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_2d,
 )
-from ldgshishkin import ldg2d, problems
+from ldgshishkin import ldg1d, ldg2d, linalg, problems
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve, symmetric_scale
 from ldgshishkin.problems import Problem2D
@@ -70,6 +71,30 @@ def nan_on_one_cell(problem, mesh, name):
         return np.where((x0 < x) & (x < x1) & (y0 < y) & (y < y1), np.nan, g(x, y))
 
     return replace(problem, **{name: poisoned})
+
+
+def kron_order(N, k):
+    """Field-major position (i, j, m, n) of each kron-order (i, m, j, n) dof
+    of one field."""
+    k1 = k + 1
+    return np.arange(N * N * k1 * k1).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
+
+
+def dense(operator, n):
+    """The matrix of a matrix-free operator, one column per unit vector."""
+    return np.column_stack([operator.matvec(e) for e in np.eye(n)])
+
+
+def schur_complement(system, k):
+    """The dense Schur complement of the coupled matrix onto U, in kron order."""
+    A = system.matrix.to_dense()
+    M = system.load.size
+    u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
+    schur = (A[u, u]
+             - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
+             - A[u, q] @ np.linalg.solve(A[q, q], A[q, u]))
+    order = kron_order(system.load.shape[0], k)
+    return schur[np.ix_(order, order)]
 
 
 def random_triple(mesh, k, rng):
@@ -295,20 +320,15 @@ class TestCondensation:
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_is_schur_complement(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        A = system.matrix.to_dense()
-        M = system.load.size
-        u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
-        schur = (A[u, u]
-                 - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
-                 - A[u, q] @ np.linalg.solve(A[q, q], A[q, u]))
-        S = eliminate_fluxes_2d(system)[0].to_dense()
+        schur = schur_complement(system, k)
+        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
         assert np.max(np.abs(S - schur)) <= 1e-13 * np.max(np.abs(schur))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_symmetric_positive_definite(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        S = eliminate_fluxes_2d(system)[0].to_dense()
+        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
         assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
         np.linalg.cholesky(S)
 
@@ -316,7 +336,8 @@ class TestCondensation:
     @pytest.mark.parametrize("k", [1, 2])
     def test_flux_mass_inverse(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        product = (system.pieces.flux_mass @ system.pieces.flux_mass_inv).toarray()
+        pieces = system.pieces
+        product = (pieces.flux_mass.to_csr() @ pieces.flux_mass_inv.to_csr()).toarray()
         assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -333,7 +354,7 @@ class TestCondensation:
 
     def test_one_axis_built_once(self, monkeypatch):
         # x and y share one 1D mesh: one set of 1D pieces, one eigenproblem
-        calls = {"operator_pieces_1d": 0, "eigh": 0}
+        calls = {"piece_blocks_1d": 0, "eigh": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -341,11 +362,11 @@ class TestCondensation:
                 return f(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ldg2d, "operator_pieces_1d",
-                            counted("operator_pieces_1d", ldg2d.operator_pieces_1d))
+        monkeypatch.setattr(ldg2d, "piece_blocks_1d",
+                            counted("piece_blocks_1d", ldg2d.piece_blocks_1d))
         monkeypatch.setattr(ldg2d.np.linalg, "eigh", counted("eigh", ldg2d.np.linalg.eigh))
         solve_ldg_2d(manufactured_2d_problem(1e-8), make_mesh(8, 1e-8), 1)
-        assert calls == {"operator_pieces_1d": 1, "eigh": 1}
+        assert calls == {"piece_blocks_1d": 1, "eigh": 1}
 
     def test_residual_reported(self):
         p = manufactured_2d_problem(1e-8)
@@ -361,6 +382,64 @@ class TestCondensation:
         assert sol.residual <= 1e-9
         _, balanced = error_norms_2d(sol, p, mesh)
         assert 0.1 < balanced.total < 1.0
+
+
+class TestMatrixFreeOperator:
+    # the U-only operator that solve_ldg_2d applies without forming it
+    @pytest.mark.parametrize("b", ["constant", "variable"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_application_is_schur_complement(self, k, eps, b):
+        N = 16
+        system = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
+        A, M = system.matrix.csr, system.load.size
+        u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
+        lu_p, lu_q = splu(A[p, p].tocsc()), splu(A[q, q].tocsc())
+        S = eliminate_fluxes_2d(system)[0]
+        order = kron_order(N, k)
+        for x in np.random.default_rng(47).standard_normal((3, M)):
+            expected = (A[u, u] @ x - A[u, p] @ lu_p.solve(A[p, u] @ x)
+                        - A[u, q] @ lu_q.solve(A[q, u] @ x))
+            got = np.empty(M)
+            got[order] = S.matvec(x[order])
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("b", ["constant", "variable"])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_diagonal_and_norm_match_formed(self, k, eps, b):
+        # S = blockdiag(W_b) + K(x)M + M(x)K formed densely in kron order
+        N = 8
+        system = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
+        S, _, K = eliminate_fluxes_2d(system)
+        n, kk = system.load.size, system.load.shape[2]
+        W = np.zeros((n, n))
+        for c, block in enumerate(system.reaction.reshape(-1, kk, kk)):
+            W[c * kk:(c + 1) * kk, c * kk:(c + 1) * kk] = block
+        order = kron_order(N, k)
+        M = np.diag(system.pieces.mass.to_csr().diagonal())
+        formed = W[np.ix_(order, order)] + np.kron(K, M) + np.kron(M, K)
+        diag = np.diag(formed)
+        assert np.max(np.abs(S.diagonal() - diag)) <= 1e-15 * np.max(diag)
+        scaled, d = symmetric_scale(S)
+        expected = np.linalg.norm(d[:, None] * formed * d)
+        assert scaled.frobenius_norm() == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_2d_path_uses_no_scipy_sparse(self, k, monkeypatch):
+        p = variable_b_problem(1e-8)
+        mesh = make_mesh(16, 1e-8, sigma=k + 1)
+        expected = solve_ldg_2d(p, mesh, k)
+
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"the 2D path reached scipy.sparse.{name}")
+
+        for module, name in ((ldg1d, "sp"), (ldg2d, "sp"), (linalg, "sp"), (linalg, "spla")):
+            monkeypatch.setattr(module, name, Refuse())
+        sol = solve_ldg_2d(p, mesh, k)
+        for name in ("U", "P", "Q"):
+            assert np.array_equal(getattr(sol, name).coeffs, getattr(expected, name).coeffs)
 
 
 class TestEpsVariation2D:
@@ -381,14 +460,15 @@ class TestFastDiagonalizationSolve:
     @pytest.mark.parametrize("N", [8, 16])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_superlu(self, k, N, eps, b):
-        # reference: SuperLU on the row/column-equilibrated U-system
+        # reference: SuperLU on the equilibrated 3-field (U, P, Q) system
         p = problem_with_b(b, eps)
         mesh = make_mesh(N, eps, sigma=k + 1)
-        system = assemble_2d(p, mesh, k)
-        scaled, r, c = equilibrate(eliminate_fluxes_2d(system)[0])
-        expected = c * sparse_solve(scaled, r * system.load.ravel()).x
-        U = solve_ldg_2d(p, mesh, k).U.coeffs.ravel()
-        assert np.max(np.abs(U - expected)) <= 1e-13 * np.max(np.abs(expected))
+        expected = solve_full_system(p, mesh, k)
+        sol = solve_ldg_2d(p, mesh, k)
+        for name in ("U", "P", "Q"):
+            want = getattr(expected, name).coeffs
+            got = getattr(sol, name).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("b, most", [("constant", 3), ("variable", 30)])
     def test_preconditioner_applications(self, b, most):
@@ -404,7 +484,7 @@ class TestFastDiagonalizationSolve:
             calls.append(1)
             return fd(r / d) / d
 
-        pcg(scaled, d * system.load.ravel(), precondition)
+        pcg(scaled, d * system.load.ravel()[kron_order(16, k)], precondition)
         assert 2 <= len(calls) <= most
 
     @pytest.mark.parametrize("b", ["constant", "variable"])
@@ -413,7 +493,8 @@ class TestFastDiagonalizationSolve:
         eps = 1e-8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=1.0), k)
         scaled, _ = symmetric_scale(eliminate_fluxes_2d(system)[0])
-        assert (scaled.csr != scaled.csr.T).nnz == 0
+        S = dense(scaled, system.load.size)
+        assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("N", [8, 32])
@@ -423,9 +504,11 @@ class TestFastDiagonalizationSolve:
         mesh = make_mesh(N, eps, sigma=k + 1)
         system = assemble_2d(p, mesh, k)
         scaled, d = symmetric_scale(eliminate_fluxes_2d(system)[0])
+        order = kron_order(N, k)
 
         def residual(u):  # the reported residual: that of the scaled U-system
-            return _relative_residual(scaled, u.ravel() / d, d * system.load.ravel())
+            return _relative_residual(scaled, u.ravel()[order] / d,
+                                      d * system.load.ravel()[order])
 
         sol = solve_ldg_2d(p, mesh, k)
         U = sol.U.coeffs
