@@ -4,12 +4,10 @@ on Shishkin meshes, with energy- and balanced-norm convergence studies."""
 from .basis import (
     QuadratureRule,
     ReferenceBasis,
-    cell_jacobian,
-    cell_map,
     gauss_rule,
     legendre_eval,
 )
-from .dgfunction import DGFunction1D, DGFunction2D, interpolate_1d, interpolate_2d
+from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import (
     ConfigurationError,
     MeshError,
@@ -49,17 +47,7 @@ from .linalg import (
     lu_banded_solve,
     sparse_solve,
 )
-from .mesh import (
-    COARSE,
-    FINE_LEFT,
-    FINE_RIGHT,
-    Mesh1D,
-    Mesh2D,
-    MeshConfig,
-    build_shishkin_1d,
-    build_shishkin_2d,
-    region_of,
-)
+from .mesh import Mesh1D, Mesh2D, MeshConfig, build_shishkin_1d, build_shishkin_2d
 from .norms import (
     NormBreakdown,
     balanced_norm_1d,
@@ -86,7 +74,6 @@ from .projections import (
     composite_project_minus_2d,
     composite_project_plus_1d,
     composite_project_plus_x_2d,
-    composite_project_plus_y_2d,
     project_gr_minus,
     project_gr_plus,
     project_l2,

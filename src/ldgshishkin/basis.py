@@ -1,10 +1,9 @@
-"""Legendre basis, Gauss-Legendre quadrature and affine cell maps.
+"""Legendre basis and Gauss-Legendre quadrature.
 
-Everything here lives on the reference interval [-1, 1].  Cells of a mesh
-are reached through the affine map ``cell_map``; the per-cell polynomial
-spaces used by the DG discretization are spanned by the (unnormalized)
-Legendre polynomials P_0 .. P_k, so that local mass matrices are diagonal
-with entries (h/2) * 2/(2n+1).
+Everything here lives on the reference interval [-1, 1].  The per-cell
+polynomial spaces used by the DG discretization are spanned by the
+(unnormalized) Legendre polynomials P_0 .. P_k, so that local mass matrices
+are diagonal with entries (h/2) * 2/(2n+1).
 """
 
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, MeshError
+from .errors import ConfigurationError
 
 _MAX_QUADRATURE_POINTS = 64
 
@@ -153,23 +152,6 @@ class ReferenceBasis:
         """
         m, a = np.indices((self.degree + 1, self.degree + 1))
         return np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
-
-
-def cell_map(cell, t):
-    """Map reference coordinate(s) t in [-1, 1] onto the cell [a, b]."""
-    a, b = cell
-    if not a < b:
-        raise MeshError(f"degenerate cell [{a}, {b}]")
-    t = np.asarray(t, dtype=float)
-    return a + (b - a) * (t + 1.0) / 2.0
-
-
-def cell_jacobian(cell):
-    """Jacobian (b-a)/2 of the affine map onto [a, b]."""
-    a, b = cell
-    if not a < b:
-        raise MeshError(f"degenerate cell [{a}, {b}]")
-    return (b - a) / 2.0
 
 
 BLOCK_POINTS = 1 << 13

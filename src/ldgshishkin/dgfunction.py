@@ -57,16 +57,6 @@ class DGFunction1D:
         """Trace v^- at the right endpoint of every cell, shape (N,)."""
         return self.coeffs.sum(axis=1)
 
-    def jump(self, i):
-        """Jump [[v]]_i at node i (1-based, 0..N); boundary conventions
-        [[v]]_0 = -v_0^+ and [[v]]_N = v_N^-."""
-        N = self.mesh.N
-        if i == 0:
-            return -float(self.left_traces()[0])
-        if i == N:
-            return float(self.right_traces()[N - 1])
-        return float(self.right_traces()[i - 1] - self.left_traces()[i])
-
     def values_at(self, tables):
         """Values on the per-cell quadrature grid given a (nq, k+1) table."""
         return self.coeffs @ tables.T  # (N, nq)
@@ -124,31 +114,3 @@ class DGFunction2D:
         """x-mode coefficients of the trace on a horizontal edge."""
         e = _alternating(self.degree) if side == "bottom" else np.ones(self.degree + 1)
         return np.einsum("n,ijmn->ijm", e, self.coeffs)
-
-
-def _lobatto_interpolation(k):
-    """Chebyshev-Lobatto points on [-1, 1] and the inverse of their Legendre table."""
-    pts = -np.cos(np.pi * np.arange(k + 1) / k)
-    pts[0], pts[-1] = -1.0, 1.0
-    V, _ = legendre_table(k, pts)
-    return pts, np.linalg.inv(V)
-
-
-def interpolate_1d(w, mesh, k):
-    """Continuous nodal interpolant of w (Chebyshev-Lobatto points per cell).
-
-    The point set contains both cell endpoints, so the interpolant of a
-    continuous function has zero jumps at all interior nodes up to roundoff.
-    One inverse Vandermonde product maps the samples of all cells to modes.
-    """
-    pts, Vinv = _lobatto_interpolation(k)
-    W = np.asarray(w(mesh.quadrature_points(pts)), dtype=float)
-    return DGFunction1D(mesh, k, W @ Vinv.T)
-
-
-def interpolate_2d(w, mesh, k):
-    """Continuous tensor Chebyshev-Lobatto interpolant on a 2D mesh."""
-    pts, Vinv = _lobatto_interpolation(k)
-    X = mesh.axis.quadrature_points(pts)
-    W = np.asarray(w(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    return DGFunction2D(mesh, k, Vinv @ W @ Vinv.T)

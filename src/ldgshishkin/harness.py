@@ -18,6 +18,7 @@ from typing import Optional
 
 from numpy.linalg import LinAlgError
 
+from .basis import gauss_rule
 from .errors import (ConfigurationError, MeshError, ProjectionError,
                      SingularMatrixError, SolverError)
 from .mesh import MeshConfig, build_shishkin_1d, build_shishkin_2d
@@ -88,8 +89,8 @@ class SweepConfig:
             raise ConfigurationError("polynomial degrees must be >= 1")
         for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
             MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
-        if self.quad_order is not None and self.quad_order < 1:
-            raise ConfigurationError(f"quadrature order must be >= 1, got {self.quad_order}")
+        if self.quad_order is not None:
+            gauss_rule(self.quad_order)  # owns the range of rule sizes
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
 

@@ -10,9 +10,9 @@ coupled (U, P, Q) matrix is a block-diagonal b-weighted mass plus Kronecker
 products of one set of 1D operator pieces (``ldg1d.piece_blocks_1d``), in
 the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it:
 ``assemble_2d`` returns only the 1D pieces, the b-weighted mass blocks W_b
-and the load, and the coupled matrix is built on request
-(``AssembledSystem2D.matrix``) as the reference the tests check the solver
-against.
+and the load.  The coupled matrix is built on request
+(``AssembledSystem2D.matrix``): the tests check the solver against it, and
+the benchmark's tracer (``bench/spans.py``) reads its size and nnz.
 The solver eliminates P and Q in closed form on every cell, the interface
 cells included, because the 1D flux mass M/s + v v^T has the
 Sherman-Morrison inverse ``flux_mass_inv``.  Conjugate gradients,
@@ -75,20 +75,15 @@ class AssembledSystem2D:
     (N, N, kk, kk) and the load (N, N, kk), kk = (k+1)^2 with x-mode-major
     local numbering.
 
-    ``matrix`` and ``rhs`` are the coupled (U, Ptilde, Qtilde) system in the
-    field-major layout (all U dofs, then P, then Q; within a field the cells
-    row-major over (i, j), then the local modes).  ``matrix`` is built on
-    first access; the solve never reads it.
+    ``matrix`` is the coupled (U, Ptilde, Qtilde) matrix in the field-major
+    layout (all U dofs, then P, then Q; within a field the cells row-major
+    over (i, j), then the local modes), built on first access.  The solve
+    never reads it; it stays because the tests and ``bench/spans.py`` do.
     """
 
     pieces: OperatorPieces1D
     reaction: np.ndarray
     load: np.ndarray
-
-    @property
-    def pq_scale(self):
-        """s = sqrt(eps): P = s Ptilde and Q = s Qtilde."""
-        return self.pieces.s
 
     @functools.cached_property
     def matrix(self):
@@ -118,13 +113,6 @@ class AssembledSystem2D:
         return SparseMatrix.from_coo(3 * field, np.concatenate([order[A.row], R.row]),
                                      np.concatenate([order[A.col], R.col]),
                                      np.concatenate([A.data, R.data]))
-
-    @property
-    def rhs(self):
-        """Right-hand side of ``matrix``: the load on the U dofs."""
-        rhs = np.zeros(3 * self.load.size)
-        rhs[:self.load.size] = self.load.ravel()
-        return rhs
 
 
 def assemble_2d(problem, mesh2d, k):
@@ -281,8 +269,8 @@ def solve_ldg_2d(problem, mesh2d, k):
         return DGFunction2D(mesh2d, k, np.ascontiguousarray(scale * _to_cells(kron_values, N)))
 
     return MixedSolution2D(U=field(u_kron, 1.0),
-                           P=field(G @ u_kron, -system.pq_scale),
-                           Q=field(u_kron @ G.T, -system.pq_scale),
+                           P=field(G @ u_kron, -system.pieces.s),
+                           Q=field(u_kron @ G.T, -system.pieces.s),
                            residual=result.residual)
 
 

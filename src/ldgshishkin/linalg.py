@@ -119,26 +119,11 @@ class SparseMatrix:
     def n(self):
         return self.csr.shape[0]
 
-    def to_dense(self):
-        return self.csr.toarray()
-
     def matvec(self, x):
         return self.csr @ x
 
     def frobenius_norm(self):
         return np.sqrt((self.csr.data**2).sum())
-
-    def diagonal(self):
-        return self.csr.diagonal()
-
-    def abs_row_col_max(self):
-        absA = abs(self.csr)
-        return absA.max(axis=1).toarray().ravel(), absA.max(axis=0).toarray().ravel()
-
-    def scaled(self, row_scales, col_scales):
-        R = sp.diags(row_scales)
-        C = sp.diags(col_scales)
-        return SparseMatrix((R @ self.csr @ C).tocsr())
 
 
 def _pow2_scale(maxima, what):
@@ -151,16 +136,14 @@ def _pow2_scale(maxima, what):
 
 
 def equilibrate(matrix):
-    """Scale rows then columns by powers of two.
+    """Scale rows then columns by powers of two, for an A with
+    ``abs_row_col_max()`` and ``scaled(rows, cols)`` (a ``BandedMatrix``).
 
     After the row pass every row maximum is in [0.5, 1); the column pass
     can only scale up (all entries are then <= 1), so both row and column
     maxima end in [0.5, 1].  Returns (scaled matrix, row_scales, col_scales)
     so that scaled = diag(r) A diag(c); the original matrix is untouched.
     """
-    if isinstance(matrix, np.ndarray):
-        scaled, r, c = equilibrate(SparseMatrix(sp.csr_matrix(matrix, dtype=float)))
-        return scaled.to_dense(), r, c
     row_max, _ = matrix.abs_row_col_max()
     r = _pow2_scale(row_max, "row")
     half = matrix.scaled(r, np.ones(matrix.n))
@@ -191,7 +174,8 @@ def lu_banded_solve(matrix, rhs):
     """Solve a banded system by LU with partial pivoting (LAPACK dgbsv).
 
     Raises SingularMatrixError with the pivot index on exact breakdown and
-    on pivots below 1e-14 times the largest entry magnitude.  Returns the
+    on pivots below 1e-14 times the largest entry magnitude, and without an
+    index on a non-finite solution (a NaN in the data).  Returns the
     solution together with the relative residual on this system.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -214,6 +198,8 @@ def lu_banded_solve(matrix, rhs):
             f"pivot {pivots[idx]:.3e} below tolerance {tol:.3e} at index {idx}",
             pivot_index=idx,
         )
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("banded solve produced non-finite values")
     return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
 
 
@@ -224,8 +210,6 @@ def sparse_solve(matrix, rhs):
     the solution.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if not isinstance(matrix, SparseMatrix):
-        matrix = SparseMatrix(sp.csr_matrix(matrix))
     try:
         lu = spla.splu(matrix.csr.tocsc())
         x = lu.solve(rhs)

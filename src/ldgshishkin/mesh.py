@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-FINE_LEFT = "fine_left"
-COARSE = "coarse"
-FINE_RIGHT = "fine_right"
-
 
 @dataclass(frozen=True)
 class MeshConfig:
@@ -65,16 +61,8 @@ class Mesh1D:
         return self.config.N
 
     @property
-    def eps(self):
-        return self.config.eps
-
-    @property
     def widths(self):
         return np.diff(self.nodes)
-
-    @property
-    def fine_width(self):
-        return 4.0 * self.tau / self.N
 
     @property
     def interface_index(self):
@@ -92,11 +80,6 @@ class Mesh1D:
             raise ConfigurationError(f"cell index {i} outside 1..{self.N}")
         return self.nodes[i - 1], self.nodes[i]
 
-    def dump(self, stream):
-        """Write one node per line at 17 significant digits (debug aid)."""
-        for x in self.nodes:
-            stream.write(f"{x:.17g}\n")
-
 
 @dataclass(frozen=True)
 class Mesh2D:
@@ -107,10 +90,6 @@ class Mesh2D:
     @property
     def N(self):
         return self.axis.N
-
-    @property
-    def eps(self):
-        return self.axis.eps
 
     @property
     def clamped(self):
@@ -157,15 +136,3 @@ def build_shishkin_1d(cfg):
 def build_shishkin_2d(cfg):
     """Tensor-product Shishkin mesh: the same 1D mesh on both axes."""
     return Mesh2D(build_shishkin_1d(cfg))
-
-
-def region_of(mesh, i):
-    """Region of cell i (1-based): fine_left, coarse or fine_right."""
-    N = mesh.N
-    if not 1 <= i <= N:
-        raise ConfigurationError(f"cell index {i} outside 1..{N}")
-    if i <= N // 4:
-        return FINE_LEFT
-    if i <= 3 * N // 4:
-        return COARSE
-    return FINE_RIGHT

@@ -261,13 +261,3 @@ def composite_project_plus_x_2d(p, mesh2d, k, quad=None):
     nodes = mesh2d.axis.nodes
     coeffs = _project_2d(p, nodes, nodes, kx, np.full((N, N), L2), k, quad)
     return DGFunction2D(mesh2d, k, coeffs)
-
-
-def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
-    """2D flux projection in y: plain L2 on row j = 1, Radau-plus in y
-    elsewhere."""
-    N = mesh2d.N
-    ky = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[None, :], N, axis=0)
-    nodes = mesh2d.axis.nodes
-    coeffs = _project_2d(q, nodes, nodes, np.full((N, N), L2), ky, k, quad)
-    return DGFunction2D(mesh2d, k, coeffs)

@@ -6,10 +6,7 @@ from scipy.special import eval_legendre, roots_legendre
 
 from ldgshishkin import (
     ConfigurationError,
-    MeshError,
     ReferenceBasis,
-    cell_jacobian,
-    cell_map,
     gauss_rule,
     legendre_eval,
 )
@@ -122,19 +119,3 @@ class TestReferenceBasis:
         V, D = legendre_table(k, rule.points)
         G_quad = np.einsum("g,ga,gm->ma", rule.weights, V, D)
         assert np.allclose(basis.stiffness(), G_quad, atol=1e-13)
-
-
-class TestCellMap:
-    def test_endpoints_and_midpoint(self):
-        assert cell_map((0.0, 1.0), -1.0) == 0.0
-        assert cell_map((0.0, 1.0), 1.0) == 1.0
-        assert cell_map((2.0, 6.0), 0.0) == 4.0
-
-    def test_jacobian(self):
-        assert cell_jacobian((2.0, 6.0)) == 2.0
-
-    def test_degenerate_cell_rejected(self):
-        with pytest.raises(MeshError):
-            cell_map((1.0, 1.0), 0.0)
-        with pytest.raises(MeshError):
-            cell_jacobian((2.0, 1.0))

@@ -35,9 +35,9 @@ class TestSweepConfig:
     @pytest.mark.parametrize("values", [
         {"problem": "nonsense"}, {"dim": 2, "problem": "poly1d"}, {"sigma": -1.0},
         {"sigma": 0.0}, {"eps_list": (1e-4, 2.0)}, {"eps_list": (0.0,)},
-        {"quad_order": 0}, {"eps_list": ()},
+        {"quad_order": 0}, {"eps_list": ()}, {"quad_order": 65},
     ], ids=["problem", "problem-for-dim", "sigma", "sigma-zero", "eps", "eps-zero",
-            "quad-order", "empty-eps"])
+            "quad-order", "empty-eps", "quad-order-65"])
     def test_invalid_values_rejected(self, values):
         with pytest.raises(ConfigurationError):
             SweepConfig(**values)

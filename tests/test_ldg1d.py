@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,22 +8,25 @@ from ldgshishkin import (
     MeshConfig,
     MixedSolution1D,
     ReferenceBasis,
+    SingularMatrixError,
     SolverError,
+    SweepConfig,
     assemble_1d,
     bilinear_form_1d,
     build_shishkin_1d,
     energy_norm_1d,
     error_norms_1d,
-    interpolate_1d,
     load_functional_1d,
     paper_1d_problem,
     polynomial_problem_1d,
     rate_shishkin,
+    run_sweep,
     solve_ldg_1d,
 )
-from ldgshishkin import ldg1d
+from ldgshishkin import ldg1d, problems
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
+from reference import interpolate_1d
 
 
 def unit_b(x):
@@ -44,6 +49,19 @@ def q_dofs(cells, k):
 
 def u_dofs(cells, k):
     return q_dofs(cells, k) + k + 1
+
+
+def nan_on_one_cell(problem, mesh, name):
+    """``problem`` with b or f NaN inside one right-layer cell; the open
+    cell holds none of the points Problem1D checks b on."""
+    x0, x1 = mesh.cell(mesh.N - 1)
+    g = getattr(problem, name)
+
+    def poisoned(x):
+        x = np.asarray(x)
+        return np.where((x0 < x) & (x < x1), np.nan, g(x))
+
+    return replace(problem, **{name: poisoned})
 
 
 def random_pair(mesh, k, rng):
@@ -316,3 +334,23 @@ class TestSolverContract:
         with pytest.raises(SolverError) as info:
             solve_ldg_1d(p, mesh, 1)
         assert info.value.residual is not None and info.value.residual > 0.0
+
+    @pytest.mark.parametrize("name", ["b", "f"])
+    def test_nan_data_raises_typed_error(self, name):
+        eps = 1e-8
+        mesh = make_mesh(8, eps)
+        p = nan_on_one_cell(paper_1d_problem(eps), mesh, name)
+        with pytest.raises(SingularMatrixError):
+            solve_ldg_1d(p, mesh, 1)
+
+    @pytest.mark.parametrize("name", ["b", "f"])
+    def test_nan_data_row_recorded_failed(self, name, monkeypatch):
+        def factory(eps, k):
+            mesh = build_shishkin_1d(MeshConfig(N=8, eps=eps, sigma=k + 1))
+            return nan_on_one_cell(paper_1d_problem(eps), mesh, name)
+
+        monkeypatch.setitem(problems.PROBLEMS_1D, "nancell1d", factory)
+        table = run_sweep(SweepConfig(problem="nancell1d", k_list=(1,),
+                                      n_list=(8,), eps_list=(1e-8,)))
+        (row,) = table.rows
+        assert row.failed and row.message.startswith("SingularMatrixError")

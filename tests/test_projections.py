@@ -13,7 +13,6 @@ from ldgshishkin import (
     composite_project_minus_2d,
     composite_project_plus_1d,
     composite_project_plus_x_2d,
-    composite_project_plus_y_2d,
     gauss_rule,
     l2_error_region_1d,
     legendre_eval,
@@ -26,6 +25,7 @@ from ldgshishkin import (
     tensor_project_2d,
 )
 from ldgshishkin.projections import GR_MINUS, GR_PLUS, L2, WEIGHTED
+from reference import composite_project_plus_y_2d
 
 
 def eval_modal(coeffs, cell, x):
