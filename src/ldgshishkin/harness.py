@@ -141,94 +141,58 @@ class ConvergenceTable:
         raise KeyError((k, N, eps))
 
 
-def _solve_row(cfg, k, N, eps):
+def _row(job):
+    """One grid point: build the problem and mesh, record ``clamped``, then
+    solve (or project) and measure.  Row failures set ``failed``."""
+    cfg, k, N, eps = job
     sigma = cfg.sigma_for(k)
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
     try:
         problem = problem_by_key(cfg.problem, cfg.dim, eps, k)
         mcfg = MeshConfig(N=N, eps=eps, sigma=sigma, beta=problem.beta)
-        if cfg.dim == 1:
-            mesh = build_shishkin_1d(mcfg)
-            sol = solve_ldg_1d(problem, mesh, k)
-            energy, balanced = error_norms_1d(sol, problem, mesh, quad=cfg.quad_order)
-            row.clamped = mesh.clamped
-        else:
-            mesh = build_shishkin_2d(mcfg)
-            sol = solve_ldg_2d(problem, mesh, k)
-            energy, balanced = error_norms_2d(sol, problem, mesh, quad=cfg.quad_order)
-            row.clamped = mesh.clamped
-        row.residual = sol.residual
-        if cfg.norm in ("energy", "both"):
-            row.err_energy = energy.total
-        if cfg.norm in ("balanced", "both"):
-            row.err_balanced = balanced.total
-    except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
-        row.failed = True
-        row.message = f"{type(exc).__name__}: {exc}"
-    return row
-
-
-def _layer_cells(N):
-    return list(range(1, N // 4 + 1)) + list(range(3 * N // 4 + 1, N + 1))
-
-
-def _coarse_cells(N):
-    return list(range(N // 4 + 1, 3 * N // 4 + 1))
-
-
-def _projection_row(cfg, k, N, eps):
-    sigma = cfg.sigma_for(k)
-    row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
-    try:
-        problem = problem_by_key(cfg.problem, cfg.dim, eps, k)
-        if not problem.has_exact:
+        mesh = build_shishkin_1d(mcfg) if cfg.dim == 1 else build_shishkin_2d(mcfg)
+        row.clamped = mesh.clamped
+        if cfg.study == "solve":
+            solve, norms = ((solve_ldg_1d, error_norms_1d) if cfg.dim == 1
+                            else (solve_ldg_2d, error_norms_2d))
+            sol = solve(problem, mesh, k)
+            energy, balanced = norms(sol, problem, mesh, quad=cfg.quad_order)
+            row.residual = sol.residual
+            if cfg.norm in ("energy", "both"):
+                row.err_energy = energy.total
+            if cfg.norm in ("balanced", "both"):
+                row.err_balanced = balanced.total
+        elif not problem.has_exact:
             raise ConfigurationError("projection study needs exact solution handles")
-        mcfg = MeshConfig(N=N, eps=eps, sigma=sigma, beta=problem.beta)
-        if cfg.dim == 1:
-            mesh = build_shishkin_1d(mcfg)
-            row.clamped = mesh.clamped
+        elif cfg.dim == 1:
             proj_u = composite_project_minus_1d(
                 problem.u_exact, mesh, k, quad=cfg.quad_order, b=problem.b
             )
             proj_q = composite_project_plus_1d(problem.q_exact, mesh, k,
                                                quad=cfg.quad_order)
-            layer = _layer_cells(N)
-            coarse = _coarse_cells(N)
+            layer = mesh.layer
             err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer)
-            err_q = l2_error_region_1d(proj_q, problem.q_exact, mesh,
-                                       range(1, N + 1))
             row.err_energy = eps ** -0.25 * err_u_layer
-            row.err_balanced = eps ** -0.75 * err_q
+            row.err_balanced = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh)
             row.extras = {
-                "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, coarse),
+                "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, ~layer),
                 "linf_q_layer": linf_error_1d(proj_q, problem.q_exact, mesh, layer),
             }
         else:
-            mesh = build_shishkin_2d(mcfg)
-            row.clamped = mesh.clamped
             proj_u = composite_project_minus_2d(
                 problem.u_exact, mesh, k, quad=cfg.quad_order, b=problem.b
             )
             proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k,
                                                  quad=cfg.quad_order)
-            q1, q3 = N // 4, 3 * N // 4
-            outside_centre = lambda i, j: not (q1 + 1 <= i <= q3 and q1 + 1 <= j <= q3)
+            layer = mesh.axis.layer
+            outside_centre = layer[:, None] | layer[None, :]
             err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre)
-            err_p = l2_error_region_2d(proj_p, problem.p_exact, mesh,
-                                       lambda i, j: True)
             row.err_energy = eps ** -0.25 * err_u
-            row.err_balanced = eps ** -0.75 * err_p
-    except _ROW_ERRORS as exc:
+            row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh)
+    except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
     return row
-
-
-def _execute_job(args):
-    cfg, k, N, eps = args
-    if cfg.study == "solve":
-        return _solve_row(cfg, k, N, eps)
-    return _projection_row(cfg, k, N, eps)
 
 
 def _attach_rates(rows):
@@ -256,9 +220,9 @@ def run_sweep(cfg):
     jobs = [(cfg, k, N, eps) for k in cfg.k_list for eps in cfg.eps_list for N in cfg.n_list]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_execute_job, jobs))
+            rows = list(pool.map(_row, jobs))
     else:
-        rows = [_execute_job(j) for j in jobs]
+        rows = [_row(j) for j in jobs]
     _attach_rates(rows)
     rows.sort(key=lambda r: (r.k, -r.eps, r.N))
     return ConvergenceTable(rows=rows)

@@ -48,7 +48,7 @@ class Mesh1D:
 
     ``tau`` is the (possibly capped) transition point; ``clamped`` is set
     when the formula value hit the 1/4 cap and the mesh degenerated to a
-    uniform one.  Region boundaries sit at cell indices N/4 and 3N/4.
+    uniform one.  ``layer`` marks the fine cells of the two layer regions.
     """
 
     config: MeshConfig
@@ -63,6 +63,13 @@ class Mesh1D:
     @property
     def widths(self):
         return np.diff(self.nodes)
+
+    @property
+    def layer(self):
+        """Boolean (N,) mask, True on the layer cells 1..N/4 and 3N/4+1..N;
+        ``~layer`` is the coarse interior."""
+        i = np.arange(self.N)
+        return (i < self.N // 4) | (i >= 3 * self.N // 4)
 
     @property
     def interface_index(self):

@@ -9,7 +9,8 @@ from exact modal algebra; only the b-weighted U term needs quadrature.
 Error norms against exact solutions use the continuity of the exact pair
 analytically: interior jumps of the error reduce to discrete jumps and the
 boundary jumps to boundary traces of U, which avoids cancellation at
-extreme eps.  Region errors turn their cell set into a mask once and sum
+extreme eps.  Region errors take a boolean mask over the cells (shape (N,)
+in 1D, (N, N) in 2D; ``Mesh1D.layer`` gives the layer regions) and sum
 the weighted squared error over the quadrature grid of the chosen cells;
 in 2D both they and the error norms work in blocks of ``cell_blocks``
 cells.
@@ -228,24 +229,30 @@ def rate_shishkin(e_N, e_2N, N):
     return float((np.log(e_N) - np.log(e_2N)) / np.log(2.0 * np.log(N) / np.log(2.0 * N)))
 
 
-def _cell_mask(cells, N):
-    """Boolean mask over the cells of a 1D mesh from 1-based indices."""
-    idx = np.fromiter(cells, dtype=int) - 1
-    if np.any((idx < 0) | (idx >= N)):
-        raise ConfigurationError(f"cell index outside 1..{N}")
-    return np.bincount(idx, minlength=N) > 0
+def _cell_mask(cells, shape):
+    """The boolean cell mask ``cells`` of the given shape; None selects every
+    cell."""
+    if cells is None:
+        return np.ones(shape, dtype=bool)
+    mask = np.asarray(cells)
+    if mask.dtype != bool or mask.shape != shape:
+        raise ConfigurationError(
+            f"cells must be a boolean mask of shape {shape}, got {mask.dtype} {mask.shape}"
+        )
+    return mask
 
 
 _LINF_SAMPLES = 40  # points per cell sampled by linf_error_1d
 
 
 def linf_error_1d(dgf, exact, mesh, cells=None):
-    """Sampled sup-norm of (exact - dgf) over the given 1-based cells.
+    """Sampled sup-norm of (exact - dgf) over the cells of the (N,) mask
+    ``cells`` (every cell when None).
 
     Debug aid for projection studies; sampling uses a uniform grid of
     ``_LINF_SAMPLES`` points per cell, both endpoints included.
     """
-    mask = _cell_mask(range(1, mesh.N + 1) if cells is None else cells, mesh.N)
+    mask = _cell_mask(cells, (mesh.N,))
     ts = np.linspace(-1.0, 1.0, _LINF_SAMPLES)
     Vt, _ = legendre_table(dgf.degree, ts)
     a, b = mesh.nodes[:-1][mask, None], mesh.nodes[1:][mask, None]
@@ -254,27 +261,29 @@ def linf_error_1d(dgf, exact, mesh, cells=None):
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-def l2_error_region_1d(dgf, exact, mesh, cells, quad=None):
-    """L2 error of a DG function against ``exact`` over a set of 1-based cells."""
+def l2_error_region_1d(dgf, exact, mesh, cells=None, quad=None):
+    """L2 error of a DG function against ``exact`` over the cells of the
+    (N,) boolean mask ``cells`` (every cell when None)."""
     k = dgf.degree
     quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    mask = _cell_mask(cells, mesh.N)
+    mask = _cell_mask(cells, (mesh.N,))
     halfh = 0.5 * np.diff(mesh.nodes)[mask]
     X = mesh.quadrature_points(rule.points)[mask]
     diff = np.asarray(exact(X), dtype=float) - dgf.coeffs[mask] @ V.T
     return float(np.sqrt(np.sum(halfh[:, None] * rule.weights * diff**2)))
 
 
-def l2_error_region_2d(dgf, exact, mesh2d, cell_filter, quad=None):
-    """L2 error over the 1-based cells (i, j) accepted by ``cell_filter``."""
+def l2_error_region_2d(dgf, exact, mesh2d, cells=None, quad=None):
+    """L2 error over the cells (i, j) of the (N, N) boolean mask ``cells``
+    (every cell when None)."""
     k = dgf.degree
     quad = error_quad_order(k) if quad is None else quad
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
     N = mesh2d.N
-    ii, jj = np.nonzero(np.vectorize(cell_filter, otypes=[bool])(*np.indices((N, N)) + 1))
+    ii, jj = np.nonzero(_cell_mask(cells, (N, N)))
     points = mesh2d.axis.quadrature_points(rule.points)
     X, Y = points[ii][:, :, None], points[jj][:, None, :]
     widths = np.diff(mesh2d.axis.nodes)

@@ -110,10 +110,10 @@ class Problem2D:
 
 
 def _layer_profile(eps):
-    """Antisymmetric two-sided boundary-layer profile and its derivative.
+    """The antisymmetric two-sided boundary-layer profile and g = layer - cos(pi .).
 
-    Returns handles (ell, dell) with ell'' = ell / eps, ell(0) = 1 and
-    ell(1) = -1 exactly.
+    Returns handles (ell, g, dg, d2g): ell'' = ell / eps with ell(0) = 1 and
+    ell(1) = -1 exactly, so g vanishes at both ends; dg and d2g are g' and g''.
     """
     r = 1.0 / np.sqrt(eps)
     denom = 1.0 - np.exp(-r)
@@ -126,7 +126,19 @@ def _layer_profile(eps):
         s = np.asarray(s, dtype=float)
         return -r * (np.exp(-s * r) + np.exp(-(1.0 - s) * r)) / denom
 
-    return ell, dell
+    def g(s):
+        s = np.asarray(s, dtype=float)
+        return ell(s) - np.cos(np.pi * s)
+
+    def dg(s):
+        s = np.asarray(s, dtype=float)
+        return dell(s) + np.pi * np.sin(np.pi * s)
+
+    def d2g(s):
+        s = np.asarray(s, dtype=float)
+        return ell(s) / eps + np.pi**2 * np.cos(np.pi * s)
+
+    return ell, g, dg, d2g
 
 
 def paper_1d_problem(eps):
@@ -138,19 +150,7 @@ def paper_1d_problem(eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    ell, dell = _layer_profile(eps)
-
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return ell(x) - np.cos(np.pi * x)
-
-    def du(x):
-        x = np.asarray(x, dtype=float)
-        return dell(x) + np.pi * np.sin(np.pi * x)
-
-    def d2u(x):
-        x = np.asarray(x, dtype=float)
-        return ell(x) / eps + np.pi**2 * np.cos(np.pi * x)
+    _, u, du, d2u = _layer_profile(eps)
 
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -211,16 +211,7 @@ def manufactured_2d_problem(eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    ell, dell = _layer_profile(eps)
-
-    def g(s):
-        return ell(s) - np.cos(np.pi * s)
-
-    def dg(s):
-        return dell(s) + np.pi * np.sin(np.pi * s)
-
-    def d2g(s):
-        return ell(s) / eps + np.pi**2 * np.cos(np.pi * s)
+    ell, g, dg, d2g = _layer_profile(eps)
 
     def u(x, y):
         return g(np.asarray(x, dtype=float)) * g(np.asarray(y, dtype=float))

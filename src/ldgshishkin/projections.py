@@ -17,10 +17,13 @@ block D (moments, matched-edge moments, corner value) and its modes are
 Rx D Ry^T (sum factorization).  Weighted cells share one batched Gram
 solve.  The per-cell functions are one-cell calls of the same kernels.
 
-The composite operators dispatch per mesh region: the one tailored to the
-primal variable uses the Radau-minus projection on the two fine (layer)
-regions and the weighted projection on the coarse interior; the one for
-the flux variable uses plain L2 on the first cell and Radau-plus elsewhere.
+The kinds L2, WEIGHTED, GR_MINUS and GR_PLUS are integer codes; an integer
+array of them selects each cell's operator from one cached table.  The
+composite operators dispatch per mesh region (``Mesh1D.layer``): the one
+tailored to the primal variable uses the Radau-minus projection on the two
+fine (layer) regions and the weighted projection on the coarse interior;
+the one for the flux variable uses plain L2 on the first cell and
+Radau-plus elsewhere.
 2D versions act tensorially, one direction at a time.
 """
 
@@ -33,39 +36,27 @@ from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import ConfigurationError, MeshError, ProjectionError
 from .mesh import quadrature_points
 
-L2 = "l2"
-WEIGHTED = "weighted"
-GR_MINUS = "gr_minus"
-GR_PLUS = "gr_plus"
+L2, WEIGHTED, GR_MINUS, GR_PLUS = KINDS = range(4)
 
 
 @lru_cache(maxsize=None)
-def _operator(kind, k):
-    """(k+1) x (k+2) map from [moments m_0..m_k; endpoint value] to modes.
+def _operators(k):
+    """(4, k+1, k+2) table: per kind, the map from [moments m_0..m_k;
+    endpoint value] to modes.  ``_operators(k)[kinds]`` is the per-cell
+    operator stack of an integer kinds array.
 
     L2 (and WEIGHTED, whose unit-weight case it is) is c_n = (2n+1)/2 m_n.
     The Radau kinds keep that for n < k and replace the last moment by the
     endpoint row sum_n P_n(+-1) c_n = value.
     """
     n = np.arange(k + 1)
-    R = np.zeros((k + 1, k + 2))
-    R[n, n] = (2.0 * n + 1.0) / 2.0
-    if kind in (GR_MINUS, GR_PLUS):
-        trace = np.ones(k + 1) if kind == GR_MINUS else (-1.0) ** n
-        R[k, :k] = -trace[:k] * R[n[:k], n[:k]] / trace[k]
-        R[k, k] = 0.0
-        R[k, k + 1] = 1.0 / trace[k]
-    elif kind not in (L2, WEIGHTED):
-        raise ConfigurationError(f"unknown projection kind {kind!r}")
+    R = np.zeros((len(KINDS), k + 1, k + 2))
+    R[:, n, n] = (2.0 * n + 1.0) / 2.0
+    for kind, trace in ((GR_MINUS, np.ones(k + 1)), (GR_PLUS, (-1.0) ** n)):
+        R[kind, k, :k] = -trace[:k] * R[kind, n[:k], n[:k]] / trace[k]
+        R[kind, k, k] = 0.0
+        R[kind, k, k + 1] = 1.0 / trace[k]
     R.setflags(write=False)
-    return R
-
-
-def _operators(kinds, k):
-    """Per-cell operator stack of shape kinds.shape + (k+1, k+2)."""
-    R = np.empty(kinds.shape + (k + 1, k + 2))
-    for kind in np.unique(kinds):
-        R[kinds == kind] = _operator(str(kind), k)
     return R
 
 
@@ -91,8 +82,8 @@ def _solve_gram(gram, rhs):
 def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
     """Project w on every cell [nodes[i], nodes[i+1]] by its kind kinds[i].
 
-    Radau cells match w at their right ('gr_minus') or left ('gr_plus')
-    node, or the values ``ends`` when given.  'weighted' cells solve their
+    Radau cells match w at their right (GR_MINUS) or left (GR_PLUS) node,
+    or the values ``ends`` when given.  WEIGHTED cells solve their
     b-weighted Gram systems (plain L2 when b is None).  Returns the
     (cells, k+1) modal coefficients.
     """
@@ -104,7 +95,7 @@ def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
     if ends is None:
         ends = _sample(w, np.where(kinds == GR_PLUS, nodes[:-1], nodes[1:]))
     data = np.concatenate([W @ (V * rule.weights[:, None]), ends[:, None]], axis=1)
-    coeffs = np.einsum("iam,im->ia", _operators(kinds, k), data)
+    coeffs = np.einsum("iam,im->ia", _operators(k)[kinds], data)
     weighted = kinds == WEIGHTED
     if b is not None and weighted.any():
         B = _sample(b, X[weighted]) * rule.weights
@@ -116,7 +107,7 @@ def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
 def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
     """Tensor projection of z on every cell of the grid xnodes x ynodes.
 
-    kx, ky (shape (Nx, Ny)) give each cell's kind per axis; 'weighted' must
+    kx, ky (shape (Nx, Ny)) give each cell's kind per axis; WEIGHTED must
     fill both slots and solves the 2D Gram system with weight b (plain L2
     when b is None).  Returns c[i, j, x-mode, y-mode].  Runs in blocks of
     x rows (``cell_blocks``) so that the temporaries stay small.
@@ -145,7 +136,8 @@ def _project_rows_2d(z, xnodes, ynodes, kx, ky, k, quad, b):
     D[..., :-1, -1] = _sample(z, X[..., 0], ye[..., None]) @ Vw
     D[..., -1, :-1] = _sample(z, xe[..., None], Y[..., 0, :]) @ Vw
     D[..., -1, -1] = _sample(z, xe, ye)
-    coeffs = _operators(kx, k) @ D @ np.swapaxes(_operators(ky, k), -1, -2)
+    R = _operators(k)
+    coeffs = R[kx] @ D @ np.swapaxes(R[ky], -1, -2)
     weighted = kx == WEIGHTED
     if b is not None and weighted.any():
         ii, jj = np.nonzero(weighted)
@@ -205,9 +197,7 @@ def composite_project_minus_1d(u, mesh, k, quad=None, b=None):
     Radau-minus on cells 1..N/4 and 3N/4+1..N (layer regions), weighted L2
     on the coarse cells N/4+1..3N/4.  ``b`` defaults to weight 1 (plain L2).
     """
-    N = mesh.N
-    i = np.arange(1, N + 1)
-    kinds = np.where((i <= N // 4) | (i > 3 * N // 4), GR_MINUS, WEIGHTED)
+    kinds = np.where(mesh.layer, GR_MINUS, WEIGHTED)
     return DGFunction1D(mesh, k, _project_1d(u, mesh.nodes, kinds, k, quad, b=b))
 
 
@@ -221,11 +211,14 @@ def composite_project_plus_1d(q, mesh, k, quad=None):
 def tensor_project_2d(kind_x, kind_y, z, cell2d, k, quad=None, b=None):
     """Tensor projection on one rectangular cell; returns (k+1)x(k+1) modes.
 
-    kind_x, kind_y in {'l2', 'gr_minus', 'gr_plus'} act separably: moments
-    against the full degree in the other direction plus edge-moment
-    conditions on the matched edge.  The weighted projection ('weighted' in
-    both slots) solves the full 2D Gram system with weight b(x, y).
+    kind_x, kind_y in {L2, GR_MINUS, GR_PLUS} (the module's kind codes)
+    act separably: moments against the full degree in the other direction
+    plus edge-moment conditions on the matched edge.  The weighted
+    projection (WEIGHTED in both slots) solves the full 2D Gram system with
+    weight b(x, y).
     """
+    if kind_x not in KINDS or kind_y not in KINDS:
+        raise ConfigurationError(f"unknown projection kind pair ({kind_x!r}, {kind_y!r})")
     kx, ky = np.array([[kind_x]]), np.array([[kind_y]])
     if WEIGHTED in (kind_x, kind_y) and b is None:
         raise ConfigurationError("weighted 2D projection needs the weight handle b")
@@ -240,12 +233,11 @@ def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):
     y band, Radau-minus in y on the mirrored strips, weighted L2 elsewhere
     (corners, the centre block and the i = N / j = N strips).
     """
-    N = mesh2d.N
-    i = np.arange(1, N + 1)
-    strip = (i <= N // 4) | ((i > 3 * N // 4) & (i < N))
-    band = (i > N // 4) & (i <= 3 * N // 4)
-    x_radau = strip[:, None] & band[None, :]
-    y_radau = band[:, None] & strip[None, :]
+    layer = mesh2d.axis.layer
+    strip = layer.copy()
+    strip[-1] = False
+    x_radau = strip[:, None] & ~layer[None, :]
+    y_radau = ~layer[:, None] & strip[None, :]
     kx = np.where(x_radau, GR_MINUS, np.where(y_radau, L2, WEIGHTED))
     ky = np.where(y_radau, GR_MINUS, np.where(x_radau, L2, WEIGHTED))
     nodes = mesh2d.axis.nodes

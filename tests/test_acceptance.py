@@ -48,7 +48,6 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.basis import error_quad_order
-from ldgshishkin.harness import _layer_cells
 from ldgshishkin.linalg import BandedMatrix, SparseMatrix
 
 EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -234,11 +233,11 @@ def test_k1_energy_floor_behind_criteria_3_and_4(eps):
     quad = error_quad_order(1)
     problem = paper_1d_problem(eps)
     mesh = build_shishkin_1d(MeshConfig(N=32, eps=eps, sigma=2.0))
-    cells = range(1, mesh.N + 1)
 
     def best_approximation_error(w):
-        coeffs = np.array([project_l2(w, mesh.cell(i), 1, quad=quad) for i in cells])
-        return l2_error_region_1d(DGFunction1D(mesh, 1, coeffs), w, mesh, cells, quad=quad)
+        coeffs = np.array([project_l2(w, mesh.cell(i), 1, quad=quad)
+                           for i in range(1, mesh.N + 1)])
+        return l2_error_region_1d(DGFunction1D(mesh, 1, coeffs), w, mesh, quad=quad)
 
     energy, _ = error_norms_1d(solve_ldg_1d(problem, mesh, 1), problem, mesh, quad=quad)
     assert np.sqrt(energy.u_term) >= best_approximation_error(problem.u_exact)
@@ -338,7 +337,7 @@ def test_criterion_7_projection_suite():
             mesh = build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
             proj = composite_project_minus_1d(problem.u_exact, mesh, k, b=problem.b)
             errs[N] = eps**-0.25 * l2_error_region_1d(
-                proj, problem.u_exact, mesh, _layer_cells(N)
+                proj, problem.u_exact, mesh, mesh.layer
             )
         rates[k] = rate_shishkin(errs[512], errs[1024], 512)
     passed = (worst_rep <= 1e-12 and worst_end <= 1e-12

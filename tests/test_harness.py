@@ -104,6 +104,18 @@ class TestRunSweep:
         assert table.any_failed
         assert table.rows[0].message.startswith("SolverError")
 
+    def test_failed_solve_keeps_clamped(self, monkeypatch):
+        # N = 8, eps = 1e-2: tau = 2 * 0.1 * ln 8 > 1/4, so the mesh is clamped
+        cfg = SweepConfig(k_list=(1,), n_list=(8,), eps_list=(1e-2,))
+        assert run_sweep(cfg).rows[0].clamped
+
+        def solve(*args, **kwargs):
+            raise SolverError("residual too large", residual=1.0)
+
+        monkeypatch.setattr(harness, "solve_ldg_1d", solve)
+        (row,) = run_sweep(cfg).rows
+        assert row.failed and row.clamped
+
     def test_workers_agree_with_serial(self):
         cfg = SweepConfig(k_list=(1,), n_list=(16, 32), eps_list=(1e-4, 1e-8))
         serial = emit_table(run_sweep(cfg), fmt="csv")

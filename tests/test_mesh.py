@@ -90,6 +90,19 @@ class TestMeshGeometry:
 
 
 class TestRegions:
+    @pytest.mark.parametrize("eps", [0.25, 1e-8])
+    @pytest.mark.parametrize("N", [4, 8, 16, 64])
+    def test_layer_mask(self, N, eps):
+        m = build_shishkin_1d(cfg(N=N, eps=eps))
+        assert m.clamped == (eps == 0.25)
+        expected = [i <= N // 4 or i > 3 * N // 4 for i in range(1, N + 1)]
+        assert m.layer.dtype == bool
+        assert m.layer.tolist() == expected
+        assert build_shishkin_2d(m.config).axis.layer.tolist() == expected
+        fine, coarse = 4 * m.tau / N, 2 * (1 - 2 * m.tau) / N
+        assert np.allclose(m.widths[m.layer], fine, rtol=0.0, atol=1e-14)
+        assert np.allclose(m.widths[~m.layer], coarse, rtol=0.0, atol=1e-14)
+
     def test_cell_endpoints(self):
         m = build_shishkin_1d(cfg(N=8))
         a, b = m.cell(1)

@@ -222,6 +222,18 @@ def brute_l2_2d(dgf, exact, mesh2d, cell_filter, quad):
     return np.sqrt(total)
 
 
+def mask_1d(cells, N):
+    """Boolean (N,) mask of the 1-based cell indices ``cells``."""
+    mask = np.zeros(N, dtype=bool)
+    mask[np.asarray(list(cells), dtype=int) - 1] = True
+    return mask
+
+
+def mask_2d(cell_filter, N):
+    """Boolean (N, N) mask of the 1-based cells (i, j) that ``cell_filter`` accepts."""
+    return np.array([[cell_filter(i, j) for j in range(1, N + 1)] for i in range(1, N + 1)])
+
+
 class TestRegionErrors:
     K, QUAD = 2, 7
 
@@ -243,26 +255,36 @@ class TestRegionErrors:
         N = mesh.N
         f = self.dg_1d(mesh)
         for cells in ([1, 3, 4, N - 2, N], range(2, N + 1, 3), list(range(1, N + 1))):
-            got = l2_error_region_1d(f, smooth_1d, mesh, cells, quad=self.QUAD)
+            mask = mask_1d(cells, N)
+            got = l2_error_region_1d(f, smooth_1d, mesh, mask, quad=self.QUAD)
             want = brute_l2_1d(f, smooth_1d, mesh, cells, self.QUAD)
             assert got == pytest.approx(want, rel=1e-12)
-            got = linf_error_1d(f, smooth_1d, mesh, cells)
+            got = linf_error_1d(f, smooth_1d, mesh, mask)
             assert got == pytest.approx(brute_linf_1d(f, smooth_1d, mesh, cells), rel=1e-12)
         everything = brute_linf_1d(f, smooth_1d, mesh, range(1, N + 1))
         assert linf_error_1d(f, smooth_1d, mesh) == pytest.approx(everything, rel=1e-12)
 
     def test_1d_empty_set_is_exactly_zero(self, mesh):
         f = self.dg_1d(mesh)
-        assert l2_error_region_1d(f, smooth_1d, mesh, []) == 0.0
-        assert linf_error_1d(f, smooth_1d, mesh, []) == 0.0
+        none = np.zeros(mesh.N, dtype=bool)
+        assert l2_error_region_1d(f, smooth_1d, mesh, none) == 0.0
+        assert linf_error_1d(f, smooth_1d, mesh, none) == 0.0
 
-    def test_1d_cell_index_out_of_range(self, mesh):
+    def test_cell_mask_must_be_boolean_of_mesh_shape(self, mesh):
+        N = mesh.N
         f = self.dg_1d(mesh)
-        for bad in ([0], [mesh.N + 1]):
+        mesh2d, f2 = self.dg_2d(mesh)
+        # 1-based index lists, 0/1 integers, and booleans of the wrong shape
+        for bad in ([1, 2], [0], [N + 1], [], np.ones(N, dtype=int),
+                    np.ones(N + 1, dtype=bool), np.ones((N, 1), dtype=bool)):
             with pytest.raises(ConfigurationError):
                 l2_error_region_1d(f, smooth_1d, mesh, bad)
             with pytest.raises(ConfigurationError):
                 linf_error_1d(f, smooth_1d, mesh, bad)
+        for bad in (np.ones(N, dtype=bool), np.ones((N, N), dtype=int),
+                    np.ones((N, N + 1), dtype=bool), lambda i, j: True):
+            with pytest.raises(ConfigurationError):
+                l2_error_region_2d(f2, smooth_2d, mesh2d, bad)
 
     def test_2d_filters_match_brute_force(self, mesh):
         mesh2d, f = self.dg_2d(mesh)
@@ -273,10 +295,13 @@ class TestRegionErrors:
             lambda i, j: not (q1 + 1 <= i <= q3 and q1 + 1 <= j <= q3),
             lambda i, j: True,
         ):
-            got = l2_error_region_2d(f, smooth_2d, mesh2d, cell_filter, quad=self.QUAD)
+            got = l2_error_region_2d(f, smooth_2d, mesh2d, mask_2d(cell_filter, N),
+                                     quad=self.QUAD)
             want = brute_l2_2d(f, smooth_2d, mesh2d, cell_filter, self.QUAD)
             assert got == pytest.approx(want, rel=1e-12)
+        assert l2_error_region_2d(f, smooth_2d, mesh2d, quad=self.QUAD) == got
 
     def test_2d_filter_rejecting_every_cell_is_exactly_zero(self, mesh):
         mesh2d, f = self.dg_2d(mesh)
-        assert l2_error_region_2d(f, smooth_2d, mesh2d, lambda i, j: False) == 0.0
+        none = np.zeros((mesh.N, mesh.N), dtype=bool)
+        assert l2_error_region_2d(f, smooth_2d, mesh2d, none) == 0.0

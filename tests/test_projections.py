@@ -6,6 +6,7 @@ import pytest
 from ldgshishkin import (
     ConfigurationError,
     MeshConfig,
+    MeshError,
     ProjectionError,
     build_shishkin_1d,
     build_shishkin_2d,
@@ -229,8 +230,7 @@ class TestComposite1D:
         for N in (128, 256, 512):
             mesh = build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
             pu = composite_project_minus_1d(p.u_exact, mesh, k, b=p.b)
-            layer = list(range(1, N // 4 + 1)) + list(range(3 * N // 4 + 1, N + 1))
-            errs[N] = l2_error_region_1d(pu, p.u_exact, mesh, layer)
+            errs[N] = l2_error_region_1d(pu, p.u_exact, mesh, mesh.layer)
         assert rate_shishkin(errs[256], errs[512], 256) >= k + 0.9
 
     def test_flux_projection_scaled_rate(self):
@@ -240,7 +240,7 @@ class TestComposite1D:
         for N in (128, 256, 512):
             mesh = build_shishkin_1d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
             pq = composite_project_plus_1d(p.q_exact, mesh, k)
-            errs[N] = eps**-0.75 * l2_error_region_1d(pq, p.q_exact, mesh, range(1, N + 1))
+            errs[N] = eps**-0.75 * l2_error_region_1d(pq, p.q_exact, mesh)
         assert rate_shishkin(errs[256], errs[512], 256) >= k + 0.9
 
 
@@ -289,6 +289,12 @@ class TestTensor2D:
             tensor_project_2d(WEIGHTED, L2, z, self.CELL, 1)
         with pytest.raises(ConfigurationError):
             tensor_project_2d(WEIGHTED, WEIGHTED, z, self.CELL, 1)
+
+    def test_unknown_kind_rejected(self):
+        z = lambda x, y: np.asarray(x) + np.asarray(y)
+        for kinds in (("l2", L2), (L2, 4), (-1, GR_PLUS)):
+            with pytest.raises(ConfigurationError):
+                tensor_project_2d(*kinds, z, self.CELL, 1)
 
     def test_weighted_reproduction(self):
         b = lambda x, y: 1.0 + np.asarray(x) * np.asarray(y)
@@ -355,8 +361,8 @@ class TestComposite2D:
         for N in (64, 128):
             mesh = build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=k + 1.0))
             proj = composite_project_minus_2d(p.u_exact, mesh, k, b=p.b)
-            q1, q3 = N // 4, 3 * N // 4
-            outside = lambda i, j: not (q1 + 1 <= i <= q3 and q1 + 1 <= j <= q3)
+            layer = mesh.axis.layer
+            outside = layer[:, None] | layer[None, :]
             errs[N] = eps**-0.25 * l2_error_region_2d(proj, p.u_exact, mesh, outside)
         assert rate_shishkin(errs[64], errs[128], 64) >= k + 0.9
 
@@ -474,8 +480,8 @@ def check_properties_2d(z, xnodes, ynodes, coeffs, kx, ky, b=None):
 def minus_kinds_2d(N):
     """The documented dispatch of the 2D minus-composite, cell by cell."""
     q1, q3 = N // 4, 3 * N // 4
-    kx = np.full((N, N), WEIGHTED, dtype=object)
-    ky = np.full((N, N), WEIGHTED, dtype=object)
+    kx = np.full((N, N), WEIGHTED)
+    ky = np.full((N, N), WEIGHTED)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             x_strip = i <= q1 or q3 + 1 <= i <= N - 1
@@ -518,8 +524,8 @@ class TestDefiningPropertiesOnEveryCell:
             pu = composite_project_minus_2d(z2, mesh, k, quad=PROJ_QUAD, b=b)
             check_properties_2d(z2, nodes, nodes, pu.coeffs, kx, ky, b)
         first = np.arange(1, N + 1) == 1
-        plus = np.where(first, L2, GR_PLUS).astype(object)
-        plain = np.full((N, N), L2, dtype=object)
+        plus = np.where(first, L2, GR_PLUS)
+        plain = np.full((N, N), L2)
         pp = composite_project_plus_x_2d(z2, mesh, k, quad=PROJ_QUAD)
         check_properties_2d(z2, nodes, nodes, pp.coeffs, np.repeat(plus[:, None], N, 1), plain)
         pq = composite_project_plus_y_2d(z2, mesh, k, quad=PROJ_QUAD)
@@ -531,10 +537,10 @@ class TestDefiningPropertiesOnEveryCell:
         for kind_x in (L2, GR_MINUS, GR_PLUS):
             for kind_y in (L2, GR_MINUS, GR_PLUS):
                 c = tensor_project_2d(kind_x, kind_y, z2, (xnodes, ynodes), k, quad=PROJ_QUAD)
-                kinds = (np.array([[kind_x]], dtype=object), np.array([[kind_y]], dtype=object))
+                kinds = (np.array([[kind_x]]), np.array([[kind_y]]))
                 check_properties_2d(z2, xnodes, ynodes, c[None, None], *kinds)
         c = tensor_project_2d(WEIGHTED, WEIGHTED, z2, (xnodes, ynodes), k, quad=PROJ_QUAD, b=b2)
-        weighted = np.array([[WEIGHTED]], dtype=object)
+        weighted = np.array([[WEIGHTED]])
         check_properties_2d(z2, xnodes, ynodes, c[None, None], weighted, weighted, b2)
         for kind, proj in ((L2, project_l2), (GR_MINUS, project_gr_minus),
                            (GR_PLUS, project_gr_plus)):
@@ -556,6 +562,22 @@ def vanishing_on(cell, inside, outside):
         return np.where(hit, inside, outside)
 
     return b
+
+
+class TestDegenerateCells:
+    @pytest.mark.parametrize("cell", [(0.5, 0.2), (0.3, 0.3)], ids=["reversed", "zero-width"])
+    def test_one_cell_projections_raise_mesh_error(self, cell):
+        w = lambda x: np.asarray(x, dtype=float)
+        for project in (
+            lambda: project_l2(w, cell, 1),
+            lambda: project_weighted(w, lambda x: 1.0 + w(x), cell, 1),
+            lambda: project_gr_minus(w, cell, 1),
+            lambda: project_gr_plus(w, cell, 1),
+            lambda: tensor_project_2d(L2, GR_MINUS, lambda x, y: w(x) * w(y), (cell, (0.0, 1.0)), 1),
+            lambda: tensor_project_2d(GR_PLUS, L2, lambda x, y: w(x) * w(y), ((0.0, 1.0), cell), 1),
+        ):
+            with pytest.raises(MeshError):
+                project()
 
 
 class TestFailuresSurviveBatching:
