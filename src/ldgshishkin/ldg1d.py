@@ -7,15 +7,16 @@ weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
 and field order [Qtilde; U] the matrix is [[M/s + v v^T, D],
 [-s D^T, W_b + s E]], block-tridiagonal over cells: numpy builds the
 per-cell blocks of the operator pieces (``piece_blocks_1d``) and writes
-them, with the b-weighted mass W_b, straight into band storage (cell-major,
-Q modes before U modes inside each cell); the 2D scheme builds its
-flux-eliminated operator from the same pieces.  The
-interface term v v^T couples the Q unknowns of the two cells that share the
-transition node, so the system is solved monolithically: equilibrated by
-powers of two, factorized by banded LU and unscaled on return.
+each nonzero one, with the b-weighted mass W_b, by slices into LAPACK band
+storage of bandwidths 3k+2 (cell-major, Q modes before U modes inside each
+cell); the 2D scheme builds its flux-eliminated operator from the same
+pieces.  The interface term v v^T couples the Q unknowns of the two cells
+that share the transition node, so the system is solved monolithically:
+equilibrated by powers of two, factorized by banded LU and unscaled on return.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,11 +63,6 @@ class CellBlocks:
     sub: np.ndarray
     sup: np.ndarray
 
-    def stencil(self, out):
-        """Block row c against cells c-1, c, c+1, written into zeros ``out``."""
-        out[:, :, 0], out[:, :, 1], out[:-1, :, 2] = self.sub, self.diag, self.sup[1:]
-        return out
-
     def dot(self, X):
         """The product with X, an array of N kk rows (cell-major)."""
         N, kk, _ = self.diag.shape
@@ -97,17 +93,30 @@ class OperatorPieces1D:
     ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
     e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
     (test v, Qtilde) block of the scheme is exactly -s D^T.
-    ``flux_mass_inv`` is the Sherman-Morrison inverse of ``flux_mass``,
-    s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal plus one
-    2-cell block at the interface.
+    ``interface`` is (J, v).  ``flux_mass_inv``, built on first read (only
+    the 2D scheme reads it), is the Sherman-Morrison inverse of
+    ``flux_mass``, s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal
+    plus one 2-cell block at the interface.
     """
 
     mass: CellBlocks
     derivative: CellBlocks
     flux_mass: CellBlocks
-    flux_mass_inv: CellBlocks
     penalty: CellBlocks
     s: float
+    interface: tuple
+
+    @cached_property
+    def flux_mass_inv(self):
+        (J, v), (N, kk, _) = self.interface, self.mass.diag.shape
+        inv = self.s / np.diagonal(self.mass.diag, axis1=1, axis2=2)
+        w = inv[J - 1:J + 1].ravel() * v
+        denom = 1.0 + np.cumsum(v * w)[-1]  # summed left to right, in dof order
+        pair = np.diag(inv[J - 1:J + 1].ravel()) - np.outer(w, w) * (1.0 / denom)
+        F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), *np.zeros((2, N, kk, kk)))
+        F_inv.diag[J - 1], F_inv.diag[J] = pair[:kk, :kk], pair[kk:, kk:]
+        F_inv.sub[J], F_inv.sup[J] = pair[kk:, :kk], pair[:kk, kk:]
+        return F_inv
 
 
 def piece_blocks_1d(mesh, k, eps):
@@ -128,16 +137,9 @@ def piece_blocks_1d(mesh, k, eps):
     F[J] += vv[kk:, kk:]
     F_sub[J], F_sup[J] = vv[kk:, :kk], vv[:kk, kk:]
     E[-1], E[0] = np.outer(ones, ones), np.outer(alt, alt)
-    inv = s / np.diagonal(M, axis1=1, axis2=2)
-    w = inv[J - 1:J + 1].ravel() * v
-    denom = 1.0 + np.cumsum(v * w)[-1]  # summed left to right, in dof order
-    pair = np.diag(inv[J - 1:J + 1].ravel()) - np.outer(w, w) * (1.0 / denom)
-    F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), zero.copy(), zero.copy())
-    F_inv.diag[J - 1], F_inv.diag[J] = pair[:kk, :kk], pair[kk:, kk:]
-    F_inv.sub[J], F_inv.sup[J] = pair[kk:, :kk], pair[:kk, kk:]
     return OperatorPieces1D(mass=CellBlocks(M, zero, zero), derivative=CellBlocks(D, D_sub, zero),
-                            flux_mass=CellBlocks(F, F_sub, F_sup), flux_mass_inv=F_inv,
-                            penalty=CellBlocks(s * E, zero, zero), s=s)
+                            flux_mass=CellBlocks(F, F_sub, F_sup),
+                            penalty=CellBlocks(s * E, zero, zero), s=s, interface=(J, v))
 
 
 def assemble_1d(problem, mesh, k):
@@ -160,20 +162,20 @@ def assemble_1d(problem, mesh, k):
     fvals = np.asarray(problem.f(X), dtype=float)
     W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
 
-    # block row c of [[F, D], [-s D^T, W_b + s E]] against the [Qtilde | U]
-    # modes of cells c-1, c, c+1 (s E has only diagonal blocks)
-    rows = np.zeros((N, 2, kk, 3, 2, kk))
-    F.stencil(rows[:, 0, :, :, 0])
-    D.stencil(rows[:, 0, :, :, 1])
-    minus_sDt = CellBlocks(*(-s * x.swapaxes(1, 2) for x in (D.diag, D.sup, D.sub)))
-    minus_sDt.stencil(rows[:, 1, :, :, 0])
-    rows[:, 1, :, 1, 1] = W + sE.diag
-    # entry (c, r, q) is row c per + r, column (c - 1) per + q
-    rows = rows.reshape(N, per, 3 * per)
-    i = np.broadcast_to(np.arange(N * per).reshape(N, per, 1), rows.shape)
-    j = np.broadcast_to(per * np.arange(-1, N - 1)[:, None, None] + np.arange(3 * per), rows.shape)
-    nonzero = rows != 0.0
-    matrix = BandedMatrix.from_coo(N * per, i[nonzero], j[nonzero], rows[nonzero])
+    # blocks (cell c + d, field a; cell c, field b) of [[F, D], [-s D^T, W_b + s E]]
+    # written a column at a time (A[i, j] is band[u + i - j, j]); the blocks
+    # made of D.sup, in D and in -s D^T, are zero and reach past the band.
+    # 0 - s D^T keeps its zeros +0.0, as in a band of zeros.
+    u = 3 * kk - 1
+    band = np.zeros((2 * u + 1, N, per))
+    for d, a, b, blocks in ((0, 0, 0, F.diag), (0, 0, 1, D.diag), (0, 1, 1, W + sE.diag),
+                            (0, 1, 0, 0.0 - s * D.diag.swapaxes(1, 2)), (1, 0, 0, F.sub[1:]),
+                            (1, 0, 1, D.sub[1:]), (-1, 0, 0, F.sup[1:]),
+                            (-1, 1, 0, 0.0 - s * D.sub[1:].swapaxes(1, 2))):
+        top, cells = u + d * per + (a - b) * kk, slice(max(0, -d), N - max(0, d))
+        for q in range(kk):
+            band[top - q:top - q + kk, cells, b * kk + q] = blocks[:, :, q].T
+    matrix = BandedMatrix(N * per, u, u, band.reshape(2 * u + 1, N * per))
 
     rhs = np.zeros((N, per))
     rhs[:, kk:] = halfh[:, None] * ((rule.weights * fvals) @ V)

@@ -11,6 +11,7 @@ row pass, then a column pass) lands every row and column maximum in
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -60,44 +61,47 @@ class BandedMatrix:
     def to_dense(self):
         return self.to_csr().toarray()
 
-    def _slot_rows(self):
-        """Row of A held by each band slot (outside A when < 0 or >= n)."""
-        return np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
-
     def to_csr(self):
-        rows = self._slot_rows()
+        rows = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
         inside = (rows >= 0) & (rows < self.n)
         cols = np.broadcast_to(np.arange(self.n), rows.shape)
         return sp.csr_matrix((self.band[inside], (rows[inside], cols[inside])),
                              shape=(self.n, self.n))
 
-    def _by_row(self, values):
-        """Band-shaped ``values`` re-read with rows one slot shorter: band row
-        r moves r columns right, so column i holds the slots of row i of A
-        (the zero padding takes the wrap-around and the slots outside A)."""
+    def _by_row(self, ufunc, *args):
+        """``ufunc(band, *args)`` written into rows one slot longer than the
+        band's and re-read with rows one slot shorter: band row r moves r
+        columns right, so column i of the second view holds the slots of row
+        i of A (the zero padding takes the wrap-around and the slots outside
+        A).  Returns both views."""
         nb, n = self.band.shape
-        skew = np.zeros((nb, n + nb))
-        skew[:, :n] = values
+        skew = np.empty((nb, n + nb))
+        skew[:, n:] = 0.0
+        ufunc(self.band, *args, out=skew[:, :n])
         by_row = skew.ravel()[:nb * (n + nb - 1)].reshape(nb, n + nb - 1)
-        return by_row[:, self.upper:self.upper + n]
+        return skew[:, :n], by_row[:, self.upper:self.upper + n]
 
     def matvec(self, x):
-        return self._by_row(self.band * x[None, :]).sum(axis=0)
+        return self._by_row(np.multiply, x)[1].sum(axis=0)
 
     def frobenius_norm(self):
-        return np.sqrt((self.band**2).sum())
+        # summed in row order, so a Fortran-ordered band gives the same bits
+        return np.sqrt(np.square(self.band, order="C").sum())
 
     def abs_row_col_max(self):
         """Row and column maxima of |A|, read off the band."""
-        absband = np.abs(self.band)
-        return self._by_row(absband).max(axis=0), absband.max(axis=0)
+        absband, by_row = self._by_row(np.abs)
+        return by_row.max(axis=0), absband.max(axis=0)
 
     def scaled(self, row_scales, col_scales):
-        """Return a copy with rows and columns scaled (band layout is kept)."""
-        # index the row scales padded by upper zeros in front, lower behind
-        rows = np.pad(row_scales, (self.upper, self.lower))[self._slot_rows() + self.upper]
-        return BandedMatrix(self.n, self.lower, self.upper,
-                            self.band * rows * col_scales[None, :])
+        """Return a copy with rows and columns scaled (band layout is kept);
+        slot (r, j) holds row j + r - upper, so the row scales are read
+        through a sliding window over them padded by upper zeros in front
+        and lower behind."""
+        rows = sliding_window_view(np.pad(row_scales, (self.upper, self.lower)), self.n)
+        band = self.band * rows
+        band *= col_scales
+        return BandedMatrix(self.n, self.lower, self.upper, band)
 
 
 @dataclass
@@ -132,7 +136,7 @@ def _pow2_scale(maxima, what):
         idx = int(np.argmax(maxima == 0.0))
         raise SingularMatrixError(f"structurally zero {what} {idx}", pivot_index=idx)
     _, exponents = np.frexp(maxima)
-    return np.ldexp(1.0, -exponents.astype(np.int64))
+    return np.ldexp(1.0, -exponents)
 
 
 def equilibrate(matrix):
@@ -180,9 +184,10 @@ def lu_banded_solve(matrix, rhs):
     """
     rhs = np.asarray(rhs, dtype=float)
     kl, ku, n = matrix.lower, matrix.upper, matrix.n
-    ab = np.zeros((2 * kl + ku + 1, n))
+    # the work array in LAPACK's column order, so dgbsv factorizes it in place
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:, :] = matrix.band
-    lub, piv, x, info = lapack.dgbsv(kl, ku, ab, rhs)
+    lub, piv, x, info = lapack.dgbsv(kl, ku, ab, rhs, overwrite_ab=1)
     if info > 0:
         raise SingularMatrixError(
             f"zero pivot at index {info - 1} during banded LU", pivot_index=info - 1
@@ -190,7 +195,7 @@ def lu_banded_solve(matrix, rhs):
     if info < 0:
         raise SolverError(f"dgbsv rejected argument {-info}")
     pivots = np.abs(lub[kl + ku, :])
-    tol = _PIVOT_RTOL * np.abs(matrix.band).max()
+    tol = _PIVOT_RTOL * max(matrix.band.max(), -matrix.band.min())
     small = pivots < tol
     if np.any(small):
         idx = int(np.argmax(small))

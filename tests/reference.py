@@ -1,16 +1,18 @@
 """Reference code that only the tests use.
 
-Continuous interpolants, the y-direction 2D flux projection, the
-right-hand side of the coupled 2D (U, P, Q) system, and the sparse-matrix
-operations with which the tests equilibrate and scale their SuperLU and
-dense references.  No solver, norm or study calls any of it.
+Continuous interpolants, the y-direction 2D flux projection, the 1D band
+built from nonzero triplets, the right-hand side of the coupled 2D
+(U, P, Q) system, and the sparse-matrix operations with which the tests
+equilibrate and scale their SuperLU and dense references.  No solver, norm
+or study calls any of it.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from ldgshishkin.basis import legendre_table
+from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
+from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
 
@@ -51,6 +53,30 @@ def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
     nodes = mesh2d.axis.nodes
     coeffs = _project_2d(q, nodes, nodes, np.full((N, N), L2), ky, k, quad)
     return DGFunction2D(mesh2d, k, coeffs)
+
+
+def banded_system_1d(problem, mesh, k):
+    """The matrix of ``assemble_1d`` built from triplets: the dense
+    [[F, D], [-s D^T, W_b + s E]] in the cell-major [Qtilde | U] layout, its
+    nonzero entries summed into zeros by ``BandedMatrix.from_coo``, which
+    reads the bandwidths off them.  W_b is integrated as assemble_1d does."""
+    pieces = piece_blocks_1d(mesh, k, problem.eps)
+    s, kk, N = pieces.s, k + 1, mesh.N
+    rule = gauss_rule(assembly_quad_order(k))
+    V, _ = legendre_table(k, rule.points)
+    bvals = np.asarray(problem.b(mesh.quadrature_points(rule.points)), dtype=float)
+    W = np.einsum("cg,gm,gn->cmn", 0.5 * mesh.widths[:, None] * rule.weights * bvals, V, V)
+    W_b = sp.block_diag(list(W)).toarray()
+    D = pieces.derivative.to_dense()
+    q = (2 * kk * np.arange(N)[:, None] + np.arange(kk)).ravel()
+    u = q + kk
+    A = np.zeros((2 * N * kk, 2 * N * kk))
+    A[np.ix_(q, q)] = pieces.flux_mass.to_dense()
+    A[np.ix_(q, u)] = D
+    A[np.ix_(u, q)] = -s * D.T
+    A[np.ix_(u, u)] = W_b + pieces.penalty.to_dense()
+    rows, cols = np.nonzero(A)
+    return BandedMatrix.from_coo(A.shape[0], rows, cols, A[rows, cols])
 
 
 class ReferenceSparse(SparseMatrix):

@@ -23,10 +23,10 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_1d,
 )
-from ldgshishkin import ldg1d, problems
+from ldgshishkin import equilibrate, ldg1d, lu_banded_solve, problems
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
-from reference import interpolate_1d
+from reference import banded_system_1d, interpolate_1d
 
 
 def unit_b(x):
@@ -91,6 +91,26 @@ class TestAssembly:
         # diagonal; a band padded with zero diagonals would only slow dgbsv
         system = assemble_1d(paper_1d_problem(eps), make_mesh(N, eps), k)
         assert system.matrix.lower == system.matrix.upper == 3 * k + 2
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])  # 1e-1: clamped mesh
+    @pytest.mark.parametrize("N", [4, 8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_band_matches_triplet_reference(self, k, N, eps):
+        # the band written block by block is the band summed from the
+        # nonzero triplets, bit for bit (zeros +0.0, padding slots included),
+        # and the solve on it gives the solve on the reference band
+        p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+        system = assemble_1d(p, mesh, k)
+        ref = banded_system_1d(p, mesh, k)
+        assert (system.matrix.lower, system.matrix.upper) == (ref.lower, ref.upper)
+        assert system.matrix.band.tobytes() == ref.band.tobytes()
+        scaled, r, c = equilibrate(ref)
+        result = lu_banded_solve(scaled, r * system.rhs)
+        blocks = (c * result.x).reshape(N, 2 * (k + 1))
+        sol = solve_ldg_1d(p, mesh, k)
+        assert np.array_equal(sol.U.coeffs, blocks[:, k + 1:])
+        assert np.array_equal(sol.Q.coeffs, system.q_scale * blocks[:, :k + 1])
+        assert sol.residual == result.residual
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1d_path_uses_no_scipy_sparse(self, k, monkeypatch):
@@ -205,6 +225,13 @@ class TestOperatorPieces:
         got = pieces.flux_mass_inv.to_csr()
         assert np.max(np.abs(got.toarray() - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
         assert got.nnz == np.count_nonzero(F_inv)
+
+    def test_flux_mass_inverse_built_on_first_read(self):
+        # only the 2D scheme reads it, so the 1D assembly never builds it
+        pieces = piece_blocks_1d(make_mesh(8, 1e-6), 1, 1e-6)
+        assert "flux_mass_inv" not in vars(pieces)
+        inverse = pieces.flux_mass_inv
+        assert pieces.flux_mass_inv is inverse
 
 
 class TestEnergyIdentity:

@@ -109,6 +109,30 @@ class TestEquilibrate:
         scaled2, r2, c2 = equilibrate(sm)
         assert np.allclose(scaled2.to_dense(), dense, atol=0)
 
+    @pytest.mark.parametrize("n, kl, ku", [(12, 2, 1), (15, 1, 4), (9, 0, 3), (9, 3, 0),
+                                           (4, 3, 1), (4, 0, 3), (5, 4, 2), (6, 2, 5)])
+    def test_band_scaling_matches_dense(self, n, kl, ku):
+        # asymmetric, one-sided and barely-fitting bands: a row-scale window
+        # one slot off would scale in-matrix slots by a neighbour's scale
+        rng = np.random.default_rng(100 * n + 10 * kl + ku)
+        m = random_banded(rng, n, kl, ku)
+        assert (m.lower, m.upper) == (kl, ku)
+        A = m.to_dense()
+        r, c = np.ldexp(1.0, rng.integers(-20, 20, n)), np.ldexp(1.0, rng.integers(-20, 20, n))
+        scaled = m.scaled(r, c)
+        expected = r[:, None] * A * c
+        rows, cols = np.nonzero(expected)
+        # slots outside the matrix stay zero as well
+        assert np.array_equal(scaled.band,
+                              BandedMatrix.from_coo(n, rows, cols, expected[rows, cols]).band)
+        row_max, col_max = m.abs_row_col_max()
+        assert np.array_equal(row_max, np.abs(A).max(axis=1))
+        assert np.array_equal(col_max, np.abs(A).max(axis=0))
+        eq, r1, c1 = equilibrate(m)
+        eq2, r2, c2 = equilibrate(ReferenceSparse(sp.csr_matrix(A)))
+        assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
+        assert np.array_equal(eq.to_dense(), eq2.to_dense())
+
 
 class TestBandedSolve:
     def test_identity(self):
@@ -154,6 +178,22 @@ class TestBandedSolve:
             res = lu_banded_solve(m, rhs)
             assert res.residual <= 1e-10
             checked += 1
+
+    def test_leaves_its_input_alone(self):
+        # dgbsv factorizes a work array in place; the band, which the pivot
+        # test and the residual read, and the right-hand side stay as they
+        # were, and a Fortran-ordered band gives the same bits (with this
+        # band's squares summed in column order the residual would differ)
+        rng = np.random.default_rng(7)
+        m = random_banded(rng, 200, 3, 2)
+        rhs = rng.standard_normal(200)
+        band, b = m.band.copy(), rhs.copy()
+        res = lu_banded_solve(m, rhs)
+        assert np.array_equal(m.band, band) and np.array_equal(rhs, b)
+        f = BandedMatrix(m.n, m.lower, m.upper, np.asfortranarray(band))
+        res_f = lu_banded_solve(f, rhs)
+        assert np.array_equal(f.band, band) and np.array_equal(rhs, b)
+        assert np.array_equal(res.x, res_f.x) and res.residual == res_f.residual
 
     def test_stays_on_the_band(self, monkeypatch):
         # pivot tolerance and residual are read off the band storage
