@@ -4,15 +4,15 @@ The numerical fluxes of the first-order system (q = eps u') upwind U from
 the left and Q from the right, penalize the boundary traces of U with
 weight sqrt(eps) and the jump of Q at the right transition node 3N/4 with
 weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
-and field order [Qtilde; U] the matrix is [[M/s + v v^T, D],
-[-s D^T, W_b + s E]], block-tridiagonal over cells: numpy builds the
+and field order [Qtilde; U] the matrix is A0 + e e^T, A0 = [[M/s, D],
+[-s D^T, W_b + s E]] block-tridiagonal over cells: numpy builds the
 per-cell blocks of the operator pieces (``piece_blocks_1d``) and writes
-each nonzero one, with the b-weighted mass W_b, by slices into LAPACK band
-storage of bandwidths 3k+2 (cell-major, Q modes before U modes inside each
-cell); the 2D scheme builds its flux-eliminated operator from the same
-pieces.  The interface term v v^T couples the Q unknowns of the two cells
-that share the transition node, so the system is solved monolithically:
-equilibrated by powers of two, factorized by banded LU and unscaled on return.
+each nonzero one of A0, with the b-weighted mass W_b, by slices into LAPACK
+band storage of bandwidths 2k+1 (cell-major, Q modes before U modes inside
+each cell); the 2D scheme builds its flux-eliminated operator from the same
+pieces.  The interface penalty e e^T (e = v on the Qtilde dofs of the two
+cells at node 3N/4), which would widen the band to 3k+2, is solved by
+Sherman-Morrison on the banded LU of A0 (equilibrated by powers of two).
 """
 
 from dataclasses import dataclass
@@ -46,11 +46,12 @@ class MixedSolution1D:
 
 @dataclass
 class AssembledSystem:
-    """Assembled linear system plus the metadata needed to undo scaling."""
+    """Linear system ``matrix`` + e e^T (e = ``interface``) and its Q scale."""
 
     matrix: BandedMatrix
     rhs: np.ndarray
     q_scale: float
+    interface: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def assemble_1d(problem, mesh, k):
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     N, kk, per = mesh.N, k + 1, 2 * (k + 1)
     pieces = piece_blocks_1d(mesh, k, problem.eps)
-    D, F, sE, s = pieces.derivative, pieces.flux_mass, pieces.penalty, pieces.s
+    D, sE, s, (J, v) = pieces.derivative, pieces.penalty, pieces.s, pieces.interface
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
 
@@ -162,24 +163,24 @@ def assemble_1d(problem, mesh, k):
     fvals = np.asarray(problem.f(X), dtype=float)
     W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
 
-    # blocks (cell c + d, field a; cell c, field b) of [[F, D], [-s D^T, W_b + s E]]
+    # blocks (cell c + d, field a; cell c, field b) of [[M/s, D], [-s D^T, W_b + s E]]
     # written a column at a time (A[i, j] is band[u + i - j, j]); the blocks
     # made of D.sup, in D and in -s D^T, are zero and reach past the band.
     # 0 - s D^T keeps its zeros +0.0, as in a band of zeros.
-    u = 3 * kk - 1
+    u = per - 1
     band = np.zeros((2 * u + 1, N, per))
-    for d, a, b, blocks in ((0, 0, 0, F.diag), (0, 0, 1, D.diag), (0, 1, 1, W + sE.diag),
-                            (0, 1, 0, 0.0 - s * D.diag.swapaxes(1, 2)), (1, 0, 0, F.sub[1:]),
-                            (1, 0, 1, D.sub[1:]), (-1, 0, 0, F.sup[1:]),
-                            (-1, 1, 0, 0.0 - s * D.sub[1:].swapaxes(1, 2))):
+    for d, a, b, blocks in ((0, 0, 0, pieces.mass.diag * (1.0 / s)), (0, 0, 1, D.diag),
+                            (0, 1, 1, W + sE.diag), (0, 1, 0, 0.0 - s * D.diag.swapaxes(1, 2)),
+                            (1, 0, 1, D.sub[1:]), (-1, 1, 0, 0.0 - s * D.sub[1:].swapaxes(1, 2))):
         top, cells = u + d * per + (a - b) * kk, slice(max(0, -d), N - max(0, d))
         for q in range(kk):
             band[top - q:top - q + kk, cells, b * kk + q] = blocks[:, :, q].T
     matrix = BandedMatrix(N * per, u, u, band.reshape(2 * u + 1, N * per))
 
-    rhs = np.zeros((N, per))
+    rhs, e = np.zeros((N, per)), np.zeros((N, per))
     rhs[:, kk:] = halfh[:, None] * ((rule.weights * fvals) @ V)
-    return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), q_scale=s)
+    e[J - 1:J + 1, :kk] = v.reshape(2, kk)
+    return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), q_scale=s, interface=e.ravel())
 
 
 def solve_ldg_1d(problem, mesh, k):
@@ -189,8 +190,8 @@ def solve_ldg_1d(problem, mesh, k):
     residual of the equilibrated system exceeds ``_RESIDUAL_TOL``.
     """
     system = assemble_1d(problem, mesh, k)
-    scaled, r, c = equilibrate(system.matrix)
-    result = lu_banded_solve(scaled, r * system.rhs)
+    scaled, r, c, e = *equilibrate(system.matrix), system.interface
+    result = lu_banded_solve(scaled, r * system.rhs, update=(r * e, c * e))
     x = c * result.x
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(

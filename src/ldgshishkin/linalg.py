@@ -1,10 +1,11 @@
 """Linear-solver backend: banded LU, sparse LU, preconditioned CG, scaling.
 
 The banded path packs the matrix in LAPACK general-band storage and
-factorizes with dgbsv (partial pivoting with band-growth rows); the sparse
+factorizes with dgbsv (partial pivoting with band-growth rows), solving a
+rank-one update A + u w^T by Sherman-Morrison on the band of A; the sparse
 path wraps SuperLU with its fill-reducing column ordering.  The scalings
-use exact powers of two so they introduce no rounding: ``equilibrate`` (a
-row pass, then a column pass) lands every row and column maximum in
+use exact powers of two so they introduce no rounding: ``equilibrate`` (rows,
+then columns of the row-scaled matrix) lands every row and column maximum in
 [0.5, 1], and ``symmetric_scale`` keeps a symmetric matrix exactly symmetric.
 """
 
@@ -88,10 +89,12 @@ class BandedMatrix:
         # summed in row order, so a Fortran-ordered band gives the same bits
         return np.sqrt(np.square(self.band, order="C").sum())
 
-    def abs_row_col_max(self):
-        """Row and column maxima of |A|, read off the band."""
+    def row_scales_col_max(self, row_scales):
+        """r = ``row_scales(row maxima of |A|)`` and the column maxima of diag(r) |A|."""
         absband, by_row = self._by_row(np.abs)
-        return by_row.max(axis=0), absband.max(axis=0)
+        r = row_scales(by_row.max(axis=0))
+        by_row *= r
+        return r, absband.max(axis=0)
 
     def scaled(self, row_scales, col_scales):
         """Return a copy with rows and columns scaled (band layout is kept);
@@ -141,19 +144,16 @@ def _pow2_scale(maxima, what):
 
 def equilibrate(matrix):
     """Scale rows then columns by powers of two, for an A with
-    ``abs_row_col_max()`` and ``scaled(rows, cols)`` (a ``BandedMatrix``).
+    ``row_scales_col_max`` and ``scaled(rows, cols)`` (a ``BandedMatrix``).
 
     After the row pass every row maximum is in [0.5, 1); the column pass
     can only scale up (all entries are then <= 1), so both row and column
     maxima end in [0.5, 1].  Returns (scaled matrix, row_scales, col_scales)
     so that scaled = diag(r) A diag(c); the original matrix is untouched.
     """
-    row_max, _ = matrix.abs_row_col_max()
-    r = _pow2_scale(row_max, "row")
-    half = matrix.scaled(r, np.ones(matrix.n))
-    _, col_max = half.abs_row_col_max()
+    r, col_max = matrix.row_scales_col_max(lambda row_max: _pow2_scale(row_max, "row"))
     c = _pow2_scale(col_max, "column")
-    return half.scaled(np.ones(matrix.n), c), r, c
+    return matrix.scaled(r, c), r, c
 
 
 def symmetric_scale(matrix):
@@ -165,29 +165,38 @@ def symmetric_scale(matrix):
     return matrix.scaled(d, d), d
 
 
-def _relative_residual(matrix, x, b):
+def _relative_residual(matrix, x, b, update=None):
     """||A x - b|| / (||A||_F ||x|| + ||b||), the residual every solver
-    reports, for an A with ``matvec`` and ``frobenius_norm``."""
-    denom = matrix.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
+    reports, for an A with ``matvec`` and ``frobenius_norm``; with
+    ``update=(u, w)`` that of A + u w^T, read off A, u and w."""
+    Ax, norm = matrix.matvec(x), matrix.frobenius_norm()
+    if update is not None:
+        u, w = update
+        Ax += u * (w @ x)
+        # ||A + u w^T||_F^2 = ||A||_F^2 + 2 u^T A w + ||u||^2 ||w||^2
+        norm = np.sqrt(norm**2 + 2.0 * (u @ matrix.matvec(w)) + (u @ u) * (w @ w))
+    denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(matrix.matvec(x) - b) / denom)
+    return float(np.linalg.norm(Ax - b) / denom)
 
 
-def lu_banded_solve(matrix, rhs):
-    """Solve a banded system by LU with partial pivoting (LAPACK dgbsv).
+def lu_banded_solve(matrix, rhs, update=None):
+    """Solve A x = b, or (A + u w^T) x = b for ``update=(u, w)``, by banded LU
+    with partial pivoting (dgbsv): x = y - z (w^T y) / (1 + w^T z), y = A^-1 b, z = A^-1 u.
 
     Raises SingularMatrixError with the pivot index on exact breakdown and
-    on pivots below 1e-14 times the largest entry magnitude, and without an
-    index on a non-finite solution (a NaN in the data).  Returns the
-    solution together with the relative residual on this system.
+    on pivots below 1e-14 times the largest entry magnitude of A, and
+    without an index on a non-finite solution (a NaN in the data) or 1 + w^T z
+    zero or non-finite.  Returns x and the relative residual it leaves.
     """
     rhs = np.asarray(rhs, dtype=float)
     kl, ku, n = matrix.lower, matrix.upper, matrix.n
-    # the work array in LAPACK's column order, so dgbsv factorizes it in place
+    # the work arrays in LAPACK's column order, so dgbsv overwrites them in place
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:, :] = matrix.band
-    lub, piv, x, info = lapack.dgbsv(kl, ku, ab, rhs, overwrite_ab=1)
+    b = rhs if update is None else np.array((rhs, update[0])).T
+    lub, piv, x, info = lapack.dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=b is not rhs)
     if info > 0:
         raise SingularMatrixError(
             f"zero pivot at index {info - 1} during banded LU", pivot_index=info - 1
@@ -205,7 +214,12 @@ def lu_banded_solve(matrix, rhs):
         )
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("banded solve produced non-finite values")
-    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
+    if update is not None:
+        (y, z), w = x.T, update[1]
+        if (denom := 1.0 + w @ z) == 0.0 or not np.isfinite(denom):
+            raise SingularMatrixError(f"rank-one update denominator {denom:.3e}")
+        x = y - z * ((w @ y) / denom)
+    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs, update))
 
 
 def sparse_solve(matrix, rhs):

@@ -56,12 +56,15 @@ def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
 
 
 def banded_system_1d(problem, mesh, k):
-    """The matrix of ``assemble_1d`` built from triplets: the dense
-    [[F, D], [-s D^T, W_b + s E]] in the cell-major [Qtilde | U] layout, its
-    nonzero entries summed into zeros by ``BandedMatrix.from_coo``, which
-    reads the bandwidths off them.  W_b is integrated as assemble_1d does."""
+    """The matrix A0 + e e^T of ``assemble_1d`` built from triplets: the
+    dense A0 = [[M/s, D], [-s D^T, W_b + s E]] in the cell-major
+    [Qtilde | U] layout, its nonzero entries summed into zeros by
+    ``BandedMatrix.from_coo``, which reads the bandwidths off them, and e,
+    the interface vector v of ``OperatorPieces1D.interface`` on the Qtilde
+    dofs of cells J-1 and J.  W_b is integrated as assemble_1d does.
+    Returns (A0 as a ``BandedMatrix``, e)."""
     pieces = piece_blocks_1d(mesh, k, problem.eps)
-    s, kk, N = pieces.s, k + 1, mesh.N
+    s, kk, N, (J, v) = pieces.s, k + 1, mesh.N, pieces.interface
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     bvals = np.asarray(problem.b(mesh.quadrature_points(rule.points)), dtype=float)
@@ -71,12 +74,14 @@ def banded_system_1d(problem, mesh, k):
     q = (2 * kk * np.arange(N)[:, None] + np.arange(kk)).ravel()
     u = q + kk
     A = np.zeros((2 * N * kk, 2 * N * kk))
-    A[np.ix_(q, q)] = pieces.flux_mass.to_dense()
+    A[np.ix_(q, q)] = pieces.mass.to_dense() * (1.0 / s)
     A[np.ix_(q, u)] = D
     A[np.ix_(u, q)] = -s * D.T
     A[np.ix_(u, u)] = W_b + pieces.penalty.to_dense()
+    e = np.zeros(A.shape[0])
+    e[q.reshape(N, kk)[J - 1:J + 1].ravel()] = v
     rows, cols = np.nonzero(A)
-    return BandedMatrix.from_coo(A.shape[0], rows, cols, A[rows, cols])
+    return BandedMatrix.from_coo(A.shape[0], rows, cols, A[rows, cols]), e
 
 
 class ReferenceSparse(SparseMatrix):
@@ -89,9 +94,10 @@ class ReferenceSparse(SparseMatrix):
     def diagonal(self):
         return self.csr.diagonal()
 
-    def abs_row_col_max(self):
+    def row_scales_col_max(self, row_scales):
         absA = abs(self.csr)
-        return absA.max(axis=1).toarray().ravel(), absA.max(axis=0).toarray().ravel()
+        r = row_scales(absA.max(axis=1).toarray().ravel())
+        return r, (sp.diags(r) @ absA).max(axis=0).toarray().ravel()
 
     def scaled(self, row_scales, col_scales):
         R = sp.diags(row_scales)

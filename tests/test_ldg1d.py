@@ -87,10 +87,11 @@ class TestAssembly:
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bandwidths_pinned(self, k, N, eps):
-        # the Q-Q interface blocks of cells J-1 and J reach 3k+2 off the
-        # diagonal; a band padded with zero diagonals would only slow dgbsv
+        # the blocks of D below and of -s D^T above the diagonal reach 2k+1
+        # off it; the interface term, which would reach 3k+2, stays out of
+        # the band, and a band padded with zero diagonals would only slow dgbsv
         system = assemble_1d(paper_1d_problem(eps), make_mesh(N, eps), k)
-        assert system.matrix.lower == system.matrix.upper == 3 * k + 2
+        assert system.matrix.lower == system.matrix.upper == 2 * k + 1
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])  # 1e-1: clamped mesh
     @pytest.mark.parametrize("N", [4, 8, 64])
@@ -98,14 +99,16 @@ class TestAssembly:
     def test_band_matches_triplet_reference(self, k, N, eps):
         # the band written block by block is the band summed from the
         # nonzero triplets, bit for bit (zeros +0.0, padding slots included),
-        # and the solve on it gives the solve on the reference band
+        # the interface vector is the reference's, and the solve on them
+        # gives the solve on the reference band
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
         system = assemble_1d(p, mesh, k)
-        ref = banded_system_1d(p, mesh, k)
+        ref, e = banded_system_1d(p, mesh, k)
         assert (system.matrix.lower, system.matrix.upper) == (ref.lower, ref.upper)
         assert system.matrix.band.tobytes() == ref.band.tobytes()
+        assert system.interface.tobytes() == e.tobytes()
         scaled, r, c = equilibrate(ref)
-        result = lu_banded_solve(scaled, r * system.rhs)
+        result = lu_banded_solve(scaled, r * system.rhs, update=(r * e, c * e))
         blocks = (c * result.x).reshape(N, 2 * (k + 1))
         sol = solve_ldg_1d(p, mesh, k)
         assert np.array_equal(sol.U.coeffs, blocks[:, k + 1:])
@@ -127,29 +130,22 @@ class TestAssembly:
 
     def test_interface_coupling_structure(self):
         # the penalized flux couples the Q blocks of the two cells sharing
-        # node 3N/4; that coupling precludes local elimination of Q there
-        N, k = 16, 1
+        # node 3N/4; that coupling precludes local elimination of Q there.
+        # It sits only in the rank-one term e e^T: every Q-Q block of
+        # neighbouring cells in the band is zero
+        N = 16
         mesh = make_mesh(N, 1e-3)
-        p = paper_1d_problem(1e-3)
-        system = assemble_1d(p, mesh, k)
-        A = system.matrix.to_dense()
         J = mesh.interface_index  # node index; cells J and J+1 touch it
-
-        def block(rows, cols):
-            return A[np.ix_(rows, cols)]
-
-        q_rows_left = q_dofs(J - 1, k)
-        q_cols_right = q_dofs(J, k)
-        u_cols_left = u_dofs(J - 1, k)
-        assert np.any(block(q_rows_left, q_cols_right) != 0.0)
-        q_rows_right = q_dofs(J, k)
-        q_cols_left = q_dofs(J - 1, k)
-        assert np.any(block(q_rows_right, q_cols_left) != 0.0)
-        assert np.any(block(q_rows_right, u_cols_left) != 0.0)
-        # away from the interface the Q-Q blocks of neighbours are empty
-        q_rows_2 = q_dofs(1, k)
-        q_cols_3 = q_dofs(2, k)
-        assert np.all(block(q_rows_2, q_cols_3) == 0.0)
+        for k in (1, 2, 3):
+            system = assemble_1d(paper_1d_problem(1e-3), mesh, k)
+            A0, e = system.matrix.to_dense(), system.interface
+            left, right = q_dofs(J - 1, k), q_dofs(J, k)
+            for c in range(N - 1):
+                assert np.all(A0[np.ix_(q_dofs(c, k), q_dofs(c + 1, k))] == 0.0), (k, c)
+                assert np.all(A0[np.ix_(q_dofs(c + 1, k), q_dofs(c, k))] == 0.0), (k, c)
+            assert np.any(A0[np.ix_(right, u_dofs(J - 1, k))] != 0.0)
+            assert np.all(np.delete(e, np.concatenate([left, right])) == 0.0)
+            assert np.all(e[left] != 0.0) and np.all(e[right] != 0.0)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -162,7 +158,7 @@ class TestAssembly:
         p = Problem1D(eps=eps, b=lambda x: 1.5 + 0.5 * np.sin(3.0 * np.asarray(x)),
                       f=zero_f, beta=1.0)
         system = assemble_1d(p, mesh, k)
-        A = system.matrix.to_csr()
+        A0, e = system.matrix.to_csr(), system.interface
         cells = np.arange(N)
 
         def vector(pair, q_factor):
@@ -182,9 +178,24 @@ class TestAssembly:
             for wf in ("Q", "U"):
                 for xf in ("Q", "U"):
                     Wp, Xp = part(W, wf), part(X, xf)
-                    lhs = vector(Xp, 1.0) @ (A @ vector(Wp, 1.0 / system.q_scale))
+                    x, w = vector(Xp, 1.0), vector(Wp, 1.0 / system.q_scale)
+                    lhs = x @ (A0 @ w) + (x @ e) * (e @ w)
                     oracle = bilinear_form_1d(Wp, Xp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-12])
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_solution_matches_dense_solve(self, k, N, eps):
+        # the rank-one update solves the full system A0 + e e^T
+        p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+        system = assemble_1d(p, mesh, k)
+        A = system.matrix.to_dense() + np.outer(system.interface, system.interface)
+        blocks = np.linalg.solve(A, system.rhs).reshape(N, 2 * (k + 1))
+        U, Q = blocks[:, k + 1:], system.q_scale * blocks[:, :k + 1]
+        sol = solve_ldg_1d(p, mesh, k)
+        assert np.abs(sol.U.coeffs - U).max() <= 1e-13 * np.abs(U).max()
+        assert np.abs(sol.Q.coeffs - Q).max() <= 1e-13 * np.abs(Q).max()
 
     def test_zero_data_gives_zero_solution(self):
         mesh = make_mesh(4, 1.0)

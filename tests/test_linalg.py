@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
 from ldgshishkin import (
@@ -11,7 +12,7 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.errors import SolverError
-from ldgshishkin.linalg import pcg, symmetric_scale
+from ldgshishkin.linalg import _relative_residual, pcg, symmetric_scale
 from reference import ReferenceSparse, equilibrate_dense
 
 
@@ -125,9 +126,18 @@ class TestEquilibrate:
         # slots outside the matrix stay zero as well
         assert np.array_equal(scaled.band,
                               BandedMatrix.from_coo(n, rows, cols, expected[rows, cols]).band)
-        row_max, col_max = m.abs_row_col_max()
-        assert np.array_equal(row_max, np.abs(A).max(axis=1))
-        assert np.array_equal(col_max, np.abs(A).max(axis=0))
+        # the row maxima of |A| reach row_scales, the column maxima are those
+        # of diag(r) |A|, and the band stays as it was
+        band, seen = m.band.copy(), []
+
+        def row_scales(row_max):
+            seen.append(row_max)
+            return r
+
+        r_out, col_max = m.row_scales_col_max(row_scales)
+        assert np.array_equal(seen[0], np.abs(A).max(axis=1)) and r_out is r
+        assert np.array_equal(col_max, np.abs(r[:, None] * A).max(axis=0))
+        assert np.array_equal(m.band, band)
         eq, r1, c1 = equilibrate(m)
         eq2, r2, c2 = equilibrate(ReferenceSparse(sp.csr_matrix(A)))
         assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
@@ -207,6 +217,51 @@ class TestBandedSolve:
         monkeypatch.setattr(BandedMatrix, "to_csr", refuse)
         res = lu_banded_solve(m, rhs)
         assert np.array_equal(res.x, expected.x) and res.residual == expected.residual
+
+
+    def test_rank_one_update_matches_dense(self):
+        # (A + u w^T) x = b through the band of A: the solution of the dense
+        # system, and the residual reported is that of A + u w^T, whose
+        # Frobenius norm comes from the band and u, w alone
+        rng = np.random.default_rng(21)
+        for n, kl, ku in ((5, 1, 3), (17, 4, 2), (40, 3, 3), (200, 5, 2), (60, 0, 2)):
+            m = random_banded(rng, n, kl, ku)
+            u, w, rhs = 3.0 * rng.standard_normal((3, n))
+            A = m.to_dense() + np.outer(u, w)
+            res = lu_banded_solve(m, rhs, update=(u, w))
+            expected = np.linalg.solve(A, rhs)
+            assert np.abs(res.x - expected).max() <= 1e-12 * np.abs(expected).max()
+            assert res.residual <= 1e-15
+            assert res.residual == _relative_residual(m, res.x, rhs, (u, w))
+            # off the solution the numerator is no longer rounding: the two
+            # residuals agree to rounding
+            x = res.x + 1e-3 * rng.standard_normal(n)
+            dense = np.linalg.norm(A @ x - rhs) / (
+                np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(rhs))
+            assert _relative_residual(m, x, rhs, (u, w)) == pytest.approx(dense, rel=1e-12)
+
+    def test_without_update_is_plain_dgbsv(self):
+        # no update: x is dgbsv's on the band, the residual that of A alone
+        rng = np.random.default_rng(22)
+        m = random_banded(rng, 150, 4, 3)
+        rhs = rng.standard_normal(150)
+        ab = np.zeros((2 * m.lower + m.upper + 1, m.n))
+        ab[m.lower:] = m.band
+        _, _, x, info = lapack.dgbsv(m.lower, m.upper, ab, rhs)
+        res = lu_banded_solve(m, rhs, update=None)
+        assert info == 0 and np.array_equal(res.x, x)
+        assert res.residual == np.linalg.norm(m.matvec(x) - rhs) / (
+            m.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("w_first", [-1.0, np.nan])
+    def test_singular_update_rejected(self, w_first):
+        # I + u w^T with u = e_1, w = -e_1 is singular: 1 + w^T z = 0; a NaN
+        # in w gives a non-finite denominator
+        m = BandedMatrix.from_coo(4, range(4), range(4), np.ones(4))
+        u, w = np.eye(4)[0], np.zeros(4)
+        w[0] = w_first
+        with pytest.raises(SingularMatrixError):
+            lu_banded_solve(m, np.ones(4), update=(u, w))
 
 
 class TestSparseSolve:
