@@ -11,7 +11,6 @@ error in the balanced column (sup-norm extras ride along for markdown
 output and programmatic use).
 """
 
-import concurrent.futures
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -219,6 +218,7 @@ def run_sweep(cfg):
     """Run the configured sweep and return the rate table."""
     jobs = [(cfg, k, N, eps) for k in cfg.k_list for eps in cfg.eps_list for N in cfg.n_list]
     if cfg.workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_row, jobs))
     else:

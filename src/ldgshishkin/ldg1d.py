@@ -13,13 +13,13 @@ each cell); the 2D scheme builds its flux-eliminated operator from the same
 pieces.  The interface penalty e e^T (e = v on the Qtilde dofs of the two
 cells at node 3N/4), which would widen the band to 3k+2, is solved by
 Sherman-Morrison on the banded LU of A0 (equilibrated by powers of two).
+The solve loads scipy.linalg.lapack for dgbsv, and never scipy.sparse.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import ReferenceBasis, assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction1D
@@ -78,6 +78,7 @@ class CellBlocks:
 
     def to_csr(self):
         """The csr matrix of the nonzero entries."""
+        import scipy.sparse as sp
         return sp.csr_matrix(self.to_dense())
 
 
@@ -94,18 +95,26 @@ class OperatorPieces1D:
     ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
     e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
     (test v, Qtilde) block of the scheme is exactly -s D^T.
-    ``interface`` is (J, v).  ``flux_mass_inv``, built on first read (only
-    the 2D scheme reads it), is the Sherman-Morrison inverse of
-    ``flux_mass``, s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v: block-diagonal
-    plus one 2-cell block at the interface.
+    ``interface`` is (J, v).  ``flux_mass`` and ``flux_mass_inv`` are built
+    on first read (the 1D solve reads neither); ``flux_mass_inv``, read in
+    2D, is the Sherman-Morrison inverse s M^-1 - w w^T / (1 + v^T w),
+    w = s M^-1 v: block-diagonal plus one 2-cell block at the interface.
     """
 
     mass: CellBlocks
     derivative: CellBlocks
-    flux_mass: CellBlocks
     penalty: CellBlocks
     s: float
     interface: tuple
+
+    @cached_property
+    def flux_mass(self):
+        (J, v), (N, kk, _) = self.interface, self.mass.diag.shape
+        vv = np.outer(v, v)
+        F = CellBlocks(self.mass.diag * (1.0 / self.s), *np.zeros((2, N, kk, kk)))
+        F.diag[J - 1:J + 1] += np.array((vv[:kk, :kk], vv[kk:, kk:]))
+        F.sub[J], F.sup[J] = vv[kk:, :kk], vv[:kk, kk:]
+        return F
 
     @cached_property
     def flux_mass_inv(self):
@@ -131,16 +140,11 @@ def piece_blocks_1d(mesh, k, eps):
     M = (0.5 * mesh.widths[:, None] * basis.mass_diag)[:, :, None] * np.eye(kk)
     D, D_sub = zero + (basis.stiffness() - np.outer(ones, ones)), zero + np.outer(alt, ones)
     D[-1], D_sub[0] = basis.stiffness(), 0.0
-    v = np.concatenate([ones, -alt])
-    vv = np.outer(v, v)
-    F, F_sub, F_sup, E = M * (1.0 / s), zero.copy(), zero.copy(), zero.copy()
-    F[J - 1] += vv[:kk, :kk]
-    F[J] += vv[kk:, kk:]
-    F_sub[J], F_sup[J] = vv[kk:, :kk], vv[:kk, kk:]
+    E = zero.copy()
     E[-1], E[0] = np.outer(ones, ones), np.outer(alt, alt)
     return OperatorPieces1D(mass=CellBlocks(M, zero, zero), derivative=CellBlocks(D, D_sub, zero),
-                            flux_mass=CellBlocks(F, F_sub, F_sup),
-                            penalty=CellBlocks(s * E, zero, zero), s=s, interface=(J, v))
+                            penalty=CellBlocks(s * E, zero, zero), s=s,
+                            interface=(J, np.concatenate([ones, -alt])))
 
 
 def assemble_1d(problem, mesh, k):

@@ -26,7 +26,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import assembly_quad_order, gauss_rule, legendre_table
 from .dgfunction import DGFunction2D
@@ -97,6 +96,7 @@ class AssembledSystem2D:
         block D, flux mass F = M/s + v v^T, boundary penalty s E), then
         renumbered to the field-major layout.
         """
+        import scipy.sparse as sp
         p = self.pieces
         s, kron = p.s, sp.kron
         M, D, F, sE = (x.to_csr() for x in (p.mass, p.derivative, p.flux_mass, p.penalty))

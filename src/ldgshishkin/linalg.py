@@ -7,15 +7,14 @@ path wraps SuperLU with its fill-reducing column ordering.  The scalings
 use exact powers of two so they introduce no rounding: ``equilibrate`` (rows,
 then columns of the row-scaled matrix) lands every row and column maximum in
 [0.5, 1], and ``symmetric_scale`` keeps a symmetric matrix exactly symmetric.
+Only numpy loads with this module; scipy.linalg.lapack (dgbsv) and
+scipy.sparse (csr copies, SuperLU) are imported where they are called.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SingularMatrixError, SolverError
 
@@ -63,6 +62,7 @@ class BandedMatrix:
         return self.to_csr().toarray()
 
     def to_csr(self):
+        import scipy.sparse as sp
         rows = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
         inside = (rows >= 0) & (rows < self.n)
         cols = np.broadcast_to(np.arange(self.n), rows.shape)
@@ -84,6 +84,13 @@ class BandedMatrix:
 
     def matvec(self, x):
         return self._by_row(np.multiply, x)[1].sum(axis=0)
+
+    def bilinear(self, u, w):
+        """u^T A w from the columns where w is nonzero: column j holds rows
+        j - upper .. j + lower, read through a window over u padded by zeros."""
+        cols = np.flatnonzero(w)
+        rows = sliding_window_view(np.pad(u, (self.upper, self.lower)), self.band.shape[0])
+        return (rows[cols] * self.band[:, cols].T).sum(axis=1) @ w[cols]
 
     def frobenius_norm(self):
         # summed in row order, so a Fortran-ordered band gives the same bits
@@ -111,7 +118,7 @@ class BandedMatrix:
 class SparseMatrix:
     """CSR matrix with canonical (sorted, duplicate-free) structure."""
 
-    csr: sp.csr_matrix
+    csr: "scipy.sparse.csr_matrix"
 
     def __post_init__(self):
         self.csr = self.csr.tocsr()
@@ -120,6 +127,7 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
+        import scipy.sparse as sp
         return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
     @property
@@ -168,13 +176,13 @@ def symmetric_scale(matrix):
 def _relative_residual(matrix, x, b, update=None):
     """||A x - b|| / (||A||_F ||x|| + ||b||), the residual every solver
     reports, for an A with ``matvec`` and ``frobenius_norm``; with
-    ``update=(u, w)`` that of A + u w^T, read off A, u and w."""
+    ``update=(u, w)`` that of A + u w^T, read off A (and its ``bilinear``), u and w."""
     Ax, norm = matrix.matvec(x), matrix.frobenius_norm()
     if update is not None:
         u, w = update
         Ax += u * (w @ x)
         # ||A + u w^T||_F^2 = ||A||_F^2 + 2 u^T A w + ||u||^2 ||w||^2
-        norm = np.sqrt(norm**2 + 2.0 * (u @ matrix.matvec(w)) + (u @ u) * (w @ w))
+        norm = np.sqrt(norm**2 + 2.0 * matrix.bilinear(u, w) + (u @ u) * (w @ w))
     denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
     if denom == 0.0:
         return 0.0
@@ -190,13 +198,14 @@ def lu_banded_solve(matrix, rhs, update=None):
     without an index on a non-finite solution (a NaN in the data) or 1 + w^T z
     zero or non-finite.  Returns x and the relative residual it leaves.
     """
+    from scipy.linalg.lapack import dgbsv
     rhs = np.asarray(rhs, dtype=float)
     kl, ku, n = matrix.lower, matrix.upper, matrix.n
     # the work arrays in LAPACK's column order, so dgbsv overwrites them in place
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:, :] = matrix.band
     b = rhs if update is None else np.array((rhs, update[0])).T
-    lub, piv, x, info = lapack.dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=b is not rhs)
+    lub, piv, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=b is not rhs)
     if info > 0:
         raise SingularMatrixError(
             f"zero pivot at index {info - 1} during banded LU", pivot_index=info - 1
@@ -204,6 +213,7 @@ def lu_banded_solve(matrix, rhs, update=None):
     if info < 0:
         raise SolverError(f"dgbsv rejected argument {-info}")
     pivots = np.abs(lub[kl + ku, :])
+    del ab, lub  # freed before the residual: a lower peak keeps the heap from trimming
     tol = _PIVOT_RTOL * max(matrix.band.max(), -matrix.band.min())
     small = pivots < tol
     if np.any(small):
@@ -228,9 +238,10 @@ def sparse_solve(matrix, rhs):
     The residual achieved on the given system is always reported alongside
     the solution.
     """
+    from scipy.sparse.linalg import splu
     rhs = np.asarray(rhs, dtype=float)
     try:
-        lu = spla.splu(matrix.csr.tocsc())
+        lu = splu(matrix.csr.tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc

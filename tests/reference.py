@@ -4,17 +4,44 @@ Continuous interpolants, the y-direction 2D flux projection, the 1D band
 built from nonzero triplets, the right-hand side of the coupled 2D
 (U, P, Q) system, and the sparse-matrix operations with which the tests
 equilibrate and scale their SuperLU and dense references.  No solver, norm
-or study calls any of it.
+or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
+for the tests of which modules a run loads.
 """
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+import ldgshishkin
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
+
+
+def run_fresh(script, tmp_path):
+    """Run ``script`` in a new interpreter that imports ldgshishkin from
+    this tree, with ``out`` bound to a path for ``numpy.savez``.  Returns
+    which of scipy.sparse and scipy.linalg it left in ``sys.modules`` and
+    the arrays it saved."""
+    out = tmp_path / "out.npz"
+    report = ("import json, sys\n"
+              "print(json.dumps([m for m in ('scipy.sparse', 'scipy.linalg')"
+              " if m in sys.modules]))")
+    code = f"out = {str(out)!r}\n{textwrap.dedent(script)}\n{report}\n"
+    path = [str(Path(ldgshishkin.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    saved = dict(np.load(out)) if out.exists() else {}
+    return set(json.loads(run.stdout.splitlines()[-1])), saved
 
 
 def _lobatto_interpolation(k):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ldgshishkin import (
@@ -10,6 +11,7 @@ from ldgshishkin import (
 )
 from ldgshishkin import harness
 from ldgshishkin.harness import CSV_HEADER, ConvergenceTable, RateRow
+from reference import run_fresh
 
 
 class TestSweepConfig:
@@ -163,6 +165,21 @@ class TestProjectionStudy:
         assert all(r.err_energy is not None and r.err_balanced is not None
                    for r in group)
         assert group[0].rate_energy is not None
+
+    def test_import_and_2d_study_load_no_scipy(self, tmp_path):
+        # a new interpreter: neither the import nor the 2D study loads scipy
+        assert run_fresh("import ldgshishkin", tmp_path)[0] == set()
+        cfg = SweepConfig(dim=2, problem="manufactured2d", k_list=(1,), n_list=(16, 32),
+                          eps_list=(1e-6,), study="projection")
+        loaded, saved = run_fresh(f"""
+            import numpy as np
+            from ldgshishkin import SweepConfig, run_projection_study
+            rows = run_projection_study({cfg!r}).rows
+            np.savez(out, err=[(r.err_energy, r.err_balanced) for r in rows])
+        """, tmp_path)
+        assert loaded == set()
+        rows = run_projection_study(cfg).rows
+        assert np.array_equal(saved["err"], [(r.err_energy, r.err_balanced) for r in rows])
 
     def test_balanced_column_eps_uniform(self):
         # solve-study balanced errors vary by well under 20% across eps

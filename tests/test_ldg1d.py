@@ -26,7 +26,7 @@ from ldgshishkin import (
 from ldgshishkin import equilibrate, ldg1d, lu_banded_solve, problems
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
-from reference import banded_system_1d, interpolate_1d
+from reference import banded_system_1d, interpolate_1d, run_fresh
 
 
 def unit_b(x):
@@ -116,17 +116,19 @@ class TestAssembly:
         assert sol.residual == result.residual
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_1d_path_uses_no_scipy_sparse(self, k, monkeypatch):
-        p = paper_1d_problem(1e-8)
-        mesh = make_mesh(32, 1e-8, sigma=k + 1)
-        expected = solve_ldg_1d(p, mesh, k).U.coeffs
-
-        class Refuse:
-            def __getattr__(self, name):
-                raise AssertionError(f"the 1D path reached scipy.sparse.{name}")
-
-        monkeypatch.setattr(ldg1d, "sp", Refuse())
-        assert np.array_equal(solve_ldg_1d(p, mesh, k).U.coeffs, expected)
+    def test_1d_path_uses_no_scipy_sparse(self, k, tmp_path):
+        # in a new interpreter the 1D solve loads LAPACK but not scipy.sparse
+        loaded, saved = run_fresh(f"""
+            import numpy as np
+            from ldgshishkin import MeshConfig, build_shishkin_1d, paper_1d_problem, solve_ldg_1d
+            mesh = build_shishkin_1d(MeshConfig(N=32, eps=1e-8, sigma={k + 1}))
+            sol = solve_ldg_1d(paper_1d_problem(1e-8), mesh, {k})
+            np.savez(out, U=sol.U.coeffs, Q=sol.Q.coeffs)
+        """, tmp_path)
+        assert "scipy.sparse" not in loaded
+        expected = solve_ldg_1d(paper_1d_problem(1e-8), make_mesh(32, 1e-8, sigma=k + 1), k)
+        assert np.array_equal(saved["U"], expected.U.coeffs)
+        assert np.array_equal(saved["Q"], expected.Q.coeffs)
 
     def test_interface_coupling_structure(self):
         # the penalized flux couples the Q blocks of the two cells sharing

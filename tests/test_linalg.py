@@ -54,6 +54,19 @@ class TestBandedMatrix:
             dense = m.to_dense() @ x
             assert np.max(np.abs(m.matvec(x) - dense)) <= 1e-14 * np.max(np.abs(dense))
 
+    def test_bilinear_random_vs_dense(self):
+        # u^T A w read off the band columns where w is nonzero, at the ends
+        # of the matrix too, to rounding of the sum of |u_i A_ij w_j|
+        rng = np.random.default_rng(4)
+        for n, kl, ku in ((5, 1, 3), (17, 4, 2), (40, 3, 3), (60, 0, 2)):
+            m = random_banded(rng, n, kl, ku)
+            A, (u, w) = m.to_dense(), rng.standard_normal((2, n))
+            for cols in (np.arange(n), [0, 1, n - 1], [n // 2, n // 2 + 1]):
+                w_cols = np.zeros(n)
+                w_cols[cols] = w[cols]
+                bound = 1e-13 * (np.abs(u) @ np.abs(A) @ np.abs(w_cols))
+                assert abs(m.bilinear(u, w_cols) - u @ A @ w_cols) <= bound
+
 
 class TestEquilibrate:
     def test_identity_unchanged(self):
