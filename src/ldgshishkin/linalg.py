@@ -1,17 +1,20 @@
-"""Linear-solver backend: banded LU, sparse LU, preconditioned CG, scaling.
+"""Linear-solver backend: banded Cholesky and LU, sparse LU, preconditioned
+CG, scaling.
 
-The banded path packs the matrix in LAPACK general-band storage and
-factorizes with dgbsv (partial pivoting with band-growth rows), solving a
-rank-one update A + u w^T by Sherman-Morrison on the band of A; the sparse
-path wraps SuperLU with its fill-reducing column ordering.  The scalings
-use exact powers of two so they introduce no rounding: ``equilibrate`` (rows,
-then columns of the row-scaled matrix) lands every row and column maximum in
-[0.5, 1], and ``symmetric_scale`` keeps a symmetric matrix exactly symmetric.
-Only numpy loads with this module; scipy.linalg.lapack (dgbsv) and
-scipy.sparse (csr copies, SuperLU) are imported where they are called.
+The banded paths read LAPACK band storage: ``banded_cholesky`` factors an
+SPD matrix held by its lower band (dpbtrf, dpbtrs), and ``lu_banded_solve``
+a general one with dgbsv (partial pivoting with band-growth rows), solving
+a rank-one update A + u w^T by ``sherman_morrison`` on the band of A; the
+sparse path wraps SuperLU with its fill-reducing column ordering.  The
+scalings use exact powers of two so they introduce no rounding:
+``equilibrate`` (rows, then columns of the row-scaled matrix) lands every
+row and column maximum in [0.5, 1], and ``symmetric_scale`` keeps a
+symmetric matrix exactly symmetric.  Only numpy loads with this module;
+scipy.linalg.lapack and scipy.sparse (csr copies, SuperLU) are imported
+where they are called.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +37,9 @@ class SolveResult:
 @dataclass
 class BandedMatrix:
     """General band matrix: entry A[i, j] lives at band[u + i - j, j]; the
-    slots outside the matrix hold zeros."""
+    slots outside the matrix hold zeros.  With ``upper == 0`` this is
+    LAPACK's lower band storage, which ``banded_cholesky`` reads as the
+    lower triangle of a symmetric matrix."""
 
     n: int
     lower: int
@@ -46,28 +51,6 @@ class BandedMatrix:
             raise ValueError("band storage inconsistent with bandwidths")
         if self.lower >= self.n or self.upper >= self.n:
             raise ValueError("bandwidths must be smaller than the dimension")
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        lower = int(max(0, (rows - cols).max()))
-        upper = int(max(0, (cols - rows).max()))
-        band = np.zeros((lower + upper + 1, n))
-        np.add.at(band.reshape(-1), (upper + rows - cols) * n + cols, vals)
-        return cls(n=n, lower=lower, upper=upper, band=band)
-
-    def to_dense(self):
-        return self.to_csr().toarray()
-
-    def to_csr(self):
-        import scipy.sparse as sp
-        rows = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
-        inside = (rows >= 0) & (rows < self.n)
-        cols = np.broadcast_to(np.arange(self.n), rows.shape)
-        return sp.csr_matrix((self.band[inside], (rows[inside], cols[inside])),
-                             shape=(self.n, self.n))
 
     def _by_row(self, ufunc, *args):
         """``ufunc(band, *args)`` written into rows one slot longer than the
@@ -111,7 +94,7 @@ class BandedMatrix:
         rows = sliding_window_view(np.pad(row_scales, (self.upper, self.lower)), self.n)
         band = self.band * rows
         band *= col_scales
-        return BandedMatrix(self.n, self.lower, self.upper, band)
+        return replace(self, band=band)
 
 
 @dataclass
@@ -225,11 +208,50 @@ def lu_banded_solve(matrix, rhs, update=None):
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("banded solve produced non-finite values")
     if update is not None:
-        (y, z), w = x.T, update[1]
-        if (denom := 1.0 + w @ z) == 0.0 or not np.isfinite(denom):
-            raise SingularMatrixError(f"rank-one update denominator {denom:.3e}")
-        x = y - z * ((w @ y) / denom)
+        x = sherman_morrison(*x.T, update[1])
     return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs, update))
+
+
+def sherman_morrison(y, z, w):
+    """x = y - z (w^T y) / (1 + w^T z): the solution of (A + u w^T) x = b
+    from y = A^-1 b and z = A^-1 u.  Raises SingularMatrixError when
+    1 + w^T z is zero or not finite."""
+    if (denom := 1.0 + w @ z) == 0.0 or not np.isfinite(denom):
+        raise SingularMatrixError(f"rank-one update denominator {denom:.3e}")
+    return y - z * ((w @ y) / denom)
+
+
+def banded_cholesky(matrix):
+    """Factor an SPD matrix given by its lower band (a ``BandedMatrix`` with
+    ``upper == 0``) with dpbtrf; returns ``solve(B)``, which solves for the
+    m columns of B, shape (n, m), with dpbtrs (a Fortran-ordered B is not
+    copied).
+
+    Raises SingularMatrixError with the pivot index when a leading minor is
+    not positive definite, and without one when a solve gives non-finite
+    values (a NaN in the data need not stop dpbtrf).
+    """
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    if matrix.upper != 0:
+        raise ValueError("banded_cholesky reads a lower band (upper == 0)")
+    factor, info = dpbtrf(matrix.band, lower=1)
+    if info > 0:
+        raise SingularMatrixError(
+            f"leading minor {info} not positive definite in banded Cholesky",
+            pivot_index=info - 1,
+        )
+    if info < 0:
+        raise SolverError(f"dpbtrf rejected argument {-info}")
+
+    def solve(B):
+        X, info = dpbtrs(factor, B, lower=1)
+        if info < 0:
+            raise SolverError(f"dpbtrs rejected argument {-info}")
+        if not np.all(np.isfinite(X)):
+            raise SingularMatrixError("banded Cholesky solve produced non-finite values")
+        return X
+
+    return solve
 
 
 def sparse_solve(matrix, rhs):

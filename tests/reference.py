@@ -1,10 +1,11 @@
 """Reference code that only the tests use.
 
-Continuous interpolants, the y-direction 2D flux projection, the 1D band
-built from nonzero triplets, the right-hand side of the coupled 2D
-(U, P, Q) system, and the sparse-matrix operations with which the tests
-equilibrate and scale their SuperLU and dense references.  No solver, norm
-or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
+Continuous interpolants, the y-direction 2D flux projection, the 1D
+2-field band built from nonzero triplets and its extended-precision
+refined solve, the right-hand side of the coupled 2D (U, P, Q) system, and
+the band- and sparse-matrix operations (triplet construction, dense and csr
+copies, scalings) with which the tests build their SuperLU and dense
+references.  No solver, norm or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
 for the tests of which modules a run loads.
 """
 
@@ -21,8 +22,8 @@ import scipy.sparse as sp
 import ldgshishkin
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
-from ldgshishkin.ldg1d import piece_blocks_1d
-from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate
+from ldgshishkin.ldg1d import CellBlocks, piece_blocks_1d
+from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
 
 
@@ -82,33 +83,118 @@ def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
     return DGFunction2D(mesh2d, k, coeffs)
 
 
+class ReferenceBanded(BandedMatrix):
+    """A ``BandedMatrix`` built from triplets, with dense and csr copies."""
+
+    @classmethod
+    def from_coo(cls, n, rows, cols, vals):
+        """Duplicates summed; the bandwidths are read off the triplets."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
+        lower = int(max(0, (rows - cols).max()))
+        upper = int(max(0, (cols - rows).max()))
+        band = np.zeros((lower + upper + 1, n))
+        np.add.at(band.reshape(-1), (upper + rows - cols) * n + cols, vals)
+        return cls(n=n, lower=lower, upper=upper, band=band)
+
+    def to_dense(self):
+        return self.to_csr().toarray()
+
+    def to_csr(self):
+        rows = np.arange(self.n)[None, :] + np.arange(self.band.shape[0])[:, None] - self.upper
+        inside = (rows >= 0) & (rows < self.n)
+        cols = np.broadcast_to(np.arange(self.n), rows.shape)
+        return sp.csr_matrix((self.band[inside], (rows[inside], cols[inside])),
+                             shape=(self.n, self.n))
+
+
+def _cell_block_triplets(blocks, fields, kk):
+    """(rows, cols, values) of the nonzero entries of the ``CellBlocks``
+    ``blocks`` placed at ``fields`` = (row field, column field) of the
+    cell-major 2-field layout (cell c, field a, mode p at 2kk c + kk a + p)."""
+    c = np.arange(blocks.diag.shape[0])
+    rows, cols, vals = [], [], []
+    for rc, cc, B in ((c, c, blocks.diag), (c[1:], c[:-1], blocks.sub[1:]),
+                      (c[:-1], c[1:], blocks.sup[1:])):
+        i, p, q = np.nonzero(B)
+        rows.append(2 * kk * rc[i] + kk * fields[0] + p)
+        cols.append(2 * kk * cc[i] + kk * fields[1] + q)
+        vals.append(B[i, p, q])
+    return [np.concatenate(t) for t in (rows, cols, vals)]
+
+
 def banded_system_1d(problem, mesh, k):
-    """The matrix A0 + e e^T of ``assemble_1d`` built from triplets: the
-    dense A0 = [[M/s, D], [-s D^T, W_b + s E]] in the cell-major
-    [Qtilde | U] layout, its nonzero entries summed into zeros by
-    ``BandedMatrix.from_coo``, which reads the bandwidths off them, and e,
-    the interface vector v of ``OperatorPieces1D.interface`` on the Qtilde
-    dofs of cells J-1 and J.  W_b is integrated as assemble_1d does.
-    Returns (A0 as a ``BandedMatrix``, e)."""
+    """The 2-field system (A0 + e e^T) x = b of the 1D scheme built from
+    triplets: the nonzero entries of the cell blocks of
+    A0 = [[M/s, D], [-s D^T, W_b + s E]] in the cell-major [Qtilde | U]
+    layout, summed into zeros by ``ReferenceBanded.from_coo``, which reads
+    the bandwidths off them; e, the interface vector v of
+    ``OperatorPieces1D.interface`` on the Qtilde dofs of cells J-1 and J;
+    and b, the load <f, v> on the U dofs.  W_b and the load are integrated
+    as assemble_1d does.  Returns (A0, e, b)."""
     pieces = piece_blocks_1d(mesh, k, problem.eps)
     s, kk, N, (J, v) = pieces.s, k + 1, mesh.N, pieces.interface
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
-    bvals = np.asarray(problem.b(mesh.quadrature_points(rule.points)), dtype=float)
-    W = np.einsum("cg,gm,gn->cmn", 0.5 * mesh.widths[:, None] * rule.weights * bvals, V, V)
-    W_b = sp.block_diag(list(W)).toarray()
-    D = pieces.derivative.to_dense()
-    q = (2 * kk * np.arange(N)[:, None] + np.arange(kk)).ravel()
-    u = q + kk
-    A = np.zeros((2 * N * kk, 2 * N * kk))
-    A[np.ix_(q, q)] = pieces.mass.to_dense() * (1.0 / s)
-    A[np.ix_(q, u)] = D
-    A[np.ix_(u, q)] = -s * D.T
-    A[np.ix_(u, u)] = W_b + pieces.penalty.to_dense()
-    e = np.zeros(A.shape[0])
-    e[q.reshape(N, kk)[J - 1:J + 1].ravel()] = v
-    rows, cols = np.nonzero(A)
-    return BandedMatrix.from_coo(A.shape[0], rows, cols, A[rows, cols]), e
+    X = mesh.quadrature_points(rule.points)
+    bvals = np.asarray(problem.b(X), dtype=float)
+    fvals = np.asarray(problem.f(X), dtype=float)
+    halfh = 0.5 * mesh.widths
+    W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
+    D, zero = pieces.derivative, np.zeros_like(W)
+    Dt = CellBlocks(D.diag.swapaxes(1, 2), D.sup.swapaxes(1, 2), D.sub.swapaxes(1, 2))
+    triplets = [
+        _cell_block_triplets(CellBlocks(pieces.mass.diag * (1.0 / s), zero, zero), (0, 0), kk),
+        _cell_block_triplets(D, (0, 1), kk),
+        _cell_block_triplets(CellBlocks(-s * Dt.diag, -s * Dt.sub, -s * Dt.sup), (1, 0), kk),
+        _cell_block_triplets(CellBlocks(W + pieces.penalty.diag, zero, zero), (1, 1), kk),
+    ]
+    n = 2 * N * kk
+    rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
+    e, b = np.zeros((2, n))
+    q = 2 * kk * np.arange(N)[:, None] + np.arange(kk)
+    e[q[J - 1:J + 1].ravel()] = v
+    b[(q + kk).ravel()] = (halfh[:, None] * ((rule.weights * fvals) @ V)).ravel()
+    return ReferenceBanded.from_coo(n, rows, cols, vals), e, b
+
+
+def _band_matvec(matrix, x):
+    """A x over the diagonals of the band, in the precision of x."""
+    n, y = matrix.n, np.zeros_like(x)
+    for d in range(-matrix.upper, matrix.lower + 1):
+        diagonal = matrix.band[matrix.upper + d].astype(x.dtype)
+        if d >= 0:
+            y[d:] += diagonal[:n - d] * x[:n - d]
+        else:
+            y[:n + d] += diagonal[-d:] * x[-d:]
+    return y
+
+
+def refined_solve_1d(problem, mesh, k, steps=3):
+    """The 1D scheme solved on ``banded_system_1d`` by equilibrated banded LU
+    (dgbsv with Sherman-Morrison for e e^T), and that solution refined
+    ``steps`` times with residuals of A0 + e e^T computed in np.longdouble
+    over the band rows (corrections by the same LU).  Returns the (U, Q)
+    coefficient pairs, each (N, k+1), of the LU solve and of the refined
+    one (rounded to float64)."""
+    A, e, b = banded_system_1d(problem, mesh, k)
+    scaled, r, c = equilibrate(A)
+
+    def solve(rhs):
+        return c * lu_banded_solve(scaled, r * rhs, update=(r * e, c * e)).x
+
+    x = solve(b)
+    x_ld, e_ld = x.astype(np.longdouble), e.astype(np.longdouble)
+    for _ in range(steps):
+        residual = b - (_band_matvec(A, x_ld) + e_ld * (e_ld @ x_ld))
+        x_ld += solve(residual.astype(float))
+
+    def fields(x):
+        blocks = x.astype(float).reshape(mesh.N, 2 * (k + 1))
+        return blocks[:, k + 1:], float(np.sqrt(problem.eps)) * blocks[:, :k + 1]
+
+    return fields(x), fields(x_ld)
 
 
 class ReferenceSparse(SparseMatrix):
@@ -149,5 +235,5 @@ def equilibrate_dense(A):
     """``equilibrate`` of a dense A, run on the band storage of its nonzeros;
     returns (scaled A as a dense array, row_scales, col_scales)."""
     rows, cols = np.nonzero(A)
-    scaled, r, c = equilibrate(BandedMatrix.from_coo(A.shape[0], rows, cols, A[rows, cols]))
+    scaled, r, c = equilibrate(ReferenceBanded.from_coo(A.shape[0], rows, cols, A[rows, cols]))
     return scaled.to_dense(), r, c

@@ -48,7 +48,8 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.basis import error_quad_order
-from ldgshishkin.linalg import BandedMatrix, SparseMatrix
+from ldgshishkin.linalg import SparseMatrix
+from reference import ReferenceBanded
 
 EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 
@@ -64,7 +65,7 @@ def random_banded(rng, n, kl, ku):
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     vals[rows == cols] += 3.0 * np.sign(vals[rows == cols]) + 1.0
-    return BandedMatrix.from_coo(n, rows, cols, vals)
+    return ReferenceBanded.from_coo(n, rows, cols, vals)
 
 
 def report(criterion, passed, detail):

@@ -23,10 +23,10 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_1d,
 )
-from ldgshishkin import equilibrate, ldg1d, lu_banded_solve, problems
+from ldgshishkin import ldg1d, problems
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
-from reference import banded_system_1d, interpolate_1d, run_fresh
+from reference import banded_system_1d, interpolate_1d, refined_solve_1d, run_fresh
 
 
 def unit_b(x):
@@ -42,24 +42,44 @@ def make_mesh(N, eps, sigma=2.0):
 
 
 def q_dofs(cells, k):
-    """Qtilde dofs of ``cells`` in the cell-major [Qtilde modes | U modes]
-    layout of the assembled system."""
-    return 2 * (k + 1) * np.asarray(cells)[..., None] + np.arange(k + 1)
+    """Qtilde dofs of ``cells`` in the field-major layout (Qtilde of every
+    cell, then U of every cell) of the assembled system."""
+    return (k + 1) * np.asarray(cells)[..., None] + np.arange(k + 1)
 
 
-def u_dofs(cells, k):
-    return q_dofs(cells, k) + k + 1
+def u_dofs(cells, k, N):
+    return q_dofs(cells, k) + N * (k + 1)
 
 
-def nan_on_one_cell(problem, mesh, name):
-    """``problem`` with b or f NaN inside one right-layer cell; the open
-    cell holds none of the points Problem1D checks b on."""
+def field_major(N, k):
+    """The cell-major dof of each field-major dof: x_field = x_cell[perm]."""
+    cell = 2 * (k + 1) * np.arange(N)[:, None] + np.arange(k + 1)
+    return np.concatenate([cell.ravel(), (cell + k + 1).ravel()])
+
+
+def dense_a0(system):
+    """A0 (the operator without e e^T) as a dense array, column by column."""
+    A = system.operator
+    units = np.eye(system.rhs.size).reshape(-1, 2, *A.mass.shape)
+    return A.apply(units).reshape(system.rhs.size, -1).T
+
+
+def s0_dense(matrix):
+    """The symmetric S0 from its lower band."""
+    L = sum(np.diag(matrix.band[d, :matrix.n - d], -d) for d in range(matrix.lower + 1))
+    return L + np.tril(L, -1).T
+
+
+def poison_layer_cell(problem, mesh, name, value=np.nan):
+    """``problem`` with b or f set to ``value`` (NaN) inside the right-layer
+    cell N-1 (row N-2); that open cell holds none of the points Problem1D
+    checks b on."""
     x0, x1 = mesh.cell(mesh.N - 1)
     g = getattr(problem, name)
 
     def poisoned(x):
         x = np.asarray(x)
-        return np.where((x0 < x) & (x < x1), np.nan, g(x))
+        return np.where((x0 < x) & (x < x1), value, g(x))
 
     return replace(problem, **{name: poisoned})
 
@@ -78,42 +98,46 @@ class TestAssembly:
         p = paper_1d_problem(1e-3)
         for k in (1, 2, 3):
             system = assemble_1d(p, mesh, k)
-            assert system.matrix.n == 2 * 8 * (k + 1)
-            # nearest-neighbour coupling only: bandwidths below two cell blocks
-            assert system.matrix.lower <= 4 * (k + 1) - 1
-            assert system.matrix.upper <= 4 * (k + 1) - 1
+            # the U-system: one field, nearest-neighbour coupling, lower band only
+            assert system.matrix.n == 8 * (k + 1)
+            assert system.matrix.lower <= 2 * (k + 1) - 1 and system.matrix.upper == 0
+            assert system.rhs.size == system.operator.interface.size == 2 * 8 * (k + 1)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-12])
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bandwidths_pinned(self, k, N, eps):
-        # the blocks of D below and of -s D^T above the diagonal reach 2k+1
-        # off it; the interface term, which would reach 3k+2, stays out of
-        # the band, and a band padded with zero diagonals would only slow dgbsv
+        # the rank-one blocks (c + 1, c) of eps D^T M^-1 D reach 2k+1 below
+        # the diagonal; a band padded with zero diagonals would only slow dpbtrf
         system = assemble_1d(paper_1d_problem(eps), make_mesh(N, eps), k)
-        assert system.matrix.lower == system.matrix.upper == 2 * k + 1
+        assert system.matrix.lower == 2 * k + 1 and system.matrix.upper == 0
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])  # 1e-1: clamped mesh
     @pytest.mark.parametrize("N", [4, 8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_band_matches_triplet_reference(self, k, N, eps):
-        # the band written block by block is the band summed from the
-        # nonzero triplets, bit for bit (zeros +0.0, padding slots included),
-        # the interface vector is the reference's, and the solve on them
-        # gives the solve on the reference band
+        # S0, written in closed form, is the Schur complement
+        # A_UU - A_UQ A_QQ^-1 A_QU of the triplet-built 2-field A0, with
+        # zeros in the band slots outside the matrix; the operator applies
+        # A0 + e e^T and has its Frobenius norm, and rhs and e are the
+        # reference's, in the field-major layout
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
         system = assemble_1d(p, mesh, k)
-        ref, e = banded_system_1d(p, mesh, k)
-        assert (system.matrix.lower, system.matrix.upper) == (ref.lower, ref.upper)
-        assert system.matrix.band.tobytes() == ref.band.tobytes()
-        assert system.interface.tobytes() == e.tobytes()
-        scaled, r, c = equilibrate(ref)
-        result = lu_banded_solve(scaled, r * system.rhs, update=(r * e, c * e))
-        blocks = (c * result.x).reshape(N, 2 * (k + 1))
-        sol = solve_ldg_1d(p, mesh, k)
-        assert np.array_equal(sol.U.coeffs, blocks[:, k + 1:])
-        assert np.array_equal(sol.Q.coeffs, system.q_scale * blocks[:, :k + 1])
-        assert sol.residual == result.residual
+        ref, e, b = banded_system_1d(p, mesh, k)
+        perm, n = field_major(N, k), N * (k + 1)
+        A = ref.to_dense()[np.ix_(perm, perm)]
+        S_ref = A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
+        S = s0_dense(system.matrix)
+        assert np.abs(S - S_ref).max() <= 1e-15 * np.abs(S_ref).max()
+        outside = np.arange(n) >= n - np.arange(system.matrix.lower + 1)[:, None]
+        assert np.all(system.matrix.band[outside] == 0.0)
+        assert np.array_equal(system.rhs, b[perm])
+        assert np.array_equal(system.operator.interface, e[perm])
+        A += np.outer(e[perm], e[perm])
+        x = np.random.default_rng(k * N).standard_normal(2 * n)
+        error = np.abs(system.operator.matvec(x) - A @ x).max()
+        assert error <= 1e-15 * np.abs(A).max() * np.abs(x).sum()
+        assert system.operator.frobenius_norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1d_path_uses_no_scipy_sparse(self, k, tmp_path):
@@ -133,41 +157,37 @@ class TestAssembly:
     def test_interface_coupling_structure(self):
         # the penalized flux couples the Q blocks of the two cells sharing
         # node 3N/4; that coupling precludes local elimination of Q there.
-        # It sits only in the rank-one term e e^T: every Q-Q block of
-        # neighbouring cells in the band is zero
+        # It sits only in the rank-one term e e^T: A0 couples no Q blocks
+        # of neighbouring cells, so its Q-Q block M/s is diagonal
         N = 16
         mesh = make_mesh(N, 1e-3)
         J = mesh.interface_index  # node index; cells J and J+1 touch it
         for k in (1, 2, 3):
             system = assemble_1d(paper_1d_problem(1e-3), mesh, k)
-            A0, e = system.matrix.to_dense(), system.interface
+            A0, e = dense_a0(system), system.operator.interface
             left, right = q_dofs(J - 1, k), q_dofs(J, k)
-            for c in range(N - 1):
-                assert np.all(A0[np.ix_(q_dofs(c, k), q_dofs(c + 1, k))] == 0.0), (k, c)
-                assert np.all(A0[np.ix_(q_dofs(c + 1, k), q_dofs(c, k))] == 0.0), (k, c)
-            assert np.any(A0[np.ix_(right, u_dofs(J - 1, k))] != 0.0)
+            n = N * (k + 1)
+            assert np.array_equal(A0[:n, :n], np.diag(np.diagonal(A0)[:n]))
+            assert np.any(A0[np.ix_(right, u_dofs(J - 1, k, N))] != 0.0)
             assert np.all(np.delete(e, np.concatenate([left, right])) == 0.0)
             assert np.all(e[left] != 0.0) and np.all(e[right] != 0.0)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matrix_matches_quadrature_oracle(self, k, eps):
-        # x^T A w = B(W; X) block by block (Q/U parts of W against r/v
-        # parts of X), with the Q columns unscaled from Qtilde = Q / sqrt(eps)
+        # x^T A w = B(W; X), A = A0 + e e^T, block by block (Q/U parts of W
+        # against r/v parts of X), with the Q entries unscaled from
+        # Qtilde = Q / sqrt(eps)
         rng = np.random.default_rng(41)
         N = 16
         mesh = make_mesh(N, eps, sigma=k + 1)
         p = Problem1D(eps=eps, b=lambda x: 1.5 + 0.5 * np.sin(3.0 * np.asarray(x)),
                       f=zero_f, beta=1.0)
         system = assemble_1d(p, mesh, k)
-        A0, e = system.matrix.to_csr(), system.interface
-        cells = np.arange(N)
+        A = system.operator
 
         def vector(pair, q_factor):
-            x = np.zeros(system.matrix.n)
-            x[q_dofs(cells, k)] = q_factor * pair.Q.coeffs
-            x[u_dofs(cells, k)] = pair.U.coeffs
-            return x
+            return np.concatenate([q_factor * pair.Q.coeffs.ravel(), pair.U.coeffs.ravel()])
 
         def part(pair, field):
             zero = DGFunction1D(mesh, k, np.zeros((N, k + 1)))
@@ -181,7 +201,7 @@ class TestAssembly:
                 for xf in ("Q", "U"):
                     Wp, Xp = part(W, wf), part(X, xf)
                     x, w = vector(Xp, 1.0), vector(Wp, 1.0 / system.q_scale)
-                    lhs = x @ (A0 @ w) + (x @ e) * (e @ w)
+                    lhs = x @ A.matvec(w)
                     oracle = bilinear_form_1d(Wp, Xp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
 
@@ -189,15 +209,23 @@ class TestAssembly:
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_solution_matches_dense_solve(self, k, N, eps):
-        # the rank-one update solves the full system A0 + e e^T
+        # the U-system, Sherman-Morrison and the refinement step solve the
+        # triplet-built 2-field A0 + e e^T: to rounding of a dense solve,
+        # and with a relative residual of that system at rounding level, as
+        # the solver reports it
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
-        system = assemble_1d(p, mesh, k)
-        A = system.matrix.to_dense() + np.outer(system.interface, system.interface)
-        blocks = np.linalg.solve(A, system.rhs).reshape(N, 2 * (k + 1))
-        U, Q = blocks[:, k + 1:], system.q_scale * blocks[:, :k + 1]
+        ref, e, b = banded_system_1d(p, mesh, k)
+        A = ref.to_dense() + np.outer(e, e)
+        blocks = np.linalg.solve(A, b).reshape(N, 2 * (k + 1))
+        s = np.sqrt(eps)
+        U, Q = blocks[:, k + 1:], s * blocks[:, :k + 1]
         sol = solve_ldg_1d(p, mesh, k)
         assert np.abs(sol.U.coeffs - U).max() <= 1e-13 * np.abs(U).max()
         assert np.abs(sol.Q.coeffs - Q).max() <= 1e-13 * np.abs(Q).max()
+        x = np.concatenate([sol.Q.coeffs / s, sol.U.coeffs], axis=1).ravel()
+        residual = np.linalg.norm(A @ x - b) / (np.linalg.norm(A) * np.linalg.norm(x)
+                                                 + np.linalg.norm(b))
+        assert residual <= 1e-15 and sol.residual <= 1e-15
 
     def test_zero_data_gives_zero_solution(self):
         mesh = make_mesh(4, 1.0)
@@ -205,6 +233,29 @@ class TestAssembly:
         sol = solve_ldg_1d(p, mesh, 1)
         assert np.max(np.abs(sol.U.coeffs)) == 0.0
         assert np.max(np.abs(sol.Q.coeffs)) == 0.0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 here")
+class TestExtendedPrecisionReference:
+    @pytest.mark.parametrize("N", [64, 512, 4096])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_solve_matches_refined_reference(self, k, eps, N):
+        # against the equilibrated 2-field LU solve refined with long double
+        # residuals, U and Q are within 1e-14 relative and no farther than
+        # that LU solve (the 1D solve before the U-system), which they
+        # match to 1e-13
+        p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+        lu, refined = refined_solve_1d(p, mesh, k)
+        sol = solve_ldg_1d(p, mesh, k)
+        for got, lu_field, ref in zip((sol.U.coeffs, sol.Q.coeffs), lu, refined):
+            scale = np.abs(ref).max()
+            err = np.abs(got - ref).max() / scale
+            assert err <= 1e-14
+            assert err <= np.abs(lu_field - ref).max() / scale
+            assert np.abs(got - lu_field).max() <= 1e-13 * np.abs(lu_field).max()
+        assert sol.residual <= 1e-15
 
 
 class TestOperatorPieces:
@@ -379,15 +430,42 @@ class TestSolverContract:
     def test_nan_data_raises_typed_error(self, name):
         eps = 1e-8
         mesh = make_mesh(8, eps)
-        p = nan_on_one_cell(paper_1d_problem(eps), mesh, name)
+        p = poison_layer_cell(paper_1d_problem(eps), mesh, name)
         with pytest.raises(SingularMatrixError):
             solve_ldg_1d(p, mesh, 1)
+
+    def test_indefinite_u_system_raises_with_pivot(self):
+        # b = -1e6 inside cell row N-2 makes S0 indefinite there: the
+        # banded Cholesky stops at a pivot of that cell
+        eps, N, k = 1e-8, 8, 1
+        mesh = make_mesh(N, eps)
+        p = poison_layer_cell(paper_1d_problem(eps), mesh, "b", value=-1e6)
+        with pytest.raises(SingularMatrixError) as info:
+            solve_ldg_1d(p, mesh, k)
+        assert (N - 2) * (k + 1) <= info.value.pivot_index < (N - 1) * (k + 1)
+
+    @pytest.mark.parametrize("scale, match", [(1e200, "denominator"), (np.nan, None)])
+    def test_interface_update_failure_raises_typed_error(self, scale, match, monkeypatch):
+        # with e scaled by 1e200, 1 + e^T A0^-1 e overflows (A0^-1 e stays
+        # finite); a NaN in e makes A0^-1 e non-finite
+        assemble = ldg1d.assemble_1d
+
+        def scaled_interface(*args):
+            system = assemble(*args)
+            e = system.operator.interface
+            e[e != 0.0] *= scale
+            return system
+
+        monkeypatch.setattr(ldg1d, "assemble_1d", scaled_interface)
+        mesh = make_mesh(8, 1e-4)
+        with pytest.raises(SingularMatrixError, match=match), np.errstate(over="ignore"):
+            solve_ldg_1d(paper_1d_problem(1e-4), mesh, 1)
 
     @pytest.mark.parametrize("name", ["b", "f"])
     def test_nan_data_row_recorded_failed(self, name, monkeypatch):
         def factory(eps, k):
             mesh = build_shishkin_1d(MeshConfig(N=8, eps=eps, sigma=k + 1))
-            return nan_on_one_cell(paper_1d_problem(eps), mesh, name)
+            return poison_layer_cell(paper_1d_problem(eps), mesh, name)
 
         monkeypatch.setitem(problems.PROBLEMS_1D, "nancell1d", factory)
         table = run_sweep(SweepConfig(problem="nancell1d", k_list=(1,),

@@ -12,8 +12,9 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.errors import SolverError
-from ldgshishkin.linalg import _relative_residual, pcg, symmetric_scale
-from reference import ReferenceSparse, equilibrate_dense
+from ldgshishkin.linalg import (_relative_residual, banded_cholesky, pcg, sherman_morrison,
+                                symmetric_scale)
+from reference import ReferenceBanded, ReferenceSparse, equilibrate_dense
 
 
 def random_banded(rng, n, kl, ku):
@@ -28,7 +29,7 @@ def random_banded(rng, n, kl, ku):
     vals = np.concatenate(vals)
     # boost the diagonal so the condition number stays moderate
     vals[rows == cols] += 3.0 * np.sign(vals[rows == cols]) + 1.0
-    return BandedMatrix.from_coo(n, rows, cols, vals)
+    return ReferenceBanded.from_coo(n, rows, cols, vals)
 
 
 class TestBandedMatrix:
@@ -36,14 +37,14 @@ class TestBandedMatrix:
         rows = [0, 0, 1, 2, 2]
         cols = [0, 1, 1, 1, 2]
         vals = [1.0, 2.0, 3.0, 4.0, 5.0]
-        m = BandedMatrix.from_coo(3, rows, cols, vals)
+        m = ReferenceBanded.from_coo(3, rows, cols, vals)
         dense = np.array([[1, 2, 0], [0, 3, 0], [0, 4, 5]], dtype=float)
         assert np.array_equal(m.to_dense(), dense)
         x = np.array([1.0, -1.0, 2.0])
         assert np.allclose(m.matvec(x), dense @ x, atol=0)
 
     def test_duplicate_entries_accumulate(self):
-        m = BandedMatrix.from_coo(2, [0, 0], [0, 0], [1.0, 2.0])
+        m = ReferenceBanded.from_coo(2, [0, 0], [0, 0], [1.0, 2.0])
         assert m.to_dense()[0, 0] == 3.0
 
     def test_matvec_random_vs_dense(self):
@@ -138,7 +139,7 @@ class TestEquilibrate:
         rows, cols = np.nonzero(expected)
         # slots outside the matrix stay zero as well
         assert np.array_equal(scaled.band,
-                              BandedMatrix.from_coo(n, rows, cols, expected[rows, cols]).band)
+                              ReferenceBanded.from_coo(n, rows, cols, expected[rows, cols]).band)
         # the row maxima of |A| reach row_scales, the column maxima are those
         # of diag(r) |A|, and the band stays as it was
         band, seen = m.band.copy(), []
@@ -159,7 +160,7 @@ class TestEquilibrate:
 
 class TestBandedSolve:
     def test_identity(self):
-        m = BandedMatrix.from_coo(5, range(5), range(5), np.ones(5))
+        m = ReferenceBanded.from_coo(5, range(5), range(5), np.ones(5))
         rhs = np.arange(5.0)
         res = lu_banded_solve(m, rhs)
         assert np.array_equal(res.x, rhs)
@@ -170,7 +171,7 @@ class TestBandedSolve:
         rows = list(range(n)) + list(range(n - 1)) + list(range(1, n))
         cols = list(range(n)) + list(range(1, n)) + list(range(n - 1))
         vals = [2.0] * n + [-1.0] * (2 * (n - 1))
-        m = BandedMatrix.from_coo(n, rows, cols, vals)
+        m = ReferenceBanded.from_coo(n, rows, cols, vals)
         rhs = np.ones(n)
         res = lu_banded_solve(m, rhs)
         expected = np.linalg.solve(m.to_dense(), rhs)
@@ -181,7 +182,7 @@ class TestBandedSolve:
         rows = [0, 0, 1, 1, 2, 2]
         cols = [0, 1, 0, 1, 1, 2]
         vals = [1.0, 2.0, 1.0, 2.0, 1.0, 1.0]
-        m = BandedMatrix.from_coo(3, rows, cols, vals)
+        m = ReferenceBanded.from_coo(3, rows, cols, vals)
         with pytest.raises(SingularMatrixError) as info:
             lu_banded_solve(m, np.ones(3))
         assert info.value.pivot_index is not None
@@ -227,7 +228,7 @@ class TestBandedSolve:
         def refuse(self):
             raise AssertionError("lu_banded_solve converted the band to CSR")
 
-        monkeypatch.setattr(BandedMatrix, "to_csr", refuse)
+        monkeypatch.setattr(type(m), "to_csr", refuse)
         res = lu_banded_solve(m, rhs)
         assert np.array_equal(res.x, expected.x) and res.residual == expected.residual
 
@@ -270,11 +271,65 @@ class TestBandedSolve:
     def test_singular_update_rejected(self, w_first):
         # I + u w^T with u = e_1, w = -e_1 is singular: 1 + w^T z = 0; a NaN
         # in w gives a non-finite denominator
-        m = BandedMatrix.from_coo(4, range(4), range(4), np.ones(4))
+        m = ReferenceBanded.from_coo(4, range(4), range(4), np.ones(4))
         u, w = np.eye(4)[0], np.zeros(4)
         w[0] = w_first
         with pytest.raises(SingularMatrixError):
             lu_banded_solve(m, np.ones(4), update=(u, w))
+
+
+def random_spd_lower_band(rng, n, kd):
+    """An SPD matrix (diagonally dominant) by its lower band, and its dense copy."""
+    band = rng.standard_normal((kd + 1, n))
+    band[np.arange(n) >= n - np.arange(kd + 1)[:, None]] = 0.0  # slots outside A
+    band[0] = np.abs(band[0]) + 2.0 * kd + 1.0
+    A = sum(np.diag(band[d, :n - d], -d) for d in range(kd + 1))
+    return BandedMatrix(n, kd, 0, band), A + np.tril(A, -1).T
+
+
+class TestBandedCholesky:
+    @pytest.mark.parametrize("n, kd", [(1, 0), (12, 3), (40, 7), (200, 5)])
+    def test_matches_dense_solve(self, n, kd):
+        rng = np.random.default_rng(n + kd)
+        m, A = random_spd_lower_band(rng, n, kd)
+        B = rng.standard_normal((n, 2))
+        X = banded_cholesky(m)(B)
+        expected = np.linalg.solve(A, B)
+        assert np.abs(X - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(banded_cholesky(m)(np.asfortranarray(B)), X)
+
+    def test_indefinite_raises_with_pivot(self):
+        m, _ = random_spd_lower_band(np.random.default_rng(5), 20, 2)
+        m.band[0, 7] = -1.0
+        with pytest.raises(SingularMatrixError) as info:
+            banded_cholesky(m)
+        assert info.value.pivot_index == 7
+
+    def test_non_finite_solution_raises(self):
+        m, _ = random_spd_lower_band(np.random.default_rng(6), 20, 2)
+        B = np.ones((20, 1))
+        B[3] = np.nan
+        with pytest.raises(SingularMatrixError):
+            banded_cholesky(m)(B)
+
+    def test_upper_band_rejected(self):
+        with pytest.raises(ValueError):
+            banded_cholesky(BandedMatrix(3, 0, 1, np.ones((2, 3))))
+
+
+class TestShermanMorrison:
+    def test_solves_the_updated_system(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        b, u, w = rng.standard_normal((3, 6))
+        x = sherman_morrison(np.linalg.solve(A, b), np.linalg.solve(A, u), w)
+        expected = np.linalg.solve(A + np.outer(u, w), b)
+        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("wz", [-1.0, np.inf, np.nan])
+    def test_singular_denominator_rejected(self, wz):
+        with pytest.raises(SingularMatrixError):
+            sherman_morrison(np.ones(2), np.array([wz, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestSparseSolve:
