@@ -10,8 +10,9 @@ A0 = [[M/s, D], [-s D^T, C]], C = W_b + s E, block-tridiagonal over cells
 operator) and e = v on the Qtilde dofs of the two cells at node 3N/4.
 M is diagonal, so Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system
 S0 = C + eps D^T M^-1 D is SPD and block-tridiagonal, and its blocks,
-closed-form products of the reference blocks, are written straight into
-LAPACK lower band storage (half-bandwidth 2k+1).  The solve factors S0 once
+closed-form products of the reference blocks (``eliminated_blocks_1d``,
+which the 2D scheme shares), are written straight into LAPACK lower band
+storage (half-bandwidth 2k+1).  The solve factors S0 once
 by banded Cholesky, adds e e^T by Sherman-Morrison and makes one step of
 iterative refinement against the residual of A0 + e e^T.  It loads
 scipy.linalg.lapack (dpbtrf, dpbtrs), and never scipy.sparse.
@@ -68,6 +69,20 @@ class ReferenceBlocks1D(NamedTuple):
     V: np.ndarray
     VV: np.ndarray
 
+    def derivative(self, U):
+        """D U along the last two axes (cell, mode) of U."""
+        DU, sums = U @ self.R.T, U @ self.ones
+        DU[..., 1:, :] += sums[..., :-1, None] * self.alt
+        DU[..., -1, :] += sums[..., -1, None]
+        return DU
+
+    def derivative_t(self, Q):
+        """D^T Q along the last two axes (cell, mode) of Q."""
+        DtQ = Q @ self.R
+        DtQ[..., :-1, :] += (Q[..., 1:, :] @ self.alt)[..., None]
+        DtQ[..., -1, :] += (Q[..., -1, :] @ self.ones)[..., None]
+        return DtQ
+
 
 @lru_cache(maxsize=None)
 def reference_blocks_1d(k):
@@ -88,37 +103,22 @@ class MixedOperator1D:
     """A = A0 + e e^T, A0 = [[M/s, D], [-s D^T, C]], on fields (Qtilde, U),
     arrays of shape (..., 2, N, k+1) (field, cell, mode), applied from its
     cell pieces: ``mass`` is the diagonal of M, ``reaction`` the
-    (N, k+1, k+1) blocks of C, and D (see ``OperatorPieces1D``) is read off
-    the reference blocks ``ref``: D U is R U on every cell but the last
-    (G U = R U + 1 1^T U there) plus alt (1^T U) of the cell on the left.
-    ``interface`` is e, flattened and nonzero on Qtilde dofs only.  ``apply``
-    and ``solve_a0`` act with A0; ``matvec`` and ``frobenius_norm`` are those
-    of A on the flattened fields, as the residual reads them."""
+    (N, k+1, k+1) blocks of C, and D (see ``OperatorPieces1D``) is applied
+    by the reference blocks ``ref``.  ``interface`` is e, flattened and
+    nonzero on Qtilde dofs only.  ``apply`` and ``solve_a0`` act with A0;
+    ``matvec`` and ``frobenius_norm`` are those of A on the flattened
+    fields, as the residual reads them."""
 
     def __init__(self, mass, reaction, interface, s):
         self.mass, self.reaction, self.interface, self.s = mass, reaction, interface, s
         self.ref = reference_blocks_1d(mass.shape[1] - 1)
 
-    def derivative(self, U):
-        ref = self.ref
-        DU, sums = U @ ref.R.T, U @ ref.ones
-        DU[..., 1:, :] += sums[..., :-1, None] * ref.alt
-        DU[..., -1, :] += sums[..., -1, None]
-        return DU
-
-    def derivative_t(self, Q):
-        ref = self.ref
-        DtQ = Q @ ref.R
-        DtQ[..., :-1, :] += (Q[..., 1:, :] @ ref.alt)[..., None]
-        DtQ[..., -1, :] += (Q[..., -1, :] @ ref.ones)[..., None]
-        return DtQ
-
     def apply(self, X):
         Q, U = X[..., 0, :, :], X[..., 1, :, :]
         AX = np.empty_like(X)
-        AX[..., 0, :, :] = self.mass * (1.0 / self.s) * Q + self.derivative(U)
+        AX[..., 0, :, :] = self.mass * (1.0 / self.s) * Q + self.ref.derivative(U)
         AX[..., 1, :, :] = (np.einsum("cpq,...cq->...cp", self.reaction, U)
-                            - self.s * self.derivative_t(Q))
+                            - self.s * self.ref.derivative_t(Q))
         return AX
 
     def solve_a0(self, cholesky, R):
@@ -128,10 +128,10 @@ class MixedOperator1D:
         m, (N, kk) = R.shape[0], self.mass.shape
         RQ, RU = R.reshape(m, 2, N, kk).swapaxes(0, 1)
         minv = self.s / self.mass
-        rhs = RU + self.s * self.derivative_t(minv * RQ)
+        rhs = RU + self.s * self.ref.derivative_t(minv * RQ)
         X = np.empty((m, 2, N, kk))
         X[:, 1] = cholesky(rhs.reshape(m, N * kk).T).T.reshape(m, N, kk)
-        X[:, 0] = minv * (RQ - self.derivative(X[:, 1]))
+        X[:, 0] = minv * (RQ - self.ref.derivative(X[:, 1]))
         return X.reshape(R.shape)
 
     def matvec(self, x):
@@ -184,13 +184,33 @@ class CellBlocks:
         out[:-1] += self.sup[1:] @ X3[1:]
         return out.reshape(X.shape)
 
-    def to_dense(self):
-        return self.dot(np.eye(self.diag.shape[0] * self.diag.shape[1]))
-
     def to_csr(self):
         """The csr matrix of the nonzero entries."""
         import scipy.sparse as sp
-        return sp.csr_matrix(self.to_dense())
+        return sp.csr_matrix(self.dot(np.eye(self.diag.shape[0] * self.diag.shape[1])))
+
+
+def eliminated_blocks_1d(base, halfh, eps):
+    """base + eps D^T M^-1 D by cell blocks, for symmetric (N, kk, kk)
+    diagonal blocks ``base`` and M^-1 = diag(1/m) / halfh on each cell:
+    returns (diag, sub), the blocks (c, c) and the (N-1, kk) vectors of the
+    rank-one blocks (c+1, c) = sub[c] 1^T.  D has R (G on the last cell) on
+    the diagonal and alt 1^T below it, and alt^T diag(1/m) alt = sum(1/m),
+    so block (c, c) adds eps/halfh_c R^T diag(1/m) R, and on all cells but
+    the last eps/halfh_{c+1} sum(1/m) 1 1^T, and sub[c] is
+    eps/halfh_{c+1} R^T diag(1/m) alt (G^T for the last cell).  R and G
+    hold integers and 1/m half-integers, so the blocks are exactly symmetric.
+    """
+    N, kk = base.shape[:2]
+    ref = reference_blocks_1d(kk - 1)
+    R, G, minv, scale = ref.R, ref.G, 1.0 / ref.mass, eps / halfh
+    S = base + scale[:, None, None] * (R.T @ (minv[:, None] * R))
+    S[-1] = base[-1] + scale[-1] * (G.T @ (minv[:, None] * G))
+    S[:-1] += (scale[1:] * minv.sum())[:, None, None]
+    sub = np.empty((N - 1, kk))
+    sub[:], sub[-1] = R.T @ (minv * ref.alt), G.T @ (minv * ref.alt)
+    sub *= scale[1:, None]
+    return S, sub
 
 
 @dataclass(frozen=True)
@@ -201,15 +221,16 @@ class OperatorPieces1D:
     the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
     of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
     1 and alt the right and left endpoint values of the modes).
-    ``flux_mass`` is the Qtilde block M/s + v v^T, whose rank-one interface
-    penalty has v = 1 on cell J and -alt on cell J+1 (J = 3N/4, 1-based).
-    ``penalty`` is the boundary term s E, E = e_N e_N^T(x)11^T +
-    e_1 e_1^T(x)alt alt^T.  Since G + G^T = 11^T - alt alt^T, the
-    (test v, Qtilde) block of the scheme is exactly -s D^T.
-    ``interface`` is (J, v).  ``flux_mass`` and ``flux_mass_inv`` are built
-    on first read (the 1D solve reads neither); ``flux_mass_inv``, read in
-    2D, is the Sherman-Morrison inverse s M^-1 - w w^T / (1 + v^T w),
-    w = s M^-1 v: block-diagonal plus one 2-cell block at the interface.
+    ``flux_mass`` is the Qtilde block F = M/s + v v^T (built on first read,
+    for the coupled 2D matrix), whose rank-one interface penalty has v = 1
+    on cell J and -alt on cell J+1 (J = 3N/4, 1-based).  ``penalty`` is the
+    boundary term s E, E = e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T.  Since
+    G + G^T = 11^T - alt alt^T, the (test v, Qtilde) block of the scheme is
+    exactly -s D^T.  ``interface`` is (J, v), and ``eliminated`` the blocks
+    of K0 = s E + eps D^T M^-1 D (``eliminated_blocks_1d``).  Eliminating
+    Qtilde = -F^-1 D U leaves K = s E + s D^T F^-1 D in the U rows, with
+    F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v (Sherman-Morrison):
+    ``flux_gradient`` applies G = F^-1 D and ``flux_eliminated`` forms K.
     """
 
     mass: CellBlocks
@@ -217,6 +238,7 @@ class OperatorPieces1D:
     penalty: CellBlocks
     s: float
     interface: tuple
+    eliminated: tuple
 
     @cached_property
     def flux_mass(self):
@@ -228,16 +250,33 @@ class OperatorPieces1D:
         return F
 
     @cached_property
-    def flux_mass_inv(self):
-        (J, v), (N, kk, _) = self.interface, self.mass.diag.shape
-        inv = self.s / np.diagonal(self.mass.diag, axis1=1, axis2=2)
-        w = inv[J - 1:J + 1].ravel() * v
-        denom = 1.0 + np.cumsum(v * w)[-1]  # summed left to right, in dof order
-        pair = np.diag(inv[J - 1:J + 1].ravel()) - np.outer(w, w) * (1.0 / denom)
-        F_inv = CellBlocks(inv[:, :, None] * np.eye(kk), *np.zeros((2, N, kk, kk)))
-        F_inv.diag[J - 1], F_inv.diag[J] = pair[:kk, :kk], pair[kk:, kk:]
-        F_inv.sub[J], F_inv.sup[J] = pair[kk:, :kk], pair[:kk, kk:]
-        return F_inv
+    def _flux_mass_inverse(self):
+        """(minv, w, c): F^-1 = diag(minv) - c w w^T, w on cells J and J+1."""
+        (J, v), kk = self.interface, self.mass.diag.shape[1]
+        minv = self.s / np.diagonal(self.mass.diag, axis1=1, axis2=2)
+        w = minv[J - 1:J + 1] * v.reshape(2, kk)
+        return minv, w, 1.0 / (1.0 + v @ w.ravel())
+
+    def flux_gradient(self, X):
+        """G X = F^-1 D X along the last two axes (cell, mode) of X."""
+        (J, _), (minv, w, c) = self.interface, self._flux_mass_inverse
+        DX = reference_blocks_1d(minv.shape[1] - 1).derivative(X)
+        Y, pair = minv * DX, DX[..., J - 1:J + 1, :]
+        Y[..., J - 1:J + 1, :] -= w * (c * np.einsum("...ij,ij->...", pair, w))[..., None, None]
+        return Y
+
+    def flux_eliminated(self):
+        """K as a dense, exactly symmetric N(k+1)-square matrix: K0 less
+        s c g g^T, g = D^T w, which lives on cells J-1, J and J+1."""
+        (J, _), (diag, sub), (_, w, c) = self.interface, self.eliminated, self._flux_mass_inverse
+        N, kk, _ = diag.shape
+        below, W = np.zeros((N, kk, kk)), np.zeros((N, kk))
+        below[1:], W[J - 1:J + 1] = sub[:, :, None], w
+        K = CellBlocks(diag, below, below.swapaxes(1, 2)).dot(np.eye(N * kk))
+        g = reference_blocks_1d(kk - 1).derivative_t(W)[J - 2:J + 1].ravel()
+        near = slice((J - 2) * kk, (J + 1) * kk)
+        K[near, near] -= np.outer(g, g) * (self.s * c)
+        return K
 
 
 def piece_blocks_1d(mesh, k, eps):
@@ -250,11 +289,12 @@ def piece_blocks_1d(mesh, k, eps):
     M = (0.5 * mesh.widths[:, None] * ref.mass)[:, :, None] * np.eye(kk)
     D, D_sub = zero + ref.R, zero + np.outer(alt, ones)
     D[-1], D_sub[0] = ref.G, 0.0
-    E = zero.copy()
-    E[-1], E[0] = np.outer(ones, ones), np.outer(alt, alt)
+    sE = zero.copy()
+    sE[-1], sE[0] = s * np.outer(ones, ones), s * np.outer(alt, alt)
     return OperatorPieces1D(mass=CellBlocks(M, zero, zero), derivative=CellBlocks(D, D_sub, zero),
-                            penalty=CellBlocks(s * E, zero, zero), s=s,
-                            interface=(J, np.concatenate([ones, -alt])))
+                            penalty=CellBlocks(sE, zero, zero), s=s,
+                            interface=(J, np.concatenate([ones, -alt])),
+                            eliminated=eliminated_blocks_1d(sE, 0.5 * mesh.widths, eps))
 
 
 def assemble_1d(problem, mesh, k):
@@ -275,19 +315,7 @@ def assemble_1d(problem, mesh, k):
     C[0] += s * np.outer(ref.alt, ref.alt)
     C[-1] += s * np.outer(ref.ones, ref.ones)
 
-    # S0 = C + eps D^T M^-1 D with M^-1 = diag(1/m) / halfh on each cell.  D
-    # has R (G on the last cell) on the diagonal and alt 1^T below it, and
-    # alt^T diag(1/m) alt = sum(1/m), so block (c, c) adds
-    # eps/halfh_c R^T diag(1/m) R, plus eps/halfh_{c+1} sum(1/m) 1 1^T
-    # on all cells but the last, and block (c+1, c) is the rank-one
-    # eps/halfh_{c+1} (R^T diag(1/m) alt) 1^T (G^T for the last cell).
-    R, G, minv, scale = ref.R, ref.G, 1.0 / ref.mass, problem.eps / halfh
-    S = C + scale[:, None, None] * (R.T @ (minv[:, None] * R))
-    S[-1] = C[-1] + scale[-1] * (G.T @ (minv[:, None] * G))
-    S[:-1] += (scale[1:] * minv.sum())[:, None, None]
-    sub = np.empty((N - 1, kk))
-    sub[:], sub[-1] = R.T @ (minv * ref.alt), G.T @ (minv * ref.alt)
-    sub *= scale[1:, None]
+    S, sub = eliminated_blocks_1d(C, halfh, problem.eps)
 
     # lower band storage, S0[i, j] at band[i - j, j]: column q of cell c
     # holds block (c, c) from its diagonal down, then block (c + 1, c)

@@ -14,16 +14,18 @@ and the load.  The coupled matrix is built on request
 (``AssembledSystem2D.matrix``): the tests check the solver against it, and
 the benchmark's tracer (``bench/spans.py``) reads its size and nnz.
 The solver eliminates P and Q in closed form on every cell, the interface
-cells included, because the 1D flux mass M/s + v v^T has the
-Sherman-Morrison inverse ``flux_mass_inv``.  Conjugate gradients,
-preconditioned by fast diagonalization (one 1D eigenproblem; exact for
-constant b), solve the SPD U-only system S = blockdiag(W_b) + K(x)M + M(x)K
-without forming S (``UOperator2D``), on the kron-order view of U, with no
-scipy.sparse call; P and Q follow by one dense product each.
+cells included, as 1D does: K = s E + s D^T F^-1 D is written from the 1D
+blocks of s E + eps D^T M^-1 D and a rank-one term on three cells, since
+the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
+Conjugate gradients, preconditioned by fast diagonalization (one 1D
+eigenproblem; exact for constant b), solve the SPD U-only system
+S = blockdiag(W_b) + K(x)M + M(x)K without forming S (``UOperator2D``), on
+the kron-order view of U, with no scipy.sparse call; P and Q follow from
+the 1D cell blocks of D and F^-1, applied along x and along y.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +34,16 @@ from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
 from .ldg1d import OperatorPieces1D, piece_blocks_1d
 # equilibrate and sparse_solve stay bound: bench/spans.py times them here
-from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve, symmetric_scale
+from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve
 
-# largest relative residual of the scaled U-system that solve_ldg_2d accepts
+# largest relative residual of the U-system S that solve_ldg_2d accepts
 _RESIDUAL_TOL = 1e-9
 
 
 @dataclass
 class MixedSolution2D:
     """Discrete triple (U, P, Q); ``residual`` is the relative residual of
-    the scaled U-only system that produced it (see ``solve_ldg_2d``)."""
+    the unscaled U-only system S that produced it (see ``solve_ldg_2d``)."""
 
     U: DGFunction2D
     P: DGFunction2D
@@ -145,62 +147,45 @@ def assemble_2d(problem, mesh2d, k):
 
 @dataclass(frozen=True)
 class UOperator2D:
-    """diag(row) S diag(col) on kron-order U vectors (i, m, j, n) for
-    S = blockdiag(W_b) + K(x)M + M(x)K, never formed.  ``cells`` holds the
-    (N, N, kk, kk) diagonal blocks of S: W_b plus those of both Kronecker
-    terms.  With ``off`` = K less its diagonal blocks and ``m`` = diag(M),
-    the rest of S acts on the square view X of a vector as off X M + M X off.
-    No entry of S is in two parts, so the diagonal and norm add up by part.
+    """S = blockdiag(W_b) + K(x)M + M(x)K on kron-order U vectors
+    (i, m, j, n), never formed.  ``cells`` holds the (N, N, kk, kk) diagonal
+    blocks of S: W_b plus those of both Kronecker terms.  With ``off`` = K
+    less its diagonal blocks and ``m`` = diag(M), the rest of S acts on the
+    square view X of a vector as off X M + M X off.  No entry of S is in two
+    parts, so the norm adds up by part.
     """
 
     cells: np.ndarray
     off: np.ndarray
     m: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-
-    def scaled(self, row_scales, col_scales):
-        return replace(self, row=self.row * row_scales, col=self.col * col_scales)
-
-    def diagonal(self):
-        k1 = self.m.size // self.cells.shape[0]
-        return self.row * self.col * _to_kron(np.einsum("ijaa->ija", self.cells), k1).ravel()
 
     def matvec(self, x):
         N, kk = self.cells.shape[0], self.cells.shape[2]
-        X = (self.col * x).reshape(self.m.size, -1)
+        X = x.reshape(self.m.size, -1)
         by_cell = _to_cells(X, N).reshape(N, N, kk, 1)
         Y = _to_kron(self.cells @ by_cell, self.m.size // N)
         Y += (self.off @ X) * self.m + self.m[:, None] * (X @ self.off)
-        return self.row * Y.ravel()
+        return Y.ravel()
 
     def frobenius_norm(self):
-        N, kk = self.cells.shape[0], self.cells.shape[2]
-        row, col = self.row.reshape(self.m.size, -1), self.col.reshape(self.m.size, -1)
-        cells = (_to_cells(row, N).reshape(N, N, kk, 1) * self.cells
-                 * _to_cells(col, N).reshape(N, N, 1, kk))
-        K2, m2, R2, C2 = self.off**2, self.m**2, row**2, col**2
-        # off X M and M X off: sum of (row K col)^2 m^2 over the entries
-        kron_terms = R2 * ((K2 @ C2) * m2 + m2[:, None] * (C2 @ K2))
-        return np.sqrt((cells**2).sum() + kron_terms.sum())
+        # off X M and M X off each hold every entry of off times every m
+        return np.sqrt(np.vdot(self.cells, self.cells)
+                       + 2.0 * np.vdot(self.off, self.off) * (self.m @ self.m))
 
 
 def eliminate_fluxes_2d(system):
-    """Eliminate Ptilde and Qtilde in closed form; returns (S, G, K).
+    """Eliminate Ptilde and Qtilde in closed form; returns (S, K).
 
-    G = F^-1 D and K = s E + s D^T G (exactly symmetric), with F^-1 the 1D
-    ``flux_mass_inv``, are dense N(k+1)-square matrices.  The P and Q rows
-    give Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and the
+    K = s E + s D^T F^-1 D is the dense ``flux_eliminated`` of the 1D pieces
+    and G = F^-1 D their ``flux_gradient``.  The P and Q rows give
+    Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and the
     U-only operator S (``UOperator2D``) is the Schur complement
     A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the coupled system:
     symmetric positive definite, exactly symmetric.
     """
     p = system.pieces
     N, k1 = system.load.shape[0], p.mass.diag.shape[1]
-    D = p.derivative.to_dense()
-    G = p.flux_mass_inv.dot(D)
-    K = p.penalty.to_dense() + p.s * (D.T @ G)
-    K = 0.5 * (K + K.T)
+    K = p.flux_eliminated()
     m = np.diagonal(p.mass.diag, axis1=1, axis2=2)
     cell = np.arange(N)
     K_diag = K.reshape(N, k1, N, k1)[cell, :, cell, :]
@@ -211,8 +196,7 @@ def eliminate_fluxes_2d(system):
         blocks[:, :, a, :, a, :] += m[:, None, a, None, None] * K_diag[None]
     off = K.copy()
     off.reshape(N, k1, N, k1)[cell, :, cell, :] = 0.0
-    ones = np.ones(system.load.size)
-    return UOperator2D(cells, off, m.ravel(), ones, ones), G, K
+    return UOperator2D(cells, off, m.ravel()), K
 
 
 def _fast_diagonalization(system, K):
@@ -241,36 +225,31 @@ def _fast_diagonalization(system, K):
 def solve_ldg_2d(problem, mesh2d, k):
     """Solve the 2D scheme through its U-only SPD system.
 
-    The operator S of ``eliminate_fluxes_2d`` is scaled to D S D
-    (``symmetric_scale``) and solved by ``pcg`` preconditioned by
-    ``_fast_diagonalization``: 2-3 steps for constant b, about 20 for
-    variable b.  All of it works on kron-order vectors: the load is
-    permuted into that order once and U out of it once.  The reported
-    residual is that of the scaled U-system, as in 1D; SolverError
+    The operator S of ``eliminate_fluxes_2d`` is solved by ``pcg``
+    preconditioned by ``_fast_diagonalization``: 2-3 steps for constant b,
+    about 20 for variable b.  All of it works on kron-order vectors: the
+    load is permuted into that order once and U out of it once.  The
+    reported residual is that of the unscaled U-system S; SolverError
     (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
     SingularMatrixError when an iterate is not finite.
     """
     system = assemble_2d(problem, mesh2d, k)
     N, k1 = mesh2d.N, k + 1
-    S, G, K = eliminate_fluxes_2d(system)
-    scaled, d = symmetric_scale(S)
-    fd = _fast_diagonalization(system, K)
-    result = pcg(scaled, d * _to_kron(system.load, k1).ravel(), lambda r: fd(r / d) / d)
+    S, K = eliminate_fluxes_2d(system)
+    result = pcg(S, _to_kron(system.load, k1).ravel(), _fast_diagonalization(system, K))
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
             residual=result.residual,
         )
-    # in kron order a field is an (i, m) x (j, n) matrix: G acts on the
-    # left for P, on the right for Q
-    u_kron = (d * result.x).reshape(N * k1, N * k1)
+    # in kron order U is (i, m, j, n): G acts on (i, m) for P, on (j, n) for Q
+    u, s, G = result.x.reshape(N, k1, N, k1), system.pieces.s, system.pieces.flux_gradient
 
     def field(kron_values, scale):
-        return DGFunction2D(mesh2d, k, np.ascontiguousarray(scale * _to_cells(kron_values, N)))
+        return DGFunction2D(mesh2d, k, np.ascontiguousarray(scale * kron_values.swapaxes(1, 2)))
 
-    return MixedSolution2D(U=field(u_kron, 1.0),
-                           P=field(G @ u_kron, -system.pieces.s),
-                           Q=field(u_kron @ G.T, -system.pieces.s),
+    P = G(u.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+    return MixedSolution2D(U=field(u, 1.0), P=field(P, -s), Q=field(G(u), -s),
                            residual=result.residual)
 
 

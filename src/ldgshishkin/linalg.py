@@ -5,13 +5,13 @@ The banded paths read LAPACK band storage: ``banded_cholesky`` factors an
 SPD matrix held by its lower band (dpbtrf, dpbtrs), and ``lu_banded_solve``
 a general one with dgbsv (partial pivoting with band-growth rows), solving
 a rank-one update A + u w^T by ``sherman_morrison`` on the band of A; the
-sparse path wraps SuperLU with its fill-reducing column ordering.  The
-scalings use exact powers of two so they introduce no rounding:
-``equilibrate`` (rows, then columns of the row-scaled matrix) lands every
-row and column maximum in [0.5, 1], and ``symmetric_scale`` keeps a
-symmetric matrix exactly symmetric.  Only numpy loads with this module;
-scipy.linalg.lapack and scipy.sparse (csr copies, SuperLU) are imported
-where they are called.
+sparse path wraps SuperLU with its fill-reducing column ordering.
+``equilibrate`` (rows, then columns of the row-scaled matrix) scales by
+exact powers of two, so it introduces no rounding, and lands every row and
+column maximum in [0.5, 1]; no solver scales its system, and it serves the
+tests' references and acceptance criterion 9.  Only numpy loads with this
+module; scipy.linalg.lapack and scipy.sparse (csr copies, SuperLU) are
+imported where they are called.
 """
 
 from dataclasses import dataclass, replace
@@ -145,15 +145,6 @@ def equilibrate(matrix):
     r, col_max = matrix.row_scales_col_max(lambda row_max: _pow2_scale(row_max, "row"))
     c = _pow2_scale(col_max, "column")
     return matrix.scaled(r, c), r, c
-
-
-def symmetric_scale(matrix):
-    """D A D for an A with positive ``diagonal()`` and ``scaled(rows, cols)``,
-    D = diag(d) the powers of two that put d^2 diag(A) into [0.25, 1).  Rows
-    and columns are scaled alike, so a symmetric A stays exactly symmetric.
-    Returns (scaled A, d); the original is untouched."""
-    d = _pow2_scale(np.sqrt(matrix.diagonal()), "diagonal entry")
-    return matrix.scaled(d, d), d
 
 
 def _relative_residual(matrix, x, b, update=None):

@@ -198,14 +198,11 @@ def refined_solve_1d(problem, mesh, k, steps=3):
 
 
 class ReferenceSparse(SparseMatrix):
-    """A ``SparseMatrix`` with the dense copy, diagonal and scalings that
-    ``equilibrate`` and ``symmetric_scale`` read."""
+    """A ``SparseMatrix`` with the dense copy and the scalings that
+    ``equilibrate`` reads."""
 
     def to_dense(self):
         return self.csr.toarray()
-
-    def diagonal(self):
-        return self.csr.diagonal()
 
     def row_scales_col_max(self, row_scales):
         absA = abs(self.csr)

@@ -1,0 +1,57 @@
+"""The benchmark's tracer (``bench/spans.py``) binds names in the package by
+``getattr``; a change that renames or deletes one of them breaks every
+traced benchmark run.  These tests load the tracer as it is and check that
+it installs, observes a small sweep in each dimension and uninstalls."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from ldgshishkin import SweepConfig, harness
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(spans):
+    points = [point[:2] for point in spans.SPAN_POINTS + spans.COUNT_POINTS]
+    return [spans.resolve(module, attr) for module, attr in points]
+
+
+def test_every_bound_name_resolves_and_is_restored(spans):
+    bound = bindings(spans)
+    originals = [getattr(owner, leaf) for owner, leaf in bound]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owner, leaf) is not original
+                   for (owner, leaf), original in zip(bound, originals))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, leaf) is original
+               for (owner, leaf), original in zip(bound, originals))
+
+
+@pytest.mark.parametrize("dim, counters", [
+    (1, ("ldg1d.dofs", "ldg1d.bandwidth")),
+    (2, ("ldg2d.dofs", "ldg2d.nnz")),
+])
+def test_observers_read_a_traced_sweep(spans, dim, counters):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        table = harness.run_sweep(SweepConfig(dim=dim, n_list=(8,), eps_list=(1e-4,)))
+    finally:
+        tracer.uninstall()
+    assert [row.failed for row in table.rows] == [False]
+    assert tracer.counters["harness.rows"] == 1
+    assert all(tracer.counters[name] > 0 for name in counters)
+    assert f"ldg{dim}d.solve_ldg_{dim}d" in {span[2] for span in tracer.spans}

@@ -286,16 +286,9 @@ class TestOperatorPieces:
             piece = getattr(pieces, name).to_csr()
             assert np.array_equal(piece.toarray(), dense), name
             assert piece.nnz == np.count_nonzero(dense), name
-        got = pieces.flux_mass_inv.to_csr()
-        assert np.max(np.abs(got.toarray() - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
-        assert got.nnz == np.count_nonzero(F_inv)
-
-    def test_flux_mass_inverse_built_on_first_read(self):
-        # only the 2D scheme reads it, so the 1D assembly never builds it
-        pieces = piece_blocks_1d(make_mesh(8, 1e-6), 1, 1e-6)
-        assert "flux_mass_inv" not in vars(pieces)
-        inverse = pieces.flux_mass_inv
-        assert pieces.flux_mass_inv is inverse
+        K, expected = pieces.flux_eliminated(), sE + s * D.T @ F_inv @ D
+        assert np.max(np.abs(K - expected)) <= 1e-15 * np.max(np.abs(expected))
+        assert np.array_equal(K, K.T)
 
 
 class TestEnergyIdentity:

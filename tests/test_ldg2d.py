@@ -24,7 +24,7 @@ from ldgshishkin import (
 )
 from ldgshishkin import ldg2d, problems
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
-from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve, symmetric_scale
+from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
 from ldgshishkin.problems import Problem2D
 from reference import coupled_matrix, coupled_rhs, run_fresh
 
@@ -336,10 +336,13 @@ class TestCondensation:
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_flux_mass_inverse(self, k, eps):
-        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        pieces = system.pieces
-        product = (pieces.flux_mass.to_csr() @ pieces.flux_mass_inv.to_csr()).toarray()
-        assert np.max(np.abs(product - np.eye(product.shape[0]))) <= 1e-14
+        # G = F^-1 D, applied along the last two axes (cell, mode): F G = D
+        N = 8
+        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(N, eps, sigma=1.0), k)
+        pieces, n = system.pieces, N * (k + 1)
+        G = pieces.flux_gradient(np.eye(n).reshape(n, N, k + 1)).reshape(n, n).T
+        D = pieces.derivative.to_csr().toarray()
+        assert np.max(np.abs(pieces.flux_mass.to_csr() @ G - D)) <= 1e-14 * np.max(np.abs(D))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_solve_never_builds_coupled_matrix(self, k, monkeypatch):
@@ -376,7 +379,8 @@ class TestCondensation:
         assert sol.residual <= 1e-9
 
     def test_extreme_eps_stays_solvable(self):
-        # scaled unknowns plus equilibration keep eps = 1e-12 benign
+        # the scaled flux unknowns P/sqrt(eps), Q/sqrt(eps) keep eps = 1e-12
+        # benign; the U-system itself is solved unscaled
         p = manufactured_2d_problem(1e-12)
         mesh = make_mesh(8, 1e-12)
         sol = solve_ldg_2d(p, mesh, 1)
@@ -412,7 +416,7 @@ class TestMatrixFreeOperator:
         # S = blockdiag(W_b) + K(x)M + M(x)K formed densely in kron order
         N = 8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
-        S, _, K = eliminate_fluxes_2d(system)
+        S, K = eliminate_fluxes_2d(system)
         n, kk = system.load.size, system.load.shape[2]
         W = np.zeros((n, n))
         for c, block in enumerate(system.reaction.reshape(-1, kk, kk)):
@@ -421,10 +425,9 @@ class TestMatrixFreeOperator:
         M = np.diag(system.pieces.mass.to_csr().diagonal())
         formed = W[np.ix_(order, order)] + np.kron(K, M) + np.kron(M, K)
         diag = np.diag(formed)
-        assert np.max(np.abs(S.diagonal() - diag)) <= 1e-15 * np.max(diag)
-        scaled, d = symmetric_scale(S)
-        expected = np.linalg.norm(d[:, None] * formed * d)
-        assert scaled.frobenius_norm() == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert np.max(np.abs(np.diag(dense(S, n)) - diag)) <= 1e-15 * np.max(diag)
+        expected = np.linalg.norm(formed)
+        assert S.frobenius_norm() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_2d_path_uses_no_scipy_sparse(self, k, tmp_path):
@@ -477,16 +480,15 @@ class TestFastDiagonalizationSolve:
         # with constant b the preconditioner inverts S up to rounding
         eps, k = 1e-8, 2
         system = assemble_2d(problem_with_b(b, eps), make_mesh(16, eps, sigma=1.0), k)
-        S, _, K = eliminate_fluxes_2d(system)
-        scaled, d = symmetric_scale(S)
+        S, K = eliminate_fluxes_2d(system)
         fd = _fast_diagonalization(system, K)
         calls = []
 
         def precondition(r):
             calls.append(1)
-            return fd(r / d) / d
+            return fd(r)
 
-        pcg(scaled, d * system.load.ravel()[kron_order(16, k)], precondition)
+        pcg(S, system.load.ravel()[kron_order(16, k)], precondition)
         assert 2 <= len(calls) <= most
 
     @pytest.mark.parametrize("b", ["constant", "variable"])
@@ -494,8 +496,8 @@ class TestFastDiagonalizationSolve:
     def test_scaled_operator_exactly_symmetric(self, k, b):
         eps = 1e-8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=1.0), k)
-        scaled, _ = symmetric_scale(eliminate_fluxes_2d(system)[0])
-        S = dense(scaled, system.load.size)
+        # the U-system exactly as the solve applies it
+        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
         assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
@@ -505,12 +507,11 @@ class TestFastDiagonalizationSolve:
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(N, eps, sigma=k + 1)
         system = assemble_2d(p, mesh, k)
-        scaled, d = symmetric_scale(eliminate_fluxes_2d(system)[0])
+        S = eliminate_fluxes_2d(system)[0]
         order = kron_order(N, k)
 
-        def residual(u):  # the reported residual: that of the scaled U-system
-            return _relative_residual(scaled, u.ravel()[order] / d,
-                                      d * system.load.ravel()[order])
+        def residual(u):  # the reported residual: that of the unscaled U-system
+            return _relative_residual(S, u.ravel()[order], system.load.ravel()[order])
 
         sol = solve_ldg_2d(p, mesh, k)
         U = sol.U.coeffs

@@ -12,8 +12,7 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.errors import SolverError
-from ldgshishkin.linalg import (_relative_residual, banded_cholesky, pcg, sherman_morrison,
-                                symmetric_scale)
+from ldgshishkin.linalg import _relative_residual, banded_cholesky, pcg, sherman_morrison
 from reference import ReferenceBanded, ReferenceSparse, equilibrate_dense
 
 
@@ -385,26 +384,6 @@ def random_spd(rng, n, spread):
     scale = sp.diags(10.0 ** rng.uniform(-spread, spread, n))
     A = scale @ (B @ B.T + sp.identity(n)) @ scale
     return ReferenceSparse((A + A.T).tocsr())
-
-
-class TestSymmetricScale:
-    def test_diagonal_range_and_exact_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            A = random_spd(rng, 40, 8)
-            assert (A.csr != A.csr.T).nnz == 0
-            scaled, d = symmetric_scale(A)
-            diag = scaled.csr.diagonal()
-            assert np.all(diag >= 0.25) and np.all(diag < 1.0)
-            assert (scaled.csr != scaled.csr.T).nnz == 0
-            assert np.all(np.ldexp(1.0, np.frexp(d)[1] - 1) == d)  # powers of two
-            assert np.array_equal(scaled.to_dense(), d[:, None] * A.to_dense() * d)
-
-    def test_zero_diagonal_rejected(self):
-        A = ReferenceSparse(sp.csr_matrix(np.array([[1.0, 0.5], [0.5, 0.0]])))
-        with pytest.raises(SingularMatrixError) as info:
-            symmetric_scale(A)
-        assert info.value.pivot_index == 1
 
 
 class TestPCG:
