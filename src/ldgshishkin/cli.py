@@ -79,7 +79,8 @@ def build_parser():
                         help="comma list of perturbation parameters")
     parser.add_argument("--sigma", type=float, help="mesh constant; unset means k+1 per k")
     parser.add_argument("--quad-order", dest="quad_order", type=int,
-                        help="quadrature points per cell for error integrals, 1 to 64")
+                        help="quadrature points per cell for error integrals and "
+                             "projections, 1 to 64")
     parser.add_argument("--norm", choices=("energy", "balanced", "both"))
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "markdown"))

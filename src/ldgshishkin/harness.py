@@ -144,7 +144,7 @@ def _row(job):
     """One grid point: build the problem and mesh, record ``clamped``, then
     solve (or project) and measure.  Row failures set ``failed``."""
     cfg, k, N, eps = job
-    sigma = cfg.sigma_for(k)
+    sigma, quad = cfg.sigma_for(k), cfg.quad_order
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
     try:
         problem = problem_by_key(cfg.problem, cfg.dim, eps, k)
@@ -155,7 +155,7 @@ def _row(job):
             solve, norms = ((solve_ldg_1d, error_norms_1d) if cfg.dim == 1
                             else (solve_ldg_2d, error_norms_2d))
             sol = solve(problem, mesh, k)
-            energy, balanced = norms(sol, problem, mesh, quad=cfg.quad_order)
+            energy, balanced = norms(sol, problem, mesh, quad=quad)
             row.residual = sol.residual
             if cfg.norm in ("energy", "both"):
                 row.err_energy = energy.total
@@ -164,30 +164,26 @@ def _row(job):
         elif not problem.has_exact:
             raise ConfigurationError("projection study needs exact solution handles")
         elif cfg.dim == 1:
-            proj_u = composite_project_minus_1d(
-                problem.u_exact, mesh, k, quad=cfg.quad_order, b=problem.b
-            )
-            proj_q = composite_project_plus_1d(problem.q_exact, mesh, k,
-                                               quad=cfg.quad_order)
+            proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
+            proj_q = composite_project_plus_1d(problem.q_exact, mesh, k, quad=quad)
             layer = mesh.layer
-            err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer)
+            err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad)
             row.err_energy = eps ** -0.25 * err_u_layer
-            row.err_balanced = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh)
+            row.err_balanced = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh,
+                                                                 quad=quad)
             row.extras = {
                 "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, ~layer),
                 "linf_q_layer": linf_error_1d(proj_q, problem.q_exact, mesh, layer),
             }
         else:
-            proj_u = composite_project_minus_2d(
-                problem.u_exact, mesh, k, quad=cfg.quad_order, b=problem.b
-            )
-            proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k,
-                                                 quad=cfg.quad_order)
+            proj_u = composite_project_minus_2d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
+            proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
             layer = mesh.axis.layer
             outside_centre = layer[:, None] | layer[None, :]
-            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre)
+            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre, quad)
             row.err_energy = eps ** -0.25 * err_u
-            row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh)
+            row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh,
+                                                                 quad=quad)
     except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"

@@ -215,9 +215,10 @@ def eliminated_blocks_1d(base, halfh, eps):
 
 @dataclass(frozen=True)
 class OperatorPieces1D:
-    """1D operator pieces over (cell, mode) as ``CellBlocks``, s = sqrt(eps).
+    """1D operator pieces over (cell, mode), s = sqrt(eps).
 
-    ``mass`` is the modal mass M = diag(h/2 * 2/(2n+1)).  ``derivative`` is
+    ``m`` (N, k+1) is the diagonal of the modal mass M = diag(h/2 * 2/(2n+1)),
+    and the other pieces are ``CellBlocks``.  ``derivative`` is
     the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
     of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
     1 and alt the right and left endpoint values of the modes).
@@ -233,7 +234,7 @@ class OperatorPieces1D:
     ``flux_gradient`` applies G = F^-1 D and ``flux_eliminated`` forms K.
     """
 
-    mass: CellBlocks
+    m: np.ndarray
     derivative: CellBlocks
     penalty: CellBlocks
     s: float
@@ -242,9 +243,10 @@ class OperatorPieces1D:
 
     @cached_property
     def flux_mass(self):
-        (J, v), (N, kk, _) = self.interface, self.mass.diag.shape
+        (J, v), (N, kk) = self.interface, self.m.shape
         vv = np.outer(v, v)
-        F = CellBlocks(self.mass.diag * (1.0 / self.s), *np.zeros((2, N, kk, kk)))
+        F = CellBlocks((self.m * (1.0 / self.s))[:, :, None] * np.eye(kk),
+                       *np.zeros((2, N, kk, kk)))
         F.diag[J - 1:J + 1] += np.array((vv[:kk, :kk], vv[kk:, kk:]))
         F.sub[J], F.sup[J] = vv[kk:, :kk], vv[:kk, kk:]
         return F
@@ -252,8 +254,8 @@ class OperatorPieces1D:
     @cached_property
     def _flux_mass_inverse(self):
         """(minv, w, c): F^-1 = diag(minv) - c w w^T, w on cells J and J+1."""
-        (J, v), kk = self.interface, self.mass.diag.shape[1]
-        minv = self.s / np.diagonal(self.mass.diag, axis1=1, axis2=2)
+        (J, v), kk = self.interface, self.m.shape[1]
+        minv = self.s / self.m
         w = minv[J - 1:J + 1] * v.reshape(2, kk)
         return minv, w, 1.0 / (1.0 + v @ w.ravel())
 
@@ -286,12 +288,12 @@ def piece_blocks_1d(mesh, k, eps):
     ones, alt = ref.ones, ref.alt
     s = float(np.sqrt(eps))
     zero = np.zeros((N, kk, kk))
-    M = (0.5 * mesh.widths[:, None] * ref.mass)[:, :, None] * np.eye(kk)
     D, D_sub = zero + ref.R, zero + np.outer(alt, ones)
     D[-1], D_sub[0] = ref.G, 0.0
     sE = zero.copy()
     sE[-1], sE[0] = s * np.outer(ones, ones), s * np.outer(alt, alt)
-    return OperatorPieces1D(mass=CellBlocks(M, zero, zero), derivative=CellBlocks(D, D_sub, zero),
+    return OperatorPieces1D(m=0.5 * mesh.widths[:, None] * ref.mass,
+                            derivative=CellBlocks(D, D_sub, zero),
                             penalty=CellBlocks(sE, zero, zero), s=s,
                             interface=(J, np.concatenate([ones, -alt])),
                             eliminated=eliminated_blocks_1d(sE, 0.5 * mesh.widths, eps))

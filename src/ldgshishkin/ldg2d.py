@@ -101,7 +101,8 @@ class AssembledSystem2D:
         import scipy.sparse as sp
         p = self.pieces
         s, kron = p.s, sp.kron
-        M, D, F, sE = (x.to_csr() for x in (p.mass, p.derivative, p.flux_mass, p.penalty))
+        M = sp.diags(p.m.ravel(), format="csr")
+        D, F, sE = (x.to_csr() for x in (p.derivative, p.flux_mass, p.penalty))
         A = sp.bmat([
             [kron(sE, M) + kron(M, sE), -s * kron(D.T, M), -s * kron(M, D.T)],
             [kron(D, M), kron(F, M), None],
@@ -148,71 +149,68 @@ def assemble_2d(problem, mesh2d, k):
 @dataclass(frozen=True)
 class UOperator2D:
     """S = blockdiag(W_b) + K(x)M + M(x)K on kron-order U vectors
-    (i, m, j, n), never formed.  ``cells`` holds the (N, N, kk, kk) diagonal
-    blocks of S: W_b plus those of both Kronecker terms.  With ``off`` = K
-    less its diagonal blocks and ``m`` = diag(M), the rest of S acts on the
-    square view X of a vector as off X M + M X off.  No entry of S is in two
-    parts, so the norm adds up by part.
+    (i, m, j, n), never formed, applied from its three pieces as they are:
+    ``reaction`` is W_b (N, N, kk, kk), the array ``assemble_2d`` made, ``K``
+    the dense ``flux_eliminated`` of the 1D pieces and ``m`` = diag(M).
+    W_b acts cell by cell; the Kronecker terms act on the square view X of
+    a vector as K X M + M X K.
     """
 
-    cells: np.ndarray
-    off: np.ndarray
+    reaction: np.ndarray
+    K: np.ndarray
     m: np.ndarray
 
     def matvec(self, x):
-        N, kk = self.cells.shape[0], self.cells.shape[2]
+        N, kk = self.reaction.shape[0], self.reaction.shape[2]
         X = x.reshape(self.m.size, -1)
         by_cell = _to_cells(X, N).reshape(N, N, kk, 1)
-        Y = _to_kron(self.cells @ by_cell, self.m.size // N)
-        Y += (self.off @ X) * self.m + self.m[:, None] * (X @ self.off)
+        Y = _to_kron(self.reaction @ by_cell, self.m.size // N)
+        Y += (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
         return Y.ravel()
 
     def frobenius_norm(self):
-        # off X M and M X off each hold every entry of off times every m
-        return np.sqrt(np.vdot(self.cells, self.cells)
-                       + 2.0 * np.vdot(self.off, self.off) * (self.m @ self.m))
+        """||W + T||^2 = ||W||^2 + 2<W, T> + 2 ||K||^2 ||m||^2 + 2 (diag(K).m)^2,
+        T = K(x)M + M(x)K, all terms nonnegative.  On cell (i, j) T is
+        K_i(x)diag(m_j) + diag(m_i)(x)K_j (K_i the diagonal blocks of K), so
+        <W, T> reads diagonal views of W, contracted over j by matmul."""
+        N, k1 = self.reaction.shape[0], self.m.size // self.reaction.shape[0]
+        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)  # (i, j, a, n, b, n')
+        m2, Kd = self.m.reshape(N, k1), np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
+        # sum_j W[i, j, a, n, b, n] m_j[n] and sum_j W[i, j, a, n, a, b] K_j[n, b]
+        WM = (np.einsum("ijanbn->ianbj", W6) @ m2.T[:, :, None])[..., 0]
+        WK = (np.einsum("ijanab->inbaj", W6) @ Kd.transpose(1, 2, 0)[..., None])[..., 0]
+        WT = np.einsum("ianb,iab->", WM, Kd) + np.einsum("inba,ia->", WK, m2)
+        T2 = np.vdot(self.K, self.K) * (self.m @ self.m) + (np.diagonal(self.K) @ self.m) ** 2
+        return np.sqrt(np.vdot(self.reaction, self.reaction) + 2.0 * (WT + T2))
 
 
 def eliminate_fluxes_2d(system):
-    """Eliminate Ptilde and Qtilde in closed form; returns (S, K).
+    """Eliminate Ptilde and Qtilde in closed form; returns S (``UOperator2D``).
 
     K = s E + s D^T F^-1 D is the dense ``flux_eliminated`` of the 1D pieces
-    and G = F^-1 D their ``flux_gradient``.  The P and Q rows give
-    Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and the
-    U-only operator S (``UOperator2D``) is the Schur complement
+    (``S.K``) and G = F^-1 D their ``flux_gradient``.  The P and Q rows give
+    Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and S, which
+    holds ``system.reaction`` itself, is the Schur complement
     A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the coupled system:
     symmetric positive definite, exactly symmetric.
     """
     p = system.pieces
-    N, k1 = system.load.shape[0], p.mass.diag.shape[1]
-    K = p.flux_eliminated()
-    m = np.diagonal(p.mass.diag, axis1=1, axis2=2)
-    cell = np.arange(N)
-    K_diag = K.reshape(N, k1, N, k1)[cell, :, cell, :]
-    cells = system.reaction.copy()
-    blocks = cells.reshape(N, N, k1, k1, k1, k1)  # (i, j, m, n, m', n')
-    for a in range(k1):
-        blocks[:, :, :, a, :, a] += K_diag[:, None] * m[None, :, a, None, None]
-        blocks[:, :, a, :, a, :] += m[:, None, a, None, None] * K_diag[None]
-    off = K.copy()
-    off.reshape(N, k1, N, k1)[cell, :, cell, :] = 0.0
-    return UOperator2D(cells, off, m.ravel()), K
+    return UOperator2D(system.reaction, p.flux_eliminated(), p.m.ravel())
 
 
-def _fast_diagonalization(system, K):
-    """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K
-    that of ``eliminate_fluxes_2d`` and bbar the mass-weighted mean of b
-    (P = S for constant b).
+def _fast_diagonalization(S):
+    """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K,
+    m = diag(M) and W_b those of the ``UOperator2D`` S, and bbar the
+    mass-weighted mean of b (P = S for constant b).
 
     Z = M^-1/2 V, with M^-1/2 K M^-1/2 = V diag(lam) V^T, gives
     Z^T K Z = diag(lam) and Z^T M Z = I, so (Lynch, Rice & Thomas 1964)
     P^-1 = (Z(x)Z) diag(lam_i + lam_j + bbar)^-1 (Z(x)Z)^T: four dense
     products on the kron-order matrix view.
     """
-    m = np.diagonal(system.pieces.mass.diag, axis1=1, axis2=2).ravel()
-    bbar = np.einsum("ijaa->", system.reaction) / (m.sum() * m.sum())
-    r = m ** -0.5
-    lam, V = np.linalg.eigh(r[:, None] * K * r)
+    bbar = np.einsum("ijaa->", S.reaction) / S.m.sum() ** 2
+    r = S.m ** -0.5
+    lam, V = np.linalg.eigh(r[:, None] * S.K * r)
     Z = r[:, None] * V
     inv = 1.0 / (lam[:, None] + lam[None, :] + bbar)
 
@@ -235,8 +233,8 @@ def solve_ldg_2d(problem, mesh2d, k):
     """
     system = assemble_2d(problem, mesh2d, k)
     N, k1 = mesh2d.N, k + 1
-    S, K = eliminate_fluxes_2d(system)
-    result = pcg(S, _to_kron(system.load, k1).ravel(), _fast_diagonalization(system, K))
+    S = eliminate_fluxes_2d(system)
+    result = pcg(S, _to_kron(system.load, k1).ravel(), _fast_diagonalization(S))
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",

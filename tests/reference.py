@@ -145,7 +145,8 @@ def banded_system_1d(problem, mesh, k):
     D, zero = pieces.derivative, np.zeros_like(W)
     Dt = CellBlocks(D.diag.swapaxes(1, 2), D.sup.swapaxes(1, 2), D.sub.swapaxes(1, 2))
     triplets = [
-        _cell_block_triplets(CellBlocks(pieces.mass.diag * (1.0 / s), zero, zero), (0, 0), kk),
+        _cell_block_triplets(
+            CellBlocks((pieces.m * (1.0 / s))[:, :, None] * np.eye(kk), zero, zero), (0, 0), kk),
         _cell_block_triplets(D, (0, 1), kk),
         _cell_block_triplets(CellBlocks(-s * Dt.diag, -s * Dt.sub, -s * Dt.sup), (1, 0), kk),
         _cell_block_triplets(CellBlocks(W + pieces.penalty.diag, zero, zero), (1, 1), kk),

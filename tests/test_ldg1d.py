@@ -281,8 +281,8 @@ class TestOperatorPieces:
         inv = np.diag(s / np.diag(M))
         w = inv @ v
         F_inv = inv - (w @ w.T) / (1.0 + (v.T @ w).item())
-        for name, dense in (("mass", M), ("derivative", D), ("flux_mass", F),
-                            ("penalty", sE)):
+        assert np.array_equal(pieces.m.ravel(), np.diag(M))
+        for name, dense in (("derivative", D), ("flux_mass", F), ("penalty", sE)):
             piece = getattr(pieces, name).to_csr()
             assert np.array_equal(piece.toarray(), dense), name
             assert piece.nnz == np.count_nonzero(dense), name

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,14 +323,14 @@ class TestCondensation:
     def test_u_operator_is_schur_complement(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
         schur = schur_complement(system, k)
-        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
+        S = dense(eliminate_fluxes_2d(system), system.load.size)
         assert np.max(np.abs(S - schur)) <= 1e-13 * np.max(np.abs(schur))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_symmetric_positive_definite(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
+        S = dense(eliminate_fluxes_2d(system), system.load.size)
         assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
         np.linalg.cholesky(S)
 
@@ -400,7 +401,7 @@ class TestMatrixFreeOperator:
         A, M = system.matrix.csr, system.load.size
         u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
         lu_p, lu_q = splu(A[p, p].tocsc()), splu(A[q, q].tocsc())
-        S = eliminate_fluxes_2d(system)[0]
+        S = eliminate_fluxes_2d(system)
         order = kron_order(N, k)
         for x in np.random.default_rng(47).standard_normal((3, M)):
             expected = (A[u, u] @ x - A[u, p] @ lu_p.solve(A[p, u] @ x)
@@ -416,18 +417,35 @@ class TestMatrixFreeOperator:
         # S = blockdiag(W_b) + K(x)M + M(x)K formed densely in kron order
         N = 8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
-        S, K = eliminate_fluxes_2d(system)
+        S = eliminate_fluxes_2d(system)
         n, kk = system.load.size, system.load.shape[2]
         W = np.zeros((n, n))
         for c, block in enumerate(system.reaction.reshape(-1, kk, kk)):
             W[c * kk:(c + 1) * kk, c * kk:(c + 1) * kk] = block
         order = kron_order(N, k)
-        M = np.diag(system.pieces.mass.to_csr().diagonal())
-        formed = W[np.ix_(order, order)] + np.kron(K, M) + np.kron(M, K)
+        M = np.diag(system.pieces.m.ravel())
+        formed = W[np.ix_(order, order)] + np.kron(S.K, M) + np.kron(M, S.K)
         diag = np.diag(formed)
         assert np.max(np.abs(np.diag(dense(S, n)) - diag)) <= 1e-15 * np.max(diag)
         expected = np.linalg.norm(formed)
         assert S.frobenius_norm() == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_reaction_held_once(self):
+        # S applies W_b as assemble_2d made it: no copy of it, and no
+        # temporary of its size in the elimination, a product or the norm
+        eps, k, N = 1e-8, 3, 32
+        system = assemble_2d(manufactured_2d_problem(eps), make_mesh(N, eps, sigma=k + 1), k)
+        x = np.random.default_rng(53).standard_normal(system.load.size)
+        tracemalloc.start()
+        try:
+            S = eliminate_fluxes_2d(system)
+            S.matvec(x)
+            S.frobenius_norm()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.reaction is system.reaction
+        assert peak < system.reaction.nbytes / 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_2d_path_uses_no_scipy_sparse(self, k, tmp_path):
@@ -480,8 +498,8 @@ class TestFastDiagonalizationSolve:
         # with constant b the preconditioner inverts S up to rounding
         eps, k = 1e-8, 2
         system = assemble_2d(problem_with_b(b, eps), make_mesh(16, eps, sigma=1.0), k)
-        S, K = eliminate_fluxes_2d(system)
-        fd = _fast_diagonalization(system, K)
+        S = eliminate_fluxes_2d(system)
+        fd = _fast_diagonalization(S)
         calls = []
 
         def precondition(r):
@@ -497,7 +515,7 @@ class TestFastDiagonalizationSolve:
         eps = 1e-8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=1.0), k)
         # the U-system exactly as the solve applies it
-        S = dense(eliminate_fluxes_2d(system)[0], system.load.size)
+        S = dense(eliminate_fluxes_2d(system), system.load.size)
         assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
@@ -507,7 +525,7 @@ class TestFastDiagonalizationSolve:
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(N, eps, sigma=k + 1)
         system = assemble_2d(p, mesh, k)
-        S = eliminate_fluxes_2d(system)[0]
+        S = eliminate_fluxes_2d(system)
         order = kron_order(N, k)
 
         def residual(u):  # the reported residual: that of the unscaled U-system
