@@ -167,7 +167,7 @@ def _row(job):
             proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
             proj_q = composite_project_plus_1d(problem.q_exact, mesh, k, quad=quad)
             layer = mesh.layer
-            err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad)
+            err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad=quad)
             row.err_energy = eps ** -0.25 * err_u_layer
             row.err_balanced = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh,
                                                                  quad=quad)
@@ -180,7 +180,8 @@ def _row(job):
             proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
             layer = mesh.axis.layer
             outside_centre = layer[:, None] | layer[None, :]
-            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre, quad)
+            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre,
+                                       quad=quad)
             row.err_energy = eps ** -0.25 * err_u
             row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh,
                                                                  quad=quad)

@@ -174,7 +174,10 @@ class UOperator2D:
         K_i(x)diag(m_j) + diag(m_i)(x)K_j (K_i the diagonal blocks of K), so
         <W, T> reads diagonal views of W, contracted over j by matmul."""
         N, k1 = self.reaction.shape[0], self.m.size // self.reaction.shape[0]
-        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)  # (i, j, a, n, b, n')
+        # W6[i, j, a, n, b, n'] is row (a, n), column (b, n') of W_b on cell
+        # (i, j): a, b its x-modes (index of K_i, m_i) and n, n' its y-modes
+        # (index of K_j, m_j), the local order of ``_to_cells``.
+        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)
         m2, Kd = self.m.reshape(N, k1), np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
         # sum_j W[i, j, a, n, b, n] m_j[n] and sum_j W[i, j, a, n, a, b] K_j[n, b]
         WM = (np.einsum("ijanbn->ianbj", W6) @ m2.T[:, :, None])[..., 0]

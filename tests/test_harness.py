@@ -171,8 +171,8 @@ class TestProjectionStudy:
                              [(1, "paper1d", 64, 40), (2, "manufactured2d", 16, 12)])
     def test_quad_order_reaches_error_integrals(self, dim, problem, N, quad):
         # quad_order sets the rule of the projections and of the region
-        # error integrals alike; with the default error rule one column of
-        # each row moves in the fifth digit
+        # error integrals alike; the same projection measured with the
+        # default error rule moves the balanced column in the fifth digit
         eps, k = 1e-6, 1
         cfg = SweepConfig(dim=dim, problem=problem, k_list=(k,), n_list=(N,),
                           eps_list=(eps,), study="projection", quad_order=quad)
@@ -183,17 +183,21 @@ class TestProjectionStudy:
             mesh = build_shishkin_1d(mcfg)
             u = composite_project_minus_1d(p.u_exact, mesh, k, quad=quad, b=p.b)
             flux = composite_project_plus_1d(p.q_exact, mesh, k, quad=quad)
-            err_u = l2_error_region_1d(u, p.u_exact, mesh, mesh.layer, quad)
+            err_u = l2_error_region_1d(u, p.u_exact, mesh, mesh.layer, quad=quad)
             err_flux = l2_error_region_1d(flux, p.q_exact, mesh, quad=quad)
+            err_flux_default = l2_error_region_1d(flux, p.q_exact, mesh)
         else:
             mesh = build_shishkin_2d(mcfg)
             u = composite_project_minus_2d(p.u_exact, mesh, k, quad=quad, b=p.b)
             flux = composite_project_plus_x_2d(p.p_exact, mesh, k, quad=quad)
             layer = mesh.axis.layer
-            err_u = l2_error_region_2d(u, p.u_exact, mesh, layer[:, None] | layer[None, :], quad)
+            err_u = l2_error_region_2d(u, p.u_exact, mesh, layer[:, None] | layer[None, :],
+                                       quad=quad)
             err_flux = l2_error_region_2d(flux, p.p_exact, mesh, quad=quad)
+            err_flux_default = l2_error_region_2d(flux, p.p_exact, mesh)
         assert row.err_energy == pytest.approx(eps ** -0.25 * err_u, rel=1e-14)
         assert row.err_balanced == pytest.approx(eps ** -0.75 * err_flux, rel=1e-14)
+        assert row.err_balanced != pytest.approx(eps ** -0.75 * err_flux_default, rel=1e-6)
 
     def test_2d_study_rows(self):
         cfg = SweepConfig(dim=2, problem="manufactured2d", k_list=(1,),
