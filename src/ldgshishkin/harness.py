@@ -180,8 +180,7 @@ def _row(job):
             proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
             layer = mesh.axis.layer
             outside_centre = layer[:, None] | layer[None, :]
-            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre,
-                                       quad=quad)
+            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre, quad=quad)
             row.err_energy = eps ** -0.25 * err_u
             row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh,
                                                                  quad=quad)

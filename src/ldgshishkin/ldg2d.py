@@ -174,11 +174,9 @@ class UOperator2D:
         K_i(x)diag(m_j) + diag(m_i)(x)K_j (K_i the diagonal blocks of K), so
         <W, T> reads diagonal views of W, contracted over j by matmul."""
         N, k1 = self.reaction.shape[0], self.m.size // self.reaction.shape[0]
-        # W6[i, j, a, n, b, n'] is row (a, n), column (b, n') of W_b on cell
-        # (i, j): a, b its x-modes (index of K_i, m_i) and n, n' its y-modes
-        # (index of K_j, m_j), the local order of ``_to_cells``.
-        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)
+        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)  # (i, j, a, n, b, n')
         m2, Kd = self.m.reshape(N, k1), np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
+        # a, b index x-modes (of K_i, m_i), n, n' y-modes (of K_j, m_j), as in _to_cells;
         # sum_j W[i, j, a, n, b, n] m_j[n] and sum_j W[i, j, a, n, a, b] K_j[n, b]
         WM = (np.einsum("ijanbn->ianbj", W6) @ m2.T[:, :, None])[..., 0]
         WK = (np.einsum("ijanab->inbaj", W6) @ Kd.transpose(1, 2, 0)[..., None])[..., 0]
