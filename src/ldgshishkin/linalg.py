@@ -3,9 +3,10 @@ CG, scaling.
 
 The banded paths read LAPACK band storage: ``banded_cholesky`` factors an
 SPD matrix held by its lower band (dpbtrf, dpbtrs), and ``lu_banded_solve``
-a general one with dgbsv (partial pivoting with band-growth rows), solving
-a rank-one update A + u w^T by ``sherman_morrison`` on the band of A; the
-sparse path wraps SuperLU with its fill-reducing column ordering.
+a general one with dgbsv (partial pivoting with band-growth rows), and
+``sherman_morrison`` turns solves with A into those with a rank-one update
+A + u w^T; the sparse path wraps SuperLU with its fill-reducing column
+ordering.
 ``equilibrate`` (rows, then columns of the row-scaled matrix) scales by
 exact powers of two, so it introduces no rounding, and lands every row and
 column maximum in [0.5, 1]; no solver scales its system, and it serves the
@@ -67,13 +68,6 @@ class BandedMatrix:
 
     def matvec(self, x):
         return self._by_row(np.multiply, x)[1].sum(axis=0)
-
-    def bilinear(self, u, w):
-        """u^T A w from the columns where w is nonzero: column j holds rows
-        j - upper .. j + lower, read through a window over u padded by zeros."""
-        cols = np.flatnonzero(w)
-        rows = sliding_window_view(np.pad(u, (self.upper, self.lower)), self.band.shape[0])
-        return (rows[cols] * self.band[:, cols].T).sum(axis=1) @ w[cols]
 
     def frobenius_norm(self):
         # summed in row order, so a Fortran-ordered band gives the same bits
@@ -147,30 +141,22 @@ def equilibrate(matrix):
     return matrix.scaled(r, c), r, c
 
 
-def _relative_residual(matrix, x, b, update=None):
+def _relative_residual(matrix, x, b):
     """||A x - b|| / (||A||_F ||x|| + ||b||), the residual every solver
-    reports, for an A with ``matvec`` and ``frobenius_norm``; with
-    ``update=(u, w)`` that of A + u w^T, read off A (and its ``bilinear``), u and w."""
-    Ax, norm = matrix.matvec(x), matrix.frobenius_norm()
-    if update is not None:
-        u, w = update
-        Ax += u * (w @ x)
-        # ||A + u w^T||_F^2 = ||A||_F^2 + 2 u^T A w + ||u||^2 ||w||^2
-        norm = np.sqrt(norm**2 + 2.0 * matrix.bilinear(u, w) + (u @ u) * (w @ w))
-    denom = norm * np.linalg.norm(x) + np.linalg.norm(b)
+    reports, for an A with ``matvec`` and ``frobenius_norm``."""
+    denom = matrix.frobenius_norm() * np.linalg.norm(x) + np.linalg.norm(b)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(Ax - b) / denom)
+    return float(np.linalg.norm(matrix.matvec(x) - b) / denom)
 
 
-def lu_banded_solve(matrix, rhs, update=None):
-    """Solve A x = b, or (A + u w^T) x = b for ``update=(u, w)``, by banded LU
-    with partial pivoting (dgbsv): x = y - z (w^T y) / (1 + w^T z), y = A^-1 b, z = A^-1 u.
+def lu_banded_solve(matrix, rhs):
+    """Solve A x = b by banded LU with partial pivoting (dgbsv).
 
     Raises SingularMatrixError with the pivot index on exact breakdown and
     on pivots below 1e-14 times the largest entry magnitude of A, and
-    without an index on a non-finite solution (a NaN in the data) or 1 + w^T z
-    zero or non-finite.  Returns x and the relative residual it leaves.
+    without an index on a non-finite solution (a NaN in the data).  Returns
+    x and the relative residual it leaves.
     """
     from scipy.linalg.lapack import dgbsv
     rhs = np.asarray(rhs, dtype=float)
@@ -178,8 +164,7 @@ def lu_banded_solve(matrix, rhs, update=None):
     # the work arrays in LAPACK's column order, so dgbsv overwrites them in place
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:, :] = matrix.band
-    b = rhs if update is None else np.array((rhs, update[0])).T
-    lub, piv, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=1, overwrite_b=b is not rhs)
+    lub, piv, x, info = dgbsv(kl, ku, ab, rhs, overwrite_ab=1)
     if info > 0:
         raise SingularMatrixError(
             f"zero pivot at index {info - 1} during banded LU", pivot_index=info - 1
@@ -198,9 +183,7 @@ def lu_banded_solve(matrix, rhs, update=None):
         )
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("banded solve produced non-finite values")
-    if update is not None:
-        x = sherman_morrison(*x.T, update[1])
-    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs, update))
+    return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
 
 
 def sherman_morrison(y, z, w):

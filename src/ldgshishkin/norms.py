@@ -3,17 +3,19 @@
 The energy norm weights the flux term by 1/eps, the boundary jumps of U by
 sqrt(eps) and the interface jump(s) of the flux at the transition node by
 1/sqrt(eps); the balanced norm strengthens these to 1/eps^{3/2}, 1 and
-1/eps.  For discrete arguments the flux L2 terms and all jump terms come
-from exact modal algebra; only the b-weighted U term needs quadrature.
+1/eps.  Every volume term is one Gauss-rule integral of the squared
+error, weighted by b for U: ``_sq_error_1d`` and ``_sq_error_2d``.  The
+norms of a discrete argument are its error norms against zero on the
+assembly rule (k+3 points), which integrates the degree-2k flux term
+exactly; the jump terms come from exact modal algebra.
 
 Error norms against exact solutions use the continuity of the exact pair
 analytically: interior jumps of the error reduce to discrete jumps and the
 boundary jumps to boundary traces of U, which avoids cancellation at
 extreme eps.  Region errors take a boolean mask over the cells (shape (N,)
-in 1D, (N, N) in 2D; ``Mesh1D.layer`` gives the layer regions) and sum
-the weighted squared error over the quadrature grid of the chosen cells;
-in 2D both they and the error norms work in blocks of ``cell_blocks``
-cells.
+in 1D, (N, N) in 2D; ``Mesh1D.layer`` gives the layer regions).  In 2D
+the volume integrals run over blocks of whole rows of cells (see
+``cell_blocks``), so the exact solution is sampled on a tensor grid.
 """
 
 from dataclasses import dataclass
@@ -56,21 +58,22 @@ def _norm_parts(eps, flux_sq, u_sq, boundary_sq, interface_sq):
     return energy, balanced
 
 
-def _l2_sq_modal_1d(dgf, mesh):
-    """Exact squared L2 norm of a 1D DG function (diagonal modal mass)."""
-    halfh = 0.5 * np.diff(mesh.nodes)
-    wbar = 2.0 / (2.0 * np.arange(dgf.degree + 1) + 1.0)
-    return float(np.sum(halfh[:, None] * dgf.coeffs**2 * wbar[None, :]))
+def _zero(*points):
+    return 0.0
 
 
-def _b_weighted_sq_1d(U, b, mesh):
-    rule = gauss_rule(assembly_quad_order(U.degree))
-    V, _ = legendre_table(U.degree, rule.points)
-    halfh = 0.5 * np.diff(mesh.nodes)
-    X = mesh.quadrature_points(rule.points)
-    bvals = np.asarray(b(X), dtype=float)
-    Uv = U.values_at(V)
-    return float(np.sum(halfh[:, None] * rule.weights * bvals * Uv**2))
+def _sq_error_1d(dgf, exact, mesh, quad, cells=slice(None), weight=None):
+    """Integral of weight * (exact - dgf)^2 (weight 1 when None) on the
+    quad-point Gauss rule over the cells that ``cells`` selects: an (N,)
+    boolean mask, or by default a slice of every cell."""
+    rule = gauss_rule(quad)
+    V, _ = legendre_table(dgf.degree, rule.points)
+    X = mesh.quadrature_points(rule.points)[cells]
+    sq = (np.asarray(exact(X), dtype=float) - dgf.coeffs[cells] @ V.T) ** 2
+    if weight is not None:
+        sq *= np.asarray(weight(X), dtype=float)
+    halfh = 0.5 * np.diff(mesh.nodes)[cells]
+    return float(np.sum(halfh[:, None] * rule.weights * sq))
 
 
 def _jumps_1d(V, mesh):
@@ -82,19 +85,23 @@ def _jumps_1d(V, mesh):
     return float(ju0**2 + juN**2), float(jq**2)
 
 
-def _discrete_norms_1d(V, problem, mesh):
-    return _norm_parts(problem.eps, _l2_sq_modal_1d(V.Q, mesh),
-                       _b_weighted_sq_1d(V.U, problem.b, mesh), *_jumps_1d(V, mesh))
+def _norms_1d(W, problem, mesh, quad, u, q):
+    """Energy and balanced norms of (u - W.U, q - W.Q) from the discrete
+    jumps of W alone (the exact pair is continuous and vanishes on the
+    boundary)."""
+    return _norm_parts(problem.eps, _sq_error_1d(W.Q, q, mesh, quad),
+                       _sq_error_1d(W.U, u, mesh, quad, weight=problem.b),
+                       *_jumps_1d(W, mesh))
 
 
 def energy_norm_1d(V, problem, mesh):
     """Energy norm of a discrete pair; total^2 equals B(V; V)."""
-    return _discrete_norms_1d(V, problem, mesh)[0]
+    return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)[0]
 
 
 def balanced_norm_1d(V, problem, mesh):
     """Balanced norm of a discrete pair (flux weighted by eps^{-3/2})."""
-    return _discrete_norms_1d(V, problem, mesh)[1]
+    return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)[1]
 
 
 def error_norms_1d(W, problem, mesh, quad=None):
@@ -105,25 +112,37 @@ def error_norms_1d(W, problem, mesh, quad=None):
     """
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
-    k = W.U.degree
-    quad = error_quad_order(k) if quad is None else quad
+    quad = error_quad_order(W.U.degree) if quad is None else quad
+    return _norms_1d(W, problem, mesh, quad, problem.u_exact, problem.q_exact)
+
+
+def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
+    """``_sq_error_1d`` over the cells that ``cells`` selects: an (N, N)
+    boolean mask, or by default a slice of every cell.
+
+    It runs over blocks of whole rows of cells (see ``cell_blocks``), so
+    ``exact`` and ``weight`` are sampled on a tensor grid, and sums per cell
+    before ``cells`` selects: cells outside the mask add nothing even where
+    ``exact`` is NaN."""
+    k = dgf.degree
     rule = gauss_rule(quad)
     V, _ = legendre_table(k, rule.points)
-    halfh = 0.5 * np.diff(mesh.nodes)
-    X = mesh.quadrature_points(rule.points)
-    bvals = np.asarray(problem.b(X), dtype=float)
-    du = np.asarray(problem.u_exact(X), dtype=float) - W.U.values_at(V)
-    dq = np.asarray(problem.q_exact(X), dtype=float) - W.Q.values_at(V)
-    u_int = float(np.sum(halfh[:, None] * rule.weights * bvals * du**2))
-    q_int = float(np.sum(halfh[:, None] * rule.weights * dq**2))
-    return _norm_parts(problem.eps, q_int, u_int, *_jumps_1d(W, mesh))
-
-
-def _l2_sq_modal_2d(dgf, mesh2d):
+    N = mesh2d.N
     h = 0.5 * np.diff(mesh2d.axis.nodes)
-    wbar = 2.0 / (2.0 * np.arange(dgf.degree + 1) + 1.0)
-    sq = np.einsum("ijmn,m,n->ij", dgf.coeffs**2, wbar, wbar)
-    return float(np.sum(h[:, None] * h[None, :] * sq))
+    X = mesh2d.axis.quadrature_points(rule.points)
+    X, Y = X[:, None, :, None], X[None, :, None, :]
+    w2 = np.outer(rule.weights, rule.weights).ravel()
+    per_cell = np.empty((N, N))
+    for rows in cell_blocks(N, N * quad**2):
+        coeffs = dgf.coeffs[rows]  # y modes first: one matmul over all cells and x modes
+        sq = V @ (coeffs.reshape(-1, k + 1) @ V.T).reshape(coeffs.shape[:3] + (quad,))
+        np.subtract(np.asarray(exact(X[rows], Y), dtype=float), sq, out=sq)
+        sq *= sq
+        if weight is not None:
+            sq *= np.asarray(weight(X[rows], Y), dtype=float)
+        per_cell[rows] = sq.reshape(sq.shape[:2] + (-1,)) @ w2
+    per_cell *= h[:, None] * h[None, :]
+    return float(np.sum(per_cell[cells]))
 
 
 def _edge_sq(coef_lines, half_widths, wbar):
@@ -154,66 +173,32 @@ def _jump_terms_2d(T, mesh2d):
     return bnd_x + bnd_y, int_p + int_q
 
 
-def _b_weighted_sq_2d(U, b, mesh2d):
-    rule = gauss_rule(assembly_quad_order(U.degree))
-    V, _ = legendre_table(U.degree, rule.points)
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    bvals = np.asarray(b(X[:, None, :, None], X[None, :, None, :]), dtype=float)  # (N, N, nq, nq)
-    Uv = np.einsum("ijmn,gm,hn->ijgh", U.coeffs, V, V, optimize=True)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    scale = h[:, None] * h[None, :]
-    return float(np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv**2, optimize=True))
-
-
-def _discrete_norms_2d(T, problem, mesh2d):
-    flux_sq = _l2_sq_modal_2d(T.P, mesh2d) + _l2_sq_modal_2d(T.Q, mesh2d)
-    return _norm_parts(problem.eps, flux_sq, _b_weighted_sq_2d(T.U, problem.b, mesh2d),
+def _norms_2d(T, problem, mesh2d, quad, u, p, q):
+    """The 2D ``_norms_1d`` of (u - T.U, p - T.P, q - T.Q)."""
+    flux_sq = _sq_error_2d(T.P, p, mesh2d, quad) + _sq_error_2d(T.Q, q, mesh2d, quad)
+    return _norm_parts(problem.eps, flux_sq,
+                       _sq_error_2d(T.U, u, mesh2d, quad, weight=problem.b),
                        *_jump_terms_2d(T, mesh2d))
 
 
 def energy_norm_2d(T, problem, mesh2d):
     """2D energy norm; total^2 equals B(T; T)."""
-    return _discrete_norms_2d(T, problem, mesh2d)[0]
+    return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero,
+                     _zero)[0]
 
 
 def balanced_norm_2d(T, problem, mesh2d):
-    return _discrete_norms_2d(T, problem, mesh2d)[1]
+    return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero,
+                     _zero)[1]
 
 
 def error_norms_2d(T, problem, mesh2d, quad=None):
-    """Energy- and balanced-norm errors of the discrete triple (U, P, Q);
-    the volume integrals run over blocks of whole rows of cells (see
-    ``cell_blocks``), so the exact solution is still sampled on a tensor
-    grid."""
+    """Energy- and balanced-norm errors of the discrete triple (U, P, Q)."""
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
-    k = T.U.degree
-    quad = error_quad_order(k) if quad is None else quad
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    N = mesh2d.N
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    X, Y = X[:, None, :, None], X[None, :, None, :]
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-
-    def sq_error(exact, F, rows):
-        coeffs = F.coeffs[rows]  # y modes first: one matmul over all cells and x modes
-        diff = V @ (coeffs.reshape(-1, k + 1) @ V.T).reshape(coeffs.shape[:3] + (quad,))
-        np.subtract(np.asarray(exact(X[rows], Y), dtype=float), diff, out=diff)
-        return diff**2
-
-    def integral(rows, Z):
-        return np.einsum("ij,gh,ijgh->", h[rows, None] * h[None, :], w2, Z)
-
-    u_sq = flux_sq = 0.0
-    for rows in cell_blocks(N, N * quad**2):
-        bvals = np.asarray(problem.b(X[rows], Y), dtype=float)
-        u_sq += integral(rows, bvals * sq_error(problem.u_exact, T.U, rows))
-        flux_sq += integral(rows, sq_error(problem.p_exact, T.P, rows)
-                            + sq_error(problem.q_exact, T.Q, rows))
-    return _norm_parts(problem.eps, float(flux_sq), float(u_sq), *_jump_terms_2d(T, mesh2d))
+    quad = error_quad_order(T.U.degree) if quad is None else quad
+    return _norms_2d(T, problem, mesh2d, quad, problem.u_exact, problem.p_exact,
+                     problem.q_exact)
 
 
 def rate_shishkin(e_N, e_2N, N):
@@ -230,10 +215,10 @@ def rate_shishkin(e_N, e_2N, N):
 
 
 def _cell_mask(cells, shape):
-    """The boolean cell mask ``cells`` of the given shape; None selects every
-    cell."""
+    """The selector of the cells ``cells``: a slice of every cell when None,
+    else ``cells`` checked to be a boolean mask of the given shape."""
     if cells is None:
-        return np.ones(shape, dtype=bool)
+        return slice(None)
     mask = np.asarray(cells)
     if mask.dtype != bool or mask.shape != shape:
         raise ConfigurationError(
@@ -264,35 +249,13 @@ def linf_error_1d(dgf, exact, mesh, cells=None):
 def l2_error_region_1d(dgf, exact, mesh, cells=None, quad=None):
     """L2 error of a DG function against ``exact`` over the cells of the
     (N,) boolean mask ``cells`` (every cell when None)."""
-    k = dgf.degree
-    quad = error_quad_order(k) if quad is None else quad
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    mask = _cell_mask(cells, (mesh.N,))
-    halfh = 0.5 * np.diff(mesh.nodes)[mask]
-    X = mesh.quadrature_points(rule.points)[mask]
-    diff = np.asarray(exact(X), dtype=float) - dgf.coeffs[mask] @ V.T
-    return float(np.sqrt(np.sum(halfh[:, None] * rule.weights * diff**2)))
+    quad = error_quad_order(dgf.degree) if quad is None else quad
+    return float(np.sqrt(_sq_error_1d(dgf, exact, mesh, quad, _cell_mask(cells, (mesh.N,)))))
 
 
 def l2_error_region_2d(dgf, exact, mesh2d, cells=None, quad=None):
     """L2 error over the cells (i, j) of the (N, N) boolean mask ``cells``
     (every cell when None)."""
-    k = dgf.degree
-    quad = error_quad_order(k) if quad is None else quad
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
+    quad = error_quad_order(dgf.degree) if quad is None else quad
     N = mesh2d.N
-    ii, jj = np.nonzero(_cell_mask(cells, (N, N)))
-    points = mesh2d.axis.quadrature_points(rule.points)
-    X, Y = points[ii][:, :, None], points[jj][:, None, :]
-    widths = np.diff(mesh2d.axis.nodes)
-    area = 0.25 * widths[ii] * widths[jj]
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    total = 0.0
-    for s in cell_blocks(ii.size, quad**2):
-        ex = np.asarray(exact(X[s], Y[s]), dtype=float)
-        diff = V @ dgf.coeffs[ii[s], jj[s]] @ V.T
-        np.subtract(ex, diff, out=diff)
-        total += np.einsum("s,gh,sgh,sgh->", area[s], w2, diff, diff)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_sq_error_2d(dgf, exact, mesh2d, quad, _cell_mask(cells, (N, N)))))

@@ -23,7 +23,8 @@ import ldgshishkin
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
 from ldgshishkin.ldg1d import CellBlocks, piece_blocks_1d
-from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve
+from ldgshishkin.linalg import (BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve,
+                                sherman_morrison)
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
 
 
@@ -182,8 +183,10 @@ def refined_solve_1d(problem, mesh, k, steps=3):
     A, e, b = banded_system_1d(problem, mesh, k)
     scaled, r, c = equilibrate(A)
 
+    z = lu_banded_solve(scaled, r * e).x
+
     def solve(rhs):
-        return c * lu_banded_solve(scaled, r * rhs, update=(r * e, c * e)).x
+        return c * sherman_morrison(lu_banded_solve(scaled, r * rhs).x, z, c * e)
 
     x = solve(b)
     x_ld, e_ld = x.astype(np.longdouble), e.astype(np.longdouble)

@@ -172,6 +172,42 @@ class TestNorms2DZero:
         assert balanced_norm_2d(T, p, mesh).total == 0.0
 
 
+class TestFluxTermIsExact:
+    """The flux term of a discrete argument is its modal closed form
+    sum h~ c^2 2/(2n+1), h~ = h/2 (h~x h~y in 2D)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_1d(self, k):
+        rng = np.random.default_rng(40 + k)
+        eps, N = 1e-4, 16
+        p = paper_1d_problem(eps)
+        mesh = make_mesh(N, eps)
+        wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
+        halfh = 0.5 * np.diff(mesh.nodes)
+        for _ in range(5):
+            U, Q = rng.standard_normal((2, N, k + 1))
+            V = MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, Q))
+            modal = np.sum(halfh[:, None] * Q**2 * wbar)
+            assert energy_norm_1d(V, p, mesh).q_term * eps == pytest.approx(modal, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_2d(self, k):
+        from ldgshishkin import manufactured_2d_problem
+
+        rng = np.random.default_rng(50 + k)
+        eps, N = 1e-4, 8
+        p = manufactured_2d_problem(eps)
+        mesh = build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=2.0))
+        wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
+        halfh = 0.5 * np.diff(mesh.axis.nodes)
+        area = halfh[:, None] * halfh[None, :]
+        for _ in range(5):
+            U, P, Q = rng.standard_normal((3, N, N, k + 1, k + 1))
+            T = MixedSolution2D(*(DGFunction2D(mesh, k, c) for c in (U, P, Q)))
+            modal = np.sum(area * ((P**2 + Q**2) @ wbar @ wbar))
+            assert energy_norm_2d(T, p, mesh).q_term * eps == pytest.approx(modal, rel=1e-14)
+
+
 def smooth_1d(x):
     x = np.asarray(x, dtype=float)
     return np.sin(4.0 * x) + np.exp(-x)
@@ -300,6 +336,32 @@ class TestRegionErrors:
             want = brute_l2_2d(f, smooth_2d, mesh2d, cell_filter, self.QUAD)
             assert got == pytest.approx(want, rel=1e-12)
         assert l2_error_region_2d(f, smooth_2d, mesh2d, quad=self.QUAD) == got
+
+    def test_cells_outside_the_mask_add_nothing(self, mesh):
+        # exact is NaN on the coarse interior (centre block in 2D) only: the
+        # layer (outside-centre) error is finite and equals that of the
+        # smooth exact function
+        N, layer = mesh.N, mesh.layer
+        lo, hi = mesh.nodes[N // 4], mesh.nodes[3 * N // 4]
+
+        def interior(x):
+            return (lo < x) & (x < hi)
+
+        def nan_1d(x):
+            return np.where(interior(x), np.nan, smooth_1d(x))
+
+        def nan_2d(x, y):
+            return np.where(interior(x) & interior(y), np.nan, smooth_2d(x, y))
+
+        f = self.dg_1d(mesh)
+        got = l2_error_region_1d(f, nan_1d, mesh, layer, quad=self.QUAD)
+        assert np.isfinite(got)
+        assert got == l2_error_region_1d(f, smooth_1d, mesh, layer, quad=self.QUAD)
+        mesh2d, f2 = self.dg_2d(mesh)
+        outside_centre = layer[:, None] | layer[None, :]
+        got = l2_error_region_2d(f2, nan_2d, mesh2d, outside_centre, quad=self.QUAD)
+        assert np.isfinite(got)
+        assert got == l2_error_region_2d(f2, smooth_2d, mesh2d, outside_centre, quad=self.QUAD)
 
     def test_2d_filter_rejecting_every_cell_is_exactly_zero(self, mesh):
         mesh2d, f = self.dg_2d(mesh)
