@@ -8,9 +8,9 @@ line x = x_{3N/4} (resp. horizontal line y = y_{3N/4}) with 1/sqrt(eps).
 Both axes carry the same 1D Shishkin mesh (``Mesh2D.axis``), so the
 coupled (U, P, Q) matrix is a block-diagonal b-weighted mass plus Kronecker
 products of one set of 1D operator pieces (``ldg1d.piece_blocks_1d``), in
-the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it:
-``assemble_2d`` returns only the 1D pieces, the b-weighted mass blocks W_b
-and the load.  The coupled matrix is built on request
+the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it,
+nor W_b: ``assemble_2d`` returns the 1D pieces, b on the tensor quadrature
+grid (beta) and the load.  The coupled matrix is built on request
 (``AssembledSystem2D.matrix``): the tests check the solver against it, and
 the benchmark's tracer (``bench/spans.py``) reads its size and nnz.
 The solver eliminates P and Q in closed form on every cell, the interface
@@ -19,8 +19,8 @@ blocks of s E + eps D^T M^-1 D and a rank-one term on three cells, since
 the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
 Conjugate gradients, preconditioned by fast diagonalization (one 1D
 eigenproblem; exact for constant b), solve the SPD U-only system
-S = blockdiag(W_b) + K(x)M + M(x)K without forming S (``UOperator2D``), on
-the kron-order view of U, with no scipy.sparse call; P and Q follow from
+S = W_b + K(x)M + M(x)K without forming S (``UOperator2D``), on the
+kron-order view of U, with no scipy.sparse call; P and Q follow from
 the 1D cell blocks of D and F^-1, applied along x and along y.
 """
 
@@ -57,33 +57,33 @@ class MixedSolution2D:
             raise ConfigurationError("U, P and Q must share mesh and degree")
 
 
-def _to_kron(cell_values, k1):
-    """One field's (i, j, m, n) values as the kron-order (i, m) x (j, n) matrix."""
-    N = cell_values.shape[0]
-    return cell_values.reshape(N, N, k1, k1).transpose(0, 2, 1, 3).reshape(N * k1, N * k1)
-
-
-def _to_cells(kron_values, N):
-    """The inverse of ``_to_kron``: an (N, N, k1, k1) view."""
-    k1 = kron_values.shape[0] // N
-    return kron_values.reshape(N, k1, N, k1).transpose(0, 2, 1, 3)
+def _grid_product(A, X):
+    """(I_N (x) A) X (I_N (x) A)^T by two reshaped products.  A = V takes
+    kron-order coefficients, rows (i, m), columns (j, n), to values on the
+    tensor quadrature grid, rows (i, g), columns (j, h); A = V^T is the adjoint."""
+    (p, n), N = A.shape, X.shape[0] // A.shape[1]
+    return ((A @ X.reshape(N, n, -1)).reshape(-1, n) @ A.T).reshape(N * p, -1)
 
 
 @dataclass
 class AssembledSystem2D:
     """What the 2D solve reads: the ``OperatorPieces1D`` of the mesh axis
-    (shared by x and y), the b-weighted mass blocks W_b of every cell
-    (N, N, kk, kk) and the load (N, N, kk), kk = (k+1)^2 with x-mode-major
-    local numbering.
+    (shared by x and y), the Legendre table V (q, k+1) of the q = k+3 point
+    assembly rule, beta and the load.  With x the quadrature points of the
+    axis and c = h(x)w their weights, beta = c c^T o b(x, x^T) is b on the
+    tensor grid, W_b = B^T diag(beta) B with B = I_N (x) V, and the load
+    B^T (c c^T o f(x, x^T)) B is in kron order (see ``_grid_product``).
 
     ``matrix`` is the coupled (U, Ptilde, Qtilde) matrix in the field-major
     layout (all U dofs, then P, then Q; within a field the cells row-major
-    over (i, j), then the local modes), built on first access.  The solve
-    never reads it; it stays because the tests and ``bench/spans.py`` do.
+    over (i, j), then the local modes, x-mode-major), built on first access,
+    W_b blocks included.  The solve never reads it; it stays because the
+    tests and ``bench/spans.py`` do.
     """
 
     pieces: OperatorPieces1D
-    reaction: np.ndarray
+    V: np.ndarray
+    beta: np.ndarray
     load: np.ndarray
 
     @functools.cached_property
@@ -96,10 +96,11 @@ class AssembledSystem2D:
 
         with csr copies of the 1D pieces of the axis (mass M, derivative
         block D, flux mass F = M/s + v v^T, boundary penalty s E), then
-        renumbered to the field-major layout.
+        renumbered to the field-major layout, and the W_b blocks of every
+        cell, formed from beta, added there.
         """
         import scipy.sparse as sp
-        p = self.pieces
+        p, (N, k1), q, field = self.pieces, self.pieces.m.shape, self.V.shape[0], self.load.size
         s, kron = p.s, sp.kron
         M = sp.diags(p.m.ravel(), format="csr")
         D, F, sE = (x.to_csr() for x in (p.derivative, p.flux_mass, p.penalty))
@@ -108,10 +109,11 @@ class AssembledSystem2D:
             [kron(D, M), kron(F, M), None],
             [kron(M, D), None, kron(M, F)],
         ], format="coo")
-        N, kk, field = self.load.shape[0], self.load.shape[2], self.load.size
-        dof = _to_kron(np.arange(field).reshape(self.load.shape), M.shape[0] // N).ravel()
+        dof = np.arange(field).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
         order = np.concatenate([dof, field + dof, 2 * field + dof])
-        R = sp.bsr_matrix((self.reaction.reshape(N * N, kk, kk), np.arange(N * N),
+        W = (self.beta.reshape(N, q, N, q).transpose(0, 2, 1, 3).reshape(N * N, q * q)
+             @ np.einsum("ga,hb,gc,hd->ghabcd", *(self.V,) * 4).reshape(q * q, -1))
+        R = sp.bsr_matrix((W.reshape(N * N, k1 * k1, k1 * k1), np.arange(N * N),
                            np.arange(N * N + 1))).tocoo()
         return SparseMatrix.from_coo(3 * field, np.concatenate([order[A.row], R.row]),
                                      np.concatenate([order[A.col], R.col]),
@@ -120,69 +122,68 @@ class AssembledSystem2D:
 
 def assemble_2d(problem, mesh2d, k):
     """The pieces of the 2D scheme: the 1D operator pieces of the mesh
-    axis, the b-weighted mass blocks W_b and the load, integrated for every
-    cell at once on a tensor Gauss grid."""
+    axis, the Legendre table V, beta and the load, with b and f read once
+    on the tensor Gauss grid of all cells."""
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    N = mesh2d.N
-    eps = problem.eps
-    pieces = piece_blocks_1d(mesh2d.axis, k, eps)
+    pieces = piece_blocks_1d(mesh2d.axis, k, problem.eps)
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
-    kk = (k + 1) ** 2
+    x = mesh2d.axis.quadrature_points(rule.points).ravel()
+    hw = np.outer(0.5 * np.diff(mesh2d.axis.nodes), rule.weights).ravel()
 
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    bvals = np.asarray(problem.b(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    fvals = np.asarray(problem.f(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
+    def on_grid(g):  # (h(x)w)(h(x)w)^T o g(x, x^T)
+        values = hw[:, None] * np.asarray(g(x[:, None], x[None, :]), dtype=float)
+        values *= hw
+        return values
 
-    Wblk = np.einsum("ijgh,gh,gm,hn,ga,hb->ijmnab", bvals, w2, V, V, V, V,
-                     optimize=True).reshape(N, N, kk, kk)
-    Wblk *= (h[:, None] * h[None, :])[:, :, None, None]
-    Fblk = np.einsum("ijgh,gh,gm,hn->ijmn", fvals, w2, V, V,
-                     optimize=True).reshape(N, N, kk)
-    Fblk *= (h[:, None] * h[None, :])[:, :, None]
-    return AssembledSystem2D(pieces=pieces, reaction=Wblk, load=Fblk)
+    return AssembledSystem2D(pieces=pieces, V=V, beta=on_grid(problem.b),
+                             load=_grid_product(V.T, on_grid(problem.f)))
 
 
 @dataclass(frozen=True)
 class UOperator2D:
-    """S = blockdiag(W_b) + K(x)M + M(x)K on kron-order U vectors
-    (i, m, j, n), never formed, applied from its three pieces as they are:
-    ``reaction`` is W_b (N, N, kk, kk), the array ``assemble_2d`` made, ``K``
-    the dense ``flux_eliminated`` of the 1D pieces and ``m`` = diag(M).
-    W_b acts cell by cell; the Kronecker terms act on the square view X of
-    a vector as K X M + M X K.
+    """S = W_b + K(x)M + M(x)K on kron-order U vectors (i, m, j, n), never
+    formed, applied from its pieces as they are: ``beta`` and ``V`` those
+    ``assemble_2d`` made, ``K`` the dense ``flux_eliminated`` of the 1D
+    pieces and ``m`` = diag(M).  On the square view X of a vector, W_b acts
+    as B^T (beta o B X B^T) B and the Kronecker terms as K X M + M X K.
     """
 
-    reaction: np.ndarray
+    beta: np.ndarray
+    V: np.ndarray
     K: np.ndarray
     m: np.ndarray
 
     def matvec(self, x):
-        N, kk = self.reaction.shape[0], self.reaction.shape[2]
         X = x.reshape(self.m.size, -1)
-        by_cell = _to_cells(X, N).reshape(N, N, kk, 1)
-        Y = _to_kron(self.reaction @ by_cell, self.m.size // N)
-        Y += (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
+        Y = (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
+        G = _grid_product(self.V, X)
+        G *= self.beta
+        Y += _grid_product(self.V.T, G)
         return Y.ravel()
 
     def frobenius_norm(self):
         """||W + T||^2 = ||W||^2 + 2<W, T> + 2 ||K||^2 ||m||^2 + 2 (diag(K).m)^2,
-        T = K(x)M + M(x)K, all terms nonnegative.  On cell (i, j) T is
-        K_i(x)diag(m_j) + diag(m_i)(x)K_j (K_i the diagonal blocks of K), so
-        <W, T> reads diagonal views of W, contracted over j by matmul."""
-        N, k1 = self.reaction.shape[0], self.m.size // self.reaction.shape[0]
-        W6 = self.reaction.reshape(N, N, k1, k1, k1, k1)  # (i, j, a, n, b, n')
-        m2, Kd = self.m.reshape(N, k1), np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
-        # a, b index x-modes (of K_i, m_i), n, n' y-modes (of K_j, m_j), as in _to_cells;
-        # sum_j W[i, j, a, n, b, n] m_j[n] and sum_j W[i, j, a, n, a, b] K_j[n, b]
-        WM = (np.einsum("ijanbn->ianbj", W6) @ m2.T[:, :, None])[..., 0]
-        WK = (np.einsum("ijanab->inbaj", W6) @ Kd.transpose(1, 2, 0)[..., None])[..., 0]
-        WT = np.einsum("ianb,iab->", WM, Kd) + np.einsum("inba,ia->", WK, m2)
+        T = K(x)M + M(x)K, all terms nonnegative, W read through beta:
+        ||W||^2 = <beta, (I(x)C) beta (I(x)C)>, C = (V V^T) o (V V^T), and
+        <W, T> = kappa^T beta mu + mu^T beta kappa with kappa_ig = V_g K_i V_g^T
+        (K_i the diagonal blocks of K) and mu_ig = sum_n m_in V_gn^2."""
+        V, (q, k1), N = self.V, self.V.shape, self.beta.shape[0] // self.V.shape[0]
+        C = (V @ V.T) ** 2
+        right = (self.beta.reshape(-1, q) @ C).reshape(N, q, -1)  # beta (I(x)C)
+        W2 = np.vdot(C, (self.beta.reshape(N, q, -1) @ right.transpose(0, 2, 1)).sum(axis=0))
+        Kd = np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
+        kappa = ((V @ Kd) * V).sum(axis=2).ravel()
+        mu = (self.m.reshape(N, k1) @ (V * V).T).ravel()
+        WT = kappa @ (self.beta @ mu) + (mu @ self.beta) @ kappa
         T2 = np.vdot(self.K, self.K) * (self.m @ self.m) + (np.diagonal(self.K) @ self.m) ** 2
-        return np.sqrt(np.vdot(self.reaction, self.reaction) + 2.0 * (WT + T2))
+        return np.sqrt(W2 + 2.0 * (WT + T2))
+
+    def mean_b(self):
+        """The mass-weighted mean of b, sum_ij trace(W_ij) / (sum m)^2."""
+        v = np.tile((self.V * self.V).sum(axis=1), self.beta.shape[0] // self.V.shape[0])
+        return v @ self.beta @ v / self.m.sum() ** 2
 
 
 def eliminate_fluxes_2d(system):
@@ -191,29 +192,28 @@ def eliminate_fluxes_2d(system):
     K = s E + s D^T F^-1 D is the dense ``flux_eliminated`` of the 1D pieces
     (``S.K``) and G = F^-1 D their ``flux_gradient``.  The P and Q rows give
     Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and S, which
-    holds ``system.reaction`` itself, is the Schur complement
+    holds ``system.beta`` itself, is the Schur complement
     A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the coupled system:
-    symmetric positive definite, exactly symmetric.
+    symmetric positive definite (as applied, symmetric to rounding).
     """
     p = system.pieces
-    return UOperator2D(system.reaction, p.flux_eliminated(), p.m.ravel())
+    return UOperator2D(system.beta, system.V, p.flux_eliminated(), p.m.ravel())
 
 
 def _fast_diagonalization(S):
-    """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K,
-    m = diag(M) and W_b those of the ``UOperator2D`` S, and bbar the
-    mass-weighted mean of b (P = S for constant b).
+    """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K
+    and m = diag(M) those of the ``UOperator2D`` S and bbar = ``S.mean_b()``
+    (P = S for constant b).
 
     Z = M^-1/2 V, with M^-1/2 K M^-1/2 = V diag(lam) V^T, gives
     Z^T K Z = diag(lam) and Z^T M Z = I, so (Lynch, Rice & Thomas 1964)
     P^-1 = (Z(x)Z) diag(lam_i + lam_j + bbar)^-1 (Z(x)Z)^T: four dense
     products on the kron-order matrix view.
     """
-    bbar = np.einsum("ijaa->", S.reaction) / S.m.sum() ** 2
     r = S.m ** -0.5
     lam, V = np.linalg.eigh(r[:, None] * S.K * r)
     Z = r[:, None] * V
-    inv = 1.0 / (lam[:, None] + lam[None, :] + bbar)
+    inv = 1.0 / (lam[:, None] + lam[None, :] + S.mean_b())
 
     def apply(values):
         return (Z @ ((Z.T @ values.reshape(inv.shape) @ Z) * inv) @ Z.T).ravel()
@@ -227,7 +227,7 @@ def solve_ldg_2d(problem, mesh2d, k):
     The operator S of ``eliminate_fluxes_2d`` is solved by ``pcg``
     preconditioned by ``_fast_diagonalization``: 2-3 steps for constant b,
     about 20 for variable b.  All of it works on kron-order vectors: the
-    load is permuted into that order once and U out of it once.  The
+    load is integrated in that order and U is permuted out of it once.  The
     reported residual is that of the unscaled U-system S; SolverError
     (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
     SingularMatrixError when an iterate is not finite.
@@ -235,7 +235,7 @@ def solve_ldg_2d(problem, mesh2d, k):
     system = assemble_2d(problem, mesh2d, k)
     N, k1 = mesh2d.N, k + 1
     S = eliminate_fluxes_2d(system)
-    result = pcg(S, _to_kron(system.load, k1).ravel(), _fast_diagonalization(S))
+    result = pcg(S, system.load.ravel(), _fast_diagonalization(S))
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",

@@ -2,8 +2,9 @@
 
 Continuous interpolants, the y-direction 2D flux projection, the 1D
 2-field band built from nonzero triplets and its extended-precision
-refined solve, the right-hand side of the coupled 2D (U, P, Q) system, and
-the band- and sparse-matrix operations (triplet construction, dense and csr
+refined solve, the W_b blocks, right-hand side and extended-precision
+refined solve of the coupled 2D (U, P, Q) system, and the band- and
+sparse-matrix operations (triplet construction, dense and csr
 copies, scalings) with which the tests build their SuperLU and dense
 references.  No solver, norm or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
 for the tests of which modules a run loads.
@@ -18,11 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import ldgshishkin
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
 from ldgshishkin.ldg1d import CellBlocks, piece_blocks_1d
+from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.linalg import (BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve,
                                 sherman_morrison)
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
@@ -226,10 +229,46 @@ def coupled_matrix(system):
 
 
 def coupled_rhs(system):
-    """Right-hand side of ``coupled_matrix``: the load on the U dofs."""
+    """Right-hand side of ``coupled_matrix``: the load, moved from kron
+    order to the field-major layout, on the U dofs."""
+    N, k1 = system.pieces.m.shape
     rhs = np.zeros(3 * system.load.size)
-    rhs[:system.load.size] = system.load.ravel()
+    rhs[:system.load.size] = system.load.reshape(N, k1, N, k1).transpose(0, 2, 1, 3).ravel()
     return rhs
+
+
+def reaction_blocks(system):
+    """The b-weighted mass blocks W_b, (N, N, kk, kk) with x-mode-major
+    local numbering, formed from ``system.beta``:
+    W_ij = sum_gh beta_(ig)(jh) (V_g (x) V_h)^T (V_g (x) V_h)."""
+    (N, k1), V = system.pieces.m.shape, system.V
+    beta = system.beta.reshape(N, V.shape[0], N, V.shape[0])
+    W = np.einsum("igjh,ga,hb,gc,hd->ijabcd", beta, V, V, V, V, optimize=True)
+    return W.reshape(N, N, k1 * k1, k1 * k1)
+
+
+def refined_solve_2d(problem, mesh2d, k, steps=3):
+    """The 2D scheme solved on ``coupled_matrix`` by equilibrated SuperLU,
+    and that solution refined ``steps`` times with residuals of the
+    unscaled matrix computed in np.longdouble, summed over the csr rows by
+    ``np.add.reduceat`` (corrections by the same LU).  Returns the (U, P,
+    Q) coefficients, each (N, N, k+1, k+1), of the refined solve (rounded
+    to float64)."""
+    system = assemble_2d(problem, mesh2d, k)
+    A, b = coupled_matrix(system), coupled_rhs(system)
+    scaled, r, c = equilibrate(A)
+    lu = splu(scaled.csr.tocsc())
+
+    def solve(rhs):
+        return c * lu.solve(r * rhs)
+
+    x_ld, csr = solve(b).astype(np.longdouble), A.csr
+    data = csr.data.astype(np.longdouble)
+    for _ in range(steps):
+        Ax = np.add.reduceat(data * x_ld[csr.indices], csr.indptr[:-1])
+        x_ld += solve((b - Ax).astype(float))
+    U, P, Q = x_ld.astype(float).reshape(3, mesh2d.N, mesh2d.N, k + 1, k + 1)
+    return U, system.pieces.s * P, system.pieces.s * Q
 
 
 def equilibrate_dense(A):
