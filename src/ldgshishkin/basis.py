@@ -154,7 +154,9 @@ class ReferenceBasis:
         return np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
 
 
-BLOCK_POINTS = 1 << 13
+# 1 << 14 points (128 KiB a float64 temporary): 1 << 13 leaves the 2D error
+# norms paying overhead on twice the blocks, 1 << 15 raises peak RSS.
+BLOCK_POINTS = 1 << 14
 
 
 def cell_blocks(n_cells, points_per_cell):
@@ -163,6 +165,16 @@ def cell_blocks(n_cells, points_per_cell):
     by block so that their temporaries stay small whatever the mesh size."""
     step = max(1, BLOCK_POINTS // points_per_cell)
     return [slice(i, i + step) for i in range(0, n_cells, step)]
+
+
+def grid_product(A, X):
+    """(I (x) A) X (I_N (x) A)^T by two reshaped products.  A = V, the
+    Legendre table of a rule, takes kron-order coefficients, rows (i, m),
+    columns (j, n), to values on the tensor quadrature grid, rows (i, g),
+    columns (j, h); A = V^T is the adjoint.  X may hold any number of whole
+    cell rows i, so a strip of rows maps to the same strip of the grid."""
+    (p, n), rows = A.shape, X.shape[0] // A.shape[1]
+    return ((A @ X.reshape(rows, n, -1)).reshape(-1, n) @ A.T).reshape(rows * p, -1)
 
 
 def assembly_quad_order(k):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import assembly_quad_order, gauss_rule, legendre_table
+from .basis import assembly_quad_order, gauss_rule, grid_product, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
 from .ldg1d import OperatorPieces1D, piece_blocks_1d
@@ -57,14 +57,6 @@ class MixedSolution2D:
             raise ConfigurationError("U, P and Q must share mesh and degree")
 
 
-def _grid_product(A, X):
-    """(I_N (x) A) X (I_N (x) A)^T by two reshaped products.  A = V takes
-    kron-order coefficients, rows (i, m), columns (j, n), to values on the
-    tensor quadrature grid, rows (i, g), columns (j, h); A = V^T is the adjoint."""
-    (p, n), N = A.shape, X.shape[0] // A.shape[1]
-    return ((A @ X.reshape(N, n, -1)).reshape(-1, n) @ A.T).reshape(N * p, -1)
-
-
 @dataclass
 class AssembledSystem2D:
     """What the 2D solve reads: the ``OperatorPieces1D`` of the mesh axis
@@ -72,7 +64,7 @@ class AssembledSystem2D:
     assembly rule, beta and the load.  With x the quadrature points of the
     axis and c = h(x)w their weights, beta = c c^T o b(x, x^T) is b on the
     tensor grid, W_b = B^T diag(beta) B with B = I_N (x) V, and the load
-    B^T (c c^T o f(x, x^T)) B is in kron order (see ``_grid_product``).
+    B^T (c c^T o f(x, x^T)) B is in kron order (see ``grid_product``).
 
     ``matrix`` is the coupled (U, Ptilde, Qtilde) matrix in the field-major
     layout (all U dofs, then P, then Q; within a field the cells row-major
@@ -138,7 +130,7 @@ def assemble_2d(problem, mesh2d, k):
         return values
 
     return AssembledSystem2D(pieces=pieces, V=V, beta=on_grid(problem.b),
-                             load=_grid_product(V.T, on_grid(problem.f)))
+                             load=grid_product(V.T, on_grid(problem.f)))
 
 
 @dataclass(frozen=True)
@@ -158,9 +150,9 @@ class UOperator2D:
     def matvec(self, x):
         X = x.reshape(self.m.size, -1)
         Y = (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
-        G = _grid_product(self.V, X)
+        G = grid_product(self.V, X)
         G *= self.beta
-        Y += _grid_product(self.V.T, G)
+        Y += grid_product(self.V.T, G)
         return Y.ravel()
 
     def frobenius_norm(self):

@@ -14,8 +14,8 @@ analytically: interior jumps of the error reduce to discrete jumps and the
 boundary jumps to boundary traces of U, which avoids cancellation at
 extreme eps.  Region errors take a boolean mask over the cells (shape (N,)
 in 1D, (N, N) in 2D; ``Mesh1D.layer`` gives the layer regions).  In 2D
-the volume integrals run over blocks of whole rows of cells (see
-``cell_blocks``), so the exact solution is sampled on a tensor grid.
+the volume integrals run over strips of whole cell rows on the solver's
+kron-order tensor grid, where the exact solution is sampled once a strip.
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    ReferenceBasis,
     assembly_quad_order,
     cell_blocks,
     error_quad_order,
     gauss_rule,
+    grid_product,
     legendre_table,
 )
 from .errors import ConfigurationError
@@ -120,57 +122,48 @@ def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
     """``_sq_error_1d`` over the cells that ``cells`` selects: an (N, N)
     boolean mask, or by default a slice of every cell.
 
-    It runs over blocks of whole rows of cells (see ``cell_blocks``), so
-    ``exact`` and ``weight`` are sampled on a tensor grid, and sums per cell
-    before ``cells`` selects: cells outside the mask add nothing even where
-    ``exact`` is NaN."""
-    k = dgf.degree
+    It runs over strips of whole cell rows (``cell_blocks``): ``grid_product``
+    takes the kron-order coefficients of a strip to the tensor grid, rows
+    (i, g), columns (j, h), where ``exact`` and ``weight`` are sampled as
+    f(x[:, None], y[None, :]).  It sums per cell before ``cells`` selects:
+    cells outside the mask add nothing even where ``exact`` is NaN."""
     rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    N = mesh2d.N
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    X, Y = X[:, None, :, None], X[None, :, None, :]
-    w2 = np.outer(rule.weights, rule.weights).ravel()
+    V, _ = legendre_table(dgf.degree, rule.points)
+    w, N = rule.weights, mesh2d.N
+    x = mesh2d.axis.quadrature_points(rule.points)
+    y = x.reshape(1, -1)
+    kron = dgf.coeffs.swapaxes(1, 2)  # (i, m, j, n)
     per_cell = np.empty((N, N))
     for rows in cell_blocks(N, N * quad**2):
-        coeffs = dgf.coeffs[rows]  # y modes first: one matmul over all cells and x modes
-        sq = V @ (coeffs.reshape(-1, k + 1) @ V.T).reshape(coeffs.shape[:3] + (quad,))
-        np.subtract(np.asarray(exact(X[rows], Y), dtype=float), sq, out=sq)
+        sq = grid_product(V, kron[rows].reshape(-1, N * (dgf.degree + 1)))
+        xs = x[rows].reshape(-1, 1)
+        np.subtract(np.asarray(exact(xs, y), dtype=float), sq, out=sq)
         sq *= sq
         if weight is not None:
-            sq *= np.asarray(weight(X[rows], Y), dtype=float)
-        per_cell[rows] = sq.reshape(sq.shape[:2] + (-1,)) @ w2
-    per_cell *= h[:, None] * h[None, :]
+            sq *= np.asarray(weight(xs, y), dtype=float)
+        per_cell[rows] = w @ (sq.reshape(-1, quad) @ w).reshape(-1, quad, N)
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    per_cell *= h[:, None] * h
     return float(np.sum(per_cell[cells]))
-
-
-def _edge_sq(coef_lines, half_widths, wbar):
-    """Sum of integral(trace^2) over a stack of edges given modal coeffs."""
-    return float(np.sum(half_widths * (coef_lines**2 @ wbar)))
 
 
 def _jump_terms_2d(T, mesh2d):
     """Squared boundary U-jump integrals and squared interface P/Q jump
-    integrals, each summed over both axes."""
-    k = T.U.degree
-    wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
+    integrals, each summed over both axes.  Only the cell lines on the
+    boundary and at the interface are traced: coefficients are (i, j, m, n)
+    with x-mode m, and P_m(-1) = (-1)^m, P_m(1) = 1."""
+    basis = ReferenceBasis(T.U.degree)
+    left, wbar = basis.left_values, basis.mass_diag
     h = 0.5 * np.diff(mesh2d.axis.nodes)
     J = mesh2d.axis.interface_index
+    U, P, Q = T.U.coeffs, T.P.coeffs, T.Q.coeffs
 
-    Ul = T.U.x_edge_trace("left")
-    Ur = T.U.x_edge_trace("right")
-    Ub = T.U.y_edge_trace("bottom")
-    Ut = T.U.y_edge_trace("top")
+    def edge_sq(*lines):  # sum of integral(trace^2) over edge lines of modal traces
+        return float(np.sum(h * (np.stack(lines) ** 2 @ wbar)))
+
     # [[U]]_{0,y} = -U^+ on x=0; [[U]]_{N,y} = U^- on x=1 (squares drop sign)
-    bnd_x = _edge_sq(Ul[0], h, wbar) + _edge_sq(Ur[-1], h, wbar)
-    bnd_y = _edge_sq(Ub[:, 0], h, wbar) + _edge_sq(Ut[:, -1], h, wbar)
-
-    Pjump = T.P.x_edge_trace("right")[J - 1] - T.P.x_edge_trace("left")[J]
-    Qjump = T.Q.y_edge_trace("top")[:, J - 1] - T.Q.y_edge_trace("bottom")[:, J]
-    int_p = _edge_sq(Pjump, h, wbar)
-    int_q = _edge_sq(Qjump, h, wbar)
-    return bnd_x + bnd_y, int_p + int_q
+    return (edge_sq(left @ U[0], U[-1].sum(axis=1), U[:, 0] @ left, U[:, -1].sum(axis=2)),
+            edge_sq(P[J - 1].sum(axis=1) - left @ P[J], Q[:, J - 1].sum(axis=2) - Q[:, J] @ left))
 
 
 def _norms_2d(T, problem, mesh2d, quad, u, p, q):

@@ -24,8 +24,8 @@ from ldgshishkin import (
     solve_ldg_2d,
 )
 from ldgshishkin import ldg2d, problems
-from ldgshishkin.basis import assembly_quad_order, gauss_rule
-from ldgshishkin.ldg2d import _fast_diagonalization, _grid_product, eliminate_fluxes_2d
+from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product
+from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
 from ldgshishkin.problems import Problem2D
 from reference import (coupled_matrix, coupled_rhs, reaction_blocks, refined_solve_2d,
@@ -484,7 +484,7 @@ class TestGridKernels:
         system = assemble_2d(manufactured_2d_problem(eps), mesh, k)
         x = mesh.axis.quadrature_points(gauss_rule(assembly_quad_order(k)).points).ravel()
         expected = U.evaluate(x[:, None], x[None, :])
-        got = _grid_product(system.V, coeffs.swapaxes(1, 2).reshape(N * (k + 1), -1))
+        got = grid_product(system.V, coeffs.swapaxes(1, 2).reshape(N * (k + 1), -1))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -492,8 +492,8 @@ class TestGridKernels:
         N, q, rng = 8, k + 3, np.random.default_rng(61)
         V = assemble_2d(manufactured_2d_problem(1e-8), make_mesh(N, 1e-8), k).V
         X, G = rng.standard_normal((N * (k + 1),) * 2), rng.standard_normal((N * q,) * 2)
-        lhs = np.vdot(_grid_product(V.T, G), X)
-        assert lhs == pytest.approx(np.vdot(G, _grid_product(V, X)), rel=1e-14, abs=0.0)
+        lhs = np.vdot(grid_product(V.T, G), X)
+        assert lhs == pytest.approx(np.vdot(G, grid_product(V, X)), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("b", ["constant", "variable"])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -22,6 +22,7 @@ from ldgshishkin import (
     rate_shishkin,
     solve_ldg_1d,
 )
+from ldgshishkin import basis, norms
 from ldgshishkin.errors import ConfigurationError
 from ldgshishkin.problems import Problem1D
 from reference import interpolate_1d
@@ -367,3 +368,85 @@ class TestRegionErrors:
         mesh2d, f = self.dg_2d(mesh)
         none = np.zeros((mesh.N, mesh.N), dtype=bool)
         assert l2_error_region_2d(f, smooth_2d, mesh2d, none) == 0.0
+
+
+def variable_b(x, y):
+    return 2.0 + 1.5 * np.sin(np.pi * np.asarray(x, dtype=float) * np.asarray(y, dtype=float))
+
+
+class TestStripKernel2D:
+    """``_sq_error_2d`` runs over strips of whole cell rows; how the rows are
+    split into strips must not change the sum beyond rounding."""
+
+    K, N, QUAD = 2, 12, 7
+
+    @pytest.fixture
+    def case(self):
+        mesh2d = build_shishkin_2d(MeshConfig(N=self.N, eps=1e-6, sigma=3.0))
+        coeffs = np.random.default_rng(71).standard_normal((self.N, self.N, self.K + 1,
+                                                             self.K + 1))
+        return mesh2d, DGFunction2D(mesh2d, self.K, coeffs)
+
+    def strips_of(self, monkeypatch, rows):
+        monkeypatch.setattr(basis, "BLOCK_POINTS", rows * self.N * self.QUAD**2)
+        return [len(range(self.N)[s]) for s in basis.cell_blocks(self.N, self.N * self.QUAD**2)]
+
+    def test_strip_size_does_not_change_the_sum(self, monkeypatch, case):
+        mesh2d, f = case
+        layer = mesh2d.axis.layer
+        outside_centre = layer[:, None] | layer[None, :]
+
+        def sums():
+            return (norms._sq_error_2d(f, smooth_2d, mesh2d, self.QUAD, weight=variable_b),
+                    l2_error_region_2d(f, smooth_2d, mesh2d, outside_centre, quad=self.QUAD))
+
+        assert self.strips_of(monkeypatch, self.N) == [self.N]
+        whole = sums()
+        # one-row strips, and 5-row strips with a partial last strip
+        for rows, strips in ((1, [1] * self.N), (5, [5, 5, 2])):
+            assert self.strips_of(monkeypatch, rows) == strips
+            assert sums() == pytest.approx(whole, rel=1e-14, abs=0.0)
+
+    def test_exact_is_sampled_once_per_strip_on_2d_arguments(self, monkeypatch, case):
+        # (strip points, 1) x (1, N q): no 4-D broadcast with a q-long inner loop
+        mesh2d, f = case
+        shapes = []
+
+        def exact(x, y):
+            shapes.append((np.shape(x), np.shape(y)))
+            return smooth_2d(x, y)
+
+        strips = self.strips_of(monkeypatch, 5)
+        l2_error_region_2d(f, exact, mesh2d, quad=self.QUAD)
+        Nq = self.N * self.QUAD
+        assert shapes == [((rows * self.QUAD, 1), (1, Nq)) for rows in strips]
+
+
+def full_trace_jump_terms_2d(T, mesh2d):
+    """The jump terms of ``norms._jump_terms_2d`` from the edge traces of
+    every cell, of which only the boundary and interface lines are read."""
+    k = T.U.degree
+    wbar = 2.0 / (2.0 * np.arange(k + 1) + 1.0)
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    J = mesh2d.axis.interface_index
+
+    def edge_sq(coef_lines):
+        return float(np.sum(h * (coef_lines**2 @ wbar)))
+
+    bnd = (edge_sq(T.U.x_edge_trace("left")[0]) + edge_sq(T.U.x_edge_trace("right")[-1])
+           + edge_sq(T.U.y_edge_trace("bottom")[:, 0]) + edge_sq(T.U.y_edge_trace("top")[:, -1]))
+    Pjump = T.P.x_edge_trace("right")[J - 1] - T.P.x_edge_trace("left")[J]
+    Qjump = T.Q.y_edge_trace("top")[:, J - 1] - T.Q.y_edge_trace("bottom")[:, J]
+    return bnd, edge_sq(Pjump) + edge_sq(Qjump)
+
+
+class TestJumpTerms2D:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_edge_lines_match_full_mesh_traces(self, k):
+        N = 8
+        mesh2d = build_shishkin_2d(MeshConfig(N=N, eps=1e-4, sigma=k + 1.0))
+        rng = np.random.default_rng(80 + k)
+        T = MixedSolution2D(*(DGFunction2D(mesh2d, k, c)
+                              for c in rng.standard_normal((3, N, N, k + 1, k + 1))))
+        got = norms._jump_terms_2d(T, mesh2d)
+        assert got == pytest.approx(full_trace_jump_terms_2d(T, mesh2d), rel=1e-15, abs=0.0)
