@@ -170,9 +170,9 @@ def cell_blocks(n_cells, points_per_cell):
 def grid_product(A, X):
     """(I (x) A) X (I_N (x) A)^T by two reshaped products.  A = V, the
     Legendre table of a rule, takes kron-order coefficients, rows (i, m),
-    columns (j, n), to values on the tensor quadrature grid, rows (i, g),
-    columns (j, h); A = V^T is the adjoint.  X may hold any number of whole
-    cell rows i, so a strip of rows maps to the same strip of the grid."""
+    columns (j, n), to the tensor quadrature grid, rows (i, g), columns
+    (j, h) (2D solve and norms); A = (diag(w) V)^T takes grid samples to
+    moments (2D projections).  X may be any strip of whole cell rows i."""
     (p, n), rows = A.shape, X.shape[0] // A.shape[1]
     return ((A @ X.reshape(rows, n, -1)).reshape(-1, n) @ A.T).reshape(rows * p, -1)
 

@@ -1,37 +1,31 @@
 """Cell-local polynomial projections and their composite region-wise forms.
 
-Three local operators are provided on each cell:
+Per cell: plain L2 projection (diagonal in the modal basis), weighted L2
+projection with a positive weight b (small Gram solve), and Gauss-Radau
+projections (k moment conditions against degree k-1 plus an endpoint
+condition: "minus" matches the right endpoint value, "plus" the left one).
 
-* plain L2 projection (diagonal in the modal basis),
-* weighted L2 projection with a positive weight b (small Gram solve),
-* Gauss-Radau projections: k moment conditions against degree k-1 plus an
-  endpoint interpolation condition; the "minus" variant matches the right
-  endpoint value, the "plus" variant the left one.
+The L2 and Radau projections share one form: a (k+1) x (k+2) operator R,
+diag((2n+1)/2) on its first k rows, maps the data [moments m_0..m_k;
+matched endpoint value] of a cell to its modes.  The kinds L2, WEIGHTED,
+GR_MINUS and GR_PLUS are integer codes into one cached table of R.  Every
+projection is batched over cells, with one batched Gram solve for the
+weighted ones; the per-cell functions are one-cell calls.  In 2D a cell's
+data is a (k+2) x (k+2) block D (moments, matched-edge moments, corner
+value) and its modes are Rx D Ry^T, computed on strips of whole cell rows
+of the kron-order tensor grid that the 2D solve and norms share.
 
-The L2 and Radau projections share one form: a (k+1) x (k+2) operator R
-maps the data [moments m_0..m_k; matched endpoint value] of a cell to its
-modes.  Every projection is batched over cells: the target is sampled on
-the quadrature grid of all cells and at the matched endpoints, and one
-contraction gives the moments.  In 2D a cell's data is a (k+2) x (k+2)
-block D (moments, matched-edge moments, corner value) and its modes are
-Rx D Ry^T (sum factorization).  Weighted cells share one batched Gram
-solve.  The per-cell functions are one-cell calls of the same kernels.
-
-The kinds L2, WEIGHTED, GR_MINUS and GR_PLUS are integer codes; an integer
-array of them selects each cell's operator from one cached table.  The
-composite operators dispatch per mesh region (``Mesh1D.layer``): the one
-tailored to the primal variable uses the Radau-minus projection on the two
-fine (layer) regions and the weighted projection on the coarse interior;
-the one for the flux variable uses plain L2 on the first cell and
-Radau-plus elsewhere.
-2D versions act tensorially, one direction at a time.
+The composite operators dispatch per mesh region (``Mesh1D.layer``): the
+primal one uses Radau-minus on the two fine (layer) regions and the
+weighted projection on the coarse interior, the flux one plain L2 on the
+first cell and Radau-plus elsewhere; the 2D ones act tensorially.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import assembly_quad_order, cell_blocks, gauss_rule, legendre_table
+from .basis import assembly_quad_order, cell_blocks, gauss_rule, grid_product, legendre_table
 from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import ConfigurationError, MeshError, ProjectionError
 from .mesh import quadrature_points
@@ -42,11 +36,8 @@ L2, WEIGHTED, GR_MINUS, GR_PLUS = KINDS = range(4)
 @lru_cache(maxsize=None)
 def _operators(k):
     """(4, k+1, k+2) table: per kind, the map from [moments m_0..m_k;
-    endpoint value] to modes.  ``_operators(k)[kinds]`` is the per-cell
-    operator stack of an integer kinds array.
-
-    L2 (and WEIGHTED, whose unit-weight case it is) is c_n = (2n+1)/2 m_n.
-    The Radau kinds keep that for n < k and replace the last moment by the
+    endpoint value] to modes.  L2 (and WEIGHTED, whose unit-weight case it
+    is) is c_n = (2n+1)/2 m_n; the Radau kinds replace its last row by the
     endpoint row sum_n P_n(+-1) c_n = value.
     """
     n = np.arange(k + 1)
@@ -58,6 +49,22 @@ def _operators(k):
         R[kind, k, k + 1] = 1.0 / trace[k]
     R.setflags(write=False)
     return R
+
+
+@lru_cache(maxsize=None)
+def _tables(k, quad):
+    """The quad-point rule, its Legendre table V, Vw = diag(w) V and, for
+    weighted 2D cells, VV = Vw (x) Vw and C4[(g, h), (m, n), (a, c)] =
+    VV[(g, h), (m, n)] P_a(t_g) P_c(t_h): b z @ VV and b @ C4 on a cell's
+    points (g, h) give its Gram right-hand side and matrix."""
+    rule = gauss_rule(quad)
+    V, _ = legendre_table(k, rule.points)
+    Vw = V * rule.weights[:, None]
+    VV = np.kron(Vw, Vw)
+    tables = V, Vw, VV, VV[:, :, None] * np.kron(V, V)[:, None, :]
+    for table in tables:
+        table.setflags(write=False)
+    return (rule,) + tables
 
 
 def _sample(f, *coords):
@@ -88,13 +95,12 @@ def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
     (cells, k+1) modal coefficients.
     """
     quad = assembly_quad_order(k) if quad is None else quad
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
+    rule, V, Vw, _, _ = _tables(k, quad)
     X = quadrature_points(nodes, rule.points)
     W = _sample(w, X)
     if ends is None:
         ends = _sample(w, np.where(kinds == GR_PLUS, nodes[:-1], nodes[1:]))
-    data = np.concatenate([W @ (V * rule.weights[:, None]), ends[:, None]], axis=1)
+    data = np.concatenate([W @ Vw, ends[:, None]], axis=1)
     coeffs = np.einsum("iam,im->ia", _operators(k)[kinds], data)
     weighted = kinds == WEIGHTED
     if b is not None and weighted.any():
@@ -109,45 +115,43 @@ def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
 
     kx, ky (shape (Nx, Ny)) give each cell's kind per axis; WEIGHTED must
     fill both slots and solves the 2D Gram system with weight b (plain L2
-    when b is None).  Returns c[i, j, x-mode, y-mode].  Runs in blocks of
-    x rows (``cell_blocks``) so that the temporaries stay small.
+    when b is None).  Returns c[i, j, x-mode, y-mode].  Per strip of cell
+    rows z is sampled once, at (x[:, None], y[None, :]) with x and y the
+    quadrature points then the nodes; each cell reads its edge moments and
+    corner at its matched node (left/bottom for GR_PLUS, else right/top).
     """
     if np.any((kx == WEIGHTED) != (ky == WEIGHTED)):
         raise ConfigurationError("the weighted 2D projection applies in both directions at once")
     quad = assembly_quad_order(k) if quad is None else quad
-    return np.concatenate([
-        _project_rows_2d(z, xnodes[s.start:s.stop + 1], ynodes, kx[s], ky[s], k, quad, b)
-        for s in cell_blocks(len(kx), kx.shape[1] * quad**2)
-    ])
-
-
-def _project_rows_2d(z, xnodes, ynodes, kx, ky, k, quad, b):
-    """``_project_2d`` on one block of x rows."""
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
-    Vw = V * rule.weights[:, None]
-    X = quadrature_points(xnodes, rule.points)[:, None, :, None]
-    Y = quadrature_points(ynodes, rule.points)[None, :, None, :]
-    xe = np.where(kx == GR_PLUS, xnodes[:-1, None], xnodes[1:, None])
-    ye = np.where(ky == GR_PLUS, ynodes[None, :-1], ynodes[None, 1:])
-    Z = _sample(z, X, Y)
-    D = np.empty(kx.shape + (k + 2, k + 2))
-    D[..., :-1, :-1] = Vw.T @ Z @ Vw
-    D[..., :-1, -1] = _sample(z, X[..., 0], ye[..., None]) @ Vw
-    D[..., -1, :-1] = _sample(z, xe[..., None], Y[..., 0, :]) @ Vw
-    D[..., -1, -1] = _sample(z, xe, ye)
-    R = _operators(k)
-    coeffs = R[kx] @ D @ np.swapaxes(R[ky], -1, -2)
-    weighted = kx == WEIGHTED
-    if b is not None and weighted.any():
-        ii, jj = np.nonzero(weighted)
-        WB = _sample(b, X[ii, 0], Y[0, jj]) * (rule.weights[:, None] * rule.weights)
-        # Gram[(m, n), (a, c)] = sum_gh WB[g, h] P_m P_a(t_g) P_n P_c(s_h)
-        VV = (V[:, :, None] * V[:, None, :]).reshape(quad, -1)
-        gram = (VV.T @ WB @ VV).reshape((-1,) + (k + 1,) * 4).transpose(0, 1, 3, 2, 4)
-        kk = (k + 1) ** 2
-        sol = _solve_gram(gram.reshape(-1, kk, kk), (V.T @ (WB * Z[ii, jj]) @ V).reshape(-1, kk))
-        coeffs[ii, jj] = sol.reshape(-1, k + 1, k + 1)
+    rule, _, Vw, VV, C4 = _tables(k, quad)
+    (Nx, Ny), n, nq = kx.shape, k + 1, ky.shape[1] * quad
+    xq = quadrature_points(xnodes, rule.points)
+    yq = quadrature_points(ynodes, rule.points).reshape(1, -1)
+    y = np.concatenate([yq[0], ynodes])[None, :]
+    scale, last = _operators(k)[L2].diagonal(), _operators(k)[:, k].T
+    coeffs = np.empty((Nx, Ny, n, n))
+    for s in cell_blocks(Nx, (quad + 1) * y.size):
+        x = xq[s].reshape(-1, 1)
+        r, rq, px, py = len(xq[s]), len(x), kx[s] == GR_PLUS, ky[s] == GR_PLUS
+        F = _sample(z, np.concatenate([x[:, 0], xnodes[s.start:s.stop + 1]])[:, None], y)
+        D = np.empty((n + 1, n + 1, r, Ny))  # [moments, matched edge; edge, corner]
+        D[:n, :n] = grid_product(Vw.T, F[:rq, :nq]).reshape(r, n, Ny, n).transpose(1, 3, 0, 2)
+        ey = (Vw.T @ F[:rq, nq:].reshape(r, quad, -1)).transpose(1, 0, 2)
+        D[:n, n] = np.where(py, ey[..., :-1], ey[..., 1:])
+        ex = (F[rq:, :nq].reshape(r + 1, Ny, quad) @ Vw).transpose(2, 0, 1)
+        D[n, :n] = np.where(px, ex[:, :-1], ex[:, 1:])
+        D[n, n] = F[rq:, nq:][np.arange(r)[:, None] + ~px, np.arange(Ny) + ~py]
+        E = D[:n] * scale[:, None, None, None]  # Rx D: diag(scale) but for the last row
+        E[k] = (last[:, kx[s]][:, None] * D).sum(axis=0)
+        C = E[:, :n] * scale[:, None, None]  # then (Rx D) Ry^T alike
+        C[:, k] = (E * last[:, ky[s]]).sum(axis=1)
+        coeffs[s] = C.transpose(2, 3, 0, 1)
+        ii, jj = np.nonzero((kx[s] == WEIGHTED) & (b is not None))
+        if len(ii):
+            B, Zc = (G.reshape(r, quad, Ny, quad)[ii, :, jj].reshape(len(ii), -1)
+                     for G in (_sample(b, x, yq), F[:rq, :nq]))  # q x q blocks, (g, h)
+            coeffs[s][ii, jj] = _solve_gram(np.tensordot(B, C4, 1), (B * Zc) @ VV).reshape(-1, n, n)
+        del F, D, E, C, ey, ex  # before the next strip's sample
     return coeffs
 
 
@@ -234,22 +238,18 @@ def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):
     (corners, the centre block and the i = N / j = N strips).
     """
     layer = mesh2d.axis.layer
-    strip = layer.copy()
-    strip[-1] = False
+    strip = np.append(layer[:-1], False)
     x_radau = strip[:, None] & ~layer[None, :]
     y_radau = ~layer[:, None] & strip[None, :]
     kx = np.where(x_radau, GR_MINUS, np.where(y_radau, L2, WEIGHTED))
     ky = np.where(y_radau, GR_MINUS, np.where(x_radau, L2, WEIGHTED))
     nodes = mesh2d.axis.nodes
-    coeffs = _project_2d(u, nodes, nodes, kx, ky, k, quad, b=b)
-    return DGFunction2D(mesh2d, k, coeffs)
+    return DGFunction2D(mesh2d, k, _project_2d(u, nodes, nodes, kx, ky, k, quad, b=b))
 
 
 def composite_project_plus_x_2d(p, mesh2d, k, quad=None):
     """2D flux projection in x: plain L2 on column i = 1, Radau-plus in x
     elsewhere."""
-    N = mesh2d.N
+    N, nodes = mesh2d.N, mesh2d.axis.nodes
     kx = np.repeat(np.where(np.arange(1, N + 1) == 1, L2, GR_PLUS)[:, None], N, axis=1)
-    nodes = mesh2d.axis.nodes
-    coeffs = _project_2d(p, nodes, nodes, kx, np.full((N, N), L2), k, quad)
-    return DGFunction2D(mesh2d, k, coeffs)
+    return DGFunction2D(mesh2d, k, _project_2d(p, nodes, nodes, kx, np.full((N, N), L2), k, quad))

@@ -25,7 +25,8 @@ from ldgshishkin import (
     rate_shishkin,
     tensor_project_2d,
 )
-from ldgshishkin.projections import GR_MINUS, GR_PLUS, L2, WEIGHTED
+from ldgshishkin import basis
+from ldgshishkin.projections import GR_MINUS, GR_PLUS, L2, WEIGHTED, _project_2d
 from reference import composite_project_plus_y_2d
 
 
@@ -548,6 +549,78 @@ class TestDefiningPropertiesOnEveryCell:
             check_properties_1d(z1, xnodes, c[None], np.array([kind]))
         c = project_weighted(z1, b1, tuple(xnodes), k, quad=PROJ_QUAD)
         check_properties_1d(z1, xnodes, c[None], np.array([WEIGHTED]), b1)
+
+
+class TestStrips2D:
+    """``_project_2d`` runs over strips of whole cell rows of the tensor grid;
+    how the rows are split into strips must not change the coefficients,
+    and z and b are sampled once a strip on 2-D arguments."""
+
+    K, N, QUAD = 2, 12, 5
+
+    @pytest.fixture
+    def mesh(self):
+        return build_shishkin_2d(MeshConfig(N=self.N, eps=1e-6, sigma=3.0))
+
+    def strips_of(self, monkeypatch, rows):
+        # a cell row samples QUAD + 1 lines (its points, a node) of N QUAD + N + 1 points
+        row = (self.QUAD + 1) * (self.N * self.QUAD + self.N + 1)
+        monkeypatch.setattr(basis, "BLOCK_POINTS", rows * row)
+        return [len(range(self.N)[s]) for s in basis.cell_blocks(self.N, row)]
+
+    def test_strip_size_does_not_change_the_coefficients(self, monkeypatch, mesh):
+        def composites():
+            return (composite_project_minus_2d(z2, mesh, self.K, quad=self.QUAD, b=b2),
+                    composite_project_plus_x_2d(z2, mesh, self.K, quad=self.QUAD),
+                    composite_project_plus_y_2d(z2, mesh, self.K, quad=self.QUAD))
+
+        assert self.strips_of(monkeypatch, self.N) == [self.N]
+        whole = composites()
+        # one-row strips, and 5-row strips with a partial last strip
+        for rows, strips in ((1, [1] * self.N), (5, [5, 5, 2])):
+            assert self.strips_of(monkeypatch, rows) == strips
+            for f, g in zip(composites(), whole):
+                assert np.max(np.abs(f.coeffs - g.coeffs)) <= 1e-15 * np.max(np.abs(g.coeffs))
+
+    def test_z_and_b_are_sampled_once_per_strip_on_2d_arguments(self, monkeypatch, mesh):
+        # (strip rows, 1) x (1, columns): no 4-D broadcast with a q-long inner loop
+        shapes = {"z": [], "b": []}
+
+        def recorded(name, f):
+            def sampled(x, y):
+                shapes[name].append((np.shape(x), np.shape(y)))
+                return f(x, y)
+            return sampled
+
+        strips = self.strips_of(monkeypatch, 5)
+        N, q, nodes = self.N, self.QUAD, mesh.axis.nodes
+        kx = np.full((N, N), L2)
+        kx[5:10, 3:7] = WEIGHTED  # weighted cells in the middle strip only
+        _project_2d(recorded("z", z2), nodes, nodes, kx, kx.copy(), self.K, q, recorded("b", b2))
+        assert shapes["z"] == [((rows * q + rows + 1, 1), (1, N * q + N + 1)) for rows in strips]
+        assert shapes["b"] == [((5 * q, 1), (1, N * q))]
+        shapes["b"].clear()
+        composite_project_minus_2d(z2, mesh, self.K, quad=q, b=recorded("b", b2))
+        assert shapes["b"] == [((rows * q, 1), (1, N * q)) for rows in strips]
+
+    @pytest.mark.parametrize("rows", [None, 1], ids=["one-strip", "one-row-strips"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_kind_pair_matches_its_one_cell_projection(self, monkeypatch, k, rows):
+        # every non-weighted pair (GR_PLUS in y included) and weighted cells,
+        # shuffled over a non-uniform 4 x 3 grid: guards the matched-node reads
+        pairs = [(kind_x, kind_y) for kind_x in (L2, GR_MINUS, GR_PLUS)
+                 for kind_y in (L2, GR_MINUS, GR_PLUS)] + [(WEIGHTED, WEIGHTED)] * 3
+        order = np.random.default_rng(23).permutation(len(pairs))
+        kx, ky = (np.array([pairs[p][axis] for p in order]).reshape(4, 3) for axis in (0, 1))
+        xnodes, ynodes = np.array([0.0, 0.1, 0.25, 0.6, 1.0]), np.array([-0.5, -0.3, 0.2, 0.35])
+        if rows is not None:
+            monkeypatch.setattr(basis, "BLOCK_POINTS", rows * (PROJ_QUAD + 1) * (3 * PROJ_QUAD + 4))
+        c = _project_2d(z2, xnodes, ynodes, kx, ky, k, PROJ_QUAD, b2)
+        check_properties_2d(z2, xnodes, ynodes, c, kx, ky, b2)
+        for i, j in np.ndindex(kx.shape):
+            cell = ((xnodes[i], xnodes[i + 1]), (ynodes[j], ynodes[j + 1]))
+            direct = tensor_project_2d(kx[i, j], ky[i, j], z2, cell, k, quad=PROJ_QUAD, b=b2)
+            assert np.max(np.abs(c[i, j] - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def vanishing_on(cell, inside, outside):
