@@ -154,8 +154,8 @@ class ReferenceBasis:
         return np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
 
 
-# 1 << 14 points (128 KiB a float64 temporary): 1 << 13 leaves the 2D error
-# norms paying overhead on twice the blocks, 1 << 15 raises peak RSS.
+# 1 << 14 points (128 KiB a float64 temporary) per strip of the 2D norms and projections and of
+# the 1D sup-norm; 1 << 13 costs the 2D error norms twice the blocks, 1 << 15 raises peak RSS.
 BLOCK_POINTS = 1 << 14
 
 

@@ -5,8 +5,10 @@
 u = 0 on the boundary.  The auxiliary flux variables are q = eps u' in 1D
 and (p, q) = (eps u_x, eps u_y) in 2D.
 
-All handles are numpy-vectorized and pure.  Layer factors are evaluated
-through the antisymmetric two-sided profile
+All handles are numpy-vectorized and pure: a call never writes into its
+arguments and, besides arrays of an argument's shape, allocates only its
+output and at most one scratch array.  Layer factors are evaluated through
+the antisymmetric two-sided profile
 
     layer(s) = (exp(-s/sqrt(eps)) - exp(-(1-s)/sqrt(eps))) / (1 - exp(-1/sqrt(eps)))
 
@@ -76,8 +78,7 @@ class Problem2D:
 
     def __post_init__(self):
         s = np.linspace(0.0, 1.0, 101)
-        X, Y = np.meshgrid(s, s, indexing="ij")
-        bvals = np.asarray(self.b(X, Y), dtype=float)
+        bvals = np.asarray(self.b(s[:, None], s[None, :]), dtype=float)
         if not np.all(bvals >= 2.0 * self.beta**2 - 1e-12):
             raise ConfigurationError(
                 f"b(x,y) drops below 2*beta^2 = {2 * self.beta ** 2} on the unit square"
@@ -112,33 +113,47 @@ class Problem2D:
 def _layer_profile(eps):
     """The antisymmetric two-sided boundary-layer profile and g = layer - cos(pi .).
 
-    Returns handles (ell, g, dg, d2g): ell'' = ell / eps with ell(0) = 1 and
-    ell(1) = -1 exactly, so g vanishes at both ends; dg and d2g are g' and g''.
+    Returns handles (ell, dell, g, dg, d2g): ell'' = ell / eps, ell(0) = 1 and
+    ell(1) = -1 exactly, so g vanishes at both ends; dell, dg, d2g are ell', g',
+    g''.  Each finishes in place on ``layer``'s arrays, rounding as the closed forms do.
     """
     r = 1.0 / np.sqrt(eps)
     denom = 1.0 - np.exp(-r)
 
-    def ell(s):
+    def layer(s, combine, scale):  # scale combine(exp(s (-r)), exp((s - 1) r)) / denom, scratch, s
         s = np.asarray(s, dtype=float)
-        return (np.exp(-s * r) - np.exp(-(1.0 - s) * r)) / denom
+        out = np.multiply(s, -r, out=np.empty(s.shape))
+        tmp = np.subtract(s, 1.0, out=np.empty(s.shape))
+        tmp *= r
+        combine(np.exp(out, out=out), np.exp(tmp, out=tmp), out=out)
+        out *= scale
+        out /= denom
+        return out, tmp, s
+
+    def plus_trig(out, tmp, s, c, fn):  # out + c fn(pi s), in out; c = -1 subtracts
+        fn(np.multiply(np.pi, s, out=tmp), out=tmp)
+        tmp *= c
+        out += tmp
+        return out[()]
+
+    def ell(s):
+        return layer(s, np.subtract, 1.0)[0][()]
 
     def dell(s):
-        s = np.asarray(s, dtype=float)
-        return -r * (np.exp(-s * r) + np.exp(-(1.0 - s) * r)) / denom
+        return layer(s, np.add, -r)[0][()]
 
     def g(s):
-        s = np.asarray(s, dtype=float)
-        return ell(s) - np.cos(np.pi * s)
+        return plus_trig(*layer(s, np.subtract, 1.0), -1.0, np.cos)
 
     def dg(s):
-        s = np.asarray(s, dtype=float)
-        return dell(s) + np.pi * np.sin(np.pi * s)
+        return plus_trig(*layer(s, np.add, -r), np.pi, np.sin)
 
     def d2g(s):
-        s = np.asarray(s, dtype=float)
-        return ell(s) / eps + np.pi**2 * np.cos(np.pi * s)
+        out, tmp, s = layer(s, np.subtract, 1.0)
+        out /= eps
+        return plus_trig(out, tmp, s, np.pi**2, np.cos)
 
-    return ell, g, dg, d2g
+    return ell, dell, g, dg, d2g
 
 
 def paper_1d_problem(eps):
@@ -150,7 +165,7 @@ def paper_1d_problem(eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    _, u, du, d2u = _layer_profile(eps)
+    _, _, u, du, d2u = _layer_profile(eps)
 
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -211,7 +226,7 @@ def manufactured_2d_problem(eps):
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    ell, g, dg, d2g = _layer_profile(eps)
+    ell, _, g, dg, d2g = _layer_profile(eps)
 
     def u(x, y):
         return g(np.asarray(x, dtype=float)) * g(np.asarray(y, dtype=float))
@@ -225,7 +240,9 @@ def manufactured_2d_problem(eps):
     def lap_u(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return d2g(x) * g(y) + g(x) * d2g(y)
+        out = d2g(x) * g(y)
+        out += g(x) * d2g(y)
+        return out
 
     def b(x, y):
         x = np.asarray(x, dtype=float)
@@ -236,7 +253,12 @@ def manufactured_2d_problem(eps):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
-        return (1.0 + eps * np.pi**2) * (2.0 * cx * cy - ell(x) * cy - ell(y) * cx)
+        out, tmp = (np.empty(np.broadcast_shapes(x.shape, y.shape)) for _ in range(2))
+        np.multiply(2.0 * cx, cy, out=out)
+        out -= np.multiply(ell(x), cy, out=tmp)
+        out -= np.multiply(ell(y), cx, out=tmp)
+        out *= 1.0 + eps * np.pi**2
+        return out[()]
 
     return Problem2D(
         eps=eps, b=b, f=f, beta=1.0,

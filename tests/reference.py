@@ -7,7 +7,8 @@ refined solve of the coupled 2D (U, P, Q) system, and the band- and
 sparse-matrix operations (triplet construction, dense and csr
 copies, scalings) with which the tests build their SuperLU and dense
 references.  No solver, norm or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
-for the tests of which modules a run loads.
+for the tests of which modules a run loads, and ``traced_peak`` measures
+the peak memory of a call by ``tracemalloc``.
 """
 
 import json
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,17 @@ def run_fresh(script, tmp_path):
     assert run.returncode == 0, run.stderr
     saved = dict(np.load(out)) if out.exists() else {}
     return set(json.loads(run.stdout.splitlines()[-1])), saved
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees during fn(), after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _lobatto_interpolation(k):

@@ -25,7 +25,7 @@ from ldgshishkin import (
 from ldgshishkin import basis, norms
 from ldgshishkin.errors import ConfigurationError
 from ldgshishkin.problems import Problem1D
-from reference import interpolate_1d
+from reference import interpolate_1d, traced_peak
 
 
 def unit_b(x):
@@ -450,3 +450,72 @@ class TestJumpTerms2D:
                               for c in rng.standard_normal((3, N, N, k + 1, k + 1))))
         got = norms._jump_terms_2d(T, mesh2d)
         assert got == pytest.approx(full_trace_jump_terms_2d(T, mesh2d), rel=1e-15, abs=0.0)
+
+
+class TestLinfStrips1D:
+    """``linf_error_1d`` runs over strips of the selected cells; the max does
+    not depend on the evaluation order, so the strips change nothing."""
+
+    K, N, EPS = 2, 16, 1e-8
+
+    @pytest.fixture
+    def case(self):
+        mesh = build_shishkin_1d(MeshConfig(N=self.N, eps=self.EPS, sigma=3.0))
+        coeffs = np.random.default_rng(23).standard_normal((self.N, self.K + 1))
+        layer = mesh.layer
+        masks = {"layer": layer, "coarse": ~layer, "all": None}
+        return mesh, DGFunction1D(mesh, self.K, coeffs), paper_1d_problem(self.EPS), masks
+
+    @staticmethod
+    def strips_of(monkeypatch, cells, n):
+        monkeypatch.setattr(basis, "BLOCK_POINTS", cells * norms._LINF_SAMPLES)
+        return [len(range(n)[s]) for s in basis.cell_blocks(n, norms._LINF_SAMPLES)]
+
+    def test_strip_size_does_not_change_the_max(self, monkeypatch, case):
+        mesh, f, p, masks = case
+        whole = {(name, m): linf_error_1d(f, h, mesh, mask)
+                 for name, h in (("u", p.u_exact), ("q", p.q_exact))
+                 for m, mask in masks.items()}
+        assert self.strips_of(monkeypatch, self.N, self.N) == [self.N]
+        # one-cell strips, and 3-cell strips with a partial last strip (8 layer or coarse cells)
+        for cells, strips in ((1, [1] * 8), (3, [3, 3, 2])):
+            assert self.strips_of(monkeypatch, cells, 8) == strips
+            for name, h in (("u", p.u_exact), ("q", p.q_exact)):
+                for m, mask in masks.items():
+                    assert linf_error_1d(f, h, mesh, mask) == whole[name, m]
+                    selected = np.flatnonzero(np.ones(self.N, bool) if mask is None else mask)
+                    assert whole[name, m] == pytest.approx(
+                        brute_linf_1d(f, h, mesh, selected + 1), rel=1e-12)
+            assert linf_error_1d(f, p.u_exact, mesh, np.zeros(self.N, dtype=bool)) == 0.0
+
+    def test_exact_is_sampled_once_per_strip(self, monkeypatch, case):
+        mesh, f, p, masks = case
+        shapes = []
+
+        def exact(x):
+            shapes.append(np.shape(x))
+            return p.u_exact(x)
+
+        for mask, strips in ((masks["all"], [3, 3, 3, 3, 3, 1]), (masks["layer"], [3, 3, 2])):
+            self.strips_of(monkeypatch, 3, self.N)
+            shapes.clear()
+            linf_error_1d(f, exact, mesh, mask)
+            assert shapes == [(cells, norms._LINF_SAMPLES) for cells in strips]
+
+    def test_a_nan_in_any_strip_is_the_max(self, monkeypatch, case):
+        mesh, f, p, _ = case
+        self.strips_of(monkeypatch, 3, self.N)
+
+        def nan_in_last_cell(x):
+            return np.where(x > mesh.nodes[-2], np.nan, p.u_exact(x))
+
+        assert np.isnan(linf_error_1d(f, nan_in_last_cell, mesh))
+
+    @pytest.mark.parametrize("mask", ["layer", "coarse", "all"])
+    def test_peak_memory_is_a_few_strips(self, mask):
+        # 4096 cells x 40 samples: 1.25 MiB a full-size array, 10 strips
+        mesh = build_shishkin_1d(MeshConfig(N=4096, eps=1e-8, sigma=3.0))
+        f = DGFunction1D(mesh, 2, np.random.default_rng(4).standard_normal((4096, 3)))
+        cells = {"layer": mesh.layer, "coarse": ~mesh.layer, "all": None}[mask]
+        u = paper_1d_problem(1e-8).u_exact
+        assert traced_peak(lambda: linf_error_1d(f, u, mesh, cells)) < 6 * basis.BLOCK_POINTS * 8
