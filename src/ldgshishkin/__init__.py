@@ -3,7 +3,6 @@ on Shishkin meshes, with energy- and balanced-norm convergence studies."""
 
 from .basis import (
     QuadratureRule,
-    ReferenceBasis,
     gauss_rule,
     legendre_eval,
 )
@@ -27,16 +26,12 @@ from .ldg1d import (
     AssembledSystem,
     MixedSolution1D,
     assemble_1d,
-    bilinear_form_1d,
-    load_functional_1d,
     solve_ldg_1d,
 )
 from .ldg2d import (
     AssembledSystem2D,
     MixedSolution2D,
     assemble_2d,
-    bilinear_form_2d,
-    load_functional_2d,
     solve_ldg_2d,
 )
 from .linalg import (

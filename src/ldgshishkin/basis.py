@@ -1,13 +1,18 @@
-"""Legendre basis and Gauss-Legendre quadrature.
+"""Legendre basis, Gauss-Legendre quadrature and the reference element.
 
 Everything here lives on the reference interval [-1, 1].  The per-cell
 polynomial spaces used by the DG discretization are spanned by the
 (unnormalized) Legendre polynomials P_0 .. P_k, so that local mass matrices
-are diagonal with entries (h/2) * 2/(2n+1).
+are diagonal with entries (h/2) * 2/(2n+1).  ``legendre_table`` holds the
+one three-term recurrence, and ``reference_blocks_1d`` the one cached
+reference element of degree k: the endpoint values P_n(+-1), the mass
+diagonal, the stiffness and the assembly rule's table, which the scheme,
+the DG functions, the norms and the projections all read.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,11 +22,8 @@ _MAX_QUADRATURE_POINTS = 64
 
 
 def legendre_eval(n, x):
-    """Evaluate P_n(x) and P_n'(x) by the three-term recurrence.
-
-    Works for scalar or ndarray ``x``.  The derivative is accumulated with
-    the recurrence P_n' = P_{n-2}' + (2n-1) P_{n-1}, which stays finite at
-    the endpoints (unlike the (1-x^2) form).
+    """P_n(x) and P_n'(x) for scalar or ndarray ``x``: column n of
+    ``legendre_table``, in the shape of ``x``.
 
     Args:
         n: Polynomial degree, >= 0.
@@ -33,22 +35,15 @@ def legendre_eval(n, x):
     if n < 0:
         raise ConfigurationError(f"Legendre degree must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    if n == 0:
-        return p_prev, d_prev
-    p_cur = x.copy()
-    d_cur = np.ones_like(x)
-    for m in range(2, n + 1):
-        p_next = ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
-        d_next = d_prev + (2 * m - 1) * p_cur
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur
+    V, D = legendre_table(n, x.ravel())
+    return V[:, n].reshape(x.shape), D[:, n].reshape(x.shape)
 
 
 def legendre_table(k, x):
-    """Tabulate P_0..P_k and derivatives at the points ``x``.
+    """Tabulate P_0..P_k and derivatives at the points ``x`` by the
+    three-term recurrence.  The derivative is accumulated with the recurrence
+    P_n' = P_{n-2}' + (2n-1) P_{n-1}, which stays finite at the endpoints
+    (unlike the (1-x^2) form).
 
     Returns:
         Arrays ``(V, D)`` of shape ``(len(x), k+1)`` with V[p, n] = P_n(x_p).
@@ -115,43 +110,58 @@ def gauss_rule(n):
     return QuadratureRule(points=points, weights=weights)
 
 
-@dataclass(frozen=True)
-class ReferenceBasis:
-    """Modal Legendre basis P_0..P_k on [-1, 1].
+class ReferenceBlocks1D(NamedTuple):
+    """The degree-k reference element of the 1D scheme, shared by all meshes.
 
-    ``mass_diag`` are the reference-mass entries 2/(2n+1); the left/right
-    endpoint value vectors are (-1)^n and 1, used for one-sided traces.
+    ``ones`` and ``alt`` are the right and left endpoint values P_n(1) = 1
+    and P_n(-1) = (-1)^n of the modes, ``mass`` the reference mass diagonal
+    2/(2n+1), G the stiffness G[m, a] = integral of P_a P_m' (2 when a < m
+    with a+m odd, else 0) and R = G - 1 1^T, the diagonal block of the
+    scheme's derivative D (``ldg1d.OperatorPieces1D``) on every cell but the last.  ``points``, ``weights`` and ``V`` are the
+    assembly rule and its Legendre table, and ``VV[g]`` the flattened outer
+    product V[g] V[g]^T.
     """
 
-    degree: int
+    ones: np.ndarray
+    alt: np.ndarray
+    mass: np.ndarray
+    G: np.ndarray
+    R: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    V: np.ndarray
+    VV: np.ndarray
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ConfigurationError(f"basis degree must be >= 1, got {self.degree}")
+    def derivative(self, U):
+        """D U along the last two axes (cell, mode) of U."""
+        DU, sums = U @ self.R.T, U @ self.ones
+        DU[..., 1:, :] += sums[..., :-1, None] * self.alt
+        DU[..., -1, :] += sums[..., -1, None]
+        return DU
 
-    @property
-    def mass_diag(self):
-        n = np.arange(self.degree + 1)
-        return 2.0 / (2.0 * n + 1.0)
+    def derivative_t(self, Q):
+        """D^T Q along the last two axes (cell, mode) of Q."""
+        DtQ = Q @ self.R
+        DtQ[..., :-1, :] += (Q[..., 1:, :] @ self.alt)[..., None]
+        DtQ[..., -1, :] += (Q[..., -1, :] @ self.ones)[..., None]
+        return DtQ
 
-    @property
-    def left_values(self):
-        """P_n(-1) = (-1)^n."""
-        n = np.arange(self.degree + 1)
-        return (-1.0) ** n
 
-    @property
-    def right_values(self):
-        """P_n(+1) = 1."""
-        return np.ones(self.degree + 1)
-
-    def stiffness(self):
-        """Matrix G with G[m, a] = integral over [-1,1] of P_a * P_m'.
-
-        Exact (2 when a < m with a+m odd, else 0); evaluated in closed form.
-        """
-        m, a = np.indices((self.degree + 1, self.degree + 1))
-        return np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
+@lru_cache(maxsize=None)
+def reference_blocks_1d(k):
+    """The ``ReferenceBlocks1D`` of degree k >= 0, built once; its arrays are read-only."""
+    n = np.arange(k + 1)
+    m, a = np.indices((k + 1, k + 1))
+    G = np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
+    rule = gauss_rule(assembly_quad_order(k))
+    V, _ = legendre_table(k, rule.points)
+    blocks = ReferenceBlocks1D(
+        ones=np.ones(k + 1), alt=(-1.0) ** n, mass=2.0 / (2.0 * n + 1.0), G=G, R=G - 1.0,
+        points=rule.points, weights=rule.weights, V=V,
+        VV=(V[:, :, None] * V[:, None, :]).reshape(V.shape[0], -1))
+    for array in blocks:
+        array.setflags(write=False)
+    return blocks
 
 
 # 1 << 14 points (128 KiB a float64 temporary) per strip of the 2D norms and projections and of

@@ -1,22 +1,19 @@
 """Piecewise-polynomial functions in the modal Legendre basis.
 
 A 1D DG function stores a coefficient matrix c[i, n] (cell row i, mode n);
-its one-sided traces at the cell endpoints are plain signed sums of the
-modal coefficients, so jumps are cheap and exact.  Cell rows are 0-based;
-the 1-based cell numbering of the mesh API maps to row i-1.
+its one-sided traces at the cell endpoints are the products of the modal
+coefficients with the endpoint values of the reference element
+(``basis.reference_blocks_1d``), so jumps are cheap and exact.  Cell rows
+are 0-based; the 1-based cell numbering of the mesh API maps to row i-1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import legendre_table
+from .basis import legendre_table, reference_blocks_1d
 from .errors import ConfigurationError
 from .mesh import Mesh1D, Mesh2D
-
-
-def _alternating(k):
-    return (-1.0) ** np.arange(k + 1)
 
 
 @dataclass
@@ -51,15 +48,11 @@ class DGFunction1D:
 
     def left_traces(self):
         """Trace v^+ at the left endpoint of every cell, shape (N,)."""
-        return self.coeffs @ _alternating(self.degree)
+        return self.coeffs @ reference_blocks_1d(self.degree).alt
 
     def right_traces(self):
         """Trace v^- at the right endpoint of every cell, shape (N,)."""
         return self.coeffs.sum(axis=1)
-
-    def values_at(self, tables):
-        """Values on the per-cell quadrature grid given a (nq, k+1) table."""
-        return self.coeffs @ tables.T  # (N, nq)
 
 
 @dataclass
@@ -100,17 +93,3 @@ class DGFunction2D:
         Vy, _ = legendre_table(self.degree, s)
         vals = np.einsum("pm,pmn,pn->p", Vx, self.coeffs[ci, cj], Vy)
         return vals.reshape(shape)
-
-    def x_edge_trace(self, side):
-        """Per-cell y-mode coefficients of the trace on a vertical edge.
-
-        side='left' gives v^+ at x = x_{i-1}, side='right' gives v^- at
-        x = x_i; result has shape (N, N, k+1) indexed (i, j, y-mode).
-        """
-        e = _alternating(self.degree) if side == "left" else np.ones(self.degree + 1)
-        return np.einsum("m,ijmn->ijn", e, self.coeffs)
-
-    def y_edge_trace(self, side):
-        """x-mode coefficients of the trace on a horizontal edge."""
-        e = _alternating(self.degree) if side == "bottom" else np.ones(self.degree + 1)
-        return np.einsum("n,ijmn->ijm", e, self.coeffs)

@@ -19,12 +19,12 @@ scipy.linalg.lapack (dpbtrf, dpbtrs), and never scipy.sparse.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
-from .basis import ReferenceBasis, assembly_quad_order, gauss_rule, legendre_table
+# gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
+from .basis import gauss_rule, legendre_table, reference_blocks_1d
 from .dgfunction import DGFunction1D
 from .errors import ConfigurationError, SolverError
 # equilibrate and lu_banded_solve stay bound: bench/spans.py times them here
@@ -47,56 +47,6 @@ class MixedSolution1D:
     def __post_init__(self):
         if self.U.mesh is not self.Q.mesh or self.U.degree != self.Q.degree:
             raise ConfigurationError("U and Q must share mesh and degree")
-
-
-class ReferenceBlocks1D(NamedTuple):
-    """The degree-k reference pieces of the 1D scheme, shared by all meshes.
-
-    ``ones`` and ``alt`` are the right and left endpoint values of the
-    modes, ``mass`` the reference mass diagonal m, G the stiffness and
-    R = G - 1 1^T, the diagonal block of D on every cell but the last.
-    ``points``, ``weights`` and ``V`` are the assembly rule and its Legendre
-    table, and ``VV[g]`` the flattened outer product V[g] V[g]^T.
-    """
-
-    ones: np.ndarray
-    alt: np.ndarray
-    mass: np.ndarray
-    G: np.ndarray
-    R: np.ndarray
-    points: np.ndarray
-    weights: np.ndarray
-    V: np.ndarray
-    VV: np.ndarray
-
-    def derivative(self, U):
-        """D U along the last two axes (cell, mode) of U."""
-        DU, sums = U @ self.R.T, U @ self.ones
-        DU[..., 1:, :] += sums[..., :-1, None] * self.alt
-        DU[..., -1, :] += sums[..., -1, None]
-        return DU
-
-    def derivative_t(self, Q):
-        """D^T Q along the last two axes (cell, mode) of Q."""
-        DtQ = Q @ self.R
-        DtQ[..., :-1, :] += (Q[..., 1:, :] @ self.alt)[..., None]
-        DtQ[..., -1, :] += (Q[..., -1, :] @ self.ones)[..., None]
-        return DtQ
-
-
-@lru_cache(maxsize=None)
-def reference_blocks_1d(k):
-    """The ``ReferenceBlocks1D`` of degree k, built once; its arrays are read-only."""
-    basis = ReferenceBasis(k)
-    ones, alt, m, G = basis.right_values, basis.left_values, basis.mass_diag, basis.stiffness()
-    rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
-    blocks = ReferenceBlocks1D(
-        ones=ones, alt=alt, mass=m, G=G, R=G - 1.0, points=rule.points, weights=rule.weights, V=V,
-        VV=(V[:, :, None] * V[:, None, :]).reshape(V.shape[0], -1))
-    for array in blocks:
-        array.setflags(write=False)
-    return blocks
 
 
 class MixedOperator1D:
@@ -157,12 +107,11 @@ class AssembledSystem:
     """The scheme A x = ``rhs``, A = ``operator`` = A0 + e e^T, on the
     flattened fields x = (Qtilde, U) of ``MixedOperator1D``, and the
     U-system it is solved through: ``matrix`` is S0 = C + eps D^T M^-1 D by
-    its lower band (``lower`` = 2k+1, ``upper`` = 0).  Q = ``q_scale`` Qtilde."""
+    its lower band (``lower`` = 2k+1, ``upper`` = 0).  Q = s Qtilde, s = ``operator.s``."""
 
     matrix: BandedMatrix
     operator: MixedOperator1D
     rhs: np.ndarray
-    q_scale: float
 
 
 @dataclass(frozen=True)
@@ -331,7 +280,7 @@ def assemble_1d(problem, mesh, k):
     rhs[1] = halfh[:, None] * ((ref.weights * fvals) @ ref.V)
     e[0, J - 1], e[0, J] = ref.ones, -ref.alt
     operator = MixedOperator1D(halfh[:, None] * ref.mass, C, e.ravel(), s)
-    return AssembledSystem(matrix=matrix, operator=operator, rhs=rhs.ravel(), q_scale=s)
+    return AssembledSystem(matrix=matrix, operator=operator, rhs=rhs.ravel())
 
 
 def solve_ldg_1d(problem, mesh, k):
@@ -359,72 +308,6 @@ def solve_ldg_1d(problem, mesh, k):
             residual=residual,
         )
     Qt, U = x.reshape(2, mesh.N, k + 1)
-    return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, system.q_scale * Qt),
+    return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, A.s * Qt),
                            residual=residual)
 
-
-def bilinear_form_1d(W, X, problem, mesh):
-    """Evaluate the compact-form bilinear map B(W; X) by direct quadrature.
-
-    This path is independent of the assembled matrix (volume terms are
-    re-integrated, traces re-evaluated), so agreement of B(W; X) with
-    <f, v> on the computed solution cross-checks the assembly.
-    """
-    k = W.U.degree
-    eps = problem.eps
-    root = float(np.sqrt(eps))
-    rule = gauss_rule(assembly_quad_order(k))
-    V, D = legendre_table(k, rule.points)
-    halfh = 0.5 * np.diff(mesh.nodes)
-    Xpts = mesh.quadrature_points(rule.points)
-    bvals = np.asarray(problem.b(Xpts), dtype=float)
-
-    Qv = W.Q.values_at(V)      # (N, nq)
-    Uv = W.U.values_at(V)
-    rv = X.Q.values_at(V)
-    vv = X.U.values_at(V)
-    r_dref = X.Q.values_at(D)  # reference derivative; physical = 2/h * this
-    v_dref = X.U.values_at(D)
-
-    w = rule.weights
-    total = 0.0
-    # (1/eps)<Q, r> + <b U, v>
-    total += np.sum(halfh[:, None] * w * Qv * rv) / eps
-    total += np.sum(halfh[:, None] * w * bvals * Uv * vv)
-    # <U, r'> and <Q, v'>: the h/2 Jacobian cancels the 2/h of the derivative
-    total += np.sum(w * Uv * r_dref)
-    total += np.sum(w * Qv * v_dref)
-
-    U_right, U_left = W.U.right_traces(), W.U.left_traces()
-    Q_right, Q_left = W.Q.right_traces(), W.Q.left_traces()
-    r_right, r_left = X.Q.right_traces(), X.Q.left_traces()
-    v_right, v_left = X.U.right_traces(), X.U.left_traces()
-
-    # - sum_{i=1}^{N-1} U_i^- [[r]]_i
-    jump_r = r_right[:-1] - r_left[1:]
-    total -= np.sum(U_right[:-1] * jump_r)
-    # - sum_{i=0}^{N-1} Q_i^+ [[v]]_i  with [[v]]_0 = -v_0^+
-    jump_v = v_right[:-1] - v_left[1:]
-    total -= Q_left[0] * (-v_left[0])
-    total -= np.sum(Q_left[1:] * jump_v)
-    # - (Q v)_N^-
-    total -= Q_right[-1] * v_right[-1]
-    # boundary penalties sqrt(eps) on the U jumps
-    total += root * (-U_left[0]) * (-v_left[0])
-    total += root * U_right[-1] * v_right[-1]
-    # interface penalty 1/sqrt(eps) on the Q jump at node 3N/4
-    J = mesh.interface_index
-    total += (1.0 / root) * (Q_right[J - 1] - Q_left[J]) * (r_right[J - 1] - r_left[J])
-    return float(total)
-
-
-def load_functional_1d(f, X, mesh):
-    """<f, v_X> for the test pair X = (r, v); companion of bilinear_form_1d."""
-    k = X.U.degree
-    rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
-    halfh = 0.5 * np.diff(mesh.nodes)
-    Xpts = mesh.quadrature_points(rule.points)
-    fvals = np.asarray(f(Xpts), dtype=float)
-    vv = X.U.values_at(V)
-    return float(np.sum(halfh[:, None] * rule.weights * fvals * vv))

@@ -243,101 +243,3 @@ def solve_ldg_2d(problem, mesh2d, k):
     return MixedSolution2D(U=field(u, 1.0), P=field(P, -s), Q=field(G(u), -s),
                            residual=result.residual)
 
-
-def bilinear_form_2d(T, Z, problem, mesh2d):
-    """Direct quadrature evaluation of the compact 2D form B(T; Z).
-
-    Independent of the assembled matrix: volume terms are re-integrated on
-    tensor Gauss grids and every edge term on (k+3)-point edge rules.
-    """
-    k = T.U.degree
-    eps = problem.eps
-    N = mesh2d.N
-    root = float(np.sqrt(eps))
-    rule = gauss_rule(assembly_quad_order(k))
-    V, D = legendre_table(k, rule.points)
-    w = rule.weights
-    w2 = w[:, None] * w[None, :]
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    bvals = np.asarray(problem.b(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-
-    def vol(F, Bx, By):
-        return np.einsum("ijmn,gm,hn->ijgh", F.coeffs, Bx, By, optimize=True)
-
-    scale = h[:, None] * h[None, :]
-    total = 0.0
-    # (b U, v) + (1/eps)(P, s) + (1/eps)(Q, r)
-    Uv, vv = vol(T.U, V, V), vol(Z.U, V, V)
-    total += np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv * vv, optimize=True)
-    total += np.einsum("ij,gh,ijgh->", scale, w2, vol(T.P, V, V) * vol(Z.P, V, V),
-                       optimize=True) / eps
-    total += np.einsum("ij,gh,ijgh->", scale, w2, vol(T.Q, V, V) * vol(Z.Q, V, V),
-                       optimize=True) / eps
-    # (U, s_x): x-Jacobians cancel, leaving the y half-width h[j] per cell
-    total += np.einsum("j,gh,ijgh->", h, w2, Uv * vol(Z.P, D, V), optimize=True)
-    # (U, r_y)
-    total += np.einsum("i,gh,ijgh->", h, w2, Uv * vol(Z.Q, V, D), optimize=True)
-    # (P, v_x) and (Q, v_y)
-    total += np.einsum("j,gh,ijgh->", h, w2, vol(T.P, V, V) * vol(Z.U, D, V),
-                       optimize=True)
-    total += np.einsum("i,gh,ijgh->", h, w2, vol(T.Q, V, V) * vol(Z.U, V, D),
-                       optimize=True)
-
-    def vals(coef):  # modal edge coefficients -> values at the edge quad points
-        return coef @ V.T
-
-    # x-directed edge sums (integrals over J_j with weights h[j] * w)
-    Uright = T.U.x_edge_trace("right")
-    Pleft_T, Pright_T = T.P.x_edge_trace("left"), T.P.x_edge_trace("right")
-    sleft, sright = Z.P.x_edge_trace("left"), Z.P.x_edge_trace("right")
-    vleft, vright = Z.U.x_edge_trace("left"), Z.U.x_edge_trace("right")
-    Uleft = T.U.x_edge_trace("left")
-    for e in range(1, N):  # interior vertical edges
-        jump_s = vals(sright[e - 1] - sleft[e])
-        total -= np.sum(h[:, None] * w * vals(Uright[e - 1]) * jump_s)
-        jump_v = vals(vright[e - 1] - vleft[e])
-        total -= np.sum(h[:, None] * w * vals(Pleft_T[e]) * jump_v)
-    # boundary vertical edges: [[v]]_{0,y} = -v^+, [[v]]_{N,y} = v^-
-    total -= np.sum(h[:, None] * w * vals(Pleft_T[0]) * (-vals(vleft[0])))
-    total -= np.sum(h[:, None] * w * vals(Pright_T[-1]) * vals(vright[-1]))
-    # penalties: sqrt(eps) on the boundary U jumps, 1/sqrt(eps) on the P jump
-    total += root * np.sum(h[:, None] * w * vals(Uleft[0]) * vals(vleft[0]))
-    total += root * np.sum(h[:, None] * w * vals(Uright[-1]) * vals(vright[-1]))
-    J = mesh2d.axis.interface_index
-    jump_P = vals(Pright_T[J - 1] - Pleft_T[J])
-    jump_sJ = vals(sright[J - 1] - sleft[J])
-    total += (1.0 / root) * np.sum(h[:, None] * w * jump_P * jump_sJ)
-
-    # y-directed edge sums
-    Utop, Ubot = T.U.y_edge_trace("top"), T.U.y_edge_trace("bottom")
-    Qbot_T, Qtop_T = T.Q.y_edge_trace("bottom"), T.Q.y_edge_trace("top")
-    rbot, rtop = Z.Q.y_edge_trace("bottom"), Z.Q.y_edge_trace("top")
-    vbot, vtop = Z.U.y_edge_trace("bottom"), Z.U.y_edge_trace("top")
-    for e in range(1, N):
-        jump_r = vals(rtop[:, e - 1] - rbot[:, e])
-        total -= np.sum(h[:, None] * w * vals(Utop[:, e - 1]) * jump_r)
-        jump_v = vals(vtop[:, e - 1] - vbot[:, e])
-        total -= np.sum(h[:, None] * w * vals(Qbot_T[:, e]) * jump_v)
-    total -= np.sum(h[:, None] * w * vals(Qbot_T[:, 0]) * (-vals(vbot[:, 0])))
-    total -= np.sum(h[:, None] * w * vals(Qtop_T[:, -1]) * vals(vtop[:, -1]))
-    total += root * np.sum(h[:, None] * w * vals(Ubot[:, 0]) * vals(vbot[:, 0]))
-    total += root * np.sum(h[:, None] * w * vals(Utop[:, -1]) * vals(vtop[:, -1]))
-    jump_Q = vals(Qtop_T[:, J - 1] - Qbot_T[:, J])
-    jump_rJ = vals(rtop[:, J - 1] - rbot[:, J])
-    total += (1.0 / root) * np.sum(h[:, None] * w * jump_Q * jump_rJ)
-    return float(total)
-
-
-def load_functional_2d(f, Z, mesh2d):
-    """(f, v_Z) on the 2D mesh; companion of bilinear_form_2d."""
-    k = Z.U.degree
-    rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
-    X = mesh2d.axis.quadrature_points(rule.points)
-    fvals = np.asarray(f(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    vv = np.einsum("ijmn,gm,hn->ijgh", Z.U.coeffs, V, V, optimize=True)
-    scale = h[:, None] * h[None, :]
-    return float(np.einsum("ij,gh,ijgh->", scale, w2, fvals * vv, optimize=True))

@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    ReferenceBasis,
     assembly_quad_order,
     cell_blocks,
     error_quad_order,
     gauss_rule,
     grid_product,
     legendre_table,
+    reference_blocks_1d,
 )
 from .errors import ConfigurationError
 
@@ -97,7 +97,8 @@ def _norms_1d(W, problem, mesh, quad, u, q):
 
 
 def energy_norm_1d(V, problem, mesh):
-    """Energy norm of a discrete pair; total^2 equals B(V; V)."""
+    """Energy norm of a discrete pair; total^2 equals B(V; V)
+    (``tests/reference.py::bilinear_form_1d``)."""
     return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)[0]
 
 
@@ -152,8 +153,8 @@ def _jump_terms_2d(T, mesh2d):
     integrals, each summed over both axes.  Only the cell lines on the
     boundary and at the interface are traced: coefficients are (i, j, m, n)
     with x-mode m, and P_m(-1) = (-1)^m, P_m(1) = 1."""
-    basis = ReferenceBasis(T.U.degree)
-    left, wbar = basis.left_values, basis.mass_diag
+    ref = reference_blocks_1d(T.U.degree)
+    left, wbar = ref.alt, ref.mass
     h = 0.5 * np.diff(mesh2d.axis.nodes)
     J = mesh2d.axis.interface_index
     U, P, Q = T.U.coeffs, T.P.coeffs, T.Q.coeffs
@@ -175,7 +176,7 @@ def _norms_2d(T, problem, mesh2d, quad, u, p, q):
 
 
 def energy_norm_2d(T, problem, mesh2d):
-    """2D energy norm; total^2 equals B(T; T)."""
+    """2D energy norm; total^2 equals B(T; T) (``tests/reference.py::bilinear_form_2d``)."""
     return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero,
                      _zero)[0]
 

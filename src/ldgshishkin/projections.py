@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import assembly_quad_order, cell_blocks, gauss_rule, grid_product, legendre_table
+from .basis import (assembly_quad_order, cell_blocks, gauss_rule, grid_product, legendre_table,
+                    reference_blocks_1d)
 from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import ConfigurationError, MeshError, ProjectionError
 from .mesh import quadrature_points
@@ -40,10 +41,10 @@ def _operators(k):
     is) is c_n = (2n+1)/2 m_n; the Radau kinds replace its last row by the
     endpoint row sum_n P_n(+-1) c_n = value.
     """
-    n = np.arange(k + 1)
+    n, ref = np.arange(k + 1), reference_blocks_1d(k)
     R = np.zeros((len(KINDS), k + 1, k + 2))
     R[:, n, n] = (2.0 * n + 1.0) / 2.0
-    for kind, trace in ((GR_MINUS, np.ones(k + 1)), (GR_PLUS, (-1.0) ** n)):
+    for kind, trace in ((GR_MINUS, ref.ones), (GR_PLUS, ref.alt)):
         R[kind, k, :k] = -trace[:k] * R[kind, n[:k], n[:k]] / trace[k]
         R[kind, k, k] = 0.0
         R[kind, k, k + 1] = 1.0 / trace[k]
@@ -86,11 +87,11 @@ def _solve_gram(gram, rhs):
     return sol
 
 
-def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
+def _project_1d(w, nodes, kinds, k, quad=None, b=None):
     """Project w on every cell [nodes[i], nodes[i+1]] by its kind kinds[i].
 
-    Radau cells match w at their right (GR_MINUS) or left (GR_PLUS) node,
-    or the values ``ends`` when given.  WEIGHTED cells solve their
+    Radau cells match w at their right (GR_MINUS) or left (GR_PLUS) node.
+    WEIGHTED cells solve their
     b-weighted Gram systems (plain L2 when b is None).  Returns the
     (cells, k+1) modal coefficients.
     """
@@ -98,8 +99,7 @@ def _project_1d(w, nodes, kinds, k, quad=None, b=None, ends=None):
     rule, V, Vw, _, _ = _tables(k, quad)
     X = quadrature_points(nodes, rule.points)
     W = _sample(w, X)
-    if ends is None:
-        ends = _sample(w, np.where(kinds == GR_PLUS, nodes[:-1], nodes[1:]))
+    ends = _sample(w, np.where(kinds == GR_PLUS, nodes[:-1], nodes[1:]))
     data = np.concatenate([W @ Vw, ends[:, None]], axis=1)
     coeffs = np.einsum("iam,im->ia", _operators(k)[kinds], data)
     weighted = kinds == WEIGHTED
@@ -179,20 +179,14 @@ def project_weighted(w, b, cell, k, quad=None):
     return _project_1d(w, _cell_nodes(cell), np.array([WEIGHTED]), k, quad, b=b)[0]
 
 
-def project_gr_minus(w, cell, k, quad=None, value_right=None):
-    """Radau projection matching w at the right endpoint of ``cell``.
-
-    ``value_right`` overrides the endpoint sample for functions given only
-    through one-sided limits.
-    """
-    ends = None if value_right is None else np.array([float(value_right)])
-    return _project_1d(w, _cell_nodes(cell), np.array([GR_MINUS]), k, quad, ends=ends)[0]
+def project_gr_minus(w, cell, k, quad=None):
+    """Radau projection matching w at the right endpoint of ``cell``."""
+    return _project_1d(w, _cell_nodes(cell), np.array([GR_MINUS]), k, quad)[0]
 
 
-def project_gr_plus(w, cell, k, quad=None, value_left=None):
+def project_gr_plus(w, cell, k, quad=None):
     """Radau projection matching w at the left endpoint of ``cell``."""
-    ends = None if value_left is None else np.array([float(value_left)])
-    return _project_1d(w, _cell_nodes(cell), np.array([GR_PLUS]), k, quad, ends=ends)[0]
+    return _project_1d(w, _cell_nodes(cell), np.array([GR_PLUS]), k, quad)[0]
 
 
 def composite_project_minus_1d(u, mesh, k, quad=None, b=None):

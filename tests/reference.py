@@ -1,6 +1,11 @@
 """Reference code that only the tests use.
 
-Continuous interpolants, the y-direction 2D flux projection, the 1D
+Continuous interpolants, the y-direction 2D flux projection, the
+quadrature oracles of the compact bilinear forms and loads
+(``bilinear_form_1d/2d``, ``load_functional_1d/2d``, independent of the
+assembly: volume terms re-integrated and traces re-evaluated) with the
+DG-function helpers only they and the tests read (``values_at``,
+``x_edge_trace``, ``y_edge_trace``), the 1D
 2-field band built from nonzero triplets and its extended-precision
 refined solve, the W_b blocks, right-hand side and extended-precision
 refined solve of the coupled 2D (U, P, Q) system, and the band- and
@@ -24,7 +29,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import ldgshishkin
-from ldgshishkin.basis import assembly_quad_order, gauss_rule, legendre_table
+from ldgshishkin.basis import (assembly_quad_order, gauss_rule, legendre_table,
+                               reference_blocks_1d)
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
 from ldgshishkin.ldg1d import CellBlocks, piece_blocks_1d
 from ldgshishkin.ldg2d import assemble_2d
@@ -98,6 +104,192 @@ def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
     nodes = mesh2d.axis.nodes
     coeffs = _project_2d(q, nodes, nodes, np.full((N, N), L2), ky, k, quad)
     return DGFunction2D(mesh2d, k, coeffs)
+
+
+def values_at(dgf, table):
+    """Values of a 1D DG function on the per-cell points of a (nq, k+1)
+    Legendre table, shape (N, nq)."""
+    return dgf.coeffs @ table.T
+
+
+def x_edge_trace(dgf, side):
+    """Per-cell y-mode coefficients of the trace of a 2D DG function on a
+    vertical edge: side='left' gives v^+ at x = x_{i-1}, side='right' gives
+    v^- at x = x_i; shape (N, N, k+1) indexed (i, j, y-mode)."""
+    ref = reference_blocks_1d(dgf.degree)
+    return np.einsum("m,ijmn->ijn", ref.alt if side == "left" else ref.ones, dgf.coeffs)
+
+
+def y_edge_trace(dgf, side):
+    """x-mode coefficients of the trace on a horizontal edge ('bottom' or 'top')."""
+    ref = reference_blocks_1d(dgf.degree)
+    return np.einsum("n,ijmn->ijm", ref.alt if side == "bottom" else ref.ones, dgf.coeffs)
+
+
+def bilinear_form_1d(W, X, problem, mesh):
+    """Evaluate the compact-form bilinear map B(W; X) by direct quadrature.
+
+    This path is independent of the assembled matrix (volume terms are
+    re-integrated, traces re-evaluated), so agreement of B(W; X) with
+    <f, v> on the computed solution cross-checks the assembly.
+    """
+    k = W.U.degree
+    eps = problem.eps
+    root = float(np.sqrt(eps))
+    rule = gauss_rule(assembly_quad_order(k))
+    V, D = legendre_table(k, rule.points)
+    halfh = 0.5 * np.diff(mesh.nodes)
+    Xpts = mesh.quadrature_points(rule.points)
+    bvals = np.asarray(problem.b(Xpts), dtype=float)
+
+    Qv = values_at(W.Q, V)      # (N, nq)
+    Uv = values_at(W.U, V)
+    rv = values_at(X.Q, V)
+    vv = values_at(X.U, V)
+    r_dref = values_at(X.Q, D)  # reference derivative; physical = 2/h * this
+    v_dref = values_at(X.U, D)
+
+    w = rule.weights
+    total = 0.0
+    # (1/eps)<Q, r> + <b U, v>
+    total += np.sum(halfh[:, None] * w * Qv * rv) / eps
+    total += np.sum(halfh[:, None] * w * bvals * Uv * vv)
+    # <U, r'> and <Q, v'>: the h/2 Jacobian cancels the 2/h of the derivative
+    total += np.sum(w * Uv * r_dref)
+    total += np.sum(w * Qv * v_dref)
+
+    U_right, U_left = W.U.right_traces(), W.U.left_traces()
+    Q_right, Q_left = W.Q.right_traces(), W.Q.left_traces()
+    r_right, r_left = X.Q.right_traces(), X.Q.left_traces()
+    v_right, v_left = X.U.right_traces(), X.U.left_traces()
+
+    # - sum_{i=1}^{N-1} U_i^- [[r]]_i
+    jump_r = r_right[:-1] - r_left[1:]
+    total -= np.sum(U_right[:-1] * jump_r)
+    # - sum_{i=0}^{N-1} Q_i^+ [[v]]_i  with [[v]]_0 = -v_0^+
+    jump_v = v_right[:-1] - v_left[1:]
+    total -= Q_left[0] * (-v_left[0])
+    total -= np.sum(Q_left[1:] * jump_v)
+    # - (Q v)_N^-
+    total -= Q_right[-1] * v_right[-1]
+    # boundary penalties sqrt(eps) on the U jumps
+    total += root * (-U_left[0]) * (-v_left[0])
+    total += root * U_right[-1] * v_right[-1]
+    # interface penalty 1/sqrt(eps) on the Q jump at node 3N/4
+    J = mesh.interface_index
+    total += (1.0 / root) * (Q_right[J - 1] - Q_left[J]) * (r_right[J - 1] - r_left[J])
+    return float(total)
+
+
+def load_functional_1d(f, X, mesh):
+    """<f, v_X> for the test pair X = (r, v); companion of bilinear_form_1d."""
+    k = X.U.degree
+    rule = gauss_rule(assembly_quad_order(k))
+    V, _ = legendre_table(k, rule.points)
+    halfh = 0.5 * np.diff(mesh.nodes)
+    Xpts = mesh.quadrature_points(rule.points)
+    fvals = np.asarray(f(Xpts), dtype=float)
+    vv = values_at(X.U, V)
+    return float(np.sum(halfh[:, None] * rule.weights * fvals * vv))
+
+
+def bilinear_form_2d(T, Z, problem, mesh2d):
+    """Direct quadrature evaluation of the compact 2D form B(T; Z).
+
+    Independent of the assembled matrix: volume terms are re-integrated on
+    tensor Gauss grids and every edge term on (k+3)-point edge rules.
+    """
+    k = T.U.degree
+    eps = problem.eps
+    N = mesh2d.N
+    root = float(np.sqrt(eps))
+    rule = gauss_rule(assembly_quad_order(k))
+    V, D = legendre_table(k, rule.points)
+    w = rule.weights
+    w2 = w[:, None] * w[None, :]
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    X = mesh2d.axis.quadrature_points(rule.points)
+    bvals = np.asarray(problem.b(X[:, None, :, None], X[None, :, None, :]), dtype=float)
+
+    def vol(F, Bx, By):
+        return np.einsum("ijmn,gm,hn->ijgh", F.coeffs, Bx, By, optimize=True)
+
+    scale = h[:, None] * h[None, :]
+    total = 0.0
+    # (b U, v) + (1/eps)(P, s) + (1/eps)(Q, r)
+    Uv, vv = vol(T.U, V, V), vol(Z.U, V, V)
+    total += np.einsum("ij,gh,ijgh->", scale, w2, bvals * Uv * vv, optimize=True)
+    total += np.einsum("ij,gh,ijgh->", scale, w2, vol(T.P, V, V) * vol(Z.P, V, V),
+                       optimize=True) / eps
+    total += np.einsum("ij,gh,ijgh->", scale, w2, vol(T.Q, V, V) * vol(Z.Q, V, V),
+                       optimize=True) / eps
+    # (U, s_x): x-Jacobians cancel, leaving the y half-width h[j] per cell
+    total += np.einsum("j,gh,ijgh->", h, w2, Uv * vol(Z.P, D, V), optimize=True)
+    # (U, r_y)
+    total += np.einsum("i,gh,ijgh->", h, w2, Uv * vol(Z.Q, V, D), optimize=True)
+    # (P, v_x) and (Q, v_y)
+    total += np.einsum("j,gh,ijgh->", h, w2, vol(T.P, V, V) * vol(Z.U, D, V),
+                       optimize=True)
+    total += np.einsum("i,gh,ijgh->", h, w2, vol(T.Q, V, V) * vol(Z.U, V, D),
+                       optimize=True)
+
+    def vals(coef):  # modal edge coefficients -> values at the edge quad points
+        return coef @ V.T
+
+    # x-directed edge sums (integrals over J_j with weights h[j] * w)
+    Uright = x_edge_trace(T.U, "right")
+    Pleft_T, Pright_T = x_edge_trace(T.P, "left"), x_edge_trace(T.P, "right")
+    sleft, sright = x_edge_trace(Z.P, "left"), x_edge_trace(Z.P, "right")
+    vleft, vright = x_edge_trace(Z.U, "left"), x_edge_trace(Z.U, "right")
+    Uleft = x_edge_trace(T.U, "left")
+    for e in range(1, N):  # interior vertical edges
+        jump_s = vals(sright[e - 1] - sleft[e])
+        total -= np.sum(h[:, None] * w * vals(Uright[e - 1]) * jump_s)
+        jump_v = vals(vright[e - 1] - vleft[e])
+        total -= np.sum(h[:, None] * w * vals(Pleft_T[e]) * jump_v)
+    # boundary vertical edges: [[v]]_{0,y} = -v^+, [[v]]_{N,y} = v^-
+    total -= np.sum(h[:, None] * w * vals(Pleft_T[0]) * (-vals(vleft[0])))
+    total -= np.sum(h[:, None] * w * vals(Pright_T[-1]) * vals(vright[-1]))
+    # penalties: sqrt(eps) on the boundary U jumps, 1/sqrt(eps) on the P jump
+    total += root * np.sum(h[:, None] * w * vals(Uleft[0]) * vals(vleft[0]))
+    total += root * np.sum(h[:, None] * w * vals(Uright[-1]) * vals(vright[-1]))
+    J = mesh2d.axis.interface_index
+    jump_P = vals(Pright_T[J - 1] - Pleft_T[J])
+    jump_sJ = vals(sright[J - 1] - sleft[J])
+    total += (1.0 / root) * np.sum(h[:, None] * w * jump_P * jump_sJ)
+
+    # y-directed edge sums
+    Utop, Ubot = y_edge_trace(T.U, "top"), y_edge_trace(T.U, "bottom")
+    Qbot_T, Qtop_T = y_edge_trace(T.Q, "bottom"), y_edge_trace(T.Q, "top")
+    rbot, rtop = y_edge_trace(Z.Q, "bottom"), y_edge_trace(Z.Q, "top")
+    vbot, vtop = y_edge_trace(Z.U, "bottom"), y_edge_trace(Z.U, "top")
+    for e in range(1, N):
+        jump_r = vals(rtop[:, e - 1] - rbot[:, e])
+        total -= np.sum(h[:, None] * w * vals(Utop[:, e - 1]) * jump_r)
+        jump_v = vals(vtop[:, e - 1] - vbot[:, e])
+        total -= np.sum(h[:, None] * w * vals(Qbot_T[:, e]) * jump_v)
+    total -= np.sum(h[:, None] * w * vals(Qbot_T[:, 0]) * (-vals(vbot[:, 0])))
+    total -= np.sum(h[:, None] * w * vals(Qtop_T[:, -1]) * vals(vtop[:, -1]))
+    total += root * np.sum(h[:, None] * w * vals(Ubot[:, 0]) * vals(vbot[:, 0]))
+    total += root * np.sum(h[:, None] * w * vals(Utop[:, -1]) * vals(vtop[:, -1]))
+    jump_Q = vals(Qtop_T[:, J - 1] - Qbot_T[:, J])
+    jump_rJ = vals(rtop[:, J - 1] - rbot[:, J])
+    total += (1.0 / root) * np.sum(h[:, None] * w * jump_Q * jump_rJ)
+    return float(total)
+
+
+def load_functional_2d(f, Z, mesh2d):
+    """(f, v_Z) on the 2D mesh; companion of bilinear_form_2d."""
+    k = Z.U.degree
+    rule = gauss_rule(assembly_quad_order(k))
+    V, _ = legendre_table(k, rule.points)
+    w2 = rule.weights[:, None] * rule.weights[None, :]
+    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    X = mesh2d.axis.quadrature_points(rule.points)
+    fvals = np.asarray(f(X[:, None, :, None], X[None, :, None, :]), dtype=float)
+    vv = np.einsum("ijmn,gm,hn->ijgh", Z.U.coeffs, V, V, optimize=True)
+    scale = h[:, None] * h[None, :]
+    return float(np.einsum("ij,gh,ijgh->", scale, w2, fvals * vv, optimize=True))
 
 
 class ReferenceBanded(BandedMatrix):

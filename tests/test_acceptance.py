@@ -22,8 +22,6 @@ from ldgshishkin import (
     MixedSolution1D,
     MixedSolution2D,
     SweepConfig,
-    bilinear_form_1d,
-    bilinear_form_2d,
     build_shishkin_1d,
     build_shishkin_2d,
     composite_project_minus_1d,
@@ -49,7 +47,7 @@ from ldgshishkin import (
 )
 from ldgshishkin.basis import error_quad_order
 from ldgshishkin.linalg import SparseMatrix
-from reference import ReferenceBanded
+from reference import ReferenceBanded, bilinear_form_1d, bilinear_form_2d
 
 EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 

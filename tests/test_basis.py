@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_legendre, roots_legendre
 
+import ldgshishkin
 from ldgshishkin import (
     ConfigurationError,
-    ReferenceBasis,
+    DGFunction1D,
+    DGFunction2D,
+    basis,
     gauss_rule,
+    ldg1d,
+    ldg2d,
     legendre_eval,
 )
-from ldgshishkin.basis import legendre_table
+from ldgshishkin.basis import legendre_table, reference_blocks_1d
 
 
 class TestLegendreEval:
@@ -37,6 +42,16 @@ class TestLegendreEval:
     def test_negative_degree_rejected(self):
         with pytest.raises(ConfigurationError):
             legendre_eval(-1, 0.0)
+
+    def test_is_the_table_column_in_the_input_shape(self):
+        rng = np.random.default_rng(7)
+        for x in (0.3, np.array(-0.7), rng.uniform(-1.0, 1.0, (3, 4))):
+            flat = np.ravel(x)
+            for n in range(13):
+                V, D = legendre_table(n, flat)
+                v, d = legendre_eval(n, x)
+                assert v.shape == d.shape == np.shape(x)
+                assert np.array_equal(v.ravel(), V[:, n]) and np.array_equal(d.ravel(), D[:, n])
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=0, max_value=8),
@@ -103,19 +118,45 @@ class TestOrthogonality:
 
 
 class TestReferenceBasis:
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReferenceBasis(0)
+    """The cached reference element ``reference_blocks_1d``."""
 
     def test_endpoint_values(self):
-        basis = ReferenceBasis(3)
-        assert np.array_equal(basis.right_values, [1, 1, 1, 1])
-        assert np.array_equal(basis.left_values, [1, -1, 1, -1])
+        for k in (0, 3):  # degree 0 too: its projections and traces read the table
+            ref = reference_blocks_1d(k)
+            assert np.array_equal(ref.ones, [1, 1, 1, 1][:k + 1])
+            assert np.array_equal(ref.alt, [1, -1, 1, -1][:k + 1])
+            assert np.array_equal(legendre_table(k, [1.0, -1.0])[0], [ref.ones, ref.alt])
+            assert np.array_equal(ref.mass, 2.0 / (2.0 * np.arange(k + 1) + 1.0))
 
     def test_stiffness_matches_quadrature(self):
         k = 4
-        basis = ReferenceBasis(k)
+        ref = reference_blocks_1d(k)
         rule = gauss_rule(k + 2)
         V, D = legendre_table(k, rule.points)
         G_quad = np.einsum("g,ga,gm->ma", rule.weights, V, D)
-        assert np.allclose(basis.stiffness(), G_quad, atol=1e-13)
+        assert np.allclose(ref.G, G_quad, atol=1e-13)
+        assert np.array_equal(ref.R, ref.G - 1.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_arrays_are_read_only(self, k):
+        for array in reference_blocks_1d(k):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_cached_per_degree(self):
+        assert reference_blocks_1d(2) is reference_blocks_1d(2)
+        assert reference_blocks_1d(2) is not reference_blocks_1d(3)
+
+
+def test_test_oracles_are_not_in_the_package():
+    # the quadrature oracles and the helpers only they and the tests read live
+    # in tests/reference.py, and the reference element is reference_blocks_1d
+    moved = {
+        (ldgshishkin, basis, ldg1d, ldg2d): (
+            "ReferenceBasis", "bilinear_form_1d", "bilinear_form_2d", "load_functional_1d",
+            "load_functional_2d"),
+        (DGFunction1D, DGFunction2D): ("values_at", "x_edge_trace", "y_edge_trace"),
+    }
+    for owners, names in moved.items():
+        for owner in owners:
+            assert [name for name in names if hasattr(owner, name)] == [], owner

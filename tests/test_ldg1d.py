@@ -7,16 +7,13 @@ from ldgshishkin import (
     DGFunction1D,
     MeshConfig,
     MixedSolution1D,
-    ReferenceBasis,
     SingularMatrixError,
     SolverError,
     SweepConfig,
     assemble_1d,
-    bilinear_form_1d,
     build_shishkin_1d,
     energy_norm_1d,
     error_norms_1d,
-    load_functional_1d,
     paper_1d_problem,
     polynomial_problem_1d,
     rate_shishkin,
@@ -24,9 +21,11 @@ from ldgshishkin import (
     solve_ldg_1d,
 )
 from ldgshishkin import ldg1d, problems
+from ldgshishkin.basis import reference_blocks_1d
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.problems import Problem1D
-from reference import banded_system_1d, interpolate_1d, refined_solve_1d, run_fresh
+from reference import (banded_system_1d, bilinear_form_1d, interpolate_1d, load_functional_1d,
+                       refined_solve_1d, run_fresh)
 
 
 def unit_b(x):
@@ -200,7 +199,7 @@ class TestAssembly:
             for wf in ("Q", "U"):
                 for xf in ("Q", "U"):
                     Wp, Xp = part(W, wf), part(X, xf)
-                    x, w = vector(Xp, 1.0), vector(Wp, 1.0 / system.q_scale)
+                    x, w = vector(Xp, 1.0), vector(Wp, 1.0 / A.s)
                     lhs = x @ A.matvec(w)
                     oracle = bilinear_form_1d(Wp, Xp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
@@ -266,12 +265,12 @@ class TestOperatorPieces:
         eps = 1e-6
         mesh = make_mesh(N, eps)
         pieces = piece_blocks_1d(mesh, k, eps)
-        basis = ReferenceBasis(k)
-        ones, alt = basis.right_values[:, None], basis.left_values[:, None]
+        ref = reference_blocks_1d(k)
+        ones, alt = ref.ones[:, None], ref.alt[:, None]
         s, J, I = np.sqrt(eps), mesh.interface_index, np.eye(N)
         first, last = np.outer(I[0], I[0]), np.outer(I[-1], I[-1])
-        M = np.diag((0.5 * mesh.widths[:, None] * basis.mass_diag).ravel())
-        D = (np.kron(I, basis.stiffness()) - np.kron(I - last, ones @ ones.T)
+        M = np.diag((0.5 * mesh.widths[:, None] * ref.mass).ravel())
+        D = (np.kron(I, ref.G) - np.kron(I - last, ones @ ones.T)
              + np.kron(np.eye(N, k=-1), alt @ ones.T))
         v = np.kron(I[:, [J - 1]], ones) - np.kron(I[:, [J]], alt)
         # M/s taken as M times 1/s, as piece_blocks_1d forms it (true

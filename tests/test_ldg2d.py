@@ -14,11 +14,9 @@ from ldgshishkin import (
     SweepConfig,
     assemble_2d,
     balanced_norm_2d,
-    bilinear_form_2d,
     build_shishkin_2d,
     energy_norm_2d,
     error_norms_2d,
-    load_functional_2d,
     manufactured_2d_problem,
     run_sweep,
     solve_ldg_2d,
@@ -28,8 +26,8 @@ from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
 from ldgshishkin.problems import Problem2D
-from reference import (coupled_matrix, coupled_rhs, reaction_blocks, refined_solve_2d,
-                       run_fresh)
+from reference import (bilinear_form_2d, coupled_matrix, coupled_rhs, load_functional_2d,
+                       reaction_blocks, refined_solve_2d, run_fresh)
 
 
 def const_b(value):

@@ -25,7 +25,7 @@ from ldgshishkin import (
 from ldgshishkin import basis, norms
 from ldgshishkin.errors import ConfigurationError
 from ldgshishkin.problems import Problem1D
-from reference import interpolate_1d, traced_peak
+from reference import interpolate_1d, traced_peak, x_edge_trace, y_edge_trace
 
 
 def unit_b(x):
@@ -433,10 +433,10 @@ def full_trace_jump_terms_2d(T, mesh2d):
     def edge_sq(coef_lines):
         return float(np.sum(h * (coef_lines**2 @ wbar)))
 
-    bnd = (edge_sq(T.U.x_edge_trace("left")[0]) + edge_sq(T.U.x_edge_trace("right")[-1])
-           + edge_sq(T.U.y_edge_trace("bottom")[:, 0]) + edge_sq(T.U.y_edge_trace("top")[:, -1]))
-    Pjump = T.P.x_edge_trace("right")[J - 1] - T.P.x_edge_trace("left")[J]
-    Qjump = T.Q.y_edge_trace("top")[:, J - 1] - T.Q.y_edge_trace("bottom")[:, J]
+    bnd = (edge_sq(x_edge_trace(T.U, "left")[0]) + edge_sq(x_edge_trace(T.U, "right")[-1])
+           + edge_sq(y_edge_trace(T.U, "bottom")[:, 0]) + edge_sq(y_edge_trace(T.U, "top")[:, -1]))
+    Pjump = x_edge_trace(T.P, "right")[J - 1] - x_edge_trace(T.P, "left")[J]
+    Qjump = y_edge_trace(T.Q, "top")[:, J - 1] - y_edge_trace(T.Q, "bottom")[:, J]
     return bnd, edge_sq(Pjump) + edge_sq(Qjump)
 
 

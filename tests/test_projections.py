@@ -222,6 +222,26 @@ class TestComposite1D:
         assert np.allclose(pq.coeffs[0], project_l2(u, mesh32.cell(1), k), atol=1e-14)
         assert np.allclose(pq.coeffs[1], project_gr_plus(u, mesh32.cell(2), k), atol=1e-14)
 
+    def test_degree_zero(self, mesh32):
+        # k = 0: L2 gives the cell mean, Radau-minus (plus) the value at the
+        # right (left) node, and the composites and traces follow
+        w = lambda x: np.asarray(x) ** 2 + np.asarray(x)
+        W = lambda x: np.asarray(x) ** 3 / 3.0 + np.asarray(x) ** 2 / 2.0
+        nodes, layer = mesh32.nodes, mesh32.layer
+        means = (W(nodes[1:]) - W(nodes[:-1])) / mesh32.widths
+        cell = (0.2, 0.5)
+        assert project_l2(w, cell, 0) == pytest.approx([(W(0.5) - W(0.2)) / 0.3], rel=1e-14)
+        assert np.array_equal(project_gr_minus(w, cell, 0), [w(0.5)])
+        assert np.array_equal(project_gr_plus(w, cell, 0), [w(0.2)])
+        pu = composite_project_minus_1d(w, mesh32, 0)
+        assert np.array_equal(pu.coeffs[layer, 0], w(nodes[1:][layer]))
+        assert np.allclose(pu.coeffs[~layer, 0], means[~layer], rtol=1e-13, atol=0)
+        pq = composite_project_plus_1d(w, mesh32, 0)
+        assert np.array_equal(pq.coeffs[1:, 0], w(nodes[1:-1]))
+        assert pq.coeffs[0, 0] == pytest.approx(means[0], rel=1e-13)
+        assert np.array_equal(pq.left_traces(), pq.coeffs[:, 0])
+        assert np.array_equal(pq.right_traces(), pq.coeffs[:, 0])
+
     def test_layer_region_rate(self):
         # layer-region error of the minus-composite decays at order k+1 in
         # the Shishkin metric (checked at the final doubling)
