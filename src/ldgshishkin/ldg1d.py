@@ -5,9 +5,10 @@ the left and Q from the right, penalize the boundary traces of U with
 weight sqrt(eps) and the jump of Q at the right transition node 3N/4 with
 weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
 the scheme is (A0 + e e^T) x = (0, F) on the fields x = (Qtilde, U), with
-A0 = [[M/s, D], [-s D^T, C]], C = W_b + s E, block-tridiagonal over cells
-(the blocks of ``piece_blocks_1d``, from which the 2D scheme builds its
-operator) and e = v on the Qtilde dofs of the two cells at node 3N/4.
+A0 = [[M/s, D], [-s D^T, C]], C = W_b + s E, block-tridiagonal over cells,
+and e = v on the Qtilde dofs of the two cells at node 3N/4.  D is applied
+matrix-free by the reference element; M, s E and v are the pieces
+(``piece_blocks_1d``) from which the 2D scheme builds its operator.
 M is diagonal, so Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system
 S0 = C + eps D^T M^-1 D is SPD and block-tridiagonal, and its blocks,
 closed-form products of the reference blocks (``eliminated_blocks_1d``,
@@ -114,31 +115,6 @@ class AssembledSystem:
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class CellBlocks:
-    """Block-tridiagonal matrix over N cells, blocks of shape (N, kk, kk):
-    ``diag[c]`` is block (c, c), ``sub[c]`` block (c, c-1) and ``sup[c]``
-    block (c-1, c); ``sub[0]`` and ``sup[0]`` are zero."""
-
-    diag: np.ndarray
-    sub: np.ndarray
-    sup: np.ndarray
-
-    def dot(self, X):
-        """The product with X, an array of N kk rows (cell-major)."""
-        N, kk, _ = self.diag.shape
-        X3 = X.reshape(N, kk, -1)
-        out = self.diag @ X3
-        out[1:] += self.sub[1:] @ X3[:-1]
-        out[:-1] += self.sup[1:] @ X3[1:]
-        return out.reshape(X.shape)
-
-    def to_csr(self):
-        """The csr matrix of the nonzero entries."""
-        import scipy.sparse as sp
-        return sp.csr_matrix(self.dot(np.eye(self.diag.shape[0] * self.diag.shape[1])))
-
-
 def eliminated_blocks_1d(base, halfh, eps):
     """base + eps D^T M^-1 D by cell blocks, for symmetric (N, kk, kk)
     diagonal blocks ``base`` and M^-1 = diag(1/m) / halfh on each cell:
@@ -167,38 +143,27 @@ class OperatorPieces1D:
     """1D operator pieces over (cell, mode), s = sqrt(eps).
 
     ``m`` (N, k+1) is the diagonal of the modal mass M = diag(h/2 * 2/(2n+1)),
-    and the other pieces are ``CellBlocks``.  ``derivative`` is
-    the h-independent block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T
-    of (U, r') with the upwinded flux -Uhat [[r]] (L the sub-diagonal shift,
-    1 and alt the right and left endpoint values of the modes).
-    ``flux_mass`` is the Qtilde block F = M/s + v v^T (built on first read,
-    for the coupled 2D matrix), whose rank-one interface penalty has v = 1
-    on cell J and -alt on cell J+1 (J = 3N/4, 1-based).  ``penalty`` is the
-    boundary term s E, E = e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T.  Since
-    G + G^T = 11^T - alt alt^T, the (test v, Qtilde) block of the scheme is
-    exactly -s D^T.  ``interface`` is (J, v), and ``eliminated`` the blocks
-    of K0 = s E + eps D^T M^-1 D (``eliminated_blocks_1d``).  Eliminating
-    Qtilde = -F^-1 D U leaves K = s E + s D^T F^-1 D in the U rows, with
-    F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v (Sherman-Morrison):
-    ``flux_gradient`` applies G = F^-1 D and ``flux_eliminated`` forms K.
+    ``penalty`` the (N, k+1, k+1) diagonal blocks of the boundary term s E,
+    E = e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T, and ``interface`` (J, v)
+    the rank-one interface penalty of the flux mass F = M/s + v v^T, v = 1
+    on cell J and -alt on cell J+1 (J = 3N/4, 1-based).  The h-independent
+    block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T of (U, r') with
+    the upwinded flux -Uhat [[r]] (L the sub-diagonal shift, 1 and alt the
+    right and left endpoint values of the modes) is applied by
+    ``reference_blocks_1d(k).derivative``; since G + G^T = 11^T - alt alt^T,
+    the (test v, Qtilde) block of the scheme is exactly -s D^T.
+    ``eliminated`` holds the blocks of K0 = s E + eps D^T M^-1 D
+    (``eliminated_blocks_1d``).  Eliminating Qtilde = -F^-1 D U leaves
+    K = s E + s D^T F^-1 D in the U rows, with F^-1 = s M^-1 - w w^T / (1 + v^T w),
+    w = s M^-1 v (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D
+    and ``flux_eliminated`` forms K.
     """
 
     m: np.ndarray
-    derivative: CellBlocks
-    penalty: CellBlocks
+    penalty: np.ndarray
     s: float
     interface: tuple
     eliminated: tuple
-
-    @cached_property
-    def flux_mass(self):
-        (J, v), (N, kk) = self.interface, self.m.shape
-        vv = np.outer(v, v)
-        F = CellBlocks((self.m * (1.0 / self.s))[:, :, None] * np.eye(kk),
-                       *np.zeros((2, N, kk, kk)))
-        F.diag[J - 1:J + 1] += np.array((vv[:kk, :kk], vv[kk:, kk:]))
-        F.sub[J], F.sup[J] = vv[kk:, :kk], vv[:kk, kk:]
-        return F
 
     @cached_property
     def _flux_mass_inverse(self):
@@ -221,9 +186,13 @@ class OperatorPieces1D:
         s c g g^T, g = D^T w, which lives on cells J-1, J and J+1."""
         (J, _), (diag, sub), (_, w, c) = self.interface, self.eliminated, self._flux_mass_inverse
         N, kk, _ = diag.shape
-        below, W = np.zeros((N, kk, kk)), np.zeros((N, kk))
-        below[1:], W[J - 1:J + 1] = sub[:, :, None], w
-        K = CellBlocks(diag, below, below.swapaxes(1, 2)).dot(np.eye(N * kk))
+        # blocks (c, c) = diag[c], (c+1, c) = sub[c] 1^T and (c, c+1) its transpose
+        cells, K4 = np.arange(N), np.zeros((N, kk, N, kk))
+        K4[cells, :, cells] = diag
+        K4[cells[1:], :, cells[:-1]] = sub[:, :, None]
+        K4[cells[:-1], :, cells[1:]] = sub[:, None, :]
+        K, W = K4.reshape(N * kk, N * kk), np.zeros((N, kk))
+        W[J - 1:J + 1] = w
         g = reference_blocks_1d(kk - 1).derivative_t(W)[J - 2:J + 1].ravel()
         near = slice((J - 2) * kk, (J + 1) * kk)
         K[near, near] -= np.outer(g, g) * (self.s * c)
@@ -231,20 +200,13 @@ class OperatorPieces1D:
 
 
 def piece_blocks_1d(mesh, k, eps):
-    """The ``OperatorPieces1D`` of ``mesh``: the reference blocks broadcast
-    over the cells, then the first, last and interface cells written."""
-    N, J, kk, ref = mesh.N, mesh.interface_index, k + 1, reference_blocks_1d(k)
-    ones, alt = ref.ones, ref.alt
-    s = float(np.sqrt(eps))
-    zero = np.zeros((N, kk, kk))
-    D, D_sub = zero + ref.R, zero + np.outer(alt, ones)
-    D[-1], D_sub[0] = ref.G, 0.0
-    sE = zero.copy()
-    sE[-1], sE[0] = s * np.outer(ones, ones), s * np.outer(alt, alt)
-    return OperatorPieces1D(m=0.5 * mesh.widths[:, None] * ref.mass,
-                            derivative=CellBlocks(D, D_sub, zero),
-                            penalty=CellBlocks(sE, zero, zero), s=s,
-                            interface=(J, np.concatenate([ones, -alt])),
+    """The ``OperatorPieces1D`` of ``mesh``: the mass diagonal, the penalty
+    blocks on the first and last cells and the interface vector."""
+    ref, s = reference_blocks_1d(k), float(np.sqrt(eps))
+    sE = np.zeros((mesh.N, k + 1, k + 1))
+    sE[-1], sE[0] = s * np.outer(ref.ones, ref.ones), s * np.outer(ref.alt, ref.alt)
+    return OperatorPieces1D(m=0.5 * mesh.widths[:, None] * ref.mass, penalty=sE, s=s,
+                            interface=(mesh.interface_index, np.concatenate([ref.ones, -ref.alt])),
                             eliminated=eliminated_blocks_1d(sE, 0.5 * mesh.widths, eps))
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import assembly_quad_order, gauss_rule, grid_product, legendre_table
+# gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
+from .basis import gauss_rule, grid_product, legendre_table, reference_blocks_1d
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError, SolverError
 from .ldg1d import OperatorPieces1D, piece_blocks_1d
@@ -86,16 +87,23 @@ class AssembledSystem2D:
             P: [D(x)M, F(x)M, 0]
             Q: [M(x)D, 0, M(x)F]
 
-        with csr copies of the 1D pieces of the axis (mass M, derivative
-        block D, flux mass F = M/s + v v^T, boundary penalty s E), then
-        renumbered to the field-major layout, and the W_b blocks of every
-        cell, formed from beta, added there.
+        with the 1D matrices of the axis built from its pieces: the mass M,
+        D applied by the reference element to the identity, the flux mass
+        F = diag(m/s) + e e^T (e = v on the two interface cells) and the
+        boundary penalty s E from its diagonal blocks; then renumbered to
+        the field-major layout, and the W_b blocks of every cell, formed
+        from beta, added there.
         """
         import scipy.sparse as sp
         p, (N, k1), q, field = self.pieces, self.pieces.m.shape, self.V.shape[0], self.load.size
-        s, kron = p.s, sp.kron
+        s, kron, n, (J, v) = p.s, sp.kron, N * k1, p.interface
+        e = np.zeros((N, k1))
+        e[J - 1:J + 1] = v.reshape(2, k1)
         M = sp.diags(p.m.ravel(), format="csr")
-        D, F, sE = (x.to_csr() for x in (p.derivative, p.flux_mass, p.penalty))
+        D = sp.csr_matrix(reference_blocks_1d(k1 - 1).derivative(
+            np.eye(n).reshape(n, N, k1)).reshape(n, n).T)
+        F = sp.csr_matrix(np.diag((p.m * (1.0 / s)).ravel()) + np.outer(e, e))
+        sE = sp.block_diag(p.penalty, format="csr")
         A = sp.bmat([
             [kron(sE, M) + kron(M, sE), -s * kron(D.T, M), -s * kron(M, D.T)],
             [kron(D, M), kron(F, M), None],
@@ -118,11 +126,9 @@ def assemble_2d(problem, mesh2d, k):
     on the tensor Gauss grid of all cells."""
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    pieces = piece_blocks_1d(mesh2d.axis, k, problem.eps)
-    rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
-    x = mesh2d.axis.quadrature_points(rule.points).ravel()
-    hw = np.outer(0.5 * np.diff(mesh2d.axis.nodes), rule.weights).ravel()
+    pieces, ref = piece_blocks_1d(mesh2d.axis, k, problem.eps), reference_blocks_1d(k)
+    V, x = ref.V, mesh2d.axis.quadrature_points(ref.points).ravel()
+    hw = np.outer(0.5 * np.diff(mesh2d.axis.nodes), ref.weights).ravel()
 
     def on_grid(g):  # (h(x)w)(h(x)w)^T o g(x, x^T)
         values = hw[:, None] * np.asarray(g(x[:, None], x[None, :]), dtype=float)

@@ -6,7 +6,7 @@ quadrature oracles of the compact bilinear forms and loads
 assembly: volume terms re-integrated and traces re-evaluated) with the
 DG-function helpers only they and the tests read (``values_at``,
 ``x_edge_trace``, ``y_edge_trace``), the 1D
-2-field band built from nonzero triplets and its extended-precision
+2-field band built from the Kronecker formulas and its extended-precision
 refined solve, the W_b blocks, right-hand side and extended-precision
 refined solve of the coupled 2D (U, P, Q) system, and the band- and
 sparse-matrix operations (triplet construction, dense and csr
@@ -32,7 +32,7 @@ import ldgshishkin
 from ldgshishkin.basis import (assembly_quad_order, gauss_rule, legendre_table,
                                reference_blocks_1d)
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
-from ldgshishkin.ldg1d import CellBlocks, piece_blocks_1d
+from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.linalg import (BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve,
                                 sherman_morrison)
@@ -318,32 +318,21 @@ class ReferenceBanded(BandedMatrix):
                              shape=(self.n, self.n))
 
 
-def _cell_block_triplets(blocks, fields, kk):
-    """(rows, cols, values) of the nonzero entries of the ``CellBlocks``
-    ``blocks`` placed at ``fields`` = (row field, column field) of the
-    cell-major 2-field layout (cell c, field a, mode p at 2kk c + kk a + p)."""
-    c = np.arange(blocks.diag.shape[0])
-    rows, cols, vals = [], [], []
-    for rc, cc, B in ((c, c, blocks.diag), (c[1:], c[:-1], blocks.sub[1:]),
-                      (c[:-1], c[1:], blocks.sup[1:])):
-        i, p, q = np.nonzero(B)
-        rows.append(2 * kk * rc[i] + kk * fields[0] + p)
-        cols.append(2 * kk * cc[i] + kk * fields[1] + q)
-        vals.append(B[i, p, q])
-    return [np.concatenate(t) for t in (rows, cols, vals)]
-
-
 def banded_system_1d(problem, mesh, k):
     """The 2-field system (A0 + e e^T) x = b of the 1D scheme built from
-    triplets: the nonzero entries of the cell blocks of
-    A0 = [[M/s, D], [-s D^T, W_b + s E]] in the cell-major [Qtilde | U]
-    layout, summed into zeros by ``ReferenceBanded.from_coo``, which reads
-    the bandwidths off them; e, the interface vector v of
+    its formulas: A0 = [[M/s, D], [-s D^T, W_b + s E]] assembled by
+    scipy.sparse, with D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T and
+    s E = s (e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T), renumbered to the
+    cell-major [Qtilde | U] layout (cell c, field a, mode p at
+    2(k+1) c + (k+1) a + p) and summed into zeros by
+    ``ReferenceBanded.from_coo``, which reads the bandwidths off its
+    nonzero entries; e, the interface vector v of
     ``OperatorPieces1D.interface`` on the Qtilde dofs of cells J-1 and J;
     and b, the load <f, v> on the U dofs.  W_b and the load are integrated
     as assemble_1d does.  Returns (A0, e, b)."""
     pieces = piece_blocks_1d(mesh, k, problem.eps)
     s, kk, N, (J, v) = pieces.s, k + 1, mesh.N, pieces.interface
+    ref = reference_blocks_1d(k)
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     X = mesh.quadrature_points(rule.points)
@@ -351,22 +340,22 @@ def banded_system_1d(problem, mesh, k):
     fvals = np.asarray(problem.f(X), dtype=float)
     halfh = 0.5 * mesh.widths
     W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
-    D, zero = pieces.derivative, np.zeros_like(W)
-    Dt = CellBlocks(D.diag.swapaxes(1, 2), D.sup.swapaxes(1, 2), D.sub.swapaxes(1, 2))
-    triplets = [
-        _cell_block_triplets(
-            CellBlocks((pieces.m * (1.0 / s))[:, :, None] * np.eye(kk), zero, zero), (0, 0), kk),
-        _cell_block_triplets(D, (0, 1), kk),
-        _cell_block_triplets(CellBlocks(-s * Dt.diag, -s * Dt.sub, -s * Dt.sup), (1, 0), kk),
-        _cell_block_triplets(CellBlocks(W + pieces.penalty.diag, zero, zero), (1, 1), kk),
-    ]
+    ones, alt = ref.ones[:, None], ref.alt[:, None]
+    first, last = (sp.diags(np.eye(N)[i]) for i in (0, -1))
+    D = (sp.kron(sp.eye(N), ref.G) - sp.kron(sp.eye(N) - last, ones @ ones.T)
+         + sp.kron(sp.eye(N, k=-1), alt @ ones.T))
+    sE = s * (sp.kron(last, ones @ ones.T) + sp.kron(first, alt @ alt.T))
+    A0 = sp.bmat([[sp.diags((pieces.m * (1.0 / s)).ravel()), D],
+                  [-s * D.T, sp.block_diag(W) + sE]], format="csr")
+    A0.eliminate_zeros()
+    A0 = A0.tocoo()
     n = 2 * N * kk
-    rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
+    cell_major = np.arange(n).reshape(N, 2, kk).transpose(1, 0, 2).ravel()
     e, b = np.zeros((2, n))
     q = 2 * kk * np.arange(N)[:, None] + np.arange(kk)
     e[q[J - 1:J + 1].ravel()] = v
     b[(q + kk).ravel()] = (halfh[:, None] * ((rule.weights * fvals) @ V)).ravel()
-    return ReferenceBanded.from_coo(n, rows, cols, vals), e, b
+    return ReferenceBanded.from_coo(n, cell_major[A0.row], cell_major[A0.col], A0.data), e, b
 
 
 def _band_matvec(matrix, x):

@@ -1,7 +1,8 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ldgshishkin import (
     DGFunction1D,
@@ -258,7 +259,7 @@ class TestExtendedPrecisionReference:
 
 
 class TestOperatorPieces:
-    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("N", [8, 16, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pieces_match_kronecker_formulas(self, k, N):
         # the formulas of the OperatorPieces1D docstring, evaluated densely
@@ -267,7 +268,7 @@ class TestOperatorPieces:
         pieces = piece_blocks_1d(mesh, k, eps)
         ref = reference_blocks_1d(k)
         ones, alt = ref.ones[:, None], ref.alt[:, None]
-        s, J, I = np.sqrt(eps), mesh.interface_index, np.eye(N)
+        s, J, I, n = np.sqrt(eps), mesh.interface_index, np.eye(N), N * (k + 1)
         first, last = np.outer(I[0], I[0]), np.outer(I[-1], I[-1])
         M = np.diag((0.5 * mesh.widths[:, None] * ref.mass).ravel())
         D = (np.kron(I, ref.G) - np.kron(I - last, ones @ ones.T)
@@ -281,13 +282,20 @@ class TestOperatorPieces:
         w = inv @ v
         F_inv = inv - (w @ w.T) / (1.0 + (v.T @ w).item())
         assert np.array_equal(pieces.m.ravel(), np.diag(M))
-        for name, dense in (("derivative", D), ("flux_mass", F), ("penalty", sE)):
-            piece = getattr(pieces, name).to_csr()
-            assert np.array_equal(piece.toarray(), dense), name
-            assert piece.nnz == np.count_nonzero(dense), name
+        identity = np.eye(n).reshape(n, N, k + 1)
+        assert np.array_equal(ref.derivative(identity).reshape(n, n).T, D)
+        assert np.array_equal(scipy.linalg.block_diag(*pieces.penalty), sE)
+        G = pieces.flux_gradient(identity).reshape(n, n).T
+        assert np.max(np.abs(F @ G - D)) <= 1e-14 * np.max(np.abs(D))
         K, expected = pieces.flux_eliminated(), sE + s * D.T @ F_inv @ D
         assert np.max(np.abs(K - expected)) <= 1e-15 * np.max(np.abs(expected))
         assert np.array_equal(K, K.T)
+
+    def test_pieces_hold_what_the_solves_read(self):
+        # D, F and s E have one form in the package, the matrix-free one
+        assert not hasattr(ldg1d, "CellBlocks")
+        assert [f.name for f in fields(ldg1d.OperatorPieces1D)] == [
+            "m", "penalty", "s", "interface", "eliminated"]
 
 
 class TestEnergyIdentity:

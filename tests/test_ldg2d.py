@@ -22,7 +22,7 @@ from ldgshishkin import (
     solve_ldg_2d,
 )
 from ldgshishkin import ldg2d, problems
-from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product
+from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product, reference_blocks_1d
 from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
 from ldgshishkin.problems import Problem2D
@@ -116,6 +116,12 @@ class TestAssembly2D:
         for k in (1, 2):
             system = assemble_2d(p, mesh, k)
             assert system.matrix.n == 3 * 16 * (k + 1) ** 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matrix_stores_no_zeros(self, k):
+        # the tracer's ldg2d.nnz counts the nonzero entries
+        csr = assemble_2d(manufactured_2d_problem(1e-4), make_mesh(8, 1e-4), k).matrix.csr
+        assert csr.nnz == np.count_nonzero(csr.data)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
@@ -340,10 +346,14 @@ class TestCondensation:
         # G = F^-1 D, applied along the last two axes (cell, mode): F G = D
         N = 8
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(N, eps, sigma=1.0), k)
-        pieces, n = system.pieces, N * (k + 1)
-        G = pieces.flux_gradient(np.eye(n).reshape(n, N, k + 1)).reshape(n, n).T
-        D = pieces.derivative.to_csr().toarray()
-        assert np.max(np.abs(pieces.flux_mass.to_csr() @ G - D)) <= 1e-14 * np.max(np.abs(D))
+        pieces, n, (J, v) = system.pieces, N * (k + 1), system.pieces.interface
+        identity = np.eye(n).reshape(n, N, k + 1)
+        G = pieces.flux_gradient(identity).reshape(n, n).T
+        D = reference_blocks_1d(k).derivative(identity).reshape(n, n).T
+        e = np.zeros((N, k + 1))
+        e[J - 1:J + 1] = v.reshape(2, k + 1)
+        F = np.diag((pieces.m * (1.0 / pieces.s)).ravel()) + np.outer(e, e)
+        assert np.max(np.abs(F @ G - D)) <= 1e-14 * np.max(np.abs(D))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_solve_never_builds_coupled_matrix(self, k, monkeypatch):
