@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .errors import ConfigurationError
-from .harness import SweepConfig, emit_table, run_sweep
+from .harness import FORMATS, NORMS, STUDIES, SweepConfig, emit_table, run_sweep
 
 _CONFIG_KEYS = {
     "dim", "problem", "k", "n", "eps", "sigma", "quad-order", "norm",
@@ -81,10 +81,10 @@ def build_parser():
     parser.add_argument("--quad-order", dest="quad_order", type=int,
                         help="quadrature points per cell for error integrals and "
                              "projections, 1 to 64")
-    parser.add_argument("--norm", choices=("energy", "balanced", "both"))
+    parser.add_argument("--norm", choices=NORMS)
     parser.add_argument("--out", help="output path ('-' for stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "markdown"))
-    parser.add_argument("--study", choices=("solve", "projection"))
+    parser.add_argument("--format", dest="fmt", choices=tuple(FORMATS))
+    parser.add_argument("--study", choices=STUDIES)
     parser.add_argument("--workers", type=int)
     return parser
 

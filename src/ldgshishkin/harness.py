@@ -44,7 +44,28 @@ from .ldg2d import solve_ldg_2d
 _ROW_ERRORS = (ConfigurationError, MeshError, ProjectionError, SingularMatrixError,
                SolverError, LinAlgError)
 
-CSV_HEADER = "k,N,eps,sigma,err_energy,rate_energy,err_balanced,rate_balanced,clamped,residual"
+NORMS = ("energy", "balanced", "both")
+STUDIES = ("solve", "projection")
+
+
+def _fmt(spec):
+    """A cell format: ``spec`` applied to the value, blank for None."""
+    return lambda v: "" if v is None else format(v, spec)
+
+
+_fmt_float, _fmt_rate = _fmt(".6g"), _fmt(".2f")
+
+# The table schema, (RateRow field, cell format) per column.  CSV rows lead with
+# the key columns, markdown rows with N (k and eps head each sub-table); then the
+# measured columns, with a projection study's extras placed before ``clamped``.
+_KEY_COLUMNS = (("k", str), ("N", str), ("eps", _fmt_float), ("sigma", _fmt_float))
+_COLUMNS = (
+    ("err_energy", _fmt_float), ("rate_energy", _fmt_rate),
+    ("err_balanced", _fmt_float), ("rate_balanced", _fmt_rate),
+    ("clamped", lambda v: "true" if v else "false"), ("residual", _fmt_float),
+)
+_EXTRAS_AT = 4
+CSV_HEADER = ",".join(name for name, _ in _KEY_COLUMNS + _COLUMNS)
 
 
 @dataclass
@@ -70,15 +91,16 @@ class SweepConfig:
         if self.problem is None:
             self.problem = "paper1d" if self.dim == 1 else "manufactured2d"
         problem_factory(self.problem, self.dim)
-        if self.norm not in ("energy", "balanced", "both"):
-            raise ConfigurationError(f"unknown norm selection {self.norm!r}")
-        if self.study not in ("solve", "projection"):
-            raise ConfigurationError(f"unknown study {self.study!r}")
-        if self.fmt not in ("csv", "markdown"):
-            raise ConfigurationError(f"unknown format {self.fmt!r}")
+        for what, value, allowed in (("norm selection", self.norm, NORMS),
+                                     ("study", self.study, STUDIES),
+                                     ("format", self.fmt, FORMATS)):
+            if value not in allowed:
+                raise ConfigurationError(f"unknown {what} {value!r}")
         ns = list(self.n_list)
         if not (self.k_list and ns and self.eps_list):
             raise ConfigurationError("the k, N and eps lists must not be empty")
+        if any(len(set(v)) < len(v) for v in (self.k_list, self.eps_list)):
+            raise ConfigurationError("the k and eps lists must not repeat a value")
         for a, b in zip(ns, ns[1:]):
             if b != 2 * a:
                 raise ConfigurationError(
@@ -121,13 +143,10 @@ class ConvergenceTable:
     rows: list
 
     def groups(self):
-        """Rows grouped by (k, eps), larger eps first within each k."""
-        keys = sorted({(r.k, r.eps) for r in self.rows}, key=lambda t: (t[0], -t[1]))
-        for k, eps in keys:
-            group = sorted(
-                (r for r in self.rows if r.k == k and r.eps == eps), key=lambda r: r.N
-            )
-            yield (k, eps), group
+        """Rows grouped by (k, eps), larger eps first within each k, N ascending."""
+        rows = sorted(self.rows, key=lambda r: (r.k, -r.eps, r.N))
+        for key, group in itertools.groupby(rows, key=lambda r: (r.k, r.eps)):
+            yield key, list(group)
 
     @property
     def any_failed(self):
@@ -229,82 +248,47 @@ def run_projection_study(cfg):
     return run_sweep(replace(cfg, study="projection"))
 
 
-def _fmt_float(v):
-    return "" if v is None else f"{v:.6g}"
-
-
-def _fmt_rate(v):
-    return "" if v is None else f"{v:.2f}"
+def _cells(row, columns):
+    """The formatted cells of ``row``; a name that is no RateRow field is an extra."""
+    return [fmt(getattr(row, name) if hasattr(row, name) else row.extras.get(name))
+            for name, fmt in columns]
 
 
 def _csv_lines(table):
-    lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.k),
-                    str(r.N),
-                    f"{r.eps:.6g}",
-                    f"{r.sigma:.6g}",
-                    _fmt_float(r.err_energy),
-                    _fmt_rate(r.rate_energy),
-                    _fmt_float(r.err_balanced),
-                    _fmt_rate(r.rate_balanced),
-                    "true" if r.clamped else "false",
-                    _fmt_float(r.residual),
-                ]
-            )
-        )
-    return lines
+    columns = _KEY_COLUMNS + _COLUMNS
+    return [CSV_HEADER] + [",".join(_cells(r, columns)) for r in table.rows]
 
 
 def _markdown_lines(table):
     lines = []
     for (k, eps), group in table.groups():
-        extra_names = sorted(
-            {name for r in group for name in r.extras if not name.startswith("rate_")}
-        )
-        lines.append(f"### k = {k}, eps = {eps:.6g}")
-        lines.append("")
-        header = ["N", "err_energy", "rate_energy", "err_balanced", "rate_balanced"]
-        for name in extra_names:
-            header += [name, f"rate_{name}"]
-        header += ["clamped", "residual"]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for r in group:
-            cells = [
-                str(r.N),
-                _fmt_float(r.err_energy),
-                _fmt_rate(r.rate_energy),
-                _fmt_float(r.err_balanced),
-                _fmt_rate(r.rate_balanced),
-            ]
-            for name in extra_names:
-                cells.append(_fmt_float(r.extras.get(name)))
-                cells.append(_fmt_rate(r.extras.get(f"rate_{name}")))
-            cells.append("true" if r.clamped else "false")
-            cells.append(_fmt_float(r.residual))
-            lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
+        names = sorted({name for r in group for name in r.extras if not name.startswith("rate_")})
+        extras = tuple(column for name in names
+                       for column in ((name, _fmt_float), (f"rate_{name}", _fmt_rate)))
+        columns = (("N", str),) + _COLUMNS[:_EXTRAS_AT] + extras + _COLUMNS[_EXTRAS_AT:]
+        lines += [f"### k = {k}, eps = {eps:.6g}", "",
+                  "| " + " | ".join(name for name, _ in columns) + " |",
+                  "|" + "---|" * len(columns)]
+        lines += ["| " + " | ".join(_cells(r, columns)) + " |" for r in group] + [""]
     return lines
 
 
-def emit_table(table, fmt="csv", out=None):
-    """Serialize the table as CSV or markdown; write to ``out`` when given.
+# Output format name -> line writer; the CLI's --format choices.
+FORMATS = {"csv": _csv_lines, "markdown": _markdown_lines}
 
-    Returns the rendered text.  CSV columns are fixed (see CSV_HEADER);
-    markdown groups rows by (k, eps) with one sub-table each.
+
+def emit_table(table, fmt="csv", out=None):
+    """Serialize the table in the format ``fmt`` (a key of FORMATS); write to
+    ``out`` when given.  Returns the rendered text.
+
+    Every format reads the one column schema: CSV has the fixed CSV_HEADER
+    columns, markdown one sub-table per (k, eps) with the extras columns.
     """
     if not table.rows:
         raise ConfigurationError("cannot emit an empty table")
-    if fmt == "csv":
-        text = "\n".join(_csv_lines(table)) + "\n"
-    elif fmt == "markdown":
-        text = "\n".join(_markdown_lines(table)) + "\n"
-    else:
+    if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}")
+    text = "\n".join(FORMATS[fmt](table)) + "\n"
     if out is not None and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -198,11 +198,11 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
 def rate_shishkin(e_N, e_2N, N):
     """Convergence order in the Shishkin metric N^{-1} ln N.
 
-    r = (log e_N - log e_2N) / log(2 ln N / ln 2N); returns None when either
-    error is nonpositive.
+    r = (log e_N - log e_2N) / log(2 ln N / ln 2N) for N >= 3 (at N = 2 the
+    denominator is 0); returns None when either error is nonpositive.
     """
-    if N < 2:
-        raise ConfigurationError(f"rate needs N >= 2, got {N}")
+    if N < 3:
+        raise ConfigurationError(f"rate needs N >= 3, got {N}")
     if e_N <= 0.0 or e_2N <= 0.0:
         return None
     return float((np.log(e_N) - np.log(e_2N)) / np.log(2.0 * np.log(N) / np.log(2.0 * N)))

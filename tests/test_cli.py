@@ -113,7 +113,10 @@ def test_bad_flag_values_exit_1(capsys):
     ["--problem", "nonsense"], ["--sigma", "-1"], ["--eps", "2"],
     ["--quad-order", "0", "--k", "1", "--n", "8", "--eps", "1e-4"],
     ["--quad-order", "65", "--k", "1", "--n", "8", "--eps", "1e-4"],
-], ids=["problem", "sigma", "eps", "quad-order", "quad-order-65"])
+    ["--k", "1,1", "--n", "16,32", "--eps", "1e-4"],
+    ["--k", "1", "--n", "16,32", "--eps", "1e-4,0.0001"],
+], ids=["problem", "sigma", "eps", "quad-order", "quad-order-65", "repeated-k",
+        "repeated-eps"])
 def test_invalid_sweep_values_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err

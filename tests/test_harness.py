@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,9 @@ class TestSweepConfig:
         {"problem": "nonsense"}, {"dim": 2, "problem": "poly1d"}, {"sigma": -1.0},
         {"sigma": 0.0}, {"eps_list": (1e-4, 2.0)}, {"eps_list": (0.0,)},
         {"quad_order": 0}, {"eps_list": ()}, {"quad_order": 65},
+        {"k_list": (1, 1)}, {"eps_list": (1e-4, 1e-4)},
     ], ids=["problem", "problem-for-dim", "sigma", "sigma-zero", "eps", "eps-zero",
-            "quad-order", "empty-eps", "quad-order-65"])
+            "quad-order", "empty-eps", "quad-order-65", "repeated-k", "repeated-eps"])
     def test_invalid_values_rejected(self, values):
         with pytest.raises(ConfigurationError):
             SweepConfig(**values)
@@ -262,6 +265,46 @@ class TestEmitTable:
         assert cells[5] == "" and cells[7] == ""  # absent rates
         assert cells[8] == "false"
 
+    def test_csv_header_pinned(self):
+        # the fixed CSV columns, written out rather than read from the schema
+        assert CSV_HEADER == ("k,N,eps,sigma,err_energy,rate_energy,err_balanced,"
+                              "rate_balanced,clamped,residual")
+
+    def test_markdown_golden_with_extras(self):
+        rows = [
+            RateRow(k=1, N=16, eps=1e-4, sigma=2.0, err_energy=0.0123456789,
+                    rate_energy=1.987654, err_balanced=0.25, rate_balanced=None,
+                    residual=1.5e-13, extras={"x": 3.14159265, "rate_x": 2.005}),
+            RateRow(k=1, N=32, eps=1e-4, sigma=2.0, err_energy=0.003, err_balanced=0.0625,
+                    clamped=True, extras={"x": 0.785}),
+        ]
+        lines = emit_table(ConvergenceTable(rows=rows), fmt="markdown").split("\n")
+        assert lines == [
+            "### k = 1, eps = 0.0001",
+            "",
+            "| N | err_energy | rate_energy | err_balanced | rate_balanced | x | rate_x "
+            "| clamped | residual |",
+            "|---|---|---|---|---|---|---|---|---|",
+            "| 16 | 0.0123457 | 1.99 | 0.25 |  | 3.14159 | 2.00 | false | 1.5e-13 |",
+            "| 32 | 0.003 |  | 0.0625 |  | 0.785 |  | true |  |",
+            "",
+            "",
+        ]
+
+    def test_groups_independent_of_row_order(self):
+        rows = [RateRow(k=k, N=N, eps=eps, sigma=2.0)
+                for k in (1, 2) for eps in (1e-4, 1e-8) for N in (16, 32, 64)]
+        shuffled = rows[:]
+        random.Random(7).shuffle(shuffled)
+
+        def layout(table):
+            return [(key, [(r.k, r.eps, r.N) for r in group]) for key, group in table.groups()]
+
+        expected = [((k, eps), [(k, eps, N) for N in (16, 32, 64)])
+                    for k in (1, 2) for eps in (1e-4, 1e-8)]
+        assert layout(ConvergenceTable(rows=shuffled)) == expected
+        assert layout(ConvergenceTable(rows=rows)) == expected
+
     def test_rates_blank_on_largest_N(self):
         cfg = SweepConfig(k_list=(1,), n_list=(16, 32), eps_list=(1e-4,))
         text = emit_table(run_sweep(cfg), fmt="csv")
@@ -280,6 +323,10 @@ class TestEmitTable:
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigurationError):
             emit_table(ConvergenceTable(rows=[]), fmt="csv")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown format"):
+            emit_table(self.one_row_table(), fmt="json")
 
     def test_file_output(self, tmp_path):
         out = tmp_path / "table.csv"

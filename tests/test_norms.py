@@ -153,9 +153,11 @@ class TestRateFormula:
         assert rate_shishkin(0.0, 1.0, 8) is None
         assert rate_shishkin(1.0, -2.0, 8) is None
 
-    def test_tiny_N_rejected(self):
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_tiny_N_rejected(self, N):
+        # at N = 2 the denominator log(2 ln 2 / ln 4) is exactly 0 in float64
         with pytest.raises(ConfigurationError):
-            rate_shishkin(1.0, 0.5, 1)
+            rate_shishkin(1.0, 0.5, N)
 
 
 class TestNorms2DZero:
