@@ -7,13 +7,12 @@ weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
 the scheme is (A0 + e e^T) x = (0, F) on the fields x = (Qtilde, U), with
 A0 = [[M/s, D], [-s D^T, C]], C = W_b + s E, block-tridiagonal over cells,
 and e = v on the Qtilde dofs of the two cells at node 3N/4.  D is applied
-matrix-free by the reference element; M, s E and v are the pieces
-(``piece_blocks_1d``) from which the 2D scheme builds its operator.
-M is diagonal, so Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system
-S0 = C + eps D^T M^-1 D is SPD and block-tridiagonal, and its blocks,
-closed-form products of the reference blocks (``eliminated_blocks_1d``,
-which the 2D scheme shares), are written straight into LAPACK lower band
-storage (half-bandwidth 2k+1).  The solve factors S0 once
+matrix-free by the reference element; M, s E, v and the blocks of
+K0 = s E + eps D^T M^-1 D are the pieces (``piece_blocks_1d``) from which
+both dimensions build their operators.  M is diagonal, so
+Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system S0 = K0 + W_b is
+SPD and block-tridiagonal, and its blocks are written straight into
+LAPACK lower band storage (half-bandwidth 2k+1).  The solve factors S0 once
 by banded Cholesky, adds e e^T by Sherman-Morrison and makes one step of
 iterative refinement against the residual of A0 + e e^T.  It loads
 scipy.linalg.lapack (dpbtrf, dpbtrs), and never scipy.sparse.
@@ -53,16 +52,19 @@ class MixedSolution1D:
 class MixedOperator1D:
     """A = A0 + e e^T, A0 = [[M/s, D], [-s D^T, C]], on fields (Qtilde, U),
     arrays of shape (..., 2, N, k+1) (field, cell, mode), applied from its
-    cell pieces: ``mass`` is the diagonal of M, ``reaction`` the
-    (N, k+1, k+1) blocks of C, and D (see ``OperatorPieces1D``) is applied
-    by the reference blocks ``ref``.  ``interface`` is e, flattened and
-    nonzero on Qtilde dofs only.  ``apply`` and ``solve_a0`` act with A0;
-    ``matvec`` and ``frobenius_norm`` are those of A on the flattened
-    fields, as the residual reads them."""
+    cell pieces: the diagonal ``mass`` of M, s and v come from ``pieces``
+    (``OperatorPieces1D``), ``reaction`` holds the (N, k+1, k+1) blocks of
+    C, and D is applied by the reference blocks ``ref``.  ``interface`` is
+    e, v on the Qtilde dofs of cells J and J+1, flattened.  ``apply`` and
+    ``solve_a0`` act with A0; ``matvec`` and ``frobenius_norm`` are those
+    of A on the flattened fields, as the residual reads them."""
 
-    def __init__(self, mass, reaction, interface, s):
-        self.mass, self.reaction, self.interface, self.s = mass, reaction, interface, s
-        self.ref = reference_blocks_1d(mass.shape[1] - 1)
+    def __init__(self, pieces, reaction):
+        (J, v), (N, kk) = pieces.interface, pieces.m.shape
+        e = np.zeros((2, N, kk))
+        e[0, J - 1:J + 1] = v.reshape(2, kk)
+        self.pieces, self.reaction, self.interface = pieces, reaction, e.ravel()
+        self.mass, self.s, self.ref = pieces.m, pieces.s, reference_blocks_1d(kk - 1)
 
     def apply(self, X):
         Q, U = X[..., 0, :, :], X[..., 1, :, :]
@@ -78,7 +80,7 @@ class MixedOperator1D:
         S0 U = R_U + s D^T (s M^-1 R_Q), then Qtilde = s M^-1 (R_Q - D U)."""
         m, (N, kk) = R.shape[0], self.mass.shape
         RQ, RU = R.reshape(m, 2, N, kk).swapaxes(0, 1)
-        minv = self.s / self.mass
+        minv = self.pieces._flux_mass_inverse[0]
         rhs = RU + self.s * self.ref.derivative_t(minv * RQ)
         X = np.empty((m, 2, N, kk))
         X[:, 1] = cholesky(rhs.reshape(m, N * kk).T).T.reshape(m, N, kk)
@@ -107,35 +109,13 @@ class MixedOperator1D:
 class AssembledSystem:
     """The scheme A x = ``rhs``, A = ``operator`` = A0 + e e^T, on the
     flattened fields x = (Qtilde, U) of ``MixedOperator1D``, and the
-    U-system it is solved through: ``matrix`` is S0 = C + eps D^T M^-1 D by
-    its lower band (``lower`` = 2k+1, ``upper`` = 0).  Q = s Qtilde, s = ``operator.s``."""
+    U-system it is solved through: ``matrix`` is S0 = K0 + W_b
+    (= C + eps D^T M^-1 D, K0 read from ``operator.pieces``) by its lower
+    band (``lower`` = 2k+1, ``upper`` = 0).  Q = s Qtilde, s = ``operator.s``."""
 
     matrix: BandedMatrix
     operator: MixedOperator1D
     rhs: np.ndarray
-
-
-def eliminated_blocks_1d(base, halfh, eps):
-    """base + eps D^T M^-1 D by cell blocks, for symmetric (N, kk, kk)
-    diagonal blocks ``base`` and M^-1 = diag(1/m) / halfh on each cell:
-    returns (diag, sub), the blocks (c, c) and the (N-1, kk) vectors of the
-    rank-one blocks (c+1, c) = sub[c] 1^T.  D has R (G on the last cell) on
-    the diagonal and alt 1^T below it, and alt^T diag(1/m) alt = sum(1/m),
-    so block (c, c) adds eps/halfh_c R^T diag(1/m) R, and on all cells but
-    the last eps/halfh_{c+1} sum(1/m) 1 1^T, and sub[c] is
-    eps/halfh_{c+1} R^T diag(1/m) alt (G^T for the last cell).  R and G
-    hold integers and 1/m half-integers, so the blocks are exactly symmetric.
-    """
-    N, kk = base.shape[:2]
-    ref = reference_blocks_1d(kk - 1)
-    R, G, minv, scale = ref.R, ref.G, 1.0 / ref.mass, eps / halfh
-    S = base + scale[:, None, None] * (R.T @ (minv[:, None] * R))
-    S[-1] = base[-1] + scale[-1] * (G.T @ (minv[:, None] * G))
-    S[:-1] += (scale[1:] * minv.sum())[:, None, None]
-    sub = np.empty((N - 1, kk))
-    sub[:], sub[-1] = R.T @ (minv * ref.alt), G.T @ (minv * ref.alt)
-    sub *= scale[1:, None]
-    return S, sub
 
 
 @dataclass(frozen=True)
@@ -152,11 +132,12 @@ class OperatorPieces1D:
     right and left endpoint values of the modes) is applied by
     ``reference_blocks_1d(k).derivative``; since G + G^T = 11^T - alt alt^T,
     the (test v, Qtilde) block of the scheme is exactly -s D^T.
-    ``eliminated`` holds the blocks of K0 = s E + eps D^T M^-1 D
-    (``eliminated_blocks_1d``).  Eliminating Qtilde = -F^-1 D U leaves
-    K = s E + s D^T F^-1 D in the U rows, with F^-1 = s M^-1 - w w^T / (1 + v^T w),
-    w = s M^-1 v (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D
-    and ``flux_eliminated`` forms K.
+    ``eliminated`` holds the blocks of K0 = s E + eps D^T M^-1 D (see
+    ``piece_blocks_1d``); the 1D U-system is S0 = K0 + W_b.  In 2D,
+    eliminating Qtilde = -F^-1 D U leaves K = s E + s D^T F^-1 D in the U
+    rows, with F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v
+    (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D and
+    ``flux_eliminated`` forms K.
     """
 
     m: np.ndarray
@@ -201,13 +182,29 @@ class OperatorPieces1D:
 
 def piece_blocks_1d(mesh, k, eps):
     """The ``OperatorPieces1D`` of ``mesh``: the mass diagonal, the penalty
-    blocks on the first and last cells and the interface vector."""
-    ref, s = reference_blocks_1d(k), float(np.sqrt(eps))
+    blocks on the first and last cells, the interface vector, and K0 by
+    cell blocks (diag, sub): the blocks (c, c) and the (N-1, k+1) vectors
+    of the rank-one blocks (c+1, c) = sub[c] 1^T.  With M^-1 = diag(1/m)
+    / halfh on each cell, D has R (G on the last cell) on the diagonal and
+    alt 1^T below it, and alt^T diag(1/m) alt = sum(1/m), so block (c, c)
+    is s E_c + eps/halfh_c R^T diag(1/m) R, plus eps/halfh_{c+1} sum(1/m)
+    1 1^T on all cells but the last, and sub[c] is eps/halfh_{c+1} R^T
+    diag(1/m) alt (G^T for the last cell).  R and G hold integers and 1/m
+    half-integers, so the blocks are exactly symmetric.
+    """
+    ref, s, halfh = reference_blocks_1d(k), float(np.sqrt(eps)), 0.5 * mesh.widths
+    R, G, minv, scale = ref.R, ref.G, 1.0 / ref.mass, eps / halfh
     sE = np.zeros((mesh.N, k + 1, k + 1))
     sE[-1], sE[0] = s * np.outer(ref.ones, ref.ones), s * np.outer(ref.alt, ref.alt)
-    return OperatorPieces1D(m=0.5 * mesh.widths[:, None] * ref.mass, penalty=sE, s=s,
+    K0 = scale[:, None, None] * (R.T @ (minv[:, None] * R))
+    K0 += sE
+    K0[-1] = sE[-1] + scale[-1] * (G.T @ (minv[:, None] * G))
+    K0[:-1] += (scale[1:] * minv.sum())[:, None, None]
+    sub = scale[1:, None] * (R.T @ (minv * ref.alt))
+    sub[-1] = scale[-1] * (G.T @ (minv * ref.alt))
+    return OperatorPieces1D(m=halfh[:, None] * ref.mass, penalty=sE, s=s,
                             interface=(mesh.interface_index, np.concatenate([ref.ones, -ref.alt])),
-                            eliminated=eliminated_blocks_1d(sE, 0.5 * mesh.widths, eps))
+                            eliminated=(K0, sub))
 
 
 def assemble_1d(problem, mesh, k):
@@ -218,31 +215,25 @@ def assemble_1d(problem, mesh, k):
     """
     if k < 1:
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    N, J, kk, ref = mesh.N, mesh.interface_index, k + 1, reference_blocks_1d(k)
-    s = float(np.sqrt(problem.eps))
-    halfh = 0.5 * mesh.widths
+    N, kk, ref = mesh.N, k + 1, reference_blocks_1d(k)
+    pieces, halfh = piece_blocks_1d(mesh, k, problem.eps), 0.5 * mesh.widths
     X = mesh.quadrature_points(ref.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)
-    C = ((halfh[:, None] * ref.weights * bvals) @ ref.VV).reshape(N, kk, kk)
-    C[0] += s * np.outer(ref.alt, ref.alt)
-    C[-1] += s * np.outer(ref.ones, ref.ones)
-
-    S, sub = eliminated_blocks_1d(C, halfh, problem.eps)
+    W = ((halfh[:, None] * ref.weights * bvals) @ ref.VV).reshape(N, kk, kk)
 
     # lower band storage, S0[i, j] at band[i - j, j]: column q of cell c
     # holds block (c, c) from its diagonal down, then block (c + 1, c)
-    band = np.zeros((2 * kk, N, kk))
+    (K0, sub), band = pieces.eliminated, np.zeros((2 * kk, N, kk))
     for q in range(kk):
-        band[:kk - q, :, q] = S[:, q:, q].T
+        np.add(K0[:, q:, q].T, W[:, q:, q].T, out=band[:kk - q, :, q])
         band[kk - q:2 * kk - q, :-1, q] = sub.T
     matrix = BandedMatrix(N * kk, 2 * kk - 1, 0, band.reshape(2 * kk, N * kk))
 
-    rhs, e = np.zeros((2, 2, N, kk))
+    W[::N - 1] += pieces.penalty[::N - 1]  # C = W_b + s E in place: cells 1 and N
+    rhs = np.zeros((2, N, kk))
     rhs[1] = halfh[:, None] * ((ref.weights * fvals) @ ref.V)
-    e[0, J - 1], e[0, J] = ref.ones, -ref.alt
-    operator = MixedOperator1D(halfh[:, None] * ref.mass, C, e.ravel(), s)
-    return AssembledSystem(matrix=matrix, operator=operator, rhs=rhs.ravel())
+    return AssembledSystem(matrix=matrix, operator=MixedOperator1D(pieces, W), rhs=rhs.ravel())
 
 
 def solve_ldg_1d(problem, mesh, k):
@@ -258,8 +249,9 @@ def solve_ldg_1d(problem, mesh, k):
     non-finite values.
     """
     system = assemble_1d(problem, mesh, k)
-    A, b = system.operator, system.rhs
-    e, cholesky = A.interface, banded_cholesky(system.matrix)
+    A, b, cholesky = system.operator, system.rhs, banded_cholesky(system.matrix)
+    del system  # free the band once factored: the solves reuse its heap pages
+    e = A.interface
     y, z = A.solve_a0(cholesky, np.array((b, e)))
     x = sherman_morrison(y, z, e)
     x += sherman_morrison(A.solve_a0(cholesky, (b - A.matvec(x))[None])[0], z, e)

@@ -36,10 +36,10 @@ class MeshConfig:
             raise ConfigurationError(f"N must be a multiple of 4 and >= 4, got {self.N}")
         if not 0.0 < self.eps <= 1.0:
             raise ConfigurationError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.sigma <= 0.0:
-            raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
-        if self.beta <= 0.0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ConfigurationError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0.0 < self.beta < np.inf:
+            raise ConfigurationError(f"beta must be finite and positive, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ import ldgshishkin
 from ldgshishkin.basis import (assembly_quad_order, gauss_rule, legendre_table,
                                reference_blocks_1d)
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
-from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.linalg import (BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve,
                                 sherman_morrison)
@@ -326,26 +325,25 @@ def banded_system_1d(problem, mesh, k):
     cell-major [Qtilde | U] layout (cell c, field a, mode p at
     2(k+1) c + (k+1) a + p) and summed into zeros by
     ``ReferenceBanded.from_coo``, which reads the bandwidths off its
-    nonzero entries; e, the interface vector v of
-    ``OperatorPieces1D.interface`` on the Qtilde dofs of cells J-1 and J;
-    and b, the load <f, v> on the U dofs.  W_b and the load are integrated
-    as assemble_1d does.  Returns (A0, e, b)."""
-    pieces = piece_blocks_1d(mesh, k, problem.eps)
-    s, kk, N, (J, v) = pieces.s, k + 1, mesh.N, pieces.interface
-    ref = reference_blocks_1d(k)
+    nonzero entries; e, the interface vector v = (1, -alt) on the Qtilde
+    dofs of cells J-1 and J (J = 3N/4); and b, the load <f, v> on the U
+    dofs.  M, s and v are formed here, not read from the solver's pieces;
+    W_b and the load are integrated as assemble_1d does.  Returns (A0, e, b)."""
+    s, kk, N, J = float(np.sqrt(problem.eps)), k + 1, mesh.N, 3 * mesh.N // 4
+    ref, halfh = reference_blocks_1d(k), 0.5 * mesh.widths
+    m, v = halfh[:, None] * ref.mass, np.concatenate([ref.ones, -ref.alt])
     rule = gauss_rule(assembly_quad_order(k))
     V, _ = legendre_table(k, rule.points)
     X = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)
-    halfh = 0.5 * mesh.widths
     W = np.einsum("cg,gm,gn->cmn", halfh[:, None] * rule.weights * bvals, V, V)
     ones, alt = ref.ones[:, None], ref.alt[:, None]
     first, last = (sp.diags(np.eye(N)[i]) for i in (0, -1))
     D = (sp.kron(sp.eye(N), ref.G) - sp.kron(sp.eye(N) - last, ones @ ones.T)
          + sp.kron(sp.eye(N, k=-1), alt @ ones.T))
     sE = s * (sp.kron(last, ones @ ones.T) + sp.kron(first, alt @ alt.T))
-    A0 = sp.bmat([[sp.diags((pieces.m * (1.0 / s)).ravel()), D],
+    A0 = sp.bmat([[sp.diags((m * (1.0 / s)).ravel()), D],
                   [-s * D.T, sp.block_diag(W) + sE]], format="csr")
     A0.eliminate_zeros()
     A0 = A0.tocoo()

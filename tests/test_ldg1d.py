@@ -13,8 +13,10 @@ from ldgshishkin import (
     SweepConfig,
     assemble_1d,
     build_shishkin_1d,
+    build_shishkin_2d,
     energy_norm_1d,
     error_norms_1d,
+    manufactured_2d_problem,
     paper_1d_problem,
     polynomial_problem_1d,
     rate_shishkin,
@@ -24,6 +26,7 @@ from ldgshishkin import (
 from ldgshishkin import ldg1d, problems
 from ldgshishkin.basis import reference_blocks_1d
 from ldgshishkin.ldg1d import piece_blocks_1d
+from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.problems import Problem1D
 from reference import (banded_system_1d, bilinear_form_1d, interpolate_1d, load_functional_1d,
                        refined_solve_1d, run_fresh)
@@ -296,6 +299,34 @@ class TestOperatorPieces:
         assert not hasattr(ldg1d, "CellBlocks")
         assert [f.name for f in fields(ldg1d.OperatorPieces1D)] == [
             "m", "penalty", "s", "interface", "eliminated"]
+
+    def test_one_elimination(self):
+        # K0 has one constructor, piece_blocks_1d, for both dimensions
+        assert not hasattr(ldg1d, "eliminated_blocks_1d")
+
+    def test_solve_builds_pieces_once(self, monkeypatch):
+        calls, build = [], ldg1d.piece_blocks_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ldg1d, "piece_blocks_1d", counted)
+        solve_ldg_1d(paper_1d_problem(1e-8), make_mesh(8, 1e-8), 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-8])  # 1e-1: clamped mesh
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_1d_and_2d_read_the_same_pieces(self, k, eps):
+        config = MeshConfig(N=16, eps=eps, sigma=k + 1)
+        one = assemble_1d(paper_1d_problem(eps), build_shishkin_1d(config), k).operator.pieces
+        two = assemble_2d(manufactured_2d_problem(eps), build_shishkin_2d(config), k).pieces
+        for f in fields(ldg1d.OperatorPieces1D):
+            a, b = getattr(one, f.name), getattr(two, f.name)
+            if isinstance(a, tuple):
+                assert len(a) == len(b) and all(map(np.array_equal, a, b)), f.name
+            else:
+                assert np.array_equal(a, b), f.name
 
 
 class TestEnergyIdentity:

@@ -24,10 +24,11 @@ class TestConfigValidation:
             cfg(eps=eps)
 
     def test_bad_sigma_beta(self):
-        with pytest.raises(ConfigurationError):
-            cfg(sigma=0.0)
-        with pytest.raises(ConfigurationError):
-            cfg(beta=-1.0)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError):
+                cfg(sigma=bad)
+            with pytest.raises(ConfigurationError):
+                cfg(beta=bad)
 
 
 class TestTransitionPoint:
