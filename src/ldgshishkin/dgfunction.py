@@ -5,6 +5,9 @@ its one-sided traces at the cell endpoints are the products of the modal
 coefficients with the endpoint values of the reference element
 (``basis.reference_blocks_1d``), so jumps are cheap and exact.  Cell rows
 are 0-based; the 1-based cell numbering of the mesh API maps to row i-1.
+A 2D DG function stores kron-order c[i, m, j, n], the 1D layout squared:
+``coeffs.reshape(N*(k+1), -1)`` is the matrix view that the 2D solve and
+norms read (``basis.grid_product``), and cell (i, j) holds c[i, :, j].
 """
 
 from dataclasses import dataclass
@@ -57,15 +60,14 @@ class DGFunction1D:
 
 @dataclass
 class DGFunction2D:
-    """Tensor-degree-k DG function; coefficients c[i, j, m, n] with x-mode m."""
+    """Tensor-degree-k DG function; c[i, m, j, n]: x-cell, x-mode, y-cell, y-mode."""
 
     mesh: Mesh2D
     degree: int
-    coeffs: np.ndarray  # shape (N, N, k+1, k+1)
+    coeffs: np.ndarray  # shape (N, k+1, N, k+1)
 
     def __post_init__(self):
-        N = self.mesh.N
-        expected = (N, N, self.degree + 1, self.degree + 1)
+        expected = (self.mesh.N, self.degree + 1) * 2
         if self.coeffs.shape != expected:
             raise ConfigurationError(
                 f"coefficient array has shape {self.coeffs.shape}, expected {expected}"
@@ -73,8 +75,7 @@ class DGFunction2D:
 
     @classmethod
     def zeros(cls, mesh, degree):
-        N = mesh.N
-        return cls(mesh, degree, np.zeros((N, N, degree + 1, degree + 1)))
+        return cls(mesh, degree, np.zeros((mesh.N, degree + 1) * 2))
 
     def evaluate(self, x, y):
         """Pointwise evaluation; broadcasts x against y."""
@@ -91,5 +92,5 @@ class DGFunction2D:
         s = 2.0 * (yf - nodes[cj]) / (nodes[cj + 1] - nodes[cj]) - 1.0
         Vx, _ = legendre_table(self.degree, t)
         Vy, _ = legendre_table(self.degree, s)
-        vals = np.einsum("pm,pmn,pn->p", Vx, self.coeffs[ci, cj], Vy)
+        vals = np.einsum("pm,pmn,pn->p", Vx, self.coeffs[ci, :, cj], Vy)
         return vals.reshape(shape)

@@ -13,6 +13,7 @@ output and programmatic use).
 
 import itertools
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 from numpy.linalg import LinAlgError
@@ -106,8 +107,8 @@ class SweepConfig:
                 raise ConfigurationError(
                     f"N list must double strictly for rate fits, got {a} -> {b}"
                 )
-        if any(k < 1 for k in self.k_list):
-            raise ConfigurationError("polynomial degrees must be >= 1")
+        if any(not isinstance(k, Integral) or k < 1 for k in self.k_list):
+            raise ConfigurationError(f"degrees must be integers >= 1, got {self.k_list}")
         for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
             MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
         if self.quad_order is not None:

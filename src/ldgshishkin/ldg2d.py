@@ -68,10 +68,10 @@ class AssembledSystem2D:
     B^T (c c^T o f(x, x^T)) B is in kron order (see ``grid_product``).
 
     ``matrix`` is the coupled (U, Ptilde, Qtilde) matrix in the field-major
-    layout (all U dofs, then P, then Q; within a field the cells row-major
-    over (i, j), then the local modes, x-mode-major), built on first access,
-    W_b blocks included.  The solve never reads it; it stays because the
-    tests and ``bench/spans.py`` do.
+    layout (all U dofs, then P, then Q; within a field kron order (i, m, j, n),
+    the layout of ``DGFunction2D.coeffs``), built on first access, W_b blocks
+    included.  The solve never reads it; it stays because the tests and
+    ``bench/spans.py`` do.
     """
 
     pieces: OperatorPieces1D
@@ -90,9 +90,8 @@ class AssembledSystem2D:
         with the 1D matrices of the axis built from its pieces: the mass M,
         D applied by the reference element to the identity, the flux mass
         F = diag(m/s) + e e^T (e = v on the two interface cells) and the
-        boundary penalty s E from its diagonal blocks; then renumbered to
-        the field-major layout, and the W_b blocks of every cell, formed
-        from beta, added there.
+        boundary penalty s E from its diagonal blocks, and the W_b block of
+        every cell (i, j), formed from beta, added at its kron-order dofs.
         """
         import scipy.sparse as sp
         p, (N, k1), q, field = self.pieces, self.pieces.m.shape, self.V.shape[0], self.load.size
@@ -109,15 +108,13 @@ class AssembledSystem2D:
             [kron(D, M), kron(F, M), None],
             [kron(M, D), None, kron(M, F)],
         ], format="coo")
-        dof = np.arange(field).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
-        order = np.concatenate([dof, field + dof, 2 * field + dof])
+        dof = np.arange(field).reshape(N, k1, N, k1).transpose(0, 2, 1, 3)  # dofs by (i, j, m, n)
+        rows, cols = np.broadcast_arrays(dof[..., None, None], dof[:, :, None, None])
         W = (self.beta.reshape(N, q, N, q).transpose(0, 2, 1, 3).reshape(N * N, q * q)
              @ np.einsum("ga,hb,gc,hd->ghabcd", *(self.V,) * 4).reshape(q * q, -1))
-        R = sp.bsr_matrix((W.reshape(N * N, k1 * k1, k1 * k1), np.arange(N * N),
-                           np.arange(N * N + 1))).tocoo()
-        return SparseMatrix.from_coo(3 * field, np.concatenate([order[A.row], R.row]),
-                                     np.concatenate([order[A.col], R.col]),
-                                     np.concatenate([A.data, R.data]))
+        return SparseMatrix.from_coo(3 * field, np.concatenate([A.row, rows.ravel()]),
+                                     np.concatenate([A.col, cols.ravel()]),
+                                     np.concatenate([A.data, W.ravel()]))
 
 
 def assemble_2d(problem, mesh2d, k):
@@ -128,7 +125,7 @@ def assemble_2d(problem, mesh2d, k):
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     pieces, ref = piece_blocks_1d(mesh2d.axis, k, problem.eps), reference_blocks_1d(k)
     V, x = ref.V, mesh2d.axis.quadrature_points(ref.points).ravel()
-    hw = np.outer(0.5 * np.diff(mesh2d.axis.nodes), ref.weights).ravel()
+    hw = np.outer(0.5 * mesh2d.axis.widths, ref.weights).ravel()
 
     def on_grid(g):  # (h(x)w)(h(x)w)^T o g(x, x^T)
         values = hw[:, None] * np.asarray(g(x[:, None], x[None, :]), dtype=float)
@@ -225,7 +222,7 @@ def solve_ldg_2d(problem, mesh2d, k):
     The operator S of ``eliminate_fluxes_2d`` is solved by ``pcg``
     preconditioned by ``_fast_diagonalization``: 2-3 steps for constant b,
     about 20 for variable b.  All of it works on kron-order vectors: the
-    load is integrated in that order and U is permuted out of it once.  The
+    load is integrated in that order and U, P and Q are stored in it.  The
     reported residual is that of the unscaled U-system S; SolverError
     (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
     SingularMatrixError when an iterate is not finite.
@@ -239,13 +236,9 @@ def solve_ldg_2d(problem, mesh2d, k):
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
             residual=result.residual,
         )
-    # in kron order U is (i, m, j, n): G acts on (i, m) for P, on (j, n) for Q
+    # U is (i, m, j, n): G acts on (i, m) for P, on (j, n) for Q
     u, s, G = result.x.reshape(N, k1, N, k1), system.pieces.s, system.pieces.flux_gradient
-
-    def field(kron_values, scale):
-        return DGFunction2D(mesh2d, k, np.ascontiguousarray(scale * kron_values.swapaxes(1, 2)))
-
-    P = G(u.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
-    return MixedSolution2D(U=field(u, 1.0), P=field(P, -s), Q=field(G(u), -s),
-                           residual=result.residual)
+    P = np.multiply(-s, G(u.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1), order="C")
+    return MixedSolution2D(U=DGFunction2D(mesh2d, k, u), P=DGFunction2D(mesh2d, k, P),
+                           Q=DGFunction2D(mesh2d, k, -s * G(u)), residual=result.residual)
 

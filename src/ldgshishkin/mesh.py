@@ -11,6 +11,8 @@ machine precision.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +34,8 @@ class MeshConfig:
     beta: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.N, Integral):
+            raise ConfigurationError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or self.N % 4 != 0:
             raise ConfigurationError(f"N must be a multiple of 4 and >= 4, got {self.N}")
         if not 0.0 < self.eps <= 1.0:
@@ -60,9 +64,11 @@ class Mesh1D:
     def N(self):
         return self.config.N
 
-    @property
-    def widths(self):
-        return np.diff(self.nodes)
+    @cached_property
+    def widths(self):  # computed once, read-only
+        widths = np.diff(self.nodes)
+        widths.setflags(write=False)
+        return widths
 
     @property
     def layer(self):
@@ -79,7 +85,7 @@ class Mesh1D:
     def quadrature_points(self, points):
         """Physical images, shape (N, len(points)), of the reference points
         ``points`` in [-1, 1] under every cell's affine map."""
-        return quadrature_points(self.nodes, points)
+        return quadrature_points(self.nodes, points, self.widths)
 
     def cell(self, i):
         """Endpoints (x_{i-1}, x_i) of cell i, 1-based."""
@@ -107,10 +113,10 @@ class Mesh2D:
         return self.axis.cell(i), self.axis.cell(j)
 
 
-def quadrature_points(nodes, points):
-    """Images, shape (len(nodes) - 1, len(points)), of the reference points
-    ``points`` in [-1, 1] on the cells [nodes[i], nodes[i+1]]."""
-    halfh = 0.5 * np.diff(nodes)
+def quadrature_points(nodes, points, widths=None):
+    """Images, shape (len(nodes) - 1, len(points)), of the reference points ``points``
+    in [-1, 1] on the cells [nodes[i], nodes[i+1]] (``widths`` np.diff(nodes) if None)."""
+    halfh = 0.5 * (np.diff(nodes) if widths is None else widths)
     return nodes[:-1, None] + halfh[:, None] * (points[None, :] + 1.0)
 
 

@@ -74,7 +74,7 @@ def _sq_error_1d(dgf, exact, mesh, quad, cells=slice(None), weight=None):
     sq = (np.asarray(exact(X), dtype=float) - dgf.coeffs[cells] @ V.T) ** 2
     if weight is not None:
         sq *= np.asarray(weight(X), dtype=float)
-    halfh = 0.5 * np.diff(mesh.nodes)[cells]
+    halfh = 0.5 * mesh.widths[cells]
     return float(np.sum(halfh[:, None] * rule.weights * sq))
 
 
@@ -133,17 +133,16 @@ def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
     w, N = rule.weights, mesh2d.N
     x = mesh2d.axis.quadrature_points(rule.points)
     y = x.reshape(1, -1)
-    kron = dgf.coeffs.swapaxes(1, 2)  # (i, m, j, n)
     per_cell = np.empty((N, N))
     for rows in cell_blocks(N, N * quad**2):
-        sq = grid_product(V, kron[rows].reshape(-1, N * (dgf.degree + 1)))
+        sq = grid_product(V, dgf.coeffs[rows].reshape(-1, N * (dgf.degree + 1)))
         xs = x[rows].reshape(-1, 1)
         np.subtract(np.asarray(exact(xs, y), dtype=float), sq, out=sq)
         sq *= sq
         if weight is not None:
             sq *= np.asarray(weight(xs, y), dtype=float)
         per_cell[rows] = w @ (sq.reshape(-1, quad) @ w).reshape(-1, quad, N)
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    h = 0.5 * mesh2d.axis.widths
     per_cell *= h[:, None] * h
     return float(np.sum(per_cell[cells]))
 
@@ -151,11 +150,11 @@ def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
 def _jump_terms_2d(T, mesh2d):
     """Squared boundary U-jump integrals and squared interface P/Q jump
     integrals, each summed over both axes.  Only the cell lines on the
-    boundary and at the interface are traced: coefficients are (i, j, m, n)
-    with x-mode m, and P_m(-1) = (-1)^m, P_m(1) = 1."""
+    boundary and at the interface are traced: c[i] (m, j, n) and c[:, :, j]
+    (i, m, n) of the kron-order coefficients, P_m(-1) = (-1)^m, P_m(1) = 1."""
     ref = reference_blocks_1d(T.U.degree)
     left, wbar = ref.alt, ref.mass
-    h = 0.5 * np.diff(mesh2d.axis.nodes)
+    h = 0.5 * mesh2d.axis.widths
     J = mesh2d.axis.interface_index
     U, P, Q = T.U.coeffs, T.P.coeffs, T.Q.coeffs
 
@@ -163,8 +162,10 @@ def _jump_terms_2d(T, mesh2d):
         return float(np.sum(h * (np.stack(lines) ** 2 @ wbar)))
 
     # [[U]]_{0,y} = -U^+ on x=0; [[U]]_{N,y} = U^- on x=1 (squares drop sign)
-    return (edge_sq(left @ U[0], U[-1].sum(axis=1), U[:, 0] @ left, U[:, -1].sum(axis=2)),
-            edge_sq(P[J - 1].sum(axis=1) - left @ P[J], Q[:, J - 1].sum(axis=2) - Q[:, J] @ left))
+    return (edge_sq(np.tensordot(left, U[0], 1), U[-1].sum(axis=0), U[:, :, 0] @ left,
+                    U[:, :, -1].sum(axis=2)),
+            edge_sq(P[J - 1].sum(axis=0) - np.tensordot(left, P[J], 1),
+                    Q[:, :, J - 1].sum(axis=2) - Q[:, :, J] @ left))
 
 
 def _norms_2d(T, problem, mesh2d, quad, u, p, q):

@@ -115,7 +115,7 @@ def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
 
     kx, ky (shape (Nx, Ny)) give each cell's kind per axis; WEIGHTED must
     fill both slots and solves the 2D Gram system with weight b (plain L2
-    when b is None).  Returns c[i, j, x-mode, y-mode].  Per strip of cell
+    when b is None).  Returns c[i, x-mode, j, y-mode].  Per strip of cell
     rows z is sampled once, at (x[:, None], y[None, :]) with x and y the
     quadrature points then the nodes; each cell reads its edge moments and
     corner at its matched node (left/bottom for GR_PLUS, else right/top).
@@ -129,7 +129,7 @@ def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
     yq = quadrature_points(ynodes, rule.points).reshape(1, -1)
     y = np.concatenate([yq[0], ynodes])[None, :]
     scale, last = _operators(k)[L2].diagonal(), _operators(k)[:, k].T
-    coeffs = np.empty((Nx, Ny, n, n))
+    coeffs = np.empty((Nx, n, Ny, n))
     for s in cell_blocks(Nx, (quad + 1) * y.size):
         x = xq[s].reshape(-1, 1)
         r, rq, px, py = len(xq[s]), len(x), kx[s] == GR_PLUS, ky[s] == GR_PLUS
@@ -145,12 +145,13 @@ def _project_2d(z, xnodes, ynodes, kx, ky, k, quad=None, b=None):
         E[k] = (last[:, kx[s]][:, None] * D).sum(axis=0)
         C = E[:, :n] * scale[:, None, None]  # then (Rx D) Ry^T alike
         C[:, k] = (E * last[:, ky[s]]).sum(axis=1)
-        coeffs[s] = C.transpose(2, 3, 0, 1)
+        coeffs[s] = C.transpose(2, 0, 3, 1)
         ii, jj = np.nonzero((kx[s] == WEIGHTED) & (b is not None))
         if len(ii):
             B, Zc = (G.reshape(r, quad, Ny, quad)[ii, :, jj].reshape(len(ii), -1)
                      for G in (_sample(b, x, yq), F[:rq, :nq]))  # q x q blocks, (g, h)
-            coeffs[s][ii, jj] = _solve_gram(np.tensordot(B, C4, 1), (B * Zc) @ VV).reshape(-1, n, n)
+            coeffs[s][ii, :, jj] = _solve_gram(np.tensordot(B, C4, 1),
+                                               (B * Zc) @ VV).reshape(-1, n, n)
         del F, D, E, C, ey, ex  # before the next strip's sample
     return coeffs
 
@@ -221,7 +222,7 @@ def tensor_project_2d(kind_x, kind_y, z, cell2d, k, quad=None, b=None):
     if WEIGHTED in (kind_x, kind_y) and b is None:
         raise ConfigurationError("weighted 2D projection needs the weight handle b")
     xnodes, ynodes = (_cell_nodes(c) for c in cell2d)
-    return _project_2d(z, xnodes, ynodes, kx, ky, k, quad, b=b)[0, 0]
+    return _project_2d(z, xnodes, ynodes, kx, ky, k, quad, b=b)[0, :, 0]
 
 
 def composite_project_minus_2d(u, mesh2d, k, quad=None, b=None):

@@ -91,8 +91,8 @@ def interpolate_2d(w, mesh, k):
     """Continuous tensor Chebyshev-Lobatto interpolant on a 2D mesh."""
     pts, Vinv = _lobatto_interpolation(k)
     X = mesh.axis.quadrature_points(pts)
-    W = np.asarray(w(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    return DGFunction2D(mesh, k, Vinv @ W @ Vinv.T)
+    W = np.asarray(w(X[:, :, None, None], X[None, None, :, :]), dtype=float)  # (i, g, j, h)
+    return DGFunction2D(mesh, k, np.einsum("mg,igjh,nh->imjn", Vinv, W, Vinv))
 
 
 def composite_project_plus_y_2d(q, mesh2d, k, quad=None):
@@ -116,13 +116,13 @@ def x_edge_trace(dgf, side):
     vertical edge: side='left' gives v^+ at x = x_{i-1}, side='right' gives
     v^- at x = x_i; shape (N, N, k+1) indexed (i, j, y-mode)."""
     ref = reference_blocks_1d(dgf.degree)
-    return np.einsum("m,ijmn->ijn", ref.alt if side == "left" else ref.ones, dgf.coeffs)
+    return np.einsum("m,imjn->ijn", ref.alt if side == "left" else ref.ones, dgf.coeffs)
 
 
 def y_edge_trace(dgf, side):
     """x-mode coefficients of the trace on a horizontal edge ('bottom' or 'top')."""
     ref = reference_blocks_1d(dgf.degree)
-    return np.einsum("n,ijmn->ijm", ref.alt if side == "bottom" else ref.ones, dgf.coeffs)
+    return np.einsum("n,imjn->ijm", ref.alt if side == "bottom" else ref.ones, dgf.coeffs)
 
 
 def bilinear_form_1d(W, X, problem, mesh):
@@ -211,7 +211,7 @@ def bilinear_form_2d(T, Z, problem, mesh2d):
     bvals = np.asarray(problem.b(X[:, None, :, None], X[None, :, None, :]), dtype=float)
 
     def vol(F, Bx, By):
-        return np.einsum("ijmn,gm,hn->ijgh", F.coeffs, Bx, By, optimize=True)
+        return np.einsum("imjn,gm,hn->ijgh", F.coeffs, Bx, By, optimize=True)
 
     scale = h[:, None] * h[None, :]
     total = 0.0
@@ -286,7 +286,7 @@ def load_functional_2d(f, Z, mesh2d):
     h = 0.5 * np.diff(mesh2d.axis.nodes)
     X = mesh2d.axis.quadrature_points(rule.points)
     fvals = np.asarray(f(X[:, None, :, None], X[None, :, None, :]), dtype=float)
-    vv = np.einsum("ijmn,gm,hn->ijgh", Z.U.coeffs, V, V, optimize=True)
+    vv = np.einsum("imjn,gm,hn->ijgh", Z.U.coeffs, V, V, optimize=True)
     scale = h[:, None] * h[None, :]
     return float(np.einsum("ij,gh,ijgh->", scale, w2, fvals * vv, optimize=True))
 
@@ -421,11 +421,10 @@ def coupled_matrix(system):
 
 
 def coupled_rhs(system):
-    """Right-hand side of ``coupled_matrix``: the load, moved from kron
-    order to the field-major layout, on the U dofs."""
-    N, k1 = system.pieces.m.shape
+    """Right-hand side of ``coupled_matrix``: the (kron-order) load on the
+    U dofs."""
     rhs = np.zeros(3 * system.load.size)
-    rhs[:system.load.size] = system.load.reshape(N, k1, N, k1).transpose(0, 2, 1, 3).ravel()
+    rhs[:system.load.size] = system.load.ravel()
     return rhs
 
 
@@ -444,7 +443,7 @@ def refined_solve_2d(problem, mesh2d, k, steps=3):
     and that solution refined ``steps`` times with residuals of the
     unscaled matrix computed in np.longdouble, summed over the csr rows by
     ``np.add.reduceat`` (corrections by the same LU).  Returns the (U, P,
-    Q) coefficients, each (N, N, k+1, k+1), of the refined solve (rounded
+    Q) coefficients, each (N, k+1, N, k+1), of the refined solve (rounded
     to float64).  The diagonal pivot threshold 0.01 (take the diagonal
     unless it is under 0.01 of its column's largest entry) cuts the factor
     time by about a quarter; the refined solution moves by under 2e-16."""
@@ -461,7 +460,7 @@ def refined_solve_2d(problem, mesh2d, k, steps=3):
     for _ in range(steps):
         Ax = np.add.reduceat(data * x_ld[csr.indices], csr.indptr[:-1])
         x_ld += solve((b - Ax).astype(float))
-    U, P, Q = x_ld.astype(float).reshape(3, mesh2d.N, mesh2d.N, k + 1, k + 1)
+    U, P, Q = x_ld.astype(float).reshape(3, mesh2d.N, k + 1, mesh2d.N, k + 1)
     return U, system.pieces.s * P, system.pieces.s * Q
 
 

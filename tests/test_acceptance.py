@@ -280,9 +280,9 @@ def test_criterion_6_energy_identity_suite():
             mesh2 = build_shishkin_2d(MeshConfig(N=N, eps=eps, sigma=2.0))
             for _ in range(20):
                 T = MixedSolution2D(
-                    U=DGFunction2D(mesh2, 1, rng.standard_normal((N, N, 2, 2))),
-                    P=DGFunction2D(mesh2, 1, rng.standard_normal((N, N, 2, 2))),
-                    Q=DGFunction2D(mesh2, 1, rng.standard_normal((N, N, 2, 2))),
+                    U=DGFunction2D(mesh2, 1, rng.standard_normal((N, 2, N, 2))),
+                    P=DGFunction2D(mesh2, 1, rng.standard_normal((N, 2, N, 2))),
+                    Q=DGFunction2D(mesh2, 1, rng.standard_normal((N, 2, N, 2))),
                 )
                 E2 = energy_norm_2d(T, problem2, mesh2).total ** 2
                 gap = abs(bilinear_form_2d(T, T, problem2, mesh2) - E2) / (1.0 + E2)

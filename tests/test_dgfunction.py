@@ -62,21 +62,27 @@ class TestDGFunction1D:
 class TestDGFunction2D:
     def test_shape_validation(self, mesh2):
         with pytest.raises(ConfigurationError):
-            DGFunction2D(mesh2, 1, np.zeros((4, 4, 2, 3)))
+            DGFunction2D(mesh2, 1, np.zeros((4, 2, 4, 3)))
+        # kron order (i, m, j, n): the cell-major (i, j, m, n) shape is refused
+        with pytest.raises(ConfigurationError):
+            DGFunction2D(mesh2, 1, np.zeros((4, 4, 2, 2)))
+        assert DGFunction2D.zeros(mesh2, 1).coeffs.shape == (4, 2, 4, 2)
 
     def test_evaluate_and_edge_traces(self, mesh2):
         rng = np.random.default_rng(5)
-        f = DGFunction2D(mesh2, 1, rng.standard_normal((4, 4, 2, 2)))
+        f = DGFunction2D(mesh2, 1, rng.standard_normal((4, 2, 4, 2)))
+        c = f.coeffs[1, :, 2]  # the modes (x-mode, y-mode) of cell (2,3)
         # trace coefficients on the right edge of cell (2,3): sum over x-modes
         tr = x_edge_trace(f, "right")[1, 2]
-        assert np.allclose(tr, f.coeffs[1, 2].sum(axis=0), atol=0)
+        assert np.allclose(tr, c.sum(axis=0), atol=0)
         tl = x_edge_trace(f, "left")[1, 2]
-        assert np.allclose(tl, f.coeffs[1, 2, 0] - f.coeffs[1, 2, 1], atol=0)
-        # point evaluation against the explicit bilinear form of cell (1,1)
-        (ax, bx), (ay, by) = mesh2.cell(1, 1)
-        xm, ym = 0.5 * (ax + bx), 0.5 * (ay + by)
-        c = f.coeffs[0, 0]
-        assert f.evaluate(xm, ym)[0] == pytest.approx(c[0, 0], rel=1e-13)
+        assert np.allclose(tl, c[0] - c[1], atol=0)
+        # point evaluation against the explicit bilinear form of cell (2,3)
+        # at reference point (t, s) = (0.5, -0.25)
+        (ax, bx), (ay, by) = mesh2.cell(2, 3)
+        x, y = ax + 0.75 * (bx - ax), ay + 0.375 * (by - ay)
+        expected = c[0, 0] + 0.5 * c[1, 0] - 0.25 * c[0, 1] - 0.125 * c[1, 1]
+        assert f.evaluate(x, y)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_interpolation_2d_product(self, mesh2):
         w = lambda x, y: (1 + np.asarray(x)) * (2 - np.asarray(y))

@@ -35,6 +35,19 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(n_list=(30, 60))
 
+    @pytest.mark.parametrize("values", [
+        {"n_list": (8.0, 16.0)}, {"k_list": (1.0,)}, {"k_list": (1, 2.5)},
+    ], ids=["float-N", "float-k", "fractional-k"])
+    def test_non_integer_N_and_k_rejected(self, values):
+        with pytest.raises(ConfigurationError, match="integer"):
+            SweepConfig(dim=1, eps_list=(1e-4,), **{"n_list": (8, 16), **values})
+
+    def test_numpy_integer_N_and_k_accepted(self):
+        cfg = SweepConfig(dim=1, k_list=(np.int64(1),), n_list=tuple(np.array([8, 16])),
+                          eps_list=(1e-4,))
+        table = run_sweep(cfg)
+        assert not table.any_failed and len(table.rows) == 2
+
     def test_sigma_default_tracks_k(self):
         cfg = SweepConfig()
         assert cfg.sigma_for(1) == 2.0

@@ -76,8 +76,8 @@ def nan_on_one_cell(problem, mesh, name):
 
 
 def kron_order(N, k):
-    """Field-major position (i, j, m, n) of each kron-order (i, m, j, n) dof
-    of one field."""
+    """Cell-major position (i, j, m, n) of each kron-order (i, m, j, n) dof
+    of one field: the order of the W_b blocks of ``reaction_blocks``."""
     k1 = k + 1
     return np.arange(N * N * k1 * k1).reshape(N, N, k1, k1).transpose(0, 2, 1, 3).ravel()
 
@@ -87,21 +87,19 @@ def dense(operator, n):
     return np.column_stack([operator.matvec(e) for e in np.eye(n)])
 
 
-def schur_complement(system, k):
-    """The dense Schur complement of the coupled matrix onto U, in kron order."""
+def schur_complement(system):
+    """The dense Schur complement of the coupled matrix onto U (kron order)."""
     A = coupled_matrix(system).to_dense()
     M = system.load.size
     u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
-    schur = (A[u, u]
-             - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
-             - A[u, q] @ np.linalg.solve(A[q, q], A[q, u]))
-    order = kron_order(system.pieces.m.shape[0], k)
-    return schur[np.ix_(order, order)]
+    return (A[u, u]
+            - A[u, p] @ np.linalg.solve(A[p, p], A[p, u])
+            - A[u, q] @ np.linalg.solve(A[q, q], A[q, u]))
 
 
 def random_triple(mesh, k, rng):
     N = mesh.N
-    shape = (N, N, k + 1, k + 1)
+    shape = (N, k + 1, N, k + 1)
     return MixedSolution2D(
         U=DGFunction2D(mesh, k, rng.standard_normal(shape)),
         P=DGFunction2D(mesh, k, rng.standard_normal(shape)),
@@ -135,7 +133,7 @@ class TestAssembly2D:
         p = Problem2D(eps=eps, b=b, f=lambda x, y: 0.0 * b(x, y), beta=1.0)
         system = assemble_2d(p, mesh, k)
         A = system.matrix.csr
-        zero = DGFunction2D(mesh, k, np.zeros((N, N, k + 1, k + 1)))
+        zero = DGFunction2D.zeros(mesh, k)
         fields = ("U", "P", "Q")
 
         def vector(triple, pq_factor):
@@ -173,9 +171,10 @@ class TestAssembly2D:
         p = manufactured_2d_problem(1e-3)
         system = assemble_2d(p, mesh, k)
         A = system.matrix.csr
-        kk, field = (k + 1) ** 2, system.load.size
+        field = system.load.size
         # dofs of cell (ci, cj) in the P and Q blocks of the field-major layout
-        p_slice = lambda ci, cj: field + (ci * N + cj) * kk + np.arange(kk)
+        cell_dofs = np.arange(field).reshape(N, k + 1, N, k + 1)
+        p_slice = lambda ci, cj: field + cell_dofs[ci, :, cj].ravel()
         q_slice = lambda ci, cj: field + p_slice(ci, cj)
         J = mesh.axis.interface_index
         cj = 2  # arbitrary row of cells
@@ -201,7 +200,7 @@ def solve_full_system(p, mesh, k):
     scaled, r, c = equilibrate(coupled_matrix(system))
     x = c * sparse_solve(scaled, r * coupled_rhs(system)).x
     M = system.load.size
-    shape = (mesh.N, mesh.N, k + 1, k + 1)
+    shape = (mesh.N, k + 1, mesh.N, k + 1)
 
     def field(values, scale=1.0):
         return DGFunction2D(mesh, k, scale * values.reshape(shape))
@@ -293,14 +292,14 @@ class TestSymmetry:
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(8, eps)
         sol = solve_ldg_2d(p, mesh, 1)
-        U = sol.U.coeffs
-        swapped = np.transpose(U, (1, 0, 3, 2))
+        U = sol.U.coeffs  # (i, m, j, n): the reflection swaps (i, m) and (j, n)
+        swapped = np.transpose(U, (2, 3, 0, 1))
         scale = np.max(np.abs(U))
         assert np.max(np.abs(U - swapped)) <= 1e-10 * scale
         # P and Q swap roles under the reflection
         P = sol.P.coeffs
         Q = sol.Q.coeffs
-        assert np.max(np.abs(P - np.transpose(Q, (1, 0, 3, 2)))) <= 1e-10 * np.max(np.abs(P))
+        assert np.max(np.abs(P - np.transpose(Q, (2, 3, 0, 1)))) <= 1e-10 * np.max(np.abs(P))
 
 
 class TestCondensation:
@@ -328,7 +327,7 @@ class TestCondensation:
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_is_schur_complement(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        schur = schur_complement(system, k)
+        schur = schur_complement(system)
         S = dense(eliminate_fluxes_2d(system), system.load.size)
         assert np.max(np.abs(S - schur)) <= 1e-13 * np.max(np.abs(schur))
 
@@ -412,12 +411,10 @@ class TestMatrixFreeOperator:
         u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
         lu_p, lu_q = splu(A[p, p].tocsc()), splu(A[q, q].tocsc())
         S = eliminate_fluxes_2d(system)
-        order = kron_order(N, k)
         for x in np.random.default_rng(47).standard_normal((3, M)):
             expected = (A[u, u] @ x - A[u, p] @ lu_p.solve(A[p, u] @ x)
                         - A[u, q] @ lu_q.solve(A[q, u] @ x))
-            got = np.empty(M)
-            got[order] = S.matvec(x[order])
+            got = S.matvec(x)
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("b", ["constant", "variable"])
@@ -487,12 +484,12 @@ class TestGridKernels:
         # each point back to its cell, loses no digits doing so
         N, eps = 8, 1e-2
         mesh = make_mesh(N, eps, sigma=k + 1)
-        coeffs = np.random.default_rng(59).standard_normal((N, N, k + 1, k + 1))
+        coeffs = np.random.default_rng(59).standard_normal((N, k + 1, N, k + 1))
         U = DGFunction2D(mesh, k, coeffs)
         system = assemble_2d(manufactured_2d_problem(eps), mesh, k)
         x = mesh.axis.quadrature_points(gauss_rule(assembly_quad_order(k)).points).ravel()
         expected = U.evaluate(x[:, None], x[None, :])
-        got = grid_product(system.V, coeffs.swapaxes(1, 2).reshape(N * (k + 1), -1))
+        got = grid_product(system.V, coeffs.reshape(N * (k + 1), -1))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -596,16 +593,29 @@ class TestFastDiagonalizationSolve:
         mesh = make_mesh(N, eps, sigma=k + 1)
         system = assemble_2d(p, mesh, k)
         S = eliminate_fluxes_2d(system)
-        order = kron_order(N, k)
 
         def residual(u):  # the reported residual: that of the unscaled U-system
-            return _relative_residual(S, u.ravel()[order], system.load.ravel())
+            return _relative_residual(S, u.ravel(), system.load.ravel())
 
         sol = solve_ldg_2d(p, mesh, k)
         U = sol.U.coeffs
         assert residual(U) == sol.residual <= 1e-9
         noise = np.random.default_rng(41).standard_normal(U.shape)
         assert residual(U * (1.0 + 1e-6 * noise)) > 1e-9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_solution_stored_in_operator_order(self, k):
+        # U.coeffs.ravel() is the vector S acts on, with no permutation in
+        # between: S U matches the load to the residual the solve reports
+        eps, N = 1e-8, 8
+        p, mesh = manufactured_2d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+        system, sol = assemble_2d(p, mesh, k), solve_ldg_2d(p, mesh, k)
+        S, u, load = eliminate_fluxes_2d(system), sol.U.coeffs.ravel(), system.load.ravel()
+        scale = S.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(load)
+        assert np.linalg.norm(S.matvec(u) - load) <= sol.residual * scale * (1.0 + 1e-12)
+        assert sol.residual <= 1e-9
+        # C-contiguous, so the matrix view that the norms read is no copy
+        assert all(f.coeffs.flags.c_contiguous for f in (sol.U, sol.P, sol.Q))
 
     @pytest.mark.parametrize("name", ["b", "f"])
     def test_nan_data_raises_typed_error(self, name):

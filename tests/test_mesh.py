@@ -18,6 +18,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             cfg(N=N)
 
+    @pytest.mark.parametrize("N", [8.0, 8.5, "8", np.float64(16.0)])
+    def test_non_integer_N(self, N):
+        with pytest.raises(ConfigurationError, match="integer"):
+            cfg(N=N)
+
+    @pytest.mark.parametrize("N", [np.int64(16), np.int32(8)])
+    def test_numpy_integer_N(self, N):
+        mesh = build_shishkin_1d(cfg(N=N))
+        assert mesh.N == N and len(mesh.nodes) == N + 1
+
     @pytest.mark.parametrize("eps", [0.0, -1e-4, 1.5])
     def test_bad_eps(self, eps):
         with pytest.raises(ConfigurationError):
@@ -77,6 +87,17 @@ class TestMeshGeometry:
             assert np.max(np.abs(block - block[0])) <= 1e-14
         assert abs(h[0] - 4 * m.tau / N) <= 1e-14
         assert abs(h[N // 2] - 2 * (1 - 2 * m.tau) / N) <= 1e-14
+
+    def test_widths_computed_once(self):
+        # one read-only array per mesh, equal to np.diff of the nodes bit for
+        # bit; the quadrature points read it
+        m = build_shishkin_1d(cfg(N=64, eps=1e-8))
+        assert m.widths is m.widths
+        assert not m.widths.flags.writeable
+        assert np.array_equal(m.widths, np.diff(m.nodes))
+        points = np.array([-1.0, 0.0, 0.5])
+        expected = m.nodes[:-1, None] + 0.5 * np.diff(m.nodes)[:, None] * (points + 1.0)
+        assert np.array_equal(m.quadrature_points(points), expected)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("N", [16, 64, 256])

@@ -205,9 +205,9 @@ class TestFluxTermIsExact:
         halfh = 0.5 * np.diff(mesh.axis.nodes)
         area = halfh[:, None] * halfh[None, :]
         for _ in range(5):
-            U, P, Q = rng.standard_normal((3, N, N, k + 1, k + 1))
+            U, P, Q = rng.standard_normal((3, N, k + 1, N, k + 1))
             T = MixedSolution2D(*(DGFunction2D(mesh, k, c) for c in (U, P, Q)))
-            modal = np.sum(area * ((P**2 + Q**2) @ wbar @ wbar))
+            modal = np.einsum("ij,imjn,m,n->", area, P**2 + Q**2, wbar, wbar)
             assert energy_norm_2d(T, p, mesh).q_term * eps == pytest.approx(modal, rel=1e-14)
 
 
@@ -255,7 +255,7 @@ def brute_l2_2d(dgf, exact, mesh2d, cell_filter, quad):
             ax, cx, ay, cy = nodes[i - 1], nodes[i], nodes[j - 1], nodes[j]
             x = ax + (cx - ax) * (t + 1.0) / 2.0
             y = ay + (cy - ay) * (t + 1.0) / 2.0
-            vals = np.polynomial.legendre.leggrid2d(t, t, dgf.coeffs[i - 1, j - 1])
+            vals = np.polynomial.legendre.leggrid2d(t, t, dgf.coeffs[i - 1, :, j - 1])
             diff = exact(x[:, None], y[None, :]) - vals
             total += 0.25 * (cx - ax) * (cy - ay) * np.sum(np.outer(w, w) * diff**2)
     return np.sqrt(total)
@@ -287,7 +287,7 @@ class TestRegionErrors:
     def dg_2d(self, mesh):
         rng = np.random.default_rng(mesh.N + 1)
         mesh2d = build_shishkin_2d(mesh.config)
-        coeffs = rng.standard_normal((mesh.N, mesh.N, self.K + 1, self.K + 1))
+        coeffs = rng.standard_normal((mesh.N, self.K + 1, mesh.N, self.K + 1))
         return mesh2d, DGFunction2D(mesh2d, self.K, coeffs)
 
     def test_1d_noncontiguous_sets_match_brute_force(self, mesh):
@@ -385,7 +385,7 @@ class TestStripKernel2D:
     @pytest.fixture
     def case(self):
         mesh2d = build_shishkin_2d(MeshConfig(N=self.N, eps=1e-6, sigma=3.0))
-        coeffs = np.random.default_rng(71).standard_normal((self.N, self.N, self.K + 1,
+        coeffs = np.random.default_rng(71).standard_normal((self.N, self.K + 1, self.N,
                                                              self.K + 1))
         return mesh2d, DGFunction2D(mesh2d, self.K, coeffs)
 
@@ -449,7 +449,7 @@ class TestJumpTerms2D:
         mesh2d = build_shishkin_2d(MeshConfig(N=N, eps=1e-4, sigma=k + 1.0))
         rng = np.random.default_rng(80 + k)
         T = MixedSolution2D(*(DGFunction2D(mesh2d, k, c)
-                              for c in rng.standard_normal((3, N, N, k + 1, k + 1))))
+                              for c in rng.standard_normal((3, N, k + 1, N, k + 1))))
         got = norms._jump_terms_2d(T, mesh2d)
         assert got == pytest.approx(full_trace_jump_terms_2d(T, mesh2d), rel=1e-15, abs=0.0)
 

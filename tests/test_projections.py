@@ -354,22 +354,22 @@ class TestComposite2D:
         pu = composite_project_minus_2d(u, mesh2, k, b=b)
         # (i, j) = (1, N/2): left layer strip, coarse j band -> Radau-minus in x
         direct = tensor_project_2d(GR_MINUS, L2, u, mesh2.cell(1, N // 2), k)
-        assert np.max(np.abs(pu.coeffs[0, N // 2 - 1] - direct)) < 1e-14
+        assert np.max(np.abs(pu.coeffs[0, :, N // 2 - 1] - direct)) < 1e-14
         # (i, j) = (N/2, 1): bottom strip -> Radau-minus in y
         direct = tensor_project_2d(L2, GR_MINUS, u, mesh2.cell(N // 2, 1), k)
-        assert np.max(np.abs(pu.coeffs[N // 2 - 1, 0] - direct)) < 1e-14
+        assert np.max(np.abs(pu.coeffs[N // 2 - 1, :, 0] - direct)) < 1e-14
         # corner (1, 1) -> weighted
         direct = tensor_project_2d(WEIGHTED, WEIGHTED, u, mesh2.cell(1, 1), k, b=b)
-        assert np.max(np.abs(pu.coeffs[0, 0] - direct)) < 1e-14
+        assert np.max(np.abs(pu.coeffs[0, :, 0] - direct)) < 1e-14
         # i = N strip with coarse j uses the weighted projection (as printed)
         direct = tensor_project_2d(WEIGHTED, WEIGHTED, u, mesh2.cell(N, N // 2), k, b=b)
-        assert np.max(np.abs(pu.coeffs[N - 1, N // 2 - 1] - direct)) < 1e-14
+        assert np.max(np.abs(pu.coeffs[N - 1, :, N // 2 - 1] - direct)) < 1e-14
         # plus-composites: first column/row plain, elsewhere Radau-plus
         pp = composite_project_plus_x_2d(u, mesh2, k)
         direct = tensor_project_2d(L2, L2, u, mesh2.cell(1, 3), k)
-        assert np.max(np.abs(pp.coeffs[0, 2] - direct)) < 1e-14
+        assert np.max(np.abs(pp.coeffs[0, :, 2] - direct)) < 1e-14
         direct = tensor_project_2d(GR_PLUS, L2, u, mesh2.cell(2, 3), k)
-        assert np.max(np.abs(pp.coeffs[1, 2] - direct)) < 1e-14
+        assert np.max(np.abs(pp.coeffs[1, :, 2] - direct)) < 1e-14
 
     def test_layer_rate_outside_centre_block(self):
         # scaled projection error outside the centre block converges at
@@ -457,21 +457,21 @@ def residual_data_2d(z, xnodes, ynodes, coeffs, b=None):
     left = (-1.0) ** np.arange(k + 1)
     x, y = oracle_points(xnodes), oracle_points(ynodes)
     X, Y = x[:, None, :, None], y[None, :, None, :]
-    r = z(X, Y) - np.einsum("gm,ijmn,hn->ijgh", P, coeffs, P)
+    r = z(X, Y) - np.einsum("gm,imjn,hn->ijgh", P, coeffs, P)
     weight = np.outer(ORACLE_W, ORACLE_W) * (1.0 if b is None else b(X, Y))
     mom = 0.25 * np.einsum("ijgh,gm,hn->ijmn", weight * r, P, P)
     edge_x, edge_y, corner = {}, {}, {}
     for side, e, xs in (("minus", np.ones(k + 1), xnodes[1:]), ("plus", left, xnodes[:-1])):
-        trace = np.einsum("m,ijmn,hn->ijh", e, coeffs, P)
+        trace = np.einsum("m,imjn,hn->ijh", e, coeffs, P)
         rx = z(xs[:, None, None], y[None, :, :]) - trace
         edge_x[side] = 0.5 * np.einsum("ijh,h,hn->ijn", rx, ORACLE_W, P)
     for side, e, ys in (("minus", np.ones(k + 1), ynodes[1:]), ("plus", left, ynodes[:-1])):
-        trace = np.einsum("n,ijmn,gm->ijg", e, coeffs, P)
+        trace = np.einsum("n,imjn,gm->ijg", e, coeffs, P)
         ry = z(x[:, None, :], ys[None, :, None]) - trace
         edge_y[side] = 0.5 * np.einsum("ijg,g,gm->ijm", ry, ORACLE_W, P)
     for sx, ex, xs in (("minus", np.ones(k + 1), xnodes[1:]), ("plus", left, xnodes[:-1])):
         for sy, ey, ys in (("minus", np.ones(k + 1), ynodes[1:]), ("plus", left, ynodes[:-1])):
-            value = np.einsum("m,ijmn,n->ij", ex, coeffs, ey)
+            value = np.einsum("m,imjn,n->ij", ex, coeffs, ey)
             corner[sx, sy] = z(xs[:, None], ys[None, :]) - value
     return mom, edge_x, edge_y, corner
 
@@ -559,10 +559,10 @@ class TestDefiningPropertiesOnEveryCell:
             for kind_y in (L2, GR_MINUS, GR_PLUS):
                 c = tensor_project_2d(kind_x, kind_y, z2, (xnodes, ynodes), k, quad=PROJ_QUAD)
                 kinds = (np.array([[kind_x]]), np.array([[kind_y]]))
-                check_properties_2d(z2, xnodes, ynodes, c[None, None], *kinds)
+                check_properties_2d(z2, xnodes, ynodes, c[None, :, None], *kinds)
         c = tensor_project_2d(WEIGHTED, WEIGHTED, z2, (xnodes, ynodes), k, quad=PROJ_QUAD, b=b2)
         weighted = np.array([[WEIGHTED]])
-        check_properties_2d(z2, xnodes, ynodes, c[None, None], weighted, weighted, b2)
+        check_properties_2d(z2, xnodes, ynodes, c[None, :, None], weighted, weighted, b2)
         for kind, proj in ((L2, project_l2), (GR_MINUS, project_gr_minus),
                            (GR_PLUS, project_gr_plus)):
             c = proj(z1, tuple(xnodes), k, quad=PROJ_QUAD)
@@ -640,7 +640,7 @@ class TestStrips2D:
         for i, j in np.ndindex(kx.shape):
             cell = ((xnodes[i], xnodes[i + 1]), (ynodes[j], ynodes[j + 1]))
             direct = tensor_project_2d(kx[i, j], ky[i, j], z2, cell, k, quad=PROJ_QUAD, b=b2)
-            assert np.max(np.abs(c[i, j] - direct)) <= 1e-14 * np.max(np.abs(direct))
+            assert np.max(np.abs(c[i, :, j] - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def vanishing_on(cell, inside, outside):
