@@ -12,6 +12,7 @@ the DG functions, the norms and the projections all read.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached gauss_rule(4) must not answer 4.0
 def gauss_rule(n):
     """n-point Gauss-Legendre rule, exact for polynomials of degree <= 2n-1.
 
@@ -82,9 +83,9 @@ def gauss_rule(n):
     initial guesses (tolerance 1e-15); weights are 2 / ((1-x^2) P_n'(x)^2).
     The rule is mirrored about 0 so symmetry holds to the last bit.
     """
-    if not 1 <= n <= _MAX_QUADRATURE_POINTS:
+    if not isinstance(n, Integral) or not 1 <= n <= _MAX_QUADRATURE_POINTS:
         raise ConfigurationError(
-            f"Gauss rule size must be in [1, {_MAX_QUADRATURE_POINTS}], got {n}"
+            f"Gauss rule size must be an integer in [1, {_MAX_QUADRATURE_POINTS}], got {n!r}"
         )
     points = np.zeros(n)
     weights = np.zeros(n)

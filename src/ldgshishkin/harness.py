@@ -13,7 +13,7 @@ output and programmatic use).
 
 import itertools
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 from numpy.linalg import LinAlgError
@@ -109,12 +109,14 @@ class SweepConfig:
                 )
         if any(not isinstance(k, Integral) or k < 1 for k in self.k_list):
             raise ConfigurationError(f"degrees must be integers >= 1, got {self.k_list}")
+        if self.sigma is not None and not isinstance(self.sigma, Real):
+            raise ConfigurationError(f"sigma must be a real number, got {self.sigma!r}")
         for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
             MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
         if self.quad_order is not None:
             gauss_rule(self.quad_order)  # owns the range of rule sizes
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        if not isinstance(self.workers, Integral) or self.workers < 1:
+            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def sigma_for(self, k):
         return float(self.sigma) if self.sigma is not None else float(k + 1)

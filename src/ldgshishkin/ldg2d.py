@@ -18,10 +18,11 @@ cells included, as 1D does: K = s E + s D^T F^-1 D is written from the 1D
 blocks of s E + eps D^T M^-1 D and a rank-one term on three cells, since
 the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
 Conjugate gradients, preconditioned by fast diagonalization (one 1D
-eigenproblem; exact for constant b), solve the SPD U-only system
-S = W_b + K(x)M + M(x)K without forming S (``UOperator2D``), on the
-kron-order view of U, with no scipy.sparse call; P and Q follow from
-the 1D cell blocks of D and F^-1, applied along x and along y.
+eigenproblem; exact for constant b, where two steps solve and refine),
+solve the SPD U-only system S = W_b + K(x)M + M(x)K without forming S
+(``UOperator2D``), on the kron-order view of U, with no scipy.sparse
+call; P and Q follow from the 1D cell blocks of D and F^-1, applied
+along x and along y.
 """
 
 import functools
@@ -220,9 +221,10 @@ def solve_ldg_2d(problem, mesh2d, k):
     """Solve the 2D scheme through its U-only SPD system.
 
     The operator S of ``eliminate_fluxes_2d`` is solved by ``pcg``
-    preconditioned by ``_fast_diagonalization``: 2-3 steps for constant b,
-    about 20 for variable b.  All of it works on kron-order vectors: the
-    load is integrated in that order and U, P and Q are stored in it.  The
+    preconditioned by ``_fast_diagonalization``: 2 steps for constant b
+    (two applications of it, three of S with the residual's), 17-18 for
+    variable b.  All of it works on kron-order vectors: the load is
+    integrated in that order and U, P and Q are stored in it.  The
     reported residual is that of the unscaled U-system S; SolverError
     (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
     SingularMatrixError when an iterate is not finite.

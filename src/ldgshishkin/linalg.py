@@ -249,12 +249,17 @@ def sparse_solve(matrix, rhs):
 def pcg(matrix, rhs, precondition):
     """Conjugate gradients on an SPD A (see ``_relative_residual``),
     preconditioned by the SPD map ``precondition``.  Stops once a step moves
-    no entry of x by more than 1e-14 max|x| (never the first step, which is
-    all of x, so even an exact preconditioner's rounding is refined once);
-    raises SingularMatrixError on a non-finite iterate, SolverError after 200 steps."""
+    no entry of x by more than 1e-14 max|x|, or before applying
+    ``precondition`` to a residual that predicts the next step to be that
+    small: max|alpha p| rho <= 1e-14 max|x|, rho the larger of the last two
+    contractions ||r_new|| / ||r_old||, so one sharp drop of the residual
+    alone never stops it.  The first step is all of x and never stops, so
+    even an exact preconditioner's rounding is refined once (two
+    applications); raises SingularMatrixError on a non-finite iterate,
+    SolverError after 200 steps."""
     x, r = np.zeros_like(rhs), rhs.copy()
     z = precondition(r)
-    p, rz = z, r @ z
+    p, rz, rr, rho = z, r @ z, r @ r, np.inf
     for step in range(_CG_MAX_STEPS):
         if rz == 0.0:  # r = 0: x is exact
             break
@@ -263,9 +268,14 @@ def pcg(matrix, rhs, precondition):
         x += alpha * p
         if not np.all(np.isfinite(x)):
             raise SingularMatrixError(f"non-finite iterate at CG step {step + 1}")
-        if np.abs(alpha * p).max() <= _CG_STEP_RTOL * np.abs(x).max():
+        move, negligible = np.abs(alpha * p).max(), _CG_STEP_RTOL * np.abs(x).max()
+        if move <= negligible:
             break
         r -= alpha * Ap
+        rr, rr_old = r @ r, rr
+        rho, rho_old = np.sqrt(rr / rr_old), rho
+        if move * max(rho, rho_old) <= negligible:  # so is the next step
+            break
         z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p

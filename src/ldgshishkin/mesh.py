@@ -12,7 +12,7 @@ machine precision.
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class MeshConfig:
             raise ConfigurationError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or self.N % 4 != 0:
             raise ConfigurationError(f"N must be a multiple of 4 and >= 4, got {self.N}")
+        for name in ("eps", "sigma", "beta"):
+            if not isinstance(value := getattr(self, name), Real):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.eps <= 1.0:
             raise ConfigurationError(f"eps must lie in (0, 1], got {self.eps}")
         if not 0.0 < self.sigma < np.inf:

@@ -103,6 +103,16 @@ class TestGaussRule:
         with pytest.raises(ConfigurationError):
             gauss_rule(n)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, np.float64(3.0), "4", None])
+    def test_non_integer_rejected(self, n):
+        gauss_rule(4)  # the cached integer rule must not answer for 4.0
+        with pytest.raises(ConfigurationError, match="integer"):
+            gauss_rule(n)
+
+    def test_numpy_integer_accepted(self):
+        rule = gauss_rule(np.int64(4))
+        assert np.array_equal(rule.points, gauss_rule(4).points)
+
 
 class TestOrthogonality:
     def test_mass_orthogonality_by_quadrature(self):

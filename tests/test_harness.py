@@ -42,6 +42,15 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError, match="integer"):
             SweepConfig(dim=1, eps_list=(1e-4,), **{"n_list": (8, 16), **values})
 
+    @pytest.mark.parametrize("values", [
+        {"eps_list": ("1e-4",)}, {"eps_list": (None,)}, {"sigma": "2"},
+        {"quad_order": 2.5}, {"quad_order": 4.0}, {"workers": 1.5}, {"workers": 2.0},
+    ], ids=["str-eps", "none-eps", "str-sigma", "fractional-quad-order", "float-quad-order",
+            "fractional-workers", "float-workers"])
+    def test_wrong_typed_values_rejected(self, values):
+        with pytest.raises(ConfigurationError, match="integer|real number"):
+            SweepConfig(dim=1, n_list=(8, 16), **values)
+
     def test_numpy_integer_N_and_k_accepted(self):
         cfg = SweepConfig(dim=1, k_list=(np.int64(1),), n_list=tuple(np.array([8, 16])),
                           eps_list=(1e-4,))

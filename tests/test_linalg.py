@@ -367,6 +367,33 @@ class TestPCG:
         pcg(A, rng.standard_normal(30), precondition)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_sharp_residual_drop_does_not_stop_it(self, seed):
+        # P A has eigenvalues 1 and 3 on the bulk of the right-hand side and
+        # ten in [0.01, 1] on a 1e-15 part, where A's eigenvalue is 0.1: the
+        # residual drops by 1e-15 in the second step and then stalls, while
+        # the error stays near 1e-13 max|x|.  Stopping on that one drop
+        # leaves 1.2e-13 to 2e-13; the solve must go on through the stall to
+        # the accuracy of the plain step rule (5e-15 to 1.3e-14 here)
+        rng = np.random.default_rng(seed)
+        n = 12
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.r_[10.0, 10.0, np.full(n - 2, 0.1)]
+        theta = np.r_[1.0, 3.0, np.geomspace(0.01, 1.0, n - 2)]
+        A, P = ((Q * d) @ Q.T for d in (lam, theta / lam))
+        A, P = 0.5 * (A + A.T), 0.5 * (P + P.T)
+        rhs = Q @ np.r_[1.0, 1.0, np.full(n - 2, 1e-15)]
+        norms = []
+
+        def precondition(r):
+            norms.append(np.linalg.norm(r))
+            return P @ r
+
+        res = pcg(ReferenceSparse(sp.csr_matrix(A)), rhs, precondition)
+        expected = np.linalg.solve(A, rhs)
+        assert np.max(np.abs(res.x - expected)) <= 5e-14 * np.max(np.abs(expected))
+        assert len(norms) > 3 and norms[2] < 1e-13 * norms[1]
+
     def test_zero_rhs_gives_zero(self):
         A = random_spd(np.random.default_rng(14), 10, 1)
         res = pcg(A, np.zeros(10), lambda r: r)

@@ -33,6 +33,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             cfg(eps=eps)
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps", "1e-4"), ("eps", None), ("sigma", "2"), ("sigma", None), ("beta", "1"),
+        ("beta", 1j),
+    ])
+    def test_non_real_parameter(self, name, value):
+        with pytest.raises(ConfigurationError, match="real number"):
+            cfg(**{name: value})
+
+    def test_numpy_real_parameters(self):
+        mesh = build_shishkin_1d(cfg(eps=np.float32(1e-4), sigma=np.int64(2), beta=np.float64(1)))
+        assert mesh.tau == pytest.approx(build_shishkin_1d(cfg()).tau, rel=1e-7)
+
     def test_bad_sigma_beta(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ConfigurationError):
