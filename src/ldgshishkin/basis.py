@@ -83,7 +83,7 @@ def gauss_rule(n):
     initial guesses (tolerance 1e-15); weights are 2 / ((1-x^2) P_n'(x)^2).
     The rule is mirrored about 0 so symmetry holds to the last bit.
     """
-    if not isinstance(n, Integral) or not 1 <= n <= _MAX_QUADRATURE_POINTS:
+    if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= _MAX_QUADRATURE_POINTS:
         raise ConfigurationError(
             f"Gauss rule size must be an integer in [1, {_MAX_QUADRATURE_POINTS}], got {n!r}"
         )

@@ -80,7 +80,7 @@ def build_parser():
     parser.add_argument("--sigma", type=float, help="mesh constant; unset means k+1 per k")
     parser.add_argument("--quad-order", dest="quad_order", type=int,
                         help="quadrature points per cell for error integrals and "
-                             "projections, 1 to 64")
+                             "projections, 1 to 64 (projections: at least k+1)")
     parser.add_argument("--norm", choices=NORMS)
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=tuple(FORMATS))

@@ -107,15 +107,20 @@ class SweepConfig:
                 raise ConfigurationError(
                     f"N list must double strictly for rate fits, got {a} -> {b}"
                 )
-        if any(not isinstance(k, Integral) or k < 1 for k in self.k_list):
+        if any(isinstance(k, bool) or not isinstance(k, Integral) or k < 1 for k in self.k_list):
             raise ConfigurationError(f"degrees must be integers >= 1, got {self.k_list}")
-        if self.sigma is not None and not isinstance(self.sigma, Real):
+        if self.sigma is not None and (isinstance(self.sigma, bool)
+                                       or not isinstance(self.sigma, Real)):
             raise ConfigurationError(f"sigma must be a real number, got {self.sigma!r}")
         for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
             MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
         if self.quad_order is not None:
             gauss_rule(self.quad_order)  # owns the range of rule sizes
-        if not isinstance(self.workers, Integral) or self.workers < 1:
+            if self.study == "projection" and self.quad_order <= max(self.k_list):
+                raise ConfigurationError(f"projections of degree {max(self.k_list)} need "
+                                         f"quad_order >= {max(self.k_list) + 1}")
+        if (isinstance(self.workers, bool) or not isinstance(self.workers, Integral)
+                or self.workers < 1):
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def sigma_for(self, k):

@@ -12,9 +12,10 @@ K0 = s E + eps D^T M^-1 D are the pieces (``piece_blocks_1d``) from which
 both dimensions build their operators.  M is diagonal, so
 Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system S0 = K0 + W_b is
 SPD and block-tridiagonal, and its blocks are written straight into
-LAPACK lower band storage (half-bandwidth 2k+1).  The solve factors S0 once
-by banded Cholesky, adds e e^T by Sherman-Morrison and makes one step of
-iterative refinement against the residual of A0 + e e^T.  It loads
+LAPACK lower band storage (half-bandwidth 2k+1), held by the operator the
+solve applies (``AssembledSystem``).  The solve factors S0 once by banded
+Cholesky, adds e e^T by Sherman-Morrison and makes one step of iterative
+refinement against the residual of A0 + e e^T.  It loads
 scipy.linalg.lapack (dpbtrf, dpbtrs), and never scipy.sparse.
 """
 
@@ -49,75 +50,6 @@ class MixedSolution1D:
             raise ConfigurationError("U and Q must share mesh and degree")
 
 
-class MixedOperator1D:
-    """A = A0 + e e^T, A0 = [[M/s, D], [-s D^T, C]], on fields (Qtilde, U),
-    arrays of shape (..., 2, N, k+1) (field, cell, mode), applied from its
-    cell pieces: the diagonal ``mass`` of M, s and v come from ``pieces``
-    (``OperatorPieces1D``), ``reaction`` holds the (N, k+1, k+1) blocks of
-    C, and D is applied by the reference blocks ``ref``.  ``interface`` is
-    e, v on the Qtilde dofs of cells J and J+1, flattened.  ``apply`` and
-    ``solve_a0`` act with A0; ``matvec`` and ``frobenius_norm`` are those
-    of A on the flattened fields, as the residual reads them."""
-
-    def __init__(self, pieces, reaction):
-        (J, v), (N, kk) = pieces.interface, pieces.m.shape
-        e = np.zeros((2, N, kk))
-        e[0, J - 1:J + 1] = v.reshape(2, kk)
-        self.pieces, self.reaction, self.interface = pieces, reaction, e.ravel()
-        self.mass, self.s, self.ref = pieces.m, pieces.s, reference_blocks_1d(kk - 1)
-
-    def apply(self, X):
-        Q, U = X[..., 0, :, :], X[..., 1, :, :]
-        AX = np.empty_like(X)
-        AX[..., 0, :, :] = self.mass * (1.0 / self.s) * Q + self.ref.derivative(U)
-        AX[..., 1, :, :] = (np.einsum("cpq,...cq->...cp", self.reaction, U)
-                            - self.s * self.ref.derivative_t(Q))
-        return AX
-
-    def solve_a0(self, cholesky, R):
-        """A0^-1 R for the flattened fields in the rows of R, (m, 2n), through
-        S0 factored by ``cholesky`` (a ``banded_cholesky`` solve): U solves
-        S0 U = R_U + s D^T (s M^-1 R_Q), then Qtilde = s M^-1 (R_Q - D U)."""
-        m, (N, kk) = R.shape[0], self.mass.shape
-        RQ, RU = R.reshape(m, 2, N, kk).swapaxes(0, 1)
-        minv = self.pieces._flux_mass_inverse[0]
-        rhs = RU + self.s * self.ref.derivative_t(minv * RQ)
-        X = np.empty((m, 2, N, kk))
-        X[:, 1] = cholesky(rhs.reshape(m, N * kk).T).T.reshape(m, N, kk)
-        X[:, 0] = minv * (RQ - self.ref.derivative(X[:, 1]))
-        return X.reshape(R.shape)
-
-    def matvec(self, x):
-        e = self.interface
-        Ax = self.apply(x.reshape(2, *self.mass.shape)).ravel()
-        Ax += e * (e @ x)
-        return Ax
-
-    def frobenius_norm(self):
-        N, (R, G), s = self.mass.shape[0], (self.ref.R, self.ref.G), self.s
-        # D: N-1 diagonal blocks R, the last G, N-1 blocks alt 1^T below
-        D2 = (N - 1) * (np.vdot(R, R) + R.size) + np.vdot(G, G)
-        A0 = np.vdot(self.mass, self.mass) / s**2 + (1.0 + s**2) * D2 + np.vdot(
-            self.reaction, self.reaction)
-        # ||A0 + e e^T||^2 = ||A0||^2 + 2 e^T A0 e + ||e||^4, where
-        # e^T A0 e = e^T (M/s) e since e lives on Qtilde
-        eQ = self.interface[:self.mass.size]
-        return float(np.sqrt(A0 + 2.0 * (eQ * self.mass.ravel()) @ eQ / s + (eQ @ eQ)**2))
-
-
-@dataclass
-class AssembledSystem:
-    """The scheme A x = ``rhs``, A = ``operator`` = A0 + e e^T, on the
-    flattened fields x = (Qtilde, U) of ``MixedOperator1D``, and the
-    U-system it is solved through: ``matrix`` is S0 = K0 + W_b
-    (= C + eps D^T M^-1 D, K0 read from ``operator.pieces``) by its lower
-    band (``lower`` = 2k+1, ``upper`` = 0).  Q = s Qtilde, s = ``operator.s``."""
-
-    matrix: BandedMatrix
-    operator: MixedOperator1D
-    rhs: np.ndarray
-
-
 @dataclass(frozen=True)
 class OperatorPieces1D:
     """1D operator pieces over (cell, mode), s = sqrt(eps).
@@ -129,8 +61,8 @@ class OperatorPieces1D:
     on cell J and -alt on cell J+1 (J = 3N/4, 1-based).  The h-independent
     block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T of (U, r') with
     the upwinded flux -Uhat [[r]] (L the sub-diagonal shift, 1 and alt the
-    right and left endpoint values of the modes) is applied by
-    ``reference_blocks_1d(k).derivative``; since G + G^T = 11^T - alt alt^T,
+    right and left endpoint values of the modes) is applied by the reference
+    element ``ref`` (``reference_blocks_1d(k)``); since G + G^T = 11^T - alt alt^T,
     the (test v, Qtilde) block of the scheme is exactly -s D^T.
     ``eliminated`` holds the blocks of K0 = s E + eps D^T M^-1 D (see
     ``piece_blocks_1d``); the 1D U-system is S0 = K0 + W_b.  In 2D,
@@ -146,6 +78,10 @@ class OperatorPieces1D:
     interface: tuple
     eliminated: tuple
 
+    @property
+    def ref(self):  # the cached reference element of the degree
+        return reference_blocks_1d(self.m.shape[1] - 1)
+
     @cached_property
     def _flux_mass_inverse(self):
         """(minv, w, c): F^-1 = diag(minv) - c w w^T, w on cells J and J+1."""
@@ -157,7 +93,7 @@ class OperatorPieces1D:
     def flux_gradient(self, X):
         """G X = F^-1 D X along the last two axes (cell, mode) of X."""
         (J, _), (minv, w, c) = self.interface, self._flux_mass_inverse
-        DX = reference_blocks_1d(minv.shape[1] - 1).derivative(X)
+        DX = self.ref.derivative(X)
         Y, pair = minv * DX, DX[..., J - 1:J + 1, :]
         Y[..., J - 1:J + 1, :] -= w * (c * np.einsum("...ij,ij->...", pair, w))[..., None, None]
         return Y
@@ -174,10 +110,74 @@ class OperatorPieces1D:
         K4[cells[:-1], :, cells[1:]] = sub[:, None, :]
         K, W = K4.reshape(N * kk, N * kk), np.zeros((N, kk))
         W[J - 1:J + 1] = w
-        g = reference_blocks_1d(kk - 1).derivative_t(W)[J - 2:J + 1].ravel()
+        g = self.ref.derivative_t(W)[J - 2:J + 1].ravel()
         near = slice((J - 2) * kk, (J + 1) * kk)
         K[near, near] -= np.outer(g, g) * (self.s * c)
         return K
+
+
+@dataclass
+class AssembledSystem:
+    """The scheme A x = ``rhs`` and the U-system it is solved through.
+    A = A0 + e e^T, A0 = [[M/s, D], [-s D^T, C]], acts on the flattened
+    fields x = (Qtilde, U), Q = s Qtilde, arrays (..., 2, N, k+1) (field,
+    cell, mode), from its cell pieces: M, s, v and the reference element
+    applying D from ``pieces``, and ``reaction``, the (N, k+1, k+1) blocks
+    of C.  ``interface`` is e, v on the Qtilde dofs of cells J and J+1.
+    ``apply`` and ``solve_a0`` act with A0, ``matvec`` and ``frobenius_norm``
+    with A, as the residual reads them.  ``matrix`` is the lower band of
+    S0 = K0 + W_b = C + eps D^T M^-1 D (``lower`` = 2k+1, ``upper`` = 0);
+    ``solve_ldg_1d`` drops it once factored, so the solves reuse its pages."""
+
+    matrix: BandedMatrix
+    rhs: np.ndarray
+    pieces: OperatorPieces1D
+    reaction: np.ndarray
+
+    def __post_init__(self):  # built with the system: a lazily built e took fresh pages
+        (J, v), (N, kk) = self.pieces.interface, self.pieces.m.shape
+        e = np.zeros((2, N, kk))
+        e[0, J - 1:J + 1] = v.reshape(2, kk)
+        self.interface = e.ravel()
+
+    def apply(self, X):
+        p, Q, U = self.pieces, X[..., 0, :, :], X[..., 1, :, :]
+        AX = np.empty_like(X)
+        AX[..., 0, :, :] = p.m * (1.0 / p.s) * Q + p.ref.derivative(U)
+        AX[..., 1, :, :] = (np.einsum("cpq,...cq->...cp", self.reaction, U)
+                            - p.s * p.ref.derivative_t(Q))
+        return AX
+
+    def solve_a0(self, cholesky, R):
+        """A0^-1 R for the flattened fields in the rows of R, (m, 2n), through
+        S0 factored by ``cholesky`` (a ``banded_cholesky`` solve): U solves
+        S0 U = R_U + s D^T (s M^-1 R_Q), then Qtilde = s M^-1 (R_Q - D U)."""
+        p, m, (N, kk) = self.pieces, R.shape[0], self.pieces.m.shape
+        RQ, RU = R.reshape(m, 2, N, kk).swapaxes(0, 1)
+        minv = p._flux_mass_inverse[0]
+        rhs = RU + p.s * p.ref.derivative_t(minv * RQ)
+        X = np.empty((m, 2, N, kk))
+        X[:, 1] = cholesky(rhs.reshape(m, N * kk).T).T.reshape(m, N, kk)
+        X[:, 0] = minv * (RQ - p.ref.derivative(X[:, 1]))
+        return X.reshape(R.shape)
+
+    def matvec(self, x):
+        e = self.interface
+        Ax = self.apply(x.reshape(2, *self.pieces.m.shape)).ravel()
+        Ax += e * (e @ x)
+        return Ax
+
+    def frobenius_norm(self):
+        p = self.pieces
+        N, (R, G), s = p.m.shape[0], (p.ref.R, p.ref.G), p.s
+        # D: N-1 diagonal blocks R, the last G, N-1 blocks alt 1^T below
+        D2 = (N - 1) * (np.vdot(R, R) + R.size) + np.vdot(G, G)
+        A0 = np.vdot(p.m, p.m) / s**2 + (1.0 + s**2) * D2 + np.vdot(
+            self.reaction, self.reaction)
+        # ||A0 + e e^T||^2 = ||A0||^2 + 2 e^T A0 e + ||e||^4, where
+        # e^T A0 e = e^T (M/s) e since e lives on Qtilde
+        eQ = self.interface[:p.m.size]
+        return float(np.sqrt(A0 + 2.0 * (eQ * p.m.ravel()) @ eQ / s + (eQ @ eQ)**2))
 
 
 def piece_blocks_1d(mesh, k, eps):
@@ -233,7 +233,7 @@ def assemble_1d(problem, mesh, k):
     W[::N - 1] += pieces.penalty[::N - 1]  # C = W_b + s E in place: cells 1 and N
     rhs = np.zeros((2, N, kk))
     rhs[1] = halfh[:, None] * ((ref.weights * fvals) @ ref.V)
-    return AssembledSystem(matrix=matrix, operator=MixedOperator1D(pieces, W), rhs=rhs.ravel())
+    return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), pieces=pieces, reaction=W)
 
 
 def solve_ldg_1d(problem, mesh, k):
@@ -248,10 +248,9 @@ def solve_ldg_1d(problem, mesh, k):
     SingularMatrixError when S0 is not positive definite or the solve gives
     non-finite values.
     """
-    system = assemble_1d(problem, mesh, k)
-    A, b, cholesky = system.operator, system.rhs, banded_cholesky(system.matrix)
-    del system  # free the band once factored: the solves reuse its heap pages
-    e = A.interface
+    A = assemble_1d(problem, mesh, k)
+    cholesky, A.matrix = banded_cholesky(A.matrix), None  # the band goes once factored
+    b, e = A.rhs, A.interface
     y, z = A.solve_a0(cholesky, np.array((b, e)))
     x = sherman_morrison(y, z, e)
     x += sherman_morrison(A.solve_a0(cholesky, (b - A.matvec(x))[None])[0], z, e)
@@ -262,6 +261,6 @@ def solve_ldg_1d(problem, mesh, k):
             residual=residual,
         )
     Qt, U = x.reshape(2, mesh.N, k + 1)
-    return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, A.s * Qt),
+    return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, A.pieces.s * Qt),
                            residual=residual)
 

@@ -9,20 +9,20 @@ Both axes carry the same 1D Shishkin mesh (``Mesh2D.axis``), so the
 coupled (U, P, Q) matrix is a block-diagonal b-weighted mass plus Kronecker
 products of one set of 1D operator pieces (``ldg1d.piece_blocks_1d``), in
 the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it,
-nor W_b: ``assemble_2d`` returns the 1D pieces, b on the tensor quadrature
-grid (beta) and the load.  The coupled matrix is built on request
-(``AssembledSystem2D.matrix``): the tests check the solver against it, and
-the benchmark's tracer (``bench/spans.py``) reads its size and nnz.
-The solver eliminates P and Q in closed form on every cell, the interface
-cells included, as 1D does: K = s E + s D^T F^-1 D is written from the 1D
-blocks of s E + eps D^T M^-1 D and a rank-one term on three cells, since
-the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
-Conjugate gradients, preconditioned by fast diagonalization (one 1D
-eigenproblem; exact for constant b, where two steps solve and refine),
-solve the SPD U-only system S = W_b + K(x)M + M(x)K without forming S
-(``UOperator2D``), on the kron-order view of U, with no scipy.sparse
-call; P and Q follow from the 1D cell blocks of D and F^-1, applied
-along x and along y.
+nor W_b.  P and Q are eliminated in closed form on every cell, the
+interface cells included, as in 1D: K = s E + s D^T F^-1 D is written from
+the 1D blocks of s E + eps D^T M^-1 D and a rank-one term on three cells,
+since the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
+``assemble_2d`` returns the one object the solve applies
+(``AssembledSystem2D``: the 1D pieces, b on the tensor quadrature grid
+(beta) and the load), the SPD U-only system S = W_b + K(x)M + M(x)K,
+unformed, on the kron-order view of U.  Conjugate gradients, preconditioned
+by fast diagonalization (one 1D eigenproblem; exact for constant b, where
+two steps solve and refine), solve it with no scipy.sparse call; P and Q
+follow from the 1D cell blocks of D and F^-1, applied along x and along y.
+The coupled matrix is built on request (``AssembledSystem2D.matrix``): the
+tests check the solver against it, and the benchmark's tracer
+(``bench/spans.py``) reads its size and nnz.
 """
 
 import functools
@@ -61,12 +61,20 @@ class MixedSolution2D:
 
 @dataclass
 class AssembledSystem2D:
-    """What the 2D solve reads: the ``OperatorPieces1D`` of the mesh axis
-    (shared by x and y), the Legendre table V (q, k+1) of the q = k+3 point
-    assembly rule, beta and the load.  With x the quadrature points of the
-    axis and c = h(x)w their weights, beta = c c^T o b(x, x^T) is b on the
-    tensor grid, W_b = B^T diag(beta) B with B = I_N (x) V, and the load
-    B^T (c c^T o f(x, x^T)) B is in kron order (see ``grid_product``).
+    """The 2D scheme and the U-only operator S its solve applies: the
+    ``OperatorPieces1D`` of the mesh axis (shared by x and y), the Legendre
+    table V (q, k+1) of the q = k+3 point assembly rule, beta and the load.
+    With x the quadrature points of the axis and c = h(x)w their weights,
+    beta = c c^T o b(x, x^T) is b on the tensor grid, W_b = B^T diag(beta) B
+    with B = I_N (x) V, and the load B^T (c c^T o f(x, x^T)) B is in kron
+    order (see ``grid_product``).
+
+    The P and Q rows give Ptilde = -(G(x)I) U, Qtilde = -(I(x)G) U with
+    G = F^-1 D (``pieces.flux_gradient``), so the Schur complement is the
+    SPD S = W_b + K(x)M + M(x)K: ``K`` = s E + s D^T F^-1 D is the dense
+    ``pieces.flux_eliminated()`` and ``m`` = diag(M).  ``matvec`` applies S
+    unformed on kron-order U vectors (i, m, j, n), on their square view X as
+    B^T (beta o B X B^T) B + K X M + M X K.
 
     ``matrix`` is the coupled (U, Ptilde, Qtilde) matrix in the field-major
     layout (all U dofs, then P, then Q; within a field kron order (i, m, j, n),
@@ -79,6 +87,44 @@ class AssembledSystem2D:
     V: np.ndarray
     beta: np.ndarray
     load: np.ndarray
+
+    @functools.cached_property
+    def K(self):
+        return self.pieces.flux_eliminated()
+
+    @functools.cached_property
+    def m(self):
+        return self.pieces.m.ravel()
+
+    def matvec(self, x):
+        X = x.reshape(self.m.size, -1)
+        Y = (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
+        G = grid_product(self.V, X)
+        G *= self.beta
+        Y += grid_product(self.V.T, G)
+        return Y.ravel()
+
+    def frobenius_norm(self):
+        """||W + T||^2 = ||W||^2 + 2<W, T> + 2 ||K||^2 ||m||^2 + 2 (diag(K).m)^2,
+        T = K(x)M + M(x)K, all terms nonnegative, W read through beta:
+        ||W||^2 = <beta, (I(x)C) beta (I(x)C)>, C = (V V^T) o (V V^T), and
+        <W, T> = kappa^T beta mu + mu^T beta kappa with kappa_ig = V_g K_i V_g^T
+        (K_i the diagonal blocks of K) and mu_ig = sum_n m_in V_gn^2."""
+        V, (q, k1), N = self.V, self.V.shape, self.beta.shape[0] // self.V.shape[0]
+        C = (V @ V.T) ** 2
+        right = (self.beta.reshape(-1, q) @ C).reshape(N, q, -1)  # beta (I(x)C)
+        W2 = np.vdot(C, (self.beta.reshape(N, q, -1) @ right.transpose(0, 2, 1)).sum(axis=0))
+        Kd = np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
+        kappa = ((V @ Kd) * V).sum(axis=2).ravel()
+        mu = (self.m.reshape(N, k1) @ (V * V).T).ravel()
+        WT = kappa @ (self.beta @ mu) + (mu @ self.beta) @ kappa
+        T2 = np.vdot(self.K, self.K) * (self.m @ self.m) + (np.diagonal(self.K) @ self.m) ** 2
+        return np.sqrt(W2 + 2.0 * (WT + T2))
+
+    def mean_b(self):
+        """The mass-weighted mean of b, sum_ij trace(W_ij) / (sum m)^2."""
+        v = np.tile((self.V * self.V).sum(axis=1), self.beta.shape[0] // self.V.shape[0])
+        return v @ self.beta @ v / self.m.sum() ** 2
 
     @functools.cached_property
     def matrix(self):
@@ -99,8 +145,8 @@ class AssembledSystem2D:
         s, kron, n, (J, v) = p.s, sp.kron, N * k1, p.interface
         e = np.zeros((N, k1))
         e[J - 1:J + 1] = v.reshape(2, k1)
-        M = sp.diags(p.m.ravel(), format="csr")
-        D = sp.csr_matrix(reference_blocks_1d(k1 - 1).derivative(
+        M = sp.diags(self.m, format="csr")
+        D = sp.csr_matrix(p.ref.derivative(
             np.eye(n).reshape(n, N, k1)).reshape(n, n).T)
         F = sp.csr_matrix(np.diag((p.m * (1.0 / s)).ravel()) + np.outer(e, e))
         sE = sp.block_diag(p.penalty, format="csr")
@@ -137,79 +183,20 @@ def assemble_2d(problem, mesh2d, k):
                              load=grid_product(V.T, on_grid(problem.f)))
 
 
-@dataclass(frozen=True)
-class UOperator2D:
-    """S = W_b + K(x)M + M(x)K on kron-order U vectors (i, m, j, n), never
-    formed, applied from its pieces as they are: ``beta`` and ``V`` those
-    ``assemble_2d`` made, ``K`` the dense ``flux_eliminated`` of the 1D
-    pieces and ``m`` = diag(M).  On the square view X of a vector, W_b acts
-    as B^T (beta o B X B^T) B and the Kronecker terms as K X M + M X K.
-    """
-
-    beta: np.ndarray
-    V: np.ndarray
-    K: np.ndarray
-    m: np.ndarray
-
-    def matvec(self, x):
-        X = x.reshape(self.m.size, -1)
-        Y = (self.K @ X) * self.m + self.m[:, None] * (X @ self.K)
-        G = grid_product(self.V, X)
-        G *= self.beta
-        Y += grid_product(self.V.T, G)
-        return Y.ravel()
-
-    def frobenius_norm(self):
-        """||W + T||^2 = ||W||^2 + 2<W, T> + 2 ||K||^2 ||m||^2 + 2 (diag(K).m)^2,
-        T = K(x)M + M(x)K, all terms nonnegative, W read through beta:
-        ||W||^2 = <beta, (I(x)C) beta (I(x)C)>, C = (V V^T) o (V V^T), and
-        <W, T> = kappa^T beta mu + mu^T beta kappa with kappa_ig = V_g K_i V_g^T
-        (K_i the diagonal blocks of K) and mu_ig = sum_n m_in V_gn^2."""
-        V, (q, k1), N = self.V, self.V.shape, self.beta.shape[0] // self.V.shape[0]
-        C = (V @ V.T) ** 2
-        right = (self.beta.reshape(-1, q) @ C).reshape(N, q, -1)  # beta (I(x)C)
-        W2 = np.vdot(C, (self.beta.reshape(N, q, -1) @ right.transpose(0, 2, 1)).sum(axis=0))
-        Kd = np.einsum("iaib->iab", self.K.reshape(N, k1, N, k1))
-        kappa = ((V @ Kd) * V).sum(axis=2).ravel()
-        mu = (self.m.reshape(N, k1) @ (V * V).T).ravel()
-        WT = kappa @ (self.beta @ mu) + (mu @ self.beta) @ kappa
-        T2 = np.vdot(self.K, self.K) * (self.m @ self.m) + (np.diagonal(self.K) @ self.m) ** 2
-        return np.sqrt(W2 + 2.0 * (WT + T2))
-
-    def mean_b(self):
-        """The mass-weighted mean of b, sum_ij trace(W_ij) / (sum m)^2."""
-        v = np.tile((self.V * self.V).sum(axis=1), self.beta.shape[0] // self.V.shape[0])
-        return v @ self.beta @ v / self.m.sum() ** 2
-
-
-def eliminate_fluxes_2d(system):
-    """Eliminate Ptilde and Qtilde in closed form; returns S (``UOperator2D``).
-
-    K = s E + s D^T F^-1 D is the dense ``flux_eliminated`` of the 1D pieces
-    (``S.K``) and G = F^-1 D their ``flux_gradient``.  The P and Q rows give
-    Ptilde = -(G(x)I) U and Qtilde = -(I(x)G) U in kron order, and S, which
-    holds ``system.beta`` itself, is the Schur complement
-    A_UU - A_UP A_PP^-1 A_PU - A_UQ A_QQ^-1 A_QU of the coupled system:
-    symmetric positive definite (as applied, symmetric to rounding).
-    """
-    p = system.pieces
-    return UOperator2D(system.beta, system.V, p.flux_eliminated(), p.m.ravel())
-
-
-def _fast_diagonalization(S):
+def _fast_diagonalization(system):
     """P^-1 on kron-order U vectors, P = K(x)M + M(x)K + bbar M(x)M with K
-    and m = diag(M) those of the ``UOperator2D`` S and bbar = ``S.mean_b()``
-    (P = S for constant b).
+    and m = diag(M) those of the ``AssembledSystem2D`` S = ``system`` and
+    bbar = ``system.mean_b()`` (P = S for constant b).
 
     Z = M^-1/2 V, with M^-1/2 K M^-1/2 = V diag(lam) V^T, gives
     Z^T K Z = diag(lam) and Z^T M Z = I, so (Lynch, Rice & Thomas 1964)
     P^-1 = (Z(x)Z) diag(lam_i + lam_j + bbar)^-1 (Z(x)Z)^T: four dense
     products on the kron-order matrix view.
     """
-    r = S.m ** -0.5
-    lam, V = np.linalg.eigh(r[:, None] * S.K * r)
+    r = system.m ** -0.5
+    lam, V = np.linalg.eigh(r[:, None] * system.K * r)
     Z = r[:, None] * V
-    inv = 1.0 / (lam[:, None] + lam[None, :] + S.mean_b())
+    inv = 1.0 / (lam[:, None] + lam[None, :] + system.mean_b())
 
     def apply(values):
         return (Z @ ((Z.T @ values.reshape(inv.shape) @ Z) * inv) @ Z.T).ravel()
@@ -220,7 +207,7 @@ def _fast_diagonalization(S):
 def solve_ldg_2d(problem, mesh2d, k):
     """Solve the 2D scheme through its U-only SPD system.
 
-    The operator S of ``eliminate_fluxes_2d`` is solved by ``pcg``
+    The U-only operator S (``AssembledSystem2D``) is solved by ``pcg``
     preconditioned by ``_fast_diagonalization``: 2 steps for constant b
     (two applications of it, three of S with the residual's), 17-18 for
     variable b.  All of it works on kron-order vectors: the load is
@@ -229,10 +216,8 @@ def solve_ldg_2d(problem, mesh2d, k):
     (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
     SingularMatrixError when an iterate is not finite.
     """
-    system = assemble_2d(problem, mesh2d, k)
-    N, k1 = mesh2d.N, k + 1
-    S = eliminate_fluxes_2d(system)
-    result = pcg(S, system.load.ravel(), _fast_diagonalization(S))
+    system, N, k1 = assemble_2d(problem, mesh2d, k), mesh2d.N, k + 1
+    result = pcg(system, system.load.ravel(), _fast_diagonalization(system))
     if result.residual > _RESIDUAL_TOL:
         raise SolverError(
             f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",

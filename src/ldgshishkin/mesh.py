@@ -34,12 +34,12 @@ class MeshConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.N, Integral):
+        if isinstance(self.N, bool) or not isinstance(self.N, Integral):
             raise ConfigurationError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or self.N % 4 != 0:
             raise ConfigurationError(f"N must be a multiple of 4 and >= 4, got {self.N}")
         for name in ("eps", "sigma", "beta"):
-            if not isinstance(value := getattr(self, name), Real):
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.eps <= 1.0:
             raise ConfigurationError(f"eps must lie in (0, 1], got {self.eps}")

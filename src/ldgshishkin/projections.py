@@ -59,6 +59,9 @@ def _tables(k, quad):
     VV[(g, h), (m, n)] P_a(t_g) P_c(t_h): b z @ VV and b @ C4 on a cell's
     points (g, h) give its Gram right-hand side and matrix."""
     rule = gauss_rule(quad)
+    if quad < k + 1:  # fewer points do not integrate the degree-2k mode products
+        raise ConfigurationError(
+            f"degree-{k} projections need >= {k + 1} quadrature points, got {quad}")
     V, _ = legendre_table(k, rule.points)
     Vw = V * rule.weights[:, None]
     VV = np.kron(Vw, Vw)

@@ -103,7 +103,7 @@ class TestGaussRule:
         with pytest.raises(ConfigurationError):
             gauss_rule(n)
 
-    @pytest.mark.parametrize("n", [2.5, 4.0, np.float64(3.0), "4", None])
+    @pytest.mark.parametrize("n", [2.5, 4.0, np.float64(3.0), "4", None, True])
     def test_non_integer_rejected(self, n):
         gauss_rule(4)  # the cached integer rule must not answer for 4.0
         with pytest.raises(ConfigurationError, match="integer"):

@@ -75,6 +75,11 @@ def test_bad_config_key_exit_1(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_projection_quad_order_below_k_plus_1_exit_1(capsys):
+    assert main(["--study", "projection", "--k", "3", "--n", "16", "--quad-order", "3"]) == 1
+    assert "quad_order >= 4" in capsys.readouterr().err
+
+
 def test_bad_list_exit_1():
     assert main(["--n", "16,banana"]) == 1
 

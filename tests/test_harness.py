@@ -37,7 +37,8 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("values", [
         {"n_list": (8.0, 16.0)}, {"k_list": (1.0,)}, {"k_list": (1, 2.5)},
-    ], ids=["float-N", "float-k", "fractional-k"])
+        {"n_list": (True,)}, {"k_list": (True,)},
+    ], ids=["float-N", "float-k", "fractional-k", "bool-N", "bool-k"])
     def test_non_integer_N_and_k_rejected(self, values):
         with pytest.raises(ConfigurationError, match="integer"):
             SweepConfig(dim=1, eps_list=(1e-4,), **{"n_list": (8, 16), **values})
@@ -45,8 +46,10 @@ class TestSweepConfig:
     @pytest.mark.parametrize("values", [
         {"eps_list": ("1e-4",)}, {"eps_list": (None,)}, {"sigma": "2"},
         {"quad_order": 2.5}, {"quad_order": 4.0}, {"workers": 1.5}, {"workers": 2.0},
+        {"eps_list": (True,)}, {"sigma": True}, {"quad_order": True}, {"workers": True},
     ], ids=["str-eps", "none-eps", "str-sigma", "fractional-quad-order", "float-quad-order",
-            "fractional-workers", "float-workers"])
+            "fractional-workers", "float-workers", "bool-eps", "bool-sigma", "bool-quad-order",
+            "bool-workers"])
     def test_wrong_typed_values_rejected(self, values):
         with pytest.raises(ConfigurationError, match="integer|real number"):
             SweepConfig(dim=1, n_list=(8, 16), **values)
@@ -80,6 +83,14 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(**values)
 
+    def test_projection_study_needs_k_plus_1_points(self):
+        # below k+1 points the projections are not projections; the solve
+        # study's error integrals accept any rule size
+        with pytest.raises(ConfigurationError, match="quad_order >= 4"):
+            SweepConfig(k_list=(1, 3), study="projection", quad_order=3)
+        assert SweepConfig(k_list=(1, 3), study="projection", quad_order=4).quad_order == 4
+        assert SweepConfig(k_list=(1, 3), quad_order=3).quad_order == 3
+
     def test_dim2_defaults_solve(self):
         table = run_sweep(SweepConfig(dim=2, n_list=(4, 8), eps_list=(1e-4,)))
         assert not table.any_failed
@@ -93,6 +104,13 @@ class TestRunSweep:
         table = run_sweep(cfg)
         assert len(table.rows) == 15
         assert not table.any_failed
+
+    def test_row_lookup(self):
+        table = run_sweep(SweepConfig(k_list=(1,), n_list=(8, 16), eps_list=(1e-4,)))
+        assert table.row(1, 16, 1e-4) is table.rows[1]
+        for key in ((2, 16, 1e-4), (1, 32, 1e-4), (1, 16, 1e-8)):
+            with pytest.raises(KeyError):
+                table.row(*key)
 
     def test_rates_attached_except_last(self):
         cfg = SweepConfig(k_list=(1,), n_list=(32, 64, 128), eps_list=(1e-6,))

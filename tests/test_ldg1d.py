@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from ldgshishkin import (
+    ConfigurationError,
     DGFunction1D,
     MeshConfig,
     MixedSolution1D,
@@ -62,9 +64,8 @@ def field_major(N, k):
 
 def dense_a0(system):
     """A0 (the operator without e e^T) as a dense array, column by column."""
-    A = system.operator
-    units = np.eye(system.rhs.size).reshape(-1, 2, *A.mass.shape)
-    return A.apply(units).reshape(system.rhs.size, -1).T
+    units = np.eye(system.rhs.size).reshape(-1, 2, *system.pieces.m.shape)
+    return system.apply(units).reshape(system.rhs.size, -1).T
 
 
 def s0_dense(matrix):
@@ -95,6 +96,14 @@ def random_pair(mesh, k, rng):
     )
 
 
+def test_solution_fields_share_mesh_and_degree():
+    mesh, other = make_mesh(8, 1e-4), make_mesh(8, 1e-4)
+    U = DGFunction1D(mesh, 1, np.zeros((8, 2)))
+    for Q in (DGFunction1D(other, 1, np.zeros((8, 2))), DGFunction1D(mesh, 2, np.zeros((8, 3)))):
+        with pytest.raises(ConfigurationError, match="share mesh and degree"):
+            MixedSolution1D(U=U, Q=Q)
+
+
 class TestAssembly:
     def test_matrix_dimension_and_bandwidth(self):
         mesh = make_mesh(8, 1e-3)
@@ -104,7 +113,7 @@ class TestAssembly:
             # the U-system: one field, nearest-neighbour coupling, lower band only
             assert system.matrix.n == 8 * (k + 1)
             assert system.matrix.lower <= 2 * (k + 1) - 1 and system.matrix.upper == 0
-            assert system.rhs.size == system.operator.interface.size == 2 * 8 * (k + 1)
+            assert system.rhs.size == system.interface.size == 2 * 8 * (k + 1)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-12])
     @pytest.mark.parametrize("N", [8, 64])
@@ -135,12 +144,12 @@ class TestAssembly:
         outside = np.arange(n) >= n - np.arange(system.matrix.lower + 1)[:, None]
         assert np.all(system.matrix.band[outside] == 0.0)
         assert np.array_equal(system.rhs, b[perm])
-        assert np.array_equal(system.operator.interface, e[perm])
+        assert np.array_equal(system.interface, e[perm])
         A += np.outer(e[perm], e[perm])
         x = np.random.default_rng(k * N).standard_normal(2 * n)
-        error = np.abs(system.operator.matvec(x) - A @ x).max()
+        error = np.abs(system.matvec(x) - A @ x).max()
         assert error <= 1e-15 * np.abs(A).max() * np.abs(x).sum()
-        assert system.operator.frobenius_norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
+        assert system.frobenius_norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1d_path_uses_no_scipy_sparse(self, k, tmp_path):
@@ -167,7 +176,7 @@ class TestAssembly:
         J = mesh.interface_index  # node index; cells J and J+1 touch it
         for k in (1, 2, 3):
             system = assemble_1d(paper_1d_problem(1e-3), mesh, k)
-            A0, e = dense_a0(system), system.operator.interface
+            A0, e = dense_a0(system), system.interface
             left, right = q_dofs(J - 1, k), q_dofs(J, k)
             n = N * (k + 1)
             assert np.array_equal(A0[:n, :n], np.diag(np.diagonal(A0)[:n]))
@@ -186,8 +195,7 @@ class TestAssembly:
         mesh = make_mesh(N, eps, sigma=k + 1)
         p = Problem1D(eps=eps, b=lambda x: 1.5 + 0.5 * np.sin(3.0 * np.asarray(x)),
                       f=zero_f, beta=1.0)
-        system = assemble_1d(p, mesh, k)
-        A = system.operator
+        A = assemble_1d(p, mesh, k)
 
         def vector(pair, q_factor):
             return np.concatenate([q_factor * pair.Q.coeffs.ravel(), pair.U.coeffs.ravel()])
@@ -203,7 +211,7 @@ class TestAssembly:
             for wf in ("Q", "U"):
                 for xf in ("Q", "U"):
                     Wp, Xp = part(W, wf), part(X, xf)
-                    x, w = vector(Xp, 1.0), vector(Wp, 1.0 / A.s)
+                    x, w = vector(Xp, 1.0), vector(Wp, 1.0 / A.pieces.s)
                     lhs = x @ A.matvec(w)
                     oracle = bilinear_form_1d(Wp, Xp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
@@ -315,11 +323,28 @@ class TestOperatorPieces:
         solve_ldg_1d(paper_1d_problem(1e-8), make_mesh(8, 1e-8), 1)
         assert len(calls) == 1
 
+    def test_band_released_before_the_solves(self, monkeypatch):
+        # nothing holds the band of S0 once it is factored: the solves reuse its pages
+        factor, solve_a0, bands = ldg1d.banded_cholesky, ldg1d.AssembledSystem.solve_a0, []
+
+        def factored(matrix):
+            bands.append(weakref.ref(matrix))
+            return factor(matrix)
+
+        def released(self, *args):
+            assert bands[0]() is None
+            return solve_a0(self, *args)
+
+        monkeypatch.setattr(ldg1d, "banded_cholesky", factored)
+        monkeypatch.setattr(ldg1d.AssembledSystem, "solve_a0", released)
+        solve_ldg_1d(paper_1d_problem(1e-8), make_mesh(8, 1e-8), 1)
+        assert len(bands) == 1
+
     @pytest.mark.parametrize("eps", [1e-1, 1e-8])  # 1e-1: clamped mesh
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1d_and_2d_read_the_same_pieces(self, k, eps):
         config = MeshConfig(N=16, eps=eps, sigma=k + 1)
-        one = assemble_1d(paper_1d_problem(eps), build_shishkin_1d(config), k).operator.pieces
+        one = assemble_1d(paper_1d_problem(eps), build_shishkin_1d(config), k).pieces
         two = assemble_2d(manufactured_2d_problem(eps), build_shishkin_2d(config), k).pieces
         for f in fields(ldg1d.OperatorPieces1D):
             a, b = getattr(one, f.name), getattr(two, f.name)
@@ -483,7 +508,7 @@ class TestSolverContract:
 
         def scaled_interface(*args):
             system = assemble(*args)
-            e = system.operator.interface
+            e = system.interface
             e[e != 0.0] *= scale
             return system
 

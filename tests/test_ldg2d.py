@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 
 from ldgshishkin import (
     AssembledSystem2D,
+    ConfigurationError,
     DGFunction2D,
     MeshConfig,
     MixedSolution2D,
@@ -23,7 +24,7 @@ from ldgshishkin import (
 )
 from ldgshishkin import ldg2d, problems
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product, reference_blocks_1d
-from ldgshishkin.ldg2d import _fast_diagonalization, eliminate_fluxes_2d
+from ldgshishkin.ldg2d import _fast_diagonalization
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
 from ldgshishkin.problems import Problem2D
 from reference import (bilinear_form_2d, coupled_matrix, coupled_rhs, load_functional_2d,
@@ -105,6 +106,15 @@ def random_triple(mesh, k, rng):
         P=DGFunction2D(mesh, k, rng.standard_normal(shape)),
         Q=DGFunction2D(mesh, k, rng.standard_normal(shape)),
     )
+
+
+def test_solution_fields_share_mesh_and_degree():
+    mesh, other, rng = make_mesh(8, 1e-4), make_mesh(8, 1e-4), np.random.default_rng(3)
+    good = random_triple(mesh, 1, rng)
+    for field in (random_triple(other, 1, rng).P, random_triple(mesh, 2, rng).P):
+        for name in ("U", "P", "Q"):
+            with pytest.raises(ConfigurationError, match="share mesh and degree"):
+                replace(good, **{name: field})
 
 
 class TestAssembly2D:
@@ -328,14 +338,14 @@ class TestCondensation:
     def test_u_operator_is_schur_complement(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
         schur = schur_complement(system)
-        S = dense(eliminate_fluxes_2d(system), system.load.size)
+        S = dense(system, system.load.size)
         assert np.max(np.abs(S - schur)) <= 1e-13 * np.max(np.abs(schur))
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-8, 1e-12])
     @pytest.mark.parametrize("k", [1, 2])
     def test_u_operator_symmetric_positive_definite(self, k, eps):
         system = assemble_2d(manufactured_2d_problem(eps), make_mesh(8, eps, sigma=1.0), k)
-        S = dense(eliminate_fluxes_2d(system), system.load.size)
+        S = dense(system, system.load.size)
         assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
         np.linalg.cholesky(S)
 
@@ -410,11 +420,10 @@ class TestMatrixFreeOperator:
         A, M = system.matrix.csr, system.load.size
         u, p, q = slice(0, M), slice(M, 2 * M), slice(2 * M, 3 * M)
         lu_p, lu_q = splu(A[p, p].tocsc()), splu(A[q, q].tocsc())
-        S = eliminate_fluxes_2d(system)
         for x in np.random.default_rng(47).standard_normal((3, M)):
             expected = (A[u, u] @ x - A[u, p] @ lu_p.solve(A[p, u] @ x)
                         - A[u, q] @ lu_q.solve(A[q, u] @ x))
-            got = S.matvec(x)
+            got = system.matvec(x)
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("b", ["constant", "variable"])
@@ -423,14 +432,13 @@ class TestMatrixFreeOperator:
     def test_diagonal_and_norm_match_formed(self, k, eps, b):
         # S = blockdiag(W_b) + K(x)M + M(x)K formed densely in kron order
         N = 8
-        system = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
-        S = eliminate_fluxes_2d(system)
-        n, kk = system.load.size, (k + 1) ** 2
+        S = assemble_2d(problem_with_b(b, eps), make_mesh(N, eps, sigma=k + 1), k)
+        n, kk = S.load.size, (k + 1) ** 2
         W = np.zeros((n, n))
-        for c, block in enumerate(reaction_blocks(system).reshape(-1, kk, kk)):
+        for c, block in enumerate(reaction_blocks(S).reshape(-1, kk, kk)):
             W[c * kk:(c + 1) * kk, c * kk:(c + 1) * kk] = block
         order = kron_order(N, k)
-        M = np.diag(system.pieces.m.ravel())
+        M = np.diag(S.m)
         formed = W[np.ix_(order, order)] + np.kron(S.K, M) + np.kron(M, S.K)
         diag = np.diag(formed)
         assert np.max(np.abs(np.diag(dense(S, n)) - diag)) <= 1e-15 * np.max(diag)
@@ -438,24 +446,21 @@ class TestMatrixFreeOperator:
         assert S.frobenius_norm() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_reaction_held_once(self):
-        # b is held once, as beta on the quadrature grid: S keeps the array
-        # assemble_2d made, and neither assembly, the elimination, a
-        # product, the norm nor the preconditioner setup allocates as much
-        # as the W_b blocks, N^2 (k+1)^4 doubles, would take
+        # b is held once, as beta on the quadrature grid: neither assembly,
+        # the elimination, a product, the norm nor the preconditioner setup
+        # allocates as much as the W_b blocks, N^2 (k+1)^4 doubles, would take
         eps, k, N = 1e-8, 3, 32
         mesh = make_mesh(N, eps, sigma=k + 1)
         x = np.random.default_rng(53).standard_normal(N * N * (k + 1) ** 2)
         tracemalloc.start()
         try:
             system = assemble_2d(manufactured_2d_problem(eps), mesh, k)
-            S = eliminate_fluxes_2d(system)
-            S.matvec(x)
-            S.frobenius_norm()
-            _fast_diagonalization(S)
+            system.matvec(x)
+            system.frobenius_norm()
+            _fast_diagonalization(system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert S.beta is system.beta
         assert peak < N * N * (k + 1) ** 4 * 8
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -506,9 +511,8 @@ class TestGridKernels:
         # the shift bbar of the fast-diagonalization preconditioner
         eps = 1e-8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=k + 1), k)
-        S = eliminate_fluxes_2d(system)
-        expected = np.einsum("ijaa->", reaction_blocks(system)) / S.m.sum() ** 2
-        assert S.mean_b() == pytest.approx(expected, rel=1e-14, abs=0.0)
+        expected = np.einsum("ijaa->", reaction_blocks(system)) / system.m.sum() ** 2
+        assert system.mean_b() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestExtendedPrecisionReference:
@@ -561,8 +565,7 @@ class TestFastDiagonalizationSolve:
         # with variable b at most 18 steps meet the 1e-14 rules
         k = 2
         for eps in (1e-4, 1e-8, 1e-12):
-            system = assemble_2d(problem_with_b(b, eps), make_mesh(16, eps, sigma=1.0), k)
-            S = eliminate_fluxes_2d(system)
+            S = assemble_2d(problem_with_b(b, eps), make_mesh(16, eps, sigma=1.0), k)
             fd = _fast_diagonalization(S)
             calls, products = [], []
 
@@ -578,7 +581,7 @@ class TestFastDiagonalizationSolve:
                 def frobenius_norm(self):
                     return S.frobenius_norm()
 
-            pcg(Counted(), system.load.ravel(), precondition)
+            pcg(Counted(), S.load.ravel(), precondition)
             assert len(calls) <= most and len(products) == len(calls) + 1, eps
             if b == "constant":
                 assert len(calls) == 2, eps
@@ -592,10 +595,9 @@ class TestFastDiagonalizationSolve:
         # of the largest entry of S
         eps = 1e-8
         system = assemble_2d(problem_with_b(b, eps), make_mesh(8, eps, sigma=1.0), k)
-        S = eliminate_fluxes_2d(system)
-        T = dense(replace(S, beta=np.zeros_like(S.beta)), system.load.size)
+        T = dense(replace(system, beta=np.zeros_like(system.beta)), system.load.size)
         assert np.array_equal(T, T.T)
-        S = dense(S, system.load.size)
+        S = dense(system, system.load.size)
         assert np.max(np.abs(S - S.T)) <= np.finfo(float).eps * np.max(np.abs(S))
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
@@ -605,10 +607,9 @@ class TestFastDiagonalizationSolve:
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(N, eps, sigma=k + 1)
         system = assemble_2d(p, mesh, k)
-        S = eliminate_fluxes_2d(system)
 
         def residual(u):  # the reported residual: that of the unscaled U-system
-            return _relative_residual(S, u.ravel(), system.load.ravel())
+            return _relative_residual(system, u.ravel(), system.load.ravel())
 
         sol = solve_ldg_2d(p, mesh, k)
         U = sol.U.coeffs
@@ -622,8 +623,8 @@ class TestFastDiagonalizationSolve:
         # between: S U matches the load to the residual the solve reports
         eps, N = 1e-8, 8
         p, mesh = manufactured_2d_problem(eps), make_mesh(N, eps, sigma=k + 1)
-        system, sol = assemble_2d(p, mesh, k), solve_ldg_2d(p, mesh, k)
-        S, u, load = eliminate_fluxes_2d(system), sol.U.coeffs.ravel(), system.load.ravel()
+        S, sol = assemble_2d(p, mesh, k), solve_ldg_2d(p, mesh, k)
+        u, load = sol.U.coeffs.ravel(), S.load.ravel()
         scale = S.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(load)
         assert np.linalg.norm(S.matvec(u) - load) <= sol.residual * scale * (1.0 + 1e-12)
         assert sol.residual <= 1e-9

@@ -18,7 +18,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             cfg(N=N)
 
-    @pytest.mark.parametrize("N", [8.0, 8.5, "8", np.float64(16.0)])
+    @pytest.mark.parametrize("N", [8.0, 8.5, "8", np.float64(16.0), True])
     def test_non_integer_N(self, N):
         with pytest.raises(ConfigurationError, match="integer"):
             cfg(N=N)
@@ -35,7 +35,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("eps", "1e-4"), ("eps", None), ("sigma", "2"), ("sigma", None), ("beta", "1"),
-        ("beta", 1j),
+        ("beta", 1j), ("eps", True), ("sigma", True), ("beta", True),
     ])
     def test_non_real_parameter(self, name, value):
         with pytest.raises(ConfigurationError, match="real number"):

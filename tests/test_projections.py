@@ -59,6 +59,19 @@ class TestLocalL2:
         c = project_l2(lambda x: 0.0 * np.asarray(x), (0.0, 1.0), 3)
         assert np.array_equal(c, np.zeros(4))
 
+    def test_k_plus_1_points_reproduce_the_space(self):
+        # x^3 on [0, 1] is (1/4, 9/20, 1/4, 1/20) in the shifted Legendre modes
+        c = project_l2(lambda x: x**3, (0.0, 1.0), 3, quad=4)
+        assert np.allclose(c, [0.25, 0.45, 0.25, 0.05], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k, quad", [(1, 1), (3, 3), (3, 1)])
+    def test_fewer_than_k_plus_1_points_rejected(self, k, quad, mesh32):
+        # quad <= k points miss the degree-2k mode products: no projection
+        with pytest.raises(ConfigurationError, match=f">= {k + 1} quadrature points"):
+            project_l2(lambda x: x**3, (0.0, 1.0), k, quad=quad)
+        with pytest.raises(ConfigurationError, match=f">= {k + 1} quadrature points"):
+            composite_project_plus_1d(np.cos, mesh32, k, quad=quad)
+
 
 class TestWeighted:
     def test_unit_weight_equals_plain(self):
