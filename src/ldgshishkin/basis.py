@@ -120,7 +120,11 @@ class ReferenceBlocks1D(NamedTuple):
     with a+m odd, else 0) and R = G - 1 1^T, the diagonal block of the
     scheme's derivative D (``ldg1d.OperatorPieces1D``) on every cell but the last.  ``points``, ``weights`` and ``V`` are the
     assembly rule and its Legendre table, and ``VV[g]`` the flattened outer
-    product V[g] V[g]^T.
+    product V[g] V[g]^T.  The rest are the k-only products of the U-system
+    blocks (``ldg1d.piece_blocks_1d``), with Minv = diag(1/mass): ``E_last``
+    = 1 1^T and ``E_first`` = alt alt^T, ``RMR`` = R^T Minv R, ``GMG`` =
+    G^T Minv G, ``RMalt`` = R^T Minv alt, ``GMalt`` = G^T Minv alt and
+    ``minv_sum`` = sum(1/mass) (a 0-d array).
     """
 
     ones: np.ndarray
@@ -132,6 +136,13 @@ class ReferenceBlocks1D(NamedTuple):
     weights: np.ndarray
     V: np.ndarray
     VV: np.ndarray
+    E_last: np.ndarray
+    E_first: np.ndarray
+    RMR: np.ndarray
+    GMG: np.ndarray
+    RMalt: np.ndarray
+    GMalt: np.ndarray
+    minv_sum: np.ndarray
 
     def derivative(self, U):
         """D U along the last two axes (cell, mode) of U."""
@@ -154,12 +165,16 @@ def reference_blocks_1d(k):
     n = np.arange(k + 1)
     m, a = np.indices((k + 1, k + 1))
     G = np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
-    rule = gauss_rule(assembly_quad_order(k))
+    R, ones, alt, mass = G - 1.0, np.ones(k + 1), (-1.0) ** n, 2.0 / (2.0 * n + 1.0)
+    rule, minv = gauss_rule(assembly_quad_order(k)), 1.0 / mass
     V, _ = legendre_table(k, rule.points)
     blocks = ReferenceBlocks1D(
-        ones=np.ones(k + 1), alt=(-1.0) ** n, mass=2.0 / (2.0 * n + 1.0), G=G, R=G - 1.0,
+        ones=ones, alt=alt, mass=mass, G=G, R=R,
         points=rule.points, weights=rule.weights, V=V,
-        VV=(V[:, :, None] * V[:, None, :]).reshape(V.shape[0], -1))
+        VV=(V[:, :, None] * V[:, None, :]).reshape(V.shape[0], -1),
+        E_last=np.outer(ones, ones), E_first=np.outer(alt, alt),
+        RMR=R.T @ (minv[:, None] * R), GMG=G.T @ (minv[:, None] * G),
+        RMalt=R.T @ (minv * alt), GMalt=G.T @ (minv * alt), minv_sum=np.array(minv.sum()))
     for array in blocks:
         array.setflags(write=False)
     return blocks

@@ -169,7 +169,8 @@ class ConvergenceTable:
 
 def _row(job):
     """One grid point: build the problem and mesh, record ``clamped``, then
-    solve (or project) and measure.  Row failures set ``failed``."""
+    solve (or project) and measure; ``cfg.norm`` selects the error columns
+    kept, for both studies.  Row failures set ``failed``."""
     cfg, k, N, eps = job
     sigma, quad = cfg.sigma_for(k), cfg.quad_order
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
@@ -184,10 +185,7 @@ def _row(job):
             sol = solve(problem, mesh, k)
             energy, balanced = norms(sol, problem, mesh, quad=quad)
             row.residual = sol.residual
-            if cfg.norm in ("energy", "both"):
-                row.err_energy = energy.total
-            if cfg.norm in ("balanced", "both"):
-                row.err_balanced = balanced.total
+            row.err_energy, row.err_balanced = energy.total, balanced.total
         elif not problem.has_exact:
             raise ConfigurationError("projection study needs exact solution handles")
         elif cfg.dim == 1:
@@ -211,6 +209,10 @@ def _row(job):
             row.err_energy = eps ** -0.25 * err_u
             row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh,
                                                                  quad=quad)
+        if cfg.norm == "balanced":
+            row.err_energy = None
+        if cfg.norm == "energy":
+            row.err_balanced = None
     except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"

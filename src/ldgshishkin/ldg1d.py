@@ -10,13 +10,13 @@ and e = v on the Qtilde dofs of the two cells at node 3N/4.  D is applied
 matrix-free by the reference element; M, s E, v and the blocks of
 K0 = s E + eps D^T M^-1 D are the pieces (``piece_blocks_1d``) from which
 both dimensions build their operators.  M is diagonal, so
-Qtilde = s M^-1 (r_Q - D U) is eliminated: the U-system S0 = K0 + W_b is
-SPD and block-tridiagonal, and its blocks are written straight into
-LAPACK lower band storage (half-bandwidth 2k+1), held by the operator the
-solve applies (``AssembledSystem``).  The solve factors S0 once by banded
-Cholesky, adds e e^T by Sherman-Morrison and makes one step of iterative
-refinement against the residual of A0 + e e^T.  It loads
-scipy.linalg.lapack (dpbtrf, dpbtrs), and never scipy.sparse.
+Qtilde = s M^-1 (r_Q - D U) is eliminated: S0 = K0 + W_b is SPD and
+block-tridiagonal, and its blocks are written straight into LAPACK lower
+band storage (half-bandwidth 2k+1).  The solve factors S0 once by banded
+Cholesky (dpbtrf, dpbtrs; never scipy.sparse), adds e e^T by
+Sherman-Morrison and refines once against the residual of A0 + e e^T.  It
+reports, as 2D does, the backward error of the U-system S = S0 - s c g g^T,
+the Schur complement of A0 + e e^T (``AssembledSystem``).
 """
 
 from dataclasses import dataclass
@@ -27,19 +27,16 @@ import numpy as np
 # gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
 from .basis import gauss_rule, legendre_table, reference_blocks_1d
 from .dgfunction import DGFunction1D
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError
 # equilibrate and lu_banded_solve stay bound: bench/spans.py times them here
-from .linalg import (BandedMatrix, _relative_residual, banded_cholesky, equilibrate,
-                     lu_banded_solve, sherman_morrison)
-
-# largest relative residual of the unscaled A0 + e e^T that solve_ldg_1d accepts
-_RESIDUAL_TOL = 1e-10
+from .linalg import (BandedMatrix, _relative_residual, accept_residual, banded_cholesky,
+                     equilibrate, lu_banded_solve, sherman_morrison)
 
 
 @dataclass
 class MixedSolution1D:
     """The discrete pair (U, Q); ``residual`` is the relative residual of
-    the unscaled system A0 + e e^T at the solution that was returned."""
+    the unscaled U-system S at the U that was returned (see ``solve_ldg_1d``)."""
 
     U: DGFunction1D
     Q: DGFunction1D
@@ -68,8 +65,8 @@ class OperatorPieces1D:
     ``piece_blocks_1d``); the 1D U-system is S0 = K0 + W_b.  In 2D,
     eliminating Qtilde = -F^-1 D U leaves K = s E + s D^T F^-1 D in the U
     rows, with F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v
-    (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D and
-    ``flux_eliminated`` forms K.
+    (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D, ``interface_gradient``
+    gives the rank-one term and ``flux_eliminated`` forms K.
     """
 
     m: np.ndarray
@@ -98,21 +95,27 @@ class OperatorPieces1D:
         Y[..., J - 1:J + 1, :] -= w * (c * np.einsum("...ij,ij->...", pair, w))[..., None, None]
         return Y
 
+    @cached_property
+    def interface_gradient(self):
+        """(g, a): s D^T F^-1 D = eps D^T M^-1 D - a g g^T, a = s c, and g = D^T w on
+        cells J-1..J+1, flattened; w is padded with cell J+2, if any, so J+1 keeps R."""
+        (J, _), (_, w, c), N = self.interface, self._flux_mass_inverse, self.m.shape[0]
+        W = np.zeros((min(N, J + 2) - J + 2, w.shape[1]))
+        W[1:3] = w
+        return self.ref.derivative_t(W)[:3].ravel(), self.s * c
+
     def flux_eliminated(self):
         """K as a dense, exactly symmetric N(k+1)-square matrix: K0 less
-        s c g g^T, g = D^T w, which lives on cells J-1, J and J+1."""
-        (J, _), (diag, sub), (_, w, c) = self.interface, self.eliminated, self._flux_mass_inverse
+        a g g^T (``interface_gradient``)."""
+        (J, _), (diag, sub), (g, a) = self.interface, self.eliminated, self.interface_gradient
         N, kk, _ = diag.shape
         # blocks (c, c) = diag[c], (c+1, c) = sub[c] 1^T and (c, c+1) its transpose
         cells, K4 = np.arange(N), np.zeros((N, kk, N, kk))
         K4[cells, :, cells] = diag
         K4[cells[1:], :, cells[:-1]] = sub[:, :, None]
         K4[cells[:-1], :, cells[1:]] = sub[:, None, :]
-        K, W = K4.reshape(N * kk, N * kk), np.zeros((N, kk))
-        W[J - 1:J + 1] = w
-        g = self.ref.derivative_t(W)[J - 2:J + 1].ravel()
-        near = slice((J - 2) * kk, (J + 1) * kk)
-        K[near, near] -= np.outer(g, g) * (self.s * c)
+        K, near = K4.reshape(N * kk, N * kk), slice((J - 2) * kk, (J + 1) * kk)
+        K[near, near] -= np.outer(g, g) * a
         return K
 
 
@@ -125,8 +128,9 @@ class AssembledSystem:
     applying D from ``pieces``, and ``reaction``, the (N, k+1, k+1) blocks
     of C.  ``interface`` is e, v on the Qtilde dofs of cells J and J+1.
     ``apply`` and ``solve_a0`` act with A0, ``matvec`` and ``frobenius_norm``
-    with A, as the residual reads them.  ``matrix`` is the lower band of
-    S0 = K0 + W_b = C + eps D^T M^-1 D (``lower`` = 2k+1, ``upper`` = 0);
+    with S = C + s D^T F^-1 D = S0 - a g g^T (``pieces.interface_gradient``)
+    on flattened U.  ``matrix``, the lower band of S0 = C + eps D^T M^-1 D
+    (``lower`` = 2k+1, ``upper`` = 0), gives ||S||_F when the system is built;
     ``solve_ldg_1d`` drops it once factored, so the solves reuse its pages."""
 
     matrix: BandedMatrix
@@ -139,6 +143,14 @@ class AssembledSystem:
         e = np.zeros((2, N, kk))
         e[0, J - 1:J + 1] = v.reshape(2, kk)
         self.interface = e.ravel()
+        # ||S||_F^2 = ||S0||_F^2 - 2a g^T S0 g + a^2 ||g||^4, S0 = L + L^T - diag:
+        # window[d, j] = S0[j + d, j] and shifted[d, j] = g[j + d] about g give L^T g
+        band, (g, a) = self.matrix.band, self.pieces.interface_gradient
+        window, nb = band[:, (J - 2) * kk:(J + 1) * kk], len(band)
+        shifted = np.concatenate([g, np.zeros(nb - 1)])[np.arange(nb)[:, None] + np.arange(g.size)]
+        gS0g = (2.0 * (window * shifted).sum(axis=0) - window[0] * g) @ g
+        S0 = 2.0 * np.vdot(band, band) - np.vdot(band[0], band[0])
+        self._frobenius = float(np.sqrt(S0 - 2.0 * a * gS0g + (a * (g @ g)) ** 2))
 
     def apply(self, X):
         p, Q, U = self.pieces, X[..., 0, :, :], X[..., 1, :, :]
@@ -161,23 +173,14 @@ class AssembledSystem:
         X[:, 0] = minv * (RQ - p.ref.derivative(X[:, 1]))
         return X.reshape(R.shape)
 
-    def matvec(self, x):
-        e = self.interface
-        Ax = self.apply(x.reshape(2, *self.pieces.m.shape)).ravel()
-        Ax += e * (e @ x)
-        return Ax
+    def matvec(self, u):
+        p, U = self.pieces, u.reshape(self.pieces.m.shape)
+        SU = np.einsum("cpq,cq->cp", self.reaction, U)
+        SU += p.s * p.ref.derivative_t(p.flux_gradient(U))
+        return SU.ravel()
 
     def frobenius_norm(self):
-        p = self.pieces
-        N, (R, G), s = p.m.shape[0], (p.ref.R, p.ref.G), p.s
-        # D: N-1 diagonal blocks R, the last G, N-1 blocks alt 1^T below
-        D2 = (N - 1) * (np.vdot(R, R) + R.size) + np.vdot(G, G)
-        A0 = np.vdot(p.m, p.m) / s**2 + (1.0 + s**2) * D2 + np.vdot(
-            self.reaction, self.reaction)
-        # ||A0 + e e^T||^2 = ||A0||^2 + 2 e^T A0 e + ||e||^4, where
-        # e^T A0 e = e^T (M/s) e since e lives on Qtilde
-        eQ = self.interface[:p.m.size]
-        return float(np.sqrt(A0 + 2.0 * (eQ * p.m.ravel()) @ eQ / s + (eQ @ eQ)**2))
+        return self._frobenius
 
 
 def piece_blocks_1d(mesh, k, eps):
@@ -193,15 +196,15 @@ def piece_blocks_1d(mesh, k, eps):
     half-integers, so the blocks are exactly symmetric.
     """
     ref, s, halfh = reference_blocks_1d(k), float(np.sqrt(eps)), 0.5 * mesh.widths
-    R, G, minv, scale = ref.R, ref.G, 1.0 / ref.mass, eps / halfh
+    scale = eps / halfh
     sE = np.zeros((mesh.N, k + 1, k + 1))
-    sE[-1], sE[0] = s * np.outer(ref.ones, ref.ones), s * np.outer(ref.alt, ref.alt)
-    K0 = scale[:, None, None] * (R.T @ (minv[:, None] * R))
+    sE[-1], sE[0] = s * ref.E_last, s * ref.E_first
+    K0 = scale[:, None, None] * ref.RMR
     K0 += sE
-    K0[-1] = sE[-1] + scale[-1] * (G.T @ (minv[:, None] * G))
-    K0[:-1] += (scale[1:] * minv.sum())[:, None, None]
-    sub = scale[1:, None] * (R.T @ (minv * ref.alt))
-    sub[-1] = scale[-1] * (G.T @ (minv * ref.alt))
+    K0[-1] = sE[-1] + scale[-1] * ref.GMG
+    K0[:-1] += (scale[1:] * ref.minv_sum)[:, None, None]
+    sub = scale[1:, None] * ref.RMalt
+    sub[-1] = scale[-1] * ref.GMalt
     return OperatorPieces1D(m=halfh[:, None] * ref.mass, penalty=sE, s=s,
                             interface=(mesh.interface_index, np.concatenate([ref.ones, -ref.alt])),
                             eliminated=(K0, sub))
@@ -243,24 +246,20 @@ def solve_ldg_1d(problem, mesh, k):
     and Sherman-Morrison adds e e^T.  One step of iterative refinement
     against the residual of A0 + e e^T always follows: S0's condition grows
     like N^2, and without the step U can be off by about 1e-11 relative.
-    Raises SolverError (carrying the achieved residual) when the relative
-    residual of the unscaled A0 + e e^T exceeds ``_RESIDUAL_TOL``, and
-    SingularMatrixError when S0 is not positive definite or the solve gives
-    non-finite values.
+    The reported residual is that of the unscaled U-system S at U, gated
+    by ``linalg.accept_residual`` (SolverError, carrying it);
+    SingularMatrixError is raised when S0 is not positive definite or the
+    solve gives non-finite values.
     """
     A = assemble_1d(problem, mesh, k)
     cholesky, A.matrix = banded_cholesky(A.matrix), None  # the band goes once factored
-    b, e = A.rhs, A.interface
+    b, e, fields = A.rhs, A.interface, (2, mesh.N, k + 1)
     y, z = A.solve_a0(cholesky, np.array((b, e)))
     x = sherman_morrison(y, z, e)
-    x += sherman_morrison(A.solve_a0(cholesky, (b - A.matvec(x))[None])[0], z, e)
-    residual = _relative_residual(A, x, b)
-    if residual > _RESIDUAL_TOL:
-        raise SolverError(
-            f"1D solve reached residual {residual:.3e} > {_RESIDUAL_TOL:.3e}",
-            residual=residual,
-        )
-    Qt, U = x.reshape(2, mesh.N, k + 1)
+    r = b - (A.apply(x.reshape(fields)).ravel() + e * (e @ x))
+    x += sherman_morrison(A.solve_a0(cholesky, r[None])[0], z, e)
+    Qt, U = x.reshape(fields)
+    residual = accept_residual(_relative_residual(A, U.ravel(), b.reshape(2, -1)[1]), "1D solve")
     return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, A.pieces.s * Qt),
                            residual=residual)
 

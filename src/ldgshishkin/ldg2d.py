@@ -17,12 +17,12 @@ since the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
 (``AssembledSystem2D``: the 1D pieces, b on the tensor quadrature grid
 (beta) and the load), the SPD U-only system S = W_b + K(x)M + M(x)K,
 unformed, on the kron-order view of U.  Conjugate gradients, preconditioned
-by fast diagonalization (one 1D eigenproblem; exact for constant b, where
-two steps solve and refine), solve it with no scipy.sparse call; P and Q
-follow from the 1D cell blocks of D and F^-1, applied along x and along y.
-The coupled matrix is built on request (``AssembledSystem2D.matrix``): the
-tests check the solver against it, and the benchmark's tracer
-(``bench/spans.py``) reads its size and nnz.
+by fast diagonalization (one 1D eigenproblem; exact for constant b, where two
+steps solve and refine), solve it with no scipy.sparse call, and report and
+gate on its backward error, as 1D does; P and Q follow from the 1D cell blocks
+of D and F^-1, applied along x and along y.  The coupled matrix is built on
+request (``AssembledSystem2D.matrix``): the tests check the solver against it,
+and the benchmark's tracer (``bench/spans.py``) reads its size and nnz.
 """
 
 import functools
@@ -33,13 +33,10 @@ import numpy as np
 # gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
 from .basis import gauss_rule, grid_product, legendre_table, reference_blocks_1d
 from .dgfunction import DGFunction2D
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError
 from .ldg1d import OperatorPieces1D, piece_blocks_1d
 # equilibrate and sparse_solve stay bound: bench/spans.py times them here
-from .linalg import SparseMatrix, equilibrate, pcg, sparse_solve
-
-# largest relative residual of the U-system S that solve_ldg_2d accepts
-_RESIDUAL_TOL = 1e-9
+from .linalg import SparseMatrix, accept_residual, equilibrate, pcg, sparse_solve
 
 
 @dataclass
@@ -212,17 +209,13 @@ def solve_ldg_2d(problem, mesh2d, k):
     (two applications of it, three of S with the residual's), 17-18 for
     variable b.  All of it works on kron-order vectors: the load is
     integrated in that order and U, P and Q are stored in it.  The
-    reported residual is that of the unscaled U-system S; SolverError
-    (carrying it) is raised when it exceeds ``_RESIDUAL_TOL``,
-    SingularMatrixError when an iterate is not finite.
+    reported residual is that of the unscaled U-system S, gated by
+    ``linalg.accept_residual`` (SolverError, carrying it), as in 1D;
+    SingularMatrixError is raised when an iterate is not finite.
     """
     system, N, k1 = assemble_2d(problem, mesh2d, k), mesh2d.N, k + 1
     result = pcg(system, system.load.ravel(), _fast_diagonalization(system))
-    if result.residual > _RESIDUAL_TOL:
-        raise SolverError(
-            f"2D solve reached residual {result.residual:.3e} > {_RESIDUAL_TOL:.3e}",
-            residual=result.residual,
-        )
+    accept_residual(result.residual, "2D solve")
     # U is (i, m, j, n): G acts on (i, m) for P, on (j, n) for Q
     u, s, G = result.x.reshape(N, k1, N, k1), system.pieces.s, system.pieces.flux_gradient
     P = np.multiply(-s, G(u.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1), order="C")

@@ -1,5 +1,5 @@
 """Linear-solver backend: banded Cholesky and LU, sparse LU, preconditioned
-CG, scaling.
+CG, scaling, and ``accept_residual``, the one residual gate of both solves.
 
 The banded paths read LAPACK band storage: ``banded_cholesky`` factors an
 SPD matrix held by its lower band (dpbtrf, dpbtrs), and ``lu_banded_solve``
@@ -24,6 +24,7 @@ from .errors import SingularMatrixError, SolverError
 
 _PIVOT_RTOL = 1e-14
 _CG_STEP_RTOL, _CG_MAX_STEPS = 1e-14, 200
+_RESIDUAL_TOL = 1e-10  # the largest relative residual of its U-system a 1D or 2D solve accepts
 
 
 @dataclass
@@ -148,6 +149,13 @@ def _relative_residual(matrix, x, b):
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(matrix.matvec(x) - b) / denom)
+
+
+def accept_residual(residual, solve):
+    """``residual``, or SolverError carrying it above ``_RESIDUAL_TOL``: both solves' gate."""
+    if residual > _RESIDUAL_TOL:
+        raise SolverError(f"{solve} residual {residual:.3e} > {_RESIDUAL_TOL}", residual=residual)
+    return residual
 
 
 def lu_banded_solve(matrix, rhs):

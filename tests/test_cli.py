@@ -90,8 +90,10 @@ def test_unwritable_path_exit_1():
     assert code == 1
 
 
-def test_norm_selection_blanks_other_column(capsys):
-    code = main(["--k", "1", "--n", "16", "--eps", "1e-4", "--norm", "energy"])
+@pytest.mark.parametrize("study", ["solve", "projection"])
+def test_norm_selection_blanks_other_column(study, capsys):
+    code = main(["--study", study, "--k", "1", "--n", "16,32", "--eps", "1e-4",
+                 "--norm", "energy"])
     assert code == 0
     out = capsys.readouterr().out
     row = out.strip().split("\n")[1].split(",")

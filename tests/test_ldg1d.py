@@ -25,10 +25,11 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_1d,
 )
-from ldgshishkin import ldg1d, problems
+from ldgshishkin import ldg1d, linalg, problems
 from ldgshishkin.basis import reference_blocks_1d
 from ldgshishkin.ldg1d import piece_blocks_1d
 from ldgshishkin.ldg2d import assemble_2d
+from ldgshishkin.linalg import _relative_residual
 from ldgshishkin.problems import Problem1D
 from reference import (banded_system_1d, bilinear_form_1d, interpolate_1d, load_functional_1d,
                        refined_solve_1d, run_fresh)
@@ -66,6 +67,17 @@ def dense_a0(system):
     """A0 (the operator without e e^T) as a dense array, column by column."""
     units = np.eye(system.rhs.size).reshape(-1, 2, *system.pieces.m.shape)
     return system.apply(units).reshape(system.rhs.size, -1).T
+
+
+def apply_a(system, x):
+    """(A0 + e e^T) x for the flattened fields x, from ``apply`` and e."""
+    e = system.interface
+    return system.apply(x.reshape(2, *system.pieces.m.shape)).ravel() + e * (e @ x)
+
+
+def u_schur(A, n):
+    """The Schur complement A_UU - A_UQ A_QQ^-1 A_QU of the field-major 2-field A."""
+    return A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
 
 
 def s0_dense(matrix):
@@ -125,20 +137,21 @@ class TestAssembly:
         assert system.matrix.lower == 2 * k + 1 and system.matrix.upper == 0
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])  # 1e-1: clamped mesh
-    @pytest.mark.parametrize("N", [4, 8, 64])
+    @pytest.mark.parametrize("N", [4, 8, 16, 64])  # N=4: cell J+1, next to g, is the last
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_band_matches_triplet_reference(self, k, N, eps):
         # S0, written in closed form, is the Schur complement
         # A_UU - A_UQ A_QQ^-1 A_QU of the triplet-built 2-field A0, with
-        # zeros in the band slots outside the matrix; the operator applies
-        # A0 + e e^T and has its Frobenius norm, and rhs and e are the
-        # reference's, in the field-major layout
+        # zeros in the band slots outside the matrix; apply and e give
+        # A0 + e e^T, the operator applies its Schur complement S and has
+        # the Frobenius norm of S, and rhs and e are the reference's, in
+        # the field-major layout
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
         system = assemble_1d(p, mesh, k)
         ref, e, b = banded_system_1d(p, mesh, k)
         perm, n = field_major(N, k), N * (k + 1)
         A = ref.to_dense()[np.ix_(perm, perm)]
-        S_ref = A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
+        S_ref = u_schur(A, n)
         S = s0_dense(system.matrix)
         assert np.abs(S - S_ref).max() <= 1e-15 * np.abs(S_ref).max()
         outside = np.arange(n) >= n - np.arange(system.matrix.lower + 1)[:, None]
@@ -147,9 +160,12 @@ class TestAssembly:
         assert np.array_equal(system.interface, e[perm])
         A += np.outer(e[perm], e[perm])
         x = np.random.default_rng(k * N).standard_normal(2 * n)
-        error = np.abs(system.matvec(x) - A @ x).max()
+        error = np.abs(apply_a(system, x) - A @ x).max()
         assert error <= 1e-15 * np.abs(A).max() * np.abs(x).sum()
-        assert system.frobenius_norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
+        S_ref, u = u_schur(A, n), x[n:]
+        error = np.abs(system.matvec(u) - S_ref @ u).max()
+        assert error <= 1e-15 * np.abs(S_ref).max() * np.abs(u).sum()
+        assert system.frobenius_norm() == pytest.approx(np.linalg.norm(S_ref), rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_1d_path_uses_no_scipy_sparse(self, k, tmp_path):
@@ -187,9 +203,9 @@ class TestAssembly:
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matrix_matches_quadrature_oracle(self, k, eps):
-        # x^T A w = B(W; X), A = A0 + e e^T, block by block (Q/U parts of W
-        # against r/v parts of X), with the Q entries unscaled from
-        # Qtilde = Q / sqrt(eps)
+        # x^T A w = B(W; X), A = A0 + e e^T applied by apply and e, block by
+        # block (Q/U parts of W against r/v parts of X), with the Q entries
+        # unscaled from Qtilde = Q / sqrt(eps)
         rng = np.random.default_rng(41)
         N = 16
         mesh = make_mesh(N, eps, sigma=k + 1)
@@ -212,7 +228,7 @@ class TestAssembly:
                 for xf in ("Q", "U"):
                     Wp, Xp = part(W, wf), part(X, xf)
                     x, w = vector(Xp, 1.0), vector(Wp, 1.0 / A.pieces.s)
-                    lhs = x @ A.matvec(w)
+                    lhs = x @ apply_a(A, w)
                     oracle = bilinear_form_1d(Wp, Xp, p, mesh)
                     assert lhs == pytest.approx(oracle, rel=1e-12, abs=0.0), (wf, xf)
 
@@ -222,8 +238,8 @@ class TestAssembly:
     def test_solution_matches_dense_solve(self, k, N, eps):
         # the U-system, Sherman-Morrison and the refinement step solve the
         # triplet-built 2-field A0 + e e^T: to rounding of a dense solve,
-        # and with a relative residual of that system at rounding level, as
-        # the solver reports it
+        # and with relative residuals of that system and of the U-system
+        # (the one the solver reports) at rounding level
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
         ref, e, b = banded_system_1d(p, mesh, k)
         A = ref.to_dense() + np.outer(e, e)
@@ -475,12 +491,29 @@ class TestSolverContract:
         assert sol.residual <= 1e-10
 
     def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
-        monkeypatch.setattr(ldg1d, "_RESIDUAL_TOL", 0.0)
+        # the one tolerance of both solves lives in linalg
+        monkeypatch.setattr(linalg, "_RESIDUAL_TOL", 0.0)
         p = paper_1d_problem(1e-4)
         mesh = make_mesh(8, 1e-4)
         with pytest.raises(SolverError) as info:
             solve_ldg_1d(p, mesh, 1)
         assert info.value.residual is not None and info.value.residual > 0.0
+
+    def test_perturbed_solution_reads_the_same_residual_at_every_eps(self):
+        # the reported residual is ||f - S U|| / (||S||_F ||U|| + ||f||) of the
+        # assembled S at the returned U; at U scaled by 1 + 1e-8 xi (Q kept) it
+        # reads the same within a factor 2 as eps falls, and above the
+        # tolerance, where the residual of A0 + e e^T fell below it
+        k, N, seen = 1, 64, []
+        xi = np.random.default_rng(61).standard_normal((N, k + 1))
+        for eps in (1e-4, 1e-8, 1e-12):
+            p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+            A, sol = assemble_1d(p, mesh, k), solve_ldg_1d(p, mesh, k)
+            f = A.rhs.reshape(2, -1)[1]
+            assert sol.residual == _relative_residual(A, sol.U.coeffs.ravel(), f)
+            U = sol.U.coeffs * (1.0 + 1e-8 * xi)
+            seen.append(_relative_residual(A, U.ravel(), f))
+        assert min(seen) > linalg._RESIDUAL_TOL and max(seen) <= 2.0 * min(seen), seen
 
     @pytest.mark.parametrize("name", ["b", "f"])
     def test_nan_data_raises_typed_error(self, name):

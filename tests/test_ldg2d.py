@@ -12,6 +12,7 @@ from ldgshishkin import (
     MeshConfig,
     MixedSolution2D,
     SingularMatrixError,
+    SolverError,
     SweepConfig,
     assemble_2d,
     balanced_norm_2d,
@@ -22,7 +23,7 @@ from ldgshishkin import (
     run_sweep,
     solve_ldg_2d,
 )
-from ldgshishkin import ldg2d, problems
+from ldgshishkin import ldg2d, linalg, problems
 from ldgshishkin.basis import assembly_quad_order, gauss_rule, grid_product, reference_blocks_1d
 from ldgshishkin.ldg2d import _fast_diagonalization
 from ldgshishkin.linalg import _relative_residual, equilibrate, pcg, sparse_solve
@@ -616,6 +617,25 @@ class TestFastDiagonalizationSolve:
         assert residual(U) == sol.residual <= 1e-9
         noise = np.random.default_rng(41).standard_normal(U.shape)
         assert residual(U * (1.0 + 1e-6 * noise)) > 1e-9
+
+    def test_perturbed_solution_reads_the_same_residual_at_every_eps(self):
+        # U scaled by 1 + 1e-8 xi: the U-system residual reads the same
+        # within a factor 2 at every eps, and above the tolerance
+        k, N, seen = 2, 32, []
+        xi = np.random.default_rng(61).standard_normal((N, k + 1, N, k + 1))
+        for eps in (1e-4, 1e-8, 1e-12):
+            p, mesh = manufactured_2d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+            system, sol = assemble_2d(p, mesh, k), solve_ldg_2d(p, mesh, k)
+            U = sol.U.coeffs * (1.0 + 1e-8 * xi)
+            seen.append(_relative_residual(system, U.ravel(), system.load.ravel()))
+        assert min(seen) > linalg._RESIDUAL_TOL and max(seen) <= 2.0 * min(seen), seen
+
+    def test_unreachable_tolerance_raises_with_residual(self, monkeypatch):
+        # the one tolerance of both solves lives in linalg
+        monkeypatch.setattr(linalg, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(SolverError) as info:
+            solve_ldg_2d(manufactured_2d_problem(1e-4), make_mesh(8, 1e-4), 1)
+        assert info.value.residual is not None and info.value.residual > 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_solution_stored_in_operator_order(self, k):
