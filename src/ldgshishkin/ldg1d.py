@@ -4,19 +4,19 @@ The numerical fluxes of the first-order system (q = eps u') upwind U from
 the left and Q from the right, penalize the boundary traces of U with
 weight sqrt(eps) and the jump of Q at the right transition node 3N/4 with
 weight 1/sqrt(eps).  In the scaled unknown Qtilde = Q / s, s = sqrt(eps),
-the scheme is (A0 + e e^T) x = (0, F) on the fields x = (Qtilde, U), with
-A0 = [[M/s, D], [-s D^T, C]], C = W_b + s E, block-tridiagonal over cells,
-and e = v on the Qtilde dofs of the two cells at node 3N/4.  D is applied
-matrix-free by the reference element; M, s E, v and the blocks of
-K0 = s E + eps D^T M^-1 D are the pieces (``piece_blocks_1d``) from which
-both dimensions build their operators.  M is diagonal, so
-Qtilde = s M^-1 (r_Q - D U) is eliminated: S0 = K0 + W_b is SPD and
-block-tridiagonal, and its blocks are written straight into LAPACK lower
-band storage (half-bandwidth 2k+1).  The solve factors S0 once by banded
-Cholesky (dpbtrf, dpbtrs; never scipy.sparse), adds e e^T by
-Sherman-Morrison and refines once against the residual of A0 + e e^T.  It
-reports, as 2D does, the backward error of the U-system S = S0 - s c g g^T,
-the Schur complement of A0 + e e^T (``AssembledSystem``).
+the scheme is A x = (0, F) on the fields x = (Qtilde, U),
+A = [[F, D], [-s D^T, C]], with the flux mass F = M/s + v v^T (v on the
+two cells at node 3N/4) and C = W_b + s E, block-diagonal over cells.  D
+is applied matrix-free by the reference element; M, s E, v and the blocks
+of K0 = s E + eps D^T M^-1 D are the pieces (``piece_blocks_1d``) from
+which both dimensions build their operators.  Eliminating
+Qtilde = F^-1 (r_Q - D U) leaves the SPD U-system S = K + W_b, where
+K = s E + s D^T F^-1 D = K0 - a g g^T and g spans the three cells around
+node 3N/4, so S has half-bandwidth 3k+2.  Both dimensions read K from its
+one writer, ``OperatorPieces1D.flux_band``, into LAPACK lower band
+storage.  The 1D solve factors S once by banded Cholesky (dpbtrf, dpbtrs;
+never scipy.sparse) and refines once against the residual of A.  It
+reports, as 2D does, the backward error of S (``AssembledSystem``).
 """
 
 from dataclasses import dataclass
@@ -27,10 +27,10 @@ import numpy as np
 # gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
 from .basis import gauss_rule, legendre_table, reference_blocks_1d
 from .dgfunction import DGFunction1D
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SingularMatrixError
 # equilibrate and lu_banded_solve stay bound: bench/spans.py times them here
 from .linalg import (BandedMatrix, _relative_residual, accept_residual, banded_cholesky,
-                     equilibrate, lu_banded_solve, sherman_morrison)
+                     equilibrate, lu_banded_solve)
 
 
 @dataclass
@@ -62,11 +62,12 @@ class OperatorPieces1D:
     element ``ref`` (``reference_blocks_1d(k)``); since G + G^T = 11^T - alt alt^T,
     the (test v, Qtilde) block of the scheme is exactly -s D^T.
     ``eliminated`` holds the blocks of K0 = s E + eps D^T M^-1 D (see
-    ``piece_blocks_1d``); the 1D U-system is S0 = K0 + W_b.  In 2D,
-    eliminating Qtilde = -F^-1 D U leaves K = s E + s D^T F^-1 D in the U
-    rows, with F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v
-    (Sherman-Morrison): ``flux_gradient`` applies G = F^-1 D, ``interface_gradient``
-    gives the rank-one term and ``flux_eliminated`` forms K.
+    ``piece_blocks_1d``).  Eliminating Qtilde = -F^-1 D U leaves
+    K = s E + s D^T F^-1 D in the U rows of both dimensions, with
+    F^-1 = s M^-1 - w w^T / (1 + v^T w), w = s M^-1 v (Sherman-Morrison):
+    ``flux_solve`` applies F^-1, ``flux_gradient`` G = F^-1 D,
+    ``flux_band`` writes the lower band of K = K0 - a g g^T (a rank-one term
+    on three cells) and ``flux_eliminated`` expands it to the dense K.
     """
 
     m: np.ndarray
@@ -81,97 +82,102 @@ class OperatorPieces1D:
 
     @cached_property
     def _flux_mass_inverse(self):
-        """(minv, w, c): F^-1 = diag(minv) - c w w^T, w on cells J and J+1."""
+        """(minv, w, c): F^-1 = diag(minv) - c w w^T, w on cells J and J+1.
+        Raises SingularMatrixError when 1 + v^T w is not finite."""
         (J, v), kk = self.interface, self.m.shape[1]
         minv = self.s / self.m
         w = minv[J - 1:J + 1] * v.reshape(2, kk)
-        return minv, w, 1.0 / (1.0 + v @ w.ravel())
+        if not np.isfinite(denom := 1.0 + v @ w.ravel()):
+            raise SingularMatrixError(f"flux mass rank-one denominator {denom:.3e}")
+        return minv, w, 1.0 / denom
 
-    def flux_gradient(self, X):
-        """G X = F^-1 D X along the last two axes (cell, mode) of X."""
+    def flux_solve(self, X):
+        """F^-1 X along the last two axes (cell, mode) of X."""
         (J, _), (minv, w, c) = self.interface, self._flux_mass_inverse
-        DX = self.ref.derivative(X)
-        Y, pair = minv * DX, DX[..., J - 1:J + 1, :]
+        Y, pair = minv * X, X[..., J - 1:J + 1, :]
         Y[..., J - 1:J + 1, :] -= w * (c * np.einsum("...ij,ij->...", pair, w))[..., None, None]
         return Y
 
-    @cached_property
-    def interface_gradient(self):
-        """(g, a): s D^T F^-1 D = eps D^T M^-1 D - a g g^T, a = s c, and g = D^T w on
-        cells J-1..J+1, flattened; w is padded with cell J+2, if any, so J+1 keeps R."""
-        (J, _), (_, w, c), N = self.interface, self._flux_mass_inverse, self.m.shape[0]
-        W = np.zeros((min(N, J + 2) - J + 2, w.shape[1]))
+    def flux_gradient(self, X):
+        """G X = F^-1 D X along the last two axes (cell, mode) of X."""
+        return self.flux_solve(self.ref.derivative(X))
+
+    def flux_band(self):
+        """A fresh lower band (3k+3, N(k+1)) of K = K0 - a g g^T, K[i, j] at
+        band[i - j, j]: column q of cell c holds block (c, c) of K0 from its
+        diagonal down, then block (c + 1, c).  s D^T F^-1 D = eps D^T M^-1 D
+        - a g g^T with a = s c and g = D^T w on cells J-1..J+1 (w padded with
+        cell J+2, if any, so J+1 keeps R).  The slots outside the matrix hold
+        zeros."""
+        (J, _), (diag, sub), (_, w, c) = self.interface, self.eliminated, self._flux_mass_inverse
+        N, kk, _ = diag.shape
+        W = np.zeros((min(N, J + 2) - J + 2, kk))
         W[1:3] = w
-        return self.ref.derivative_t(W)[:3].ravel(), self.s * c
+        g, a = self.ref.derivative_t(W)[:3].ravel(), self.s * c
+        band = np.zeros((3 * kk, N, kk))
+        for q in range(kk):
+            band[:kk - q, :, q] = diag[:, q:, q].T
+            band[kk - q:2 * kk - q, :-1, q] = sub.T
+        band = band.reshape(3 * kk, N * kk)
+        near = band[:, (J - 2) * kk:]  # J+1 <= N: no slot outside the matrix is written
+        for d in range(g.size):
+            near[d, :g.size - d] -= g[d:] * g[:g.size - d] * a
+        return band
 
     def flux_eliminated(self):
-        """K as a dense, exactly symmetric N(k+1)-square matrix: K0 less
-        a g g^T (``interface_gradient``)."""
-        (J, _), (diag, sub), (g, a) = self.interface, self.eliminated, self.interface_gradient
-        N, kk, _ = diag.shape
-        # blocks (c, c) = diag[c], (c+1, c) = sub[c] 1^T and (c, c+1) its transpose
-        cells, K4 = np.arange(N), np.zeros((N, kk, N, kk))
-        K4[cells, :, cells] = diag
-        K4[cells[1:], :, cells[:-1]] = sub[:, :, None]
-        K4[cells[:-1], :, cells[1:]] = sub[:, None, :]
-        K, near = K4.reshape(N * kk, N * kk), slice((J - 2) * kk, (J + 1) * kk)
-        K[near, near] -= np.outer(g, g) * a
+        """K as a dense, exactly symmetric N(k+1)-square matrix, expanded
+        from ``flux_band`` diagonal by diagonal."""
+        band = self.flux_band()
+        n = band.shape[1]
+        K = np.zeros((n, n))
+        flat = K.ravel()
+        for d, diagonal in enumerate(band):  # K[j + d, j] and K[j, j + d]
+            flat[d * n::n + 1][:n - d] = diagonal[:n - d]
+            flat[d::n + 1][:n - d] = diagonal[:n - d]
         return K
 
 
 @dataclass
 class AssembledSystem:
     """The scheme A x = ``rhs`` and the U-system it is solved through.
-    A = A0 + e e^T, A0 = [[M/s, D], [-s D^T, C]], acts on the flattened
-    fields x = (Qtilde, U), Q = s Qtilde, arrays (..., 2, N, k+1) (field,
-    cell, mode), from its cell pieces: M, s, v and the reference element
-    applying D from ``pieces``, and ``reaction``, the (N, k+1, k+1) blocks
-    of C.  ``interface`` is e, v on the Qtilde dofs of cells J and J+1.
-    ``apply`` and ``solve_a0`` act with A0, ``matvec`` and ``frobenius_norm``
-    with S = C + s D^T F^-1 D = S0 - a g g^T (``pieces.interface_gradient``)
-    on flattened U.  ``matrix``, the lower band of S0 = C + eps D^T M^-1 D
-    (``lower`` = 2k+1, ``upper`` = 0), gives ||S||_F when the system is built;
-    ``solve_ldg_1d`` drops it once factored, so the solves reuse its pages."""
+    A = [[F, D], [-s D^T, C]], F = M/s + v v^T, acts on the fields
+    x = (Qtilde, U), Q = s Qtilde, arrays (..., 2, N, k+1) (field, cell,
+    mode), from its cell pieces: M, s, v and the reference element applying
+    D from ``pieces``, and ``reaction``, the (N, k+1, k+1) blocks of C.
+    ``apply`` and ``solve`` act with A, ``matvec`` and ``frobenius_norm``
+    with its Schur complement S = C + s D^T F^-1 D on flattened U.
+    ``matrix``, the lower band of S (``lower`` = 3k+2, ``upper`` = 0), gives
+    ||S||_F when the system is built; ``solve_ldg_1d`` drops it once
+    factored, so the solves reuse its pages."""
 
     matrix: BandedMatrix
     rhs: np.ndarray
     pieces: OperatorPieces1D
     reaction: np.ndarray
 
-    def __post_init__(self):  # built with the system: a lazily built e took fresh pages
-        (J, v), (N, kk) = self.pieces.interface, self.pieces.m.shape
-        e = np.zeros((2, N, kk))
-        e[0, J - 1:J + 1] = v.reshape(2, kk)
-        self.interface = e.ravel()
-        # ||S||_F^2 = ||S0||_F^2 - 2a g^T S0 g + a^2 ||g||^4, S0 = L + L^T - diag:
-        # window[d, j] = S0[j + d, j] and shifted[d, j] = g[j + d] about g give L^T g
-        band, (g, a) = self.matrix.band, self.pieces.interface_gradient
-        window, nb = band[:, (J - 2) * kk:(J + 1) * kk], len(band)
-        shifted = np.concatenate([g, np.zeros(nb - 1)])[np.arange(nb)[:, None] + np.arange(g.size)]
-        gS0g = (2.0 * (window * shifted).sum(axis=0) - window[0] * g) @ g
-        S0 = 2.0 * np.vdot(band, band) - np.vdot(band[0], band[0])
-        self._frobenius = float(np.sqrt(S0 - 2.0 * a * gS0g + (a * (g @ g)) ** 2))
+    def __post_init__(self):  # S = L + L^T - diag(L), L the lower triangle in the band
+        band = self.matrix.band
+        self._frobenius = float(np.sqrt(2.0 * np.vdot(band, band) - np.vdot(band[0], band[0])))
 
     def apply(self, X):
         p, Q, U = self.pieces, X[..., 0, :, :], X[..., 1, :, :]
-        AX = np.empty_like(X)
+        (J, v), AX = p.interface, np.empty_like(X)
         AX[..., 0, :, :] = p.m * (1.0 / p.s) * Q + p.ref.derivative(U)
+        v = v.reshape(2, -1)  # v v^T on cells J and J+1
+        AX[..., 0, J - 1:J + 1, :] += v * np.einsum("...ij,ij->...", Q[..., J - 1:J + 1, :],
+                                                     v)[..., None, None]
         AX[..., 1, :, :] = (np.einsum("cpq,...cq->...cp", self.reaction, U)
                             - p.s * p.ref.derivative_t(Q))
         return AX
 
-    def solve_a0(self, cholesky, R):
-        """A0^-1 R for the flattened fields in the rows of R, (m, 2n), through
-        S0 factored by ``cholesky`` (a ``banded_cholesky`` solve): U solves
-        S0 U = R_U + s D^T (s M^-1 R_Q), then Qtilde = s M^-1 (R_Q - D U)."""
-        p, m, (N, kk) = self.pieces, R.shape[0], self.pieces.m.shape
-        RQ, RU = R.reshape(m, 2, N, kk).swapaxes(0, 1)
-        minv = p._flux_mass_inverse[0]
-        rhs = RU + p.s * p.ref.derivative_t(minv * RQ)
-        X = np.empty((m, 2, N, kk))
-        X[:, 1] = cholesky(rhs.reshape(m, N * kk).T).T.reshape(m, N, kk)
-        X[:, 0] = minv * (RQ - p.ref.derivative(X[:, 1]))
-        return X.reshape(R.shape)
+    def solve(self, cholesky, R):
+        """A^-1 R for the fields R (2, N, k+1), through S factored by
+        ``cholesky`` (a ``banded_cholesky`` solve): U solves
+        S U = R_U + s D^T F^-1 R_Q, then Qtilde = F^-1 (R_Q - D U)."""
+        p, (RQ, RU), X = self.pieces, R, np.empty_like(R)
+        X[1] = cholesky((RU + p.s * p.ref.derivative_t(p.flux_solve(RQ))).ravel()).reshape(RU.shape)
+        X[0] = p.flux_solve(RQ - p.ref.derivative(X[1]))
+        return X
 
     def matvec(self, u):
         p, U = self.pieces, u.reshape(self.pieces.m.shape)
@@ -211,7 +217,7 @@ def piece_blocks_1d(mesh, k, eps):
 
 
 def assemble_1d(problem, mesh, k):
-    """Assemble the LDG system for ``problem`` on ``mesh`` and its U-system S0.
+    """Assemble the LDG system for ``problem`` on ``mesh`` and its U-system S.
 
     Volume terms of b and f use (k+3)-point Gauss rules per cell (b and f
     are smooth); mass and derivative couplings are exact in the modal basis.
@@ -225,13 +231,11 @@ def assemble_1d(problem, mesh, k):
     fvals = np.asarray(problem.f(X), dtype=float)
     W = ((halfh[:, None] * ref.weights * bvals) @ ref.VV).reshape(N, kk, kk)
 
-    # lower band storage, S0[i, j] at band[i - j, j]: column q of cell c
-    # holds block (c, c) from its diagonal down, then block (c + 1, c)
-    (K0, sub), band = pieces.eliminated, np.zeros((2 * kk, N, kk))
+    band = pieces.flux_band()  # S = K + W_b: W_b's blocks (c, c) in place
+    cells = band.reshape(3 * kk, N, kk)
     for q in range(kk):
-        np.add(K0[:, q:, q].T, W[:, q:, q].T, out=band[:kk - q, :, q])
-        band[kk - q:2 * kk - q, :-1, q] = sub.T
-    matrix = BandedMatrix(N * kk, 2 * kk - 1, 0, band.reshape(2 * kk, N * kk))
+        cells[:kk - q, :, q] += W[:, q:, q].T
+    matrix = BandedMatrix(N * kk, 3 * kk - 1, 0, band)
 
     W[::N - 1] += pieces.penalty[::N - 1]  # C = W_b + s E in place: cells 1 and N
     rhs = np.zeros((2, N, kk))
@@ -242,24 +246,20 @@ def assemble_1d(problem, mesh, k):
 def solve_ldg_1d(problem, mesh, k):
     """Assemble and solve; returns the mixed solution (U, Q).
 
-    S0 is factored once; one two-column solve gives A0^-1 rhs and A0^-1 e,
-    and Sherman-Morrison adds e e^T.  One step of iterative refinement
-    against the residual of A0 + e e^T always follows: S0's condition grows
-    like N^2, and without the step U can be off by about 1e-11 relative.
-    The reported residual is that of the unscaled U-system S at U, gated
-    by ``linalg.accept_residual`` (SolverError, carrying it);
-    SingularMatrixError is raised when S0 is not positive definite or the
-    solve gives non-finite values.
+    S is factored once and solves A once; one step of iterative refinement
+    against the residual of A always follows: S's condition grows like N^2,
+    and without the step U can be off by about 1e-11 relative.  The
+    reported residual is that of the unscaled U-system S at U, gated by
+    ``linalg.accept_residual`` (SolverError, carrying it);
+    SingularMatrixError is raised when S is not positive definite, the
+    flux mass has no finite inverse, or the solve gives non-finite values.
     """
     A = assemble_1d(problem, mesh, k)
     cholesky, A.matrix = banded_cholesky(A.matrix), None  # the band goes once factored
-    b, e, fields = A.rhs, A.interface, (2, mesh.N, k + 1)
-    y, z = A.solve_a0(cholesky, np.array((b, e)))
-    x = sherman_morrison(y, z, e)
-    r = b - (A.apply(x.reshape(fields)).ravel() + e * (e @ x))
-    x += sherman_morrison(A.solve_a0(cholesky, r[None])[0], z, e)
-    Qt, U = x.reshape(fields)
-    residual = accept_residual(_relative_residual(A, U.ravel(), b.reshape(2, -1)[1]), "1D solve")
+    b = A.rhs.reshape(2, mesh.N, k + 1)
+    x = A.solve(cholesky, b)
+    x += A.solve(cholesky, b - A.apply(x))
+    Qt, U = x
+    residual = accept_residual(_relative_residual(A, U.ravel(), b[1].ravel()), "1D solve")
     return MixedSolution1D(U=DGFunction1D(mesh, k, U), Q=DGFunction1D(mesh, k, A.pieces.s * Qt),
                            residual=residual)
-

@@ -10,9 +10,10 @@ coupled (U, P, Q) matrix is a block-diagonal b-weighted mass plus Kronecker
 products of one set of 1D operator pieces (``ldg1d.piece_blocks_1d``), in
 the scaled unknowns P/sqrt(eps), Q/sqrt(eps).  The solver never forms it,
 nor W_b.  P and Q are eliminated in closed form on every cell, the
-interface cells included, as in 1D: K = s E + s D^T F^-1 D is written from
-the 1D blocks of s E + eps D^T M^-1 D and a rank-one term on three cells,
-since the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
+interface cells included, as in 1D: K = s E + s D^T F^-1 D is expanded from
+the lower band that 1D factors (``OperatorPieces1D.flux_band``), the 1D
+blocks of s E + eps D^T M^-1 D less a rank-one term on three cells, since
+the 1D flux mass F = M/s + v v^T has a Sherman-Morrison inverse.
 ``assemble_2d`` returns the one object the solve applies
 (``AssembledSystem2D``: the 1D pieces, b on the tensor quadrature grid
 (beta) and the load), the SPD U-only system S = W_b + K(x)M + M(x)K,

@@ -3,10 +3,8 @@ CG, scaling, and ``accept_residual``, the one residual gate of both solves.
 
 The banded paths read LAPACK band storage: ``banded_cholesky`` factors an
 SPD matrix held by its lower band (dpbtrf, dpbtrs), and ``lu_banded_solve``
-a general one with dgbsv (partial pivoting with band-growth rows), and
-``sherman_morrison`` turns solves with A into those with a rank-one update
-A + u w^T; the sparse path wraps SuperLU with its fill-reducing column
-ordering.
+a general one with dgbsv (partial pivoting with band-growth rows); the
+sparse path wraps SuperLU with its fill-reducing column ordering.
 ``equilibrate`` (rows, then columns of the row-scaled matrix) scales by
 exact powers of two, so it introduces no rounding, and lands every row and
 column maximum in [0.5, 1]; no solver scales its system, and it serves the
@@ -189,18 +187,9 @@ def lu_banded_solve(matrix, rhs):
             f"pivot {pivots[idx]:.3e} below tolerance {tol:.3e} at index {idx}",
             pivot_index=idx,
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularMatrixError("banded solve produced non-finite values")
     return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
-
-
-def sherman_morrison(y, z, w):
-    """x = y - z (w^T y) / (1 + w^T z): the solution of (A + u w^T) x = b
-    from y = A^-1 b and z = A^-1 u.  Raises SingularMatrixError when
-    1 + w^T z is zero or not finite."""
-    if (denom := 1.0 + w @ z) == 0.0 or not np.isfinite(denom):
-        raise SingularMatrixError(f"rank-one update denominator {denom:.3e}")
-    return y - z * ((w @ y) / denom)
 
 
 def banded_cholesky(matrix):
@@ -229,7 +218,7 @@ def banded_cholesky(matrix):
         X, info = dpbtrs(factor, B, lower=1)
         if info < 0:
             raise SolverError(f"dpbtrs rejected argument {-info}")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise SingularMatrixError("banded Cholesky solve produced non-finite values")
         return X
 
@@ -249,7 +238,7 @@ def sparse_solve(matrix, rhs):
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularMatrixError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularMatrixError("sparse solve produced non-finite values")
     return SolveResult(x=x, residual=_relative_residual(matrix, x, rhs))
 
@@ -274,7 +263,7 @@ def pcg(matrix, rhs, precondition):
         Ap = matrix.matvec(p)
         alpha = rz / (p @ Ap)
         x += alpha * p
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularMatrixError(f"non-finite iterate at CG step {step + 1}")
         move, negligible = np.abs(alpha * p).max(), _CG_STEP_RTOL * np.abs(x).max()
         if move <= negligible:

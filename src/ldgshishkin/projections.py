@@ -85,7 +85,7 @@ def _solve_gram(gram, rhs):
         raise ProjectionError(
             f"weighted Gram system singular on at least one of {len(gram)} cells"
         ) from exc
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise ProjectionError("weighted projection produced non-finite values")
     return sol
 

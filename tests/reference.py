@@ -7,7 +7,8 @@ assembly: volume terms re-integrated and traces re-evaluated) with the
 DG-function helpers only they and the tests read (``values_at``,
 ``x_edge_trace``, ``y_edge_trace``), the 1D
 2-field band built from the Kronecker formulas and its extended-precision
-refined solve, the W_b blocks, right-hand side and extended-precision
+refined solve (with the Sherman-Morrison step ``sherman_morrison`` for its
+rank-one interface term), the W_b blocks, right-hand side and extended-precision
 refined solve of the coupled 2D (U, P, Q) system, and the band- and
 sparse-matrix operations (triplet construction, dense and csr
 copies, scalings) with which the tests build their SuperLU and dense
@@ -33,8 +34,8 @@ from ldgshishkin.basis import (assembly_quad_order, gauss_rule, legendre_table,
                                reference_blocks_1d)
 from ldgshishkin.dgfunction import DGFunction1D, DGFunction2D
 from ldgshishkin.ldg2d import assemble_2d
-from ldgshishkin.linalg import (BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve,
-                                sherman_morrison)
+from ldgshishkin.errors import SingularMatrixError
+from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
 
 
@@ -366,6 +367,15 @@ def _band_matvec(matrix, x):
         else:
             y[:n + d] += diagonal[-d:] * x[-d:]
     return y
+
+
+def sherman_morrison(y, z, w):
+    """x = y - z (w^T y) / (1 + w^T z): the solution of (A + u w^T) x = b
+    from y = A^-1 b and z = A^-1 u.  Raises SingularMatrixError when
+    1 + w^T z is zero or not finite."""
+    if (denom := 1.0 + w @ z) == 0.0 or not np.isfinite(denom):
+        raise SingularMatrixError(f"rank-one update denominator {denom:.3e}")
+    return y - z * ((w @ y) / denom)
 
 
 def refined_solve_1d(problem, mesh, k, steps=3):

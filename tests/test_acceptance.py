@@ -46,7 +46,7 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.basis import error_quad_order
-from ldgshishkin.linalg import SparseMatrix
+from ldgshishkin.linalg import _RESIDUAL_TOL, SparseMatrix
 from reference import ReferenceBanded, bilinear_form_1d, bilinear_form_2d
 
 EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -415,10 +415,10 @@ def test_criterion_9_solver_residuals(grid_k1, ladders, eps_scan_k23, twod_runs)
         res2 = sparse_solve(sm, rhs)
         worst_rand = max(worst_rand,
                          np.max(np.abs(res2.x - exact)) / (1 + np.max(np.abs(exact))))
-    passed = worst_1d <= 1e-10 and worst_2d <= 1e-9 and worst_rand <= 1e-10
+    passed = worst_1d <= 1e-10 and worst_2d <= _RESIDUAL_TOL and worst_rand <= 1e-10
     report(9, passed,
            f"residuals: 1D <= {worst_1d:.2e} (allowed 1e-10), "
-           f"2D <= {worst_2d:.2e} (allowed 1e-9), "
+           f"2D <= {worst_2d:.2e} (allowed {_RESIDUAL_TOL:g}), "
            f"random systems vs dense oracle <= {worst_rand:.2e} (allowed 1e-10)")
     assert passed
 

@@ -24,6 +24,7 @@ from ldgshishkin import (
     rate_shishkin,
     run_sweep,
     solve_ldg_1d,
+    solve_ldg_2d,
 )
 from ldgshishkin import ldg1d, linalg, problems
 from ldgshishkin.basis import reference_blocks_1d
@@ -32,7 +33,7 @@ from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.linalg import _relative_residual
 from ldgshishkin.problems import Problem1D
 from reference import (banded_system_1d, bilinear_form_1d, interpolate_1d, load_functional_1d,
-                       refined_solve_1d, run_fresh)
+                       refined_solve_1d, run_fresh, sherman_morrison)
 
 
 def unit_b(x):
@@ -63,25 +64,31 @@ def field_major(N, k):
     return np.concatenate([cell.ravel(), (cell + k + 1).ravel()])
 
 
-def dense_a0(system):
-    """A0 (the operator without e e^T) as a dense array, column by column."""
+def dense_a(system):
+    """A as a dense array, column by column."""
     units = np.eye(system.rhs.size).reshape(-1, 2, *system.pieces.m.shape)
     return system.apply(units).reshape(system.rhs.size, -1).T
 
 
 def apply_a(system, x):
-    """(A0 + e e^T) x for the flattened fields x, from ``apply`` and e."""
-    e = system.interface
-    return system.apply(x.reshape(2, *system.pieces.m.shape)).ravel() + e * (e @ x)
+    """A x for the flattened fields x, from ``apply``."""
+    return system.apply(x.reshape(2, *system.pieces.m.shape)).ravel()
 
 
-def u_schur(A, n):
-    """The Schur complement A_UU - A_UQ A_QQ^-1 A_QU of the field-major 2-field A."""
-    return A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
+def u_schur(A0, e, n):
+    """The Schur complement A_UU - A_UQ A_QQ^-1 A_QU of the field-major 2-field
+    A = A0 + e e^T, e on the Qtilde dofs, whose A0 block F0 = M/s is diagonal:
+    A_QQ^-1 = (F0 + e e^T)^-1 is applied by Sherman-Morrison.  A formed
+    F0 + e e^T rounds its interface diagonal, and a dense solve with it
+    moves S by up to 3e-15 relative (eps = 1e-1)."""
+    F0, B, eQ = np.diagonal(A0)[:n], A0[:n, n:], e[:n]
+    assert np.array_equal(A0[:n, :n], np.diag(F0)) and not e[n:].any()
+    y, z = B / F0[:, None], eQ / F0
+    return A0[n:, n:] - A0[n:, :n] @ (y - np.outer(z, eQ @ y) / (1.0 + eQ @ z))
 
 
-def s0_dense(matrix):
-    """The symmetric S0 from its lower band."""
+def s_dense(matrix):
+    """The symmetric S from its lower band."""
     L = sum(np.diag(matrix.band[d, :matrix.n - d], -d) for d in range(matrix.lower + 1))
     return L + np.tril(L, -1).T
 
@@ -122,47 +129,45 @@ class TestAssembly:
         p = paper_1d_problem(1e-3)
         for k in (1, 2, 3):
             system = assemble_1d(p, mesh, k)
-            # the U-system: one field, nearest-neighbour coupling, lower band only
+            # the U-system: one field, coupling at most three cells, lower band only
             assert system.matrix.n == 8 * (k + 1)
-            assert system.matrix.lower <= 2 * (k + 1) - 1 and system.matrix.upper == 0
-            assert system.rhs.size == system.interface.size == 2 * 8 * (k + 1)
+            assert system.matrix.lower <= 3 * (k + 1) - 1 and system.matrix.upper == 0
+            assert system.rhs.size == 2 * 8 * (k + 1)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-12])
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bandwidths_pinned(self, k, N, eps):
-        # the rank-one blocks (c + 1, c) of eps D^T M^-1 D reach 2k+1 below
+        # the interface term a g g^T couples cells J-1 and J+1, 3k+2 below
         # the diagonal; a band padded with zero diagonals would only slow dpbtrf
         system = assemble_1d(paper_1d_problem(eps), make_mesh(N, eps), k)
-        assert system.matrix.lower == 2 * k + 1 and system.matrix.upper == 0
+        assert system.matrix.lower == 3 * k + 2 and system.matrix.upper == 0
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])  # 1e-1: clamped mesh
-    @pytest.mark.parametrize("N", [4, 8, 16, 64])  # N=4: cell J+1, next to g, is the last
+    @pytest.mark.parametrize("N", [4, 8, 16, 64])  # N=4: g's last cell J+1 is the last
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_band_matches_triplet_reference(self, k, N, eps):
-        # S0, written in closed form, is the Schur complement
-        # A_UU - A_UQ A_QQ^-1 A_QU of the triplet-built 2-field A0, with
-        # zeros in the band slots outside the matrix; apply and e give
-        # A0 + e e^T, the operator applies its Schur complement S and has
-        # the Frobenius norm of S, and rhs and e are the reference's, in
-        # the field-major layout
+        # the band of S, written in closed form, is the lower triangle of
+        # the Schur complement A_UU - A_UQ A_QQ^-1 A_QU of the triplet-built
+        # 2-field A0 + e e^T, with zeros in the band slots outside the
+        # matrix; apply gives A0 + e e^T, the operator applies S and has
+        # its Frobenius norm, and rhs is the reference's, in the
+        # field-major layout
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
         system = assemble_1d(p, mesh, k)
         ref, e, b = banded_system_1d(p, mesh, k)
         perm, n = field_major(N, k), N * (k + 1)
-        A = ref.to_dense()[np.ix_(perm, perm)]
-        S_ref = u_schur(A, n)
-        S = s0_dense(system.matrix)
+        A0, e = ref.to_dense()[np.ix_(perm, perm)], e[perm]
+        S_ref, A = u_schur(A0, e, n), A0 + np.outer(e, e)
+        S = s_dense(system.matrix)
         assert np.abs(S - S_ref).max() <= 1e-15 * np.abs(S_ref).max()
         outside = np.arange(n) >= n - np.arange(system.matrix.lower + 1)[:, None]
         assert np.all(system.matrix.band[outside] == 0.0)
         assert np.array_equal(system.rhs, b[perm])
-        assert np.array_equal(system.interface, e[perm])
-        A += np.outer(e[perm], e[perm])
         x = np.random.default_rng(k * N).standard_normal(2 * n)
         error = np.abs(apply_a(system, x) - A @ x).max()
         assert error <= 1e-15 * np.abs(A).max() * np.abs(x).sum()
-        S_ref, u = u_schur(A, n), x[n:]
+        u = x[n:]
         error = np.abs(system.matvec(u) - S_ref @ u).max()
         assert error <= 1e-15 * np.abs(S_ref).max() * np.abs(u).sum()
         assert system.frobenius_norm() == pytest.approx(np.linalg.norm(S_ref), rel=1e-14)
@@ -185,25 +190,27 @@ class TestAssembly:
     def test_interface_coupling_structure(self):
         # the penalized flux couples the Q blocks of the two cells sharing
         # node 3N/4; that coupling precludes local elimination of Q there.
-        # It sits only in the rank-one term e e^T: A0 couples no Q blocks
-        # of neighbouring cells, so its Q-Q block M/s is diagonal
+        # It sits only in v v^T of the flux mass F = M/s + v v^T: F, the Q-Q
+        # block of A, is diagonal but for the 2(k+1) block of cells J and
+        # J+1, which v v^T fills
         N = 16
         mesh = make_mesh(N, 1e-3)
         J = mesh.interface_index  # node index; cells J and J+1 touch it
         for k in (1, 2, 3):
             system = assemble_1d(paper_1d_problem(1e-3), mesh, k)
-            A0, e = dense_a0(system), system.interface
-            left, right = q_dofs(J - 1, k), q_dofs(J, k)
+            A, pair = dense_a(system), q_dofs([J - 1, J], k).ravel()
             n = N * (k + 1)
-            assert np.array_equal(A0[:n, :n], np.diag(np.diagonal(A0)[:n]))
-            assert np.any(A0[np.ix_(right, u_dofs(J - 1, k, N))] != 0.0)
-            assert np.all(np.delete(e, np.concatenate([left, right])) == 0.0)
-            assert np.all(e[left] != 0.0) and np.all(e[right] != 0.0)
+            F = A[:n, :n].copy()
+            block = F[np.ix_(pair, pair)].copy()
+            F[np.ix_(pair, pair)] = np.diag(np.diagonal(block))
+            assert np.array_equal(F, np.diag(np.diagonal(F)))
+            assert np.all(block[~np.eye(pair.size, dtype=bool)] != 0.0)
+            assert np.any(A[np.ix_(q_dofs(J, k), u_dofs(J - 1, k, N))] != 0.0)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-12])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matrix_matches_quadrature_oracle(self, k, eps):
-        # x^T A w = B(W; X), A = A0 + e e^T applied by apply and e, block by
+        # x^T A w = B(W; X), A = A0 + e e^T applied by apply, block by
         # block (Q/U parts of W against r/v parts of X), with the Q entries
         # unscaled from Qtilde = Q / sqrt(eps)
         rng = np.random.default_rng(41)
@@ -236,8 +243,8 @@ class TestAssembly:
     @pytest.mark.parametrize("N", [8, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_solution_matches_dense_solve(self, k, N, eps):
-        # the U-system, Sherman-Morrison and the refinement step solve the
-        # triplet-built 2-field A0 + e e^T: to rounding of a dense solve,
+        # the U-system and the refinement step solve the triplet-built
+        # 2-field A0 + e e^T: to rounding of a dense solve,
         # and with relative residuals of that system and of the U-system
         # (the one the solver reports) at rounding level
         p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
@@ -285,6 +292,23 @@ class TestExtendedPrecisionReference:
         assert sol.residual <= 1e-15
 
 
+class TestShermanMorrison:
+    """The rank-one step of ``refined_solve_1d`` (``reference.sherman_morrison``)."""
+
+    def test_solves_the_updated_system(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        b, u, w = rng.standard_normal((3, 6))
+        x = sherman_morrison(np.linalg.solve(A, b), np.linalg.solve(A, u), w)
+        expected = np.linalg.solve(A + np.outer(u, w), b)
+        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("wz", [-1.0, np.inf, np.nan])
+    def test_singular_denominator_rejected(self, wz):
+        with pytest.raises(SingularMatrixError):
+            sherman_morrison(np.ones(2), np.array([wz, 0.0]), np.array([1.0, 0.0]))
+
+
 class TestOperatorPieces:
     @pytest.mark.parametrize("N", [8, 16, 64])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -312,6 +336,8 @@ class TestOperatorPieces:
         identity = np.eye(n).reshape(n, N, k + 1)
         assert np.array_equal(ref.derivative(identity).reshape(n, n).T, D)
         assert np.array_equal(scipy.linalg.block_diag(*pieces.penalty), sE)
+        F_solve = pieces.flux_solve(identity).reshape(n, n).T
+        assert np.max(np.abs(F_solve - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
         G = pieces.flux_gradient(identity).reshape(n, n).T
         assert np.max(np.abs(F @ G - D)) <= 1e-14 * np.max(np.abs(D))
         K, expected = pieces.flux_eliminated(), sE + s * D.T @ F_inv @ D
@@ -340,8 +366,8 @@ class TestOperatorPieces:
         assert len(calls) == 1
 
     def test_band_released_before_the_solves(self, monkeypatch):
-        # nothing holds the band of S0 once it is factored: the solves reuse its pages
-        factor, solve_a0, bands = ldg1d.banded_cholesky, ldg1d.AssembledSystem.solve_a0, []
+        # nothing holds the band of S once it is factored: the solves reuse its pages
+        factor, solve, bands = ldg1d.banded_cholesky, ldg1d.AssembledSystem.solve, []
 
         def factored(matrix):
             bands.append(weakref.ref(matrix))
@@ -349,12 +375,29 @@ class TestOperatorPieces:
 
         def released(self, *args):
             assert bands[0]() is None
-            return solve_a0(self, *args)
+            return solve(self, *args)
 
         monkeypatch.setattr(ldg1d, "banded_cholesky", factored)
-        monkeypatch.setattr(ldg1d.AssembledSystem, "solve_a0", released)
+        monkeypatch.setattr(ldg1d.AssembledSystem, "solve", released)
         solve_ldg_1d(paper_1d_problem(1e-8), make_mesh(8, 1e-8), 1)
         assert len(bands) == 1
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flux_band_written_once_per_solve(self, dim, monkeypatch):
+        # K's band has one writer; the 1D band of S and the dense 2D K read it
+        calls, write = [], ldg1d.OperatorPieces1D.flux_band
+
+        def counted(self):
+            calls.append(self)
+            return write(self)
+
+        monkeypatch.setattr(ldg1d.OperatorPieces1D, "flux_band", counted)
+        config = MeshConfig(N=8, eps=1e-8, sigma=2.0)
+        if dim == 1:
+            solve_ldg_1d(paper_1d_problem(1e-8), build_shishkin_1d(config), 1)
+        else:
+            solve_ldg_2d(manufactured_2d_problem(1e-8), build_shishkin_2d(config), 1)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("eps", [1e-1, 1e-8])  # 1e-1: clamped mesh
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -503,7 +546,7 @@ class TestSolverContract:
         # the reported residual is ||f - S U|| / (||S||_F ||U|| + ||f||) of the
         # assembled S at the returned U; at U scaled by 1 + 1e-8 xi (Q kept) it
         # reads the same within a factor 2 as eps falls, and above the
-        # tolerance, where the residual of A0 + e e^T fell below it
+        # tolerance, where the residual of A fell below it
         k, N, seen = 1, 64, []
         xi = np.random.default_rng(61).standard_normal((N, k + 1))
         for eps in (1e-4, 1e-8, 1e-12):
@@ -524,7 +567,7 @@ class TestSolverContract:
             solve_ldg_1d(p, mesh, 1)
 
     def test_indefinite_u_system_raises_with_pivot(self):
-        # b = -1e6 inside cell row N-2 makes S0 indefinite there: the
+        # b = -1e6 inside cell row N-2 makes S indefinite there: the
         # banded Cholesky stops at a pivot of that cell
         eps, N, k = 1e-8, 8, 1
         mesh = make_mesh(N, eps)
@@ -535,17 +578,16 @@ class TestSolverContract:
 
     @pytest.mark.parametrize("scale, match", [(1e200, "denominator"), (np.nan, None)])
     def test_interface_update_failure_raises_typed_error(self, scale, match, monkeypatch):
-        # with e scaled by 1e200, 1 + e^T A0^-1 e overflows (A0^-1 e stays
-        # finite); a NaN in e makes A0^-1 e non-finite
-        assemble = ldg1d.assemble_1d
+        # with v scaled by 1e200, 1 + v^T s M^-1 v overflows, and a NaN in v
+        # makes it NaN: the flux mass F = M/s + v v^T has no finite inverse
+        build = ldg1d.piece_blocks_1d
 
         def scaled_interface(*args):
-            system = assemble(*args)
-            e = system.interface
-            e[e != 0.0] *= scale
-            return system
+            pieces = build(*args)
+            J, v = pieces.interface
+            return replace(pieces, interface=(J, v * scale))
 
-        monkeypatch.setattr(ldg1d, "assemble_1d", scaled_interface)
+        monkeypatch.setattr(ldg1d, "piece_blocks_1d", scaled_interface)
         mesh = make_mesh(8, 1e-4)
         with pytest.raises(SingularMatrixError, match=match), np.errstate(over="ignore"):
             solve_ldg_1d(paper_1d_problem(1e-4), mesh, 1)

@@ -397,7 +397,7 @@ class TestCondensation:
         p = manufactured_2d_problem(1e-8)
         mesh = make_mesh(8, 1e-8)
         sol = solve_ldg_2d(p, mesh, 1)
-        assert sol.residual <= 1e-9
+        assert sol.residual <= linalg._RESIDUAL_TOL
 
     def test_extreme_eps_stays_solvable(self):
         # the scaled flux unknowns P/sqrt(eps), Q/sqrt(eps) keep eps = 1e-12
@@ -405,7 +405,7 @@ class TestCondensation:
         p = manufactured_2d_problem(1e-12)
         mesh = make_mesh(8, 1e-12)
         sol = solve_ldg_2d(p, mesh, 1)
-        assert sol.residual <= 1e-9
+        assert sol.residual <= linalg._RESIDUAL_TOL
         _, balanced = error_norms_2d(sol, p, mesh)
         assert 0.1 < balanced.total < 1.0
 
@@ -614,7 +614,7 @@ class TestFastDiagonalizationSolve:
 
         sol = solve_ldg_2d(p, mesh, k)
         U = sol.U.coeffs
-        assert residual(U) == sol.residual <= 1e-9
+        assert residual(U) == sol.residual <= linalg._RESIDUAL_TOL
         noise = np.random.default_rng(41).standard_normal(U.shape)
         assert residual(U * (1.0 + 1e-6 * noise)) > 1e-9
 
@@ -647,7 +647,7 @@ class TestFastDiagonalizationSolve:
         u, load = sol.U.coeffs.ravel(), S.load.ravel()
         scale = S.frobenius_norm() * np.linalg.norm(u) + np.linalg.norm(load)
         assert np.linalg.norm(S.matvec(u) - load) <= sol.residual * scale * (1.0 + 1e-12)
-        assert sol.residual <= 1e-9
+        assert sol.residual <= linalg._RESIDUAL_TOL
         # C-contiguous, so the matrix view that the norms read is no copy
         assert all(f.coeffs.flags.c_contiguous for f in (sol.U, sol.P, sol.Q))
 

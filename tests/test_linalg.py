@@ -12,7 +12,7 @@ from ldgshishkin import (
     sparse_solve,
 )
 from ldgshishkin.errors import SolverError
-from ldgshishkin.linalg import banded_cholesky, pcg, sherman_morrison
+from ldgshishkin.linalg import banded_cholesky, pcg
 from reference import ReferenceBanded, ReferenceSparse, equilibrate_dense
 
 
@@ -269,21 +269,6 @@ class TestBandedCholesky:
     def test_upper_band_rejected(self):
         with pytest.raises(ValueError):
             banded_cholesky(BandedMatrix(3, 0, 1, np.ones((2, 3))))
-
-
-class TestShermanMorrison:
-    def test_solves_the_updated_system(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-        b, u, w = rng.standard_normal((3, 6))
-        x = sherman_morrison(np.linalg.solve(A, b), np.linalg.solve(A, u), w)
-        expected = np.linalg.solve(A + np.outer(u, w), b)
-        assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
-
-    @pytest.mark.parametrize("wz", [-1.0, np.inf, np.nan])
-    def test_singular_denominator_rejected(self, wz):
-        with pytest.raises(SingularMatrixError):
-            sherman_morrison(np.ones(2), np.array([wz, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestSparseSolve:
