@@ -1,11 +1,7 @@
 """Mixed LDG solver for singularly perturbed reaction-diffusion problems
 on Shishkin meshes, with energy- and balanced-norm convergence studies."""
 
-from .basis import (
-    QuadratureRule,
-    gauss_rule,
-    legendre_eval,
-)
+from .basis import QuadratureRule, gauss_rule, legendre_table
 from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import (
     ConfigurationError,
@@ -34,21 +30,12 @@ from .ldg2d import (
     assemble_2d,
     solve_ldg_2d,
 )
-from .linalg import (
-    BandedMatrix,
-    SolveResult,
-    SparseMatrix,
-    equilibrate,
-    lu_banded_solve,
-    sparse_solve,
-)
+from .linalg import BandedMatrix, SolveResult
 from .mesh import Mesh1D, Mesh2D, MeshConfig, build_shishkin_1d, build_shishkin_2d
 from .norms import (
     NormBreakdown,
-    balanced_norm_1d,
-    balanced_norm_2d,
-    energy_norm_1d,
-    energy_norm_2d,
+    discrete_norms_1d,
+    discrete_norms_2d,
     error_norms_1d,
     error_norms_2d,
     l2_error_region_1d,
@@ -65,14 +52,11 @@ from .problems import (
     problem_by_key,
 )
 from .projections import (
+    cell_project_1d,
     composite_project_minus_1d,
     composite_project_minus_2d,
     composite_project_plus_1d,
     composite_project_plus_x_2d,
-    project_gr_minus,
-    project_gr_plus,
-    project_l2,
-    project_weighted,
     tensor_project_2d,
 )
 

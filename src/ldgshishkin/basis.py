@@ -22,24 +22,6 @@ from .errors import ConfigurationError
 _MAX_QUADRATURE_POINTS = 64
 
 
-def legendre_eval(n, x):
-    """P_n(x) and P_n'(x) for scalar or ndarray ``x``: column n of
-    ``legendre_table``, in the shape of ``x``.
-
-    Args:
-        n: Polynomial degree, >= 0.
-        x: Evaluation point(s) in [-1, 1].
-
-    Returns:
-        Tuple ``(value, derivative)`` with the shape of ``x``.
-    """
-    if n < 0:
-        raise ConfigurationError(f"Legendre degree must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    V, D = legendre_table(n, x.ravel())
-    return V[:, n].reshape(x.shape), D[:, n].reshape(x.shape)
-
-
 def legendre_table(k, x):
     """Tabulate P_0..P_k and derivatives at the points ``x`` by the
     three-term recurrence.  The derivative is accumulated with the recurrence
@@ -47,8 +29,11 @@ def legendre_table(k, x):
     (unlike the (1-x^2) form).
 
     Returns:
-        Arrays ``(V, D)`` of shape ``(len(x), k+1)`` with V[p, n] = P_n(x_p).
+        Arrays ``(V, D)`` of shape ``(len(x), k+1)`` with V[p, n] = P_n(x_p)
+        and D[p, n] = P_n'(x_p).
     """
+    if k < 0:
+        raise ConfigurationError(f"Legendre degree must be >= 0, got {k}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     V = np.empty((x.size, k + 1))
     D = np.empty((x.size, k + 1))
@@ -79,32 +64,32 @@ class QuadratureRule:
 def gauss_rule(n):
     """n-point Gauss-Legendre rule, exact for polynomials of degree <= 2n-1.
 
-    Nodes are the roots of P_n, found by Newton iteration from Chebyshev
-    initial guesses (tolerance 1e-15); weights are 2 / ((1-x^2) P_n'(x)^2).
-    The rule is mirrored about 0 so symmetry holds to the last bit.
+    The n//2 negative nodes are the roots of P_n found by Newton iteration
+    from Chebyshev initial guesses, all at once: each pass tabulates P_n at
+    the roots still moving (``legendre_table``), and a root stops after the
+    update whose |dx| < 1e-15.  An odd rule adds the node 0.  Weights are
+    2 / ((1-x^2) P_n'(x)^2), and the rule is mirrored about 0 so symmetry
+    holds to the last bit.
     """
     if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= _MAX_QUADRATURE_POINTS:
         raise ConfigurationError(
             f"Gauss rule size must be an integer in [1, {_MAX_QUADRATURE_POINTS}], got {n!r}"
         )
-    points = np.zeros(n)
-    weights = np.zeros(n)
-    for j in range(n // 2):
-        x = -np.cos(np.pi * (j + 0.75) / (n + 0.5))
-        for _ in range(100):
-            p, dp = legendre_eval(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        _, dp = legendre_eval(n, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        points[j], weights[j] = x, w
-        points[n - 1 - j], weights[n - 1 - j] = -x, w
+    x = -np.cos(np.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    moving = np.arange(n // 2)
+    for _ in range(100):
+        if not moving.size:
+            break
+        V, D = legendre_table(n, x[moving])
+        dx = V[:, n] / D[:, n]
+        x[moving] -= dx
+        moving = moving[~(np.abs(dx) < 1e-15)]
     if n % 2 == 1:
-        _, dp = legendre_eval(n, 0.0)
-        points[n // 2] = 0.0
-        weights[n // 2] = 2.0 / float(dp * dp)
+        x = np.append(x, 0.0)
+    _, D = legendre_table(n, x)
+    w = 2.0 / ((1.0 - x * x) * D[:, n] * D[:, n])
+    points = np.concatenate([x, -x[:n // 2][::-1]])
+    weights = np.concatenate([w, w[:n // 2][::-1]])
     # rules are cached and shared; freeze the arrays against mutation
     points.setflags(write=False)
     weights.setflags(write=False)

@@ -199,8 +199,11 @@ def piece_blocks_1d(mesh, k, eps):
     is s E_c + eps/halfh_c R^T diag(1/m) R, plus eps/halfh_{c+1} sum(1/m)
     1 1^T on all cells but the last, and sub[c] is eps/halfh_{c+1} R^T
     diag(1/m) alt (G^T for the last cell).  R and G hold integers and 1/m
-    half-integers, so the blocks are exactly symmetric.
+    half-integers, so the blocks are exactly symmetric.  Both dimensions
+    check their degree k >= 1 here.
     """
+    if k < 1:
+        raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     ref, s, halfh = reference_blocks_1d(k), float(np.sqrt(eps)), 0.5 * mesh.widths
     scale = eps / halfh
     sE = np.zeros((mesh.N, k + 1, k + 1))
@@ -222,10 +225,8 @@ def assemble_1d(problem, mesh, k):
     Volume terms of b and f use (k+3)-point Gauss rules per cell (b and f
     are smooth); mass and derivative couplings are exact in the modal basis.
     """
-    if k < 1:
-        raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    N, kk, ref = mesh.N, k + 1, reference_blocks_1d(k)
-    pieces, halfh = piece_blocks_1d(mesh, k, problem.eps), 0.5 * mesh.widths
+    pieces = piece_blocks_1d(mesh, k, problem.eps)
+    N, kk, ref, halfh = mesh.N, k + 1, pieces.ref, 0.5 * mesh.widths
     X = mesh.quadrature_points(ref.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
-from .basis import gauss_rule, grid_product, legendre_table, reference_blocks_1d
+from .basis import gauss_rule, grid_product, legendre_table
 from .dgfunction import DGFunction2D
 from .errors import ConfigurationError
 from .ldg1d import OperatorPieces1D, piece_blocks_1d
@@ -166,9 +166,8 @@ def assemble_2d(problem, mesh2d, k):
     """The pieces of the 2D scheme: the 1D operator pieces of the mesh
     axis, the Legendre table V, beta and the load, with b and f read once
     on the tensor Gauss grid of all cells."""
-    if k < 1:
-        raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
-    pieces, ref = piece_blocks_1d(mesh2d.axis, k, problem.eps), reference_blocks_1d(k)
+    pieces = piece_blocks_1d(mesh2d.axis, k, problem.eps)
+    ref = pieces.ref
     V, x = ref.V, mesh2d.axis.quadrature_points(ref.points).ravel()
     hw = np.outer(0.5 * mesh2d.axis.widths, ref.weights).ravel()
 

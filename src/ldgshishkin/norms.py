@@ -96,15 +96,10 @@ def _norms_1d(W, problem, mesh, quad, u, q):
                        *_jumps_1d(W, mesh))
 
 
-def energy_norm_1d(V, problem, mesh):
-    """Energy norm of a discrete pair; total^2 equals B(V; V)
-    (``tests/reference.py::bilinear_form_1d``)."""
-    return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)[0]
-
-
-def balanced_norm_1d(V, problem, mesh):
-    """Balanced norm of a discrete pair (flux weighted by eps^{-3/2})."""
-    return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)[1]
+def discrete_norms_1d(V, problem, mesh):
+    """Energy and balanced norms of a discrete pair; the energy total^2
+    equals B(V; V) (``tests/reference.py::bilinear_form_1d``)."""
+    return _norms_1d(V, problem, mesh, assembly_quad_order(V.U.degree), _zero, _zero)
 
 
 def error_norms_1d(W, problem, mesh, quad=None):
@@ -176,15 +171,10 @@ def _norms_2d(T, problem, mesh2d, quad, u, p, q):
                        *_jump_terms_2d(T, mesh2d))
 
 
-def energy_norm_2d(T, problem, mesh2d):
-    """2D energy norm; total^2 equals B(T; T) (``tests/reference.py::bilinear_form_2d``)."""
-    return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero,
-                     _zero)[0]
-
-
-def balanced_norm_2d(T, problem, mesh2d):
-    return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero,
-                     _zero)[1]
+def discrete_norms_2d(T, problem, mesh2d):
+    """Energy and balanced norms of a discrete triple; the energy total^2
+    equals B(T; T) (``tests/reference.py::bilinear_form_2d``)."""
+    return _norms_2d(T, problem, mesh2d, assembly_quad_order(T.U.degree), _zero, _zero, _zero)
 
 
 def error_norms_2d(T, problem, mesh2d, quad=None):

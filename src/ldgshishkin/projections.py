@@ -10,10 +10,11 @@ diag((2n+1)/2) on its first k rows, maps the data [moments m_0..m_k;
 matched endpoint value] of a cell to its modes.  The kinds L2, WEIGHTED,
 GR_MINUS and GR_PLUS are integer codes into one cached table of R.  Every
 projection is batched over cells, with one batched Gram solve for the
-weighted ones; the per-cell functions are one-cell calls.  In 2D a cell's
-data is a (k+2) x (k+2) block D (moments, matched-edge moments, corner
-value) and its modes are Rx D Ry^T, computed on strips of whole cell rows
-of the kron-order tensor grid that the 2D solve and norms share.
+weighted ones; ``cell_project_1d`` and ``tensor_project_2d`` are its
+one-cell calls, which take the kind codes.  In 2D a cell's data is a
+(k+2) x (k+2) block D (moments, matched-edge moments, corner value) and
+its modes are Rx D Ry^T, computed on strips of whole cell rows of the
+kron-order tensor grid that the 2D solve and norms share.
 
 The composite operators dispatch per mesh region (``Mesh1D.layer``): the
 primal one uses Radau-minus on the two fine (layer) regions and the
@@ -22,6 +23,7 @@ first cell and Radau-plus elsewhere; the 2D ones act tensorially.
 """
 
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -166,31 +168,29 @@ def _cell_nodes(cell):
     return np.array([a, b], dtype=float)
 
 
-def project_l2(w, cell, k, quad=None):
-    """L2 projection onto degree k on ``cell``; returns modal coefficients.
+def _check_kinds(kinds, b):
+    """Reject a kind that is not an integer code in KINDS (1.0 and True
+    would index the operator table wrongly), and WEIGHTED without the
+    weight handle b."""
+    if not all(isinstance(kind, Integral) and not isinstance(kind, bool) and kind in KINDS
+               for kind in kinds):
+        raise ConfigurationError(f"unknown projection kind in {kinds!r}")
+    if WEIGHTED in kinds and b is None:
+        raise ConfigurationError("the weighted projection needs the weight handle b")
 
-    Diagonal in the modal basis: c_n = (2n+1)/2 * integral(w P_n) dt.
+
+def cell_project_1d(kind, w, cell, k, quad=None, b=None):
+    """Projection of kind ``kind`` onto degree k on ``cell``; returns modal
+    coefficients.
+
+    L2 is diagonal in the modal basis: c_n = (2n+1)/2 * integral(w P_n) dt.
+    WEIGHTED solves <b(pw - w), v> = 0 for all v of degree <= k, a
+    (k+1)x(k+1) Gram system; ProjectionError when b makes it singular.
+    GR_MINUS and GR_PLUS are the Radau projections matching w at the right
+    and at the left endpoint of ``cell``.
     """
-    return _project_1d(w, _cell_nodes(cell), np.array([L2]), k, quad)[0]
-
-
-def project_weighted(w, b, cell, k, quad=None):
-    """Weighted L2 projection: <b(pw - w), v> = 0 for all v of degree <= k.
-
-    Solves the (k+1)x(k+1) weighted Gram system.  Raises ProjectionError
-    when the weight makes the system singular.
-    """
-    return _project_1d(w, _cell_nodes(cell), np.array([WEIGHTED]), k, quad, b=b)[0]
-
-
-def project_gr_minus(w, cell, k, quad=None):
-    """Radau projection matching w at the right endpoint of ``cell``."""
-    return _project_1d(w, _cell_nodes(cell), np.array([GR_MINUS]), k, quad)[0]
-
-
-def project_gr_plus(w, cell, k, quad=None):
-    """Radau projection matching w at the left endpoint of ``cell``."""
-    return _project_1d(w, _cell_nodes(cell), np.array([GR_PLUS]), k, quad)[0]
+    _check_kinds((kind,), b)
+    return _project_1d(w, _cell_nodes(cell), np.array([kind]), k, quad, b=b)[0]
 
 
 def composite_project_minus_1d(u, mesh, k, quad=None, b=None):
@@ -219,11 +219,8 @@ def tensor_project_2d(kind_x, kind_y, z, cell2d, k, quad=None, b=None):
     projection (WEIGHTED in both slots) solves the full 2D Gram system with
     weight b(x, y).
     """
-    if kind_x not in KINDS or kind_y not in KINDS:
-        raise ConfigurationError(f"unknown projection kind pair ({kind_x!r}, {kind_y!r})")
+    _check_kinds((kind_x, kind_y), b)
     kx, ky = np.array([[kind_x]]), np.array([[kind_y]])
-    if WEIGHTED in (kind_x, kind_y) and b is None:
-        raise ConfigurationError("weighted 2D projection needs the weight handle b")
     xnodes, ynodes = (_cell_nodes(c) for c in cell2d)
     return _project_2d(z, xnodes, ynodes, kx, ky, k, quad, b=b)[0, :, 0]
 

@@ -12,9 +12,11 @@ rank-one interface term), the W_b blocks, right-hand side and extended-precision
 refined solve of the coupled 2D (U, P, Q) system, and the band- and
 sparse-matrix operations (triplet construction, dense and csr
 copies, scalings) with which the tests build their SuperLU and dense
-references.  No solver, norm or study calls any of it.  ``run_fresh`` runs a script in a new interpreter,
-for the tests of which modules a run loads, and ``traced_peak`` measures
-the peak memory of a call by ``tracemalloc``.
+references, and the one-root-at-a-time Newton loop of the Gauss rules
+(``gauss_rule_scalar``).  No solver, norm or study calls any of it.
+``run_fresh`` runs a script in a new interpreter, for the tests of which
+modules a run loads, and ``traced_peak`` measures the peak memory of a
+call by ``tracemalloc``.
 """
 
 import json
@@ -37,6 +39,29 @@ from ldgshishkin.ldg2d import assemble_2d
 from ldgshishkin.errors import SingularMatrixError
 from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate, lu_banded_solve
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
+
+
+def gauss_rule_scalar(n):
+    """Points and weights of the n-point Gauss-Legendre rule by Newton
+    iteration on one root at a time, with the same guesses, stopping test
+    and weight formula as ``basis.gauss_rule``, which moves all roots at
+    once and must equal this loop bit for bit."""
+    points, weights = np.zeros(n), np.zeros(n)
+    for j in range(n // 2):
+        x = -np.cos(np.pi * (j + 0.75) / (n + 0.5))
+        for _ in range(100):
+            V, D = legendre_table(n, x)
+            dx = V[0, n] / D[0, n]
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        dp = legendre_table(n, x)[1][0, n]
+        points[j], points[n - 1 - j] = x, -x
+        weights[j] = weights[n - 1 - j] = 2.0 / ((1.0 - x * x) * dp * dp)
+    if n % 2 == 1:
+        dp = legendre_table(n, 0.0)[1][0, n]
+        weights[n // 2] = 2.0 / (dp * dp)
+    return points, weights
 
 
 def run_fresh(script, tmp_path):

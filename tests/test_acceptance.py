@@ -24,29 +24,25 @@ from ldgshishkin import (
     SweepConfig,
     build_shishkin_1d,
     build_shishkin_2d,
+    cell_project_1d,
     composite_project_minus_1d,
-    energy_norm_1d,
-    energy_norm_2d,
+    discrete_norms_1d,
+    discrete_norms_2d,
     error_norms_1d,
     error_norms_2d,
     l2_error_region_1d,
-    legendre_eval,
-    lu_banded_solve,
+    legendre_table,
     manufactured_2d_problem,
     paper_1d_problem,
     polynomial_problem_1d,
-    project_gr_minus,
-    project_gr_plus,
-    project_l2,
-    project_weighted,
     rate_shishkin,
     run_sweep,
     solve_ldg_1d,
     solve_ldg_2d,
-    sparse_solve,
 )
 from ldgshishkin.basis import error_quad_order
-from ldgshishkin.linalg import _RESIDUAL_TOL, SparseMatrix
+from ldgshishkin.linalg import _RESIDUAL_TOL, SparseMatrix, lu_banded_solve, sparse_solve
+from ldgshishkin.projections import GR_MINUS, GR_PLUS, L2, WEIGHTED
 from reference import ReferenceBanded, bilinear_form_1d, bilinear_form_2d
 
 EPS_LIST = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
@@ -234,7 +230,7 @@ def test_k1_energy_floor_behind_criteria_3_and_4(eps):
     mesh = build_shishkin_1d(MeshConfig(N=32, eps=eps, sigma=2.0))
 
     def best_approximation_error(w):
-        coeffs = np.array([project_l2(w, mesh.cell(i), 1, quad=quad)
+        coeffs = np.array([cell_project_1d(L2, w, mesh.cell(i), 1, quad=quad)
                            for i in range(1, mesh.N + 1)])
         return l2_error_region_1d(DGFunction1D(mesh, 1, coeffs), w, mesh, quad=quad)
 
@@ -271,7 +267,7 @@ def test_criterion_6_energy_identity_suite():
                 U=DGFunction1D(mesh, 2, rng.standard_normal((16, 3))),
                 Q=DGFunction1D(mesh, 2, rng.standard_normal((16, 3))),
             )
-            E2 = energy_norm_1d(V, problem, mesh).total ** 2
+            E2 = discrete_norms_1d(V, problem, mesh)[0].total ** 2
             gap = abs(bilinear_form_1d(V, V, problem, mesh) - E2) / (1.0 + E2)
             worst = max(worst, gap)
     for eps in (1.0, 1e-4, 1e-8):
@@ -284,7 +280,7 @@ def test_criterion_6_energy_identity_suite():
                     P=DGFunction2D(mesh2, 1, rng.standard_normal((N, 2, N, 2))),
                     Q=DGFunction2D(mesh2, 1, rng.standard_normal((N, 2, N, 2))),
                 )
-                E2 = energy_norm_2d(T, problem2, mesh2).total ** 2
+                E2 = discrete_norms_2d(T, problem2, mesh2)[0].total ** 2
                 gap = abs(bilinear_form_2d(T, T, problem2, mesh2) - E2) / (1.0 + E2)
                 worst = max(worst, gap)
     passed = worst <= 1e-12
@@ -306,24 +302,20 @@ def test_criterion_7_projection_suite():
             xs = np.linspace(cell[0], cell[1], 13)
             t = 2 * (xs - cell[0]) / (cell[1] - cell[0]) - 1
             scale = np.max(np.abs(w(xs))) + 1.0
-            for proj in (project_l2, project_gr_minus, project_gr_plus):
-                c = proj(w, cell, k)
-                vals = sum(ci * legendre_eval(n, t)[0] for n, ci in enumerate(c))
+            V, _ = legendre_table(k, t)
+            for kind in (L2, WEIGHTED, GR_MINUS, GR_PLUS):
+                vals = V @ cell_project_1d(kind, w, cell, k, b=b)
                 worst_rep = max(worst_rep, np.max(np.abs(vals - w(xs))) / scale)
-            c = project_weighted(w, b, cell, k)
-            vals = sum(ci * legendre_eval(n, t)[0] for n, ci in enumerate(c))
-            worst_rep = max(worst_rep, np.max(np.abs(vals - w(xs))) / scale)
 
     # Radau endpoint interpolation, absolute 1e-12
     worst_end = 0.0
     w = lambda x: np.sin(2.0 * np.asarray(x)) + np.exp(-np.asarray(x))
     for k in (1, 2, 3):
         for cell in ((0.0, 0.25), (0.4, 0.45)):
-            cm = project_gr_minus(w, cell, k)
-            vm = sum(ci * legendre_eval(n, 1.0)[0] for n, ci in enumerate(cm))
+            (right, left), _ = legendre_table(k, [1.0, -1.0])
+            vm = right @ cell_project_1d(GR_MINUS, w, cell, k)
             worst_end = max(worst_end, abs(vm - float(w(cell[1]))))
-            cp = project_gr_plus(w, cell, k)
-            vp = sum(ci * legendre_eval(n, -1.0)[0] for n, ci in enumerate(cp))
+            vp = left @ cell_project_1d(GR_PLUS, w, cell, k)
             worst_end = max(worst_end, abs(vp - float(w(cell[0]))))
 
     # layer-region Shishkin rates of the scaled composite projection error

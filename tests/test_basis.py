@@ -13,55 +13,46 @@ from ldgshishkin import (
     gauss_rule,
     ldg1d,
     ldg2d,
-    legendre_eval,
+    legendre_table,
 )
-from ldgshishkin.basis import legendre_table, reference_blocks_1d
+from ldgshishkin.basis import reference_blocks_1d
+from reference import gauss_rule_scalar
 
 
 class TestLegendreEval:
+    """P_n and P_n' evaluated as column n of ``legendre_table``."""
+
     def test_p0(self):
-        v, d = legendre_eval(0, 0.3)
-        assert v == 1.0 and d == 0.0
+        V, D = legendre_table(0, 0.3)
+        assert V[0, 0] == 1.0 and D[0, 0] == 0.0
 
     def test_p1(self):
-        v, d = legendre_eval(1, 0.3)
-        assert v == pytest.approx(0.3, abs=0) and d == 1.0
+        V, D = legendre_table(1, 0.3)
+        assert V[0, 1] == pytest.approx(0.3, abs=0) and D[0, 1] == 1.0
 
     def test_p2_by_hand(self):
         # P_2 = (3x^2 - 1)/2, P_2' = 3x at x = 0.5
-        v, d = legendre_eval(2, 0.5)
-        assert v == pytest.approx(-0.125, abs=1e-15)
-        assert d == pytest.approx(1.5, abs=1e-15)
+        V, D = legendre_table(2, 0.5)
+        assert V[0, 2] == pytest.approx(-0.125, abs=1e-15)
+        assert D[0, 2] == pytest.approx(1.5, abs=1e-15)
 
     def test_against_scipy(self):
         xs = np.linspace(-1.0, 1.0, 17)
+        V, _ = legendre_table(8, xs)
         for n in range(9):
-            v, _ = legendre_eval(n, xs)
-            assert np.allclose(v, eval_legendre(n, xs), atol=1e-13)
+            assert np.allclose(V[:, n], eval_legendre(n, xs), atol=1e-13)
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ConfigurationError):
-            legendre_eval(-1, 0.0)
-
-    def test_is_the_table_column_in_the_input_shape(self):
-        rng = np.random.default_rng(7)
-        for x in (0.3, np.array(-0.7), rng.uniform(-1.0, 1.0, (3, 4))):
-            flat = np.ravel(x)
-            for n in range(13):
-                V, D = legendre_table(n, flat)
-                v, d = legendre_eval(n, x)
-                assert v.shape == d.shape == np.shape(x)
-                assert np.array_equal(v.ravel(), V[:, n]) and np.array_equal(d.ravel(), D[:, n])
+        with pytest.raises(ConfigurationError, match="Legendre degree must be >= 0, got -1"):
+            legendre_table(-1, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(min_value=0, max_value=8),
            x=st.floats(min_value=-0.99, max_value=0.99))
     def test_derivative_matches_finite_differences(self, n, x):
         h = 1e-6
-        vp, _ = legendre_eval(n, x + h)
-        vm, _ = legendre_eval(n, x - h)
-        _, d = legendre_eval(n, x)
-        assert abs((vp - vm) / (2 * h) - d) < 1e-6
+        V, D = legendre_table(n, [x + h, x - h, x])
+        assert abs((V[0, n] - V[1, n]) / (2 * h) - D[2, n]) < 1e-6
 
 
 class TestGaussRule:
@@ -98,6 +89,13 @@ class TestGaussRule:
         assert np.allclose(rule.points, xs, atol=1e-14)
         assert np.allclose(rule.weights, ws, atol=1e-14)
 
+    def test_equals_the_scalar_newton_loop(self):
+        # all roots at once take the same iterates as one root at a time
+        for n in (*range(1, 11), 17, 33, 64):  # the scalar loop takes 2 s for all 64
+            points, weights = gauss_rule_scalar(n)
+            assert np.array_equal(gauss_rule(n).points, points), n
+            assert np.array_equal(gauss_rule(n).weights, weights), n
+
     @pytest.mark.parametrize("n", [0, -3, 65])
     def test_out_of_range_rejected(self, n):
         with pytest.raises(ConfigurationError):
@@ -120,9 +118,8 @@ class TestOrthogonality:
             for n in range(9):
                 npts = -((m + n) // -2) + 1  # ceil((m+n)/2) + 1
                 rule = gauss_rule(npts)
-                vm, _ = legendre_eval(m, rule.points)
-                vn, _ = legendre_eval(n, rule.points)
-                got = np.sum(rule.weights * vm * vn)
+                V, _ = legendre_table(max(m, n), rule.points)
+                got = np.sum(rule.weights * V[:, m] * V[:, n])
                 exact = 2.0 / (2 * n + 1) if m == n else 0.0
                 assert abs(got - exact) < 1e-13
 
@@ -170,3 +167,22 @@ def test_test_oracles_are_not_in_the_package():
     for owners, names in moved.items():
         for owner in owners:
             assert [name for name in names if hasattr(owner, name)] == [], owner
+
+
+def test_public_names_are_pinned():
+    # growing or shrinking the package's API is a deliberate edit of this list
+    assert ldgshishkin.__all__ == sorted({
+        "AssembledSystem", "AssembledSystem2D", "BandedMatrix", "ConfigurationError",
+        "ConvergenceTable", "DGFunction1D", "DGFunction2D", "Mesh1D", "Mesh2D", "MeshConfig",
+        "MeshError", "MixedSolution1D", "MixedSolution2D", "NormBreakdown", "Problem1D",
+        "Problem2D", "ProjectionError", "QuadratureRule", "RateRow", "SingularMatrixError",
+        "SolveResult", "SolverError", "SweepConfig", "assemble_1d", "assemble_2d", "basis",
+        "build_shishkin_1d", "build_shishkin_2d", "cell_project_1d", "composite_project_minus_1d",
+        "composite_project_minus_2d", "composite_project_plus_1d", "composite_project_plus_x_2d",
+        "dgfunction", "discrete_norms_1d", "discrete_norms_2d", "emit_table", "error_norms_1d",
+        "error_norms_2d", "errors", "gauss_rule", "harness", "l2_error_region_1d",
+        "l2_error_region_2d", "ldg1d", "ldg2d", "legendre_table", "linalg", "linf_error_1d",
+        "manufactured_2d_problem", "mesh", "norms", "paper_1d_problem", "polynomial_problem_1d",
+        "problem_by_key", "problems", "projections", "rate_shishkin", "run_projection_study",
+        "run_sweep", "solve_ldg_1d", "solve_ldg_2d", "tensor_project_2d",
+    })

@@ -8,7 +8,7 @@ from ldgshishkin import (
     MeshConfig,
     build_shishkin_1d,
     build_shishkin_2d,
-    legendre_eval,
+    legendre_table,
 )
 from reference import interpolate_1d, interpolate_2d, x_edge_trace
 
@@ -33,9 +33,8 @@ class TestDGFunction1D:
         f = DGFunction1D(mesh, 2, rng.standard_normal((8, 3)))
         x = 0.5 * (mesh.nodes[4] + mesh.nodes[5])  # centre of cell row 4
         t = 0.0
-        expected = sum(
-            f.coeffs[4, n] * legendre_eval(n, t)[0] for n in range(3)
-        )
+        V, _ = legendre_table(2, t)
+        expected = sum(f.coeffs[4, n] * V[0, n] for n in range(3))
         assert f.evaluate(x)[0] == pytest.approx(float(expected), rel=1e-14)
 
     def test_traces_and_jumps(self, mesh):

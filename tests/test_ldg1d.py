@@ -16,7 +16,7 @@ from ldgshishkin import (
     assemble_1d,
     build_shishkin_1d,
     build_shishkin_2d,
-    energy_norm_1d,
+    discrete_norms_1d,
     error_norms_1d,
     manufactured_2d_problem,
     paper_1d_problem,
@@ -121,6 +121,18 @@ def test_solution_fields_share_mesh_and_degree():
     for Q in (DGFunction1D(other, 1, np.zeros((8, 2))), DGFunction1D(mesh, 2, np.zeros((8, 3)))):
         with pytest.raises(ConfigurationError, match="share mesh and degree"):
             MixedSolution1D(U=U, Q=Q)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_degree_below_one_rejected_by_the_pieces(k):
+    # piece_blocks_1d holds the one degree check of both dimensions, and it
+    # runs before anything reads the reference element of degree k
+    mesh, mesh2 = make_mesh(8, 1e-4), build_shishkin_2d(MeshConfig(N=8, eps=1e-4, sigma=2.0))
+    for build in (lambda: piece_blocks_1d(mesh, k, 1e-4),
+                  lambda: assemble_1d(paper_1d_problem(1e-4), mesh, k),
+                  lambda: assemble_2d(manufactured_2d_problem(1e-4), mesh2, k)):
+        with pytest.raises(ConfigurationError, match=f"polynomial degree must be >= 1, got {k}"):
+            build()
 
 
 class TestAssembly:
@@ -422,7 +434,7 @@ class TestEnergyIdentity:
         for _ in range(20):
             V = random_pair(mesh, 2, rng)
             BV = bilinear_form_1d(V, V, p, mesh)
-            E2 = energy_norm_1d(V, p, mesh).total ** 2
+            E2 = discrete_norms_1d(V, p, mesh)[0].total ** 2
             assert abs(BV - E2) <= 1e-12 * (1.0 + E2)
 
     def test_bilinearity_and_zero(self):
@@ -451,7 +463,7 @@ class TestGalerkinResidual:
         p = paper_1d_problem(eps)
         mesh = make_mesh(N, eps)
         W = solve_ldg_1d(p, mesh, k)
-        scale_W = 1.0 + energy_norm_1d(W, p, mesh).total
+        scale_W = 1.0 + discrete_norms_1d(W, p, mesh)[0].total
         # sweep the full modal test basis
         for cell in range(N):
             for mode in range(k + 1):
@@ -462,7 +474,7 @@ class TestGalerkinResidual:
                     (X.Q if field == "q" else X.U).coeffs[cell, mode] = 1.0
                     lhs = bilinear_form_1d(W, X, p, mesh)
                     rhs = load_functional_1d(p.f, X, mesh)
-                    scale = scale_W * (1.0 + energy_norm_1d(X, p, mesh).total)
+                    scale = scale_W * (1.0 + discrete_norms_1d(X, p, mesh)[0].total)
                     assert abs(lhs - rhs) <= 1e-9 * scale
 
 
@@ -490,7 +502,7 @@ class TestFluxConsistency:
             U=interpolate_1d(lambda x: np.sin(np.pi * np.asarray(x)), mesh, k),
             Q=interpolate_1d(lambda x: np.cos(np.pi * np.asarray(x)), mesh, k),
         )
-        nb = energy_norm_1d(V, p, mesh)
+        nb = discrete_norms_1d(V, p, mesh)[0]
         assert nb.boundary_jump_term <= 1e-12
         assert nb.interface_jump_term <= 1e-12
 

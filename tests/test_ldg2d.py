@@ -15,9 +15,8 @@ from ldgshishkin import (
     SolverError,
     SweepConfig,
     assemble_2d,
-    balanced_norm_2d,
     build_shishkin_2d,
-    energy_norm_2d,
+    discrete_norms_2d,
     error_norms_2d,
     manufactured_2d_problem,
     run_sweep,
@@ -246,7 +245,7 @@ class TestEnergyIdentity2D:
         for _ in range(20):
             T = random_triple(mesh, 1, rng)
             BT = bilinear_form_2d(T, T, p, mesh)
-            E2 = energy_norm_2d(T, p, mesh).total ** 2
+            E2 = discrete_norms_2d(T, p, mesh)[0].total ** 2
             assert abs(BT - E2) <= 1e-11 * (1.0 + E2)
 
     def test_bilinearity(self):
@@ -273,12 +272,12 @@ class TestGalerkinResidual2D:
         p = manufactured_2d_problem(eps)
         mesh = make_mesh(8, eps)
         T = solve_ldg_2d(p, mesh, 1)
-        scale_T = 1.0 + energy_norm_2d(T, p, mesh).total
+        scale_T = 1.0 + discrete_norms_2d(T, p, mesh)[0].total
         for _ in range(10):
             Z = random_triple(mesh, 1, rng)
             lhs = bilinear_form_2d(T, Z, p, mesh)
             rhs = load_functional_2d(p.f, Z, mesh)
-            scale = scale_T * (1.0 + energy_norm_2d(Z, p, mesh).total)
+            scale = scale_T * (1.0 + discrete_norms_2d(Z, p, mesh)[0].total)
             assert abs(lhs - rhs) <= 1e-8 * scale
 
 
@@ -290,8 +289,8 @@ class TestNormInequality2D:
         mesh = make_mesh(4, eps)
         for _ in range(10):
             T = random_triple(mesh, 1, rng)
-            B = balanced_norm_2d(T, p, mesh).total
-            E = energy_norm_2d(T, p, mesh).total
+            energy, balanced = discrete_norms_2d(T, p, mesh)
+            B, E = balanced.total, energy.total
             assert B <= eps**-0.25 * E * (1.0 + 1e-12)
 
 

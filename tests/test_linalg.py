@@ -3,16 +3,10 @@ import pytest
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 
-from ldgshishkin import (
-    BandedMatrix,
-    SingularMatrixError,
-    SparseMatrix,
-    equilibrate,
-    lu_banded_solve,
-    sparse_solve,
-)
+from ldgshishkin import BandedMatrix, SingularMatrixError
 from ldgshishkin.errors import SolverError
-from ldgshishkin.linalg import banded_cholesky, pcg
+from ldgshishkin.linalg import (SparseMatrix, banded_cholesky, equilibrate, lu_banded_solve, pcg,
+                                sparse_solve)
 from reference import ReferenceBanded, ReferenceSparse, equilibrate_dense
 
 

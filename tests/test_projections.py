@@ -10,18 +10,15 @@ from ldgshishkin import (
     ProjectionError,
     build_shishkin_1d,
     build_shishkin_2d,
+    cell_project_1d,
     composite_project_minus_1d,
     composite_project_minus_2d,
     composite_project_plus_1d,
     composite_project_plus_x_2d,
     gauss_rule,
     l2_error_region_1d,
-    legendre_eval,
+    legendre_table,
     paper_1d_problem,
-    project_gr_minus,
-    project_gr_plus,
-    project_l2,
-    project_weighted,
     rate_shishkin,
     tensor_project_2d,
 )
@@ -33,7 +30,7 @@ from reference import composite_project_plus_y_2d
 def eval_modal(coeffs, cell, x):
     a, b = cell
     t = 2.0 * (np.asarray(x, dtype=float) - a) / (b - a) - 1.0
-    return sum(c * legendre_eval(n, t)[0] for n, c in enumerate(coeffs))
+    return legendre_table(len(coeffs) - 1, t)[0] @ coeffs
 
 
 def l2_norm_on_cell(f, cell, npts=20):
@@ -46,29 +43,29 @@ def l2_norm_on_cell(f, cell, npts=20):
 class TestLocalL2:
     def test_reproduces_linear(self):
         for cell in [(0.0, 1.0), (0.3, 0.9), (2.0, 5.0)]:
-            c = project_l2(lambda x: x, cell, 2)
+            c = cell_project_1d(L2, lambda x: x, cell, 2)
             xs = np.linspace(*cell, 7)
             assert np.max(np.abs(eval_modal(c, cell, xs) - xs)) < 1e-13
 
     def test_x_squared_by_hand(self):
         # pi(x^2) on [0,1] with k=1 is x - 1/6: modal (1/3, 1/2)
-        c = project_l2(lambda x: x**2, (0.0, 1.0), 1)
+        c = cell_project_1d(L2, lambda x: x**2, (0.0, 1.0), 1)
         assert np.allclose(c, [1.0 / 3.0, 0.5], atol=1e-14)
 
     def test_zero(self):
-        c = project_l2(lambda x: 0.0 * np.asarray(x), (0.0, 1.0), 3)
+        c = cell_project_1d(L2, lambda x: 0.0 * np.asarray(x), (0.0, 1.0), 3)
         assert np.array_equal(c, np.zeros(4))
 
     def test_k_plus_1_points_reproduce_the_space(self):
         # x^3 on [0, 1] is (1/4, 9/20, 1/4, 1/20) in the shifted Legendre modes
-        c = project_l2(lambda x: x**3, (0.0, 1.0), 3, quad=4)
+        c = cell_project_1d(L2, lambda x: x**3, (0.0, 1.0), 3, quad=4)
         assert np.allclose(c, [0.25, 0.45, 0.25, 0.05], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k, quad", [(1, 1), (3, 3), (3, 1)])
     def test_fewer_than_k_plus_1_points_rejected(self, k, quad, mesh32):
         # quad <= k points miss the degree-2k mode products: no projection
         with pytest.raises(ConfigurationError, match=f">= {k + 1} quadrature points"):
-            project_l2(lambda x: x**3, (0.0, 1.0), k, quad=quad)
+            cell_project_1d(L2, lambda x: x**3, (0.0, 1.0), k, quad=quad)
         with pytest.raises(ConfigurationError, match=f">= {k + 1} quadrature points"):
             composite_project_plus_1d(np.cos, mesh32, k, quad=quad)
 
@@ -78,14 +75,14 @@ class TestWeighted:
         w = lambda x: np.exp(x) * np.sin(3 * x)
         b1 = lambda x: np.ones_like(np.asarray(x, dtype=float))
         for k in (1, 2, 3):
-            cw = project_weighted(w, b1, (0.2, 0.7), k)
-            cl = project_l2(w, (0.2, 0.7), k)
+            cw = cell_project_1d(WEIGHTED, w, (0.2, 0.7), k, b=b1)
+            cl = cell_project_1d(L2, w, (0.2, 0.7), k)
             assert np.max(np.abs(cw - cl)) < 1e-13
 
     def test_reproduction(self):
         w = lambda x: 1.0 - 2.0 * x + 0.5 * x**2
         b = lambda x: 1.0 + x
-        c = project_weighted(w, b, (0.0, 1.0), 2)
+        c = cell_project_1d(WEIGHTED, w, (0.0, 1.0), 2, b=b)
         xs = np.linspace(0, 1, 9)
         assert np.max(np.abs(eval_modal(c, (0.0, 1.0), xs) - w(xs))) < 1e-13
 
@@ -106,24 +103,36 @@ class TestWeighted:
         assert a == Fraction(-5, 26)
         assert c == Fraction(68, 65)
 
-        got = project_weighted(lambda x: x**2, lambda x: 1.0 + x, (0.0, 1.0), 1)
+        got = cell_project_1d(WEIGHTED, lambda x: x**2, (0.0, 1.0), 1, b=lambda x: 1.0 + x)
         xs = np.linspace(0, 1, 11)
         expected = float(a) + float(c) * xs
         assert np.max(np.abs(eval_modal(got, (0.0, 1.0), xs) - expected)) < 1e-13
 
     def test_degenerate_weight_raises(self):
         with pytest.raises(ProjectionError):
-            project_weighted(lambda x: x, lambda x: 0.0 * np.asarray(x), (0.0, 1.0), 1)
+            cell_project_1d(WEIGHTED, lambda x: x, (0.0, 1.0), 1, b=lambda x: 0.0 * np.asarray(x))
+
+
+class TestKinds1D:
+    def test_unknown_kind_rejected(self):
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        for kind in ("l2", 4, -1, 1.0, True):  # 1.0 == WEIGHTED, True == 1: not codes
+            with pytest.raises(ConfigurationError, match="unknown projection kind"):
+                cell_project_1d(kind, np.cos, (0.0, 1.0), 1, b=one)
+
+    def test_weighted_needs_the_handle(self):
+        with pytest.raises(ConfigurationError, match="needs the weight handle b"):
+            cell_project_1d(WEIGHTED, np.cos, (0.0, 1.0), 1)
 
 
 class TestGaussRadau:
     def test_gr_minus_x_squared_by_hand(self):
         # k moments + right endpoint: -1/3 + 4x/3, modal (1/3, 2/3)
-        c = project_gr_minus(lambda x: x**2, (0.0, 1.0), 1)
+        c = cell_project_1d(GR_MINUS, lambda x: x**2, (0.0, 1.0), 1)
         assert np.allclose(c, [1.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
     def test_gr_plus_x_squared_postconditions(self):
-        c = project_gr_plus(lambda x: x**2, (0.0, 1.0), 1)
+        c = cell_project_1d(GR_PLUS, lambda x: x**2, (0.0, 1.0), 1)
         # endpoint match at the left end
         assert eval_modal(c, (0.0, 1.0), 0.0) == pytest.approx(0.0, abs=1e-14)
         # zeroth moment preserved
@@ -138,8 +147,8 @@ class TestGaussRadau:
         coeffs = rng.standard_normal(k + 1)
         w = lambda x: sum(c * x**n for n, c in enumerate(coeffs))
         cell = (0.25, 0.75)
-        for proj in (project_gr_minus, project_gr_plus, project_l2):
-            c = proj(w, cell, k)
+        for kind in (GR_MINUS, GR_PLUS, L2):
+            c = cell_project_1d(kind, w, cell, k)
             xs = np.linspace(*cell, 12)
             scale = np.max(np.abs(w(xs))) + 1.0
             assert np.max(np.abs(eval_modal(c, cell, xs) - w(xs))) < 1e-12 * scale
@@ -148,9 +157,9 @@ class TestGaussRadau:
     def test_endpoint_interpolation(self, k):
         w = lambda x: np.sin(2.3 * x) + np.exp(-x)
         cell = (0.1, 0.45)
-        cm = project_gr_minus(w, cell, k)
+        cm = cell_project_1d(GR_MINUS, w, cell, k)
         assert eval_modal(cm, cell, cell[1]) == pytest.approx(float(w(cell[1])), abs=1e-12)
-        cp = project_gr_plus(w, cell, k)
+        cp = cell_project_1d(GR_PLUS, w, cell, k)
         assert eval_modal(cp, cell, cell[0]) == pytest.approx(float(w(cell[0])), abs=1e-12)
 
 
@@ -170,15 +179,14 @@ class TestStabilityAndApproximation:
                            + amp[2] * np.cos(0.7 * om * np.asarray(x)))
             k = int(rng.integers(1, 4))
             norm_w = l2_norm_on_cell(w, cell)
-            for proj in (project_l2,):
-                c = proj(w, cell, k)
-                assert l2_norm_on_cell(lambda x: eval_modal(c, cell, x), cell) <= 5 * norm_w + 1e-14
-            c = project_weighted(w, b, cell, k)
+            c = cell_project_1d(L2, w, cell, k)
             assert l2_norm_on_cell(lambda x: eval_modal(c, cell, x), cell) <= 5 * norm_w + 1e-14
-            cm = project_gr_minus(w, cell, k)
+            c = cell_project_1d(WEIGHTED, w, cell, k, b=b)
+            assert l2_norm_on_cell(lambda x: eval_modal(c, cell, x), cell) <= 5 * norm_w + 1e-14
+            cm = cell_project_1d(GR_MINUS, w, cell, k)
             bound = 5 * (norm_w + np.sqrt(h) * abs(float(w(cell[1])))) + 1e-14
             assert l2_norm_on_cell(lambda x: eval_modal(cm, cell, x), cell) <= bound
-            cp = project_gr_plus(w, cell, k)
+            cp = cell_project_1d(GR_PLUS, w, cell, k)
             bound = 5 * (norm_w + np.sqrt(h) * abs(float(w(cell[0])))) + 1e-14
             assert l2_norm_on_cell(lambda x: eval_modal(cp, cell, x), cell) <= bound
 
@@ -190,7 +198,7 @@ class TestStabilityAndApproximation:
         errs_l2, errs_sup = [], []
         for h in (0.2, 0.1):
             cell = (0.3, 0.3 + h)
-            c = project_gr_minus(w, cell, k, quad=12)
+            c = cell_project_1d(GR_MINUS, w, cell, k, quad=12)
             xs = np.linspace(*cell, 200)
             diff = lambda x: eval_modal(c, cell, x) - w(x)
             errs_l2.append(l2_norm_on_cell(diff, cell, 24))
@@ -226,14 +234,15 @@ class TestComposite1D:
         b = lambda x: 1.0 + np.asarray(x, dtype=float)
         pu = composite_project_minus_1d(u, mesh32, k, b=b)
         assert np.allclose(
-            pu.coeffs[N // 4 - 1], project_gr_minus(u, mesh32.cell(N // 4), k), atol=1e-14
+            pu.coeffs[N // 4 - 1], cell_project_1d(GR_MINUS, u, mesh32.cell(N // 4), k), atol=1e-14
         )
         assert np.allclose(
-            pu.coeffs[N // 4], project_weighted(u, b, mesh32.cell(N // 4 + 1), k), atol=1e-14
+            pu.coeffs[N // 4], cell_project_1d(WEIGHTED, u, mesh32.cell(N // 4 + 1), k, b=b),
+            atol=1e-14
         )
         pq = composite_project_plus_1d(u, mesh32, k)
-        assert np.allclose(pq.coeffs[0], project_l2(u, mesh32.cell(1), k), atol=1e-14)
-        assert np.allclose(pq.coeffs[1], project_gr_plus(u, mesh32.cell(2), k), atol=1e-14)
+        assert np.allclose(pq.coeffs[0], cell_project_1d(L2, u, mesh32.cell(1), k), atol=1e-14)
+        assert np.allclose(pq.coeffs[1], cell_project_1d(GR_PLUS, u, mesh32.cell(2), k), atol=1e-14)
 
     def test_degree_zero(self, mesh32):
         # k = 0: L2 gives the cell mean, Radau-minus (plus) the value at the
@@ -243,9 +252,10 @@ class TestComposite1D:
         nodes, layer = mesh32.nodes, mesh32.layer
         means = (W(nodes[1:]) - W(nodes[:-1])) / mesh32.widths
         cell = (0.2, 0.5)
-        assert project_l2(w, cell, 0) == pytest.approx([(W(0.5) - W(0.2)) / 0.3], rel=1e-14)
-        assert np.array_equal(project_gr_minus(w, cell, 0), [w(0.5)])
-        assert np.array_equal(project_gr_plus(w, cell, 0), [w(0.2)])
+        mean = (W(0.5) - W(0.2)) / 0.3
+        assert cell_project_1d(L2, w, cell, 0) == pytest.approx([mean], rel=1e-14)
+        assert np.array_equal(cell_project_1d(GR_MINUS, w, cell, 0), [w(0.5)])
+        assert np.array_equal(cell_project_1d(GR_PLUS, w, cell, 0), [w(0.2)])
         pu = composite_project_minus_1d(w, mesh32, 0)
         assert np.array_equal(pu.coeffs[layer, 0], w(nodes[1:][layer]))
         assert np.allclose(pu.coeffs[~layer, 0], means[~layer], rtol=1e-13, atol=0)
@@ -288,10 +298,8 @@ class TestTensor2D:
                 c = tensor_project_2d(kx, ky, z, self.CELL, 1)
                 # xy = P1(t) P1(s) scaled: modal coefficient pattern
                 xs = np.linspace(0, 1, 5)
-                vals = np.array([
-                    [sum(c[m, n] * legendre_eval(m, 2 * x - 1)[0] * legendre_eval(n, 2 * y - 1)[0]
-                         for m in range(2) for n in range(2)) for y in xs] for x in xs
-                ])
+                V, _ = legendre_table(1, 2 * xs - 1)
+                vals = V @ c @ V.T
                 assert np.max(np.abs(vals - xs[:, None] * xs[None, :])) < 1e-13
 
     def test_separable_equals_outer_product(self):
@@ -300,8 +308,8 @@ class TestTensor2D:
         z = lambda x, y: g(x) * h(y)
         k = 2
         c2 = tensor_project_2d(GR_MINUS, L2, z, self.CELL, k)
-        cx = project_gr_minus(g, self.CELL[0], k)
-        cy = project_l2(h, self.CELL[1], k)
+        cx = cell_project_1d(GR_MINUS, g, self.CELL[0], k)
+        cy = cell_project_1d(L2, h, self.CELL[1], k)
         assert np.max(np.abs(c2 - np.outer(cx, cy))) < 1e-12
 
     def test_x2y_example(self):
@@ -309,11 +317,10 @@ class TestTensor2D:
         z = lambda x, y: np.asarray(x) ** 2 * np.asarray(y)
         c = tensor_project_2d(GR_MINUS, L2, z, self.CELL, 1)
         xs = np.linspace(0, 1, 7)
+        Vx, _ = legendre_table(1, 2 * xs - 1)
         for y in (0.0, 0.5, 1.0):
-            vals = np.array([
-                sum(c[m, n] * legendre_eval(m, 2 * x - 1)[0] * legendre_eval(n, 2 * y - 1)[0]
-                    for m in range(2) for n in range(2)) for x in xs
-            ])
+            Vy, _ = legendre_table(1, 2 * y - 1)
+            vals = Vx @ c @ Vy[0]
             expected = (-1.0 / 3.0 + 4.0 * xs / 3.0) * y
             assert np.max(np.abs(vals - expected)) < 1e-13
 
@@ -326,7 +333,7 @@ class TestTensor2D:
 
     def test_unknown_kind_rejected(self):
         z = lambda x, y: np.asarray(x) + np.asarray(y)
-        for kinds in (("l2", L2), (L2, 4), (-1, GR_PLUS)):
+        for kinds in (("l2", L2), (L2, 4), (-1, GR_PLUS), (L2, 2.0), (False, L2)):
             with pytest.raises(ConfigurationError):
                 tensor_project_2d(*kinds, z, self.CELL, 1)
 
@@ -335,10 +342,8 @@ class TestTensor2D:
         z = lambda x, y: 2.0 * np.asarray(x) - np.asarray(y)
         c = tensor_project_2d(WEIGHTED, WEIGHTED, z, self.CELL, 1, b=b)
         xs = np.linspace(0, 1, 5)
-        vals = np.array([
-            [sum(c[m, n] * legendre_eval(m, 2 * x - 1)[0] * legendre_eval(n, 2 * y - 1)[0]
-                 for m in range(2) for n in range(2)) for y in xs] for x in xs
-        ])
+        V, _ = legendre_table(1, 2 * xs - 1)
+        vals = V @ c @ V.T
         assert np.max(np.abs(vals - (2 * xs[:, None] - xs[None, :]))) < 1e-12
 
 
@@ -576,11 +581,10 @@ class TestDefiningPropertiesOnEveryCell:
         c = tensor_project_2d(WEIGHTED, WEIGHTED, z2, (xnodes, ynodes), k, quad=PROJ_QUAD, b=b2)
         weighted = np.array([[WEIGHTED]])
         check_properties_2d(z2, xnodes, ynodes, c[None, :, None], weighted, weighted, b2)
-        for kind, proj in ((L2, project_l2), (GR_MINUS, project_gr_minus),
-                           (GR_PLUS, project_gr_plus)):
-            c = proj(z1, tuple(xnodes), k, quad=PROJ_QUAD)
+        for kind in (L2, GR_MINUS, GR_PLUS):
+            c = cell_project_1d(kind, z1, tuple(xnodes), k, quad=PROJ_QUAD)
             check_properties_1d(z1, xnodes, c[None], np.array([kind]))
-        c = project_weighted(z1, b1, tuple(xnodes), k, quad=PROJ_QUAD)
+        c = cell_project_1d(WEIGHTED, z1, tuple(xnodes), k, quad=PROJ_QUAD, b=b1)
         check_properties_1d(z1, xnodes, c[None], np.array([WEIGHTED]), b1)
 
 
@@ -675,10 +679,10 @@ class TestDegenerateCells:
     def test_one_cell_projections_raise_mesh_error(self, cell):
         w = lambda x: np.asarray(x, dtype=float)
         for project in (
-            lambda: project_l2(w, cell, 1),
-            lambda: project_weighted(w, lambda x: 1.0 + w(x), cell, 1),
-            lambda: project_gr_minus(w, cell, 1),
-            lambda: project_gr_plus(w, cell, 1),
+            lambda: cell_project_1d(L2, w, cell, 1),
+            lambda: cell_project_1d(WEIGHTED, w, cell, 1, b=lambda x: 1.0 + w(x)),
+            lambda: cell_project_1d(GR_MINUS, w, cell, 1),
+            lambda: cell_project_1d(GR_PLUS, w, cell, 1),
             lambda: tensor_project_2d(L2, GR_MINUS, lambda x, y: w(x) * w(y), (cell, (0.0, 1.0)), 1),
             lambda: tensor_project_2d(GR_PLUS, L2, lambda x, y: w(x) * w(y), ((0.0, 1.0), cell), 1),
         ):
