@@ -144,6 +144,15 @@ class ReferenceBlocks1D(NamedTuple):
         return DtQ
 
 
+@lru_cache(maxsize=None, typed=True)  # typed, as gauss_rule: quad 4.0 must still be rejected
+def _rule_table(k, quad):
+    """The quad-point Gauss rule and its degree-k Legendre table, built once, read-only."""
+    rule = gauss_rule(quad)
+    V, _ = legendre_table(k, rule.points)
+    V.setflags(write=False)
+    return rule, V
+
+
 @lru_cache(maxsize=None)
 def reference_blocks_1d(k):
     """The ``ReferenceBlocks1D`` of degree k >= 0, built once; its arrays are read-only."""
@@ -151,8 +160,7 @@ def reference_blocks_1d(k):
     m, a = np.indices((k + 1, k + 1))
     G = np.where((a < m) & ((m + a) % 2 == 1), 2.0, 0.0)
     R, ones, alt, mass = G - 1.0, np.ones(k + 1), (-1.0) ** n, 2.0 / (2.0 * n + 1.0)
-    rule, minv = gauss_rule(assembly_quad_order(k)), 1.0 / mass
-    V, _ = legendre_table(k, rule.points)
+    (rule, V), minv = _rule_table(k, assembly_quad_order(k)), 1.0 / mass
     blocks = ReferenceBlocks1D(
         ones=ones, alt=alt, mass=mass, G=G, R=R,
         points=rule.points, weights=rule.weights, V=V,

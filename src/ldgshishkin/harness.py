@@ -167,15 +167,25 @@ class ConvergenceTable:
         raise KeyError((k, N, eps))
 
 
-def _row(job):
-    """One grid point: build the problem and mesh, record ``clamped``, then
-    solve (or project) and measure; ``cfg.norm`` selects the error columns
-    kept, for both studies.  Row failures set ``failed``."""
-    cfg, k, N, eps = job
+def _group(job):
+    """The rows of one (k, eps) group, N ascending, on its one problem."""
+    cfg, k, eps = job
+    try:
+        problem = problem_by_key(cfg.problem, cfg.dim, eps, k)
+    except _ROW_ERRORS as exc:  # every row of the group records it
+        problem = exc
+    return [_row(cfg, problem, k, N, eps) for N in cfg.n_list]
+
+
+def _row(cfg, problem, k, N, eps):
+    """One grid point of ``problem`` (or of the failure building it): build the
+    mesh, record ``clamped``, then solve (or project) and measure; ``cfg.norm``
+    selects the error columns kept, for both studies.  Row failures set ``failed``."""
     sigma, quad = cfg.sigma_for(k), cfg.quad_order
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
     try:
-        problem = problem_by_key(cfg.problem, cfg.dim, eps, k)
+        if isinstance(problem, Exception):
+            raise problem
         mcfg = MeshConfig(N=N, eps=eps, sigma=sigma, beta=problem.beta)
         mesh = build_shishkin_1d(mcfg) if cfg.dim == 1 else build_shishkin_2d(mcfg)
         row.clamped = mesh.clamped
@@ -241,15 +251,15 @@ def _attach_rates(rows):
 
 def run_sweep(cfg):
     """Run the configured sweep and return the rate table."""
-    jobs = [(cfg, k, N, eps) for k in cfg.k_list for eps in cfg.eps_list for N in cfg.n_list]
-    if cfg.workers > 1:
+    jobs = [(cfg, k, eps) for k in cfg.k_list for eps in cfg.eps_list]
+    if cfg.workers > 1:  # a group is sent whole: problems hold closures and do not pickle
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_row, jobs))
+            groups = list(pool.map(_group, jobs))
     else:
-        rows = [_row(j) for j in jobs]
+        groups = [_group(j) for j in jobs]
+    rows = sorted(itertools.chain.from_iterable(groups), key=lambda r: (r.k, -r.eps, r.N))
     _attach_rates(rows)
-    rows.sort(key=lambda r: (r.k, -r.eps, r.N))
     return ConvergenceTable(rows=rows)
 
 

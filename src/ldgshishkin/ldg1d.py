@@ -247,18 +247,20 @@ def assemble_1d(problem, mesh, k):
 def solve_ldg_1d(problem, mesh, k):
     """Assemble and solve; returns the mixed solution (U, Q).
 
-    S is factored once and solves A once; one step of iterative refinement
-    against the residual of A always follows: S's condition grows like N^2,
-    and without the step U can be off by about 1e-11 relative.  The
-    reported residual is that of the unscaled U-system S at U, gated by
-    ``linalg.accept_residual`` (SolverError, carrying it);
-    SingularMatrixError is raised when S is not positive definite, the
-    flux mass has no finite inverse, or the solve gives non-finite values.
+    S is factored once and solves A x = (0, F) once, as U = S^-1 F and
+    Qtilde = -F^-1 D U; one step of iterative refinement against the
+    residual of A always follows: S's condition grows like N^2, and without
+    the step U can be off by about 1e-11 relative.  The reported residual is
+    that of the unscaled U-system S at U, gated by ``linalg.accept_residual``
+    (SolverError, carrying it); SingularMatrixError is raised when S is not
+    positive definite, the flux mass has no finite inverse, or the solve
+    gives non-finite values.
     """
     A = assemble_1d(problem, mesh, k)
     cholesky, A.matrix = banded_cholesky(A.matrix), None  # the band goes once factored
     b = A.rhs.reshape(2, mesh.N, k + 1)
-    x = A.solve(cholesky, b)
+    U = cholesky(b[1].ravel()).reshape(b[1].shape)
+    x = np.stack([-A.pieces.flux_gradient(U), U])
     x += A.solve(cholesky, b - A.apply(x))
     Qt, U = x
     residual = accept_residual(_relative_residual(A, U.ravel(), b[1].ravel()), "1D solve")

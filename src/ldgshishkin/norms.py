@@ -22,15 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    assembly_quad_order,
-    cell_blocks,
-    error_quad_order,
-    gauss_rule,
-    grid_product,
-    legendre_table,
-    reference_blocks_1d,
-)
+# gauss_rule stays bound: bench/spans.py counts its calls here
+from .basis import (_rule_table, assembly_quad_order, cell_blocks, error_quad_order, gauss_rule,
+                    grid_product, legendre_table, reference_blocks_1d)
 from .errors import ConfigurationError
 
 
@@ -64,13 +58,19 @@ def _zero(*points):
     return 0.0
 
 
-def _sq_error_1d(dgf, exact, mesh, quad, cells=slice(None), weight=None):
+def _error_rule(k, mesh, quad=None):
+    """(rule, V, X): the quad-point rule (``error_quad_order(k)`` when None), its degree-k
+    table and its points on the cells of ``mesh`` (1D, or a 2D mesh's axis)."""
+    rule, V = _rule_table(k, error_quad_order(k) if quad is None else quad)
+    return rule, V, mesh.quadrature_points(rule.points)
+
+
+def _sq_error_1d(dgf, exact, mesh, error_rule, cells=slice(None), weight=None):
     """Integral of weight * (exact - dgf)^2 (weight 1 when None) on the
-    quad-point Gauss rule over the cells that ``cells`` selects: an (N,)
-    boolean mask, or by default a slice of every cell."""
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(dgf.degree, rule.points)
-    X = mesh.quadrature_points(rule.points)[cells]
+    ``_error_rule`` over the cells that ``cells`` selects: an (N,) boolean
+    mask, or by default a slice of every cell."""
+    rule, V, X = error_rule
+    X = X[cells]
     sq = (np.asarray(exact(X), dtype=float) - dgf.coeffs[cells] @ V.T) ** 2
     if weight is not None:
         sq *= np.asarray(weight(X), dtype=float)
@@ -91,8 +91,9 @@ def _norms_1d(W, problem, mesh, quad, u, q):
     """Energy and balanced norms of (u - W.U, q - W.Q) from the discrete
     jumps of W alone (the exact pair is continuous and vanishes on the
     boundary)."""
-    return _norm_parts(problem.eps, _sq_error_1d(W.Q, q, mesh, quad),
-                       _sq_error_1d(W.U, u, mesh, quad, weight=problem.b),
+    error_rule = _error_rule(W.U.degree, mesh, quad)
+    return _norm_parts(problem.eps, _sq_error_1d(W.Q, q, mesh, error_rule),
+                       _sq_error_1d(W.U, u, mesh, error_rule, weight=problem.b),
                        *_jumps_1d(W, mesh))
 
 
@@ -110,11 +111,10 @@ def error_norms_1d(W, problem, mesh, quad=None):
     """
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
-    quad = error_quad_order(W.U.degree) if quad is None else quad
     return _norms_1d(W, problem, mesh, quad, problem.u_exact, problem.q_exact)
 
 
-def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
+def _sq_error_2d(dgf, exact, mesh2d, error_rule, cells=slice(None), weight=None):
     """``_sq_error_1d`` over the cells that ``cells`` selects: an (N, N)
     boolean mask, or by default a slice of every cell.
 
@@ -123,10 +123,8 @@ def _sq_error_2d(dgf, exact, mesh2d, quad, cells=slice(None), weight=None):
     (i, g), columns (j, h), where ``exact`` and ``weight`` are sampled as
     f(x[:, None], y[None, :]).  It sums per cell before ``cells`` selects:
     cells outside the mask add nothing even where ``exact`` is NaN."""
-    rule = gauss_rule(quad)
-    V, _ = legendre_table(dgf.degree, rule.points)
-    w, N = rule.weights, mesh2d.N
-    x = mesh2d.axis.quadrature_points(rule.points)
+    rule, V, x = error_rule
+    w, N, quad = rule.weights, mesh2d.N, rule.weights.size
     y = x.reshape(1, -1)
     per_cell = np.empty((N, N))
     for rows in cell_blocks(N, N * quad**2):
@@ -165,9 +163,10 @@ def _jump_terms_2d(T, mesh2d):
 
 def _norms_2d(T, problem, mesh2d, quad, u, p, q):
     """The 2D ``_norms_1d`` of (u - T.U, p - T.P, q - T.Q)."""
-    flux_sq = _sq_error_2d(T.P, p, mesh2d, quad) + _sq_error_2d(T.Q, q, mesh2d, quad)
+    error_rule = _error_rule(T.U.degree, mesh2d.axis, quad)
+    flux_sq = sum(_sq_error_2d(F, f, mesh2d, error_rule) for F, f in ((T.P, p), (T.Q, q)))
     return _norm_parts(problem.eps, flux_sq,
-                       _sq_error_2d(T.U, u, mesh2d, quad, weight=problem.b),
+                       _sq_error_2d(T.U, u, mesh2d, error_rule, weight=problem.b),
                        *_jump_terms_2d(T, mesh2d))
 
 
@@ -181,7 +180,6 @@ def error_norms_2d(T, problem, mesh2d, quad=None):
     """Energy- and balanced-norm errors of the discrete triple (U, P, Q)."""
     if not problem.has_exact:
         raise ConfigurationError("error norms need exact solution handles")
-    quad = error_quad_order(T.U.degree) if quad is None else quad
     return _norms_2d(T, problem, mesh2d, quad, problem.u_exact, problem.p_exact,
                      problem.q_exact)
 
@@ -242,13 +240,13 @@ def linf_error_1d(dgf, exact, mesh, cells=None):
 def l2_error_region_1d(dgf, exact, mesh, cells=None, quad=None):
     """L2 error of a DG function against ``exact`` over the cells of the
     (N,) boolean mask ``cells`` (every cell when None)."""
-    quad = error_quad_order(dgf.degree) if quad is None else quad
-    return float(np.sqrt(_sq_error_1d(dgf, exact, mesh, quad, _cell_mask(cells, (mesh.N,)))))
+    return float(np.sqrt(_sq_error_1d(dgf, exact, mesh, _error_rule(dgf.degree, mesh, quad),
+                                      _cell_mask(cells, (mesh.N,)))))
 
 
 def l2_error_region_2d(dgf, exact, mesh2d, cells=None, quad=None):
     """L2 error over the cells (i, j) of the (N, N) boolean mask ``cells``
     (every cell when None)."""
-    quad = error_quad_order(dgf.degree) if quad is None else quad
-    N = mesh2d.N
-    return float(np.sqrt(_sq_error_2d(dgf, exact, mesh2d, quad, _cell_mask(cells, (N, N)))))
+    error_rule = _error_rule(dgf.degree, mesh2d.axis, quad)
+    return float(np.sqrt(_sq_error_2d(dgf, exact, mesh2d, error_rule,
+                                      _cell_mask(cells, (mesh2d.N, mesh2d.N)))))

@@ -27,8 +27,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .basis import (assembly_quad_order, cell_blocks, gauss_rule, grid_product, legendre_table,
-                    reference_blocks_1d)
+# gauss_rule and legendre_table stay bound: bench/spans.py counts their calls here
+from .basis import (_rule_table, assembly_quad_order, cell_blocks, gauss_rule, grid_product,
+                    legendre_table, reference_blocks_1d)
 from .dgfunction import DGFunction1D, DGFunction2D
 from .errors import ConfigurationError, MeshError, ProjectionError
 from .mesh import quadrature_points
@@ -60,15 +61,14 @@ def _tables(k, quad):
     weighted 2D cells, VV = Vw (x) Vw and C4[(g, h), (m, n), (a, c)] =
     VV[(g, h), (m, n)] P_a(t_g) P_c(t_h): b z @ VV and b @ C4 on a cell's
     points (g, h) give its Gram right-hand side and matrix."""
-    rule = gauss_rule(quad)
+    rule, V = _rule_table(k, quad)
     if quad < k + 1:  # fewer points do not integrate the degree-2k mode products
         raise ConfigurationError(
             f"degree-{k} projections need >= {k + 1} quadrature points, got {quad}")
-    V, _ = legendre_table(k, rule.points)
     Vw = V * rule.weights[:, None]
     VV = np.kron(Vw, Vw)
     tables = V, Vw, VV, VV[:, :, None] * np.kron(V, V)[:, None, :]
-    for table in tables:
+    for table in tables[1:]:
         table.setflags(write=False)
     return (rule,) + tables
 

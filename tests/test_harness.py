@@ -1,11 +1,16 @@
+import multiprocessing
 import random
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from ldgshishkin import (
     ConfigurationError,
     MeshConfig,
+    MeshError,
+    ProjectionError,
+    SingularMatrixError,
     SolverError,
     SweepConfig,
     build_shishkin_1d,
@@ -171,6 +176,51 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "solve_ldg_1d", solve)
         (row,) = run_sweep(cfg).rows
         assert row.failed and row.clamped
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the patched factory reaches pool workers only by fork")),
+    ])
+    def test_one_problem_per_k_eps_group(self, workers, monkeypatch, tmp_path):
+        # the problem depends on (k, eps) alone: 4 groups of 3 rows build 4 problems, not 12
+        log, build = tmp_path / "builds", harness.problem_by_key
+
+        def counted(key, dim, eps, k):
+            with open(log, "a", encoding="utf-8") as fh:  # pool workers append to it too
+                fh.write(f"{k} {eps!r}\n")
+            return build(key, dim, eps, k)
+
+        monkeypatch.setattr(harness, "problem_by_key", counted)
+        cfg = SweepConfig(k_list=(1, 2), n_list=(8, 16, 32), eps_list=(1e-4, 1e-8),
+                          workers=workers)
+        table = run_sweep(cfg)
+        assert len(table.rows) == 12 and not table.any_failed
+        assert sorted(log.read_text().splitlines()) == ["1 0.0001", "1 1e-08",
+                                                        "2 0.0001", "2 1e-08"]
+
+    def test_a_failed_problem_fails_its_group_alone(self):
+        # poly1d needs k >= 2: every k = 1 row records the build's failure, k = 2 solves
+        cfg = SweepConfig(problem="poly1d", k_list=(1, 2), n_list=(8, 16),
+                          eps_list=(1e-4, 1e-8))
+        rows = run_sweep(cfg).rows
+        assert [(row.k, row.failed) for row in rows] == [(1, True)] * 4 + [(2, False)] * 4
+        for row in rows[:4]:
+            assert row.message == "ConfigurationError: polynomial problem needs k >= 2, got k = 1"
+            assert row.err_energy is None and row.residual is None and not row.clamped
+        assert all(row.err_energy is not None and row.message == "" for row in rows[4:])
+
+    def test_defects_of_the_problem_factory_propagate(self, monkeypatch):
+        assert harness._ROW_ERRORS == (ConfigurationError, MeshError, ProjectionError,
+                                       SingularMatrixError, SolverError, LinAlgError)
+
+        def defect(*args):
+            raise TypeError("defect")
+
+        monkeypatch.setattr(harness, "problem_by_key", defect)
+        with pytest.raises(TypeError, match="defect"):
+            run_sweep(SweepConfig(k_list=(1,), n_list=(8, 16), eps_list=(1e-4,)))
 
     def test_workers_agree_with_serial(self):
         cfg = SweepConfig(k_list=(1,), n_list=(16, 32), eps_list=(1e-4, 1e-8))

@@ -304,6 +304,29 @@ class TestExtendedPrecisionReference:
         assert sol.residual <= 1e-15
 
 
+def general_first_solve_1d(problem, mesh, k):
+    """U, Q and the residual of the 1D solve whose first step is the general
+    ``AssembledSystem.solve`` of A x = (0, F), then one refinement step."""
+    A = assemble_1d(problem, mesh, k)
+    cholesky, b = linalg.banded_cholesky(A.matrix), A.rhs.reshape(2, mesh.N, k + 1)
+    x = A.solve(cholesky, b)
+    x += A.solve(cholesky, b - A.apply(x))
+    Qt, U = x
+    return U, A.pieces.s * Qt, _relative_residual(A, U.ravel(), b[1].ravel())
+
+
+@pytest.mark.parametrize("N", [4, 64, 512])
+@pytest.mark.parametrize("eps", [1e-1, 1e-8, 1e-12])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_first_solve_skips_the_zero_flux_load(k, eps, N):
+    # U = S^-1 F, Qtilde = -F^-1 D U is the general solve of (0, F) to the last bit
+    p, mesh = paper_1d_problem(eps), make_mesh(N, eps, sigma=k + 1)
+    U, Q, residual = general_first_solve_1d(p, mesh, k)
+    sol = solve_ldg_1d(p, mesh, k)
+    assert np.array_equal(sol.U.coeffs, U) and np.array_equal(sol.Q.coeffs, Q)
+    assert sol.residual == residual
+
+
 class TestShermanMorrison:
     """The rank-one step of ``refined_solve_1d`` (``reference.sherman_morrison``)."""
 

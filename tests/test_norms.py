@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,16 @@ from ldgshishkin import (
     discrete_norms_1d,
     discrete_norms_2d,
     error_norms_1d,
+    error_norms_2d,
     l2_error_region_1d,
     l2_error_region_2d,
     linf_error_1d,
+    manufactured_2d_problem,
     paper_1d_problem,
     polynomial_problem_1d,
     rate_shishkin,
     solve_ldg_1d,
+    solve_ldg_2d,
 )
 from ldgshishkin import basis, norms
 from ldgshishkin.errors import ConfigurationError
@@ -130,6 +135,70 @@ class TestErrorNorms:
             e2, b2 = error_norms_1d(sol, p, mesh, quad=2 * base_q)
             assert abs(e1.total - e2.total) < 1e-3 * e2.total
             assert abs(b1.total - b2.total) < 1e-3 * b2.total
+
+
+class TestErrorRuleSampling:
+    """One error-norm call maps the error rule to the mesh once, and every
+    exact handle samples those points; the rule's Legendre table is cached."""
+
+    EPS, K, N = 1e-6, 1, 8  # 2D: N^2 (2(k+2))^2 = 2304 points, one strip
+
+    def case(self, dim, calls):
+        """The norm call, a solution, a problem whose handles log their
+        names and arguments to ``calls``, the mesh, and the rule's points."""
+        config = MeshConfig(N=self.N, eps=self.EPS, sigma=self.K + 1.0)
+        if dim == 1:
+            p, mesh, names, norm = (paper_1d_problem(self.EPS), build_shishkin_1d(config),
+                                    ("u_exact", "q_exact", "b"), error_norms_1d)
+            sol, axis = solve_ldg_1d(p, mesh, self.K), mesh
+        else:
+            p, mesh, names, norm = (manufactured_2d_problem(self.EPS), build_shishkin_2d(config),
+                                    ("u_exact", "p_exact", "q_exact", "b"), error_norms_2d)
+            sol, axis = solve_ldg_2d(p, mesh, self.K), mesh.axis
+
+        def spy(name, handle):
+            def sampled(*points):
+                calls.append((name, points))
+                return handle(*points)
+            return sampled
+
+        spied = SimpleNamespace(has_exact=True, eps=p.eps,
+                                **{name: spy(name, getattr(p, name)) for name in names})
+        points = axis.quadrature_points(basis.gauss_rule(2 * (self.K + 2)).points)
+        return norm, sol, spied, mesh, points
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_handle_samples_one_shared_point_array(self, dim):
+        calls = []
+        norm, sol, spied, mesh, points = self.case(dim, calls)
+        norm(sol, spied, mesh)
+        handles = ["b", "q_exact", "u_exact"] + (["p_exact"] if dim == 2 else [])
+        assert sorted(name for name, _ in calls) == sorted(handles)
+        shared = calls[0][1][0]
+        for _, args in calls:  # 2D: x down the strip's rows, y along its columns
+            assert len(args) == dim
+            for a in args:
+                assert np.shares_memory(a, shared) and np.array_equal(a.ravel(), points.ravel())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_second_call_tabulates_nothing(self, dim, monkeypatch):
+        norm, sol, spied, mesh, _ = self.case(dim, [])
+        first = norm(sol, spied, mesh)
+        tables, tabulate = [], basis.legendre_table
+
+        def counted(*args):
+            tables.append(args)
+            return tabulate(*args)
+
+        monkeypatch.setattr(basis, "legendre_table", counted)
+        monkeypatch.setattr(norms, "legendre_table", counted)
+        assert norm(sol, spied, mesh) == first
+        assert tables == []
+
+    def test_traced_names_stay_bound(self):
+        # bench/spans.py counts the calls of these two in norms
+        assert norms.gauss_rule is basis.gauss_rule
+        assert norms.legendre_table is basis.legendre_table
 
 
 class TestRateFormula:
@@ -395,7 +464,8 @@ class TestStripKernel2D:
         outside_centre = layer[:, None] | layer[None, :]
 
         def sums():
-            return (norms._sq_error_2d(f, smooth_2d, mesh2d, self.QUAD, weight=variable_b),
+            error_rule = norms._error_rule(self.K, mesh2d.axis, self.QUAD)
+            return (norms._sq_error_2d(f, smooth_2d, mesh2d, error_rule, weight=variable_b),
                     l2_error_region_2d(f, smooth_2d, mesh2d, outside_centre, quad=self.QUAD))
 
         assert self.strips_of(monkeypatch, self.N) == [self.N]
