@@ -84,7 +84,7 @@ def build_parser():
     parser.add_argument("--norm", choices=NORMS)
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=tuple(FORMATS))
-    parser.add_argument("--study", choices=STUDIES)
+    parser.add_argument("--study", choices=tuple(STUDIES))
     parser.add_argument("--workers", type=int)
     return parser
 

@@ -4,11 +4,7 @@ A sweep solves the selected problem on every grid point, measures the
 energy- and balanced-norm errors and attaches to each row the Shishkin
 rate computed from the (N, 2N) pair.  Rows from clamped meshes (transition
 point capped at 1/4) and failed solves are flagged and excluded from rate
-fits.  The projection study measures the composite projection errors
-instead of solving; its rows reuse the same table schema with the scaled
-layer-region error in the energy column and the scaled flux projection
-error in the balanced column (sup-norm extras ride along for markdown
-output and programmatic use).
+fits.  ``STUDIES`` holds what a row measures in each study and dimension.
 """
 
 import itertools
@@ -46,7 +42,6 @@ _ROW_ERRORS = (ConfigurationError, MeshError, ProjectionError, SingularMatrixErr
                SolverError, LinAlgError)
 
 NORMS = ("energy", "balanced", "both")
-STUDIES = ("solve", "projection")
 
 
 def _fmt(spec):
@@ -177,52 +172,62 @@ def _group(job):
     return [_row(cfg, problem, k, N, eps) for N in cfg.n_list]
 
 
+def _solve_1d(problem, mesh, k, quad):
+    sol = solve_ldg_1d(problem, mesh, k)
+    energy, balanced = error_norms_1d(sol, problem, mesh, quad=quad)
+    return energy.total, balanced.total, sol.residual, {}
+
+
+def _solve_2d(problem, mesh, k, quad):
+    sol = solve_ldg_2d(problem, mesh, k)
+    energy, balanced = error_norms_2d(sol, problem, mesh, quad=quad)
+    return energy.total, balanced.total, sol.residual, {}
+
+
+def _project_1d(problem, mesh, k, quad):
+    eps, layer = mesh.config.eps, mesh.layer
+    proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
+    proj_q = composite_project_plus_1d(problem.q_exact, mesh, k, quad=quad)
+    err_u = eps ** -0.25 * l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad=quad)
+    err_q = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh, quad=quad)
+    return err_u, err_q, None, {
+        "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, ~layer),
+        "linf_q_layer": linf_error_1d(proj_q, problem.q_exact, mesh, layer)}
+
+
+def _project_2d(problem, mesh, k, quad):
+    eps, layer = mesh.axis.config.eps, mesh.axis.layer
+    proj_u = composite_project_minus_2d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
+    proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
+    off_centre = layer[:, None] | layer[None, :]
+    err_u = eps ** -0.25 * l2_error_region_2d(proj_u, problem.u_exact, mesh, off_centre, quad=quad)
+    err_p = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh, quad=quad)
+    return err_u, err_p, None, {}
+
+
+# Study name -> (1D measure, 2D measure); the CLI's --study choices.  A measure maps
+# (problem, mesh, k, quad) to (err_energy, err_balanced, residual, extras) and calls
+# the package through this module's globals, which a tracer or a test may rebind.
+STUDIES = {"solve": (_solve_1d, _solve_2d), "projection": (_project_1d, _project_2d)}
+
+
 def _row(cfg, problem, k, N, eps):
-    """One grid point of ``problem`` (or of the failure building it): build the
-    mesh, record ``clamped``, then solve (or project) and measure; ``cfg.norm``
-    selects the error columns kept, for both studies.  Row failures set ``failed``."""
-    sigma, quad = cfg.sigma_for(k), cfg.quad_order
+    """One grid point of ``problem`` (or of the failure building it), measured by
+    ``STUDIES``; ``cfg.norm`` picks the error columns kept, and failures set ``failed``."""
+    sigma = cfg.sigma_for(k)
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
     try:
         if isinstance(problem, Exception):
             raise problem
+        if not problem.has_exact:
+            raise ConfigurationError(f"the {cfg.study} study needs exact solution handles")
         mcfg = MeshConfig(N=N, eps=eps, sigma=sigma, beta=problem.beta)
         mesh = build_shishkin_1d(mcfg) if cfg.dim == 1 else build_shishkin_2d(mcfg)
         row.clamped = mesh.clamped
-        if cfg.study == "solve":
-            solve, norms = ((solve_ldg_1d, error_norms_1d) if cfg.dim == 1
-                            else (solve_ldg_2d, error_norms_2d))
-            sol = solve(problem, mesh, k)
-            energy, balanced = norms(sol, problem, mesh, quad=quad)
-            row.residual = sol.residual
-            row.err_energy, row.err_balanced = energy.total, balanced.total
-        elif not problem.has_exact:
-            raise ConfigurationError("projection study needs exact solution handles")
-        elif cfg.dim == 1:
-            proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
-            proj_q = composite_project_plus_1d(problem.q_exact, mesh, k, quad=quad)
-            layer = mesh.layer
-            err_u_layer = l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad=quad)
-            row.err_energy = eps ** -0.25 * err_u_layer
-            row.err_balanced = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh,
-                                                                 quad=quad)
-            row.extras = {
-                "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, ~layer),
-                "linf_q_layer": linf_error_1d(proj_q, problem.q_exact, mesh, layer),
-            }
-        else:
-            proj_u = composite_project_minus_2d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
-            proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
-            layer = mesh.axis.layer
-            outside_centre = layer[:, None] | layer[None, :]
-            err_u = l2_error_region_2d(proj_u, problem.u_exact, mesh, outside_centre, quad=quad)
-            row.err_energy = eps ** -0.25 * err_u
-            row.err_balanced = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh,
-                                                                 quad=quad)
-        if cfg.norm == "balanced":
-            row.err_energy = None
-        if cfg.norm == "energy":
-            row.err_balanced = None
+        measure = STUDIES[cfg.study][cfg.dim - 1]
+        energy, balanced, row.residual, row.extras = measure(problem, mesh, k, cfg.quad_order)
+        row.err_energy = None if cfg.norm == "balanced" else energy
+        row.err_balanced = None if cfg.norm == "energy" else balanced
     except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
@@ -233,20 +238,15 @@ def _attach_rates(rows):
     by_key = {(r.k, r.N, r.eps): r for r in rows}
     for r in rows:
         nxt = by_key.get((r.k, 2 * r.N, r.eps))
-        usable = (
-            nxt is not None and not r.failed and not nxt.failed
-            and not r.clamped and not nxt.clamped
-        )
-        if not usable:
+        if nxt is None or any(x.failed or x.clamped for x in (r, nxt)):
             continue
         if r.err_energy is not None and nxt.err_energy is not None:
             r.rate_energy = rate_shishkin(r.err_energy, nxt.err_energy, r.N)
         if r.err_balanced is not None and nxt.err_balanced is not None:
             r.rate_balanced = rate_shishkin(r.err_balanced, nxt.err_balanced, r.N)
-        for name in list(r.extras):
-            e0, e1 = r.extras.get(name), nxt.extras.get(name)
-            if e0 and e1:
-                r.extras[f"rate_{name}"] = rate_shishkin(e0, e1, r.N)
+        for name, e0 in list(r.extras.items()):
+            if e0 and nxt.extras.get(name):
+                r.extras[f"rate_{name}"] = rate_shishkin(e0, nxt.extras[name], r.N)
 
 
 def run_sweep(cfg):

@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MeshError
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def build_shishkin_1d(cfg):
 
     tau = min(1/4, sigma*sqrt(eps)*ln(N)/beta); with t_i = i/N the nodes are
     4*tau*t_i on [0, tau], tau + 2(1-2tau)(t_i - 1/4) in the interior and
-    1 - 4*tau*(1 - t_i) on [1-tau, 1].
+    1 - 4*tau*(1 - t_i) on [1-tau, 1].  Raises MeshError when the nodes are
+    not strictly increasing (eps = 1e-30, N = 1024, sigma = 3: 68 cells of width 0).
     """
     N = cfg.N
     tau_formula = cfg.sigma * np.sqrt(cfg.eps) * np.log(N) / cfg.beta
@@ -146,7 +147,12 @@ def build_shishkin_1d(cfg):
     nodes[right] = 1.0 - 4.0 * tau * (1.0 - t[right])
     nodes[0] = 0.0
     nodes[N] = 1.0
-    return Mesh1D(config=cfg, nodes=nodes, tau=tau, clamped=clamped)
+    mesh = Mesh1D(config=cfg, nodes=nodes, tau=tau, clamped=clamped)
+    if degenerate := np.count_nonzero(mesh.widths <= 0.0):
+        # 4*tau/N below the spacing of floats near 1: right-layer nodes round together
+        raise MeshError(f"Shishkin mesh N={N}, eps={cfg.eps:g} has {degenerate} cells of "
+                        f"zero (or negative) width; its nodes are not strictly increasing")
+    return mesh
 
 
 def build_shishkin_2d(cfg):

@@ -45,13 +45,23 @@ def test_every_bound_name_resolves_and_is_restored(spans):
     (2, ("ldg2d.dofs", "ldg2d.nnz")),
 ])
 def test_observers_read_a_traced_sweep(spans, dim, counters):
+    # every study's measure must call the package through the names the tracer rebinds
     tracer = spans.Tracer()
     tracer.install()
+    seen = {}
     try:
-        table = harness.run_sweep(SweepConfig(dim=dim, n_list=(8,), eps_list=(1e-4,)))
+        for study in harness.STUDIES:
+            tracer.reset()
+            table = harness.run_sweep(SweepConfig(dim=dim, n_list=(8,), eps_list=(1e-4,),
+                                                  study=study))
+            assert [row.failed for row in table.rows] == [False]
+            assert tracer.counters["harness.rows"] == 1
+            seen[study] = {span[2] for span in tracer.spans}, dict(tracer.counters)
     finally:
         tracer.uninstall()
-    assert [row.failed for row in table.rows] == [False]
-    assert tracer.counters["harness.rows"] == 1
-    assert all(tracer.counters[name] > 0 for name in counters)
-    assert f"ldg{dim}d.solve_ldg_{dim}d" in {span[2] for span in tracer.spans}
+    solve_spans, solve_counters = seen["solve"]
+    assert all(solve_counters[name] > 0 for name in counters)
+    assert {f"ldg{dim}d.solve_ldg_{dim}d", "norms.error_norms"} <= solve_spans
+    projection_spans, _ = seen["projection"]
+    assert {"projections.composite", "norms.region"} <= projection_spans
+    assert not {f"ldg{dim}d.solve_ldg_{dim}d", "norms.error_norms"} & projection_spans

@@ -1,5 +1,7 @@
+import dataclasses
 import multiprocessing
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ldgshishkin import (
     emit_table,
     l2_error_region_1d,
     l2_error_region_2d,
+    paper_1d_problem,
     problem_by_key,
     run_projection_study,
     run_sweep,
@@ -221,6 +224,34 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "problem_by_key", defect)
         with pytest.raises(TypeError, match="defect"):
             run_sweep(SweepConfig(k_list=(1,), n_list=(8, 16), eps_list=(1e-4,)))
+
+    @pytest.mark.parametrize("study", ["solve", "projection"])
+    def test_a_problem_without_exact_handles_fails_every_row(self, study, monkeypatch):
+        problem = dataclasses.replace(paper_1d_problem(1e-4), u_exact=None)
+        monkeypatch.setattr(harness, "problem_by_key", lambda *args: problem)
+        cfg = SweepConfig(k_list=(1,), n_list=(8, 16), eps_list=(1e-4,), study=study)
+        assert [row.message for row in run_sweep(cfg).rows] == [
+            f"ConfigurationError: the {study} study needs exact solution handles"] * 2
+
+    @pytest.mark.parametrize("dim, k, n_list, eps, zero", [(1, 2, (512, 1024), 1e-30, 68),
+                                                           (2, 1, (16,), 1e-40, 4)])
+    def test_a_degenerate_mesh_fails_its_row_whatever_the_warning_filter(self, dim, k, n_list,
+                                                                         eps, zero):
+        # the mesh is refused before any solve can warn; 1D's N = 512 row still solves
+        cfg = SweepConfig(dim=dim, k_list=(k,), n_list=n_list, eps_list=(eps,))
+        outcomes = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                rows = run_sweep(cfg).rows
+            assert caught == []
+            outcomes.append([(row.failed, row.message) for row in rows])
+        assert outcomes[1] == outcomes[0]
+        *solved, last = outcomes[0]
+        assert solved == [(False, "")] * (len(n_list) - 1)
+        assert last == (True, f"MeshError: Shishkin mesh N={n_list[-1]}, eps={eps:g} has {zero} "
+                              "cells of zero (or negative) width; its nodes are not strictly "
+                              "increasing")
 
     def test_workers_agree_with_serial(self):
         cfg = SweepConfig(k_list=(1,), n_list=(16, 32), eps_list=(1e-4, 1e-8))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldgshishkin import ConfigurationError, MeshConfig, build_shishkin_1d, build_shishkin_2d
+from ldgshishkin import (ConfigurationError, MeshConfig, MeshError, build_shishkin_1d,
+                         build_shishkin_2d)
 
 
 def cfg(N=32, eps=1e-4, sigma=2.0, beta=1.0):
@@ -121,6 +122,15 @@ class TestMeshGeometry:
         upper = 2.0 / N
         assert np.all(m.widths >= lower - 1e-16)
         assert np.all(m.widths <= upper + 1e-16)
+
+    @pytest.mark.parametrize("build, N, eps, sigma, zero", [
+        (build_shishkin_1d, 1024, 1e-30, 3.0, 68),
+        (build_shishkin_2d, 16, 1e-40, 2.0, 4),
+    ])
+    def test_zero_width_cells_raise_mesh_error(self, build, N, eps, sigma, zero):
+        # 4 tau / N falls below the spacing of floats near 1: right-layer nodes coincide
+        with pytest.raises(MeshError, match=rf"N={N}, eps={eps:g} has {zero} cells of zero"):
+            build(cfg(N=N, eps=eps, sigma=sigma))
 
 
 class TestRegions:
