@@ -3,11 +3,12 @@
 Everything here lives on the reference interval [-1, 1].  The per-cell
 polynomial spaces used by the DG discretization are spanned by the
 (unnormalized) Legendre polynomials P_0 .. P_k, so that local mass matrices
-are diagonal with entries (h/2) * 2/(2n+1).  ``legendre_table`` holds the
-one three-term recurrence, and ``reference_blocks_1d`` the one cached
-reference element of degree k: the endpoint values P_n(+-1), the mass
-diagonal, the stiffness and the assembly rule's table, which the scheme,
-the DG functions, the norms and the projections all read.
+are diagonal with entries (h/2) * 2/(2n+1).  ``gauss_rule`` wraps numpy's
+``leggauss``, ``legendre_table`` holds the one three-term recurrence (values
+only), and ``reference_blocks_1d`` the one cached reference element of degree
+k: the endpoint values P_n(+-1), the mass diagonal, the stiffness and the
+assembly rule's table, which the scheme, the DG functions, the norms and the
+projections all read.
 """
 
 from dataclasses import dataclass
@@ -23,29 +24,18 @@ _MAX_QUADRATURE_POINTS = 64
 
 
 def legendre_table(k, x):
-    """Tabulate P_0..P_k and derivatives at the points ``x`` by the
-    three-term recurrence.  The derivative is accumulated with the recurrence
-    P_n' = P_{n-2}' + (2n-1) P_{n-1}, which stays finite at the endpoints
-    (unlike the (1-x^2) form).
-
-    Returns:
-        Arrays ``(V, D)`` of shape ``(len(x), k+1)`` with V[p, n] = P_n(x_p)
-        and D[p, n] = P_n'(x_p).
-    """
+    """P_0..P_k at the points ``x`` by the three-term recurrence: the array V of
+    shape ``(len(x), k+1)`` with V[p, n] = P_n(x_p)."""
     if k < 0:
         raise ConfigurationError(f"Legendre degree must be >= 0, got {k}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     V = np.empty((x.size, k + 1))
-    D = np.empty((x.size, k + 1))
     V[:, 0] = 1.0
-    D[:, 0] = 0.0
     if k >= 1:
         V[:, 1] = x
-        D[:, 1] = 1.0
     for m in range(2, k + 1):
         V[:, m] = ((2 * m - 1) * x * V[:, m - 1] - (m - 1) * V[:, m - 2]) / m
-        D[:, m] = D[:, m - 2] + (2 * m - 1) * V[:, m - 1]
-    return V, D
+    return V
 
 
 @dataclass(frozen=True)
@@ -62,34 +52,16 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None, typed=True)  # typed: a cached gauss_rule(4) must not answer 4.0
 def gauss_rule(n):
-    """n-point Gauss-Legendre rule, exact for polynomials of degree <= 2n-1.
-
-    The n//2 negative nodes are the roots of P_n found by Newton iteration
-    from Chebyshev initial guesses, all at once: each pass tabulates P_n at
-    the roots still moving (``legendre_table``), and a root stops after the
-    update whose |dx| < 1e-15.  An odd rule adds the node 0.  Weights are
-    2 / ((1-x^2) P_n'(x)^2), and the rule is mirrored about 0 so symmetry
-    holds to the last bit.
-    """
+    """n-point Gauss-Legendre rule, exact for polynomials of degree <= 2n-1,
+    from ``numpy.polynomial.legendre.leggauss`` (symmetric to the last bit,
+    weights normalized to sum 2)."""
     if isinstance(n, bool) or not isinstance(n, Integral) or not 1 <= n <= _MAX_QUADRATURE_POINTS:
         raise ConfigurationError(
             f"Gauss rule size must be an integer in [1, {_MAX_QUADRATURE_POINTS}], got {n!r}"
         )
-    x = -np.cos(np.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
-    moving = np.arange(n // 2)
-    for _ in range(100):
-        if not moving.size:
-            break
-        V, D = legendre_table(n, x[moving])
-        dx = V[:, n] / D[:, n]
-        x[moving] -= dx
-        moving = moving[~(np.abs(dx) < 1e-15)]
-    if n % 2 == 1:
-        x = np.append(x, 0.0)
-    _, D = legendre_table(n, x)
-    w = 2.0 / ((1.0 - x * x) * D[:, n] * D[:, n])
-    points = np.concatenate([x, -x[:n // 2][::-1]])
-    weights = np.concatenate([w, w[:n // 2][::-1]])
+    from numpy.polynomial.legendre import leggauss  # deferred: import ldgshishkin stays lean
+
+    points, weights = leggauss(n)
     # rules are cached and shared; freeze the arrays against mutation
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -148,7 +120,7 @@ class ReferenceBlocks1D(NamedTuple):
 def _rule_table(k, quad):
     """The quad-point Gauss rule and its degree-k Legendre table, built once, read-only."""
     rule = gauss_rule(quad)
-    V, _ = legendre_table(k, rule.points)
+    V = legendre_table(k, rule.points)
     V.setflags(write=False)
     return rule, V
 

@@ -46,7 +46,7 @@ class DGFunction1D:
         a = nodes[cell]
         h = nodes[cell + 1] - a
         t = 2.0 * (x - a) / h - 1.0
-        V, _ = legendre_table(self.degree, t)
+        V = legendre_table(self.degree, t)
         return np.einsum("pn,pn->p", V, self.coeffs[cell])
 
     def left_traces(self):
@@ -90,7 +90,7 @@ class DGFunction2D:
         cj = np.clip(np.searchsorted(nodes, yf, side="right") - 1, 0, N - 1)
         t = 2.0 * (xf - nodes[ci]) / (nodes[ci + 1] - nodes[ci]) - 1.0
         s = 2.0 * (yf - nodes[cj]) / (nodes[cj + 1] - nodes[cj]) - 1.0
-        Vx, _ = legendre_table(self.degree, t)
-        Vy, _ = legendre_table(self.degree, s)
+        Vx = legendre_table(self.degree, t)
+        Vy = legendre_table(self.degree, s)
         vals = np.einsum("pm,pmn,pn->p", Vx, self.coeffs[ci, :, cj], Vy)
         return vals.reshape(shape)

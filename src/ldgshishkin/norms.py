@@ -223,7 +223,7 @@ def linf_error_1d(dgf, exact, mesh, cells=None):
     """
     mask = _cell_mask(cells, (mesh.N,))
     ts = np.linspace(-1.0, 1.0, _LINF_SAMPLES)
-    Vt, _ = legendre_table(dgf.degree, ts)
+    Vt = legendre_table(dgf.degree, ts)
     a, b = mesh.nodes[:-1][mask, None], mesh.nodes[1:][mask, None]
     coeffs, worst = dgf.coeffs[mask], 0.0
     for s in cell_blocks(len(a), _LINF_SAMPLES):

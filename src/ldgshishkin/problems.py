@@ -25,6 +25,12 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def _check_eps(eps):
+    """The one rule on the perturbation parameter: eps in (0, 1] (nan and inf fail)."""
+    if not 0.0 < eps <= 1.0:
+        raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
+
+
 @dataclass(frozen=True)
 class Problem1D:
     """Coefficients and (optional) exact-solution handles of a 1D problem.
@@ -43,6 +49,7 @@ class Problem1D:
     name: str = ""
 
     def __post_init__(self):
+        _check_eps(self.eps)
         xs = np.linspace(0.0, 1.0, 1001)
         bvals = np.asarray(self.b(xs), dtype=float)
         if not np.all(bvals >= self.beta**2 - 1e-12):
@@ -77,6 +84,7 @@ class Problem2D:
     name: str = ""
 
     def __post_init__(self):
+        _check_eps(self.eps)
         s = np.linspace(0.0, 1.0, 101)
         bvals = np.asarray(self.b(s[:, None], s[None, :]), dtype=float)
         if not np.all(bvals >= 2.0 * self.beta**2 - 1e-12):
@@ -113,10 +121,12 @@ class Problem2D:
 def _layer_profile(eps):
     """The antisymmetric two-sided boundary-layer profile and g = layer - cos(pi .).
 
-    Returns handles (ell, dell, g, dg, d2g): ell'' = ell / eps, ell(0) = 1 and
-    ell(1) = -1 exactly, so g vanishes at both ends; dell, dg, d2g are ell', g',
-    g''.  Each finishes in place on ``layer``'s arrays, rounding as the closed forms do.
+    Returns handles (ell, g, dg, d2g): ell'' = ell / eps, ell(0) = 1 and
+    ell(1) = -1 exactly, so g vanishes at both ends; dg, d2g are g', g''.  Each
+    finishes in place on ``layer``'s arrays, rounding as the closed forms do.
+    Rejects eps outside (0, 1] before anything divides by it.
     """
+    _check_eps(eps)
     r = 1.0 / np.sqrt(eps)
     denom = 1.0 - np.exp(-r)
 
@@ -139,9 +149,6 @@ def _layer_profile(eps):
     def ell(s):
         return layer(s, np.subtract, 1.0)[0][()]
 
-    def dell(s):
-        return layer(s, np.add, -r)[0][()]
-
     def g(s):
         return plus_trig(*layer(s, np.subtract, 1.0), -1.0, np.cos)
 
@@ -153,7 +160,7 @@ def _layer_profile(eps):
         out /= eps
         return plus_trig(out, tmp, s, np.pi**2, np.cos)
 
-    return ell, dell, g, dg, d2g
+    return ell, g, dg, d2g
 
 
 def paper_1d_problem(eps):
@@ -163,9 +170,7 @@ def paper_1d_problem(eps):
     endpoints; the layer part is annihilated by -eps v'' + v, so
     f(x) = -(1 + eps pi^2) cos(pi x).
     """
-    if not 0.0 < eps <= 1.0:
-        raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    _, _, u, du, d2u = _layer_profile(eps)
+    _, u, du, d2u = _layer_profile(eps)
 
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -187,8 +192,6 @@ def polynomial_problem_1d(eps, k):
     """
     if k < 2:
         raise ConfigurationError(f"polynomial problem needs k >= 2, got k = {k}")
-    if not 0.0 < eps <= 1.0:
-        raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
 
     def u(x):
         x = np.asarray(x, dtype=float)
@@ -224,9 +227,7 @@ def manufactured_2d_problem(eps):
         f = (1 + eps pi^2) * (2 cos(pi x) cos(pi y)
                               - layer(x) cos(pi y) - layer(y) cos(pi x)).
     """
-    if not 0.0 < eps <= 1.0:
-        raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
-    ell, _, g, dg, d2g = _layer_profile(eps)
+    ell, g, dg, d2g = _layer_profile(eps)
 
     def u(x, y):
         return g(np.asarray(x, dtype=float)) * g(np.asarray(y, dtype=float))

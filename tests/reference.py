@@ -12,8 +12,9 @@ rank-one interface term), the W_b blocks, right-hand side and extended-precision
 refined solve of the coupled 2D (U, P, Q) system, and the band- and
 sparse-matrix operations (triplet construction, dense and csr
 copies, scalings) with which the tests build their SuperLU and dense
-references, and the one-root-at-a-time Newton loop of the Gauss rules
-(``gauss_rule_scalar``).  No solver, norm or study calls any of it.
+references.  The bilinear-form oracles take P_n and P_n' from
+``numpy.polynomial.legendre`` (``legendre_values_and_derivatives``), not
+from the package.  No solver, norm or study calls any of it.
 ``run_fresh`` runs a script in a new interpreter, for the tests of which
 modules a run loads, and ``traced_peak`` measures the peak memory of a
 call by ``tracemalloc``.
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.legendre import legder, legval, legvander
 from scipy.sparse.linalg import splu
 
 import ldgshishkin
@@ -41,37 +43,20 @@ from ldgshishkin.linalg import BandedMatrix, SparseMatrix, equilibrate, lu_bande
 from ldgshishkin.projections import GR_PLUS, L2, _project_2d
 
 
-def gauss_rule_scalar(n):
-    """Points and weights of the n-point Gauss-Legendre rule by Newton
-    iteration on one root at a time, with the same guesses, stopping test
-    and weight formula as ``basis.gauss_rule``, which moves all roots at
-    once and must equal this loop bit for bit."""
-    points, weights = np.zeros(n), np.zeros(n)
-    for j in range(n // 2):
-        x = -np.cos(np.pi * (j + 0.75) / (n + 0.5))
-        for _ in range(100):
-            V, D = legendre_table(n, x)
-            dx = V[0, n] / D[0, n]
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        dp = legendre_table(n, x)[1][0, n]
-        points[j], points[n - 1 - j] = x, -x
-        weights[j] = weights[n - 1 - j] = 2.0 / ((1.0 - x * x) * dp * dp)
-    if n % 2 == 1:
-        dp = legendre_table(n, 0.0)[1][0, n]
-        weights[n // 2] = 2.0 / (dp * dp)
-    return points, weights
+def legendre_values_and_derivatives(k, points):
+    """P_0..P_k and P_0'..P_k' at ``points``, shape (len(points), k+1) each,
+    from ``numpy.polynomial.legendre``: the package tabulates values only."""
+    return legvander(points, k), legval(points, legder(np.eye(k + 1))).T
 
 
 def run_fresh(script, tmp_path):
     """Run ``script`` in a new interpreter that imports ldgshishkin from
     this tree, with ``out`` bound to a path for ``numpy.savez``.  Returns
-    which of scipy.sparse and scipy.linalg it left in ``sys.modules`` and
-    the arrays it saved."""
+    which of scipy.sparse, scipy.linalg and numpy.polynomial it left in
+    ``sys.modules`` and the arrays it saved."""
     out = tmp_path / "out.npz"
     report = ("import json, sys\n"
-              "print(json.dumps([m for m in ('scipy.sparse', 'scipy.linalg')"
+              "print(json.dumps([m for m in ('scipy.sparse', 'scipy.linalg', 'numpy.polynomial')"
               " if m in sys.modules]))")
     code = f"out = {str(out)!r}\n{textwrap.dedent(script)}\n{report}\n"
     path = [str(Path(ldgshishkin.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -97,7 +82,7 @@ def _lobatto_interpolation(k):
     """Chebyshev-Lobatto points on [-1, 1] and the inverse of their Legendre table."""
     pts = -np.cos(np.pi * np.arange(k + 1) / k)
     pts[0], pts[-1] = -1.0, 1.0
-    V, _ = legendre_table(k, pts)
+    V = legendre_table(k, pts)
     return pts, np.linalg.inv(V)
 
 
@@ -162,7 +147,7 @@ def bilinear_form_1d(W, X, problem, mesh):
     eps = problem.eps
     root = float(np.sqrt(eps))
     rule = gauss_rule(assembly_quad_order(k))
-    V, D = legendre_table(k, rule.points)
+    V, D = legendre_values_and_derivatives(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
     Xpts = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(Xpts), dtype=float)
@@ -210,7 +195,7 @@ def load_functional_1d(f, X, mesh):
     """<f, v_X> for the test pair X = (r, v); companion of bilinear_form_1d."""
     k = X.U.degree
     rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
+    V = legendre_table(k, rule.points)
     halfh = 0.5 * np.diff(mesh.nodes)
     Xpts = mesh.quadrature_points(rule.points)
     fvals = np.asarray(f(Xpts), dtype=float)
@@ -229,7 +214,7 @@ def bilinear_form_2d(T, Z, problem, mesh2d):
     N = mesh2d.N
     root = float(np.sqrt(eps))
     rule = gauss_rule(assembly_quad_order(k))
-    V, D = legendre_table(k, rule.points)
+    V, D = legendre_values_and_derivatives(k, rule.points)
     w = rule.weights
     w2 = w[:, None] * w[None, :]
     h = 0.5 * np.diff(mesh2d.axis.nodes)
@@ -307,7 +292,7 @@ def load_functional_2d(f, Z, mesh2d):
     """(f, v_Z) on the 2D mesh; companion of bilinear_form_2d."""
     k = Z.U.degree
     rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
+    V = legendre_table(k, rule.points)
     w2 = rule.weights[:, None] * rule.weights[None, :]
     h = 0.5 * np.diff(mesh2d.axis.nodes)
     X = mesh2d.axis.quadrature_points(rule.points)
@@ -359,7 +344,7 @@ def banded_system_1d(problem, mesh, k):
     ref, halfh = reference_blocks_1d(k), 0.5 * mesh.widths
     m, v = halfh[:, None] * ref.mass, np.concatenate([ref.ones, -ref.alt])
     rule = gauss_rule(assembly_quad_order(k))
-    V, _ = legendre_table(k, rule.points)
+    V = legendre_table(k, rule.points)
     X = mesh.quadrature_points(rule.points)
     bvals = np.asarray(problem.b(X), dtype=float)
     fvals = np.asarray(problem.f(X), dtype=float)

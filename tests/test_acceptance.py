@@ -302,7 +302,7 @@ def test_criterion_7_projection_suite():
             xs = np.linspace(cell[0], cell[1], 13)
             t = 2 * (xs - cell[0]) / (cell[1] - cell[0]) - 1
             scale = np.max(np.abs(w(xs))) + 1.0
-            V, _ = legendre_table(k, t)
+            V = legendre_table(k, t)
             for kind in (L2, WEIGHTED, GR_MINUS, GR_PLUS):
                 vals = V @ cell_project_1d(kind, w, cell, k, b=b)
                 worst_rep = max(worst_rep, np.max(np.abs(vals - w(xs))) / scale)
@@ -312,7 +312,7 @@ def test_criterion_7_projection_suite():
     w = lambda x: np.sin(2.0 * np.asarray(x)) + np.exp(-np.asarray(x))
     for k in (1, 2, 3):
         for cell in ((0.0, 0.25), (0.4, 0.45)):
-            (right, left), _ = legendre_table(k, [1.0, -1.0])
+            right, left = legendre_table(k, [1.0, -1.0])
             vm = right @ cell_project_1d(GR_MINUS, w, cell, k)
             worst_end = max(worst_end, abs(vm - float(w(cell[1]))))
             vp = left @ cell_project_1d(GR_PLUS, w, cell, k)

@@ -40,6 +40,23 @@ def test_every_bound_name_resolves_and_is_restored(spans):
                for (owner, leaf), original in zip(bound, originals))
 
 
+# Every call site that a traced one-row sweep records, by (study, dim), besides
+# harness.run_sweep and harness.problem_by_key.  Names alone are not enough: the two
+# composite projections of a study share one span name, so a measure that bound one of
+# them at definition time would still record the name through the other.
+SITES = {
+    ("solve", 1): {"harness.build_shishkin_1d", "harness.solve_ldg_1d", "ldg1d.assemble_1d",
+                   "harness.error_norms_1d"},
+    ("solve", 2): {"harness.build_shishkin_2d", "harness.solve_ldg_2d", "ldg2d.assemble_2d",
+                   "harness.error_norms_2d"},
+    ("projection", 1): {"harness.build_shishkin_1d", "harness.composite_project_minus_1d",
+                        "harness.composite_project_plus_1d", "harness.l2_error_region_1d",
+                        "harness.linf_error_1d"},
+    ("projection", 2): {"harness.build_shishkin_2d", "harness.composite_project_minus_2d",
+                        "harness.composite_project_plus_x_2d", "harness.l2_error_region_2d"},
+}
+
+
 @pytest.mark.parametrize("dim, counters", [
     (1, ("ldg1d.dofs", "ldg1d.bandwidth")),
     (2, ("ldg2d.dofs", "ldg2d.nnz")),
@@ -57,6 +74,8 @@ def test_observers_read_a_traced_sweep(spans, dim, counters):
             assert [row.failed for row in table.rows] == [False]
             assert tracer.counters["harness.rows"] == 1
             seen[study] = {span[2] for span in tracer.spans}, dict(tracer.counters)
+            sites = {span[3] for span in tracer.spans}
+            assert sites == SITES[study, dim] | {"harness.run_sweep", "harness.problem_by_key"}
     finally:
         tracer.uninstall()
     solve_spans, solve_counters = seen["solve"]

@@ -33,7 +33,7 @@ class TestDGFunction1D:
         f = DGFunction1D(mesh, 2, rng.standard_normal((8, 3)))
         x = 0.5 * (mesh.nodes[4] + mesh.nodes[5])  # centre of cell row 4
         t = 0.0
-        V, _ = legendre_table(2, t)
+        V = legendre_table(2, t)
         expected = sum(f.coeffs[4, n] * V[0, n] for n in range(3))
         assert f.evaluate(x)[0] == pytest.approx(float(expected), rel=1e-14)
 

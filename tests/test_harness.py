@@ -334,7 +334,8 @@ class TestProjectionStudy:
         assert group[0].rate_energy is not None
 
     def test_import_and_2d_study_load_no_scipy(self, tmp_path):
-        # a new interpreter: neither the import nor the 2D study loads scipy
+        # a new interpreter: neither the import nor the 2D study loads scipy, and the
+        # import leaves numpy.polynomial (3-5 ms of import time) to the first Gauss rule
         assert run_fresh("import ldgshishkin", tmp_path)[0] == set()
         cfg = SweepConfig(dim=2, problem="manufactured2d", k_list=(1,), n_list=(16, 32),
                           eps_list=(1e-6,), study="projection")
@@ -344,7 +345,7 @@ class TestProjectionStudy:
             rows = run_projection_study({cfg!r}).rows
             np.savez(out, err=[(r.err_energy, r.err_balanced) for r in rows])
         """, tmp_path)
-        assert loaded == set()
+        assert loaded == {"numpy.polynomial"}
         rows = run_projection_study(cfg).rows
         assert np.array_equal(saved["err"], [(r.err_energy, r.err_balanced) for r in rows])
 

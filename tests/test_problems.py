@@ -161,6 +161,21 @@ class TestValidation:
             Problem2D(eps=1e-3, b=b, f=b, beta=1.0,
                       u_exact=lambda x, y: np.asarray(x, dtype=float) * (1.0 - np.asarray(y)))
 
+    @pytest.mark.parametrize("cls", [Problem1D, Problem2D])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 2.0, np.nan, np.inf])
+    def test_eps_outside_unit_interval_rejected_before_b_is_sampled(self, eps, cls):
+        # one rule for both classes and their factories; a solve never sees such a problem
+        def b(*args):
+            raise AssertionError("b sampled before eps was checked")
+
+        with pytest.raises(ConfigurationError, match=r"eps must lie in \(0, 1\]"):
+            cls(eps=eps, b=b, f=b, beta=1.0)
+        factories = ((paper_1d_problem, lambda eps: polynomial_problem_1d(eps, 2))
+                     if cls is Problem1D else (manufactured_2d_problem,))
+        for factory in factories:
+            with pytest.raises(ConfigurationError, match=r"eps must lie in \(0, 1\]"):
+                factory(eps)
+
 
 def closed_forms(eps):
     """The exact handles of the layer profile, paper1d and manufactured2d as
@@ -192,7 +207,7 @@ def closed_forms(eps):
         cx, cy = np.cos(np.pi * floats(x)), np.cos(np.pi * floats(y))
         return (1.0 + eps * np.pi**2) * (2.0 * cx * cy - ell(x) * cy - ell(y) * cx)
 
-    profile = {"ell": ell, "dell": dell, "g": g, "dg": dg, "d2g": d2g}
+    profile = {"ell": ell, "g": g, "dg": dg, "d2g": d2g}
     paper1d = {
         "u_exact": g, "du_exact": dg, "d2u_exact": d2g, "q_exact": lambda x: eps * dg(x),
         "f": lambda x: -(1.0 + eps * np.pi**2) * np.cos(np.pi * floats(x)),

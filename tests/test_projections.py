@@ -30,7 +30,7 @@ from reference import composite_project_plus_y_2d
 def eval_modal(coeffs, cell, x):
     a, b = cell
     t = 2.0 * (np.asarray(x, dtype=float) - a) / (b - a) - 1.0
-    return legendre_table(len(coeffs) - 1, t)[0] @ coeffs
+    return legendre_table(len(coeffs) - 1, t) @ coeffs
 
 
 def l2_norm_on_cell(f, cell, npts=20):
@@ -298,7 +298,7 @@ class TestTensor2D:
                 c = tensor_project_2d(kx, ky, z, self.CELL, 1)
                 # xy = P1(t) P1(s) scaled: modal coefficient pattern
                 xs = np.linspace(0, 1, 5)
-                V, _ = legendre_table(1, 2 * xs - 1)
+                V = legendre_table(1, 2 * xs - 1)
                 vals = V @ c @ V.T
                 assert np.max(np.abs(vals - xs[:, None] * xs[None, :])) < 1e-13
 
@@ -317,9 +317,9 @@ class TestTensor2D:
         z = lambda x, y: np.asarray(x) ** 2 * np.asarray(y)
         c = tensor_project_2d(GR_MINUS, L2, z, self.CELL, 1)
         xs = np.linspace(0, 1, 7)
-        Vx, _ = legendre_table(1, 2 * xs - 1)
+        Vx = legendre_table(1, 2 * xs - 1)
         for y in (0.0, 0.5, 1.0):
-            Vy, _ = legendre_table(1, 2 * y - 1)
+            Vy = legendre_table(1, 2 * y - 1)
             vals = Vx @ c @ Vy[0]
             expected = (-1.0 / 3.0 + 4.0 * xs / 3.0) * y
             assert np.max(np.abs(vals - expected)) < 1e-13
@@ -342,7 +342,7 @@ class TestTensor2D:
         z = lambda x, y: 2.0 * np.asarray(x) - np.asarray(y)
         c = tensor_project_2d(WEIGHTED, WEIGHTED, z, self.CELL, 1, b=b)
         xs = np.linspace(0, 1, 5)
-        V, _ = legendre_table(1, 2 * xs - 1)
+        V = legendre_table(1, 2 * xs - 1)
         vals = V @ c @ V.T
         assert np.max(np.abs(vals - (2 * xs[:, None] - xs[None, :]))) < 1e-12
 
