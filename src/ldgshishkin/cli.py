@@ -8,12 +8,7 @@ import argparse
 import sys
 
 from .errors import ConfigurationError
-from .harness import FORMATS, NORMS, STUDIES, SweepConfig, emit_table, run_sweep
-
-_CONFIG_KEYS = {
-    "dim", "problem", "k", "n", "eps", "sigma", "quad-order", "norm",
-    "out", "format", "study", "workers",
-}
+from .harness import FORMATS, STUDIES, SweepConfig, emit_table, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,8 +19,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _config_flags(path):
-    """The flags a key=value config file stands for, one ``--key=value`` each."""
+def _config_flags(path, parser):
+    """The flags a key=value config file stands for, one ``--key=value`` each;
+    the keys are ``parser``'s flags but --config and --help, less their dashes."""
+    keys = {s[2:] for a in parser._actions if a.dest not in ("config", "help")
+            for s in a.option_strings}
     flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -37,7 +35,7 @@ def _config_flags(path):
                     f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                 )
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
             flags.append(f"--{key}={value}")
     return flags
@@ -81,7 +79,6 @@ def build_parser():
     parser.add_argument("--quad-order", dest="quad_order", type=int,
                         help="quadrature points per cell for error integrals and "
                              "projections, 1 to 64 (projections: at least k+1)")
-    parser.add_argument("--norm", choices=NORMS)
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=tuple(FORMATS))
     parser.add_argument("--study", choices=tuple(STUDIES))
@@ -96,7 +93,7 @@ def main(argv=None):
         values = vars(parser.parse_args(argv))
         if "config" in values:
             # the file's flags come first, so explicit flags override them
-            values = vars(parser.parse_args(_config_flags(values["config"]) + argv))
+            values = vars(parser.parse_args(_config_flags(values["config"], parser) + argv))
         values.pop("config", None)
         cfg = SweepConfig(**values)
         table = run_sweep(cfg)

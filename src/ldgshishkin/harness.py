@@ -41,8 +41,6 @@ from .ldg2d import solve_ldg_2d
 _ROW_ERRORS = (ConfigurationError, MeshError, ProjectionError, SingularMatrixError,
                SolverError, LinAlgError)
 
-NORMS = ("energy", "balanced", "both")
-
 
 def _fmt(spec):
     """A cell format: ``spec`` applied to the value, blank for None."""
@@ -75,7 +73,6 @@ class SweepConfig:
     eps_list: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     sigma: Optional[float] = None    # None -> k + 1 per k
     quad_order: Optional[int] = None
-    norm: str = "both"
     study: str = "solve"
     out: Optional[str] = None
     fmt: str = "csv"
@@ -87,8 +84,7 @@ class SweepConfig:
         if self.problem is None:
             self.problem = "paper1d" if self.dim == 1 else "manufactured2d"
         problem_factory(self.problem, self.dim)
-        for what, value, allowed in (("norm selection", self.norm, NORMS),
-                                     ("study", self.study, STUDIES),
+        for what, value, allowed in (("study", self.study, STUDIES),
                                      ("format", self.fmt, FORMATS)):
             if value not in allowed:
                 raise ConfigurationError(f"unknown {what} {value!r}")
@@ -213,7 +209,7 @@ STUDIES = {"solve": (_solve_1d, _solve_2d), "projection": (_project_1d, _project
 
 def _row(cfg, problem, k, N, eps):
     """One grid point of ``problem`` (or of the failure building it), measured by
-    ``STUDIES``; ``cfg.norm`` picks the error columns kept, and failures set ``failed``."""
+    ``STUDIES`` into both error columns; failures set ``failed``."""
     sigma = cfg.sigma_for(k)
     row = RateRow(k=k, N=N, eps=eps, sigma=sigma)
     try:
@@ -225,9 +221,8 @@ def _row(cfg, problem, k, N, eps):
         mesh = build_shishkin_1d(mcfg) if cfg.dim == 1 else build_shishkin_2d(mcfg)
         row.clamped = mesh.clamped
         measure = STUDIES[cfg.study][cfg.dim - 1]
-        energy, balanced, row.residual, row.extras = measure(problem, mesh, k, cfg.quad_order)
-        row.err_energy = None if cfg.norm == "balanced" else energy
-        row.err_balanced = None if cfg.norm == "energy" else balanced
+        row.err_energy, row.err_balanced, row.residual, row.extras = measure(
+            problem, mesh, k, cfg.quad_order)
     except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"
@@ -240,10 +235,8 @@ def _attach_rates(rows):
         nxt = by_key.get((r.k, 2 * r.N, r.eps))
         if nxt is None or any(x.failed or x.clamped for x in (r, nxt)):
             continue
-        if r.err_energy is not None and nxt.err_energy is not None:
-            r.rate_energy = rate_shishkin(r.err_energy, nxt.err_energy, r.N)
-        if r.err_balanced is not None and nxt.err_balanced is not None:
-            r.rate_balanced = rate_shishkin(r.err_balanced, nxt.err_balanced, r.N)
+        r.rate_energy = rate_shishkin(r.err_energy, nxt.err_energy, r.N)
+        r.rate_balanced = rate_shishkin(r.err_balanced, nxt.err_balanced, r.N)
         for name, e0 in list(r.extras.items()):
             if e0 and nxt.extras.get(name):
                 r.extras[f"rate_{name}"] = rate_shishkin(e0, nxt.extras[name], r.N)

@@ -51,11 +51,11 @@ class MixedSolution1D:
 class OperatorPieces1D:
     """1D operator pieces over (cell, mode), s = sqrt(eps).
 
-    ``m`` (N, k+1) is the diagonal of the modal mass M = diag(h/2 * 2/(2n+1)),
-    ``penalty`` the (N, k+1, k+1) diagonal blocks of the boundary term s E,
-    E = e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T, and ``interface`` (J, v)
-    the rank-one interface penalty of the flux mass F = M/s + v v^T, v = 1
-    on cell J and -alt on cell J+1 (J = 3N/4, 1-based).  The h-independent
+    ``m`` (N, k+1) is the diagonal of the modal mass M = diag(h/2 * 2/(2n+1))
+    and ``interface`` (J, v) the rank-one interface penalty of the flux mass
+    F = M/s + v v^T, v = 1 on cell J and -alt on cell J+1 (J = 3N/4, 1-based).
+    The boundary term s E, E = e_N e_N^T(x)11^T + e_1 e_1^T(x)alt alt^T, is
+    s ``ref.E_first`` on cell 1 and s ``ref.E_last`` on cell N.  The h-independent
     block D = I(x)G - (I - e_N e_N^T)(x)11^T + L(x)alt 1^T of (U, r') with
     the upwinded flux -Uhat [[r]] (L the sub-diagonal shift, 1 and alt the
     right and left endpoint values of the modes) is applied by the reference
@@ -71,7 +71,6 @@ class OperatorPieces1D:
     """
 
     m: np.ndarray
-    penalty: np.ndarray
     s: float
     interface: tuple
     eliminated: tuple
@@ -190,15 +189,15 @@ class AssembledSystem:
 
 
 def piece_blocks_1d(mesh, k, eps):
-    """The ``OperatorPieces1D`` of ``mesh``: the mass diagonal, the penalty
-    blocks on the first and last cells, the interface vector, and K0 by
-    cell blocks (diag, sub): the blocks (c, c) and the (N-1, k+1) vectors
-    of the rank-one blocks (c+1, c) = sub[c] 1^T.  With M^-1 = diag(1/m)
-    / halfh on each cell, D has R (G on the last cell) on the diagonal and
-    alt 1^T below it, and alt^T diag(1/m) alt = sum(1/m), so block (c, c)
-    is s E_c + eps/halfh_c R^T diag(1/m) R, plus eps/halfh_{c+1} sum(1/m)
-    1 1^T on all cells but the last, and sub[c] is eps/halfh_{c+1} R^T
-    diag(1/m) alt (G^T for the last cell).  R and G hold integers and 1/m
+    """The ``OperatorPieces1D`` of ``mesh``: the mass diagonal, s, the
+    interface vector, and K0 by cell blocks (diag, sub): the blocks (c, c)
+    and the (N-1, k+1) vectors of the rank-one blocks (c+1, c) = sub[c] 1^T.
+    With M^-1 = diag(1/m) / halfh on each cell, D has R (G on the last cell)
+    on the diagonal and alt 1^T below it, and alt^T diag(1/m) alt = sum(1/m),
+    so block (c, c) is s E_c + eps/halfh_c R^T diag(1/m) R (s E_c nonzero on
+    cells 1 and N only), plus eps/halfh_{c+1} sum(1/m) 1 1^T on all cells but
+    the last, and sub[c] is eps/halfh_{c+1} R^T diag(1/m) alt (G^T for the
+    last cell).  R and G hold integers and 1/m
     half-integers, so the blocks are exactly symmetric.  Both dimensions
     check their degree k >= 1 here.
     """
@@ -206,15 +205,13 @@ def piece_blocks_1d(mesh, k, eps):
         raise ConfigurationError(f"polynomial degree must be >= 1, got {k}")
     ref, s, halfh = reference_blocks_1d(k), float(np.sqrt(eps)), 0.5 * mesh.widths
     scale = eps / halfh
-    sE = np.zeros((mesh.N, k + 1, k + 1))
-    sE[-1], sE[0] = s * ref.E_last, s * ref.E_first
     K0 = scale[:, None, None] * ref.RMR
-    K0 += sE
-    K0[-1] = sE[-1] + scale[-1] * ref.GMG
+    K0[0] += s * ref.E_first
+    K0[-1] = s * ref.E_last + scale[-1] * ref.GMG
     K0[:-1] += (scale[1:] * ref.minv_sum)[:, None, None]
     sub = scale[1:, None] * ref.RMalt
     sub[-1] = scale[-1] * ref.GMalt
-    return OperatorPieces1D(m=halfh[:, None] * ref.mass, penalty=sE, s=s,
+    return OperatorPieces1D(m=halfh[:, None] * ref.mass, s=s,
                             interface=(mesh.interface_index, np.concatenate([ref.ones, -ref.alt])),
                             eliminated=(K0, sub))
 
@@ -238,7 +235,8 @@ def assemble_1d(problem, mesh, k):
         cells[:kk - q, :, q] += W[:, q:, q].T
     matrix = BandedMatrix(N * kk, 3 * kk - 1, 0, band)
 
-    W[::N - 1] += pieces.penalty[::N - 1]  # C = W_b + s E in place: cells 1 and N
+    W[0] += pieces.s * ref.E_first  # C = W_b + s E in place: cells 1 and N
+    W[-1] += pieces.s * ref.E_last
     rhs = np.zeros((2, N, kk))
     rhs[1] = halfh[:, None] * ((ref.weights * fvals) @ ref.V)
     return AssembledSystem(matrix=matrix, rhs=rhs.ravel(), pieces=pieces, reaction=W)

@@ -135,8 +135,9 @@ class AssembledSystem2D:
         with the 1D matrices of the axis built from its pieces: the mass M,
         D applied by the reference element to the identity, the flux mass
         F = diag(m/s) + e e^T (e = v on the two interface cells) and the
-        boundary penalty s E from its diagonal blocks, and the W_b block of
-        every cell (i, j), formed from beta, added at its kron-order dofs.
+        boundary penalty s E from the reference blocks s E_first (cell 1) and
+        s E_last (cell N), and the W_b block of every cell (i, j), formed from
+        beta, added at its kron-order dofs.
         """
         import scipy.sparse as sp
         p, (N, k1), q, field = self.pieces, self.pieces.m.shape, self.V.shape[0], self.load.size
@@ -147,7 +148,8 @@ class AssembledSystem2D:
         D = sp.csr_matrix(p.ref.derivative(
             np.eye(n).reshape(n, N, k1)).reshape(n, n).T)
         F = sp.csr_matrix(np.diag((p.m * (1.0 / s)).ravel()) + np.outer(e, e))
-        sE = sp.block_diag(p.penalty, format="csr")
+        sE = sp.block_diag((s * p.ref.E_first, sp.csr_matrix((n - 2 * k1,) * 2),
+                            s * p.ref.E_last), format="csr")
         A = sp.bmat([
             [kron(sE, M) + kron(M, sE), -s * kron(D.T, M), -s * kron(M, D.T)],
             [kron(D, M), kron(F, M), None],

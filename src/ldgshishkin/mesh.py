@@ -17,6 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigurationError, MeshError
+from .problems import _check_eps
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,10 @@ class MeshConfig:
             raise ConfigurationError(f"N must be an integer, got {self.N!r}")
         if self.N < 4 or self.N % 4 != 0:
             raise ConfigurationError(f"N must be a multiple of 4 and >= 4, got {self.N}")
-        for name in ("eps", "sigma", "beta"):
+        _check_eps(self.eps)
+        for name in ("sigma", "beta"):
             if isinstance(value := getattr(self, name), bool) or not isinstance(value, Real):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.eps <= 1.0:
-            raise ConfigurationError(f"eps must lie in (0, 1], got {self.eps}")
         if not 0.0 < self.sigma < np.inf:
             raise ConfigurationError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.beta < np.inf:

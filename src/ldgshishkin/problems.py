@@ -18,6 +18,7 @@ harmlessly to zero away from the boundary.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +27,10 @@ from .errors import ConfigurationError
 
 
 def _check_eps(eps):
-    """The one rule on the perturbation parameter: eps in (0, 1] (nan and inf fail)."""
+    """The one rule on the perturbation parameter: a real number (not a bool)
+    in (0, 1] (nan and inf fail)."""
+    if isinstance(eps, bool) or not isinstance(eps, Real):
+        raise ConfigurationError(f"eps must be a real number, got {eps!r}")
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must lie in (0, 1], got {eps}")
 
@@ -45,7 +49,6 @@ class Problem1D:
     beta: float
     u_exact: Optional[Callable] = None
     du_exact: Optional[Callable] = None
-    d2u_exact: Optional[Callable] = None
     name: str = ""
 
     def __post_init__(self):
@@ -80,7 +83,6 @@ class Problem2D:
     u_exact: Optional[Callable] = None
     du_dx_exact: Optional[Callable] = None
     du_dy_exact: Optional[Callable] = None
-    lap_u_exact: Optional[Callable] = None
     name: str = ""
 
     def __post_init__(self):
@@ -121,8 +123,8 @@ class Problem2D:
 def _layer_profile(eps):
     """The antisymmetric two-sided boundary-layer profile and g = layer - cos(pi .).
 
-    Returns handles (ell, g, dg, d2g): ell'' = ell / eps, ell(0) = 1 and
-    ell(1) = -1 exactly, so g vanishes at both ends; dg, d2g are g', g''.  Each
+    Returns handles (ell, g, dg): ell'' = ell / eps, ell(0) = 1 and
+    ell(1) = -1 exactly, so g vanishes at both ends; dg is g'.  Each
     finishes in place on ``layer``'s arrays, rounding as the closed forms do.
     Rejects eps outside (0, 1] before anything divides by it.
     """
@@ -155,12 +157,7 @@ def _layer_profile(eps):
     def dg(s):
         return plus_trig(*layer(s, np.add, -r), np.pi, np.sin)
 
-    def d2g(s):
-        out, tmp, s = layer(s, np.subtract, 1.0)
-        out /= eps
-        return plus_trig(out, tmp, s, np.pi**2, np.cos)
-
-    return ell, g, dg, d2g
+    return ell, g, dg
 
 
 def paper_1d_problem(eps):
@@ -170,7 +167,7 @@ def paper_1d_problem(eps):
     endpoints; the layer part is annihilated by -eps v'' + v, so
     f(x) = -(1 + eps pi^2) cos(pi x).
     """
-    _, u, du, d2u = _layer_profile(eps)
+    _, u, du = _layer_profile(eps)
 
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
@@ -181,7 +178,7 @@ def paper_1d_problem(eps):
 
     return Problem1D(
         eps=eps, b=b, f=f, beta=1.0,
-        u_exact=u, du_exact=du, d2u_exact=d2u, name="paper1d",
+        u_exact=u, du_exact=du, name="paper1d",
     )
 
 
@@ -201,10 +198,6 @@ def polynomial_problem_1d(eps, k):
         x = np.asarray(x, dtype=float)
         return 1.0 - 2.0 * x
 
-    def d2u(x):
-        x = np.asarray(x, dtype=float)
-        return -2.0 * np.ones_like(x)
-
     def b(x):
         return np.ones_like(np.asarray(x, dtype=float))
 
@@ -214,7 +207,7 @@ def polynomial_problem_1d(eps, k):
 
     return Problem1D(
         eps=eps, b=b, f=f, beta=1.0,
-        u_exact=u, du_exact=du, d2u_exact=d2u, name="poly1d",
+        u_exact=u, du_exact=du, name="poly1d",
     )
 
 
@@ -227,7 +220,7 @@ def manufactured_2d_problem(eps):
         f = (1 + eps pi^2) * (2 cos(pi x) cos(pi y)
                               - layer(x) cos(pi y) - layer(y) cos(pi x)).
     """
-    ell, g, dg, d2g = _layer_profile(eps)
+    ell, g, dg = _layer_profile(eps)
 
     def u(x, y):
         return g(np.asarray(x, dtype=float)) * g(np.asarray(y, dtype=float))
@@ -237,13 +230,6 @@ def manufactured_2d_problem(eps):
 
     def du_dy(x, y):
         return g(np.asarray(x, dtype=float)) * dg(np.asarray(y, dtype=float))
-
-    def lap_u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = d2g(x) * g(y)
-        out += g(x) * d2g(y)
-        return out
 
     def b(x, y):
         x = np.asarray(x, dtype=float)
@@ -263,8 +249,7 @@ def manufactured_2d_problem(eps):
 
     return Problem2D(
         eps=eps, b=b, f=f, beta=1.0,
-        u_exact=u, du_dx_exact=du_dx, du_dy_exact=du_dy, lap_u_exact=lap_u,
-        name="manufactured2d",
+        u_exact=u, du_dx_exact=du_dx, du_dy_exact=du_dy, name="manufactured2d",
     )
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ldgshishkin.cli import _CONFIG_KEYS, build_parser, main
+from ldgshishkin.cli import _config_flags, build_parser, main
 from ldgshishkin.harness import CSV_HEADER, SweepConfig
 
 
@@ -90,18 +90,6 @@ def test_unwritable_path_exit_1():
     assert code == 1
 
 
-@pytest.mark.parametrize("study", ["solve", "projection"])
-def test_norm_selection_blanks_other_column(study, capsys):
-    code = main(["--study", study, "--k", "1", "--n", "16,32", "--eps", "1e-4",
-                 "--norm", "energy"])
-    assert code == 0
-    out = capsys.readouterr().out
-    row = out.strip().split("\n")[1].split(",")
-    assert row[4] != ""   # err_energy present
-    assert row[6] == ""   # err_balanced blank
-    assert row[7] == ""   # rate_balanced blank
-
-
 def test_2d_sweep_small(capsys):
     code = main(["--dim", "2", "--k", "1", "--n", "4,8", "--eps", "1e-4"])
     assert code == 0
@@ -111,7 +99,7 @@ def test_2d_sweep_small(capsys):
 
 
 def test_bad_flag_values_exit_1(capsys):
-    for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"]):
+    for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"], ["--norm", "energy"]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -132,14 +120,18 @@ def test_invalid_sweep_values_exit_1(argv, capsys):
 
 def test_bad_config_values_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for key, value in (("dim", "abc"), ("sigma", "x"), ("n", "16,banana")):
+    for key, value in (("dim", "abc"), ("sigma", "x"), ("n", "16,banana"), ("norm", "energy")):
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert main(["--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_options_are_sweep_config_fields():
-    # every option but --config names a SweepConfig field; config keys are the flags
-    actions = [a for a in build_parser()._actions if a.dest not in ("help", "config")]
-    assert {a.dest for a in actions} <= {f.name for f in dataclasses.fields(SweepConfig)}
-    assert _CONFIG_KEYS == {s[2:] for a in actions for s in a.option_strings}
+def test_options_are_sweep_config_fields(tmp_path):
+    # the options but --config are the SweepConfig fields; config keys are the flags
+    parser = build_parser()
+    actions = [a for a in parser._actions if a.dest not in ("help", "config")]
+    assert {a.dest for a in actions} == {f.name for f in dataclasses.fields(SweepConfig)}
+    keys = [s[2:] for a in actions for s in a.option_strings]
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in keys), encoding="utf-8")
+    assert _config_flags(cfg, parser) == [f"--{key}=1" for key in keys]

@@ -3,7 +3,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from ldgshishkin import (
     ConfigurationError,
@@ -370,7 +369,6 @@ class TestOperatorPieces:
         assert np.array_equal(pieces.m.ravel(), np.diag(M))
         identity = np.eye(n).reshape(n, N, k + 1)
         assert np.array_equal(ref.derivative(identity).reshape(n, n).T, D)
-        assert np.array_equal(scipy.linalg.block_diag(*pieces.penalty), sE)
         F_solve = pieces.flux_solve(identity).reshape(n, n).T
         assert np.max(np.abs(F_solve - F_inv)) <= 1e-15 * np.max(np.abs(F_inv))
         G = pieces.flux_gradient(identity).reshape(n, n).T
@@ -383,7 +381,7 @@ class TestOperatorPieces:
         # D, F and s E have one form in the package, the matrix-free one
         assert not hasattr(ldg1d, "CellBlocks")
         assert [f.name for f in fields(ldg1d.OperatorPieces1D)] == [
-            "m", "penalty", "s", "interface", "eliminated"]
+            "m", "s", "interface", "eliminated"]
 
     def test_one_elimination(self):
         # K0 has one constructor, piece_blocks_1d, for both dimensions

@@ -50,7 +50,7 @@ def poly_problem_2d(eps):
     lap = lambda x, y: -2 * np.asarray(y) * (1 - np.asarray(y)) - 2 * np.asarray(x) * (1 - np.asarray(x))
     f = lambda x, y: -eps * lap(x, y) + 2.0 * u(x, y)
     return Problem2D(eps=eps, b=const_b(2.0), f=f, beta=1.0, u_exact=u,
-                     du_dx_exact=ux, du_dy_exact=uy, lap_u_exact=lap)
+                     du_dx_exact=ux, du_dy_exact=uy)
 
 
 def variable_b_problem(eps):

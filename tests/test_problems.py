@@ -26,17 +26,17 @@ class TestPaperProblem:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10])
     def test_manufactured_residual(self, eps):
-        p = paper_1d_problem(eps)
+        p, d2u = paper_1d_problem(eps), closed_forms(eps)[3]
         xs = np.linspace(0.0, 1.0, 101)
-        res = -eps * p.d2u_exact(xs) + p.b(xs) * p.u_exact(xs) - p.f(xs)
+        res = -eps * d2u(xs) + p.b(xs) * p.u_exact(xs) - p.f(xs)
         assert np.max(np.abs(res)) < 1e-10
 
     def test_residual_at_random_interior_points(self):
         rng = np.random.default_rng(12345)
         for eps in (1e-4, 1e-8):
-            p = paper_1d_problem(eps)
+            p, d2u = paper_1d_problem(eps), closed_forms(eps)[3]
             xs = rng.uniform(0.0, 1.0, 1001)
-            res = -eps * p.d2u_exact(xs) + p.b(xs) * p.u_exact(xs) - p.f(xs)
+            res = -eps * d2u(xs) + p.b(xs) * p.u_exact(xs) - p.f(xs)
             scale = np.max(np.abs(p.f(xs)))
             assert np.max(np.abs(res)) < 1e-9 * scale
 
@@ -70,7 +70,7 @@ class TestPolynomialProblem:
     def test_residual(self):
         p = polynomial_problem_1d(1e-6, 3)
         xs = np.linspace(0, 1, 101)
-        res = -p.eps * p.d2u_exact(xs) + p.b(xs) * p.u_exact(xs) - p.f(xs)
+        res = -p.eps * -2.0 + p.b(xs) * p.u_exact(xs) - p.f(xs)  # u'' = -2
         assert np.max(np.abs(res)) < 1e-14
 
 
@@ -87,18 +87,18 @@ class TestManufactured2D:
 
     def test_residual_on_grid(self):
         for eps in (1e-4, 1e-8):
-            p = manufactured_2d_problem(eps)
+            p, lap = manufactured_2d_problem(eps), laplacian(eps)
             s = np.linspace(0.02, 0.98, 21)
             X, Y = np.meshgrid(s, s, indexing="ij")
-            res = -eps * p.lap_u_exact(X, Y) + p.b(X, Y) * p.u_exact(X, Y) - p.f(X, Y)
+            res = -eps * lap(X, Y) + p.b(X, Y) * p.u_exact(X, Y) - p.f(X, Y)
             assert np.max(np.abs(res)) < 1e-9
 
     def test_residual_at_random_points(self):
         rng = np.random.default_rng(99)
-        p = manufactured_2d_problem(1e-6)
+        p, lap = manufactured_2d_problem(1e-6), laplacian(1e-6)
         xs = rng.uniform(0, 1, 1001)
         ys = rng.uniform(0, 1, 1001)
-        res = -p.eps * p.lap_u_exact(xs, ys) + p.b(xs, ys) * p.u_exact(xs, ys) - p.f(xs, ys)
+        res = -p.eps * lap(xs, ys) + p.b(xs, ys) * p.u_exact(xs, ys) - p.f(xs, ys)
         scale = np.max(np.abs(p.f(xs, ys)))
         assert np.max(np.abs(res)) < 1e-9 * scale
 
@@ -162,24 +162,29 @@ class TestValidation:
                       u_exact=lambda x, y: np.asarray(x, dtype=float) * (1.0 - np.asarray(y)))
 
     @pytest.mark.parametrize("cls", [Problem1D, Problem2D])
-    @pytest.mark.parametrize("eps", [0.0, -1.0, 2.0, np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, 2.0, np.nan, np.inf,
+                                     True, "1e-4", None, np.array(1e-4)])
     def test_eps_outside_unit_interval_rejected_before_b_is_sampled(self, eps, cls):
-        # one rule for both classes and their factories; a solve never sees such a problem
+        # one rule for both classes, their factories and MeshConfig (test_mesh); a
+        # solve never sees such a problem
         def b(*args):
             raise AssertionError("b sampled before eps was checked")
 
-        with pytest.raises(ConfigurationError, match=r"eps must lie in \(0, 1\]"):
+        match = (r"eps must lie in \(0, 1\]" if type(eps) is float
+                 else "eps must be a real number")
+        with pytest.raises(ConfigurationError, match=match):
             cls(eps=eps, b=b, f=b, beta=1.0)
         factories = ((paper_1d_problem, lambda eps: polynomial_problem_1d(eps, 2))
                      if cls is Problem1D else (manufactured_2d_problem,))
         for factory in factories:
-            with pytest.raises(ConfigurationError, match=r"eps must lie in \(0, 1\]"):
+            with pytest.raises(ConfigurationError, match=match):
                 factory(eps)
 
 
 def closed_forms(eps):
     """The exact handles of the layer profile, paper1d and manufactured2d as
-    single closed-form expressions: the handles must equal them bit for bit."""
+    single closed-form expressions: the handles must equal them bit for bit.
+    The fourth item, g'', is for the PDE residuals of the tests alone."""
     r = 1.0 / np.sqrt(eps)
     denom = 1.0 - np.exp(-r)
 
@@ -207,9 +212,9 @@ def closed_forms(eps):
         cx, cy = np.cos(np.pi * floats(x)), np.cos(np.pi * floats(y))
         return (1.0 + eps * np.pi**2) * (2.0 * cx * cy - ell(x) * cy - ell(y) * cx)
 
-    profile = {"ell": ell, "g": g, "dg": dg, "d2g": d2g}
+    profile = {"ell": ell, "g": g, "dg": dg}
     paper1d = {
-        "u_exact": g, "du_exact": dg, "d2u_exact": d2g, "q_exact": lambda x: eps * dg(x),
+        "u_exact": g, "du_exact": dg, "q_exact": lambda x: eps * dg(x),
         "f": lambda x: -(1.0 + eps * np.pi**2) * np.cos(np.pi * floats(x)),
         "b": lambda x: np.ones_like(floats(x)),
     }
@@ -219,11 +224,17 @@ def closed_forms(eps):
         "du_dy_exact": lambda x, y: g(x) * dg(y),
         "p_exact": lambda x, y: eps * (dg(x) * g(y)),
         "q_exact": lambda x, y: eps * (g(x) * dg(y)),
-        "lap_u_exact": lambda x, y: d2g(x) * g(y) + g(x) * d2g(y),
         "f": f2,
         "b": lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), 2.0),
     }
-    return profile, paper1d, manufactured2d
+    return profile, paper1d, manufactured2d, d2g
+
+
+def laplacian(eps):
+    """The closed-form Laplacian of manufactured2d, g''(x) g(y) + g(x) g''(y)."""
+    profile, _, _, d2g = closed_forms(eps)
+    g = profile["g"]
+    return lambda x, y: d2g(x) * g(y) + g(x) * d2g(y)
 
 
 def read_only(a):
@@ -264,8 +275,8 @@ class TestHandlesMatchClosedForms:
 
     @pytest.mark.parametrize("eps", EPS)
     def test_layer_profile_and_paper1d_handles(self, eps):
-        profile, paper1d, _ = closed_forms(eps)
-        handles = dict(zip(profile, _layer_profile(eps)))
+        profile, paper1d, _, _ = closed_forms(eps)
+        handles = dict(zip(profile, _layer_profile(eps), strict=True))
         p = paper_1d_problem(eps)
         handles.update({f"paper1d.{name}": getattr(p, name) for name in paper1d})
         want = {**profile, **{f"paper1d.{name}": h for name, h in paper1d.items()}}
@@ -278,7 +289,7 @@ class TestHandlesMatchClosedForms:
 
     @pytest.mark.parametrize("eps", EPS)
     def test_manufactured2d_handles(self, eps):
-        _, _, manufactured2d = closed_forms(eps)
+        _, _, manufactured2d, _ = closed_forms(eps)
         p = manufactured_2d_problem(eps)
         for name, closed in manufactured2d.items():
             for label, (x, y) in self.ARGS_2D.items():
