@@ -19,28 +19,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _config_flags(path, parser):
-    """The flags a key=value config file stands for, one ``--key=value`` each;
-    the keys are ``parser``'s flags but --config and --help, less their dashes."""
-    keys = {s[2:] for a in parser._actions if a.dest not in ("config", "help")
-            for s in a.option_strings}
-    flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            flags.append(f"--{key}={value}")
-    return flags
-
-
 def _list_of(convert, kind):
     """An argparse type: a comma-separated list of ``convert`` values as a tuple."""
 
@@ -58,15 +36,14 @@ _int_list, _float_list = _list_of(int, "integer"), _list_of(float, "float")
 
 
 def build_parser():
-    """Every option but --config has a ``SweepConfig`` field as its dest and
-    no default, so the values that were set are that config's arguments."""
+    """Every option has a ``SweepConfig`` field as its dest and no default, so
+    the values that were set are that config's arguments."""
     parser = _Parser(
         prog="ldgshishkin",
         description="LDG convergence studies for singularly perturbed "
                     "reaction-diffusion problems on Shishkin meshes.",
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", help="key=value file; explicit flags override it")
     parser.add_argument("--dim", type=int, choices=(1, 2))
     parser.add_argument("--problem", help="problem key (paper1d, poly1d, manufactured2d)")
     parser.add_argument("--k", dest="k_list", metavar="K", type=_int_list,
@@ -76,9 +53,6 @@ def build_parser():
     parser.add_argument("--eps", dest="eps_list", metavar="EPS", type=_float_list,
                         help="comma list of perturbation parameters")
     parser.add_argument("--sigma", type=float, help="mesh constant; unset means k+1 per k")
-    parser.add_argument("--quad-order", dest="quad_order", type=int,
-                        help="quadrature points per cell for error integrals and "
-                             "projections, 1 to 64 (projections: at least k+1)")
     parser.add_argument("--out", help="output path ('-' for stdout)")
     parser.add_argument("--format", dest="fmt", choices=tuple(FORMATS))
     parser.add_argument("--study", choices=tuple(STUDIES))
@@ -87,15 +61,9 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        values = vars(parser.parse_args(argv))
-        if "config" in values:
-            # the file's flags come first, so explicit flags override them
-            values = vars(parser.parse_args(_config_flags(values["config"], parser) + argv))
-        values.pop("config", None)
-        cfg = SweepConfig(**values)
+        cfg = SweepConfig(**vars(parser.parse_args(argv)))
         table = run_sweep(cfg)
         text = emit_table(table, fmt=cfg.fmt, out=cfg.out)
         if cfg.out in (None, "-"):

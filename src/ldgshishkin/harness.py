@@ -14,7 +14,6 @@ from typing import Optional
 
 from numpy.linalg import LinAlgError
 
-from .basis import gauss_rule
 from .errors import (ConfigurationError, MeshError, ProjectionError,
                      SingularMatrixError, SolverError)
 from .mesh import MeshConfig, build_shishkin_1d, build_shishkin_2d
@@ -72,7 +71,6 @@ class SweepConfig:
     n_list: tuple = (32, 64, 128)
     eps_list: tuple = (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
     sigma: Optional[float] = None    # None -> k + 1 per k
-    quad_order: Optional[int] = None
     study: str = "solve"
     out: Optional[str] = None
     fmt: str = "csv"
@@ -105,11 +103,6 @@ class SweepConfig:
             raise ConfigurationError(f"sigma must be a real number, got {self.sigma!r}")
         for k, n, eps in itertools.product(self.k_list, ns, self.eps_list):
             MeshConfig(N=n, eps=eps, sigma=self.sigma_for(k))  # owns the N, eps, sigma rules
-        if self.quad_order is not None:
-            gauss_rule(self.quad_order)  # owns the range of rule sizes
-            if self.study == "projection" and self.quad_order <= max(self.k_list):
-                raise ConfigurationError(f"projections of degree {max(self.k_list)} need "
-                                         f"quad_order >= {max(self.k_list) + 1}")
         if (isinstance(self.workers, bool) or not isinstance(self.workers, Integral)
                 or self.workers < 1):
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
@@ -168,41 +161,41 @@ def _group(job):
     return [_row(cfg, problem, k, N, eps) for N in cfg.n_list]
 
 
-def _solve_1d(problem, mesh, k, quad):
+def _solve_1d(problem, mesh, k):
     sol = solve_ldg_1d(problem, mesh, k)
-    energy, balanced = error_norms_1d(sol, problem, mesh, quad=quad)
+    energy, balanced = error_norms_1d(sol, problem, mesh)
     return energy.total, balanced.total, sol.residual, {}
 
 
-def _solve_2d(problem, mesh, k, quad):
+def _solve_2d(problem, mesh, k):
     sol = solve_ldg_2d(problem, mesh, k)
-    energy, balanced = error_norms_2d(sol, problem, mesh, quad=quad)
+    energy, balanced = error_norms_2d(sol, problem, mesh)
     return energy.total, balanced.total, sol.residual, {}
 
 
-def _project_1d(problem, mesh, k, quad):
+def _project_1d(problem, mesh, k):
     eps, layer = mesh.config.eps, mesh.layer
-    proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
-    proj_q = composite_project_plus_1d(problem.q_exact, mesh, k, quad=quad)
-    err_u = eps ** -0.25 * l2_error_region_1d(proj_u, problem.u_exact, mesh, layer, quad=quad)
-    err_q = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh, quad=quad)
+    proj_u = composite_project_minus_1d(problem.u_exact, mesh, k, b=problem.b)
+    proj_q = composite_project_plus_1d(problem.q_exact, mesh, k)
+    err_u = eps ** -0.25 * l2_error_region_1d(proj_u, problem.u_exact, mesh, layer)
+    err_q = eps ** -0.75 * l2_error_region_1d(proj_q, problem.q_exact, mesh)
     return err_u, err_q, None, {
         "linf_u_coarse": linf_error_1d(proj_u, problem.u_exact, mesh, ~layer),
         "linf_q_layer": linf_error_1d(proj_q, problem.q_exact, mesh, layer)}
 
 
-def _project_2d(problem, mesh, k, quad):
+def _project_2d(problem, mesh, k):
     eps, layer = mesh.axis.config.eps, mesh.axis.layer
-    proj_u = composite_project_minus_2d(problem.u_exact, mesh, k, quad=quad, b=problem.b)
-    proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k, quad=quad)
+    proj_u = composite_project_minus_2d(problem.u_exact, mesh, k, b=problem.b)
+    proj_p = composite_project_plus_x_2d(problem.p_exact, mesh, k)
     off_centre = layer[:, None] | layer[None, :]
-    err_u = eps ** -0.25 * l2_error_region_2d(proj_u, problem.u_exact, mesh, off_centre, quad=quad)
-    err_p = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh, quad=quad)
+    err_u = eps ** -0.25 * l2_error_region_2d(proj_u, problem.u_exact, mesh, off_centre)
+    err_p = eps ** -0.75 * l2_error_region_2d(proj_p, problem.p_exact, mesh)
     return err_u, err_p, None, {}
 
 
 # Study name -> (1D measure, 2D measure); the CLI's --study choices.  A measure maps
-# (problem, mesh, k, quad) to (err_energy, err_balanced, residual, extras) and calls
+# (problem, mesh, k) to (err_energy, err_balanced, residual, extras) and calls
 # the package through this module's globals, which a tracer or a test may rebind.
 STUDIES = {"solve": (_solve_1d, _solve_2d), "projection": (_project_1d, _project_2d)}
 
@@ -221,8 +214,7 @@ def _row(cfg, problem, k, N, eps):
         mesh = build_shishkin_1d(mcfg) if cfg.dim == 1 else build_shishkin_2d(mcfg)
         row.clamped = mesh.clamped
         measure = STUDIES[cfg.study][cfg.dim - 1]
-        row.err_energy, row.err_balanced, row.residual, row.extras = measure(
-            problem, mesh, k, cfg.quad_order)
+        row.err_energy, row.err_balanced, row.residual, row.extras = measure(problem, mesh, k)
     except _ROW_ERRORS as exc:  # recorded per row; the sweep continues
         row.failed = True
         row.message = f"{type(exc).__name__}: {exc}"

@@ -25,8 +25,9 @@ class MeshConfig:
     """Parameters of the layer-adapted mesh.
 
     N must be a multiple of 4 (the three regions hold N/4, N/2, N/4 cells);
-    sigma is the mesh constant (the driver pins sigma >= k+1), beta the
-    lower-bound constant of the reaction coefficient.
+    sigma is the mesh constant (the sweep defaults it to k+1, the paper's
+    choice, but any positive value is accepted), beta the lower-bound constant
+    of the reaction coefficient.
     """
 
     N: int

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ldgshishkin.cli import _config_flags, build_parser, main
+from ldgshishkin.cli import build_parser, main
 from ldgshishkin.harness import CSV_HEADER, SweepConfig
 
 
@@ -35,24 +35,6 @@ def test_markdown_format(capsys):
     assert "### k = 1" in out
 
 
-def test_config_file_with_cli_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# sweep configuration\n"
-        "dim = 1\n"
-        "k = 1\n"
-        "n = 16,32\n"
-        "eps = 1e-2\n"
-        "format = csv\n",
-        encoding="utf-8",
-    )
-    code = main(["--config", str(cfg), "--eps", "1e-4"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "0.0001," in out or "1e-04" in out
-    assert "0.01," not in out
-
-
 def test_projection_study_flag(capsys):
     code = main(["--study", "projection", "--k", "1", "--n", "16,32", "--eps", "1e-6"])
     assert code == 0
@@ -65,19 +47,6 @@ def test_failed_rows_exit_code_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "failed" in err
-
-
-def test_bad_config_key_exit_1(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    for key, value in (("nonsense", "1"), ("solver", "condensed")):
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["--config", str(cfg)]) == 1
-        assert repr(key) in capsys.readouterr().err
-
-
-def test_projection_quad_order_below_k_plus_1_exit_1(capsys):
-    assert main(["--study", "projection", "--k", "3", "--n", "16", "--quad-order", "3"]) == 1
-    assert "quad_order >= 4" in capsys.readouterr().err
 
 
 def test_bad_list_exit_1():
@@ -99,39 +68,24 @@ def test_2d_sweep_small(capsys):
 
 
 def test_bad_flag_values_exit_1(capsys):
-    for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"], ["--norm", "energy"]):
+    for argv in (["--dim", "3"], ["--sigma", "abc"], ["--bogus", "1"], ["--norm", "energy"],
+                 ["--config", "sweep.cfg"], ["--quad-order", "4"]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
     ["--problem", "nonsense"], ["--sigma", "-1"], ["--eps", "2"],
-    ["--quad-order", "0", "--k", "1", "--n", "8", "--eps", "1e-4"],
-    ["--quad-order", "65", "--k", "1", "--n", "8", "--eps", "1e-4"],
     ["--k", "1,1", "--n", "16,32", "--eps", "1e-4"],
     ["--k", "1", "--n", "16,32", "--eps", "1e-4,0.0001"], ["--sigma", "nan"],
-], ids=["problem", "sigma", "eps", "quad-order", "quad-order-65", "repeated-k",
-        "repeated-eps", "sigma-nan"])
+], ids=["problem", "sigma", "eps", "repeated-k", "repeated-eps", "sigma-nan"])
 def test_invalid_sweep_values_exit_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "failed" not in err
 
 
-def test_bad_config_values_exit_1(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    for key, value in (("dim", "abc"), ("sigma", "x"), ("n", "16,banana"), ("norm", "energy")):
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert main(["--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_options_are_sweep_config_fields(tmp_path):
-    # the options but --config are the SweepConfig fields; config keys are the flags
-    parser = build_parser()
-    actions = [a for a in parser._actions if a.dest not in ("help", "config")]
-    assert {a.dest for a in actions} == {f.name for f in dataclasses.fields(SweepConfig)}
-    keys = [s[2:] for a in actions for s in a.option_strings]
-    cfg = tmp_path / "keys.cfg"
-    cfg.write_text("".join(f"{key} = 1\n" for key in keys), encoding="utf-8")
-    assert _config_flags(cfg, parser) == [f"--{key}=1" for key in keys]
+def test_options_are_sweep_config_fields():
+    # the options but --help are exactly the SweepConfig fields
+    dests = {a.dest for a in build_parser()._actions} - {"help"}
+    assert dests == {f.name for f in dataclasses.fields(SweepConfig)}

@@ -9,21 +9,12 @@ from numpy.linalg import LinAlgError
 
 from ldgshishkin import (
     ConfigurationError,
-    MeshConfig,
     MeshError,
     ProjectionError,
     SingularMatrixError,
     SolverError,
     SweepConfig,
-    build_shishkin_1d,
-    build_shishkin_2d,
-    composite_project_minus_1d,
-    composite_project_minus_2d,
-    composite_project_plus_1d,
-    composite_project_plus_x_2d,
     emit_table,
-    l2_error_region_1d,
-    l2_error_region_2d,
     paper_1d_problem,
     problem_by_key,
     run_projection_study,
@@ -53,11 +44,10 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("values", [
         {"eps_list": ("1e-4",)}, {"eps_list": (None,)}, {"sigma": "2"},
-        {"quad_order": 2.5}, {"quad_order": 4.0}, {"workers": 1.5}, {"workers": 2.0},
-        {"eps_list": (True,)}, {"sigma": True}, {"quad_order": True}, {"workers": True},
-    ], ids=["str-eps", "none-eps", "str-sigma", "fractional-quad-order", "float-quad-order",
-            "fractional-workers", "float-workers", "bool-eps", "bool-sigma", "bool-quad-order",
-            "bool-workers"])
+        {"workers": 1.5}, {"workers": 2.0},
+        {"eps_list": (True,)}, {"sigma": True}, {"workers": True},
+    ], ids=["str-eps", "none-eps", "str-sigma", "fractional-workers", "float-workers",
+            "bool-eps", "bool-sigma", "bool-workers"])
     def test_wrong_typed_values_rejected(self, values):
         with pytest.raises(ConfigurationError, match="integer|real number"):
             SweepConfig(dim=1, n_list=(8, 16), **values)
@@ -82,22 +72,13 @@ class TestSweepConfig:
     @pytest.mark.parametrize("values", [
         {"problem": "nonsense"}, {"dim": 2, "problem": "poly1d"}, {"sigma": -1.0},
         {"sigma": 0.0}, {"eps_list": (1e-4, 2.0)}, {"eps_list": (0.0,)},
-        {"quad_order": 0}, {"eps_list": ()}, {"quad_order": 65},
-        {"k_list": (1, 1)}, {"eps_list": (1e-4, 1e-4)}, {"sigma": float("nan")},
+        {"eps_list": ()}, {"k_list": (1, 1)}, {"eps_list": (1e-4, 1e-4)},
+        {"sigma": float("nan")},
     ], ids=["problem", "problem-for-dim", "sigma", "sigma-zero", "eps", "eps-zero",
-            "quad-order", "empty-eps", "quad-order-65", "repeated-k", "repeated-eps",
-            "sigma-nan"])
+            "empty-eps", "repeated-k", "repeated-eps", "sigma-nan"])
     def test_invalid_values_rejected(self, values):
         with pytest.raises(ConfigurationError):
             SweepConfig(**values)
-
-    def test_projection_study_needs_k_plus_1_points(self):
-        # below k+1 points the projections are not projections; the solve
-        # study's error integrals accept any rule size
-        with pytest.raises(ConfigurationError, match="quad_order >= 4"):
-            SweepConfig(k_list=(1, 3), study="projection", quad_order=3)
-        assert SweepConfig(k_list=(1, 3), study="projection", quad_order=4).quad_order == 4
-        assert SweepConfig(k_list=(1, 3), quad_order=3).quad_order == 3
 
     def test_dim2_defaults_solve(self):
         table = run_sweep(SweepConfig(dim=2, n_list=(4, 8), eps_list=(1e-4,)))
@@ -291,38 +272,6 @@ class TestProjectionStudy:
         table = run_projection_study(cfg)
         (_, group), = table.groups()
         assert group[1].rate_energy >= 1.9
-
-    @pytest.mark.parametrize("dim, problem, N, quad",
-                             [(1, "paper1d", 64, 40), (2, "manufactured2d", 16, 12)])
-    def test_quad_order_reaches_error_integrals(self, dim, problem, N, quad):
-        # quad_order sets the rule of the projections and of the region
-        # error integrals alike; the same projection measured with the
-        # default error rule moves the balanced column in the fifth digit
-        eps, k = 1e-6, 1
-        cfg = SweepConfig(dim=dim, problem=problem, k_list=(k,), n_list=(N,),
-                          eps_list=(eps,), study="projection", quad_order=quad)
-        (row,) = run_projection_study(cfg).rows
-        p = problem_by_key(problem, dim, eps, k)
-        mcfg = MeshConfig(N=N, eps=eps, sigma=cfg.sigma_for(k), beta=p.beta)
-        if dim == 1:
-            mesh = build_shishkin_1d(mcfg)
-            u = composite_project_minus_1d(p.u_exact, mesh, k, quad=quad, b=p.b)
-            flux = composite_project_plus_1d(p.q_exact, mesh, k, quad=quad)
-            err_u = l2_error_region_1d(u, p.u_exact, mesh, mesh.layer, quad=quad)
-            err_flux = l2_error_region_1d(flux, p.q_exact, mesh, quad=quad)
-            err_flux_default = l2_error_region_1d(flux, p.q_exact, mesh)
-        else:
-            mesh = build_shishkin_2d(mcfg)
-            u = composite_project_minus_2d(p.u_exact, mesh, k, quad=quad, b=p.b)
-            flux = composite_project_plus_x_2d(p.p_exact, mesh, k, quad=quad)
-            layer = mesh.axis.layer
-            err_u = l2_error_region_2d(u, p.u_exact, mesh, layer[:, None] | layer[None, :],
-                                       quad=quad)
-            err_flux = l2_error_region_2d(flux, p.p_exact, mesh, quad=quad)
-            err_flux_default = l2_error_region_2d(flux, p.p_exact, mesh)
-        assert row.err_energy == pytest.approx(eps ** -0.25 * err_u, rel=1e-14)
-        assert row.err_balanced == pytest.approx(eps ** -0.75 * err_flux, rel=1e-14)
-        assert row.err_balanced != pytest.approx(eps ** -0.75 * err_flux_default, rel=1e-6)
 
     def test_2d_study_rows(self):
         cfg = SweepConfig(dim=2, problem="manufactured2d", k_list=(1,),

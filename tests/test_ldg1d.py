@@ -528,6 +528,56 @@ class TestFluxConsistency:
         assert nb.interface_jump_term <= 1e-12
 
 
+def _without_interface_penalty(mesh, k, eps):
+    pieces = piece_blocks_1d(mesh, k, eps)
+    J, v = pieces.interface
+    return replace(pieces, interface=(J, 0 * v))
+
+
+@pytest.fixture(scope="module")
+def paper_table_with_and_without_penalty():
+    """(eps, k, N) -> [(Q jump at node 3N/4, energy error, balanced error) of the
+    scheme, the same with the interface penalty dropped] on the paper's 1D table."""
+    rows = {}
+    for eps in (1e-4, 1e-8, 1e-12):
+        p = paper_1d_problem(eps)
+        for k in (1, 2, 3):
+            for N in (64, 128, 256, 512, 1024):
+                mesh, pair = make_mesh(N, eps, sigma=k + 1), []
+                J = mesh.interface_index
+                for pieces in (piece_blocks_1d, _without_interface_penalty):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(ldg1d, "piece_blocks_1d", pieces)
+                        sol = solve_ldg_1d(p, mesh, k)
+                    energy, balanced = error_norms_1d(sol, p, mesh)
+                    jump = sol.Q.left_traces()[J] - sol.Q.right_traces()[J - 1]
+                    pair.append((jump, energy.total, balanced.total))
+                rows[eps, k, N] = pair
+    return rows
+
+
+class TestInterfacePenalty:
+    """The penalty on the Q jump at node 3N/4 is the paper's flux; on paper1d it
+    halves that jump but leaves the errors and their rates all but unchanged."""
+
+    def test_penalty_halves_the_q_jump(self, paper_table_with_and_without_penalty):
+        # measured 0.500-0.518 at eps <= 1e-8; a dropped or misweighted term leaves 1
+        ratios = {key: with_[0] / without[0]
+                  for key, (with_, without) in paper_table_with_and_without_penalty.items()
+                  if key[0] <= 1e-8}
+        assert all(0.49 <= r <= 0.53 for r in ratios.values()), ratios
+
+    def test_penalty_moves_no_error_or_rate(self, paper_table_with_and_without_penalty):
+        # measured at most 3.7e-4 relative (k=1, N=64) and 4e-4 in a balanced rate
+        rows = paper_table_with_and_without_penalty
+        for (eps, k, N), (with_, without) in rows.items():
+            assert with_[1:] == pytest.approx(without[1:], rel=5e-4), (eps, k, N)
+            if (eps, k, 2 * N) in rows:
+                after = rows[eps, k, 2 * N]
+                assert abs(rate_shishkin(with_[2], after[0][2], N)
+                           - rate_shishkin(without[2], after[1][2], N)) <= 0.01, (eps, k, N)
+
+
 class TestReferenceValues:
     def test_balanced_error_magnitude(self):
         # reference anchor 0.25 at k=1, N=32; measured offset is a constant
